@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke examples clean
+.PHONY: install test lint bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke suite-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -58,6 +58,10 @@ topo:            ## rack sweep (locality x oversubscription) vs BENCH_topo.json 
 topo-smoke:      ## tiny-fabric topology harness check (asserts gate logic + CLI smoke)
 	PYTHONPATH=src python benchmarks/bench_topo.py --smoke
 	PYTHONPATH=src python -m repro topo --smoke --racks 4
+
+suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards the ledger's by-name patches)
+	python3 benchmarks/suite/run.py --smoke
+	python -m pytest benchmarks/suite -q
 
 examples:
 	python examples/quickstart.py

@@ -32,7 +32,6 @@ class Fabric:
         nic_bandwidth: float = 117.5 * MB,
         latency: float = 0.1 * MILLISECONDS,
         fairness: str = "equal-share",
-        rebalance: Optional[str] = None,
         topology=None,
     ):
         self.env = Environment()
@@ -45,7 +44,6 @@ class Fabric:
             metrics=self.metrics,
             latency=latency,
             fairness=fairness,
-            rebalance=rebalance,
             topology=topology,
         )
         self.rng = RngStreams(seed)

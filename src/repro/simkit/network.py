@@ -1,17 +1,25 @@
-"""Flow-level network fabric with per-NIC fair bandwidth sharing.
+"""Flow-level network fabric with fair bandwidth sharing over links.
 
 The paper's testbed is a commodity GigE cluster (117.5 MB/s measured TCP
 throughput, ~0.1 ms latency) behind a non-blocking switch, so the only
-bandwidth constraints that matter are the hosts' NICs. We therefore model the
+bandwidth constraints that matter there are the hosts' NICs. We model the
 network at *flow level*: a bulk transfer is a fluid flow whose instantaneous
-rate is its fair share of its source's uplink and destination's downlink.
+rate is its fair share of every link on its path.
+
+**One link record.** A :class:`_Link` is one direction of a capacity-
+constrained resource. A NIC owns two (its uplink and its downlink); a
+hierarchical :class:`~repro.topo.Topology` adds one per trunk direction
+(``rack3:up``, ``pod0:down``, ``core``). ``Flow.links`` is the flow's whole
+path, ``(src.up, dst.down, *trunks)``; a flat fabric — no topology, a
+single rack, or two hosts of the same rack — is simply a path with no
+trunks. Nothing below distinguishes a NIC direction from a trunk.
 
 Two fairness disciplines are provided:
 
 ``"equal-share"`` (default)
-    ``rate(f) = min(cap_up(src)/n_up(src), cap_down(dst)/n_down(dst))``.
-    Incremental, O(flows on the two affected links) per flow arrival or
-    departure — fast enough for hundred-node sweeps. It slightly
+    ``rate(f) = min(capacity(l) / n_flows(l) for l in f.links)``.
+    Incremental, near-O(1) per flow arrival or departure (the cohort engine
+    below) — fast enough for 512-node bursts on any topology. It slightly
     *under*-estimates throughput versus true max-min fairness because the
     share a bottlenecked-elsewhere flow leaves on a link is not
     redistributed.
@@ -19,52 +27,41 @@ Two fairness disciplines are provided:
 ``"maxmin"``
     exact max-min fairness via progressive filling, recomputed globally on
     every flow arrival/departure. Heap-driven water filling, O(F log L) per
-    recompute — used in tests and small topologies to bound the error of the
-    fast mode.
+    recompute, applied eagerly flow by flow (:meth:`FlowNetwork._set_rate`)
+    — used in tests and small topologies to bound the error of the fast
+    mode. It is only accepted on fabrics without trunks: no tracked result
+    needs it across racks, so the combination stays rejected rather than
+    carried untested.
+
+**Cohort engine** (equal-share): every flow bottlenecked on the same link
+has the *same* rate, so each link keeps one lazy cohort record (share
+level, an epoch counter, and a closed-segment history of past share
+levels) instead of touching every crossing flow on each arrival or
+departure. A flow's *home* is the tightest link on its path; on the other
+links of its path it is *foreign*. A flow's ``(remaining, t_last)`` is
+materialized only when its rate actually changes (its home switches to a
+link with a different share), when it becomes the cohort head (its ETA is
+needed), or when it aborts — by replaying the exact per-segment products an
+eager per-flow update would have computed, so results are bit-identical to
+a per-flow equal-share engine (kept as a reference under ``tests/``, see
+``tests/reference_network.py``). Flow maintenance is near-O(1) per event
+instead of O(flows on the touched links) — the difference between O(F²)
+and O(F log F) aggregate work for the paper's fan-in deployment patterns,
+on flat and oversubscribed fabrics alike. See DESIGN.md §8.
 
 **Completion wakeups** use a single earliest-ETA sentinel event per network
-rather than one timer per flow per rebalance: every rate change pushes the
-flow's new absolute completion time onto a lazily-invalidated heap (a
-per-flow generation counter marks stale entries), and at most one pending
-sentinel timer tracks the heap head. A rebalance therefore schedules O(1)
-timers instead of O(affected flows), and flows whose fair share did not
-change are not touched at all (their linear progress makes deferring the
-bookkeeping exact). See DESIGN.md §"Performance model & profiling".
-
-**Cohort rebalancing** (equal-share, default): under equal-share fairness
-every flow bottlenecked on the same link direction has the *same* rate, so
-each link direction keeps one lazy cohort record (share level, an epoch
-counter, and a closed-segment history of past share levels) instead of
-touching every crossing flow on each arrival/departure. A flow's
-``(remaining, t_last)`` is materialized only when its rate actually changes
-side (bottleneck switch), when it becomes the cohort head (its ETA is
-needed), or when it aborts — by replaying the exact per-segment products the
-eager per-flow update would have computed, so results are bit-identical to
-the legacy path (``rebalance="legacy"``, kept as an in-test oracle). The
-completion heap holds one entry per link direction (the cohort head's ETA,
-invalidated by epoch bumps) rather than one per flow per rate change,
-making flow maintenance near-O(1) per event instead of O(flows on the
-link) — the difference between O(F²) and O(F log F) aggregate work for the
-paper's fan-in deployment patterns. See DESIGN.md §8.
-
-**Hierarchical topology** (optional): attaching a multi-rack
-:class:`~repro.topo.Topology` switches the network into *path mode*: each
-flow resolves the trunk links on its path (rack uplink/downlink, optional
-pod trunks and core) once at start, and its rate is the minimum share over
-its NIC endpoints *and* every trunk it crosses. Rebalancing walks exactly
-the flows sharing a touched link (NIC direction or trunk), reusing the
-skip-unchanged-rate sentinel machinery of the per-flow engine. With no
-topology attached — or a single-rack one — every trunk path is empty and
-the flat engines (cohort included) run completely untouched, so flat-model
-results stay bit-identical. A single-rack topology still enables per-tier
-traffic *accounting* (scope classification lives only in Metrics and never
-affects the timeline).
+rather than one timer per flow per rebalance: a lazily-invalidated heap
+holds one entry per link (the cohort head's ETA, invalidated by epoch
+bumps) or, under max-min, one per flow rate change (invalidated by the
+flow's generation counter), and at most one pending sentinel timer tracks
+the heap head.
 
 Small control messages (below :attr:`FlowNetwork.message_threshold`) bypass
 the fluid model and pay ``latency + size/capacity + per_message_overhead``;
 their bytes still land in the traffic accounting (per-tier scoped when a
-topology is attached — the trunk is latency-dominated for them, not
-bandwidth-limited, so they do not consume trunk share).
+topology is attached — a trunk is latency-dominated for them, not
+bandwidth-limited, so they do not consume trunk share). Tier accounting
+lives only in :class:`Metrics` and never affects the timeline.
 """
 
 from __future__ import annotations
@@ -82,163 +79,137 @@ from ..obs.span import NULL_TRACER
 from .core import Environment, Event, Timeout
 from .trace import Metrics
 
-#: default rebalancing engine for equal-share fairness; tests monkeypatch
-#: this to "legacy" to run the pre-cohort per-flow path as an oracle
-DEFAULT_REBALANCE = "cohort"
-
 _INF = float("inf")
 
 
-class Nic:
-    """A full-duplex network interface: independent up and down capacities.
+class _Link:
+    """One direction of a shared link — a NIC uplink/downlink or a trunk.
 
-    Flow collections are insertion-ordered dicts (used as ordered sets):
-    iteration order must be deterministic across runs, or float accumulation
-    and event tie-breaking would depend on object memory addresses.
+    ``n_flows`` counts the flows crossing the link and ``share`` is its
+    current equal-share level, ``capacity / max(1, n_flows)``.
 
-    ``up_share`` / ``down_share`` cache the current equal-share level
-    (``capacity / max(1, n_flows)``); :class:`FlowNetwork` maintains them on
-    every flow arrival and departure so a rebalance reads shares in O(1)
-    instead of recounting flows.
+    The rest is the link's equal-share *cohort*. ``segs`` is the closed
+    history of past share levels as ``(t_end, share)`` pairs: a lazy flow
+    replays the pending suffix (from its ``seg_idx``) to materialize exactly
+    the subtract-and-clamp products an eager per-flow update would have
+    applied at each boundary. ``natives`` holds the flows bottlenecked here,
+    sorted by remaining bytes (ties in join order — insort_right is
+    stable), so ``natives[0]`` is always the link's next completion.
+    ``foreign`` holds crossing flows bottlenecked on another link of their
+    path. ``epoch`` invalidates completion-heap entries; ``others_floor``
+    is a sound lower bound on the shares of the *other* links on the
+    natives' paths, letting a share increase skip the switch-out scan when
+    no native can possibly leave.
     """
 
     __slots__ = (
-        "name",
-        "up_capacity",
-        "down_capacity",
-        "up_flows",
-        "down_flows",
-        "up_share",
-        "down_share",
-        "up_dir",
-        "down_dir",
+        "name", "capacity", "n_flows", "share", "epoch", "natives", "foreign",
+        "segs", "seg_base", "others_floor",
     )
 
-    def __init__(self, name: str, up_capacity: float, down_capacity: float | None = None):
+    def __init__(self, name: str, capacity: float):
         self.name = name
-        self.up_capacity = float(up_capacity)
-        self.down_capacity = float(down_capacity if down_capacity is not None else up_capacity)
-        self.up_flows: Dict[Flow, None] = {}
-        self.down_flows: Dict[Flow, None] = {}
-        self.up_share = self.up_capacity
-        self.down_share = self.down_capacity
-        #: lazy cohort records, created by FlowNetwork.add_nic in cohort mode
-        self.up_dir: Optional[_Dir] = None
-        self.down_dir: Optional[_Dir] = None
-
-    def __repr__(self) -> str:
-        return f"Nic({self.name}, up={self.up_capacity / MB:.1f}MB/s)"
-
-
-class Flow:
-    """A bulk transfer in flight. Internal to :class:`FlowNetwork`.
-
-    ``wake_seq`` is the flow's generation counter: it is bumped on every rate
-    change (and on completion), which lazily invalidates any completion-heap
-    entries pushed under earlier generations. ``ctime`` is the absolute
-    simulated time at which the flow completes under its current rate.
-    """
-
-    __slots__ = (
-        "src",
-        "dst",
-        "size",
-        "remaining",
-        "rate",
-        "t_last",
-        "ctime",
-        "done",
-        "wake_seq",
-        "kind",
-        "span",
-        "home",
-        "seg_idx",
-        "links",
-        "scope",
-    )
-
-    def __init__(self, src: Nic, dst: Nic, size: float, done: Event, kind: str):
-        self.src = src
-        self.dst = dst
-        self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
-        self.t_last = 0.0
-        self.ctime = 0.0
-        self.done = done
-        self.wake_seq = 0
-        self.kind = kind
-        self.span = None  # observability: set by transfer() when tracing
-        #: cohort mode: the link direction whose share is this flow's rate
-        #: (its bottleneck side) and the absolute index of the first segment
-        #: of that direction's history not yet applied to ``remaining``
-        self.home: Optional[_Dir] = None
-        self.seg_idx = 0
-        #: path mode: trunk links on the flow's path (empty when intra-rack
-        #: or no topology); tier label for traffic accounting (None = flat)
-        self.links: Tuple[_PLink, ...] = ()
-        self.scope: Optional[str] = None
-
-
-class _Dir:
-    """Equal-share cohort state for one link direction (cohort mode).
-
-    ``share`` is the current equal-share level (``capacity / max(1, n)``,
-    same floats as the legacy per-flow path). ``segs`` is the closed history
-    of past share levels as ``(t_end, share)`` pairs: a lazy flow replays the
-    pending suffix (from its ``seg_idx``) to materialize exactly the
-    subtract-and-clamp products the eager path would have applied at each
-    boundary. ``natives`` holds the flows bottlenecked here, sorted by
-    remaining bytes (ties in join order — insort_right is stable), so
-    ``natives[0]`` is always the direction's next completion. ``foreign``
-    holds crossing flows bottlenecked on their other side. ``epoch``
-    invalidates completion-heap entries; ``partner_floor`` is a sound lower
-    bound on the natives' partner-side shares, letting a share increase skip
-    the switch-out scan when no native can possibly leave.
-    """
-
-    __slots__ = (
-        "nic", "up", "share", "epoch", "natives", "foreign",
-        "segs", "seg_base", "partner_floor",
-    )
-
-    def __init__(self, nic: Nic, up: bool, capacity: float):
-        self.nic = nic
-        self.up = up
-        self.share = capacity
+        self.capacity = self.checked(capacity, f"capacity of link {name}")
+        self.n_flows = 0
+        self.share = self.capacity
         self.epoch = 0
         self.natives: List[Flow] = []
         self.foreign: Dict[Flow, None] = {}
         self.segs: List[Tuple[float, float]] = []
         self.seg_base = 0
-        self.partner_floor = _INF
+        self.others_floor = _INF
+
+    @staticmethod
+    def checked(capacity: float, what: str) -> float:
+        """The one capacity validation: every share is a quotient of it."""
+        if not capacity > 0:
+            raise ValueError(f"{what} must be positive, got {capacity}")
+        return float(capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        d = "up" if self.up else "down"
         return (
-            f"_Dir({self.nic.name}.{d}, share={self.share:.1f}, "
-            f"natives={len(self.natives)}, foreign={len(self.foreign)})"
+            f"_Link({self.name}, cap={self.capacity / MB:.1f}MB/s, "
+            f"share={self.share / MB:.1f}MB/s, n={self.n_flows}, "
+            f"natives={len(self.natives)})"
         )
 
 
-class _PLink:
-    """One direction of a shared trunk (rack uplink, pod trunk, core).
+class Nic:
+    """A full-duplex network interface: independent ``up`` and ``down`` links.
 
-    Path-mode analogue of a NIC direction: an insertion-ordered flow set
-    plus a cached equal-share level, maintained on every flow arrival and
-    departure so rebalances read the share in O(1).
+    ``rack`` is the NIC's rack on the attached topology, read once when the
+    NIC is added (0 on a flat fabric).
     """
 
-    __slots__ = ("name", "capacity", "flows", "share")
+    __slots__ = ("name", "up", "down", "rack")
 
-    def __init__(self, name: str, capacity: float):
+    def __init__(
+        self, name: str, up_capacity: float, down_capacity: float | None = None, rack: int = 0
+    ):
         self.name = name
-        self.capacity = float(capacity)
-        self.flows: Dict[Flow, None] = {}
-        self.share = self.capacity
+        self.up = _Link(f"{name}:up", up_capacity)
+        self.down = _Link(
+            f"{name}:down", down_capacity if down_capacity is not None else up_capacity
+        )
+        self.rack = rack
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_PLink({self.name}, cap={self.capacity / MB:.1f}MB/s, n={len(self.flows)})"
+    @property
+    def up_capacity(self) -> float:
+        return self.up.capacity
+
+    @property
+    def down_capacity(self) -> float:
+        return self.down.capacity
+
+    def __repr__(self) -> str:
+        return f"Nic({self.name}, up={self.up.capacity / MB:.1f}MB/s)"
+
+
+class Flow:
+    """A bulk transfer in flight. Internal to :class:`FlowNetwork`.
+
+    ``links`` is the flow's path, ``(src.up, dst.down, *trunks)``, and
+    ``scope`` its tier label for traffic accounting (None without a
+    topology). Equal-share: ``home`` is the link whose share is the flow's
+    rate (the tightest link of the path) and ``seg_idx`` the absolute index
+    of the first segment of that link's history not yet applied to
+    ``remaining``. Max-min: ``rate`` is authoritative, ``ctime`` the
+    absolute completion time under it, and ``wake_seq`` the generation
+    counter bumped on every rate change (and on completion), which lazily
+    invalidates completion-heap entries pushed under earlier generations.
+    """
+
+    __slots__ = (
+        "src", "dst", "size", "remaining", "rate", "t_last", "ctime", "done",
+        "wake_seq", "kind", "span", "home", "seg_idx", "links", "scope",
+    )
+
+    def __init__(
+        self,
+        src: Nic,
+        dst: Nic,
+        size: float,
+        done: Event,
+        kind: str,
+        links: Tuple[_Link, ...],
+        scope: Optional[str],
+        now: float,
+    ):
+        self.src = src
+        self.dst = dst
+        self.size = float(size)
+        self.remaining = float(size)
+        self.rate = 0.0
+        self.t_last = now
+        self.ctime = 0.0
+        self.done = done
+        self.wake_seq = 0
+        self.kind = kind
+        self.span = None  # observability: set by transfer() when tracing
+        self.home: Optional[_Link] = None
+        self.seg_idx = 0
+        self.links = links
+        self.scope = scope
 
 
 class FlowNetwork:
@@ -253,23 +224,17 @@ class FlowNetwork:
         message_threshold: int = 4096,
         per_message_overhead: float = 0.02 * MILLISECONDS,
         message_header_bytes: int = 66,
-        rebalance: Optional[str] = None,
         topology: Optional["Topology"] = None,
     ):
         if fairness not in ("equal-share", "maxmin"):
             raise ValueError(f"unknown fairness discipline {fairness!r}")
-        if rebalance is None:
-            rebalance = DEFAULT_REBALANCE
-        if rebalance not in ("cohort", "legacy"):
-            raise ValueError(f"unknown rebalance engine {rebalance!r}")
-        #: hierarchical fabric (None = flat switch). Multi-rack topologies
-        #: activate path mode; a single-rack one only adds tier accounting.
-        self.topology = topology
-        self._path = topology is not None and topology.multi_rack
-        if self._path and fairness != "equal-share":
+        if fairness == "maxmin" and topology is not None and topology.multi_rack:
             raise ValueError(
                 "hierarchical (multi-rack) topology requires equal-share fairness"
             )
+        #: hierarchical fabric (None = flat switch): trunks on cross-rack
+        #: paths plus per-tier traffic accounting
+        self.topology = topology
         self.env = env
         self.metrics = metrics if metrics is not None else Metrics()
         self.latency = latency
@@ -280,34 +245,31 @@ class FlowNetwork:
         #: observability: flow begin/end spans; inert unless a tracer is
         #: installed via :func:`repro.obs.install_tracer`
         self.tracer = NULL_TRACER
-        self.rebalance = rebalance
-        #: cohort engine active? (maxmin always runs the per-flow path — its
-        #: progressive filling is inherently global, see DESIGN.md §8; path
-        #: mode runs its own per-flow engine because a flow can cross an
-        #: arbitrary number of links, not the two _partner_dir assumes)
-        self._cohort = (
-            fairness == "equal-share" and rebalance == "cohort" and not self._path
-        )
-        #: path mode: trunk link registry and memoized (src, dst) -> trunks
-        self._trunks: Dict[str, _PLink] = {}
-        self._trunk_cache: Dict[Tuple[str, str], Tuple[_PLink, ...]] = {}
-        if self._path:
-            self._build_trunks()
-        #: link directions touched by the current event, in encounter order;
-        #: flushed (epoch bump + head ETA repush) at the end of the event
-        self._dirty: Dict[_Dir, None] = {}
+        #: max-min runs the eager per-flow engine: its progressive filling
+        #: is inherently global (see DESIGN.md §8); equal-share runs cohorts
+        self._eager = fairness == "maxmin"
+        self._trunks: Dict[str, _Link] = {}
+        if topology is not None:
+            self._build_trunks(topology)
+        #: memoized (src rack, dst rack) -> (trunks on the path, tier label)
+        self._routes: Dict[Tuple[int, int], Tuple[Tuple[_Link, ...], Optional[str]]] = {}
+        #: links touched by the current event, in first-encounter order (a
+        #: dict keeps a key's position when it is set again); flushed (epoch
+        #: bump + head ETA repush) at the end of the event
+        self._dirty: Dict[_Link, None] = {}
         #: share changes of the current event awaiting bottleneck settling:
-        #: ``(dir, old_share)`` in change order. Settling is deferred until
+        #: ``(link, old_share)`` in change order. Settling is deferred until
         #: every share of the event is final so switch decisions compare
-        #: final values — mid-event comparisons against stale partner shares
-        #: could move a flow twice and subdivide its float products.
-        self._pending: List[Tuple[_Dir, float]] = []
+        #: final values — mid-event comparisons against stale shares of the
+        #: other links could move a flow needlessly and subdivide its float
+        #: products.
+        self._pending: List[Tuple[_Link, float]] = []
         self._nics: Dict[str, Nic] = {}
         self._flows: Dict[Flow, None] = {}
-        #: min-heap of (completion time, push tie-breaker, flow generation,
-        #: flow); entries whose generation no longer matches the flow's
-        #: ``wake_seq`` are stale and dropped lazily.
-        self._completions: List[Tuple[float, int, int, Flow]] = []
+        #: min-heap of completion candidates, stale entries dropped lazily.
+        #: Equal-share: (head ETA, push tie-breaker, link epoch, link).
+        #: Max-min: (completion time, push tie-breaker, flow generation, flow).
+        self._completions: List[tuple] = []
         self._push_seq = 0
         #: generation of the currently armed sentinel timer (stale timers
         #: no-op on fire) and the absolute time it targets (None = no timer).
@@ -320,10 +282,9 @@ class FlowNetwork:
     def add_nic(self, name: str, up_capacity: float, down_capacity: float | None = None) -> Nic:
         if name in self._nics:
             raise ValueError(f"duplicate NIC name {name!r}")
-        nic = Nic(name, up_capacity, down_capacity)
-        if self._cohort:
-            nic.up_dir = _Dir(nic, True, nic.up_capacity)
-            nic.down_dir = _Dir(nic, False, nic.down_capacity)
+        topo = self.topology
+        rack = topo.rack(name) if topo is not None else 0
+        nic = Nic(name, up_capacity, down_capacity, rack)
         self._nics[name] = nic
         return nic
 
@@ -334,99 +295,58 @@ class FlowNetwork:
     def active_flow_count(self) -> int:
         return len(self._flows)
 
-    # ------------------------------------------------------------------ #
-    # hierarchical trunks (path mode)
-    # ------------------------------------------------------------------ #
-    def _build_trunks(self) -> None:
-        topo = self.topology
+    def _build_trunks(self, topo: "Topology") -> None:
         trunks = self._trunks
         for r in range(topo.n_racks):
-            trunks[f"rack{r}:up"] = _PLink(f"rack{r}:up", topo.rack_uplink)
-            trunks[f"rack{r}:down"] = _PLink(f"rack{r}:down", topo.rack_uplink)
+            trunks[f"rack{r}:up"] = _Link(f"rack{r}:up", topo.rack_uplink)
+            trunks[f"rack{r}:down"] = _Link(f"rack{r}:down", topo.rack_uplink)
         if topo.racks_per_pod:
             for p in range(topo.n_pods):
-                trunks[f"pod{p}:up"] = _PLink(f"pod{p}:up", topo.pod_uplink)
-                trunks[f"pod{p}:down"] = _PLink(f"pod{p}:down", topo.pod_uplink)
+                trunks[f"pod{p}:up"] = _Link(f"pod{p}:up", topo.pod_uplink)
+                trunks[f"pod{p}:down"] = _Link(f"pod{p}:down", topo.pod_uplink)
         if topo.core_capacity is not None:
-            trunks["core"] = _PLink("core", topo.core_capacity)
+            trunks["core"] = _Link("core", topo.core_capacity)
 
-    def trunk(self, name: str) -> _PLink:
+    def trunk(self, name: str) -> _Link:
         """Look up a trunk link by name (``rack3:up``, ``pod0:down``, ``core``)."""
-        return self._trunks[name]
+        try:
+            return self._trunks[name]
+        except KeyError:
+            known = ", ".join(self._trunks) or "none (no topology attached)"
+            raise ValueError(f"unknown trunk {name!r}; known trunks: {known}") from None
 
-    def _trunk_path(self, src: Nic, dst: Nic) -> Tuple[_PLink, ...]:
-        """Trunk links a src->dst flow crosses, memoized per host pair.
+    def _route(self, src: Nic, dst: Nic) -> Tuple[Tuple[_Link, ...], Optional[str]]:
+        """``(trunks, scope)`` of a src->dst transfer, resolved once per rack pair.
 
-        Intra-rack flows cross none (the top-of-rack switch is non-blocking);
-        cross-rack flows pay both rack trunks, plus pod trunks and the core
-        when pods / a finite core are configured.
+        Intra-rack flows cross no trunk (the top-of-rack switch is
+        non-blocking); cross-rack flows pay both rack trunks, plus pod
+        trunks and the core when pods / a finite core are configured.
+        Without a topology every NIC sits in rack 0 and the one route is
+        ``((), None)``: no trunks, no tier accounting.
         """
-        key = (src.name, dst.name)
-        cached = self._trunk_cache.get(key)
-        if cached is not None:
-            return cached
+        key = (src.rack, dst.rack)
+        route = self._routes.get(key)
+        if route is not None:
+            return route
         topo = self.topology
-        r1 = topo.rack(src.name)
-        r2 = topo.rack(dst.name)
-        if r1 == r2:
-            path: Tuple[_PLink, ...] = ()
-        else:
+        r1, r2 = key
+        path: List[_Link] = []
+        if r1 != r2:
             trunks = self._trunks
-            links = [trunks[f"rack{r1}:up"]]
+            path.append(trunks[f"rack{r1}:up"])
             core = trunks.get("core")
             if topo.pod(r1) != topo.pod(r2):
-                links.append(trunks[f"pod{topo.pod(r1)}:up"])
+                path.append(trunks[f"pod{topo.pod(r1)}:up"])
                 if core is not None:
-                    links.append(core)
-                links.append(trunks[f"pod{topo.pod(r2)}:down"])
+                    path.append(core)
+                path.append(trunks[f"pod{topo.pod(r2)}:down"])
             elif core is not None and not topo.racks_per_pod:
                 # no pod tier: every cross-rack flow transits the core
-                links.append(core)
-            links.append(trunks[f"rack{r2}:down"])
-            path = tuple(links)
-        self._trunk_cache[key] = path
-        return path
-
-    def set_trunk_capacity(self, name: str, capacity: float) -> None:
-        """Change a trunk's capacity mid-run (fault injection: uplink squeeze)."""
-        if capacity <= 0:
-            raise ValueError(f"trunk capacity must be positive, got {capacity}")
-        tl = self._trunks[name]
-        tl.capacity = float(capacity)
-        tl.share = tl.capacity / max(1, len(tl.flows))
-        self._rebalance_path((tl.flows,))
-
-    def _path_rate(self, flow: Flow) -> float:
-        """min share over the flow's endpoints and every trunk on its path."""
-        rate = flow.src.up_share
-        ds = flow.dst.down_share
-        if ds < rate:
-            rate = ds
-        for tl in flow.links:
-            s = tl.share
-            if s < rate:
-                rate = s
-        return rate
-
-    def _rebalance_path(self, flow_sets: Iterable[Dict[Flow, None]]) -> None:
-        """Path-mode rebalance: recompute every flow crossing a touched link.
-
-        ``flow_sets`` are the flow dicts of the link directions whose share
-        changed (NIC up/down and/or trunks). The union is collected in
-        encounter order (insertion-ordered dicts keep this deterministic)
-        and flows whose min-share rate is unchanged are skipped, exactly
-        like :meth:`_rebalance_pair`.
-        """
-        now = self.env.now
-        seen: Dict[Flow, None] = {}
-        for fs in flow_sets:
-            for f in fs:
-                seen[f] = None
-        for f in seen:
-            rate = self._path_rate(f)
-            if rate != f.rate:
-                self._set_rate(f, rate, now)
-        self._arm_sentinel()
+                path.append(core)
+            path.append(trunks[f"rack{r2}:down"])
+        scope = topo.scope(src.name, dst.name) if topo is not None else None
+        route = self._routes[key] = (tuple(path), scope)
+        return route
 
     # ------------------------------------------------------------------ #
     # transfers
@@ -443,12 +363,11 @@ class FlowNetwork:
             # message() returns a pre-scheduled Timeout — identical to an
             # Event fired via schedule_at, minus the extra allocation.
             return self.message(src, dst, nbytes, kind=kind)
-        done = Event(self.env)
-        flow = Flow(src, dst, nbytes, done, kind)
-        flow.t_last = self.env.now
-        topo = self.topology
-        if topo is not None:
-            flow.scope = topo.scope(src.name, dst.name)
+        env = self.env
+        done = Event(env)
+        trunks, scope = self._route(src, dst)
+        links = (src.up, dst.down) + trunks
+        flow = Flow(src, dst, nbytes, done, kind, links, scope, env.now)
         tracer = self.tracer
         if tracer.enabled:
             # async span: the flow ends inside the sentinel callback where no
@@ -457,40 +376,12 @@ class FlowNetwork:
                 f"flow:{src.name}->{dst.name}", "net", nbytes=int(nbytes), kind=kind
             )
         self._flows[flow] = None
-        src.up_flows[flow] = None
-        up_share = src.up_capacity / len(src.up_flows)
-        src.up_share = up_share
-        dst.down_flows[flow] = None
-        down_share = dst.down_capacity / len(dst.down_flows)
-        dst.down_share = down_share
-        if self._path:
-            links = self._trunk_path(src, dst)
-            if links:
-                flow.links = links
-                for tl in links:
-                    tl.flows[flow] = None
-                    tl.share = tl.capacity / len(tl.flows)
-            self._rebalance_path(
-                (src.up_flows, dst.down_flows) + tuple(tl.flows for tl in links)
-            )
-        elif self._cohort:
-            now = self.env.now
-            self._reshare(src.up_dir, up_share, now)
-            self._reshare(dst.down_dir, down_share, now)
-            # The new flow's bottleneck is the strictly tighter side (ties
-            # stay on the uplink — same value either way, matching the
-            # legacy `min(up, down)` with its `ds < rate` strict compare).
-            if down_share < up_share:
-                home, other = dst.down_dir, src.up_dir
-            else:
-                home, other = src.up_dir, dst.down_dir
-            other.foreign[flow] = None
-            self._insert_native(home, flow, now, other)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(src, dst)
+        for link in links:
+            link.n_flows += 1
+        if self._eager:
+            self._rebalance(links)
         else:
-            self._rebalance_global()
+            self._admit(flow)
         return done
 
     def message(
@@ -507,8 +398,8 @@ class FlowNetwork:
         if src is dst:
             delay = self.per_message_overhead
         else:
-            up = src.up_capacity
-            down = dst.down_capacity
+            up = src.up.capacity
+            down = dst.down.capacity
             delay = (
                 self.latency
                 + self.per_message_overhead
@@ -517,11 +408,8 @@ class FlowNetwork:
             # Same API as transfer()/_complete(): accounting hooks (test
             # doubles, future per-kind observers) see every wire byte.
             self.metrics.add_traffic(wire_bytes, kind)
-            topo = self.topology
-            if topo is not None:
-                self.metrics.add_topo_traffic(
-                    topo.scope(src.name, dst.name), kind, wire_bytes
-                )
+            if self.topology is not None:
+                self.metrics.add_topo_traffic(self._route(src, dst)[1], kind, wire_bytes)
         if done is None:
             # A Timeout *is* an event pre-scheduled at now+delay: one
             # flattened constructor instead of Event + schedule_at.
@@ -540,34 +428,21 @@ class FlowNetwork:
 
         In-flight flows crossing the NIC are rebalanced immediately; flows on
         other links are untouched (equal-share) or globally refilled (maxmin).
+        A rejected update leaves both capacities as they were.
         """
-        if up_capacity <= 0:
-            raise ValueError(f"NIC capacity must be positive, got {up_capacity}")
-        if down_capacity is not None and down_capacity <= 0:
-            # An explicit non-positive downlink used to slip through and
-            # corrupt every share computed from it (zero or negative rates).
-            raise ValueError(
-                f"NIC capacity must be positive, got down_capacity={down_capacity}"
-            )
-        nic.up_capacity = float(up_capacity)
-        nic.down_capacity = float(
-            down_capacity if down_capacity is not None else up_capacity
-        )
-        up_share = nic.up_capacity / max(1, len(nic.up_flows))
-        down_share = nic.down_capacity / max(1, len(nic.down_flows))
-        nic.up_share = up_share
-        nic.down_share = down_share
-        if self._path:
-            self._rebalance_path((nic.up_flows, nic.down_flows))
-        elif self._cohort:
-            now = self.env.now
-            self._reshare(nic.up_dir, up_share, now)
-            self._reshare(nic.down_dir, down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(nic, nic)
-        else:
-            self._rebalance_global()
+        if down_capacity is None:
+            down_capacity = up_capacity
+        up = _Link.checked(up_capacity, f"up_capacity of NIC {nic.name}")
+        down = _Link.checked(down_capacity, f"down_capacity of NIC {nic.name}")
+        nic.up.capacity = up
+        nic.down.capacity = down
+        self._rebalance((nic.up, nic.down))
+
+    def set_trunk_capacity(self, name: str, capacity: float) -> None:
+        """Change a trunk's capacity mid-run (fault injection: uplink squeeze)."""
+        trunk = self.trunk(name)
+        trunk.capacity = _Link.checked(capacity, f"capacity of trunk {name}")
+        self._rebalance((trunk,))
 
     def fail_nic(self, nic: Nic, cause: str = "nic failure") -> None:
         """Abort every flow crossing ``nic`` (host crash / link loss).
@@ -577,82 +452,70 @@ class FlowNetwork:
         transfer callers see the loss exactly like an RPC failure. Bytes
         already on the wire are charged to the traffic accounting.
         """
-        victims = list(nic.up_flows) + list(nic.down_flows)
+        # outgoing flows first, each group in start order: the order fixes
+        # float accumulation and the tie-breaking of the failure events
+        flows = self._flows
+        victims = [f for f in flows if f.src is nic] + [f for f in flows if f.dst is nic]
         if not victims:
             return
         now = self.env.now
-        cohort = self._cohort
-        touched: Dict[Nic, None] = {}  # insertion-ordered: determinism
-        touched_trunks: Dict[_PLink, None] = {}
+        touched: Dict[_Link, None] = {}  # insertion-ordered: determinism
         for flow in victims:
-            self._flows.pop(flow, None)
-            src, dst = flow.src, flow.dst
-            src.up_flows.pop(flow, None)
-            dst.down_flows.pop(flow, None)
-            touched[src] = None
-            touched[dst] = None
-            for tl in flow.links:
-                tl.flows.pop(flow, None)
-                touched_trunks[tl] = None
-            if cohort:
-                home = flow.home
-                if home is not None:
-                    # materialize at the pre-failure rate: replay the pending
-                    # closed segments, then the open partial to now — the
-                    # exact products the eager path would have applied
-                    self._replay(flow)
-                    t = flow.t_last
-                    if t < now:
-                        rem = flow.remaining - home.share * (now - t)
-                        flow.remaining = rem if rem > 0.0 else 0.0
-                        flow.t_last = now
-                    partner = self._partner_dir(flow)
-                    self._remove_native(home, flow)
-                    del partner.foreign[flow]
-                    flow.home = None
-            elif flow.rate > 0.0:
-                rem = flow.remaining - flow.rate * (now - flow.t_last)
-                flow.remaining = rem if rem > 0.0 else 0.0
-                flow.t_last = now
+            del flows[flow]
+            for link in flow.links:
+                link.n_flows -= 1
+                touched[link] = None
+            self._drain(flow, now)  # at the pre-failure rate
             flow.wake_seq += 1  # invalidate completion-heap entries
-            self.metrics.add_traffic(flow.size - flow.remaining, flow.kind)
+            sent = flow.size - flow.remaining
+            self.metrics.add_traffic(sent, flow.kind)
             if flow.scope is not None:
-                self.metrics.add_topo_traffic(
-                    flow.scope, flow.kind, flow.size - flow.remaining
-                )
+                self.metrics.add_topo_traffic(flow.scope, flow.kind, sent)
             span = flow.span
             if span is not None:
                 span.set_error(f"aborted: {cause}")
                 span.finish()
                 flow.span = None
             flow.done.fail(ProviderUnavailableError(cause))
-        for t in touched:
-            t.up_share = t.up_capacity / max(1, len(t.up_flows))
-            t.down_share = t.down_capacity / max(1, len(t.down_flows))
-        for tl in touched_trunks:
-            tl.share = tl.capacity / max(1, len(tl.flows))
-        if self._path:
-            self._rebalance_path(
-                tuple(t.up_flows for t in touched)
-                + tuple(t.down_flows for t in touched)
-                + tuple(tl.flows for tl in touched_trunks)
-            )
-        elif cohort:
-            for t in touched:
-                self._reshare(t.up_dir, t.up_share, now)
-                self._reshare(t.down_dir, t.down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            for t in touched:
-                self._rebalance_pair(t, t)
+        if not self._eager:
+            for flow in victims:
+                self._detach(flow)
+        self._rebalance(touched)
+
+    def _drain(self, flow: Flow, now: float) -> None:
+        """Advance ``remaining`` to ``now`` at the flow's current rate.
+
+        A homed (equal-share) flow first replays its pending closed
+        segments, then the open partial at its home's share — the exact
+        products an eager per-flow update would have applied.
+        """
+        home = flow.home
+        if home is None:
+            rate = flow.rate
         else:
-            self._rebalance_global()
+            self._replay(flow)
+            rate = home.share
+        t = flow.t_last
+        if t < now:
+            rem = flow.remaining - rate * (now - t)
+            flow.remaining = rem if rem > 0.0 else 0.0
+            flow.t_last = now
 
     # ------------------------------------------------------------------ #
     # rate maintenance
     # ------------------------------------------------------------------ #
+    def _rebalance(self, links: Iterable[_Link]) -> None:
+        """Capacity or membership of ``links`` changed: re-rate their flows."""
+        if self._eager:
+            self._rebalance_global()
+        else:
+            now = self.env.now
+            for link in links:
+                self._reshare(link, link.capacity / max(1, link.n_flows), now)
+            self._flush_dirty(now)
+
     def _set_rate(self, flow: Flow, new_rate: float, now: float) -> None:
-        """Apply a rate change: advance progress, bump generation, push ETA.
+        """Eager engine: advance progress, bump generation, push the new ETA.
 
         Callers skip flows whose rate is unchanged — a flow drains linearly,
         so leaving ``(t_last, remaining)`` untouched until the rate actually
@@ -672,22 +535,60 @@ class FlowNetwork:
             heappush(self._completions, (ctime, self._push_seq, flow.wake_seq, flow))
 
     # ------------------------------------------------------------------ #
-    # cohort engine (equal-share): lazy per-link-direction rate epochs
+    # cohort engine (equal-share): lazy per-link rate epochs
     # ------------------------------------------------------------------ #
-    def _partner_dir(self, flow: Flow) -> _Dir:
-        """The link direction a flow crosses besides its bottleneck side."""
-        src_up = flow.src.up_dir
-        return flow.dst.down_dir if flow.home is src_up else src_up
+    def _admit(self, flow: Flow) -> None:
+        """A counted new flow joins the cohorts of its path."""
+        now = self.env.now
+        links = flow.links
+        for link in links:
+            self._reshare(link, link.capacity / link.n_flows, now)
+        # The flow's bottleneck is the strictly tightest link (ties stay on
+        # the earliest link of the path — same value either way).
+        home = links[0]
+        for link in links:
+            if link.share < home.share:
+                home = link
+        for link in links:
+            if link is not home:
+                link.foreign[flow] = None
+        self._insert_native(home, flow, now)
+        self._flush_dirty(now)
+
+    def _detach(self, flow: Flow) -> None:
+        """Remove a departing flow from the cohorts of its path."""
+        home = flow.home
+        self._remove_native(home, flow)
+        for link in flow.links:
+            if link is not home:
+                del link.foreign[flow]
+        flow.home = None
+
+    def _runner_up(self, flow: Flow) -> _Link:
+        """The tightest link of a flow's path besides its home.
+
+        Ties go to the earliest link of the path; which tied link is chosen
+        never changes a rate value.
+        """
+        links = flow.links
+        home = flow.home
+        if len(links) == 2:  # no trunks: the other NIC direction
+            return links[1] if links[0] is home else links[0]
+        best = None
+        for link in links:
+            if link is not home and (best is None or link.share < best.share):
+                best = link
+        return best
 
     def _replay(self, flow: Flow, stop: Optional[int] = None) -> None:
         """Drain the flow's pending closed segments (exact materialization).
 
         Each pending segment ``(t_end, share)`` corresponds to one
-        subtract-and-clamp the eager per-flow path performed at that
+        subtract-and-clamp an eager per-flow update performs at that
         boundary; replaying them in order reproduces the same float results
         bit-for-bit. ``stop`` (an absolute segment index) excludes a suffix —
         used when a bottleneck switch does not change the rate *value*, where
-        the eager path skipped the materialization entirely.
+        the eager update skips the materialization entirely.
         """
         home = flow.home
         segs = home.segs
@@ -712,7 +613,7 @@ class FlowNetwork:
         """The flow's remaining bytes at ``now``, computed without mutating.
 
         Used as the insort key: probing a native mid-segment must not
-        materialize it (the eager path would not have touched it), so the
+        materialize it (an eager update would not have touched it), so the
         pending segments plus the open partial are applied to a local copy.
         """
         home = flow.home
@@ -734,191 +635,157 @@ class FlowNetwork:
                 rem = 0.0
         return rem
 
-    def _insert_native(self, d: _Dir, flow: Flow, now: float, partner: _Dir) -> None:
-        """Make ``flow`` a native of ``d`` (its rate = d.share from now on)."""
-        flow.home = d
-        flow.seg_idx = d.seg_base + len(d.segs)
-        flow.rate = d.share  # informational; authoritative rate is d.share
-        if partner.share < d.partner_floor:
-            d.partner_floor = partner.share
-        insort_right(d.natives, flow, key=lambda g: self._virtual_rem(g, now))
-        if d not in self._dirty:
-            self._dirty[d] = None
+    def _insert_native(self, link: _Link, flow: Flow, now: float) -> None:
+        """Make ``flow`` a native of ``link`` (its rate = link.share from now on)."""
+        flow.home = link
+        flow.seg_idx = link.seg_base + len(link.segs)
+        flow.rate = link.share  # informational; authoritative rate is link.share
+        floor = self._runner_up(flow).share
+        if floor < link.others_floor:
+            link.others_floor = floor
+        insort_right(link.natives, flow, key=lambda g: self._virtual_rem(g, now))
+        self._dirty[link] = None
 
-    def _remove_native(self, d: _Dir, flow: Flow) -> None:
-        d.natives.remove(flow)
-        if d not in self._dirty:
-            self._dirty[d] = None
+    def _remove_native(self, link: _Link, flow: Flow) -> None:
+        link.natives.remove(flow)
+        self._dirty[link] = None
 
-    def _reshare(self, d: _Dir, new_share: float, now: float) -> None:
-        """Apply a share *value* change to one link direction.
+    def _reshare(self, link: _Link, new_share: float, now: float) -> None:
+        """Apply a share *value* change to one link.
 
         Closes the current segment (recording the old level for lazy
-        replays) and queues the direction for bottleneck settling at event
-        end (:meth:`_settle`). Equal-value calls are no-ops, exactly like
-        the legacy path's skip-unchanged-rate.
+        replays) and queues the link for bottleneck settling at event end
+        (:meth:`_settle`). Equal-value calls are no-ops, exactly like an
+        eager update's skip-unchanged-rate.
         """
-        old = d.share
+        old = link.share
         if new_share == old:
             return
-        if d not in self._dirty:
-            self._dirty[d] = None
-        natives = d.natives
+        self._dirty[link] = None
+        natives = link.natives
         if natives:
-            segs = d.segs
+            segs = link.segs
             segs.append((now, old))
             if len(segs) > 256 and len(segs) > 8 * len(natives):
                 # compact: drain everyone to the second-to-last boundary
                 # (the final segment stays — a tie switch may need to skip
                 # it) and drop the replayed prefix
-                stop = d.seg_base + len(segs) - 1
+                stop = link.seg_base + len(segs) - 1
                 for g in natives:
                     self._replay(g, stop)
                 last = segs[-1]
-                d.seg_base += len(segs) - 1
+                link.seg_base += len(segs) - 1
                 segs[:] = [last]
-        d.share = new_share
-        self._pending.append((d, old))
+        link.share = new_share
+        self._pending.append((link, old))
 
     def _settle(self, now: float) -> None:
         """Process the event's bottleneck switches, all shares final.
 
-        A decrease can capture foreign flows whose other side is now looser;
-        an increase can lose natives to their other side. Each direction is
-        reshared at most once per event, so ``old`` is the rate its natives
-        actually had before now.
+        A decrease can capture foreign flows whose home is now looser; an
+        increase can lose natives to another link of their path. Each link
+        is reshared at most once per event, so ``old`` is the rate its
+        natives actually had before now.
         """
         pending = self._pending
         if not pending:
             return
-        for d, old in pending:
-            if d.share < old:
-                if d.foreign:
-                    self._absorb(d, now)
-            elif d.natives and d.partner_floor < d.share:
-                self._expel(d, now, old)
+        for link, old in pending:
+            if link.share < old:
+                if link.foreign:
+                    self._absorb(link, now)
+            elif link.natives and link.others_floor < link.share:
+                self._expel(link, now, old)
         pending.clear()
 
-    def _absorb(self, d: _Dir, now: float) -> None:
+    def _absorb(self, link: _Link, now: float) -> None:
         """After a share decrease: capture foreign flows now tighter here."""
-        share = d.share
+        share = link.share
         moved: List[Flow] = []
-        for f in d.foreign:
+        for f in link.foreign:
             home = f.home
             if share < home.share:
                 moved.append(f)
-            elif home.partner_floor > share:
-                # this side got looser than the cached bound of the flow's
-                # bottleneck cohort; lower it so future increases there scan
-                home.partner_floor = share
+            elif home.others_floor > share:
+                # this link dropped below the bound cached by the flow's
+                # home cohort; lower it so a later increase there scans
+                home.others_floor = share
         for f in moved:
             home = f.home
-            hsegs = home.segs
-            if hsegs and hsegs[-1][0] == now and hsegs[-1][1] == share:
-                # the home was reshared away from exactly our level: the
-                # flow's rate *value* is preserved across the switch, so the
-                # eager path skipped the materialization — replay everything
-                # except the just-closed segment, keeping (t_last, remaining)
-                # spanning it
-                self._replay(f, home.seg_base + len(hsegs) - 1)
-            else:
-                # rate value changes — the eager path materializes at now:
-                # pending segments, then the open partial at the old rate
-                # (home.share if the home was not reshared this event; if it
-                # was, the replay drains to now and the partial is empty)
-                self._replay(f)
-                t = f.t_last
-                if t < now:
-                    rem = f.remaining - home.share * (now - t)
-                    f.remaining = rem if rem > 0.0 else 0.0
-                    f.t_last = now
+            # The flow's rate drops from its home's level to ours, so an
+            # eager update materializes at now: pending segments, then the
+            # open partial at the old rate (home.share if the home was not
+            # reshared this event; if it was, the replay drains to now and
+            # the partial is empty). A decrease here never coincides with
+            # an increase of the home inside one event (an arrival lowers,
+            # a departure raises, every link it touches; a capacity change
+            # touches links no single flow crosses together), so there is
+            # no value-preserving case to skip, unlike in _expel.
+            self._drain(f, now)
             self._remove_native(home, f)
             home.foreign[f] = None
-            del d.foreign[f]
-            self._insert_native(d, f, now, home)
+            del link.foreign[f]
+            self._insert_native(link, f, now)
 
-    def _expel(self, d: _Dir, now: float, old_share: float) -> None:
+    def _expel(self, link: _Link, now: float, old_share: float) -> None:
         """After a share increase: hand off natives now tighter elsewhere."""
-        share = d.share
+        share = link.share
         keep: List[Flow] = []
-        moved: List[Tuple[Flow, _Dir]] = []
+        moved: List[Tuple[Flow, _Link]] = []
         floor = _INF
-        for f in d.natives:
-            p = self._partner_dir(f)
-            ps = p.share
-            if ps < share:
-                moved.append((f, p))
+        for f in link.natives:
+            other = self._runner_up(f)
+            s = other.share
+            if s < share:
+                moved.append((f, other))
             else:
                 keep.append(f)
-                if ps < floor:
-                    floor = ps
-        d.partner_floor = floor
+                if s < floor:
+                    floor = s
+        link.others_floor = floor
         if not moved:
             return
-        d.natives = keep  # removal preserves the survivors' sorted order
-        stop = d.seg_base + len(d.segs) - 1
-        for f, p in moved:
-            if p.share == old_share:
-                # the rate *value* is unchanged, so the eager path skipped
+        link.natives = keep  # removal preserves the survivors' sorted order
+        stop = link.seg_base + len(link.segs) - 1
+        for f, other in moved:
+            if other.share == old_share:
+                # the rate *value* is unchanged, so an eager update skips
                 # this materialization: replay everything except the segment
                 # just closed, keeping (t_last, remaining) spanning it — the
                 # next product covers the whole constant-rate interval
                 self._replay(f, stop)
             else:
                 self._replay(f)
-            d.foreign[f] = None
-            del p.foreign[f]
-            self._insert_native(p, f, now, d)
-        if d not in self._dirty:
-            self._dirty[d] = None
+            link.foreign[f] = None
+            del other.foreign[f]
+            self._insert_native(other, f, now)
+        self._dirty[link] = None
 
     def _flush_dirty(self, now: float) -> None:
-        """End-of-event: settle switches, invalidate dirs, repush head ETAs."""
+        """End-of-event: settle switches, invalidate links, repush head ETAs."""
         self._settle(now)
         dirty = self._dirty
         if dirty:
             completions = self._completions
-            for d in dirty:
-                d.epoch += 1
-                natives = d.natives
+            for link in dirty:
+                link.epoch += 1
+                natives = link.natives
                 if natives:
                     head = natives[0]
                     self._replay(head)
                     # t_last may lag now after a value-preserving switch; the
-                    # ETA is the one the eager path pushed at that older
+                    # ETA is the one an eager update pushed at that older
                     # materialization: t_last + remaining / share
-                    ctime = head.t_last + head.remaining / d.share
+                    ctime = head.t_last + head.remaining / link.share
                     head.ctime = ctime
                     self._push_seq += 1
-                    heappush(completions, (ctime, self._push_seq, d.epoch, d))
+                    heappush(completions, (ctime, self._push_seq, link.epoch, link))
             dirty.clear()
         self._arm_sentinel()
 
-    def _rebalance_pair(self, src: Nic, dst: Nic) -> None:
-        """Equal-share rebalance after an arrival/departure on (src, dst).
-
-        Only the up-share of ``src`` and the down-share of ``dst`` changed,
-        so only flows crossing those two link directions can see a new rate.
-        """
-        now = self.env.now
-        for flow in src.up_flows:
-            rate = flow.src.up_share
-            ds = flow.dst.down_share
-            if ds < rate:
-                rate = ds
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        for flow in dst.down_flows:
-            if flow.src is src:
-                continue  # already handled in the uplink pass
-            rate = flow.src.up_share
-            ds = flow.dst.down_share
-            if ds < rate:
-                rate = ds
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        self._arm_sentinel()
-
+    # ------------------------------------------------------------------ #
+    # eager engine (max-min): global progressive filling
+    # ------------------------------------------------------------------ #
     def _rebalance_global(self) -> None:
         """Max-min rebalance: recompute every active flow's rate."""
         now = self.env.now
@@ -930,71 +797,49 @@ class FlowNetwork:
     def _progressive_filling(self) -> List[Tuple[Flow, float]]:
         """Exact max-min fairness over all active flows (water filling).
 
-        Heap-driven: each link direction carries (residual capacity, unfixed
-        flow count); the globally tightest link fixes all its unfixed flows
-        at its share level, then the other endpoints' shares are re-pushed.
+        Heap-driven: each link carries (residual capacity, unfixed flow
+        count); the globally tightest link fixes all its unfixed flows at
+        its share level, then the other links on their paths are re-pushed.
         Lazy invalidation via per-link version counters. O(F log L) instead
         of repeated O(links x flows) scans.
         """
         flows = self._flows
         if not flows:
             return []
-        # Link record: [residual, count, unfixed-flows dict, version, index].
-        links: Dict[Tuple[str, Nic], list] = {}
-        link_list: List[list] = []
-        flow_links: Dict[Flow, Tuple[list, list]] = {}
-        # many flows share a (src, dst) pair (fan-in to a repository node);
-        # memoize the resolved link tuple per pair to skip repeat lookups
-        pair_links: Dict[Tuple[Nic, Nic], Tuple[list, list]] = {}
+        # Filling record per link: [residual, count, unfixed flows, version,
+        # index], indexed in first-crossing order (the heap's tie-breaker).
+        records: Dict[_Link, list] = {}
+        order: List[list] = []
         for flow in flows:
-            pair = (flow.src, flow.dst)
-            pl = pair_links.get(pair)
-            if pl is None:
-                key_u = ("u", flow.src)
-                lu = links.get(key_u)
-                if lu is None:
-                    lu = [flow.src.up_capacity, 0, {}, 0, len(link_list)]
-                    links[key_u] = lu
-                    link_list.append(lu)
-                key_d = ("d", flow.dst)
-                ld = links.get(key_d)
-                if ld is None:
-                    ld = [flow.dst.down_capacity, 0, {}, 0, len(link_list)]
-                    links[key_d] = ld
-                    link_list.append(ld)
-                pl = (lu, ld)
-                pair_links[pair] = pl
-            else:
-                lu, ld = pl
-            lu[1] += 1
-            lu[2][flow] = None
-            ld[1] += 1
-            ld[2][flow] = None
-            flow_links[flow] = pl
+            for link in flow.links:
+                rec = records.get(link)
+                if rec is None:
+                    rec = records[link] = [link.capacity, link.n_flows, {}, 0, len(order)]
+                    order.append(rec)
+                rec[2][flow] = None
         heap: List[Tuple[float, int, int]] = [
-            (link[0] / link[1], link[4], link[3]) for link in link_list
+            (rec[0] / rec[1], rec[4], rec[3]) for rec in order
         ]
         heapify(heap)
         rates: List[Tuple[Flow, float]] = []
         n_unfixed = len(flows)
         while n_unfixed and heap:
-            share, idx, ver = heappop(heap)
-            link = link_list[idx]
-            if ver != link[3] or link[1] == 0:
+            level, idx, ver = heappop(heap)
+            rec = order[idx]
+            if ver != rec[3] or rec[1] == 0:
                 continue  # stale entry
-            level = share
             touched: Dict[int, list] = {}
-            for flow in list(link[2]):
+            for flow in list(rec[2]):
                 rates.append((flow, level))
                 n_unfixed -= 1
-                lu, ld = flow_links[flow]
-                for other in (lu, ld):
+                for link in flow.links:
+                    other = records[link]
                     del other[2][flow]
                     other[1] -= 1
                     other[0] -= level
-                    if other is not link:
+                    if other is not rec:
                         touched[other[4]] = other
-            link[3] += 1  # saturated; invalidate pending entries
+            rec[3] += 1  # saturated; invalidate pending entries
             for other in touched.values():
                 other[3] += 1
                 if other[1] > 0:
@@ -1004,6 +849,29 @@ class FlowNetwork:
     # ------------------------------------------------------------------ #
     # completion sentinel
     # ------------------------------------------------------------------ #
+    def _next_completion(self) -> Optional[Tuple[float, Flow]]:
+        """Drop stale heap entries; ``(time, flow)`` of the earliest live one.
+
+        An equal-share entry is stale when its link's epoch moved on or the
+        link has no natives left; it stands for the cohort head. A max-min
+        entry is stale when its flow's generation moved on or the flow left.
+        """
+        heap = self._completions
+        if self._eager:
+            flows = self._flows
+            while heap:
+                ctime, _, gen, flow = heap[0]
+                if gen == flow.wake_seq and flow in flows:
+                    return ctime, flow
+                heappop(heap)
+        else:
+            while heap:
+                ctime, _, epoch, link = heap[0]
+                if epoch == link.epoch and link.natives:
+                    return ctime, link.natives[0]
+                heappop(heap)
+        return None
+
     def _arm_sentinel(self) -> None:
         """Ensure one timer is pending at the earliest valid completion time.
 
@@ -1012,28 +880,10 @@ class FlowNetwork:
         head moved earlier, a fresh timer is armed and the generation bump
         makes the old one a no-op.
         """
-        heap = self._completions
-        if self._cohort:
-            # entries are (ctime, push_seq, epoch, _Dir): stale when the
-            # direction's epoch moved on or it has no natives left
-            while heap:
-                head = heap[0]
-                d = head[3]
-                if head[2] != d.epoch or not d.natives:
-                    heappop(heap)
-                    continue
-                break
-        else:
-            flows = self._flows
-            while heap:
-                head = heap[0]
-                if head[2] != head[3].wake_seq or head[3] not in flows:
-                    heappop(heap)
-                    continue
-                break
-        if not heap:
+        due = self._next_completion()
+        if due is None:
             return
-        t = heap[0][0]
+        t = due[0]
         if self._sentinel_time is not None and self._sentinel_time <= t:
             return
         self._sentinel_gen += 1
@@ -1047,44 +897,23 @@ class FlowNetwork:
         if ev._value != self._sentinel_gen:
             return  # superseded by an earlier-armed sentinel
         self._sentinel_time = None
-        heap = self._completions
-        cohort = self._cohort
-        if cohort:
-            while heap:
-                head = heap[0]
-                d = head[3]
-                if head[2] != d.epoch or not d.natives:
-                    heappop(heap)
-                    continue
-                break
-        else:
-            flows = self._flows
-            while heap:
-                head = heap[0]
-                if head[2] != head[3].wake_seq or head[3] not in flows:
-                    heappop(heap)
-                    continue
-                break
-        if not heap:
+        due = self._next_completion()
+        if due is None:
             return
-        if heap[0][0] <= self.env.now:
+        if due[0] <= self.env.now:
             # Complete exactly one flow; the rebalance it triggers re-arms
             # the sentinel (a tied completion fires again at the same time),
             # which keeps completion ordering identical to per-flow timers.
-            entry = heappop(heap)
-            self._complete(entry[3].natives[0] if cohort else entry[3])
+            heappop(self._completions)
+            self._complete(due[1])
         else:
             self._arm_sentinel()
 
     def _complete(self, flow: Flow) -> None:
-        self._flows.pop(flow, None)
-        src, dst = flow.src, flow.dst
-        src.up_flows.pop(flow, None)
-        up_share = src.up_capacity / max(1, len(src.up_flows))
-        src.up_share = up_share
-        dst.down_flows.pop(flow, None)
-        down_share = dst.down_capacity / max(1, len(dst.down_flows))
-        dst.down_share = down_share
+        del self._flows[flow]
+        links = flow.links
+        for link in links:
+            link.n_flows -= 1
         flow.wake_seq += 1  # invalidate any remaining heap entries
         self.metrics.add_traffic(flow.size, flow.kind)
         if flow.scope is not None:
@@ -1096,28 +925,9 @@ class FlowNetwork:
                 span.set(achieved_bw=flow.size / elapsed)
             span.finish()
             flow.span = None
-        if self._path:
-            links = flow.links
-            for tl in links:
-                del tl.flows[flow]
-                tl.share = tl.capacity / max(1, len(tl.flows))
-            self._rebalance_path(
-                (src.up_flows, dst.down_flows) + tuple(tl.flows for tl in links)
-            )
-        elif self._cohort:
-            now = self.env.now
-            home = flow.home
-            partner = self._partner_dir(flow)
-            self._remove_native(home, flow)
-            del partner.foreign[flow]
-            flow.home = None
-            self._reshare(src.up_dir, up_share, now)
-            self._reshare(dst.down_dir, down_share, now)
-            self._flush_dirty(now)
-        elif self.fairness == "equal-share":
-            self._rebalance_pair(src, dst)
-        else:
-            self._rebalance_global()
+        if not self._eager:
+            self._detach(flow)
+        self._rebalance(links)
         # Last byte still pays propagation latency; deliver `done` directly.
         env = self.env
         env.schedule_at(flow.done, env.now + self.latency)

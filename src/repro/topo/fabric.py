@@ -4,8 +4,9 @@ A :class:`Topology` is a passive description shared by the flow network
 (which turns it into trunk links) and the locality-aware policies (which
 only need ``rack()`` / ``scope()``).  It never touches the event loop,
 so attaching one with a single rack must leave every simulated timeline
-bit-identical to the flat model — the network layer guarantees that by
-only switching engines when ``multi_rack`` is true.
+bit-identical to the flat model — guaranteed because trunks only appear
+on the paths of cross-rack flows, and one rack has none. The network
+reads a host's rack when its NIC is added: place hosts first.
 
 Capacities are bytes/second, like everywhere else in simkit.  The rack
 uplink is usually *derived* from the host NIC speed and an

@@ -1,16 +1,17 @@
-"""The cohort rebalance engine is bit-identical to the legacy per-flow path.
+"""The cohort engine is bit-identical to an eager per-flow equal-share engine.
 
-The cohort engine (PR: paper-scale fabric) replaces eager per-flow rate
-updates with lazy per-link-direction rate epochs; its correctness claim is
-*exact* float equality with the legacy engine, which stays available as
-``rebalance="legacy"`` precisely to serve as the oracle here. Every
-comparison below is ``==``, not approx: same completion times, same final
-clock, same traffic counters. Event counts also match, except on
-``fail_nic`` workloads where the legacy path re-arms the sentinel once per
-touched NIC mid-event (the extra no-op timers never affect application
-event ordering — see DESIGN.md §8).
+The cohort engine replaces eager per-flow rate updates with lazy per-link
+rate epochs; its correctness claim is *exact* float equality with the eager
+design, which is kept as a test-only reference
+(``tests/reference_network.py``). Every comparison below is ``==``, not
+approx: same completion and failure times, same final clock, same event
+count, same traffic counters (per tier too) — on flat fabrics and on 1-, 2-
+and 4-rack topologies with and without pods and a finite core, under
+hot-spot fan-in across a trunk, mid-flow NIC and trunk capacity changes and
+``fail_nic`` on trunk-crossing flows. After every driver step the cohort
+run also checks the engine's own invariants.
 
-Also covered: the ``set_nic_capacity`` downlink validation regression, the
+Also covered: capacity validation (``add_nic``, ``set_nic_capacity``), the
 unified traffic-accounting API, stale completion-heap entries after
 ``fail_nic``, and stale-entry invalidation inside max-min progressive
 filling.
@@ -19,6 +20,11 @@ filling.
 import random
 
 import pytest
+from reference_network import (
+    EagerEqualShareNetwork,
+    check_cohort_invariants,
+    round_robin_topology,
+)
 
 from repro.common.errors import ProviderUnavailableError
 from repro.common.units import MB
@@ -26,27 +32,49 @@ from repro.simkit.core import Environment
 from repro.simkit.network import FlowNetwork
 from repro.simkit.trace import Metrics
 
+ENGINES = {"cohort": FlowNetwork, "reference": EagerEqualShareNetwork}
+
+
+def make_topology(racks, n_nics, pods=False, core=False):
+    """Oversubscribed 1.5-NIC rack uplinks; pods pair racks behind a 2-NIC
+    trunk, the finite core carries 2.5 NICs (0 racks = no topology)."""
+    return round_robin_topology(
+        [f"n{i}" for i in range(n_nics)], racks, rack_uplink=1.5e8,
+        racks_per_pod=2 if pods else 0, pod_uplink=2e8,
+        core_capacity=2.5e8 if core else None,
+    )
+
 
 def run_random(
-    rebalance,
+    engine,
     seed,
     fairness="equal-share",
     faults=False,
     uniform=False,
     hotspot=False,
+    racks=0,
+    pods=False,
+    core=False,
     n_nics=10,
     n_ops=250,
+    after_step=None,
 ):
     """A seeded adversarial workload: transfers (optionally funneled into one
-    hot destination), control messages, capacity changes, NIC failures."""
+    hot destination — across a trunk when racked), control messages, NIC and
+    trunk capacity changes, NIC failures. ``after_step(net)`` runs after every
+    driver step; the cohort engine checks its invariants there by default."""
     rng = random.Random(seed)
     env = Environment()
-    net = FlowNetwork(env, fairness=fairness, rebalance=rebalance)
+    topo = make_topology(racks, n_nics, pods, core)
+    net = ENGINES[engine](env, fairness=fairness, topology=topo)
+    if after_step is None and engine == "cohort" and fairness == "equal-share":
+        after_step = check_cohort_invariants
 
     def cap():
         return 1e8 if uniform else 1e8 * rng.uniform(0.5, 2.0)
 
     nics = [net.add_nic(f"n{i}", cap(), cap()) for i in range(n_nics)]
+    trunks = sorted(net._trunks) if racks > 1 else []
     finished = {}
     failed = {}
 
@@ -72,6 +100,11 @@ def run_random(
                     kind=rng.choice(["bulk", "chunk"]),
                 )
                 env.process(waiter(op, ev))
+            elif r < 0.78 and trunks:
+                # squeeze a trunk below one NIC, or relieve it past its start
+                net.set_trunk_capacity(
+                    rng.choice(trunks), 1e8 * rng.choice([0.3, 0.5, 1.0, 1.5, 3.0])
+                )
             elif r < 0.82 and live:
                 k = rng.choice(live)
                 if uniform:
@@ -91,6 +124,8 @@ def run_random(
             elif live:
                 s, d = rng.sample(live, 2) if len(live) >= 2 else (live[0], live[0])
                 net.message(nics[s], nics[d], rng.randrange(64, 4000))
+            if after_step is not None:
+                after_step(net)
 
     env.process(driver())
     env.run()
@@ -99,40 +134,40 @@ def run_random(
         "now": env.now,
         "events": env.event_count,
         "traffic": dict(net.metrics.traffic),
+        "topo_traffic": dict(net.metrics.topo_traffic),
         "finished": finished,
         "failed": failed,
     }
 
 
-class TestCohortMatchesLegacyExactly:
+class TestCohortMatchesReferenceExactly:
     @pytest.mark.parametrize("uniform", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_workload(self, seed, uniform):
-        a = run_random("legacy", seed, uniform=uniform)
+        a = run_random("reference", seed, uniform=uniform)
         b = run_random("cohort", seed, uniform=uniform)
         assert a == b  # exact: clock, event count, traffic, completion times
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hotspot_fan_in(self, seed):
         """The paper's regime: many flows funneled into one downlink."""
-        a = run_random("legacy", seed, hotspot=True)
+        a = run_random("reference", seed, hotspot=True)
         b = run_random("cohort", seed, hotspot=True)
         assert a == b
 
     @pytest.mark.parametrize("uniform", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_with_nic_failures(self, seed, uniform):
-        """Results stay exact under fail_nic; only the no-op sentinel event
-        count may differ (legacy re-arms once per touched NIC mid-event)."""
-        a = run_random("legacy", seed, faults=True, uniform=uniform)
+        """Exact under fail_nic too, event count included: one abort event
+        is one rebalance over every touched link in both engines."""
+        a = run_random("reference", seed, faults=True, uniform=uniform)
         b = run_random("cohort", seed, faults=True, uniform=uniform)
-        for key in ("now", "traffic", "finished", "failed"):
-            assert a[key] == b[key]
+        assert a == b
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_maxmin_unaffected_by_rebalance_flag(self, seed):
-        """Max-min always runs the per-flow path; the flag must be inert."""
-        a = run_random("legacy", seed, fairness="maxmin", faults=True)
+    def test_maxmin_unaffected_by_reference_subclass(self, seed):
+        """Max-min always runs the eager engine; the subclass must be inert."""
+        a = run_random("reference", seed, fairness="maxmin", faults=True)
         b = run_random("cohort", seed, fairness="maxmin", faults=True)
         assert a == b
 
@@ -141,9 +176,76 @@ class TestCohortMatchesLegacyExactly:
             "cohort", 11, faults=True
         )
 
-    def test_unknown_rebalance_rejected(self):
-        with pytest.raises(ValueError, match="rebalance"):
-            FlowNetwork(Environment(), rebalance="eager")
+    def test_rebalance_option_is_gone(self):
+        """One equal-share engine: there is no knob to pick another."""
+        with pytest.raises(TypeError, match="rebalance"):
+            FlowNetwork(Environment(), rebalance="legacy")
+
+
+#: (racks, pods, core): single-rack topology, plain racks, pod tier, finite
+#: core, and both together
+FABRICS = [
+    (1, False, False),
+    (2, False, False),
+    (2, False, True),
+    (4, False, False),
+    (4, True, False),
+    (4, True, True),
+]
+
+
+class TestTrunksAreCohortsToo:
+    """Trunk-crossing flows: a flow's home may be any link of its path."""
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("racks,pods,core", FABRICS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_workload(self, seed, racks, pods, core, uniform):
+        kw = dict(racks=racks, pods=pods, core=core, uniform=uniform, n_nics=12)
+        a = run_random("reference", seed, **kw)
+        b = run_random("cohort", seed, **kw)
+        assert a == b
+        assert b["topo_traffic"], "a topology must classify traffic by tier"
+        if racks > 1:
+            assert any(k.startswith("cross-") for k in b["topo_traffic"])
+
+    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hotspot_fan_in_across_a_trunk(self, seed, racks, pods, core):
+        """Most flows funnel into n0: its rack's down trunk (1.5 NICs for a
+        fan-in from every other rack) and its downlink trade the bottleneck."""
+        kw = dict(racks=racks, pods=pods, core=core, hotspot=True, n_nics=12)
+        a = run_random("reference", seed, **kw)
+        b = run_random("cohort", seed, **kw)
+        assert a == b
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nic_failures_on_trunk_crossing_flows(self, seed, racks, pods, core, uniform):
+        kw = dict(
+            racks=racks, pods=pods, core=core, faults=True, uniform=uniform,
+            n_nics=12, n_ops=300,
+        )
+        a = run_random("reference", seed, **kw)
+        b = run_random("cohort", seed, **kw)
+        assert a == b
+        assert b["failed"], "the fault workload must abort some flows"
+
+    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
+    def test_trunks_bind(self, racks, pods, core):
+        """Not vacuous: flows are homed on every tier the fabric has."""
+        homes = set()
+
+        def probe(net):
+            homes.update(f.home.name.split(":")[0].rstrip("0123456789") for f in net._flows)
+
+        run_random(
+            "cohort", 0, racks=racks, pods=pods, core=core, hotspot=True, n_nics=12,
+            after_step=probe,
+        )
+        tiers = {"rack"} | ({"pod"} if pods else set()) | ({"core"} if core else set())
+        assert tiers <= homes, f"no flow was ever bottlenecked on {tiers - homes}"
 
 
 class TestCapacityValidation:
@@ -172,6 +274,16 @@ class TestCapacityValidation:
         assert self.nic.up_capacity == 100 * MB
         assert self.nic.down_capacity == 100 * MB
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_add_nic_rejects_non_positive_capacity(self, bad):
+        """Used to be accepted and blow up in the first transfer
+        (ZeroDivisionError / ``schedule_at(...) is in the past``)."""
+        with pytest.raises(ValueError, match="positive"):
+            self.net.add_nic("b", bad)
+        with pytest.raises(ValueError, match="positive"):
+            self.net.add_nic("b", 100 * MB, bad)
+        assert "b" not in self.net._nics
+
 
 class RecordingMetrics(Metrics):
     """Observes the unified accounting API; a direct ``traffic[kind] +=``
@@ -187,12 +299,12 @@ class RecordingMetrics(Metrics):
         super().add_traffic(nbytes, kind)
 
 
-@pytest.mark.parametrize("rebalance", ["legacy", "cohort"])
+@pytest.mark.parametrize("engine", ["reference", "cohort"])
 class TestUnifiedTrafficAccounting:
-    def test_all_paths_route_through_add_traffic(self, rebalance):
+    def test_all_paths_route_through_add_traffic(self, engine):
         env = Environment()
         metrics = RecordingMetrics()
-        net = FlowNetwork(env, metrics=metrics, rebalance=rebalance)
+        net = ENGINES[engine](env, metrics=metrics)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         net.transfer(a, b, 10 * MB)          # bulk flow -> _complete
@@ -208,14 +320,14 @@ class TestUnifiedTrafficAccounting:
         assert metrics.traffic["doomed"] > 0  # aborted bytes were charged
 
 
-@pytest.mark.parametrize("rebalance", ["legacy", "cohort"])
+@pytest.mark.parametrize("engine", ["reference", "cohort"])
 class TestStaleHeapEntries:
-    def test_fail_nic_races_pending_sentinel(self, rebalance):
+    def test_fail_nic_races_pending_sentinel(self, engine):
         """A sentinel armed for a flow that fail_nic aborts must not
-        resurrect it: the stale heap entry has to die on generation (legacy)
+        resurrect it: the stale heap entry has to die on generation (eager)
         or epoch (cohort) mismatch when the timer fires."""
         env = Environment()
-        net = FlowNetwork(env, rebalance=rebalance)
+        net = ENGINES[engine](env)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         c = net.add_nic("c", 100 * MB)
@@ -232,11 +344,11 @@ class TestStaleHeapEntries:
         # and the victim's partial bytes are both accounted exactly once
         assert net.metrics.traffic["bulk"] < 40 * MB
 
-    def test_completion_after_failure_uses_fresh_entries(self, rebalance):
+    def test_completion_after_failure_uses_fresh_entries(self, engine):
         """After fail_nic the survivors' re-pushed ETAs must drive
         completions (the dead flow's earlier ETA is skipped)."""
         env = Environment()
-        net = FlowNetwork(env, latency=0.0, rebalance=rebalance)
+        net = ENGINES[engine](env, latency=0.0)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 100 * MB)
         c = net.add_nic("c", 100 * MB)

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from reference_network import EagerEqualShareNetwork
+
 from repro.common.units import MB
 from repro.simkit.core import Environment, Event
 from repro.simkit.network import FlowNetwork
@@ -33,20 +35,18 @@ flow_spec = st.tuples(
 )
 
 
-class LegacyTimerNetwork(FlowNetwork):
+class LegacyTimerNetwork(EagerEqualShareNetwork):
     """Oracle: the pre-sentinel wakeup scheme.
 
     Every rate change arms a fresh absolute-time timer for that flow; stale
     timers are invalidated by the flow's generation counter. This is O(n)
     timer events per rebalance of n flows — the cost the sentinel removed —
     but its completion timeline is the reference the fast path must match.
-    """
 
-    def __init__(self, *args, **kw):
-        # per-flow timers hook _set_rate, which only the legacy (per-flow)
-        # rebalance engine calls; the cohort engine would bypass the oracle
-        kw["rebalance"] = "legacy"
-        super().__init__(*args, **kw)
+    Per-flow timers hook ``_set_rate``, which only the eager engine calls
+    (the cohort engine would bypass the oracle), hence the eager
+    equal-share reference as the base; max-min runs eagerly either way.
+    """
 
     def _set_rate(self, flow, new_rate, now):
         old = flow.rate

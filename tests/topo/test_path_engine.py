@@ -1,10 +1,10 @@
-"""Path-mode flow engine: trunk routing, rates, accounting, fault injection.
+"""Trunks in the flow network: routing, rates, accounting, fault injection.
 
-A multi-rack :class:`Topology` switches :class:`FlowNetwork` into path mode,
-where a flow's rate is the min share over its endpoints *and* every trunk on
-its rack-to-rack path. These tests pin the routing table, the oversubscribed
-rates, the per-tier byte accounting (full on complete, wire bytes for
-messages, partial on abort), and mid-run trunk capacity changes.
+A multi-rack :class:`Topology` adds trunk links to the paths of cross-rack
+flows, so a flow's rate is the min share over its endpoints *and* every
+trunk on its rack-to-rack path. These tests pin the routing table, the
+oversubscribed rates, the per-tier byte accounting (full on complete, wire
+bytes for messages, partial on abort), and mid-run trunk capacity changes.
 """
 
 import pytest
@@ -45,21 +45,36 @@ def finish_times(env, net, specs):
     return finish
 
 
+def trunk_path(net, src, dst):
+    """Names of the trunks on a src->dst path, in order."""
+    trunks, _scope = net._route(src, dst)
+    return [link.name for link in trunks]
+
+
 class TestRouting:
     def test_same_rack_crosses_no_trunk(self):
         _, net, nics = two_rack_net()
-        assert net._trunk_path(nics[0], nics[1]) == ()
+        assert trunk_path(net, nics[0], nics[1]) == []
 
     def test_cross_rack_pays_both_rack_trunks(self):
         _, net, nics = two_rack_net()
-        path = net._trunk_path(nics[0], nics[2])
-        assert [tl.name for tl in path] == ["rack0:up", "rack1:down"]
+        assert trunk_path(net, nics[0], nics[2]) == ["rack0:up", "rack1:down"]
 
-    def test_path_is_memoized(self):
+    def test_route_is_resolved_once_per_rack_pair(self):
         _, net, nics = two_rack_net()
-        assert net._trunk_path(nics[0], nics[2]) is net._trunk_path(
-            nics[0], nics[2]
-        )
+        route = net._route(nics[0], nics[2])
+        assert net._route(nics[0], nics[2]) is route
+        assert net._route(nics[1], nics[3]) is route  # same racks, other hosts
+        assert route[1] == "cross-rack"
+
+    def test_flow_links_are_the_whole_path(self):
+        env, net, nics = two_rack_net()
+        net.transfer(nics[0], nics[2], 10 * MB)
+        (flow,) = net._flows
+        assert [link.name for link in flow.links] == [
+            "h0:up", "h2:down", "rack0:up", "rack1:down",
+        ]
+        env.run()
 
     def test_core_inserted_when_finite(self):
         topo = Topology(n_racks=2, rack_uplink=CAP, core_capacity=CAP)
@@ -69,9 +84,7 @@ class TestRouting:
         net = FlowNetwork(env, latency=0.0, topology=topo)
         a = net.add_nic("a", CAP)
         b = net.add_nic("b", CAP)
-        assert [tl.name for tl in net._trunk_path(a, b)] == [
-            "rack0:up", "core", "rack1:down",
-        ]
+        assert trunk_path(net, a, b) == ["rack0:up", "core", "rack1:down"]
 
     def test_pod_tier_routing(self):
         topo = Topology(
@@ -82,10 +95,8 @@ class TestRouting:
         env = Environment()
         net = FlowNetwork(env, latency=0.0, topology=topo)
         nics = [net.add_nic(f"h{i}", CAP) for i in range(4)]
-        same_pod = net._trunk_path(nics[0], nics[1])
-        assert [tl.name for tl in same_pod] == ["rack0:up", "rack1:down"]
-        cross_pod = net._trunk_path(nics[0], nics[3])
-        assert [tl.name for tl in cross_pod] == [
+        assert trunk_path(net, nics[0], nics[1]) == ["rack0:up", "rack1:down"]
+        assert trunk_path(net, nics[0], nics[3]) == [
             "rack0:up", "pod0:up", "pod1:down", "rack3:down",
         ]
 
@@ -94,10 +105,24 @@ class TestRouting:
         with pytest.raises(ValueError):
             FlowNetwork(Environment(), fairness="maxmin", topology=topo)
 
-    def test_single_rack_stays_off_path_engine(self):
-        topo = Topology(n_racks=1, rack_uplink=CAP)
-        net = FlowNetwork(Environment(), topology=topo)
-        assert not net._path
+    def test_single_rack_paths_have_no_trunks(self):
+        """One rack is a flat fabric: every path is the two NIC links, and
+        the timeline is the flat one whatever the (unused) uplink is."""
+        specs = [(0, 1, 40 * MB, 0.0), (2, 1, 25 * MB, 0.1), (1, 3, 30 * MB, 0.2)]
+
+        def timeline(topology):
+            env = Environment()
+            net = FlowNetwork(env, latency=0.0, topology=topology)
+            nics = [net.add_nic(f"h{i}", CAP) for i in range(4)]
+            finish = finish_times(env, net, specs)
+            return net, nics, (finish, env.now, env.event_count)
+
+        topo = Topology(n_racks=1, rack_uplink=CAP / 100)
+        for i in range(4):
+            topo.place(f"h{i}", 0)
+        net, nics, racked = timeline(topo)
+        assert trunk_path(net, nics[0], nics[1]) == []
+        assert racked == timeline(None)[2]
 
 
 class TestRates:
@@ -135,8 +160,20 @@ class TestRates:
 class TestTrunkCapacityChange:
     def test_rejects_non_positive(self):
         _, net, _ = two_rack_net()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             net.set_trunk_capacity("rack0:up", 0)
+        assert net.trunk("rack0:up").capacity == CAP
+
+    def test_unknown_trunk_lists_the_known_names(self):
+        _, net, _ = two_rack_net()
+        for call in (net.trunk, lambda name: net.set_trunk_capacity(name, CAP)):
+            with pytest.raises(ValueError, match="rack9:up.*rack0:up.*rack1:down"):
+                call("rack9:up")
+
+    def test_flat_network_has_no_trunks_to_name(self):
+        net = FlowNetwork(Environment())
+        with pytest.raises(ValueError, match="no topology"):
+            net.trunk("rack0:up")
 
     def test_mid_flow_squeeze_rebalances(self):
         env, net, nics = two_rack_net()

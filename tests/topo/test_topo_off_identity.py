@@ -4,8 +4,8 @@ Two invariants protect the seed model. A build that never mentions racks
 must stay bit-identical to the pre-topology tree (guaranteed trivially: no
 topology object exists). And an *explicit single-rack* topology — the
 degenerate fabric whose one top-of-rack switch is non-blocking — must only
-add tier accounting, never move an event: the network layer keeps the flat
-engine whenever ``multi_rack`` is false. These tests pin the second
+add tier accounting, never move an event: no path crosses a trunk when
+there is one rack, so every flow sees exactly the flat fabric's two links. These tests pin the second
 invariant across every workload family (multideployment, multisnapshot,
 p2p deploy, long-horizon churn).
 """
@@ -63,10 +63,9 @@ class TestSingleRackIsBitIdentical:
         _flat_cloud, flat = _deploy_timeline(flat=True)
         topo_cloud, topo = _deploy_timeline(flat=False)
         assert flat == topo
-        # the degenerate fabric still classifies traffic...
-        assert topo_cloud.metrics.topo_scope_totals() != {}
-        # ...but never activates the path engine
-        assert not topo_cloud.fabric.network._path
+        # the degenerate fabric classifies traffic, and none of it ever
+        # left the rack (so no flow had a trunk on its path)
+        assert set(topo_cloud.metrics.topo_scope_totals()) == {"intra-rack"}
 
     def test_multideployment_with_p2p(self):
         _a, flat = _deploy_timeline(flat=True, p2p=True)
