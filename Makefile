@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke suite-smoke examples clean
+.PHONY: install test lint bench bench-quick perf scale scale-smoke sweep-smoke p2p-smoke churn churn-smoke lineage lineage-smoke topo topo-smoke suite-smoke outcome-digest examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -62,6 +62,9 @@ topo-smoke:      ## tiny-fabric topology harness check (asserts gate logic + CLI
 suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards the ledger's by-name patches)
 	python3 benchmarks/suite/run.py --smoke
 	python -m pytest benchmarks/suite -q
+
+outcome-digest:  ## per-workload digest of the simulated outcome without the event count (toy sizes, ~10 s)
+	python3 benchmarks/outcome_digest.py --smoke
 
 examples:
 	python examples/quickstart.py

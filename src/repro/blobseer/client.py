@@ -91,11 +91,13 @@ class BlobClient:
                 by_shard: Dict[Host, List[NodeId]] = {}
                 for nid in missing:
                     by_shard.setdefault(self.deployment.shard_host(nid), []).append(nid)
-                fetches = [
-                    rpc.call(self.host, shard, "blob-meta", "get_nodes", shard_ids)
-                    for shard, shard_ids in by_shard.items()
-                ]
-                batches = yield from self._parallel(fetches)
+                batches = yield from rpc.gather(
+                    self.host,
+                    [
+                        (shard, "blob-meta", "get_nodes", shard_ids)
+                        for shard, shard_ids in by_shard.items()
+                    ],
+                )
                 for batch in batches:
                     cache.update(batch)
             except BaseException as exc:

@@ -29,7 +29,7 @@ from ..common.units import MiB
 from ..simkit.core import Timeout
 from ..simkit.host import Host
 from ..simkit.resources import Container, Resource
-from ..simkit.rpc import Sized
+from ..simkit.rpc import Sized, timed_read
 from .metadata import MetadataStore, NodeId, TreeNode
 from .store import ChunkStore
 from .vmanager import BlobRegistry, SnapshotRecord
@@ -200,19 +200,26 @@ class MetadataProviderService:
         self.model = model
         self.nodes: Dict[NodeId, TreeNode] = {}
 
+    @timed_read
     def rpc_get_nodes(self, caller: Host, ids: Sequence[NodeId]):
-        env = self.host.env
-        yield Timeout(env, self.model.metadata_node_overhead * len(ids))
+        """Serve a node batch: a pure timed read (see :func:`~repro.simkit.rpc.timed_read`).
+
+        Published nodes are immutable and the service time is fixed by the
+        batch size, so the reply is known when the call starts.
+        """
+        seconds = self.model.metadata_node_overhead * len(ids)
         nodes = self.nodes
         out: Dict[NodeId, TreeNode] = {}
         try:
             for nid in ids:
                 out[nid] = nodes[nid]
         except KeyError:
-            raise ChunkNotFoundError(f"metadata shard {self.host.name}: node {nid}")
+            return seconds, ChunkNotFoundError(
+                f"metadata shard {self.host.name}: node {nid}"
+            )
         self.host.fabric.metrics.counters["meta-get"] += len(ids)
         # Wire-size the batch so big metadata fetches cost transfer time.
-        return Sized(out, NODE_WIRE_BYTES * len(ids))
+        return seconds, Sized(out, NODE_WIRE_BYTES * len(ids))
 
     def rpc_put_nodes(self, caller: Host, nodes: Dict[NodeId, TreeNode]):
         env = self.host.env

@@ -237,6 +237,22 @@ class Tracer:
         """
         return self._make(name, category, parent, attrs)
 
+    def record(
+        self, name: str, category: str, t0: float, t1: float,
+        parent: Optional[Span] = None, **attrs,
+    ) -> Span:
+        """Record a span *closed*, over the computed instants ``[t0, t1]``.
+
+        For an operation whose whole timeline is priced when it starts (a
+        fused chain of contention-free delays, DESIGN.md §8): no event fires
+        at its interior instants, so there is no "now" to open or finish it
+        at. Parented to the current context like :meth:`start_async`.
+        """
+        span = self._make(name, category, parent, attrs)
+        span.t0 = t0
+        span.t1 = t1
+        return span
+
     def _pop(self, span: Span) -> None:
         stack = self._stacks.get(span._ctx_key)
         if stack:
@@ -282,6 +298,9 @@ class NullTracer:
         return _NULL_SPAN
 
     def start_async(self, name: str, category: str = "other", parent=None, **attrs) -> "_NullSpan":
+        return _NULL_SPAN
+
+    def record(self, name: str, category: str, t0: float, t1: float, parent=None, **attrs) -> "_NullSpan":
         return _NULL_SPAN
 
     def finish_open_spans(self) -> int:

@@ -29,7 +29,7 @@ from .spec import PointResult, PointSpec
 
 #: bump when a change to the simulator alters simulated outcomes; stale
 #: cache entries keyed under the old token are then never replayed
-CODE_VERSION = "sweep-cache-v4"  # v4: lineage point kind + version-pin registry
+CODE_VERSION = "sweep-cache-v5"  # v5: event fusion moved every cached event_count
 
 #: environment variable overriding the default cache directory
 CACHE_ENV = "REPRO_SWEEP_CACHE"

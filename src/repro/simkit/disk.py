@@ -23,12 +23,16 @@ Two layers are modelled:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..common.units import MB, MILLISECONDS
 from .core import Environment, Event, Timeout
 from .resources import Resource
 from .trace import Metrics
+
+
+#: bytes the page-cache flusher writes back per disk operation
+FLUSH_QUANTUM = 4 * MB
 
 
 class Disk:
@@ -66,18 +70,24 @@ class Disk:
         if not self._queue.try_acquire():
             yield self._queue.request()
         try:
-            duration = nbytes / bandwidth
-            if not sequential:
-                duration += self.seek_time
-            yield Timeout(self.env, duration)
-            metrics = self.metrics
-            if metrics is not None:
-                count_key, bytes_key = self._keys[kind]
-                counters = metrics.counters
-                counters[count_key] += 1
-                counters[bytes_key] += nbytes
+            yield Timeout(self.env, self._duration(nbytes, bandwidth, sequential))
+            self._account(kind, nbytes)
         finally:
             self._queue.release()
+
+    def _duration(self, nbytes: int, bandwidth: float, sequential: bool) -> float:
+        duration = nbytes / bandwidth
+        if not sequential:
+            duration += self.seek_time
+        return duration
+
+    def _account(self, kind: str, nbytes: int) -> None:
+        metrics = self.metrics
+        if metrics is not None:
+            count_key, bytes_key = self._keys[kind]
+            counters = metrics.counters
+            counters[count_key] += 1
+            counters[bytes_key] += nbytes
 
     def read(self, nbytes: int, sequential: bool = True) -> Generator[Event, None, None]:
         """Process-style: ``yield from disk.read(n)`` blocks for the I/O time."""
@@ -85,6 +95,35 @@ class Disk:
 
     def write(self, nbytes: int, sequential: bool = True) -> Generator[Event, None, None]:
         return self._io(nbytes, self.write_bandwidth, sequential, "write")
+
+    def submit_write(
+        self, nbytes: int, done: Callable[[int], None], sequential: bool = True
+    ) -> None:
+        """Callback-style :meth:`write`: ``done(nbytes)`` runs once it is on disk.
+
+        For background activities that are not processes (the page-cache
+        flusher). Same queue, pricing and accounting as :meth:`write`; like
+        it, the operation is priced at the bandwidth current when it is
+        submitted, however long it then waits in the queue. An idle disk
+        costs one event, a busy one the queue grant plus the I/O timer.
+        """
+        duration = self._duration(nbytes, self.write_bandwidth, sequential)
+        if self._queue.try_acquire():
+            self._start_write(duration, nbytes, done)
+        else:
+            self._queue.request().callbacks.append(
+                lambda _granted: self._start_write(duration, nbytes, done)
+            )
+
+    def _start_write(self, duration: float, nbytes: int, done: Callable[[int], None]) -> None:
+        # the timer carries its context: no closure per operation
+        Timeout(self.env, duration, (nbytes, done)).callbacks.append(self._write_done)
+
+    def _write_done(self, timer: Event) -> None:
+        nbytes, done = timer._value
+        self._account("write", nbytes)
+        self._queue.release()
+        done(nbytes)
 
     @property
     def queue_length(self) -> int:
@@ -162,16 +201,36 @@ class FileDevice:
         self.dirty = 0
         self._cached_bytes = 0
         self._flusher_active = False
+        #: writes between entry and their ``dirty`` update
+        self._writers = 0
 
     # ------------------------------------------------------------------ #
     def write(self, nbytes: int) -> Generator[Event, None, None]:
         """Write ``nbytes`` through the cache (throttled past the dirty budget)."""
-        yield self.env.timeout(self.policy.data_op_overhead)
-        if self.dirty + nbytes <= self.policy.dirty_budget:
-            yield self.env.timeout(nbytes / self.policy.write_absorb_bandwidth)
-        else:
-            # Over budget: the writer effectively runs at drain (disk) speed.
-            yield self.env.timeout(nbytes / self.disk.write_bandwidth)
+        env = self.env
+        policy = self.policy
+        self._writers += 1
+        try:
+            if self._writers == 1 and self.dirty + nbytes <= policy.dirty_budget:
+                # The budget check below happens after the per-op cost, but
+                # its outcome is known now: only a write raises ``dirty``,
+                # none is in flight, and one that starts later also ends
+                # later. Nothing else sits between the two delays, so they
+                # are one event at the instant the two timeouts reach.
+                served = env.now + policy.data_op_overhead
+                yield env.schedule_at(
+                    Event(env), served + nbytes / policy.write_absorb_bandwidth
+                )
+            else:
+                yield env.timeout(policy.data_op_overhead)
+                if self.dirty + nbytes <= policy.dirty_budget:
+                    yield env.timeout(nbytes / policy.write_absorb_bandwidth)
+                else:
+                    # Over budget: the writer effectively runs at drain
+                    # (disk) speed.
+                    yield env.timeout(nbytes / self.disk.write_bandwidth)
+        finally:
+            self._writers -= 1
         self.dirty += nbytes
         self._cached_bytes = min(self.size, self._cached_bytes + nbytes)
         self._ensure_flusher()
@@ -207,12 +266,15 @@ class FileDevice:
     def _ensure_flusher(self) -> None:
         if not self._flusher_active and self.dirty > 0:
             self._flusher_active = True
-            self.env.process(self._flusher(), name="page-cache-flusher")
+            self._flush_quantum()
 
-    def _flusher(self) -> Generator[Event, None, None]:
-        flush_quantum = 4 * MB
-        while self.dirty > 0:
-            batch = min(self.dirty, flush_quantum)
-            yield from self.disk.write(batch, sequential=True)
-            self.dirty -= batch
-        self._flusher_active = False
+    def _flush_quantum(self) -> None:
+        """Background write-back: one quantum per disk write until clean."""
+        self.disk.submit_write(min(self.dirty, FLUSH_QUANTUM), self._quantum_flushed)
+
+    def _quantum_flushed(self, batch: int) -> None:
+        self.dirty -= batch
+        if self.dirty > 0:
+            self._flush_quantum()
+        else:
+            self._flusher_active = False

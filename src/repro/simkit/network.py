@@ -353,17 +353,12 @@ class FlowNetwork:
     # ------------------------------------------------------------------ #
     def transfer(self, src: Nic, dst: Nic, nbytes: int, kind: str = "bulk") -> Event:
         """Start a bulk transfer; the event fires when the last byte lands."""
-        if src is dst:
-            # Loopback: no NIC constraint; charge memory-copy-ish zero time.
-            self.metrics.add_traffic(0, kind)  # loopback does not hit the wire
-            done = Event(self.env)
-            done.succeed()
-            return done
-        if nbytes <= self.message_threshold:
-            # message() returns a pre-scheduled Timeout — identical to an
-            # Event fired via schedule_at, minus the extra allocation.
-            return self.message(src, dst, nbytes, kind=kind)
         env = self.env
+        delay = self.transfer_delay(src, dst, nbytes, kind)
+        if delay is not None:
+            # Loopback or message-sized: a pre-scheduled Timeout — identical
+            # to an Event fired via schedule_at, minus the extra allocation.
+            return Timeout(env, delay)
         done = Event(env)
         trunks, scope = self._route(src, dst)
         links = (src.up, dst.down) + trunks
@@ -394,22 +389,7 @@ class FlowNetwork:
     ) -> Event:
         """A small control message: latency + serialization, no fair sharing."""
         env = self.env
-        wire_bytes = nbytes + self.message_header_bytes
-        if src is dst:
-            delay = self.per_message_overhead
-        else:
-            up = src.up.capacity
-            down = dst.down.capacity
-            delay = (
-                self.latency
-                + self.per_message_overhead
-                + wire_bytes / (up if up < down else down)
-            )
-            # Same API as transfer()/_complete(): accounting hooks (test
-            # doubles, future per-kind observers) see every wire byte.
-            self.metrics.add_traffic(wire_bytes, kind)
-            if self.topology is not None:
-                self.metrics.add_topo_traffic(self._route(src, dst)[1], kind, wire_bytes)
+        delay = self.message_delay(src, dst, nbytes, kind)
         if done is None:
             # A Timeout *is* an event pre-scheduled at now+delay: one
             # flattened constructor instead of Event + schedule_at.
@@ -417,6 +397,44 @@ class FlowNetwork:
         # Caller-supplied completion event: fire it directly at delivery time.
         env.schedule_at(done, env.now + delay)
         return done
+
+    def message_delay(self, src: Nic, dst: Nic, nbytes: int, kind: str = "message") -> float:
+        """Account one control message and return its delivery delay.
+
+        The pricing half of :meth:`message`, for callers that fold the delay
+        into a longer contention-free chain (DESIGN.md §8, event fusion)
+        instead of waiting on a :class:`Timeout` of its own.
+        """
+        if src is dst:
+            return self.per_message_overhead
+        wire_bytes = nbytes + self.message_header_bytes
+        up = src.up.capacity
+        down = dst.down.capacity
+        # Same API as transfer()/_complete(): accounting hooks (test
+        # doubles, future per-kind observers) see every wire byte.
+        self.metrics.add_traffic(wire_bytes, kind)
+        if self.topology is not None:
+            self.metrics.add_topo_traffic(self._route(src, dst)[1], kind, wire_bytes)
+        return (
+            self.latency
+            + self.per_message_overhead
+            + wire_bytes / (up if up < down else down)
+        )
+
+    def transfer_delay(self, src: Nic, dst: Nic, nbytes: int, kind: str = "bulk"):
+        """Account a transfer that shares no link and return its fixed delay.
+
+        ``0.0`` for a loopback, the message delay at or below
+        :attr:`message_threshold`, and ``None`` — nothing accounted — when
+        the transfer has to ride the fabric as a flow (:meth:`transfer`).
+        """
+        if src is dst:
+            # Loopback: no NIC constraint; charge memory-copy-ish zero time.
+            self.metrics.add_traffic(0, kind)  # loopback does not hit the wire
+            return 0.0
+        if nbytes <= self.message_threshold:
+            return self.message_delay(src, dst, nbytes, kind)
+        return None
 
     # ------------------------------------------------------------------ #
     # fault injection
