@@ -63,8 +63,8 @@ suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards 
 	python3 benchmarks/suite/run.py --smoke
 	python -m pytest benchmarks/suite -q
 
-outcome-digest:  ## per-workload digest of the simulated outcome without the event count (toy sizes, ~10 s)
-	python3 benchmarks/outcome_digest.py --smoke
+outcome-digest:  ## simulated outcomes at toy sizes equal benchmarks/outcome_digests.json (~10 s; exit 1 with a diff)
+	python3 benchmarks/outcome_digest.py --smoke --expect benchmarks/outcome_digests.json
 
 examples:
 	python examples/quickstart.py

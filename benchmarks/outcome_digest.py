@@ -2,6 +2,7 @@
 """Outcome digest of one suite workload, without the engine half.
 
     python3 benchmarks/outcome_digest.py --workload W --seed N [--smoke]
+    python3 benchmarks/outcome_digest.py --smoke --expect benchmarks/outcome_digests.json
 
 ``sim_digest`` of the benchmark suite hashes the simulated outcome *and* the
 event count, so a change that spends fewer events on the same timeline moves
@@ -14,6 +15,15 @@ workload and seed simulate the same cloud, whatever their event counts.
 
 Without ``--workload`` every workload of the suite runs in turn. The last
 line is one JSON object keyed by workload.
+
+``--expect FILE`` compares what ran with such an object saved earlier and
+exits 1 on any difference. ``benchmarks/outcome_digests.json`` holds the
+``--smoke`` values of seed 1 (``make outcome-digest`` and CI check against
+it); a change that means to move a simulated outcome re-records it in the
+same commit:
+
+    python3 benchmarks/outcome_digest.py --smoke | tail -1 \
+        | python3 -m json.tool --sort-keys > benchmarks/outcome_digests.json
 """
 
 from __future__ import annotations
@@ -60,6 +70,28 @@ def run_workload(name: str, seed: int, smoke: bool = False) -> dict:
     }
 
 
+#: what ``--expect`` compares, per workload
+COMPARED = (
+    "events", "sim_op_p50_s", "sim_op_p95_s", "sim_traffic_gib", "sim_stored_mib",
+    "outcome_digest",
+)
+
+
+def differences(expected: dict, got: dict) -> list:
+    """One line per compared value of ``got`` that ``expected`` does not repeat."""
+    lines = []
+    for name, res in got.items():
+        want = expected.get(name)
+        if want is None:
+            lines.append(f"{name}: not in the expected file")
+            continue
+        lines += [
+            f"{name}: {key} expected {want.get(key)!r}, got {res[key]!r}"
+            for key in COMPARED if want.get(key) != res[key]
+        ]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -68,7 +100,13 @@ def main(argv=None) -> int:
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="toy sizes")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="exit 1 unless the values equal the ones saved in FILE")
     args = parser.parse_args(argv)
+    expected = None
+    if args.expect:
+        with open(args.expect, encoding="utf-8") as fh:
+            expected = json.load(fh)
 
     out = {}
     for name in args.workload or list(workloads.WORKLOADS):
@@ -82,6 +120,13 @@ def main(argv=None) -> int:
             flush=True,
         )
     print(json.dumps(out, sort_keys=True))
+    if expected is not None:
+        diff = differences(expected, out)
+        for line in diff:
+            print(f"OUTCOME MOVED  {line}", file=sys.stderr)
+        if diff:
+            return 1
+        print(f"outcomes equal {args.expect} ({len(out)} workloads)", file=sys.stderr)
     return 0
 
 

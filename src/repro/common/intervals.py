@@ -43,6 +43,18 @@ class IntervalSet:
         if lo >= hi:
             return
         ivs = self._ivs
+        if not ivs:
+            ivs.append((lo, hi))
+            return
+        last_lo, last_hi = ivs[-1]
+        if lo >= last_lo:
+            # Log-style writers only ever touch the last interval: nothing
+            # before it reaches ``last_lo``, so append, extend or absorb.
+            if lo > last_hi:
+                ivs.append((lo, hi))
+            elif hi > last_hi:
+                ivs[-1] = (last_lo, hi)
+            return
         # Find insertion window: all intervals whose end >= lo and start <= hi
         # are merged with the new one.
         i = bisect_right(ivs, (lo, lo)) - 1

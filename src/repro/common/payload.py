@@ -29,8 +29,7 @@ chunk stores.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import OutOfRangeError
 
@@ -38,8 +37,11 @@ from .errors import OutOfRangeError
 # --------------------------------------------------------------------------- #
 # atoms
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BytesAtom:
+# Named tuples: immutable, hashable, compared field by field in C, built by
+# one plain call and carrying no per-instance ``__dict__``. The three kinds
+# never compare equal to one another (``bytes`` against ``int``, one field
+# against three).
+class BytesAtom(NamedTuple):
     data: bytes
 
     @property
@@ -52,8 +54,7 @@ class BytesAtom:
         return BytesAtom(self.data[lo:hi])
 
 
-@dataclass(frozen=True)
-class ZeroAtom:
+class ZeroAtom(NamedTuple):
     nbytes: int
 
     @property
@@ -64,8 +65,7 @@ class ZeroAtom:
         return ZeroAtom(hi - lo)
 
 
-@dataclass(frozen=True)
-class OpaqueAtom:
+class OpaqueAtom(NamedTuple):
     tag: str
     offset: int
     nbytes: int
@@ -133,17 +133,29 @@ class Payload:
         p._size = size
         return p
 
+    @classmethod
+    def _single(cls, atom: Atom, size: int) -> "Payload":
+        """The payload of one atom of ``size`` bytes; the empty one for 0."""
+        if size <= 0:
+            if size < 0:
+                raise OutOfRangeError(f"payload of negative size {size}")
+            return EMPTY
+        return cls._from_normalized((atom,), size)
+
     @staticmethod
     def from_bytes(data: bytes) -> "Payload":
-        return Payload([BytesAtom(bytes(data))])
+        data = bytes(data)
+        return Payload._single(BytesAtom(data), len(data))
 
     @staticmethod
     def zeros(nbytes: int) -> "Payload":
-        return Payload([ZeroAtom(int(nbytes))])
+        nbytes = int(nbytes)
+        return Payload._single(ZeroAtom(nbytes), nbytes)
 
     @staticmethod
     def opaque(tag: str, nbytes: int, offset: int = 0) -> "Payload":
-        return Payload([OpaqueAtom(tag, int(offset), int(nbytes))])
+        nbytes = int(nbytes)
+        return Payload._single(OpaqueAtom(tag, int(offset), nbytes), nbytes)
 
     @staticmethod
     def concat(parts: Sequence["Payload"]) -> "Payload":
@@ -188,6 +200,8 @@ class Payload:
             raise OutOfRangeError(f"slice [{lo},{hi}) of payload size {self._size}")
         if lo == 0 and hi == self._size:
             return self  # whole-payload slice: immutable, so share it
+        if lo == hi:
+            return EMPTY  # an empty window of an atom is not an atom
         atoms = self._atoms
         if len(atoms) == 1:
             # Single-atom payloads (one opaque chunk, one zero run) dominate
@@ -251,31 +265,31 @@ class SparseFile:
     """A fixed-size sparse byte space; unwritten regions read as zeros.
 
     Segments are kept as a sorted list of ``(lo, hi, payload)`` triples with
-    no overlaps; writes splice, reads stitch payload windows together with
-    zero-fill for holes. Used for local-disk files, chunk stores, and the
-    mirror file.
+    no overlaps, beside the list of their start offsets that the two bisects
+    of every access run on; writes splice, reads stitch payload windows
+    together with zero-fill for holes. Used for local-disk files, chunk
+    stores, and the mirror file.
     """
 
-    __slots__ = ("size", "_segments")
+    __slots__ = ("size", "_segments", "_starts")
 
     def __init__(self, size: int, base: Payload | None = None):
         self.size = int(size)
         self._segments: List[Tuple[int, int, Payload]] = []
+        #: ``_starts[k] == _segments[k][0]``, always
+        self._starts: List[int] = []
         if base is not None:
             if base.size != size:
                 raise OutOfRangeError("base payload size mismatch")
             self._segments.append((0, size, base))
+            self._starts.append(0)
 
     def _overlap_window(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Index range ``[i, j)`` of segments overlapping ``[lo, hi)``.
-
-        Comparison probes like ``(lo,)`` sort strictly before any segment
-        triple sharing the same start, so payloads are never compared.
-        """
-        segments = self._segments
-        k = bisect_left(segments, (lo,))
-        i = k - 1 if k > 0 and segments[k - 1][1] > lo else k
-        j = bisect_left(segments, (hi,), i)
+        """Index range ``[i, j)`` of segments overlapping ``[lo, hi)``."""
+        starts = self._starts
+        k = bisect_left(starts, lo)
+        i = k - 1 if k > 0 and self._segments[k - 1][1] > lo else k
+        j = bisect_left(starts, hi, i)
         return i, j
 
     def write(self, offset: int, payload: Payload) -> None:
@@ -284,21 +298,30 @@ class SparseFile:
             raise OutOfRangeError(f"write [{lo},{hi}) beyond size {self.size}")
         if lo == hi:
             return
-        # Bisect to the overlapped segment window and splice in place rather
-        # than rebuilding the whole segment list per write.
-        segments = self._segments
+        segments, starts = self._segments, self._starts
+        if not segments or segments[-1][1] <= lo:
+            # past the last segment: what a log-style writer always does
+            segments.append((lo, hi, payload))
+            starts.append(lo)
+            return
         i, j = self._overlap_window(lo, hi)
+        if i == j:
+            # into a hole
+            segments.insert(i, (lo, hi, payload))
+            starts.insert(i, lo)
+            return
+        # Splice over the overlapped window in place, keeping what sticks out
+        # of the first and last overlapped segments.
         repl: List[Tuple[int, int, Payload]] = []
-        if i < j:
-            s_lo, s_hi, s_pl = segments[i]
-            if s_lo < lo:
-                repl.append((s_lo, lo, s_pl.slice(0, lo - s_lo)))
+        s_lo, s_hi, s_pl = segments[i]
+        if s_lo < lo:
+            repl.append((s_lo, lo, s_pl.slice(0, lo - s_lo)))
         repl.append((lo, hi, payload))
-        if i < j:
-            s_lo, s_hi, s_pl = segments[j - 1]
-            if s_hi > hi:
-                repl.append((hi, s_hi, s_pl.slice(hi - s_lo, s_hi - s_lo)))
+        s_lo, s_hi, s_pl = segments[j - 1]
+        if s_hi > hi:
+            repl.append((hi, s_hi, s_pl.slice(hi - s_lo, s_hi - s_lo)))
         segments[i:j] = repl
+        starts[i:j] = [seg[0] for seg in repl]
 
     def read(self, offset: int, nbytes: int) -> Payload:
         lo, hi = offset, offset + nbytes
@@ -308,6 +331,10 @@ class SparseFile:
         i, j = self._overlap_window(lo, hi)
         if i == j:
             return Payload.zeros(hi - lo) if hi > lo else EMPTY
+        if j == i + 1:
+            s_lo, s_hi, s_pl = segments[i]
+            if s_lo <= lo and hi <= s_hi:
+                return s_pl.slice(lo - s_lo, hi - s_lo)  # one covering segment
         parts: List[Payload] = []
         cursor = lo
         for s_lo, s_hi, s_pl in segments[i:j]:

@@ -28,7 +28,7 @@ re-open (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..common.errors import MirrorStateError
 from ..common.intervals import IntervalSet
@@ -67,7 +67,16 @@ class WritePlan:
 
 
 class ModificationManager:
-    """Tracks mirrored and dirty state of one image at chunk granularity."""
+    """Tracks mirrored and dirty state of one image at chunk granularity.
+
+    Strategy 2 *is* the representation: the mirrored part of chunk ``i`` is
+    ``[_m_lo[i], _m_hi[i])`` in two flat integer lists (``(0, 0)`` when empty).
+    A chunk whose mirror really fragments — legal only with
+    ``enforce_contiguity=False``, or transiently between a non-adjacent
+    :meth:`record_fill` and the invariant check that rejects it — keeps its
+    exact ranges in the overflow map ``_frag`` and their hull in the two
+    lists; the map is empty in every run that follows the plans.
+    """
 
     def __init__(self, image_size: int, chunk_size: int, enforce_contiguity: bool = True):
         if image_size <= 0 or chunk_size <= 0:
@@ -78,9 +87,11 @@ class ModificationManager:
         #: strategy-2 invariant enforcement; disabled only by the
         #: no-prefetch ablation, where reads legitimately fragment chunks
         self.enforce_contiguity = enforce_contiguity
-        #: per chunk: locally available byte range (absolute offsets).
-        #: Invariant: each is empty or a single interval (strategy 2).
-        self._mirrored: Dict[int, IntervalSet] = {}
+        #: per chunk: hull of the locally available bytes (absolute offsets)
+        self._m_lo: List[int] = [0] * self.n_chunks
+        self._m_hi: List[int] = [0] * self.n_chunks
+        #: overflow: exact ranges of the chunks whose mirror is not one interval
+        self._frag: Dict[int, IntervalSet] = {}
         #: per chunk: locally written byte ranges (absolute offsets)
         self._dirty: Dict[int, IntervalSet] = {}
 
@@ -92,65 +103,71 @@ class ModificationManager:
         return lo, min(lo + self.chunk_size, self.image_size)
 
     def chunks_overlapping(self, lo: int, hi: int) -> range:
-        self._check_range(lo, hi)
-        if lo >= hi:
-            return range(0, 0)
-        return range(lo // self.chunk_size, -(-hi // self.chunk_size))
-
-    def _check_range(self, lo: int, hi: int) -> None:
         if lo < 0 or hi > self.image_size or lo > hi:
             raise MirrorStateError(
                 f"range [{lo},{hi}) outside image of size {self.image_size}"
             )
+        if lo == hi:
+            return range(0, 0)
+        return range(lo // self.chunk_size, -(-hi // self.chunk_size))
 
-    def _mirror_of(self, idx: int) -> IntervalSet:
-        s = self._mirrored.get(idx)
-        if s is None:
-            s = IntervalSet()
-            self._mirrored[idx] = s
-        return s
-
-    def _dirty_of(self, idx: int) -> IntervalSet:
-        s = self._dirty.get(idx)
-        if s is None:
-            s = IntervalSet()
-            self._dirty[idx] = s
-        return s
+    def _checked_bounds(self, idx: int) -> Interval:
+        """:meth:`chunk_bounds`, refusing an index the flat lists would wrap."""
+        if not 0 <= idx < self.n_chunks:
+            raise MirrorStateError(f"chunk {idx} outside image of {self.n_chunks} chunks")
+        return self.chunk_bounds(idx)
 
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
+    def _gaps(self, idx: int, lo: int, hi: int) -> List[Interval]:
+        """Parts of ``[lo, hi)``, inside chunk ``idx``, that are not mirrored."""
+        if idx in self._frag:
+            return self._frag[idx].gaps(lo, hi)
+        a, b = self._m_lo[idx], self._m_hi[idx]
+        if b <= lo or hi <= a:  # an empty mirror is (0, 0): below every window
+            return [(lo, hi)]
+        out: List[Interval] = []
+        if lo < a:
+            out.append((lo, a))
+        if b < hi:
+            out.append((b, hi))
+        return out
+
     def plan_read(self, lo: int, hi: int) -> ReadPlan:
         """Strategy 1: full-chunk fetches covering the non-mirrored parts."""
         fetch: List[int] = []
         gaps: Dict[int, List[Interval]] = {}
+        size, cs = self.image_size, self.chunk_size
+        m_lo, m_hi, frag = self._m_lo, self._m_hi, self._frag
         for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            mirror = self._mirrored.get(idx)
-            if mirror is not None and mirror.contains(w_lo, w_hi):
+            c_lo = idx * cs
+            c_hi = min(c_lo + cs, size)
+            w_lo = lo if lo > c_lo else c_lo
+            w_hi = hi if hi < c_hi else c_hi
+            # inside the hull, and inside the exact ranges if any chunk has them
+            if m_lo[idx] <= w_lo and w_hi <= m_hi[idx] and not (
+                frag and self._gaps(idx, w_lo, w_hi)
+            ):
                 continue
             fetch.append(idx)
-            gaps[idx] = (
-                mirror.gaps(c_lo, c_hi) if mirror is not None else [(c_lo, c_hi)]
-            )
+            gaps[idx] = self._gaps(idx, c_lo, c_hi)
         return ReadPlan(fetch, gaps)
 
     def plan_write(self, lo: int, hi: int) -> WritePlan:
         """Strategy 2: gap reads keeping each chunk's mirror contiguous."""
-        self._check_range(lo, hi)
         fills: List[Tuple[int, Interval]] = []
+        m_lo, m_hi = self._m_lo, self._m_hi
         for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            mirror = self._mirrored.get(idx)
-            if mirror is None or not mirror:
+            a, b = m_lo[idx], m_hi[idx]
+            # The hull lies inside the chunk, so a write that starts past it
+            # (or ends before it) also starts (ends) inside the chunk.
+            if a == b:
                 continue  # nothing mirrored yet: the write itself is contiguous
-            m_lo, m_hi = mirror.span()
-            if w_lo > m_hi:
-                fills.append((idx, (m_hi, w_lo)))
-            elif w_hi < m_lo:
-                fills.append((idx, (w_hi, m_lo)))
+            if lo > b:
+                fills.append((idx, (b, lo)))
+            elif hi < a:
+                fills.append((idx, (hi, a)))
             # overlap/adjacency: union already contiguous, nothing to fill
         return WritePlan(fills)
 
@@ -162,73 +179,93 @@ class ModificationManager:
         chunk-granularity fetching buys.
         """
         out: Dict[int, List[Interval]] = {}
+        cs = self.chunk_size
         for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            mirror = self._mirrored.get(idx)
-            gaps = mirror.gaps(w_lo, w_hi) if mirror is not None else [(w_lo, w_hi)]
+            gaps = self._gaps(idx, max(lo, idx * cs), min(hi, (idx + 1) * cs))
             if gaps:
                 out[idx] = gaps
         return out
 
     def plan_complete_chunk(self, idx: int) -> List[Interval]:
         """Gaps to fetch so chunk ``idx`` becomes fully mirrored (COMMIT prep)."""
-        c_lo, c_hi = self.chunk_bounds(idx)
-        mirror = self._mirrored.get(idx)
-        if mirror is None:
-            return [(c_lo, c_hi)]
-        return mirror.gaps(c_lo, c_hi)
+        return self._gaps(idx, *self._checked_bounds(idx))
 
     # ------------------------------------------------------------------ #
     # state transitions
     # ------------------------------------------------------------------ #
     def record_fetch(self, idx: int) -> None:
         """A full-chunk fetch completed: the chunk is now fully mirrored."""
-        c_lo, c_hi = self.chunk_bounds(idx)
-        self._mirror_of(idx).add(c_lo, c_hi)
-        self._assert_contiguous(idx)
+        self._m_lo[idx], self._m_hi[idx] = self._checked_bounds(idx)
+        if self._frag:
+            self._frag.pop(idx, None)
 
     def record_fill(self, idx: int, lo: int, hi: int) -> None:
         """A gap fill ``[lo, hi)`` of chunk ``idx`` was applied locally."""
-        c_lo, c_hi = self.chunk_bounds(idx)
+        c_lo, c_hi = self._checked_bounds(idx)
         if lo < c_lo or hi > c_hi:
             raise MirrorStateError(f"fill [{lo},{hi}) outside chunk {idx}")
-        self._mirror_of(idx).add(lo, hi)
+        if lo < hi:
+            self._add_mirrored(idx, lo, hi)
 
     def record_write(self, lo: int, hi: int) -> None:
         """A local write ``[lo, hi)`` completed (gap fills already applied)."""
-        self._check_range(lo, hi)
+        cs, dirty, frag = self.chunk_size, self._dirty, self._frag
         for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            self._mirror_of(idx).add(w_lo, w_hi)
-            self._dirty_of(idx).add(w_lo, w_hi)
-            self._assert_contiguous(idx)
+            c_lo = idx * cs
+            w_lo = lo if lo > c_lo else c_lo
+            w_hi = hi if hi < c_lo + cs else c_lo + cs
+            self._add_mirrored(idx, w_lo, w_hi)
+            ranges = dirty.get(idx)
+            if ranges is None:
+                ranges = dirty[idx] = IntervalSet()
+            ranges.add(w_lo, w_hi)
+            if frag:
+                self._assert_contiguous(idx)
 
-    def clear_dirty(self) -> None:
-        """COMMIT finished: local content is now the published snapshot."""
-        self._dirty.clear()
+    def _add_mirrored(self, idx: int, lo: int, hi: int) -> None:
+        """Union the non-empty ``[lo, hi)``, inside chunk ``idx``, into its mirror."""
+        a, b = self._m_lo[idx], self._m_hi[idx]
+        if self._frag and idx in self._frag:
+            ranges = self._frag[idx]
+            ranges.add(lo, hi)
+            if ranges.is_single_interval():
+                del self._frag[idx]  # healed
+        elif a < b and (hi < a or b < lo):
+            self._frag[idx] = IntervalSet(((a, b), (lo, hi)))
+        if a == b or lo < a:
+            self._m_lo[idx] = lo
+        if a == b or hi > b:
+            self._m_hi[idx] = hi
 
     def _assert_contiguous(self, idx: int) -> None:
-        if not self.enforce_contiguity:
-            return
-        mirror = self._mirrored.get(idx)
-        if mirror is not None and not mirror.is_single_interval():
+        if self.enforce_contiguity and idx in self._frag:
             raise MirrorStateError(
-                f"strategy-2 invariant violated: chunk {idx} mirror {mirror!r}"
+                f"strategy-2 invariant violated: chunk {idx} mirror {self._frag[idx]!r}"
             )
+
+    def clear_dirty(self) -> Dict[int, IntervalSet]:
+        """Forget every dirty range, handing them to the caller.
+
+        COMMIT calls this at the instant it starts collecting: what it took is
+        what it publishes, so a range dirtied while the COMMIT is in flight
+        opens a fresh entry and belongs to the next one. A COMMIT that fails
+        gives its ranges back with :meth:`restore_dirty`.
+        """
+        taken, self._dirty = self._dirty, {}
+        return taken
+
+    def restore_dirty(self, taken: Dict[int, Iterable[Interval]]) -> None:
+        """The COMMIT that took ``taken`` published nothing: dirty again."""
+        for idx, ranges in taken.items():
+            mine = self._dirty.setdefault(idx, IntervalSet())
+            for lo, hi in ranges:
+                mine.add(lo, hi)
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def is_mirrored(self, lo: int, hi: int) -> bool:
-        for idx in self.chunks_overlapping(lo, hi):
-            c_lo, c_hi = self.chunk_bounds(idx)
-            w_lo, w_hi = max(lo, c_lo), min(hi, c_hi)
-            mirror = self._mirrored.get(idx)
-            if mirror is None or not mirror.contains(w_lo, w_hi):
-                return False
-        return True
+        return not self.plan_read_exact(lo, hi)
 
     def dirty_chunks(self) -> List[int]:
         return sorted(idx for idx, s in self._dirty.items() if s)
@@ -236,12 +273,28 @@ class ModificationManager:
     def dirty_bytes(self) -> int:
         return sum(s.total() for s in self._dirty.values())
 
+    def dirty_intervals(self, idx: int) -> List[Interval]:
+        """Locally written ranges of chunk ``idx``, in order."""
+        return list(self._dirty.get(idx, ()))
+
     def mirrored_bytes(self) -> int:
-        return sum(s.total() for s in self._mirrored.values())
+        hulls = sum(self._m_hi) - sum(self._m_lo)
+        holes = sum(
+            self._m_hi[idx] - self._m_lo[idx] - s.total() for idx, s in self._frag.items()
+        )
+        return hulls - holes
 
     def mirrored_interval(self, idx: int) -> Interval:
-        mirror = self._mirrored.get(idx)
-        return mirror.span() if mirror is not None else (0, 0)
+        """Hull of chunk ``idx``'s mirror; ``(0, 0)`` when nothing is mirrored."""
+        self._checked_bounds(idx)
+        return self._m_lo[idx], self._m_hi[idx]
+
+    def mirrored_intervals(self, idx: int) -> List[Interval]:
+        """Exact mirrored ranges of chunk ``idx``: one, unless it fragmented."""
+        if idx in self._frag:
+            return list(self._frag[idx])
+        a, b = self.mirrored_interval(idx)
+        return [(a, b)] if a < b else []
 
     # ------------------------------------------------------------------ #
     # persistence (the "extra metadata" written next to the local file)
@@ -250,18 +303,20 @@ class ModificationManager:
         return {
             "image_size": self.image_size,
             "chunk_size": self.chunk_size,
-            "mirrored": {idx: list(s) for idx, s in self._mirrored.items() if s},
+            "mirrored": {
+                idx: self.mirrored_intervals(idx)
+                for idx in range(self.n_chunks)
+                if self._m_lo[idx] < self._m_hi[idx]
+            },
             "dirty": {idx: list(s) for idx, s in self._dirty.items() if s},
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "ModificationManager":
-        mgr = cls(state["image_size"], state["chunk_size"])
+    def from_state(cls, state: dict, enforce_contiguity: bool = True) -> "ModificationManager":
+        mgr = cls(state["image_size"], state["chunk_size"], enforce_contiguity)
         for idx, ivs in state["mirrored"].items():
             for lo, hi in ivs:
-                mgr._mirror_of(int(idx)).add(lo, hi)
+                mgr.record_fill(int(idx), lo, hi)
             mgr._assert_contiguous(int(idx))
-        for idx, ivs in state["dirty"].items():
-            for lo, hi in ivs:
-                mgr._dirty_of(int(idx)).add(lo, hi)
+        mgr.restore_dirty({int(idx): ivs for idx, ivs in state["dirty"].items()})
         return mgr

@@ -262,14 +262,13 @@ class RWTranslator:
         return None
 
     # ------------------------------------------------------------------ #
-    def collect_dirty_chunks(self) -> Generator:
-        """COMMIT prep: complete every dirty chunk and return whole payloads.
+    def collect_dirty_chunks(self, dirty: Sequence[int]) -> Generator:
+        """COMMIT prep: complete the ``dirty`` chunks and return whole payloads.
 
         A dirty chunk whose mirror is partial is gap-filled from the source
         snapshot first (the published chunk must be complete); the returned
         payloads are read back from the local mirror.
         """
-        dirty = self.modmgr.dirty_chunks()
         incomplete: Dict[int, List[Tuple[int, int]]] = {}
         for idx in dirty:
             gaps = self.modmgr.plan_complete_chunk(idx)

@@ -166,8 +166,11 @@ class MirrorHandle:
         span = None
         if tracer.enabled:
             span = tracer.start("ioctl:COMMIT", "snapshot", blob=self.target_blob)
+        # Taken now, before any simulated time passes: a write that lands
+        # while the COMMIT is in flight stays dirty for the next one.
+        collected = self.modmgr.clear_dirty()
         try:
-            updates = yield from self.translator.collect_dirty_chunks()
+            updates = yield from self.translator.collect_dirty_chunks(sorted(collected))
             if span is not None:
                 span.set(dirty_chunks=len(updates))
             if not updates:
@@ -179,6 +182,7 @@ class MirrorHandle:
                 self.target_blob, updates, base_version=self.target_version
             )
         except BaseException as exc:
+            self.modmgr.restore_dirty(collected)  # nothing was published
             if span is not None:
                 span.set_error(exc)
             raise
@@ -186,7 +190,6 @@ class MirrorHandle:
             if span is not None:
                 span.finish()
         self.target_version = rec.version
-        self.modmgr.clear_dirty()
         metrics.count("ioctl-commit")
         metrics.count("commit-chunks", len(updates))
         return rec
@@ -237,7 +240,9 @@ class MirrorVFS:
                     f"{path}: persisted state belongs to blob "
                     f"{state['source']}, not ({snap.blob_id}, {snap.version})"
                 )
-            modmgr = ModificationManager.from_state(state["modmgr"])
+            modmgr = ModificationManager.from_state(
+                state["modmgr"], enforce_contiguity=self.full_chunk_prefetch
+            )
             handle = MirrorHandle(
                 self, path, snap.blob_id, snap.version, snap.size, snap.chunk_size,
                 modmgr, local,

@@ -203,14 +203,13 @@ class MirrorBackend:
         return self.handle
 
     def read(self, offset: int, nbytes: int) -> Generator:
-        data = yield from self._h().read(offset, nbytes)
-        return data
+        return self._h().read(offset, nbytes)
 
     def write(self, offset: int, payload: Payload) -> Generator:
-        yield from self._h().write(offset, payload)
+        return self._h().write(offset, payload)
 
     def close(self) -> Generator:
-        yield from self._h().close()
+        return self._h().close()
 
     def snapshot(self) -> Generator:
         """CLONE (first time) + COMMIT: publish local diffs as a snapshot."""

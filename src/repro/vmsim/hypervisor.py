@@ -22,6 +22,22 @@ from ..simkit.host import Host
 from .boottrace import BootOp
 
 
+class _WritePayloads(dict):
+    """Guest-write content by size, built on first use.
+
+    Every write of ``n`` bytes by one VM is the same content by the payload
+    algebra's own equality — ``(tag, offset 0, n)`` — and payloads are
+    immutable, so all of them can be the same object.
+    """
+
+    def __init__(self, vm_name: str):
+        self.tag = f"vmwrite-{vm_name}"
+
+    def __missing__(self, nbytes: int) -> Payload:
+        payload = self[nbytes] = Payload.opaque(self.tag, nbytes)
+        return payload
+
+
 class VMInstance:
     """One virtual machine bound to a host and an image backend."""
 
@@ -50,6 +66,7 @@ class VMInstance:
         if tracer.enabled:
             yield from self._run_ops_traced(ops)
             return
+        payloads = _WritePayloads(self.name)
         for op in ops:
             kind = op.kind
             if kind == "cpu":
@@ -58,9 +75,7 @@ class VMInstance:
             elif kind == "read":
                 yield from backend.read(op.offset, op.nbytes)
             elif kind == "write":
-                yield from backend.write(
-                    op.offset, Payload.opaque(f"vmwrite-{self.name}", op.nbytes)
-                )
+                yield from backend.write(op.offset, payloads[op.nbytes])
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")
 
@@ -69,6 +84,7 @@ class VMInstance:
         env = self.host.env
         backend = self.backend
         tracer = self.host.fabric.tracer
+        payloads = _WritePayloads(self.name)
         for op in ops:
             kind = op.kind
             if kind == "cpu":
@@ -80,9 +96,7 @@ class VMInstance:
                     yield from backend.read(op.offset, op.nbytes)
             elif kind == "write":
                 with tracer.start("op:write", "vfs", offset=op.offset, nbytes=op.nbytes):
-                    yield from backend.write(
-                        op.offset, Payload.opaque(f"vmwrite-{self.name}", op.nbytes)
-                    )
+                    yield from backend.write(op.offset, payloads[op.nbytes])
             else:
                 raise SimulationError(f"unknown boot op {kind!r}")
 

@@ -57,6 +57,18 @@ class TestAdd:
         s.add(3, 4)
         assert list(s) == [(0, 10)]
 
+    def test_log_style_adds_touch_only_the_last_interval(self):
+        s = IntervalSet([(0, 2), (10, 20)])
+        s.add(20, 30)  # extends the last
+        s.add(15, 25)  # inside the last
+        s.add(10, 35)  # same start, longer
+        assert list(s) == [(0, 2), (10, 35)]
+        s.add(40, 50)  # past the last: appended
+        s.add(36, 38)  # before the last but after the rest: the general path
+        assert list(s) == [(0, 2), (10, 35), (36, 38), (40, 50)]
+        s.add(2, 10)  # bridges, general path
+        assert list(s) == [(0, 35), (36, 38), (40, 50)]
+
 
 class TestRemove:
     def test_split(self):

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import OutOfRangeError
-from repro.common.payload import EMPTY, Payload, SparseFile
+from repro.common.payload import (
+    EMPTY,
+    BytesAtom,
+    OpaqueAtom,
+    Payload,
+    SparseFile,
+    ZeroAtom,
+)
 
 
 class TestConstruction:
@@ -36,6 +43,49 @@ class TestConstruction:
         p = Payload.concat([Payload.from_bytes(b""), Payload.zeros(0)])
         assert p == EMPTY
 
+    def test_zero_size_is_the_empty_payload(self):
+        for p in (Payload.zeros(0), Payload.opaque("img", 0, offset=7), Payload.from_bytes(b"")):
+            assert p == EMPTY and p.atoms == ()
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            Payload.zeros(-5)
+        with pytest.raises(OutOfRangeError):
+            Payload.opaque("x", -3)
+        # the parent accepted both: (b"abcdef" + opaque("x", -3)).size was 3
+
+
+class TestAtoms:
+    ATOMS = (BytesAtom(b"\x01"), ZeroAtom(1), OpaqueAtom("img", 5, 10))
+
+    def test_immutable(self):
+        for atom in self.ATOMS:
+            field = atom._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(atom, field, getattr(atom, field))
+            with pytest.raises(AttributeError):
+                atom.extra = 1
+
+    def test_hashable_without_a_dict(self):
+        for atom in self.ATOMS:
+            assert not hasattr(atom, "__dict__")
+            assert hash(atom) == hash(type(atom)(*atom))
+            assert atom == type(atom)(*atom)
+
+    def test_kinds_never_compare_equal(self):
+        assert ZeroAtom(1) != BytesAtom(b"\x01")
+        assert OpaqueAtom("img", 0, 1) != ZeroAtom(1)
+        assert Payload.zeros(1) != Payload.from_bytes(b"\x00")  # identity, not content
+
+    def test_sizes(self):
+        assert [atom.size for atom in self.ATOMS] == [1, 1, 10]
+
+    def test_opaque_window_keeps_window_arithmetic(self):
+        assert OpaqueAtom("img", 5, 10).window(2, 6) == OpaqueAtom("img", 7, 4)
+        assert ZeroAtom(9).window(2, 6) == ZeroAtom(4)
+        whole = BytesAtom(b"abc")
+        assert whole.window(0, 3) is whole and whole.window(1, 2) == BytesAtom(b"b")
+
 
 class TestSliceConcat:
     def test_slice_bytes(self):
@@ -54,6 +104,11 @@ class TestSliceConcat:
     def test_slice_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             Payload.from_bytes(b"abc").slice(0, 4)
+
+    def test_empty_slice_is_the_empty_payload(self):
+        # the single-atom shortcut used to keep a zero-sized atom here
+        assert Payload.from_bytes(b"abc").slice(1, 1) == EMPTY
+        assert SparseFile(4, base=Payload.opaque("img", 4)).read(2, 0) == EMPTY
 
     def test_opaque_slice_window_arithmetic(self):
         p = Payload.opaque("img", 100, offset=50)
@@ -168,21 +223,67 @@ class TestSparseFile:
         assert got.atoms[2].offset == 13
 
 
-@settings(max_examples=150)
+def check_starts(f):
+    """The start-offset list the bisects run on mirrors the segments."""
+    assert f._starts == [seg[0] for seg in f._segments]
+    assert all(a[1] <= b[0] for a, b in zip(f._segments, f._segments[1:]))
+    assert all(lo < hi and pl.size == hi - lo for lo, hi, pl in f._segments)
+
+
+class TestSparseFileWritePaths:
+    """Each way a write can meet the segments, by hand."""
+
+    def layout(self, f):
+        return [(lo, hi) for lo, hi, _ in f._segments]
+
+    def test_append_hole_split_span(self):
+        f = SparseFile(100)
+        f.write(10, Payload.from_bytes(b"a" * 10))   # first segment
+        f.write(20, Payload.from_bytes(b"b" * 10))   # append, adjacent
+        f.write(60, Payload.from_bytes(b"c" * 10))   # append, past a hole
+        check_starts(f)
+        assert self.layout(f) == [(10, 20), (20, 30), (60, 70)]
+        f.write(40, Payload.from_bytes(b"d" * 5))    # into the hole
+        f.write(0, Payload.from_bytes(b"e" * 5))     # into the hole before everything
+        check_starts(f)
+        assert self.layout(f) == [(0, 5), (10, 20), (20, 30), (40, 45), (60, 70)]
+        f.write(12, Payload.from_bytes(b"f" * 3))    # splits one segment in three
+        check_starts(f)
+        assert self.layout(f)[1:4] == [(10, 12), (12, 15), (15, 20)]
+        f.write(18, Payload.from_bytes(b"g" * 45))   # spans many, trims both ends
+        check_starts(f)
+        assert self.layout(f) == [(0, 5), (10, 12), (12, 15), (15, 18), (18, 63), (63, 70)]
+        want = bytearray(100)
+        want[10:20], want[20:30], want[60:70] = b"a" * 10, b"b" * 10, b"c" * 10
+        want[40:45], want[0:5], want[12:15], want[18:63] = b"d" * 5, b"e" * 5, b"f" * 3, b"g" * 45
+        assert f.read(0, 100).to_bytes() == bytes(want)
+
+    def test_single_segment_read_is_that_segments_window(self):
+        f = SparseFile(100, base=Payload.opaque("img", 100))
+        f.write(40, Payload.opaque("diff", 20))
+        assert f.read(45, 10) == Payload.opaque("diff", 10, offset=5)
+        assert f.read(40, 20) is f._segments[1][2]  # whole segment: shared, not copied
+        assert f.read(10, 20) == Payload.opaque("img", 20, offset=10)
+
+
+@settings(max_examples=300)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 48), st.binary(min_size=1, max_size=16)),
-        max_size=12,
-    )
+        st.tuples(st.integers(0, 63), st.binary(min_size=1, max_size=24)),
+        max_size=16,
+    ),
+    st.data(),
 )
-def test_sparsefile_matches_bytearray_model(writes):
+def test_sparsefile_matches_bytearray_model(writes, draw):
     SIZE = 64
     f = SparseFile(SIZE)
     model = bytearray(SIZE)
     for off, data in writes:
         data = data[: SIZE - off]
-        if not data:
-            continue
         f.write(off, Payload.from_bytes(data))
         model[off : off + len(data)] = data
+        check_starts(f)
+        lo = draw.draw(st.integers(0, SIZE))
+        hi = draw.draw(st.integers(lo, SIZE))
+        assert f.read(lo, hi - lo).to_bytes() == bytes(model[lo:hi])
     assert f.read(0, SIZE).to_bytes() == bytes(model)

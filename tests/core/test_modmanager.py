@@ -162,6 +162,84 @@ class TestTransitions:
         m.record_write(150, 170)
         assert m.mirrored_bytes() == 120
 
+    def test_chunk_index_outside_image_rejected(self):
+        # a flat list would silently take -1 for the last chunk
+        m = mgr()
+        for call in (
+            lambda: m.record_fetch(-1),
+            lambda: m.record_fetch(10),
+            lambda: m.record_fill(-1, 900, 910),
+            lambda: m.plan_complete_chunk(10),
+            lambda: m.mirrored_interval(-1),
+            lambda: m.mirrored_intervals(10),
+        ):
+            with pytest.raises(MirrorStateError):
+                call()
+        assert m.mirrored_bytes() == 0
+
+    def test_clear_dirty_hands_the_ranges_over(self):
+        m = mgr()
+        m.record_write(150, 250)
+        taken = m.clear_dirty()
+        assert {idx: list(s) for idx, s in taken.items()} == {1: [(150, 200)], 2: [(200, 250)]}
+        assert m.dirty_chunks() == [] and m.dirty_bytes() == 0
+        m.record_write(160, 170)  # dirtied after the hand-over: a fresh entry
+        assert m.dirty_intervals(1) == [(160, 170)]
+        m.restore_dirty(taken)
+        assert m.dirty_intervals(1) == [(150, 200)]
+        assert m.dirty_chunks() == [1, 2]
+
+
+class TestFragmentedMirror:
+    """Only the no-prefetch ablation (``enforce_contiguity=False``) gets here."""
+
+    def frag(self):
+        m = ModificationManager(IMG, CS, enforce_contiguity=False)
+        m.record_fill(1, 100, 110)
+        m.record_fill(1, 150, 160)
+        return m
+
+    def test_non_adjacent_fill_overflows_instead_of_widening(self):
+        m = self.frag()
+        assert m.mirrored_intervals(1) == [(100, 110), (150, 160)]
+        assert m.mirrored_interval(1) == (100, 160)  # the hull, as ``span()`` was
+        assert m.mirrored_bytes() == 20
+        assert not m.is_mirrored(100, 160)
+        assert m.is_mirrored(150, 160)
+        assert m.plan_read(105, 155).fill_gaps == {1: [(110, 150), (160, 200)]}
+        assert m.plan_read_exact(105, 155) == {1: [(110, 150)]}
+        assert m.plan_complete_chunk(1) == [(110, 150), (160, 200)]
+        assert m.plan_write(170, 180).gap_fills == [(1, (160, 170))]
+
+    def test_heals_back_to_two_integers(self):
+        m = self.frag()
+        m.record_fill(1, 110, 150)
+        assert m.mirrored_intervals(1) == [(100, 160)]
+        assert not m._frag
+        m = self.frag()
+        m.record_fetch(1)
+        assert m.mirrored_intervals(1) == [(100, 200)] and not m._frag
+
+    def test_write_may_fragment_when_not_enforced(self):
+        m = self.frag()
+        m.record_write(180, 190)
+        assert m.mirrored_intervals(1) == [(100, 110), (150, 160), (180, 190)]
+
+    def test_state_round_trip_carries_the_flag(self):
+        state = self.frag().to_state()
+        assert state["mirrored"] == {1: [(100, 110), (150, 160)]}
+        m2 = ModificationManager.from_state(state, enforce_contiguity=False)
+        assert not m2.enforce_contiguity
+        assert m2.to_state() == state
+        with pytest.raises(MirrorStateError, match="strategy-2 invariant"):
+            ModificationManager.from_state(state)
+
+    def test_state_with_a_range_outside_its_chunk_rejected(self):
+        state = mgr().to_state()
+        state["mirrored"] = {2: [(150, 250)]}
+        with pytest.raises(MirrorStateError):
+            ModificationManager.from_state(state)
+
 
 class TestPersistence:
     def test_roundtrip(self):
@@ -223,7 +301,7 @@ def test_protocol_preserves_invariants(ops):
     # dirty is a subset of mirrored
     for idx in m.dirty_chunks():
         c_lo, c_hi = m.chunk_bounds(idx)
-        for d_lo, d_hi in m._dirty[idx]:
+        for d_lo, d_hi in m.dirty_intervals(idx):
             assert m.is_mirrored(d_lo, d_hi)
 
 

@@ -64,13 +64,49 @@ class TestNoPrefetchCorrectness:
             h = yield from vfs.open(rec.blob_id, rec.version)
             yield from h.read(0, 10)
             yield from h.read(100, 10)  # same chunk, disjoint: fragments
+            fragmented = h.modmgr.mirrored_intervals(0)
             p = yield from h.read(0, 110)  # gap must be fetched now
-            return h, p
+            return h, p, fragmented
 
-        h, p = run(fab, scenario())
+        h, p, fragmented = run(fab, scenario())
         assert p.to_bytes() == data[:110]
-        assert not h.modmgr._mirrored[0].is_single_interval() or True
+        assert fragmented == [(0, 10), (100, 110)]
+        assert h.modmgr.mirrored_intervals(0) == [(0, 110)]  # the fill healed it
         assert h.modmgr.mirrored_bytes() == 110
+
+    def test_fragmented_mirror_survives_close_and_reopen(self):
+        """The ablation's manager is restored as one: it does not start enforcing."""
+        fab, dep, rec, data, vfs = setup(prefetch=False)
+
+        def scenario():
+            h = yield from vfs.open(rec.blob_id, rec.version, path="/m")
+            yield from h.read(0, 10)
+            yield from h.read(100, 10)
+            yield from h.read(CHUNK, 10)  # a second chunk, not fragmented
+            yield from h.close()
+            h2 = yield from vfs.open(rec.blob_id, rec.version, path="/m")  # raised before
+            remote = fab.metrics.counters["mirror-remote-read"]
+            p = yield from h2.read(100, 10)
+            assert fab.metrics.counters["mirror-remote-read"] == remote  # restored: local
+            yield from h2.read(CHUNK + 200, 10)  # fragments after the re-open, too
+            return h2, p
+
+        h2, p = run(fab, scenario())
+        assert p.to_bytes() == data[100:110]
+        assert not h2.modmgr.enforce_contiguity
+        assert h2.modmgr.mirrored_intervals(0) == [(0, 10), (100, 110)]
+        assert h2.modmgr.mirrored_intervals(1) == [(CHUNK, CHUNK + 10), (CHUNK + 200, CHUNK + 210)]
+
+    def test_reopen_with_prefetch_keeps_enforcing(self):
+        fab, dep, rec, data, vfs = setup(prefetch=True)
+
+        def scenario():
+            h = yield from vfs.open(rec.blob_id, rec.version, path="/m")
+            yield from h.write(10, Payload.from_bytes(b"w"))
+            yield from h.close()
+            return (yield from vfs.open(rec.blob_id, rec.version, path="/m"))
+
+        assert run(fab, scenario()).modmgr.enforce_contiguity
 
     def test_writes_and_commit_still_work(self):
         fab, dep, rec, data, vfs = setup(prefetch=False)

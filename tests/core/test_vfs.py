@@ -3,7 +3,7 @@
 import pytest
 
 from repro.blobseer import BlobSeerDeployment
-from repro.common.errors import MirrorStateError
+from repro.common.errors import MirrorStateError, StorageError
 from repro.common.payload import Payload
 from repro.common.units import KiB
 from repro.core import MirrorVFS, mount
@@ -237,6 +237,104 @@ class TestCloneCommit:
         procs = [fab.env.process(one_vm(hosts[i], i)) for i in range(4)]
         fab.run(fab.env.all_of(procs))
         assert dep.stored_bytes() == IMG + 4 * CHUNK
+
+
+class TestCommitKeepsWhatItDidNotPublish:
+    def test_write_landing_during_commit_stays_dirty(self):
+        """COMMIT clears what it collected, not what was dirtied meanwhile."""
+        fab, dep, hosts, rec, data = setup_cloud()
+        out = {}
+
+        def late_writer(h):
+            yield fab.env.timeout(1e-4)  # the COMMIT is collecting / pushing by now
+            assert "first" not in out
+            yield from h.write(3 * CHUNK, Payload.from_bytes(b"late" * 25))
+
+        def scenario():
+            h = yield from mount(hosts[0], dep, rec.blob_id, rec.version)
+            yield from h.write(0, Payload.from_bytes(b"x" * 100))
+            yield from h.ioctl_clone()
+            writer = fab.env.process(late_writer(h))
+            out["first"] = yield from h.ioctl_commit()
+            yield writer
+            out["dirty_after_first"] = h.modmgr.dirty_chunks()
+            out["second"] = yield from h.ioctl_commit()
+            out["dirty_after_second"] = h.modmgr.dirty_chunks()
+            reader = dep.client(hosts[2])
+            first, second = out["first"], out["second"]
+            out["chunk3_first"] = yield from reader.read(
+                first.blob_id, first.version, 3 * CHUNK, CHUNK
+            )
+            out["chunk3_second"] = yield from reader.read(
+                second.blob_id, second.version, 3 * CHUNK, CHUNK
+            )
+            out["chunk0_second"] = yield from reader.read(second.blob_id, second.version, 0, 100)
+
+        run(fab, scenario())
+        assert out["dirty_after_first"] == [3]
+        assert out["dirty_after_second"] == []
+        assert out["second"].version == out["first"].version + 1
+        base3 = data[3 * CHUNK : 4 * CHUNK]
+        assert out["chunk3_first"].to_bytes() == base3  # not collected: not published
+        assert out["chunk3_second"].to_bytes() == b"late" * 25 + base3[100:]
+        assert out["chunk0_second"].to_bytes() == b"x" * 100
+        assert fab.metrics.counters["commit-chunks"] == 2  # chunk 0 once, chunk 3 once
+
+    def test_rewrite_of_a_collected_range_stays_dirty(self):
+        """The same bytes written again mid-COMMIT are new content all the same."""
+        fab, dep, hosts, rec, data = setup_cloud()
+        out = {}
+
+        def late_writer(h):
+            yield fab.env.timeout(1e-4)
+            yield from h.write(0, Payload.from_bytes(b"y" * 100))
+
+        def scenario():
+            h = yield from mount(hosts[0], dep, rec.blob_id, rec.version)
+            yield from h.write(0, Payload.from_bytes(b"x" * 100))
+            yield from h.ioctl_clone()
+            writer = fab.env.process(late_writer(h))
+            yield from h.ioctl_commit()
+            yield writer
+            out["dirty"] = h.modmgr.dirty_intervals(0)
+            snap = yield from h.ioctl_commit()
+            reader = dep.client(hosts[2])
+            out["published"] = yield from reader.read(snap.blob_id, snap.version, 0, 100)
+
+        run(fab, scenario())
+        assert out["dirty"] == [(0, 100)]
+        assert out["published"].to_bytes() == b"y" * 100
+
+    def test_failed_commit_gives_its_ranges_back(self):
+        fab, dep, hosts, rec, data = setup_cloud()
+        out = {}
+
+        def scenario():
+            h = yield from mount(hosts[0], dep, rec.blob_id, rec.version)
+            yield from h.write(10, Payload.from_bytes(b"keep"))
+            yield from h.ioctl_clone()
+            publish = h.vfs.client.write_chunks
+
+            def refused(*args, **kwargs):
+                yield fab.env.timeout(1e-3)
+                yield from h.write(CHUNK, Payload.from_bytes(b"meanwhile"))
+                raise StorageError("providers refused the chunks")
+
+            h.vfs.client.write_chunks = refused
+            with pytest.raises(StorageError):
+                yield from h.ioctl_commit()
+            out["dirty"] = {idx: h.modmgr.dirty_intervals(idx) for idx in h.modmgr.dirty_chunks()}
+            h.vfs.client.write_chunks = publish
+            snap = yield from h.ioctl_commit()
+            reader = dep.client(hosts[1])
+            out["published"] = yield from reader.read(snap.blob_id, snap.version, 0, 2 * CHUNK)
+
+        run(fab, scenario())
+        assert out["dirty"] == {0: [(10, 14)], 1: [(CHUNK, CHUNK + 9)]}
+        expected = bytearray(data[: 2 * CHUNK])
+        expected[10:14] = b"keep"
+        expected[CHUNK : CHUNK + 9] = b"meanwhile"
+        assert out["published"].to_bytes() == bytes(expected)
 
 
 class TestPersistenceAcrossOpen:

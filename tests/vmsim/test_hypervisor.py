@@ -90,3 +90,42 @@ class TestBoot:
             return fab.env.now - t0
 
         assert fab.run(fab.env.process(scenario())) == 0.0
+
+
+class RecordingBackend:
+    """Keeps the payload objects ``run_ops`` hands to ``write``."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, offset, payload):
+        self.writes.append((offset, payload))
+        return
+        yield
+
+
+class TestGuestWritePayloads:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_payload_object_per_write_size(self, traced):
+        from repro import obs
+
+        fab, vm = setup()
+        if traced:
+            obs.install_tracer(fab)
+        vm.backend = RecordingBackend()
+        writes = [(0, 8192), (8192, 8192), (16384, 512), (0, 8192)]
+        ops = [BootOp("write", off, n) for off, n in writes]
+        fab.run(fab.env.process(vm.run_ops(ops)))
+        (_, a), (_, b), (_, small), (_, again) = vm.backend.writes
+        assert a is b is again  # same (tag, offset 0, n): the same immutable content
+        assert small is not a and small.size == 512  # never shared across sizes
+        assert a == Payload.opaque("vmwrite-vm0", 8192)
+        assert small == Payload.opaque("vmwrite-vm0", 512)
+
+    def test_payloads_are_not_shared_between_vms(self):
+        fab, vm = setup()
+        other = VMInstance("vm1", vm.host, RecordingBackend())
+        vm.backend = RecordingBackend()
+        for instance in (vm, other):
+            fab.run(fab.env.process(instance.run_ops([BootOp("write", 0, 4096)])))
+        assert vm.backend.writes[0][1] != other.backend.writes[0][1]
