@@ -1,89 +1,58 @@
-"""Tracked long-horizon churn benchmark for the multi-tenant control plane.
+"""Tracked long-horizon churn grids for the multi-tenant control plane.
 
-Where ``bench_scale`` pins the *single-burst* concurrency regime, this
-harness pins the *steady-state* one: thousands of deploy/snapshot/teardown
-requests arriving over a shared 48-node pool (``churn`` profile, 8
-concentrated repository nodes, rate-limited tenant NICs) while the periodic
-garbage collector keeps the repository bounded.
+The *steady-state* regime (not a paper figure): thousands of deploy /
+snapshot / teardown requests arriving over a shared 48-node pool (``churn``
+profile, 8 concentrated repository nodes, rate-limited tenant NICs) while the
+periodic garbage collector keeps the repository bounded. Two grids, seed 1:
 
-Two tracked grids, both at seed 1:
-
-* ``policy``   — first-fit vs least-loaded vs locality-aware placement at
-  n=1500 deploy requests with the cooperative peer exchange enabled;
-* ``gc``       — the storage ablation at n=600: periodic GC sweeps vs no
+* ``churn_policy`` — first-fit vs least-loaded vs locality-aware placement
+  at 1500 deploy requests with the cooperative peer exchange enabled;
+* ``churn_gc``     — the storage ablation at 600: periodic GC sweeps vs no
   GC at all (``gc_interval=0``), same arrival trace.
 
-Each point runs in a **forked child** (true per-point peak RSS) through the
-same :func:`repro.runner.execute_point` path the sweep engine uses, so the
-numbers here are exactly what a cached sweep would replay.
-
-Results are tracked in ``BENCH_churn.json`` at the repository root. Running
-as a script re-measures and **gates**: non-zero exit if
-
-* any simulated outcome drifts from the committed ``current`` section
-  (the metrics are deterministic — any change means the simulated workload
-  changed; rerun with ``--update`` if intentional),
-* wall-clock throughput (requests/s) falls more than
-  ``REGRESSION_TOLERANCE`` below the committed numbers, or
-* the acceptance invariants fail: locality-aware placement must beat
-  first-fit on p99 boot latency, GC must keep the repository bounded while
-  the no-GC ablation grows monotonically, and the tracked grids must cover
-  at least ``MIN_REQUESTS`` simulated requests.
-
-Usage::
-
-    make perf                                    # measure + regression gate
-    make churn-smoke                             # tiny-n gate-logic check
-    PYTHONPATH=src python benchmarks/bench_churn.py --update
+The committed ``benchmarks/results/churn_*.json`` *are* the expectation:
+every simulated outcome below is deterministic, so ``make tracked`` reruns
+the grids uncached and fails on any ``git diff``. The smoke-size behaviour
+(determinism, GC reclaim, monotone no-GC growth) is tier-1:
+``tests/churn/test_churn_engine.py``.
 """
 
-from __future__ import annotations
+from repro.analysis import check_shape
+from repro.common.units import MiB
 
-import argparse
-import sys
-import time
-from pathlib import Path
+from common import PointSpec, emit_grid, run_sweep, skip_under_quick_profile
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_churn.json"
+skip_under_quick_profile("tests/churn/test_churn_engine.py")
 
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from gates import (  # noqa: E402
-    field_drift, jcopy, load_tracked, rss_mib, run_in_child,
-    throughput_floor, write_tracked,
-)
-from repro.runner import PointSpec, execute_point  # noqa: E402
-
-#: allowed fractional drop in requests/s before the throughput gate fails
-REGRESSION_TOLERANCE = 0.25
-
-#: the tracked grids must cover at least this many simulated requests
-MIN_REQUESTS = 10_000
-
-#: fixed seed — simulated outcomes are identical across runs and machines
-SEED = 1
-
-#: placement policies of the tracked ``policy`` grid
-POLICIES = ("first-fit", "least-loaded", "locality")
-
-#: steady-state workload shared by every tracked point: ~96 slots offered
-#: rate*mean_lifetime ≈ 96 concurrent VMs, so the pool runs near saturation
-#: with bursts spilling into the bounded admission queue
+#: steady-state workload shared by every point: rate * mean_lifetime ≈ 96
+#: concurrent VMs on ~96 slots, so the pool runs near saturation with bursts
+#: spilling into the bounded admission queue
 WORKLOAD = (
     ("rate", 6.0),
     ("tenants", 8),
     ("mean_lifetime", 16.0),
     ("min_lifetime", 4.0),
+    ("p2p", True),
+    ("cache_mib", 64),
 )
 
-#: deploy-request counts for the two grids
-POLICY_N = 1500
-GC_N = 600
+#: grid -> (deploy requests, ((label, placement policy, gc_interval), ...))
+GRIDS = {
+    "churn_policy": (1500, (
+        ("first-fit", "first-fit", 60.0),
+        ("least-loaded", "least-loaded", 60.0),
+        ("locality", "locality", 60.0),
+    )),
+    "churn_gc": (600, (
+        ("gc", "least-loaded", 60.0),
+        ("nogc", "least-loaded", 0.0),
+    )),
+}
 
-#: simulated-outcome fields recorded per point; all deterministic, so the
-#: gate requires them to match the committed numbers exactly
+#: the two grids together must cover at least this many simulated requests
+MIN_REQUESTS = 10_000
+
+#: simulated outcomes recorded per point (plus ``footprint_monotone``)
 SIM_FIELDS = (
     "boot_p50_exact", "boot_p99_exact", "boot_mean",
     "queue_wait_p99_exact", "snapshot_p99_exact",
@@ -94,237 +63,82 @@ SIM_FIELDS = (
 )
 
 
-def _spec(label: str, n: int, profile: str, gc_interval: float = 60.0) -> PointSpec:
-    policy = label if label in POLICIES else "least-loaded"
-    return PointSpec(
-        kind="churn", profile=profile, approach=label, n=n, seed=SEED,
-        params=WORKLOAD + (
-            ("policy", policy),
-            ("p2p", True),
-            ("cache_mib", 64),
-            ("gc_interval", gc_interval),
-        ),
-    )
+def grid_specs(grid):
+    n, points = GRIDS[grid]
+    return [
+        PointSpec(
+            kind="churn", profile="churn", approach=label, n=n, seed=1,
+            params=WORKLOAD + (("policy", policy), ("gc_interval", gc_interval)),
+        )
+        for label, policy, gc_interval in points
+    ]
 
 
-def _measure_once(label: str, n: int, profile: str, gc_interval: float) -> dict:
-    t0 = time.perf_counter()
-    res = execute_point(_spec(label, n, profile, gc_interval))
-    wall = time.perf_counter() - t0
-    fp = res.series["footprint_bytes"]
-    row = {k: res.metrics[k] for k in SIM_FIELDS}
+def _row(point):
+    row = {f: point.metrics[f] for f in SIM_FIELDS}
+    fp = point.series["footprint_bytes"]
     row["footprint_monotone"] = all(b >= a for a, b in zip(fp, fp[1:]))
-    row["events"] = res.event_count
-    row["wall_s"] = round(wall, 3)
-    row["requests_per_s"] = round(res.metrics["n_requests"] / wall, 1) if wall else 0.0
-    row["peak_rss_mib"] = rss_mib()
     return row
 
 
-def measure_point(label: str, n: int, profile: str, gc_interval: float = 60.0) -> dict:
-    """Measure one churn point in a forked child (true per-point peak RSS)."""
-    return run_in_child(
-        _measure_once, label, n, profile, gc_interval,
-        label=f"churn point {label}@{n}",
+def test_churn_sweep(benchmark, sweep_cache):
+    """Run both grids in one sweep (five points)."""
+    specs = [s for grid in GRIDS for s in grid_specs(grid)]
+    points = benchmark.pedantic(lambda: run_sweep(specs), rounds=1, iterations=1)
+    sweep_cache["churn"] = {(p.spec.n, p.spec.approach): _row(p) for p in points}
+    assert len(sweep_cache["churn"]) == len(specs)
+
+
+def _rows(sweep_cache, grid):
+    n, points = GRIDS[grid]
+    return {label: sweep_cache["churn"][(n, label)] for label, _p, _g in points}
+
+
+def test_churn_policy(benchmark, sweep_cache):
+    rows = benchmark.pedantic(lambda: _rows(sweep_cache, "churn_policy"), rounds=1, iterations=1)
+    ff, loc = rows["first-fit"], rows["locality"]
+    total = sum(r["n_requests"] for g in GRIDS for r in _rows(sweep_cache, g).values())
+    emit_grid(
+        "churn_policy",
+        "Placement policies under churn (1500 deploys, p2p on, seed 1)",
+        rows,
+        [
+            check_shape(
+                f"locality-aware placement beats first-fit on p99 boot latency "
+                f"({loc['boot_p99_exact']:.3f} s < {ff['boot_p99_exact']:.3f} s "
+                f"over {ff['n_requests']:.0f} requests each)",
+                loc["boot_p99_exact"] < ff["boot_p99_exact"],
+            ),
+            check_shape(
+                f"the tracked grids cover >= {MIN_REQUESTS} simulated requests "
+                f"({total:.0f})",
+                total >= MIN_REQUESTS,
+            ),
+        ],
     )
 
 
-def measure(profile: str = "churn", policy_n: int = POLICY_N, gc_n: int = GC_N,
-            verbose: bool = True) -> dict:
-    """Measure both tracked grids; returns {"policy": {...}, "gc": {...}}."""
-    out = {"policy": {}, "gc": {}}
-    for policy in POLICIES:
-        row = measure_point(policy, policy_n, profile)
-        out["policy"][policy] = row
-        if verbose:
-            print(f"policy/{policy}@{policy_n}: boot p99 {row['boot_p99_exact']:.3f}s, "
-                  f"rejection {row['rejection_rate']:.1%}, "
-                  f"{row['n_requests']:.0f} requests in {row['wall_s']:.1f}s wall "
-                  f"({row['requests_per_s']} req/s, {row['peak_rss_mib']} MiB RSS)")
-    for label, interval in (("gc", 60.0), ("nogc", 0.0)):
-        row = measure_point(label, gc_n, profile, gc_interval=interval)
-        out["gc"][label] = row
-        if verbose:
-            print(f"gc/{label}@{gc_n}: peak {row['footprint_peak'] / 2**20:.0f} MiB, "
-                  f"final {row['footprint_final'] / 2**20:.0f} MiB, "
-                  f"reclaimed {row['bytes_reclaimed'] / 2**20:.0f} MiB, "
-                  f"monotone={row['footprint_monotone']} "
-                  f"({row['wall_s']:.1f}s wall)")
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# tracked file + gates
-# --------------------------------------------------------------------------- #
-def load_committed() -> dict:
-    return load_tracked(BENCH_PATH)
-
-
-def _points(section: dict):
-    for grid, rows in sorted(section.items()):
-        for label, row in sorted(rows.items()):
-            yield grid, label, row
-
-
-def check_acceptance(fresh: dict) -> list:
-    """The churn invariants; a list of human-readable failures (empty = ok)."""
-    failures = []
-    pol, gc = fresh.get("policy", {}), fresh.get("gc", {})
-
-    total = sum(row.get("n_requests", 0) for _, _, row in _points(fresh))
-    if total < MIN_REQUESTS:
-        failures.append(
-            f"tracked grids cover only {total:.0f} simulated requests "
-            f"(need >= {MIN_REQUESTS})"
-        )
-
-    ff, loc = pol.get("first-fit"), pol.get("locality")
-    if ff and loc and not loc["boot_p99_exact"] < ff["boot_p99_exact"]:
-        failures.append(
-            f"locality p99 boot {loc['boot_p99_exact']:.3f}s does not beat "
-            f"first-fit {ff['boot_p99_exact']:.3f}s with p2p enabled"
-        )
-
-    with_gc, no_gc = gc.get("gc"), gc.get("nogc")
-    if with_gc and no_gc:
-        if not with_gc["bytes_reclaimed"] > 0:
-            failures.append("GC run reclaimed no bytes")
-        if not with_gc["footprint_peak"] < no_gc["footprint_peak"]:
-            failures.append(
-                f"GC peak footprint {with_gc['footprint_peak']:.0f} is not "
-                f"below the no-GC peak {no_gc['footprint_peak']:.0f}"
-            )
-        if not no_gc["footprint_monotone"]:
-            failures.append("no-GC ablation footprint is not monotone growth")
-    return failures
-
-
-def check_regression(fresh: dict, committed: dict) -> list:
-    """Gate fresh numbers against the committed ``current`` section."""
-    failures = []
-    current = committed.get("current", {})
-    for grid, label, now in _points(fresh):
-        base = current.get(grid, {}).get(label)
-        if base is None:
-            continue
-        failures += field_drift(
-            f"{grid}/{label}", now, base, SIM_FIELDS + ("footprint_monotone",)
-        )
-        failures += throughput_floor(
-            f"{grid}/{label}", now["requests_per_s"], base["requests_per_s"],
-            REGRESSION_TOLERANCE, unit="requests/s",
-        )
-    failures += check_acceptance(fresh)
-    return failures
-
-
-# --------------------------------------------------------------------------- #
-# smoke mode: tiny n, asserts the gate logic itself
-# --------------------------------------------------------------------------- #
-def run_smoke() -> int:
-    """``make churn-smoke``: tiny points on churn-smoke + gate self-test.
-
-    Measures a reduced grid on the ``churn-smoke`` profile (10 nodes,
-    sub-second points), then exercises :func:`check_regression` against
-    synthetic committed data: the gate must pass on matching numbers, flag
-    a drifted simulated outcome, flag a throughput collapse, and flag each
-    acceptance violation on doctored copies.
-    """
-    fresh = measure(profile="churn-smoke", policy_n=40, gc_n=30)
-
-    ok = dict(fresh)
-    # at smoke n the acceptance invariants are not meaningful; check the
-    # gate pieces separately so pass/fail is about the *logic*, not noise
-    committed = {"current": jcopy(fresh)}
-    drift = [f for f in check_regression(fresh, committed)
-             if "!= committed" in f or "requests/s" in f]
-    if drift:
-        print("smoke: gate failed on identical numbers:", drift, file=sys.stderr)
-        return 1
-
-    drifted = jcopy(committed)
-    drifted["current"]["policy"]["first-fit"]["trace_crc"] += 1
-    if not any("trace_crc" in f for f in check_regression(fresh, drifted)):
-        print("smoke: gate missed a simulated-outcome drift", file=sys.stderr)
-        return 1
-
-    slow = jcopy(committed)
-    for rows in slow["current"].values():
-        for row in rows.values():
-            row["requests_per_s"] = row["requests_per_s"] * 100 + 1000
-    if not any("requests/s" in f for f in check_regression(fresh, slow)):
-        print("smoke: gate missed a throughput collapse", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    for _, _, row in _points(synth):
-        row["n_requests"] = MIN_REQUESTS  # silence the size floor
-    synth["policy"]["locality"]["boot_p99_exact"] = (
-        synth["policy"]["first-fit"]["boot_p99_exact"] + 1.0)
-    if not any("does not beat" in f for f in check_acceptance(synth)):
-        print("smoke: gate missed a locality-vs-first-fit violation", file=sys.stderr)
-        return 1
-    synth = jcopy(fresh)
-    for _, _, row in _points(synth):
-        row["n_requests"] = MIN_REQUESTS
-    synth["gc"]["gc"]["bytes_reclaimed"] = 0
-    synth["gc"]["nogc"]["footprint_monotone"] = False
-    bad = check_acceptance(synth)
-    if not any("reclaimed no bytes" in f for f in bad) or not any(
-            "monotone" in f for f in bad):
-        print("smoke: gate missed a GC-ablation violation", file=sys.stderr)
-        return 1
-    if any(row["n_requests"] < 10 for _, _, row in _points(fresh)):
-        print("smoke: suspiciously few simulated requests", file=sys.stderr)
-        return 1
-
-    print("churn smoke passed (gate logic verified)")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_churn.json's 'current' section with this run",
+def test_churn_gc(benchmark, sweep_cache):
+    rows = benchmark.pedantic(lambda: _rows(sweep_cache, "churn_gc"), rounds=1, iterations=1)
+    gc, nogc = rows["gc"], rows["nogc"]
+    emit_grid(
+        "churn_gc",
+        "Repository footprint with and without periodic GC (600 deploys, seed 1)",
+        rows,
+        [
+            check_shape(
+                f"GC reclaims retired state ({gc['bytes_reclaimed'] / MiB:.0f} MiB "
+                f"over {gc['gc_sweeps']:.0f} sweeps)",
+                gc["bytes_reclaimed"] > 0,
+            ),
+            check_shape(
+                f"GC bounds the footprint: peak {gc['footprint_peak'] / MiB:.0f} MiB "
+                f"vs {nogc['footprint_peak'] / MiB:.0f} MiB without",
+                gc["footprint_peak"] < nogc["footprint_peak"],
+            ),
+            check_shape(
+                "without GC the footprint only ever grows",
+                nogc["footprint_monotone"],
+            ),
+        ],
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny-n run on the churn-smoke profile + gate-logic self-test",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return run_smoke()
-
-    fresh = measure()
-
-    if args.update:
-        committed = load_committed() if BENCH_PATH.exists() else {}
-        committed.setdefault("profile", "churn")
-        committed.setdefault("seed", SEED)
-        committed["workload"] = dict(WORKLOAD)
-        committed["current"] = fresh
-        failures = check_acceptance(fresh)
-        if failures:
-            for f in failures:
-                print(f"CHURN ACCEPTANCE: {f}", file=sys.stderr)
-            return 1
-        write_tracked(BENCH_PATH, committed)
-        print(f"updated {BENCH_PATH}")
-        return 0
-
-    if not BENCH_PATH.exists() or not load_committed().get("current"):
-        print(f"no committed numbers at {BENCH_PATH}; run with --update first")
-        return 1
-    failures = check_regression(fresh, load_committed())
-    if failures:
-        for f in failures:
-            print(f"CHURN REGRESSION: {f}", file=sys.stderr)
-        return 1
-    print("churn gate passed")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,77 +1,42 @@
-"""Tracked snapshot-lineage benchmark: restore latency vs chain depth.
+"""Tracked snapshot-lineage grid: restore cost vs chain depth.
 
-The paper's title promises going *back and forth*; this harness pins the
-"back" half. One VM commits an ever-deeper snapshot chain (``lineage``
-profile), then a restore-to-version boots the chain head on another node.
-The restore scan pays one version-manager round-trip per ancestry hop —
-the qcow2 backing-chain analogue — so uncompacted restore latency grows
-with chain depth, and depth-bounded compaction
-(:mod:`repro.lineage.compact`) is what keeps it flat.
+The paper's title promises going *back and forth*; this grid pins the "back"
+half. One VM commits an ever-deeper snapshot chain (``lineage`` profile), then
+a restore-to-version boots the chain head on another node. The restore scan
+pays one version-manager round-trip per ancestry hop — the qcow2
+backing-chain analogue — so uncompacted restore cost grows with depth, and
+depth-bounded compaction (:mod:`repro.lineage.compact`) is what keeps it flat.
 
-Tracked grid, seed 1: depths × {uncompacted, flatten-compacted} plus one
-delta-merge point at the deepest chain. Each point runs in a **forked
-child** through :func:`repro.runner.execute_point`, exactly what a cached
-sweep would replay. A separate determinism probe runs a subset through
-:class:`repro.runner.SweepRunner` at ``jobs=1`` and ``jobs=4`` and requires
-bit-identical results.
-
-Results are tracked in ``BENCH_lineage.json`` at the repository root.
-Running as a script re-measures and **gates**: non-zero exit if
-
-* any simulated outcome drifts from the committed ``current`` section
-  (rerun with ``--update`` if intentional),
-* aggregate wall-clock throughput (total events / total wall over the
-  whole grid — single points finish in ~0.1 s, far too noisy to gate
-  individually) falls more than ``REGRESSION_TOLERANCE`` below the
-  committed numbers, or
-* the acceptance invariants fail: uncompacted scan hops/latency must grow
-  monotonically with depth while the compacted scan stays bounded by
-  ``DEPTH_BOUND + 2`` hops at every depth; dedup accounting must conserve
-  bytes (exclusive + shared == live == stored-after-GC) everywhere; the
-  merge point must actually merge versions and reclaim bytes; and the
-  jobs=1 vs jobs=4 runs must be bit-identical.
-
-Usage::
-
-    make perf                                      # measure + gate
-    make lineage-smoke                             # tiny-depth gate check
-    PYTHONPATH=src python benchmarks/bench_lineage.py --update
+One grid, seed 1: depths x {uncompacted, flatten} plus one delta-merge point
+at the deepest chain. The committed ``benchmarks/results/lineage_restore.json``
+*is* the expectation: ``make tracked`` reruns the grid uncached and fails on
+any ``git diff``. The smoke-size behaviour (flatten bounds the scan, merge
+reclaims, accounting conserves, determinism) is tier-1:
+``tests/lineage/test_point.py``.
 """
 
-from __future__ import annotations
+from repro.analysis import check_shape
+from repro.common.units import MiB
 
-import argparse
-import sys
-import time
-from pathlib import Path
+from common import PointSpec, emit_grid, run_sweep, skip_under_quick_profile
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_lineage.json"
+skip_under_quick_profile("tests/lineage/test_point.py")
 
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from gates import (  # noqa: E402
-    field_drift, jcopy, load_tracked, rss_mib, run_in_child,
-    throughput_floor, write_tracked,
-)
-from repro.runner import PointSpec, SweepRunner, execute_point  # noqa: E402
-
-#: allowed fractional drop in events/s before the throughput gate fails
-REGRESSION_TOLERANCE = 0.25
-
-#: fixed seed — simulated outcomes are identical across runs and machines
-SEED = 1
-
-#: chain depths of the tracked grid (n = COMMITs on one VM's clone)
+#: chain depths of the grid (n = COMMITs on one VM's clone)
 DEPTHS = (4, 8, 16, 32)
 
-#: anchor spacing of the compacted points; the bounded-scan gate allows
+#: anchor spacing of the compacted points; a compacted scan may take
 #: ``DEPTH_BOUND + 2`` hops
 DEPTH_BOUND = 4
 
-#: simulated-outcome fields recorded per point; all deterministic, so the
-#: gate requires them to match the committed numbers exactly
+#: (label prefix, compaction policy or None, depths)
+MODES = (
+    ("off", None, DEPTHS),
+    ("flatten", "flatten", DEPTHS),
+    ("merge", "merge", DEPTHS[-1:]),
+)
+
+#: simulated outcomes recorded per point
 SIM_FIELDS = (
     "chain_depth", "scan_hops", "scan_time", "clone_time", "open_time",
     "restore_time", "boot_time",
@@ -82,296 +47,63 @@ SIM_FIELDS = (
 )
 
 
-def _params(mode: str, depth_bound: int) -> tuple:
-    if mode == "off":
-        return ()
-    return (("compact", True), ("policy", mode), ("depth_bound", depth_bound))
-
-
-def _spec(mode: str, depth: int, profile: str, depth_bound: int) -> PointSpec:
-    return PointSpec(
-        kind="lineage", profile=profile, approach="mirror", n=depth,
-        seed=SEED, params=_params(mode, depth_bound),
-    )
-
-
-def _measure_once(mode: str, depth: int, profile: str, depth_bound: int) -> dict:
-    t0 = time.perf_counter()
-    res = execute_point(_spec(mode, depth, profile, depth_bound))
-    wall = time.perf_counter() - t0
-    row = {k: res.metrics[k] for k in SIM_FIELDS}
-    row["events"] = res.event_count
-    row["wall_s"] = round(wall, 3)
-    row["events_per_s"] = round(res.event_count / wall, 1) if wall else 0.0
-    row["peak_rss_mib"] = rss_mib()
-    return row
-
-
-def measure_point(mode: str, depth: int, profile: str,
-                  depth_bound: int = DEPTH_BOUND) -> dict:
-    """Measure one lineage point in a forked child (true per-point RSS)."""
-    return run_in_child(
-        _measure_once, mode, depth, profile, depth_bound,
-        label=f"lineage point {mode}@d{depth}",
-    )
-
-
-def check_determinism(profile: str, depths, depth_bound: int) -> dict:
-    """jobs=1 vs jobs=4 over the uncompacted grid must be bit-identical."""
-    specs = [_spec("off", d, profile, depth_bound) for d in depths]
-    t0 = time.perf_counter()
-    seq = SweepRunner(jobs=1, cache=None).run(specs)
-    par = SweepRunner(jobs=4, cache=None).run(specs)
-    wall = time.perf_counter() - t0
-    identical = all(
-        a.metrics == b.metrics and a.series == b.series
-        and a.event_count == b.event_count
-        for a, b in zip(seq, par)
-    )
+def grid_specs():
     return {
-        "identical": identical,
-        "points": len(specs),
-        "wall_s": round(wall, 3),
+        f"{mode}-d{depth}": PointSpec(
+            kind="lineage", profile="lineage", approach="mirror", n=depth, seed=1,
+            params=() if policy is None else (
+                ("compact", True), ("policy", policy), ("depth_bound", DEPTH_BOUND),
+            ),
+        )
+        for mode, policy, depths in MODES
+        for depth in depths
     }
 
 
-def measure(profile: str = "lineage", depths=DEPTHS,
-            depth_bound: int = DEPTH_BOUND, verbose: bool = True) -> dict:
-    """Measure the tracked grid; {"restore": {...}, "determinism": {...}}."""
-    out = {"restore": {}}
-    for mode in ("off", "flatten"):
-        for depth in depths:
-            row = measure_point(mode, depth, profile, depth_bound)
-            out["restore"][f"{mode}-d{depth}"] = row
-            if verbose:
-                print(f"restore/{mode}-d{depth}: {row['scan_hops']:.0f} hops, "
-                      f"restore {row['restore_time'] * 1e3:.2f} ms, "
-                      f"sharing {row['dedup_shared'] / 2**20:.1f} MiB shared "
-                      f"({row['wall_s']:.1f}s wall, "
-                      f"{row['peak_rss_mib']} MiB RSS)")
-    row = measure_point("merge", depths[-1], profile, depth_bound)
-    out["restore"][f"merge-d{depths[-1]}"] = row
-    if verbose:
-        print(f"restore/merge-d{depths[-1]}: {row['versions_merged']:.0f} "
-              f"versions merged, {row['gc_bytes_reclaimed'] / 2**20:.1f} MiB "
-              f"reclaimed, {row['scan_hops']:.0f} hops "
-              f"({row['wall_s']:.1f}s wall)")
-    out["determinism"] = check_determinism(profile, depths[:2], depth_bound)
-    if verbose:
-        d = out["determinism"]
-        print(f"determinism: jobs=1 vs jobs=4 identical={d['identical']} "
-              f"over {d['points']} points ({d['wall_s']:.1f}s wall)")
-    return out
+def test_lineage_restore(benchmark):
+    specs = grid_specs()
+    points = benchmark.pedantic(lambda: run_sweep(list(specs.values())), rounds=1, iterations=1)
+    rows = {
+        label: {f: p.metrics[f] for f in SIM_FIELDS} for label, p in zip(specs, points)
+    }
+    off = [rows[f"off-d{d}"] for d in DEPTHS]
+    flat = [rows[f"flatten-d{d}"] for d in DEPTHS]
+    merge = rows[f"merge-d{DEPTHS[-1]}"]
 
+    def hops(series):
+        return " / ".join(f"{r['scan_hops']:.0f}" for r in series)
 
-# --------------------------------------------------------------------------- #
-# tracked file + gates
-# --------------------------------------------------------------------------- #
-def load_committed() -> dict:
-    return load_tracked(BENCH_PATH)
-
-
-def _by_depth(rows: dict, mode: str):
-    """(depth, row) pairs of one compaction mode, sorted by depth."""
-    out = []
-    for label, row in rows.items():
-        prefix = f"{mode}-d"
-        if label.startswith(prefix):
-            out.append((int(label[len(prefix):]), row))
-    return sorted(out)
-
-
-def check_acceptance(fresh: dict, depth_bound: int = DEPTH_BOUND) -> list:
-    """The lineage invariants; human-readable failures (empty = ok)."""
-    failures = []
-    rows = fresh.get("restore", {})
-
-    for label, row in sorted(rows.items()):
-        if row["conserved"] != 1.0 or row["footprint_matches"] != 1.0:
-            failures.append(
-                f"{label}: dedup accounting does not conserve bytes "
-                f"(conserved={row['conserved']}, "
-                f"matches={row['footprint_matches']})"
-            )
-
-    off = _by_depth(rows, "off")
-    for (d1, r1), (d2, r2) in zip(off, off[1:]):
-        if not r2["scan_hops"] > r1["scan_hops"]:
-            failures.append(
-                f"uncompacted scan hops not monotone: d{d2} has "
-                f"{r2['scan_hops']:.0f} hops vs d{d1}'s {r1['scan_hops']:.0f}"
-            )
-        if not r2["scan_time"] > r1["scan_time"]:
-            failures.append(
-                f"uncompacted scan latency not monotone: d{d2} "
-                f"{r2['scan_time']:.6f}s vs d{d1} {r1['scan_time']:.6f}s"
-            )
-
-    flat = _by_depth(rows, "flatten")
-    for d, row in flat:
-        if row["scan_hops"] > depth_bound + 2:
-            failures.append(
-                f"flatten-d{d}: {row['scan_hops']:.0f} scan hops exceed the "
-                f"compaction bound {depth_bound} + 2"
-            )
-    if off and flat:
-        deepest_off = off[-1][1]
-        deepest_flat = flat[-1][1]
-        if not deepest_flat["scan_time"] < deepest_off["scan_time"]:
-            failures.append(
-                "compaction does not reduce the deepest chain's scan latency"
-            )
-
-    merges = _by_depth(rows, "merge")
-    for d, row in merges:
-        if not row["versions_merged"] > 0:
-            failures.append(f"merge-d{d}: no versions were merged")
-        if not row["gc_bytes_reclaimed"] > 0:
-            failures.append(f"merge-d{d}: the post-merge GC reclaimed nothing")
-
-    det = fresh.get("determinism")
-    if det is not None and not det["identical"]:
-        failures.append("jobs=1 vs jobs=4 sweep results are not bit-identical")
-    return failures
-
-
-def _aggregate_eps(rows: dict) -> float:
-    """Total events / total wall over a grid (per-point walls are noise)."""
-    events = sum(r["events"] for r in rows.values())
-    wall = sum(r["wall_s"] for r in rows.values())
-    return events / wall if wall > 0 else 0.0
-
-
-def check_regression(fresh: dict, committed: dict,
-                     depth_bound: int = DEPTH_BOUND) -> list:
-    """Gate fresh numbers against the committed ``current`` section."""
-    failures = []
-    current = committed.get("current", {}).get("restore", {})
-    for label, now in sorted(fresh.get("restore", {}).items()):
-        failures += field_drift(
-            f"restore/{label}", now, current.get(label), SIM_FIELDS
-        )
-    failures += throughput_floor(
-        "restore aggregate",
-        round(_aggregate_eps(fresh.get("restore", {}))),
-        round(_aggregate_eps(current)),
-        REGRESSION_TOLERANCE,
+    emit_grid(
+        "lineage_restore",
+        f"Restore-to-version vs chain depth, compaction off / flatten / merge "
+        f"(depth bound {DEPTH_BOUND}, seed 1)",
+        rows,
+        [
+            check_shape(
+                f"the uncompacted scan grows strictly with depth: {hops(off)} hops at "
+                f"depth {' / '.join(map(str, DEPTHS))}, and its latency with it",
+                all(b["scan_hops"] > a["scan_hops"] and b["scan_time"] > a["scan_time"]
+                    for a, b in zip(off, off[1:])),
+            ),
+            check_shape(
+                f"flatten holds the scan at {hops(flat)} hops (bound {DEPTH_BOUND} + 2)",
+                all(r["scan_hops"] <= DEPTH_BOUND + 2 for r in flat),
+            ),
+            check_shape(
+                f"at depth {DEPTHS[-1]} flatten cuts the scan latency "
+                f"({flat[-1]['scan_time'] * 1e3:.2f} ms vs {off[-1]['scan_time'] * 1e3:.2f} ms)",
+                flat[-1]["scan_time"] < off[-1]["scan_time"],
+            ),
+            check_shape(
+                f"merge at depth {DEPTHS[-1]} merges {merge['versions_merged']:.0f} versions "
+                f"and the GC after it reclaims {merge['gc_bytes_reclaimed'] / MiB:.0f} MiB",
+                merge["versions_merged"] > 0 and merge["gc_bytes_reclaimed"] > 0,
+            ),
+            check_shape(
+                "dedup accounting conserves bytes at every point "
+                "(exclusive + shared == live == stored)",
+                all(r["conserved"] == 1.0 and r["footprint_matches"] == 1.0
+                    for r in rows.values()),
+            ),
+        ],
     )
-    failures += check_acceptance(fresh, depth_bound)
-    return failures
-
-
-# --------------------------------------------------------------------------- #
-# smoke mode: tiny depths, asserts the gate logic itself
-# --------------------------------------------------------------------------- #
-def run_smoke() -> int:
-    """``make lineage-smoke``: tiny chains + gate-logic self-test.
-
-    Measures a reduced grid on the ``lineage-smoke`` profile (8 nodes,
-    sub-second points), then exercises the gates against synthetic
-    committed data: pass on identical numbers, flag a drifted outcome, a
-    throughput collapse, and each acceptance violation on doctored copies.
-    """
-    bound = 2
-    fresh = measure(profile="lineage-smoke", depths=(2, 5), depth_bound=bound)
-
-    if check_acceptance(fresh, bound):
-        print("smoke: acceptance failed on a fresh run:",
-              check_acceptance(fresh, bound), file=sys.stderr)
-        return 1
-
-    committed = {"current": jcopy(fresh)}
-    drift = check_regression(fresh, committed, bound)
-    if drift:
-        print("smoke: gate failed on identical numbers:", drift, file=sys.stderr)
-        return 1
-
-    drifted = jcopy(committed)
-    drifted["current"]["restore"]["off-d2"]["scan_hops"] += 1
-    if not any("scan_hops" in f for f in check_regression(fresh, drifted, bound)):
-        print("smoke: gate missed a simulated-outcome drift", file=sys.stderr)
-        return 1
-
-    slow = jcopy(committed)
-    for row in slow["current"]["restore"].values():
-        row["wall_s"] = row["wall_s"] / 1000.0 + 1e-6
-    if not any("events/s" in f for f in check_regression(fresh, slow, bound)):
-        print("smoke: gate missed a throughput collapse", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["restore"]["off-d5"]["scan_hops"] = (
-        synth["restore"]["off-d2"]["scan_hops"])
-    if not any("not monotone" in f for f in check_acceptance(synth, bound)):
-        print("smoke: gate missed a monotonicity violation", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["restore"]["flatten-d5"]["scan_hops"] = 99
-    if not any("exceed the" in f for f in check_acceptance(synth, bound)):
-        print("smoke: gate missed a compaction-bound violation", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["restore"]["off-d2"]["conserved"] = 0.0
-    if not any("conserve" in f for f in check_acceptance(synth, bound)):
-        print("smoke: gate missed a conservation violation", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["determinism"]["identical"] = False
-    if not any("bit-identical" in f for f in check_acceptance(synth, bound)):
-        print("smoke: gate missed a determinism violation", file=sys.stderr)
-        return 1
-
-    print("lineage smoke passed (gate logic verified)")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_lineage.json's 'current' section with this run",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny-depth run on the lineage-smoke profile + gate self-test",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return run_smoke()
-
-    fresh = measure()
-
-    if args.update:
-        committed = load_committed() if BENCH_PATH.exists() else {}
-        committed.setdefault("profile", "lineage")
-        committed.setdefault("seed", SEED)
-        committed["depth_bound"] = DEPTH_BOUND
-        committed["depths"] = list(DEPTHS)
-        committed["current"] = fresh
-        failures = check_acceptance(fresh)
-        if failures:
-            for f in failures:
-                print(f"LINEAGE ACCEPTANCE: {f}", file=sys.stderr)
-            return 1
-        write_tracked(BENCH_PATH, committed)
-        print(f"updated {BENCH_PATH}")
-        return 0
-
-    if not BENCH_PATH.exists() or not load_committed().get("current"):
-        print(f"no committed numbers at {BENCH_PATH}; run with --update first")
-        return 1
-    failures = check_regression(fresh, load_committed())
-    if failures:
-        for f in failures:
-            print(f"LINEAGE REGRESSION: {f}", file=sys.stderr)
-        return 1
-    print("lineage gate passed")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,100 +1,63 @@
-"""Tracked hierarchical-fabric benchmark: locality vs the oversubscribed core.
+"""Tracked hierarchical-fabric grids: locality vs the oversubscribed core.
 
 The flat testbed of the paper's §5.1 gives every NIC the full fabric; real
-datacenters do not. This harness pins the hierarchical model
+datacenters do not. These grids pin the hierarchical model
 (:mod:`repro.topo`): compute nodes block-assigned to racks, each rack's
-uplink oversubscribed (``hosts_per_rack * NIC / ratio``), and every
-cross-rack flow sharing the trunk bottlenecks. The measured question is
-whether the locality consumers — rack-ranked peer selection, rack-diverse
-replica placement, same-rack replica reads — actually keep deployment
-traffic off the uplinks.
+uplink oversubscribed (``hosts_per_rack * NIC / ratio``), every cross-rack
+flow sharing the trunks. The question is whether the locality consumers —
+rack-ranked peer selection, rack-diverse replica placement, same-rack
+replica reads — keep deployment traffic off the uplinks.
 
-Tracked grids, seed 1, ``topo`` profile (264-node pool, 8 racks default):
+Two grids, seed 1, ``topo`` profile (264-node pool):
 
-* ``sweep``   — topology-blind vs locality-aware mirror deployment with the
-  cooperative peer exchange at n ∈ {64, 256}, plus oversubscription 2× and
-  8× locality points at n=256;
-* ``replica`` — replication 2 over 2 racks with rack-diverse placement,
-  p2p off, n=64: topology-blind reads split chunk fetches across racks,
-  rack-aware reads must keep **all** payload bytes intra-rack;
-* ``identity`` — a racks=1 ``topo`` point against the plain ``p2p`` point
-  kind: the flat fabric must be bit-identical to the seed model;
-* ``determinism`` — jobs=1 vs jobs=4 sweeps of the same specs must be
-  bit-identical.
+* ``topo_sweep``   — topology-blind vs locality-aware mirror deployment with
+  the peer exchange on 8 racks at 4x oversubscription, n in {64, 256}, plus
+  the locality point at 2x and 8x for n = 256;
+* ``topo_replica`` — replication 2 over 2 racks, rack-diverse placement, p2p
+  off, n = 64: only the *read* side differs between the two points.
 
-Each point runs in a **forked child** through
-:func:`repro.runner.execute_point` (see :mod:`gates`). Results are tracked
-in ``BENCH_topo.json`` at the repository root. Running as a script
-re-measures and **gates**: non-zero exit if
-
-* any simulated outcome drifts from the committed ``current`` section
-  (rerun with ``--update`` if intentional),
-* aggregate wall-clock throughput falls more than ``REGRESSION_TOLERANCE``
-  below the committed numbers, or
-* the acceptance invariants fail: locality must cut cross-rack bytes by at
-  least ``MIN_CROSS_RACK_CUT`` at n=256; the rack-aware replica point must
-  fetch zero cross-rack payload bytes while the blind one fetches plenty;
-  the flat-fabric point must be bit-identical to the ``p2p`` kind; the
-  locality completion time must degrade by at most
-  ``MAX_OVERSUB_DEGRADATION`` from 2× to 8× oversubscription; and the
-  jobs=1 vs jobs=4 runs must match exactly.
-
-Usage::
-
-    make perf                                    # measure + gate
-    make topo-smoke                              # tiny-n gate-logic check
-    PYTHONPATH=src python benchmarks/bench_topo.py --update
+The committed ``benchmarks/results/topo_*.json`` *are* the expectation:
+``make tracked`` reruns the grids uncached and fails on any ``git diff``.
+The smoke-size behaviour (``racks=1`` equals the flat ``p2p`` kind, the
+cross-rack cut, zero cross-rack replica payload, determinism) is tier-1:
+``tests/topo/test_topo_point.py``.
 """
 
-from __future__ import annotations
+from repro.analysis import check_shape
+from repro.common.units import MiB
 
-import argparse
-import sys
-import time
-from pathlib import Path
+from common import PointSpec, emit_grid, run_sweep, skip_under_quick_profile
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_topo.json"
+skip_under_quick_profile("tests/topo/test_topo_point.py")
 
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from gates import (  # noqa: E402
-    field_drift, jcopy, load_tracked, rss_mib, run_in_child,
-    throughput_floor, write_tracked,
-)
-from repro.runner import PointSpec, SweepRunner, execute_point  # noqa: E402
-
-#: allowed fractional drop in events/s before the throughput gate fails
-REGRESSION_TOLERANCE = 0.25
-
-#: fixed seed — simulated outcomes are identical across runs and machines
-SEED = 1
-
-#: racks and oversubscription of the main sweep grid
+COUNTS = (64, 256)
+N_MAX = COUNTS[-1]
 RACKS = 8
 OVERSUB = 4.0
 
-#: acceptance floor: locality must cut cross-rack bytes by this fraction
-#: at the largest sweep point
+#: locality must cut cross-rack bytes by at least this fraction at ``N_MAX``
 MIN_CROSS_RACK_CUT = 0.50
 
-#: acceptance ceiling: locality completion time at 8x oversubscription may
-#: exceed the 2x point by at most this factor
-MAX_OVERSUB_DEGRADATION = 1.5
+#: label -> (n, racks, oversubscription, locality)
+SWEEP = {
+    **{
+        f"{mode}-n{n}": (n, RACKS, OVERSUB, mode == "locality")
+        for mode in ("blind", "locality")
+        for n in COUNTS
+    },
+    f"locality-o2-n{N_MAX}": (N_MAX, RACKS, 2.0, True),
+    f"locality-o8-n{N_MAX}": (N_MAX, RACKS, 8.0, True),
+}
 
-#: instance counts of the tracked sweep (the profile's)
-COUNTS = (64, 256)
+#: both points place replicas rack-diverse (one copy per rack); with
+#: rack-aware reads every chunk fetch has an intra-rack copy to hit
+REPLICA = {
+    "blind": (64, 2, OVERSUB, False),
+    "local": (64, 2, OVERSUB, True),
+}
+REPLICA_PARAMS = (("p2p", False), ("replication", 2), ("placement", "rack-diverse"))
 
-#: the oversubscription ablation (locality on, n = COUNTS[-1])
-OVERSUBS = (2.0, 8.0)
-
-#: the replica grid: replication over this many racks, p2p off
-REPLICA_RACKS = 2
-REPLICA_N = 64
-
-#: simulated-outcome fields recorded per point; all deterministic, so the
-#: gate requires them to match the committed numbers exactly
+#: simulated outcomes recorded per point
 SIM_FIELDS = (
     "avg_boot_time", "completion_time", "total_traffic",
     "intra_rack_bytes", "cross_rack_bytes",
@@ -103,393 +66,68 @@ SIM_FIELDS = (
 )
 
 
-def _sweep_spec(locality: bool, n: int, profile: str,
-                racks: int = RACKS, oversub: float = OVERSUB) -> PointSpec:
-    return PointSpec(
-        kind="topo", profile=profile, approach="mirror", n=n, seed=SEED,
-        params=(
-            ("racks", racks),
-            ("oversubscription", oversub),
-            ("locality", locality),
-            ("p2p", True),
-        ),
-    )
-
-
-def _replica_spec(locality: bool, n: int, profile: str) -> PointSpec:
-    """Replication-2 deployment, rack-diverse placement, provider-only reads.
-
-    Both points place replicas rack-diverse (one copy per rack); only the
-    *read* side differs, so the gate isolates the same-rack replica
-    preference: with it every chunk fetch has an intra-rack copy to hit.
-    """
-    return PointSpec(
-        kind="topo", profile=profile, approach="mirror", n=n, seed=SEED,
-        params=(
-            ("racks", REPLICA_RACKS),
-            ("oversubscription", OVERSUB),
-            ("locality", locality),
-            ("p2p", False),
-            ("replication", 2),
-            ("placement", "rack-diverse"),
-        ),
-    )
-
-
-def _measure_once(spec_kind: str, locality: bool, n: int, profile: str,
-                  racks: int, oversub: float) -> dict:
-    if spec_kind == "sweep":
-        spec = _sweep_spec(locality, n, profile, racks, oversub)
-    else:
-        spec = _replica_spec(locality, n, profile)
-    t0 = time.perf_counter()
-    res = execute_point(spec)
-    wall = time.perf_counter() - t0
-    row = {k: res.metrics[k] for k in SIM_FIELDS}
-    row["events"] = res.event_count
-    row["wall_s"] = round(wall, 3)
-    row["events_per_s"] = round(res.event_count / wall, 1) if wall else 0.0
-    row["peak_rss_mib"] = rss_mib()
-    return row
-
-
-def measure_point(spec_kind: str, locality: bool, n: int, profile: str,
-                  racks: int = RACKS, oversub: float = OVERSUB) -> dict:
-    """Measure one topo point in a forked child (true per-point peak RSS)."""
-    mode = "locality" if locality else "blind"
-    return run_in_child(
-        _measure_once, spec_kind, locality, n, profile, racks, oversub,
-        label=f"topo point {spec_kind}/{mode}@{n}",
-    )
-
-
-def check_identity(profile: str, n: int) -> dict:
-    """racks=1 ``topo`` vs the plain ``p2p`` kind: flat must equal seed."""
-    flat = execute_point(PointSpec(
-        kind="topo", profile=profile, approach="mirror", n=n, seed=SEED,
-        params=(("racks", 1), ("locality", True), ("p2p", True)),
-    ))
-    ref = execute_point(PointSpec(
-        kind="p2p", profile=profile, approach="mirror", n=n, seed=SEED,
-        params=(("p2p", True),),
-    ))
-    return {
-        "n": n,
-        "identical": (
-            flat.series["boot_times"] == ref.series["boot_times"]
-            and flat.metrics["completion_time"] == ref.metrics["completion_time"]
-            and flat.metrics["total_traffic"] == ref.metrics["total_traffic"]
-            and flat.event_count == ref.event_count
-        ),
-        "flat_untracked": (
-            flat.metrics["intra_rack_bytes"] == 0.0
-            and flat.metrics["cross_rack_bytes"] == 0.0
-        ),
-    }
-
-
-def check_determinism(profile: str, n: int) -> dict:
-    """jobs=1 vs jobs=4 over blind+locality specs must be bit-identical."""
-    specs = [_sweep_spec(loc, n, profile) for loc in (False, True)]
-    t0 = time.perf_counter()
-    seq = SweepRunner(jobs=1, cache=None).run(specs)
-    par = SweepRunner(jobs=4, cache=None).run(specs)
-    wall = time.perf_counter() - t0
-    identical = all(
-        a.metrics == b.metrics and a.series == b.series
-        and a.event_count == b.event_count
-        for a, b in zip(seq, par)
-    )
-    return {
-        "identical": identical,
-        "points": len(specs),
-        "wall_s": round(wall, 3),
-    }
-
-
-def measure(profile: str = "topo", counts=COUNTS, oversubs=OVERSUBS,
-            racks: int = RACKS, replica_n: int = REPLICA_N,
-            verbose: bool = True) -> dict:
-    """Measure all tracked grids; {"sweep", "replica", "identity", ...}."""
-    out = {"sweep": {}, "replica": {}}
-    for locality in (False, True):
-        mode = "locality" if locality else "blind"
-        for n in counts:
-            row = measure_point("sweep", locality, n, profile, racks=racks)
-            out["sweep"][f"{mode}-n{n}"] = row
-            if verbose:
-                print(f"sweep/{mode}-n{n}: "
-                      f"cross {row['cross_rack_bytes'] / 2**20:.1f} MiB, "
-                      f"intra {row['intra_rack_bytes'] / 2**20:.1f} MiB, "
-                      f"completion {row['completion_time']:.2f}s "
-                      f"({row['wall_s']:.1f}s wall, "
-                      f"{row['peak_rss_mib']} MiB RSS)")
-    for oversub in oversubs:
-        row = measure_point(
-            "sweep", True, counts[-1], profile, racks=racks, oversub=oversub
+def _run_grid(grid, extra_params):
+    specs = [
+        PointSpec(
+            kind="topo", profile="topo", approach="mirror", n=n, seed=1,
+            params=(
+                ("racks", racks), ("oversubscription", oversub), ("locality", locality),
+            ) + extra_params,
         )
-        out["sweep"][f"locality-o{oversub:g}-n{counts[-1]}"] = row
-        if verbose:
-            print(f"sweep/locality-o{oversub:g}-n{counts[-1]}: "
-                  f"completion {row['completion_time']:.2f}s, "
-                  f"cross {row['cross_rack_bytes'] / 2**20:.1f} MiB "
-                  f"({row['wall_s']:.1f}s wall)")
-    for locality in (False, True):
-        mode = "local" if locality else "blind"
-        row = measure_point("replica", locality, replica_n, profile)
-        out["replica"][mode] = row
-        if verbose:
-            print(f"replica/{mode}: cross payload "
-                  f"{row['cross_rack_payload_bytes'] / 2**20:.1f} MiB, "
-                  f"intra payload "
-                  f"{row['intra_rack_payload_bytes'] / 2**20:.1f} MiB "
-                  f"({row['wall_s']:.1f}s wall)")
-    out["identity"] = check_identity(profile, counts[0])
-    if verbose:
-        ident = out["identity"]
-        print(f"identity: racks=1 vs p2p-kind identical={ident['identical']} "
-              f"untracked={ident['flat_untracked']} (n={ident['n']})")
-    out["determinism"] = check_determinism(profile, counts[0])
-    if verbose:
-        d = out["determinism"]
-        print(f"determinism: jobs=1 vs jobs=4 identical={d['identical']} "
-              f"over {d['points']} points ({d['wall_s']:.1f}s wall)")
-    return out
+        for n, racks, oversub, locality in grid.values()
+    ]
+    points = run_sweep(specs)
+    return {label: {f: p.metrics[f] for f in SIM_FIELDS} for label, p in zip(grid, points)}
 
 
-# --------------------------------------------------------------------------- #
-# tracked file + gates
-# --------------------------------------------------------------------------- #
-def load_committed() -> dict:
-    return load_tracked(BENCH_PATH)
-
-
-def check_acceptance(fresh: dict, counts=COUNTS, oversubs=OVERSUBS) -> list:
-    """The topology invariants; human-readable failures (empty = ok)."""
-    failures = []
-    sweep = fresh.get("sweep", {})
-    n = counts[-1]
-
-    blind = sweep.get(f"blind-n{n}")
-    aware = sweep.get(f"locality-n{n}")
-    if blind and aware:
-        if blind["cross_rack_bytes"] <= 0:
-            failures.append(
-                f"blind-n{n} moved no cross-rack bytes; the sweep does not "
-                "exercise the trunks"
-            )
-        else:
-            cut = 1.0 - aware["cross_rack_bytes"] / blind["cross_rack_bytes"]
-            if cut < MIN_CROSS_RACK_CUT:
-                failures.append(
-                    f"locality cuts cross-rack bytes only {cut:.1%} at n={n} "
-                    f"(need >= {MIN_CROSS_RACK_CUT:.0%}: "
-                    f"{aware['cross_rack_bytes']:.0f} vs "
-                    f"{blind['cross_rack_bytes']:.0f})"
-                )
-
-    lo = sweep.get(f"locality-o{oversubs[0]:g}-n{n}")
-    hi = sweep.get(f"locality-o{oversubs[-1]:g}-n{n}")
-    if lo and hi and hi["completion_time"] > lo["completion_time"] * MAX_OVERSUB_DEGRADATION:
-        failures.append(
-            f"locality completion degrades {hi['completion_time'] / lo['completion_time']:.2f}x "
-            f"from {oversubs[0]:g}x to {oversubs[-1]:g}x oversubscription "
-            f"(allowed <= {MAX_OVERSUB_DEGRADATION}x); locality is not "
-            "keeping the deployment off the uplinks"
-        )
-
-    replica = fresh.get("replica", {})
-    rb, rl = replica.get("blind"), replica.get("local")
-    if rl and rl["cross_rack_payload_bytes"] != 0.0:
-        failures.append(
-            f"rack-aware replica reads fetched "
-            f"{rl['cross_rack_payload_bytes']:.0f} cross-rack payload bytes "
-            "(must be 0: every chunk has a same-rack replica)"
-        )
-    if rb and not rb["cross_rack_payload_bytes"] > 0:
-        failures.append(
-            "topology-blind replica reads fetched no cross-rack payload; "
-            "the replica grid does not discriminate"
-        )
-
-    ident = fresh.get("identity")
-    if ident is not None:
-        if not ident["identical"]:
-            failures.append(
-                "racks=1 topo point is not bit-identical to the p2p kind "
-                "(the flat fabric drifted from the seed model)"
-            )
-        if not ident["flat_untracked"]:
-            failures.append(
-                "racks=1 topo point reported per-tier traffic (the flat "
-                "fabric must not account scopes)"
-            )
-
-    det = fresh.get("determinism")
-    if det is not None and not det["identical"]:
-        failures.append("jobs=1 vs jobs=4 sweep results are not bit-identical")
-    return failures
-
-
-def _rows(fresh: dict):
-    for grid in ("sweep", "replica"):
-        for label, row in sorted(fresh.get(grid, {}).items()):
-            yield grid, label, row
-
-
-def _aggregate_eps(fresh: dict) -> float:
-    """Total events / total wall over the grids (per-point walls are noise)."""
-    events = sum(row["events"] for _, _, row in _rows(fresh))
-    wall = sum(row["wall_s"] for _, _, row in _rows(fresh))
-    return events / wall if wall > 0 else 0.0
-
-
-def check_regression(fresh: dict, committed: dict,
-                     counts=COUNTS, oversubs=OVERSUBS) -> list:
-    """Gate fresh numbers against the committed ``current`` section."""
-    failures = []
-    current = committed.get("current", {})
-    for grid, label, now in _rows(fresh):
-        failures += field_drift(
-            f"{grid}/{label}", now, current.get(grid, {}).get(label), SIM_FIELDS
-        )
-    failures += throughput_floor(
-        "topo aggregate",
-        round(_aggregate_eps(fresh)),
-        round(_aggregate_eps(current)),
-        REGRESSION_TOLERANCE,
+def test_topo_sweep(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _run_grid(SWEEP, (("p2p", True),)), rounds=1, iterations=1
     )
-    failures += check_acceptance(fresh, counts, oversubs)
-    return failures
-
-
-# --------------------------------------------------------------------------- #
-# smoke mode: tiny n, asserts the gate logic itself
-# --------------------------------------------------------------------------- #
-def run_smoke() -> int:
-    """``make topo-smoke``: tiny fabric + gate-logic self-test.
-
-    Measures a reduced grid on the ``topo-smoke`` profile (16 nodes, 4
-    racks, sub-second points), then exercises the gates against synthetic
-    committed data: pass on identical numbers, flag a drifted outcome, a
-    throughput collapse, and each acceptance violation on doctored copies.
-    """
-    counts, oversubs = (8, 12), (2.0, 8.0)
-    fresh = measure(profile="topo-smoke", counts=counts, oversubs=oversubs,
-                    racks=4, replica_n=8)
-
-    bad = check_acceptance(fresh, counts, oversubs)
-    if bad:
-        print("smoke: acceptance failed on a fresh run:", bad, file=sys.stderr)
-        return 1
-
-    committed = {"current": jcopy(fresh)}
-    drift = check_regression(fresh, committed, counts, oversubs)
-    if drift:
-        print("smoke: gate failed on identical numbers:", drift, file=sys.stderr)
-        return 1
-
-    drifted = jcopy(committed)
-    drifted["current"]["sweep"]["blind-n8"]["cross_rack_bytes"] += 1
-    if not any("cross_rack_bytes" in f
-               for f in check_regression(fresh, drifted, counts, oversubs)):
-        print("smoke: gate missed a simulated-outcome drift", file=sys.stderr)
-        return 1
-
-    slow = jcopy(committed)
-    for _, _, row in _rows(slow["current"]):
-        row["wall_s"] = row["wall_s"] / 1000.0 + 1e-6
-    if not any("events/s" in f
-               for f in check_regression(fresh, slow, counts, oversubs)):
-        print("smoke: gate missed a throughput collapse", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["sweep"][f"locality-n{counts[-1]}"]["cross_rack_bytes"] = (
-        synth["sweep"][f"blind-n{counts[-1]}"]["cross_rack_bytes"])
-    if not any("cuts cross-rack" in f
-               for f in check_acceptance(synth, counts, oversubs)):
-        print("smoke: gate missed a vanished cross-rack cut", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["replica"]["local"]["cross_rack_payload_bytes"] = 1.0
-    if not any("must be 0" in f
-               for f in check_acceptance(synth, counts, oversubs)):
-        print("smoke: gate missed a cross-rack replica read", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["identity"]["identical"] = False
-    if not any("flat fabric drifted" in f
-               for f in check_acceptance(synth, counts, oversubs)):
-        print("smoke: gate missed a flat-fabric identity break", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["sweep"][f"locality-o8-n{counts[-1]}"]["completion_time"] = (
-        synth["sweep"][f"locality-o2-n{counts[-1]}"]["completion_time"] * 10)
-    if not any("degrades" in f
-               for f in check_acceptance(synth, counts, oversubs)):
-        print("smoke: gate missed an oversubscription blow-up", file=sys.stderr)
-        return 1
-
-    synth = jcopy(fresh)
-    synth["determinism"]["identical"] = False
-    if not any("bit-identical" in f
-               for f in check_acceptance(synth, counts, oversubs)):
-        print("smoke: gate missed a determinism violation", file=sys.stderr)
-        return 1
-
-    print("topo smoke passed (gate logic verified)")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_topo.json's 'current' section with this run",
+    blind, aware = rows[f"blind-n{N_MAX}"], rows[f"locality-n{N_MAX}"]
+    cut = 1.0 - aware["cross_rack_bytes"] / blind["cross_rack_bytes"]
+    emit_grid(
+        "topo_sweep",
+        f"Mirror deployment on {RACKS} racks, topology-blind vs locality-aware "
+        f"(p2p on, {OVERSUB:g}x oversubscription unless labelled, seed 1)",
+        rows,
+        [
+            check_shape(
+                f"locality cuts cross-rack bytes by >= {MIN_CROSS_RACK_CUT:.0%} at "
+                f"n={N_MAX} (measured {cut:.1%}: {aware['cross_rack_bytes'] / MiB:.0f} "
+                f"vs {blind['cross_rack_bytes'] / MiB:.0f} MiB)",
+                cut >= MIN_CROSS_RACK_CUT,
+            ),
+            check_shape(
+                f"with locality on, the n={N_MAX} timeline at 2x, 4x and 8x "
+                "oversubscription is identical: the trunks never bind",
+                rows[f"locality-o2-n{N_MAX}"] == aware == rows[f"locality-o8-n{N_MAX}"],
+            ),
+        ],
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny-n run on the topo-smoke profile + gate self-test",
+
+
+def test_topo_replica(benchmark):
+    rows = benchmark.pedantic(
+        lambda: _run_grid(REPLICA, REPLICA_PARAMS), rounds=1, iterations=1
     )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return run_smoke()
-
-    fresh = measure()
-
-    if args.update:
-        committed = load_committed() if BENCH_PATH.exists() else {}
-        committed.setdefault("profile", "topo")
-        committed.setdefault("seed", SEED)
-        committed["racks"] = RACKS
-        committed["oversubscription"] = OVERSUB
-        committed["counts"] = list(COUNTS)
-        committed["current"] = fresh
-        failures = check_acceptance(fresh)
-        if failures:
-            for f in failures:
-                print(f"TOPO ACCEPTANCE: {f}", file=sys.stderr)
-            return 1
-        write_tracked(BENCH_PATH, committed)
-        print(f"updated {BENCH_PATH}")
-        return 0
-
-    if not BENCH_PATH.exists() or not load_committed().get("current"):
-        print(f"no committed numbers at {BENCH_PATH}; run with --update first")
-        return 1
-    failures = check_regression(fresh, load_committed())
-    if failures:
-        for f in failures:
-            print(f"TOPO REGRESSION: {f}", file=sys.stderr)
-        return 1
-    print("topo gate passed")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    blind, local = rows["blind"], rows["local"]
+    emit_grid(
+        "topo_replica",
+        "Replication 2 over 2 racks, rack-diverse placement: topology-blind vs "
+        "rack-aware replica reads (p2p off, n=64, seed 1)",
+        rows,
+        [
+            check_shape(
+                "rack-aware reads fetch no payload across the uplink "
+                f"({local['cross_rack_payload_bytes']:.0f} bytes): every chunk has a "
+                "same-rack replica",
+                local["cross_rack_payload_bytes"] == 0.0,
+            ),
+            check_shape(
+                "topology-blind reads do cross it "
+                f"({blind['cross_rack_payload_bytes'] / MiB:.0f} MiB of replica payload)",
+                blind["cross_rack_payload_bytes"] > 0,
+            ),
+        ],
+    )

@@ -14,8 +14,8 @@ Two profiles are provided (see :mod:`repro.runner.profiles`):
 * ``quick`` — a scaled-down profile for smoke-testing the harness
   (``REPRO_BENCH_PROFILE=quick``).
 
-Rendered figure tables are written to ``benchmarks/results/`` and printed;
-a machine-readable JSON twin lands next to each ``.txt``.
+Rendered figure tables are printed; the machine-readable form of each lands
+in ``benchmarks/results/<figure_id>.json`` and is tracked.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ import os
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+import pytest
+
+from repro.analysis import render_bars
 from repro.runner import (  # noqa: F401 — re-exported for the bench modules
     P2P,
     PAPER,
@@ -105,20 +108,48 @@ def figure_data(fig, checks: Sequence[str] = ()) -> dict:
     }
 
 
-def emit(figure_id: str, text: str, data: Optional[dict] = None) -> None:
-    """Write a rendered figure to benchmarks/results/ and stdout.
+def emit(figure_id: str, text: str, data: dict) -> None:
+    """Print a rendered figure and write its machine-readable form.
 
-    ``data`` additionally lands as machine-readable JSON next to the text
-    table (``benchmarks/results/<figure_id>.json``) so the result cache and
-    downstream tooling share one format.
+    ``data`` lands in ``benchmarks/results/<figure_id>.json`` — the tracked
+    artifact; the text rendering is for the terminal only.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{figure_id}.txt"
-    path.write_text(text + "\n")
-    if data is not None:
-        json_path = RESULTS_DIR / f"{figure_id}.json"
-        json_path.write_text(
-            json.dumps({"figure_id": figure_id, **data}, indent=2, sort_keys=True)
-            + "\n"
-        )
+    (RESULTS_DIR / f"{figure_id}.json").write_text(
+        json.dumps({"figure_id": figure_id, **data}, indent=2, sort_keys=True) + "\n"
+    )
     print("\n" + text)
+
+
+def emit_grid(figure_id: str, title: str, points: dict, checks: Sequence[str]) -> None:
+    """Emit one tracked grid — every recorded field of every point — and gate it.
+
+    ``points`` maps a point label to its ``{field: value}`` record; the
+    artifact keeps that shape, one field per line, so a drifted outcome shows
+    up in ``git diff`` under its own name. The values are deterministic and
+    the committed file is the expectation: ``make tracked`` regenerates it
+    and fails on any diff.
+    """
+    fields = list(next(iter(points.values())))
+    columns = {label: [row[f] for f in fields] for label, row in points.items()}
+    emit(
+        figure_id,
+        render_bars(f"{figure_id}: {title}", fields, columns, fmt="{:16.9g}")
+        + "\n" + "\n".join(checks),
+        {"title": title, "points": points, "checks": list(checks)},
+    )
+    assert all(c.startswith("[PASS]") for c in checks), "\n".join(checks)
+
+
+def skip_under_quick_profile(tier1_tests: str) -> None:
+    """Module-level: a tracked grid has one size, so the quick profile skips it.
+
+    Its smoke-size behaviour is what ``tier1_tests`` check; skipping (rather
+    than shrinking) also keeps ``make bench-quick`` from overwriting the
+    tracked artifact with other numbers.
+    """
+    if active_profile().name == "quick":
+        pytest.skip(
+            f"tracked-size grid; smoke-size behaviour is tier-1 ({tier1_tests})",
+            allow_module_level=True,
+        )

@@ -3,7 +3,7 @@
 The benchmark harness runs in terminals without plotting stacks, so each
 reproduced figure is rendered as a small ASCII chart next to its numeric
 table — enough to eyeball the paper's curve shapes (flat vs growing, cross
-points, who is on top) directly in ``benchmarks/results/*.txt``.
+points, who is on top) directly in the benchmark run's output.
 """
 
 from __future__ import annotations

@@ -302,23 +302,6 @@ def cmd_p2p(args) -> int:
     print(f"bytes from peers: {fmt_size(stats.get('bytes_from_peers', 0))}")
     print(f"peer failovers:   {stats.get('peer_failovers', 0)}")
 
-    if args.smoke:
-        # self-check: the exchange actually served chunks, and a disabled
-        # build is deterministic (two p2p=False runs -> identical timelines)
-        base2_cloud, base2 = run(False)
-        identical = (
-            base_cloud.env.now == base2_cloud.env.now
-            and base_cloud.env.event_count == base2_cloud.env.event_count
-            and base.total_traffic == base2.total_traffic
-            and base.boot_times == base2.boot_times
-        )
-        hit = stats.get("peer_hit_ratio", 0.0) > 0.0
-        improved = p2p_pb < base_pb
-        print(f"smoke: off-path identical={identical} peer-hits={hit} "
-              f"provider-bytes-reduced={improved}")
-        if not (identical and hit and improved):
-            print("error: p2p smoke check failed", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -328,9 +311,9 @@ def cmd_topo(args) -> int:
     profile = resolve_profile(args.profile)
     n = args.instances if args.instances > 0 else profile.instance_counts[0]
 
-    def spec_for(locality: bool, racks=None):
+    def spec_for(locality: bool):
         params = [
-            ("racks", racks if racks is not None else args.racks),
+            ("racks", args.racks),
             ("oversubscription", args.oversubscription),
             ("locality", locality),
             ("directory", args.directory),
@@ -370,42 +353,6 @@ def cmd_topo(args) -> int:
     print(f"cross-rack share: {cross_frac(bm):>13.1%}{cross_frac(am):>14.1%}")
     print(f"cross-rack cut:   {cut:.1%} (locality vs topology-blind)")
 
-    if args.smoke:
-        # self-checks: (1) re-executing the locality spec is bit-identical;
-        # (2) locality moved bytes off the uplinks; (3) racks=1 runs the
-        # flat fabric — identical timeline to the plain p2p point kind
-        aware2 = execute_point(spec_for(True))
-        identical = (
-            aware.metrics == aware2.metrics
-            and aware.series == aware2.series
-            and aware.event_count == aware2.event_count
-        )
-        reduced = am["cross_rack_bytes"] < bm["cross_rack_bytes"]
-        flat = execute_point(spec_for(True, racks=1))
-        p2p_params = []
-        if args.no_p2p:
-            p2p_params.append(("p2p", False))
-        else:
-            p2p_params += [
-                ("directory", args.directory), ("locate_fanout", args.fanout)
-            ]
-        ref = execute_point(PointSpec(
-            kind="p2p", profile=profile.name, approach="mirror",
-            n=n, seed=args.seed, params=tuple(p2p_params),
-        ))
-        off_path = (
-            flat.series["boot_times"] == ref.series["boot_times"]
-            and flat.metrics["completion_time"] == ref.metrics["completion_time"]
-            and flat.metrics["total_traffic"] == ref.metrics["total_traffic"]
-            and flat.event_count == ref.event_count
-            and flat.metrics["cross_rack_bytes"] == 0.0
-            and flat.metrics["intra_rack_bytes"] == 0.0
-        )
-        print(f"smoke: deterministic={identical} cross-rack-reduced={reduced} "
-              f"off-path-identical={off_path}")
-        if not (identical and reduced and off_path):
-            print("error: topo smoke check failed", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -462,22 +409,6 @@ def cmd_churn(args) -> int:
           f"{fmt_size(m['bytes_reclaimed'])} over {m['gc_sweeps']:.0f} GC sweeps")
     print(f"makespan:         {fmt_time(m['makespan'])}")
 
-    if args.smoke:
-        # self-check: the run made progress, GC reclaimed retired state, and
-        # a second execution of the same spec is bit-identical
-        res2 = execute_point(spec)
-        identical = (
-            res.metrics == res2.metrics
-            and res.series == res2.series
-            and res.event_count == res2.event_count
-        )
-        progressed = m["booted"] > 0 and m["completed"] > 0
-        reclaimed = args.gc_interval <= 0 or m["bytes_reclaimed"] > 0
-        print(f"smoke: deterministic={identical} progressed={progressed} "
-              f"gc-reclaimed={reclaimed}")
-        if not (identical and progressed and reclaimed):
-            print("error: churn smoke check failed", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -522,22 +453,6 @@ def cmd_lineage(args) -> int:
               f"{m['versions_merged']:.0f} versions merged, "
               f"{fmt_time(m['compact_duration'])}")
 
-    if args.smoke:
-        # self-check: accounting conserves, the restore really walked the
-        # chain, and a second execution of the same spec is bit-identical
-        res2 = execute_point(spec)
-        identical = (
-            res.metrics == res2.metrics
-            and res.series == res2.series
-            and res.event_count == res2.event_count
-        )
-        conserved = bool(m["conserved"]) and bool(m["footprint_matches"])
-        walked = m["scan_hops"] >= (1 if args.compact else depth)
-        print(f"smoke: deterministic={identical} conserved={conserved} "
-              f"chain-walked={walked}")
-        if not (identical and conserved and walked):
-            print("error: lineage smoke check failed", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -814,8 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-node peer cache in MiB (0 = default 64)")
     p_p2p.add_argument("--fanout", type=int, default=2,
                        help="candidate peers tried per chunk before providers")
-    p_p2p.add_argument("--smoke", action="store_true",
-                       help="self-check: peer hits > 0, off-path determinism")
     p_p2p.set_defaults(func=cmd_p2p)
 
     p_topo = sub.add_parser(
@@ -841,9 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replicas per chunk (locality run places them "
                              "rack-diverse)")
     p_topo.add_argument("--seed", type=int, default=1, help="experiment seed")
-    p_topo.add_argument("--smoke", action="store_true",
-                        help="self-check: determinism, cross-rack cut, "
-                             "flat-fabric identity")
     p_topo.set_defaults(func=cmd_topo)
 
     p_churn = sub.add_parser(
@@ -878,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pin snapshot chains past teardown so restores "
                               "never hit a retired chain")
     p_churn.add_argument("--seed", type=int, default=1, help="experiment seed")
-    p_churn.add_argument("--smoke", action="store_true",
-                         help="self-check: progress, GC reclaim, determinism")
     p_churn.set_defaults(func=cmd_churn)
 
     p_lineage = sub.add_parser(
@@ -902,9 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="replicas per chunk (dedup counts physical "
                                 "bytes per replica)")
     p_lineage.add_argument("--seed", type=int, default=1, help="experiment seed")
-    p_lineage.add_argument("--smoke", action="store_true",
-                           help="self-check: conservation, chain walk, "
-                                "determinism")
     p_lineage.set_defaults(func=cmd_lineage)
 
     p_bonnie = sub.add_parser("bonnie", help="run the §5.4 micro-benchmark")

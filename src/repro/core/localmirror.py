@@ -87,9 +87,20 @@ class LocalMirrorFile:
         yield from self.device.write(payload.size)
         self.file.write(lo, payload)
 
-    def apply_remote(self, lo: int, payload: Payload) -> Generator:
-        """Mirror remotely-fetched content locally (same write path)."""
-        yield from self.pwrite(lo, payload)
+    def apply_remote(self, lo: int, payload: Payload, missing) -> Generator:
+        """Mirror content fetched for ``[lo, lo + size)`` (same timed write path).
+
+        Only the ``missing`` sub-ranges are stored — the caller found them
+        unmirrored at this instant — and, unlike a guest write, they land
+        *before* the write's time passes, so a guest write that lands
+        meanwhile ends up on top. Nobody reads them early: a range counts as
+        mirrored once the caller records the fill. The time is that of the
+        whole payload: every fetched byte crosses the mmap window.
+        """
+        self._check_open()
+        for g_lo, g_hi in missing:
+            self.file.write(g_lo, payload.slice(g_lo - lo, g_hi - lo))
+        yield from self.device.write(payload.size)
 
     # ------------------------------------------------------------------ #
     # persistence of the modification-manager state across close/open

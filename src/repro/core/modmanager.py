@@ -120,8 +120,12 @@ class ModificationManager:
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
-    def _gaps(self, idx: int, lo: int, hi: int) -> List[Interval]:
-        """Parts of ``[lo, hi)``, inside chunk ``idx``, that are not mirrored."""
+    def unmirrored(self, idx: int, lo: int, hi: int) -> List[Interval]:
+        """Parts of ``[lo, hi)``, inside chunk ``idx``, that are not mirrored.
+
+        The plans below are built from it; the translator asks it again when
+        fetched bytes arrive, because a plan is as old as its fetch.
+        """
         if idx in self._frag:
             return self._frag[idx].gaps(lo, hi)
         a, b = self._m_lo[idx], self._m_hi[idx]
@@ -147,11 +151,11 @@ class ModificationManager:
             w_hi = hi if hi < c_hi else c_hi
             # inside the hull, and inside the exact ranges if any chunk has them
             if m_lo[idx] <= w_lo and w_hi <= m_hi[idx] and not (
-                frag and self._gaps(idx, w_lo, w_hi)
+                frag and self.unmirrored(idx, w_lo, w_hi)
             ):
                 continue
             fetch.append(idx)
-            gaps[idx] = self._gaps(idx, c_lo, c_hi)
+            gaps[idx] = self.unmirrored(idx, c_lo, c_hi)
         return ReadPlan(fetch, gaps)
 
     def plan_write(self, lo: int, hi: int) -> WritePlan:
@@ -181,14 +185,14 @@ class ModificationManager:
         out: Dict[int, List[Interval]] = {}
         cs = self.chunk_size
         for idx in self.chunks_overlapping(lo, hi):
-            gaps = self._gaps(idx, max(lo, idx * cs), min(hi, (idx + 1) * cs))
+            gaps = self.unmirrored(idx, max(lo, idx * cs), min(hi, (idx + 1) * cs))
             if gaps:
                 out[idx] = gaps
         return out
 
     def plan_complete_chunk(self, idx: int) -> List[Interval]:
         """Gaps to fetch so chunk ``idx`` becomes fully mirrored (COMMIT prep)."""
-        return self._gaps(idx, *self._checked_bounds(idx))
+        return self.unmirrored(idx, *self._checked_bounds(idx))
 
     # ------------------------------------------------------------------ #
     # state transitions

@@ -84,9 +84,22 @@ class RWTranslator:
         for idx, intervals in gaps.items():
             c_lo, _ = self.modmgr.chunk_bounds(idx)
             for g_lo, g_hi in intervals:
-                piece = chunks[idx].slice(g_lo - c_lo, g_hi - c_lo)
-                yield from self.local.apply_remote(g_lo, piece)
-                self.modmgr.record_fill(idx, g_lo, g_hi)
+                yield from self._mirror_fetched(
+                    idx, g_lo, chunks[idx].slice(g_lo - c_lo, g_hi - c_lo)
+                )
+
+    def _mirror_fetched(self, idx: int, lo: int, piece: Payload) -> Generator:
+        """Mirror ``piece``, fetched for ``[lo, lo + size)`` of chunk ``idx``.
+
+        The interval was planned before the fetch and simulated time has
+        passed since: a guest write may have landed inside it and must stay
+        on top, so only what is unmirrored *now* is stored. The fetch still
+        costs the page-cache time of every byte it brought.
+        """
+        missing = self.modmgr.unmirrored(idx, lo, lo + piece.size)
+        yield from self.local.apply_remote(lo, piece, missing)
+        for g_lo, g_hi in missing:
+            self.modmgr.record_fill(idx, g_lo, g_hi)
 
     # ------------------------------------------------------------------ #
     def _fetch_ranges(self, gaps: Dict[int, List[Tuple[int, int]]]) -> Generator:
@@ -171,14 +184,12 @@ class RWTranslator:
                 )
         for group in groups:
             for g_lo, piece, idx in group:
-                yield from self.local.apply_remote(g_lo, piece)
-                self.modmgr.record_fill(idx, g_lo, g_lo + piece.size)
+                yield from self._mirror_fetched(idx, g_lo, piece)
         # ranges inside source holes mirror as zeros
         for idx in indices:
             if idx not in refs:
                 for g_lo, g_hi in gaps[idx]:
-                    yield from self.local.apply_remote(g_lo, Payload.zeros(g_hi - g_lo))
-                    self.modmgr.record_fill(idx, g_lo, g_hi)
+                    yield from self._mirror_fetched(idx, g_lo, Payload.zeros(g_hi - g_lo))
 
     def read(self, offset: int, nbytes: int) -> Generator:
         """Serve a hypervisor read; fetches missing content first (strategy 1)."""
@@ -189,20 +200,9 @@ class RWTranslator:
             if not plan.is_local:
                 counters["mirror-remote-read"] += 1
                 counters["mirror-chunks-fetched"] += len(plan.fetch_chunks)
-                tracer = self.client.host.fabric.tracer
-                if tracer.enabled:
-                    span = tracer.start(
-                        "mirror-fetch", "vfs", chunks=len(plan.fetch_chunks)
-                    )
-                    try:
-                        chunks = yield from self._fetch_chunk_set(plan.fetch_chunks)
-                        yield from self._apply_gaps(chunks, plan.fill_gaps)
-                    except BaseException as exc:
-                        span.set_error(exc)
-                        raise
-                    finally:
-                        span.finish()
-                else:
+                with self.client.host.fabric.tracer.start(
+                    "mirror-fetch", "vfs", chunks=len(plan.fetch_chunks)
+                ):
                     chunks = yield from self._fetch_chunk_set(plan.fetch_chunks)
                     yield from self._apply_gaps(chunks, plan.fill_gaps)
                 for idx in plan.fetch_chunks:
@@ -213,22 +213,11 @@ class RWTranslator:
             gaps = self.modmgr.plan_read_exact(lo, hi)
             if gaps:
                 self._metrics.count("mirror-remote-read")
-                self._metrics.count(
-                    "mirror-ranges-fetched", sum(len(g) for g in gaps.values())
-                )
-                tracer = self.client.host.fabric.tracer
-                if tracer.enabled:
-                    span = tracer.start(
-                        "mirror-fetch-exact", "vfs", ranges=sum(len(g) for g in gaps.values())
-                    )
-                    try:
-                        yield from self._fetch_ranges(gaps)
-                    except BaseException as exc:
-                        span.set_error(exc)
-                        raise
-                    finally:
-                        span.finish()
-                else:
+                n_ranges = sum(len(g) for g in gaps.values())
+                self._metrics.count("mirror-ranges-fetched", n_ranges)
+                with self.client.host.fabric.tracer.start(
+                    "mirror-fetch-exact", "vfs", ranges=n_ranges
+                ):
                     yield from self._fetch_ranges(gaps)
             else:
                 self._metrics.count("mirror-local-read")
@@ -243,18 +232,7 @@ class RWTranslator:
             self._metrics.count("mirror-gap-fill", len(plan.gap_fills))
             indices = [idx for idx, _ in plan.gap_fills]
             gaps = {idx: [gap] for idx, gap in plan.gap_fills}
-            tracer = self.client.host.fabric.tracer
-            if tracer.enabled:
-                span = tracer.start("gap-fill", "vfs", chunks=len(indices))
-                try:
-                    chunks = yield from self._fetch_chunk_set(indices)
-                    yield from self._apply_gaps(chunks, gaps)
-                except BaseException as exc:
-                    span.set_error(exc)
-                    raise
-                finally:
-                    span.finish()
-            else:
+            with self.client.host.fabric.tracer.start("gap-fill", "vfs", chunks=len(indices)):
                 chunks = yield from self._fetch_chunk_set(indices)
                 yield from self._apply_gaps(chunks, gaps)
         yield from self.local.pwrite(lo, payload)
@@ -276,18 +254,9 @@ class RWTranslator:
                 incomplete[idx] = gaps
         if incomplete:
             self._metrics.count("commit-gap-fill", len(incomplete))
-            tracer = self.client.host.fabric.tracer
-            if tracer.enabled:
-                span = tracer.start("commit-gap-fill", "vfs", chunks=len(incomplete))
-                try:
-                    chunks = yield from self._fetch_chunk_set(sorted(incomplete))
-                    yield from self._apply_gaps(chunks, incomplete)
-                except BaseException as exc:
-                    span.set_error(exc)
-                    raise
-                finally:
-                    span.finish()
-            else:
+            with self.client.host.fabric.tracer.start(
+                "commit-gap-fill", "vfs", chunks=len(incomplete)
+            ):
                 chunks = yield from self._fetch_chunk_set(sorted(incomplete))
                 yield from self._apply_gaps(chunks, incomplete)
             for idx in incomplete:

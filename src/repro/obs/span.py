@@ -21,8 +21,10 @@ Like :class:`~repro.simkit.trace.Metrics`, spans are observers only: the
 tracer never schedules events, touches RNG streams, or adds simulated time,
 so an enabled tracer leaves every timeline bit-identical (regression-tested).
 The default tracer on every fabric is :data:`NULL_TRACER`, whose ``enabled``
-flag is ``False`` — every instrumentation site guards on it, so a disabled
-run pays one attribute load and branch per site.
+flag is ``False`` — the per-operation instrumentation sites guard on it, so a
+disabled run pays one attribute load and branch per site. Sites that run
+once per remote fetch just write ``with tracer.start(...):``; the null
+tracer hands them one shared inert span.
 
 This module deliberately imports nothing from the rest of ``repro`` so the
 low-level simkit layers can depend on it without cycles.
@@ -281,8 +283,8 @@ class NullTracer:
 
     Instrumentation sites branch on ``tracer.enabled`` and skip span
     construction entirely; the engine-level spawn hook is skipped too because
-    installing a tracer also sets ``env._tracer``. The methods below exist so
-    accidental unguarded use degrades to a no-op instead of crashing.
+    installing a tracer also sets ``env._tracer``. The methods below make
+    unguarded use (``with tracer.start(...):`` at the rare sites) a no-op.
     """
 
     enabled = False

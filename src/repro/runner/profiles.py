@@ -96,8 +96,8 @@ P2P = BenchProfile(
     bonnie_working_set=128 * MiB,
 )
 
-#: The paper-scale fabric profile for the tracked scale benchmark
-#: (``benchmarks/bench_scale.py``). The repository is *concentrated* on the
+#: The paper-scale fabric profile of the benchmark suite's burst workloads
+#: (``benchmarks/suite/workloads.py``). The repository is *concentrated* on the
 #: first 8 pool nodes (dedicated repository nodes, as in López García &
 #: Fernández del Castillo) and the providers get NVMe-class disks, so the
 #: GigE fabric — not the disks — is the bottleneck: hundreds of concurrent
@@ -124,9 +124,9 @@ SCALE = BenchProfile(
     ),
 )
 
-#: Tiny sibling of ``scale`` for CI smoke runs (``make scale-smoke``): the
+#: Tiny sibling of ``scale`` for CI smoke runs (``make suite-smoke``): the
 #: same concentrated-repository shape at an n that simulates in well under a
-#: second, so the gate logic is exercised on every push.
+#: second.
 SCALE_SMOKE = BenchProfile(
     name="scale-smoke",
     pool_nodes=20,

@@ -44,12 +44,48 @@ class TestBasicIo:
         fab, host, m = make()
 
         def scenario():
-            yield from m.apply_remote(0, Payload.from_bytes(b"remote"))
+            yield from m.apply_remote(0, Payload.from_bytes(b"remote"), [(0, 6)])
             p = yield from m.pread(0, 6)
             return p
 
         assert run(fab, scenario()).to_bytes() == b"remote"
 
+    def test_write_landing_while_remote_bytes_are_applied_stays_on_top(self):
+        """The caller picked the range as unmirrored when the apply *started*."""
+        fab, host, m = make()
+        done = {}
+
+        def guest():
+            yield from m.pwrite(100, Payload.from_bytes(b"W"))
+            done["write"] = fab.env.now
+
+        def scenario():
+            writer = fab.env.process(guest())
+            yield from m.apply_remote(0, Payload.from_bytes(b"r" * 4096), [(0, 4096)])
+            done["apply"] = fab.env.now
+            yield writer
+            p = yield from m.pread(99, 102)
+            return p
+
+        assert run(fab, scenario()).to_bytes() == b"rWr"
+        assert done["write"] < done["apply"]  # the small write really finished first
+
+    def test_apply_remote_stores_only_the_missing_ranges_at_full_cost(self):
+        def apply(missing):
+            fab, host, m = make()
+
+            def scenario():
+                yield from m.apply_remote(0, Payload.from_bytes(b"abcdefgh"), missing)
+                took = fab.env.now
+                p = yield from m.pread(0, 8)
+                return took, p.to_bytes()
+
+            return run(fab, scenario())
+
+        whole, _ = apply([(0, 8)])
+        partial, stored = apply([(0, 2), (6, 8)])
+        assert stored == b"ab\x00\x00\x00\x00gh"
+        assert partial == whole  # every fetched byte crossed the mmap window
 
 class TestPersistence:
     def test_state_roundtrip(self):

@@ -112,6 +112,9 @@ class Pair:
             assert new.mirrored_intervals(idx) == ref.mirrored_intervals(idx)
             assert new.dirty_intervals(idx) == ref.dirty_intervals(idx)
             assert new.plan_complete_chunk(idx) == ref.plan_complete_chunk(idx)
+            w_lo, w_hi = max(lo, idx * CS), min(hi, (idx + 1) * CS, IMG)
+            if w_lo < w_hi:  # what the translator asks when fetched bytes arrive
+                assert new.unmirrored(idx, w_lo, w_hi) == ref.unmirrored(idx, w_lo, w_hi)
         assert new.mirrored_bytes() == ref.mirrored_bytes()
         assert new.dirty_bytes() == ref.dirty_bytes()
         assert new.dirty_chunks() == ref.dirty_chunks()

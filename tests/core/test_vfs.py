@@ -7,6 +7,7 @@ from repro.common.errors import MirrorStateError, StorageError
 from repro.common.payload import Payload
 from repro.common.units import KiB
 from repro.core import MirrorVFS, mount
+from repro.obs import install_tracer
 from repro.simkit.host import Fabric
 
 CHUNK = 4 * KiB
@@ -335,6 +336,130 @@ class TestCommitKeepsWhatItDidNotPublish:
         expected[10:14] = b"keep"
         expected[CHUNK : CHUNK + 9] = b"meanwhile"
         assert out["published"].to_bytes() == bytes(expected)
+
+
+class TestWriteDuringFetchSurvives:
+    """Fetched bytes fill what is unmirrored when they arrive, not when planned.
+
+    Every fetch plans its gaps first and applies them ~10 ms of simulated
+    time later; a guest write that lands in between (the prefetcher reads on
+    the handle a booting guest writes to) must not be overwritten.
+    """
+
+    BASE = 2 * CHUNK
+
+    def race(self, fetcher, write_at, setup=None, prefetch=True, traced=False):
+        """Run ``fetcher(h)`` against a 50-byte write 0.1 ms after it starts."""
+        fab, dep, hosts, rec, data = setup_cloud()
+        tracer = install_tracer(fab) if traced else None
+        out = {"data": data, "dep": dep, "hosts": hosts, "fab": fab, "tracer": tracer}
+
+        def late_writer(h):
+            yield fab.env.timeout(1e-4)
+            yield from h.write(write_at, Payload.from_bytes(b"W" * 50))
+            out["write_done"] = fab.env.now
+
+        def scenario():
+            vfs = MirrorVFS(hosts[0], dep.client(hosts[0]), full_chunk_prefetch=prefetch)
+            h = out["h"] = yield from vfs.open(rec.blob_id, rec.version)
+            if setup is not None:
+                yield from setup(h)
+            writer = fab.env.process(late_writer(h))
+            out["fetched"] = yield from fetcher(h)
+            out["fetch_done"] = fab.env.now
+            yield writer
+            out["chunk"] = yield from h.read(self.BASE, CHUNK)
+
+        run(fab, scenario())
+        assert out["write_done"] < out["fetch_done"]  # the write really raced the fetch
+        dirty = out["h"].modmgr.dirty_intervals(2)
+        assert any(lo <= write_at and write_at + 50 <= hi for lo, hi in dirty)
+        return out
+
+    def expected_chunk(self, data, *writes):
+        chunk = bytearray(data[self.BASE : self.BASE + CHUNK])
+        for at, content in writes:
+            chunk[at - self.BASE : at - self.BASE + len(content)] = content
+        return bytes(chunk)
+
+    def test_write_during_a_read_fetch(self):
+        at = self.BASE + 100
+        out = self.race(lambda h: h.read(self.BASE + 10, 20), at)
+        assert out["fetched"].to_bytes() == out["data"][self.BASE + 10 : self.BASE + 30]
+        assert out["chunk"].to_bytes() == self.expected_chunk(out["data"], (at, b"W" * 50))
+        assert out["h"].modmgr.mirrored_intervals(2) == [(self.BASE, self.BASE + CHUNK)]
+
+    def test_write_during_a_write_gap_fill(self):
+        """A write adjacent to the mirror needs no fill of its own, so it is quick."""
+
+        def setup(h):
+            yield from h.write(self.BASE, Payload.from_bytes(b"a" * 10))
+
+        far = self.BASE + 1000
+        at = self.BASE + 10  # inside the gap [10, 1000) the far write fills
+        out = self.race(lambda h: h.write(far, Payload.from_bytes(b"f" * 10)), at, setup)
+        assert out["fab"].metrics.counters["mirror-gap-fill"] == 1
+        assert out["chunk"].to_bytes() == self.expected_chunk(
+            out["data"], (self.BASE, b"a" * 10), (at, b"W" * 50), (far, b"f" * 10)
+        )
+
+    def test_write_during_commit_completion(self):
+        def setup(h):
+            yield from h.write(self.BASE, Payload.from_bytes(b"a" * 100))
+            yield from h.ioctl_clone()
+
+        at = self.BASE + 100  # inside the gap [100, CHUNK) COMMIT fetches
+        out = self.race(lambda h: h.ioctl_commit(), at, setup)
+        want = self.expected_chunk(out["data"], (self.BASE, b"a" * 100), (at, b"W" * 50))
+        assert out["chunk"].to_bytes() == want
+        fab, h = out["fab"], out["h"]
+
+        def republish():
+            snap = yield from h.ioctl_commit()  # the late write stayed dirty
+            reader = out["dep"].client(out["hosts"][2])
+            got = yield from reader.read(snap.blob_id, snap.version, self.BASE, CHUNK)
+            return snap, got
+
+        snap, got = run(fab, republish())
+        assert snap.version == out["fetched"].version + 1
+        assert got.to_bytes() == want
+
+    def test_write_during_an_exact_range_fetch(self):
+        at = self.BASE + 100
+        out = self.race(lambda h: h.read(self.BASE + 10, 2000), at, prefetch=False)
+        want = self.expected_chunk(out["data"], (at, b"W" * 50))
+        assert out["fetched"].to_bytes() == want[10:2010]  # read after the write landed
+        assert out["chunk"].to_bytes() == want
+
+    def test_traced_run_records_the_same_spans_on_the_same_timeline(self):
+        at = self.BASE + 100
+        plain = self.race(lambda h: h.read(self.BASE + 10, 20), at)
+        traced = self.race(lambda h: h.read(self.BASE + 10, 20), at, traced=True)
+        assert traced["fab"].env.now == plain["fab"].env.now
+        assert traced["fetch_done"] == plain["fetch_done"]
+        assert traced["chunk"].to_bytes() == plain["chunk"].to_bytes()
+        vfs_spans = [
+            (s.name, s.attrs, s.error, s.t0, s.t1)
+            for s in traced["tracer"].spans
+            if s.category == "vfs"
+        ]
+        read, fetch, write, readback = vfs_spans
+        assert read == (
+            "vfs:read", {"offset": self.BASE + 10, "nbytes": 20}, None,
+            fetch[3], traced["fetch_done"],
+        )
+        assert fetch[:3] == ("mirror-fetch", {"chunks": 1}, None)
+        assert write[3] < fetch[4] < read[4]  # closes once the bytes are applied
+        assert write == (
+            "vfs:write", {"offset": at, "nbytes": 50}, None,
+            fetch[3] + 1e-4, traced["write_done"],
+        )
+        assert readback[:3] == ("vfs:read", {"offset": self.BASE, "nbytes": CHUNK}, None)
+        by_name = {s.name: s for s in traced["tracer"].spans if s.category == "vfs"}
+        assert by_name["mirror-fetch"].parent_id is not None  # nests under the vfs:read
+        nested = [s for s in traced["tracer"].spans
+                  if s.parent_id == by_name["mirror-fetch"].span_id]
+        assert nested  # and the fetch's rpcs nest under it
 
 
 class TestPersistenceAcrossOpen:

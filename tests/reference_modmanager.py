@@ -79,6 +79,11 @@ class ReferenceModificationManager:
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
+    def unmirrored(self, idx: int, lo: int, hi: int) -> List[Interval]:
+        """Parts of ``[lo, hi)``, inside chunk ``idx``, that are not mirrored."""
+        mirror = self._mirrored.get(idx)
+        return mirror.gaps(lo, hi) if mirror is not None else [(lo, hi)]
+
     def plan_read(self, lo: int, hi: int) -> ReadPlan:
         """Strategy 1: full-chunk fetches covering the non-mirrored parts."""
         fetch: List[int] = []

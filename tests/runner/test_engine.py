@@ -14,7 +14,12 @@ def _specs(counts=(1, 2), kind="deploy", approach="mirror"):
 
 class TestEquivalence:
     def test_parallel_bit_identical_to_sequential(self, micro_profile):
-        specs = _specs(counts=(1, 2, 1, 2))
+        specs = _specs(counts=(1, 2, 1, 2)) + [
+            PointSpec(kind="lineage", profile="lineage-smoke", approach="mirror", n=3, seed=1,
+                      params=(("compact", True), ("policy", "merge"), ("depth_bound", 2))),
+            PointSpec(kind="topo", profile="topo-smoke", approach="mirror", n=8, seed=1,
+                      params=(("racks", 4), ("locality", True))),
+        ]
         seq = SweepRunner(jobs=1, cache=None).run(specs)
         par = SweepRunner(jobs=4, cache=None).run(specs)
         assert len(seq) == len(par) == len(specs)

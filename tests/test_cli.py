@@ -165,7 +165,6 @@ class TestChurn:
         assert args.policy == "least-loaded"
         assert args.arrivals == "poisson"
         assert args.profile == "churn-smoke"
-        assert args.smoke is False
         assert args.restore_fraction == 0.0
         assert args.retain_snapshots is False
 
@@ -189,22 +188,12 @@ class TestChurn:
         assert "rejection rate:" in out
         assert "GC sweeps" in out
 
-    def test_churn_smoke_passes(self, capsys):
-        rc = main(["churn", "--deploys", "10", "--rate", "3", "--p2p",
-                   "--gc-interval", "20", "--smoke"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "smoke: deterministic=True" in out
-        assert "progressed=True" in out
-        assert "gc-reclaimed=True" in out
-
 
 class TestP2P:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["p2p"])
         assert args.directory == "announce"
         assert args.fanout == 2
-        assert args.smoke is False
 
     def test_invalid_directory_rejected(self):
         with pytest.raises(SystemExit):
@@ -219,17 +208,6 @@ class TestP2P:
         out = capsys.readouterr().out
         assert "peer hit ratio" in out
         assert "provider bytes" in out
-
-    def test_p2p_smoke_passes(self, capsys):
-        rc = main(
-            ["p2p", "--instances", "3", "--pool", "6", "--image-mib", "64",
-             "--touched-mib", "6", "--smoke"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "smoke: off-path identical=True" in out
-        assert "peer-hits=True" in out
-        assert "provider-bytes-reduced=True" in out
 
 
 class TestVersionFlag:
@@ -271,10 +249,23 @@ class TestLineage:
         assert "dedup accounting" in out
         assert "exclusive+shared==live: ok" in out
 
-    def test_lineage_smoke_passes(self, capsys):
-        rc = main(["lineage", "--smoke", "--profile", "lineage-smoke",
-                   "--depth", "4", "--compact", "--depth-bound", "2"])
+
+class TestTopo:
+    def test_parser_defaults(self):
+        args = build_parser().parse_args(["topo"])
+        assert args.profile == "topo-smoke"
+        assert args.instances == 0
+        assert args.racks == 4
+        assert args.oversubscription == 4.0
+        assert args.directory == "announce"
+        assert args.replication == 1
+        assert not args.no_p2p
+
+    def test_topo_prints_blind_vs_locality(self, capsys):
+        rc = main(["topo", "--racks", "4"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "deterministic=True" in out
-        assert "conserved=True" in out
+        assert "blind" in out and "locality" in out
+        assert "cross-rack bytes:" in out
+        cut = float(out.split("cross-rack cut:")[1].split("%")[0])
+        assert cut >= 50.0  # locality keeps most bytes off the uplinks

@@ -1,11 +1,50 @@
 """Keep the documentation honest: referenced artifacts must exist."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).parent.parent
+RESULTS = REPO / "benchmarks" / "results"
+
+#: text that tells a reader what to run (CHANGES / ROADMAP are history)
+LIVE_DOCS = (
+    "README.md", "EXPERIMENTS.md", "DESIGN.md", "benchmarks/suite/README.md",
+    ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
+)
+
+#: paths retired with the legacy tracked harnesses
+DELETED = (
+    [f"BENCH_{name}.json" for name in ("simkit", "scale", "churn", "lineage", "topo")]
+    + [f"bench_{stem}.py" for stem in ("simperf", "scale")]
+    + ["gates.py", "test_perf_harness.py"]
+)
+
+
+def tracked_grid(figure_id):
+    """The ``{point: {field: value}}`` of one tracked artifact; every check passed."""
+    data = json.loads((RESULTS / f"{figure_id}.json").read_text())
+    assert data["checks"] and all(c.startswith("[PASS]") for c in data["checks"])
+    return data["points"]
+
+
+def assert_docs_follow_the_makefile(subsystem):
+    """Docs name only `make` targets that exist and no retired path; they
+    point at ``make tracked`` and the subsystem's tracked artifact."""
+    targets = set(re.findall(r"^([\w-]+):", (REPO / "Makefile").read_text(), re.M))
+    for doc in LIVE_DOCS:
+        text = (REPO / doc).read_text()
+        # in backticks, at the start of a code line, or a CI `run:` step
+        named = set(re.findall(r"(?:`|^\s*|run: )make ([a-z][\w-]*)", text, re.M))
+        assert named <= targets, f"{doc} names make targets that do not exist: {named - targets}"
+        stale = [path for path in DELETED if path in text]
+        assert not stale, f"{doc} names retired paths: {stale}"
+    assert "tracked" in targets
+    assert "make tracked" in (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert f"bench_{subsystem}.py" in (REPO / "Makefile").read_text()
+    assert list(RESULTS.glob(f"{subsystem}_*.json"))
 
 
 class TestDesignDoc:
@@ -76,24 +115,19 @@ class TestChurnDocs:
     def test_experiments_doc_covers_churn(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
         assert "churn" in text
-        assert "BENCH_churn.json" in text
+        assert "churn_policy.json" in text and "churn_gc.json" in text
 
     def test_readme_quickstart_covers_churn(self):
         text = (REPO / "README.md").read_text()
         assert "python -m repro churn" in text
-        assert "make churn-smoke" in text
+        assert "churn_{policy,gc}.json" in text and "make tracked" in text
 
     def test_tracked_churn_numbers_exist(self):
-        import json
-        data = json.loads((REPO / "BENCH_churn.json").read_text())
-        current = data["current"]
-        assert set(current["policy"]) == {"first-fit", "least-loaded", "locality"}
-        assert set(current["gc"]) == {"gc", "nogc"}
+        assert set(tracked_grid("churn_policy")) == {"first-fit", "least-loaded", "locality"}
+        assert set(tracked_grid("churn_gc")) == {"gc", "nogc"}
 
     def test_makefile_and_ci_wire_churn_smoke(self):
-        assert "churn-smoke:" in (REPO / "Makefile").read_text()
-        assert "churn-smoke" in (
-            REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert_docs_follow_the_makefile("churn")
 
 
 class TestLineageDocs:
@@ -107,28 +141,24 @@ class TestLineageDocs:
     def test_experiments_doc_covers_lineage(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
         assert "restore" in text
-        assert "BENCH_lineage.json" in text
+        assert "lineage_restore.json" in text
 
     def test_readme_quickstart_covers_lineage(self):
         text = (REPO / "README.md").read_text()
         assert "python -m repro lineage" in text
-        assert "make lineage-smoke" in text
+        assert "lineage_restore.json" in text and "make tracked" in text
 
     def test_tracked_lineage_numbers_exist(self):
-        import json
-        data = json.loads((REPO / "BENCH_lineage.json").read_text())
-        rows = data["current"]["restore"]
-        depths = data["depths"]
+        rows = tracked_grid("lineage_restore")
+        depths = sorted(int(label.split("-d")[1]) for label in rows if label.startswith("off-"))
+        assert len(depths) >= 2
         for mode in ("off", "flatten"):
             for d in depths:
                 assert f"{mode}-d{d}" in rows, f"missing {mode}-d{d}"
         assert f"merge-d{depths[-1]}" in rows
-        assert data["current"]["determinism"]["identical"] is True
 
     def test_makefile_and_ci_wire_lineage_smoke(self):
-        assert "lineage-smoke:" in (REPO / "Makefile").read_text()
-        assert "lineage-smoke" in (
-            REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert_docs_follow_the_makefile("lineage")
 
 
 class TestTopoDocs:
@@ -142,29 +172,26 @@ class TestTopoDocs:
     def test_experiments_doc_covers_topo(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
         assert "cross-rack" in text.lower()
-        assert "BENCH_topo.json" in text
+        assert "topo_sweep.json" in text and "topo_replica.json" in text
 
     def test_readme_quickstart_covers_topo(self):
         text = (REPO / "README.md").read_text()
         assert "python -m repro topo" in text
-        assert "make topo-smoke" in text
+        assert "topo_{sweep,replica}.json" in text and "make tracked" in text
 
     def test_tracked_topo_numbers_exist(self):
-        import json
-        data = json.loads((REPO / "BENCH_topo.json").read_text())
-        current = data["current"]
-        for n in data["counts"]:
-            assert f"blind-n{n}" in current["sweep"]
-            assert f"locality-n{n}" in current["sweep"]
-        assert set(current["replica"]) == {"blind", "local"}
-        assert current["replica"]["local"]["cross_rack_payload_bytes"] == 0.0
-        assert current["identity"]["identical"] is True
-        assert current["determinism"]["identical"] is True
+        sweep = tracked_grid("topo_sweep")
+        counts = {label.split("-n")[1] for label in sweep}
+        assert len(counts) >= 2
+        for n in counts:
+            assert f"blind-n{n}" in sweep
+            assert f"locality-n{n}" in sweep
+        replica = tracked_grid("topo_replica")
+        assert set(replica) == {"blind", "local"}
+        assert replica["local"]["cross_rack_payload_bytes"] == 0.0
 
     def test_makefile_and_ci_wire_topo_smoke(self):
-        assert "topo-smoke:" in (REPO / "Makefile").read_text()
-        assert "topo-smoke" in (
-            REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert_docs_follow_the_makefile("topo")
 
 
 class TestRegistryDocs:
