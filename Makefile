@@ -24,9 +24,10 @@ sweep-smoke:     ## quick-profile fig4 sweep through the parallel runner (2 jobs
 perf:            ## the repo's one benchmark: host time + simulated outcomes per workload (BENCHMARK.json)
 	python3 benchmarks/suite/run.py
 
-tracked:         ## tracked-size churn / lineage / topo grids, uncached; any drift from the committed artifacts fails (~1 min on 2 cores)
+tracked:         ## every committed benchmarks/results artifact, uncached: the tracked-size churn / lineage / topo / p2p grids, then the quick-profile figure benches; any drift fails (~1.5 min on 2 cores)
 	REPRO_BENCH_NO_CACHE=1 pytest benchmarks/bench_churn.py benchmarks/bench_lineage.py \
-		benchmarks/bench_topo.py --benchmark-only
+		benchmarks/bench_topo.py benchmarks/bench_p2p.py --benchmark-only
+	REPRO_BENCH_PROFILE=quick REPRO_BENCH_NO_CACHE=1 pytest benchmarks/ --benchmark-only
 	git diff --exit-code -- benchmarks/results
 
 suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards the ledger's by-name patches)

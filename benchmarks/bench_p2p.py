@@ -13,24 +13,27 @@ other; this sweep quantifies the effect:
   at the largest instance count.
 
 Acceptance gate of the subsystem: at the largest swept count the exchange
-cuts provider bytes by >= 30% and improves average boot time. Every point
-goes through the parallel sweep runner and the persistent result cache.
+cuts provider bytes by >= 30% and improves average boot time. Every point is
+a ``deploy`` spec with the ``p2p`` cloud params and goes through the parallel
+sweep runner and the persistent result cache.
+
+The grids have one size, the ``p2p`` profile's: the committed
+``benchmarks/results/p2p_*.json`` *are* the expectation, and ``make tracked``
+reruns them uncached and fails on any ``git diff``.
 """
 
-import dataclasses
-
 from repro.analysis import Figure, Series, ascii_chart, check_shape, render_figure
-from repro.common.units import MiB
 
 from common import (
     P2P,
     PointSpec,
-    active_profile,
     emit,
     figure_data,
-    register_profile,
     run_sweep,
+    skip_under_quick_profile,
 )
+
+skip_under_quick_profile("tests/p2p/")
 
 #: (strategy label, spec params) — baseline first
 STRATEGIES = (
@@ -41,20 +44,7 @@ STRATEGIES = (
 
 CACHE_MIBS = (4, 16, 64)
 
-if active_profile().name == "quick":
-    PROFILE = register_profile(
-        dataclasses.replace(
-            P2P,
-            name="p2p-quick",
-            pool_nodes=24,
-            instance_counts=(4, 8, 16),
-            image_size=64 * MiB,
-            touched_bytes=8 * MiB,
-        )
-    )
-else:
-    PROFILE = P2P
-
+PROFILE = P2P
 COUNTS = PROFILE.instance_counts
 N_MAX = COUNTS[-1]
 
@@ -62,7 +52,7 @@ N_MAX = COUNTS[-1]
 def matrix_specs():
     return [
         PointSpec(
-            kind="p2p", profile=PROFILE.name, approach="mirror", n=n, seed=1,
+            kind="deploy", profile=PROFILE.name, approach="mirror", n=n, seed=1,
             params=params,
         )
         for _label, params in STRATEGIES
@@ -73,7 +63,7 @@ def matrix_specs():
 def cache_specs():
     return [
         PointSpec(
-            kind="p2p", profile=PROFILE.name, approach="mirror", n=N_MAX, seed=1,
+            kind="deploy", profile=PROFILE.name, approach="mirror", n=N_MAX, seed=1,
             params=(
                 ("p2p", True),
                 ("directory", "announce"),
@@ -85,7 +75,7 @@ def cache_specs():
 
 
 def _strategy_of(point):
-    if not point.spec.param("p2p", True):
+    if not point.spec.param("p2p"):
         return "baseline"
     return point.spec.param("directory", "announce")
 

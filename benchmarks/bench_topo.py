@@ -18,8 +18,9 @@ Two grids, seed 1, ``topo`` profile (264-node pool):
 
 The committed ``benchmarks/results/topo_*.json`` *are* the expectation:
 ``make tracked`` reruns the grids uncached and fails on any ``git diff``.
-The smoke-size behaviour (``racks=1`` equals the flat ``p2p`` kind, the
-cross-rack cut, zero cross-rack replica payload, determinism) is tier-1:
+Every point is a ``deploy`` spec with the fabric cloud params. The
+smoke-size behaviour (``racks=1`` equals the flat fabric, the cross-rack
+cut, zero cross-rack replica payload, determinism) is tier-1:
 ``tests/topo/test_topo_point.py``.
 """
 
@@ -69,7 +70,7 @@ SIM_FIELDS = (
 def _run_grid(grid, extra_params):
     specs = [
         PointSpec(
-            kind="topo", profile="topo", approach="mirror", n=n, seed=1,
+            kind="deploy", profile="topo", approach="mirror", n=n, seed=1,
             params=(
                 ("racks", racks), ("oversubscription", oversub), ("locality", locality),
             ) + extra_params,

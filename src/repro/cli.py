@@ -1,36 +1,11 @@
 """Command-line interface: run the canonical experiments from a shell.
 
-Subcommands::
-
-    python -m repro deploy    --instances 16 --approach mirror
-    python -m repro snapshot  --instances 16 --diff-mib 15
-    python -m repro sweep     --figure fig4 --profile quick --jobs 4
-    python -m repro faults    --instances 8 --replication 2 --crashes 2
-    python -m repro p2p       --instances 32 --directory announce
-    python -m repro topo      --racks 4 --oversubscription 4
-    python -m repro churn     --deploys 200 --policy locality --p2p
-    python -m repro lineage   --depth 8 --compact --policy flatten
-    python -m repro trace     --figure fig4 -n 8
-    python -m repro bonnie
-    python -m repro info
-    python -m repro --version
-
-``deploy`` and ``snapshot`` build a fresh simulated cluster, run the chosen
-pattern at the requested scale, and print the paper's metrics; ``sweep``
-runs a whole figure's measurement sweep through the parallel
-:mod:`repro.runner` engine (multi-core fan-out plus the persistent result
-cache); ``faults`` replays a multideployment while a deterministic fault
-plan crashes storage nodes (chunk replication + client failover keep it
-alive); ``topo`` deploys over a hierarchical (racked, oversubscribed)
-fabric and compares locality-aware policies against a topology-blind
-baseline; ``churn`` runs a long-horizon multi-tenant arrival/teardown stream
-through the placement engine and prints steady-state SLOs; ``lineage``
-builds a deep snapshot chain, optionally compacts it, and restores a VM
-from the chain head with exact dedup accounting; ``trace``
-replays one figure's scenario with the causal tracer
-enabled and writes a Chrome/Perfetto ``trace_event`` JSON plus the
-critical-path breakdown; ``bonnie`` runs the §5.4 micro-benchmark; ``info``
-dumps the active calibration.
+Every scenario subcommand describes its run as :class:`~repro.runner.PointSpec`
+values on a profile derived from its flags, runs them with
+:func:`~repro.runner.execute_point` — the executors the figure benchmarks
+use — and prints the metrics. ``sweep`` fans a figure's specs out over the
+parallel runner; ``trace`` replays one figure's scenario with the causal
+tracer on. ``python -m repro --help`` lists the subcommands.
 """
 
 from __future__ import annotations
@@ -41,8 +16,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .calibration import DEFAULT, Calibration, ImageSpec
-from .common.units import GiB, KiB, MiB, fmt_rate, fmt_size, fmt_time
+from .calibration import DEFAULT
+from .common.errors import SimulationError
+from .common.units import KiB, MiB, fmt_rate, fmt_size, fmt_time
 
 
 def _add_cluster_args(
@@ -61,120 +37,95 @@ def _add_cluster_args(
     parser.add_argument("--seed", type=int, default=1, help="experiment seed")
 
 
-def _calibration(args) -> Calibration:
-    return Calibration(
-        image=ImageSpec(
-            size=args.image_mib * MiB,
-            chunk_size=args.chunk_kib * KiB,
-            boot_touched_bytes=args.touched_mib * MiB,
-        )
+def _cli_profile(**fields):
+    """Register the ``cli`` profile: ``paper`` resized by one command's flags."""
+    from .runner import PAPER, register_profile
+
+    return register_profile(dataclasses.replace(PAPER, name="cli", **fields))
+
+
+def _cluster_profile(args):
+    """The ``cli`` profile of the cluster flags (and ``--diff-mib``, if any)."""
+    fields = dict(
+        pool_nodes=args.pool if args.pool > 0 else max(24, args.instances),
+        image_size=args.image_mib * MiB,
+        chunk_size=args.chunk_kib * KiB,
+        touched_bytes=args.touched_mib * MiB,
+        n_regions=48,
     )
+    if hasattr(args, "diff_mib"):
+        fields["diff_bytes"] = args.diff_mib * MiB
+    return _cli_profile(**fields)
 
 
-def _pool(args) -> int:
-    return args.pool if args.pool > 0 else max(24, args.instances)
+def _check_pool(profile, counts) -> None:
+    bad = [n for n in counts if n > profile.pool_nodes]
+    if bad:
+        raise SimulationError(
+            f"counts {bad} exceed the {profile.name} profile's "
+            f"{profile.pool_nodes}-node pool"
+        )
 
 
-def _maybe_install_tracer(args, cloud):
-    """Honour a ``--trace [PATH]`` flag; returns the live tracer or None."""
-    if getattr(args, "trace", None) is None:
-        return None
-    from . import obs
+def _point(profile, kind, n, seed, approach="mirror", pooled=True, **params):
+    """Execute one ``kind`` point; ``pooled`` means ``n`` counts instances."""
+    from .runner import PointSpec, execute_point
 
-    return obs.install_tracer(cloud.fabric)
+    if pooled:
+        _check_pool(profile, [n])
+    return execute_point(PointSpec(
+        kind=kind, profile=profile.name, approach=approach, n=n, seed=seed,
+        params=params,
+    ))
 
 
-def _maybe_write_trace(args, tracer, default_name: str) -> None:
-    if tracer is None:
-        return
-    from . import obs
-
-    out = args.trace or default_name
-    tracer.finish_open_spans()
-    obs.write_trace_json(out, tracer)
-    print(f"trace:           {out} ({len(tracer.spans)} spans; "
-          f"open in https://ui.perfetto.dev)")
+def _print_pair(n, setup, rows, columns=None) -> None:
+    """Two runs side by side: ``a -> b`` per row, or two aligned ``columns``."""
+    print(f"instances:        {n}  ({setup})")
+    if columns:
+        print(" " * 18 + "".join(f"{c:>14}" for c in columns))
+    for label, a, b in rows:
+        print(f"{label:<18}" + (f"{a:>14}{b:>14}" if columns else f"{a} -> {b}"))
 
 
 def cmd_deploy(args) -> int:
-    from .cloud import build_cloud, deploy
-    from .vmsim import make_image
-
-    calib = _calibration(args)
-    cloud = build_cloud(_pool(args), seed=args.seed, calib=calib)
-    tracer = _maybe_install_tracer(args, cloud)
-    image = make_image(calib.image.size, calib.image.boot_touched_bytes, n_regions=48)
-    res = deploy(cloud, image, args.instances, args.approach)
-    print(f"approach:        {res.approach}")
-    print(f"instances:       {res.n_instances}")
-    print(f"init phase:      {fmt_time(res.init_time)}")
-    print(f"avg boot:        {fmt_time(res.avg_boot_time)}")
-    print(f"completion:      {fmt_time(res.completion_time)}")
-    print(f"network traffic: {fmt_size(res.total_traffic)}")
-    _maybe_write_trace(
-        args, tracer, f"deploy-{args.approach}-n{args.instances}.trace.json"
-    )
+    m = _point(_cluster_profile(args), "deploy", args.instances, args.seed,
+               approach=args.approach).metrics
+    print(f"approach:        {args.approach}")
+    print(f"instances:       {args.instances}")
+    print(f"init phase:      {fmt_time(m['init_time'])}")
+    print(f"avg boot:        {fmt_time(m['avg_boot_time'])}")
+    print(f"completion:      {fmt_time(m['completion_time'])}")
+    print(f"network traffic: {fmt_size(m['total_traffic'])}")
     return 0
 
 
 def cmd_snapshot(args) -> int:
-    from .cloud import build_cloud, deploy, snapshot_all
-    from .vmsim import make_image
-    from .vmsim.workloads import read_your_writes_workload
-
-    calib = _calibration(args)
-    cloud = build_cloud(_pool(args), seed=args.seed, calib=calib)
-    tracer = _maybe_install_tracer(args, cloud)
-    image = make_image(calib.image.size, calib.image.boot_touched_bytes, n_regions=48)
-    res = deploy(cloud, image, args.instances, args.approach)
-
-    def diff(vm, i):
-        ops = read_your_writes_workload(
-            image.write_base, args.diff_mib * MiB,
-            cloud.fabric.rng.get("cli-diff", i), reread_fraction=0.05,
-        )
-        yield from vm.run_ops(ops)
-
-    procs = [cloud.env.process(diff(vm, i)) for i, vm in enumerate(res.vms)]
-    cloud.run(cloud.env.all_of(procs))
-    snap = snapshot_all(cloud, res.vms, args.approach)
-    print(f"approach:          {snap.approach}")
-    print(f"instances:         {snap.n_instances}")
-    print(f"avg snapshot time: {fmt_time(snap.avg_time)}")
-    print(f"completion:        {fmt_time(snap.completion_time)}")
-    print(f"bytes persisted:   {fmt_size(snap.total_bytes_moved)}")
-    _maybe_write_trace(
-        args, tracer, f"snapshot-{args.approach}-n{args.instances}.trace.json"
-    )
+    m = _point(_cluster_profile(args), "snapshot", args.instances, args.seed,
+               approach=args.approach).metrics
+    print(f"approach:          {args.approach}")
+    print(f"instances:         {args.instances}")
+    print(f"avg snapshot time: {fmt_time(m['avg_time'])}")
+    print(f"completion:        {fmt_time(m['completion_time'])}")
+    print(f"bytes persisted:   {fmt_size(m['total_bytes_moved'])}")
     return 0
 
 
 def cmd_trace(args) -> int:
     from . import obs
-    from .cloud import build_cloud, deploy, snapshot_all
-    from .vmsim import make_image
-    from .vmsim.workloads import read_your_writes_workload
+    from .cloud import deploy, snapshot_all
+    from .runner import apply_diffs, build_point_cloud
 
     if args.figure == "fig5" and args.approach == "prepropagation":
-        print("error: prepropagation cannot multisnapshot (paper §5.3)",
-              file=sys.stderr)
-        return 2
-    calib = _calibration(args)
-    cloud = build_cloud(_pool(args), seed=args.seed, calib=calib)
+        raise SimulationError("prepropagation cannot multisnapshot (paper §5.3)")
+    profile = _cluster_profile(args)
+    _check_pool(profile, [args.instances])
+    cloud, image = build_point_cloud(profile, args.seed)
     tracer = obs.install_tracer(cloud.fabric)
-    image = make_image(calib.image.size, calib.image.boot_touched_bytes, n_regions=48)
     res = deploy(cloud, image, args.instances, args.approach)
 
     if args.figure == "fig5":
-        def diff(vm, i):
-            ops = read_your_writes_workload(
-                image.write_base, args.diff_mib * MiB,
-                cloud.fabric.rng.get("cli-diff", i), reread_fraction=0.05,
-            )
-            yield from vm.run_ops(ops)
-
-        procs = [cloud.env.process(diff(vm, i)) for i, vm in enumerate(res.vms)]
-        cloud.run(cloud.env.all_of(procs))
+        apply_diffs(cloud, image, res.vms, profile.diff_bytes)
         snapshot_all(cloud, res.vms, args.approach)
         roots = obs.snapshot_spans(tracer.spans)
         title = "per-VM snapshot time breakdown (seconds)"
@@ -200,137 +151,76 @@ def cmd_trace(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from .cloud import build_cloud
-    from .faults import FaultPlan, RetryPolicy, resilient_deploy
-    from .vmsim import make_image
-
-    calib = _calibration(args)
-    pool = _pool(args)
-    retry = RetryPolicy(
-        attempts=args.attempts,
-        base_delay=args.base_delay,
+    params = dict(
+        replication=args.replication, replica_write_mode=args.write_mode,
+        crashes=args.crashes, mttr=args.mttr, window=args.window, plan=args.plan,
+        attempts=args.attempts, base_delay=args.base_delay,
         rpc_timeout=args.rpc_timeout,
     )
-    cloud = build_cloud(
-        pool, seed=args.seed, calib=calib,
-        replication_factor=args.replication,
-        replica_write_mode=args.write_mode,
-        retry=retry,
-    )
-    image = make_image(calib.image.size, calib.image.boot_touched_bytes, n_regions=48)
-    spares = [h.name for h in cloud.compute[args.instances:]]
-    if args.crashes > len(spares):
-        print(f"error: {args.crashes} crashes exceed the {len(spares)} spare "
-              f"nodes of a {pool}-node pool with {args.instances} instances",
-              file=sys.stderr)
-        return 2
-    if args.crashes == 0:
-        plan = FaultPlan()
-    elif args.plan == "staggered":
-        plan = FaultPlan.staggered_crashes(
-            spares, args.crashes, args.window, mttr=args.mttr
-        )
-    else:
-        plan = FaultPlan.random_crashes(
-            spares, args.crashes, args.window, mttr=args.mttr,
-            seed=args.faults_seed if args.faults_seed is not None else args.seed,
-        )
-    res = resilient_deploy(cloud, image, args.instances, args.approach, plan=plan)
-    print(f"approach:        {res.approach}  (replication={args.replication}, "
+    if args.faults_seed is not None:
+        params["faults_seed"] = args.faults_seed
+    res = _point(_cluster_profile(args), "resilience", args.instances, args.seed,
+                 approach=args.approach, **params)
+    m, s = res.metrics, res.series
+    print(f"approach:        {args.approach}  (replication={args.replication}, "
           f"{args.write_mode} writes)")
-    print(f"fault plan:      {plan.describe()}")
-    if cloud.injector is not None:
-        print(f"injected:        {len(cloud.injector.applied)} incidents")
-    print(f"instances:       {res.n_instances}")
-    print(f"booted:          {res.boots_completed}  "
-          f"(survival {res.survival_rate:.0%})")
-    if res.failed:
-        print(f"failed:          " + ", ".join(
-            f"{name} ({why})" for name, why in sorted(res.failed.items())))
-    print(f"init phase:      {fmt_time(res.init_time)}")
-    print(f"avg boot:        {fmt_time(res.avg_boot_time)}")
-    print(f"completion:      {fmt_time(res.completion_time)}")
-    print(f"network traffic: {fmt_size(res.total_traffic)}")
+    print(f"fault plan:      {s['fault_plan'][0]}")
+    if args.crashes:
+        print(f"injected:        {m['faults_injected']:.0f} incidents")
+    print(f"instances:       {args.instances}")
+    print(f"booted:          {m['boots_completed']:.0f}  "
+          f"(survival {m['survival_rate']:.0%})")
+    if s["failed"]:
+        print(f"failed:          {', '.join(s['failed'])}")
+    print(f"init phase:      {fmt_time(m['init_time'])}")
+    print(f"avg boot:        {fmt_time(m['avg_boot_time'])}")
+    print(f"completion:      {fmt_time(m['completion_time'])}")
+    print(f"network traffic: {fmt_size(m['total_traffic'])}")
     retries = sum(
-        cloud.metrics.counters.get(k, 0)
-        for k in ("fetch-retry", "meta-retry", "put-retry")
+        res.counters.get(k, 0) for k in ("fetch-retry", "meta-retry", "put-retry")
     )
     print(f"client retries:  {retries}")
-    return 0 if res.boots_failed == 0 else 1
+    return 0 if m["boots_failed"] == 0 else 1
 
 
 def cmd_p2p(args) -> int:
-    from .cloud import build_cloud, deploy
-    from .vmsim import make_image
-
-    calib = _calibration(args)
-    pool = _pool(args)
-
-    def run(p2p_on: bool):
-        kw = {}
-        if p2p_on:
-            kw = dict(
-                p2p=True,
-                p2p_directory=args.directory,
-                p2p_locate_fanout=args.fanout,
-            )
-            if args.cache_mib > 0:
-                kw["p2p_cache_bytes"] = args.cache_mib * MiB
-        cloud = build_cloud(pool, seed=args.seed, calib=calib, **kw)
-        image = make_image(
-            calib.image.size, calib.image.boot_touched_bytes, n_regions=48
-        )
-        res = deploy(cloud, image, args.instances, "mirror")
-        return cloud, res
-
-    base_cloud, base = run(False)
-    p2p_cloud, res = run(True)
-    base_pb = base_cloud.metrics.counters.get("provider-bytes", 0)
-    p2p_pb = p2p_cloud.metrics.counters.get("provider-bytes", 0)
-    stats = res.p2p_stats or {}
+    profile = _cluster_profile(args)
+    peers = dict(p2p=True, directory=args.directory, locate_fanout=args.fanout)
+    if args.cache_mib > 0:
+        peers["cache_mib"] = args.cache_mib
+    base, res = (
+        _point(profile, "deploy", args.instances, args.seed, **params).metrics
+        for params in ({}, peers)
+    )
+    base_pb, p2p_pb = base["provider_bytes"], res["provider_bytes"]
     saved = 1.0 - (p2p_pb / base_pb) if base_pb else 0.0
-
-    print(f"instances:        {args.instances}  (directory={args.directory}, "
-          f"fanout={args.fanout})")
-    print(f"avg boot:         {fmt_time(base.avg_boot_time)} -> "
-          f"{fmt_time(res.avg_boot_time)}")
-    print(f"completion:       {fmt_time(base.completion_time)} -> "
-          f"{fmt_time(res.completion_time)}")
-    print(f"provider bytes:   {fmt_size(base_pb)} -> {fmt_size(p2p_pb)} "
-          f"({saved:.0%} served by peers instead)")
-    print(f"peer hit ratio:   {stats.get('peer_hit_ratio', 0.0):.1%}")
-    print(f"bytes from peers: {fmt_size(stats.get('bytes_from_peers', 0))}")
-    print(f"peer failovers:   {stats.get('peer_failovers', 0)}")
-
+    _print_pair(args.instances, f"directory={args.directory}, fanout={args.fanout}", [
+        ("avg boot:", fmt_time(base["avg_boot_time"]), fmt_time(res["avg_boot_time"])),
+        ("completion:", fmt_time(base["completion_time"]),
+         fmt_time(res["completion_time"])),
+        ("provider bytes:", fmt_size(base_pb),
+         f"{fmt_size(p2p_pb)} ({saved:.0%} served by peers instead)"),
+    ])
+    print(f"peer hit ratio:   {res['peer_hit_ratio']:.1%}")
+    print(f"bytes from peers: {fmt_size(res['bytes_from_peers'])}")
+    print(f"peer failovers:   {res['peer_failovers']:.0f}")
     return 0
 
 
 def cmd_topo(args) -> int:
-    from .runner import PointSpec, execute_point, resolve_profile
+    from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
     n = args.instances if args.instances > 0 else profile.instance_counts[0]
-
-    def spec_for(locality: bool):
-        params = [
-            ("racks", args.racks),
-            ("oversubscription", args.oversubscription),
-            ("locality", locality),
-            ("directory", args.directory),
-            ("locate_fanout", args.fanout),
-        ]
-        if args.no_p2p:
-            params.append(("p2p", False))
-        if args.replication > 1:
-            params.append(("replication", args.replication))
-        return PointSpec(
-            kind="topo", profile=profile.name, approach="mirror",
-            n=n, seed=args.seed, params=tuple(params),
-        )
-
-    blind = execute_point(spec_for(False))
-    aware = execute_point(spec_for(True))
-    bm, am = blind.metrics, aware.metrics
+    bm, am = (
+        _point(
+            profile, "deploy", n, args.seed, racks=args.racks,
+            oversubscription=args.oversubscription, locality=locality,
+            p2p=not args.no_p2p, directory=args.directory,
+            locate_fanout=args.fanout, replication=args.replication,
+        ).metrics
+        for locality in (False, True)
+    )
 
     def cross_frac(m):
         total = m["intra_rack_bytes"] + m["cross_rack_bytes"]
@@ -338,51 +228,46 @@ def cmd_topo(args) -> int:
 
     cut = (1.0 - am["cross_rack_bytes"] / bm["cross_rack_bytes"]
            if bm["cross_rack_bytes"] else 0.0)
-    print(f"instances:        {n}  (racks={args.racks}, "
-          f"oversubscription={args.oversubscription:g}, "
-          f"p2p={not args.no_p2p}, directory={args.directory})")
-    print(f"                  {'blind':>14}{'locality':>14}")
-    print(f"avg boot:         {fmt_time(bm['avg_boot_time']):>14}"
-          f"{fmt_time(am['avg_boot_time']):>14}")
-    print(f"completion:       {fmt_time(bm['completion_time']):>14}"
-          f"{fmt_time(am['completion_time']):>14}")
-    print(f"intra-rack bytes: {fmt_size(bm['intra_rack_bytes']):>14}"
-          f"{fmt_size(am['intra_rack_bytes']):>14}")
-    print(f"cross-rack bytes: {fmt_size(bm['cross_rack_bytes']):>14}"
-          f"{fmt_size(am['cross_rack_bytes']):>14}")
+    _print_pair(
+        n,
+        f"racks={args.racks}, oversubscription={args.oversubscription:g}, "
+        f"p2p={not args.no_p2p}, directory={args.directory}",
+        [
+            ("avg boot:", fmt_time(bm["avg_boot_time"]), fmt_time(am["avg_boot_time"])),
+            ("completion:", fmt_time(bm["completion_time"]),
+             fmt_time(am["completion_time"])),
+            ("intra-rack bytes:", fmt_size(bm["intra_rack_bytes"]),
+             fmt_size(am["intra_rack_bytes"])),
+            ("cross-rack bytes:", fmt_size(bm["cross_rack_bytes"]),
+             fmt_size(am["cross_rack_bytes"])),
+        ],
+        columns=("blind", "locality"),
+    )
     print(f"cross-rack share: {cross_frac(bm):>13.1%}{cross_frac(am):>14.1%}")
     print(f"cross-rack cut:   {cut:.1%} (locality vs topology-blind)")
-
     return 0
 
 
 def cmd_churn(args) -> int:
-    from .runner import PointSpec, execute_point, resolve_profile
+    from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
     n = args.deploys if args.deploys > 0 else profile.instance_counts[0]
-    params = [
-        ("policy", args.policy),
-        ("arrivals", args.arrivals),
-        ("rate", args.rate),
-        ("tenants", args.tenants),
-        ("mean_lifetime", args.mean_lifetime),
-        ("gc_interval", args.gc_interval),
-    ]
-    if args.restore_fraction > 0.0:
-        params.append(("restore_fraction", args.restore_fraction))
-        if args.retain_snapshots:
-            params.append(("retain_snapshots", True))
-    if args.p2p:
-        params.append(("p2p", True))
-        if args.cache_mib > 0:
-            params.append(("cache_mib", args.cache_mib))
-    spec = PointSpec(
-        kind="churn", profile=profile.name, approach=args.policy,
-        n=n, seed=args.seed, params=tuple(params),
+    params = dict(
+        policy=args.policy, arrivals=args.arrivals, rate=args.rate,
+        tenants=args.tenants, mean_lifetime=args.mean_lifetime,
+        gc_interval=args.gc_interval,
     )
-    res = execute_point(spec)
-    m = res.metrics
+    if args.restore_fraction > 0.0:
+        params["restore_fraction"] = args.restore_fraction
+        if args.retain_snapshots:
+            params["retain_snapshots"] = True
+    if args.p2p:
+        params["p2p"] = True
+        if args.cache_mib > 0:
+            params["cache_mib"] = args.cache_mib
+    m = _point(profile, "churn", n, args.seed, approach=args.policy, pooled=False,
+               **params).metrics
 
     print(f"policy:           {args.policy}  (arrivals={args.arrivals}, "
           f"rate={args.rate}/s, tenants={args.tenants}, p2p={args.p2p})")
@@ -413,25 +298,14 @@ def cmd_churn(args) -> int:
 
 
 def cmd_lineage(args) -> int:
-    from .runner import PointSpec, execute_point, resolve_profile
+    from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
     depth = args.depth if args.depth > 0 else profile.instance_counts[-1]
-    params = []
+    params = dict(replication=args.replication)
     if args.compact:
-        params += [
-            ("compact", True),
-            ("policy", args.policy),
-            ("depth_bound", args.depth_bound),
-        ]
-    if args.replication > 1:
-        params.append(("replication", args.replication))
-    spec = PointSpec(
-        kind="lineage", profile=profile.name, approach="mirror",
-        n=depth, seed=args.seed, params=tuple(params),
-    )
-    res = execute_point(spec)
-    m = res.metrics
+        params.update(compact=True, policy=args.policy, depth_bound=args.depth_bound)
+    m = _point(profile, "lineage", depth, args.seed, pooled=False, **params).metrics
 
     mode = (f"compact={args.policy}/{args.depth_bound}" if args.compact
             else "uncompacted")
@@ -457,42 +331,18 @@ def cmd_lineage(args) -> int:
 
 
 def cmd_bonnie(args) -> int:
-    from .blobseer import BlobSeerDeployment
-    from .common.payload import Payload
-    from .simkit.host import Fabric
-    from .vmsim import BonnieBenchmark
-    from .vmsim.backends import LocalRawBackend, MirrorBackend
-
     size = args.image_mib * MiB
-    working = min(args.working_mib * MiB, size // 2)
-    rows = {}
-    for kind in ("local", "mirror"):
-        fabric = Fabric(seed=args.seed)
-        nodes = [fabric.add_host(f"node{i}") for i in range(8)]
-        manager = fabric.add_host("manager")
-        dep = BlobSeerDeployment(fabric, nodes, nodes, manager)
-        rec = dep.seed_blob(Payload.opaque("img", size), 256 * KiB)
-        fuse = DEFAULT.fuse
-        if kind == "local":
-            f = nodes[0].create_file("/img", size)
-            f.write(0, Payload.opaque("img", size))
-            backend = LocalRawBackend(nodes[0], "/img", fuse)
-            ops = (fuse.local_data_op_overhead, fuse.local_per_op_overhead)
-        else:
-            backend = MirrorBackend(nodes[0], dep, rec.blob_id, rec.version, fuse)
-            ops = (fuse.data_op_overhead, fuse.per_op_overhead)
-        bench = BonnieBenchmark(backend, *ops, working_set=working, base_offset=size // 2)
-        out = {}
-
-        def master(backend=backend, bench=bench, out=out):
-            yield from backend.open()
-            out["r"] = yield from bench.run()
-
-        fabric.run(fabric.env.process(master()))
-        rows[kind] = out["r"]
-
+    profile = _cli_profile(
+        pool_nodes=8, image_size=size,
+        touched_bytes=size // 8,  # the boot hot set: Bonnie++ never boots
+        bonnie_working_set=min(args.working_mib * MiB, size // 2),
+    )
+    rows = {
+        a: _point(profile, "bonnie", 0, args.seed, approach=a).metrics
+        for a in ("local", "mirror")
+    }
     print(f"{'metric':<16}{'local':>14}{'our-approach':>14}")
-    for label, attr in [
+    for label, metric in [
         ("BlockW KB/s", "block_write_kbps"),
         ("BlockR KB/s", "block_read_kbps"),
         ("BlockO KB/s", "block_overwrite_kbps"),
@@ -500,8 +350,8 @@ def cmd_bonnie(args) -> int:
         ("CreatF ops/s", "create_ops"),
         ("DelF ops/s", "delete_ops"),
     ]:
-        print(f"{label:<16}{getattr(rows['local'], attr):>14.0f}"
-              f"{getattr(rows['mirror'], attr):>14.0f}")
+        print(f"{label:<16}{rows['local'][metric]:>14.0f}"
+              f"{rows['mirror'][metric]:>14.0f}")
     return 0
 
 
@@ -529,11 +379,7 @@ def cmd_sweep(args) -> int:
     kind, all_approaches = SWEEP_FIGURES[args.figure]
     approaches = tuple(args.approach) or all_approaches
     counts = tuple(args.counts) if args.counts else profile.instance_counts
-    bad = [n for n in counts if n > profile.pool_nodes]
-    if bad:
-        print(f"error: counts {bad} exceed the {profile.name} profile's "
-              f"{profile.pool_nodes}-node pool", file=sys.stderr)
-        return 2
+    _check_pool(profile, counts)
 
     specs = [
         PointSpec(kind=kind, profile=profile.name, approach=a, n=n, seed=args.seed)
@@ -589,14 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of 'Going Back and Forth' (HPDC 2011)",
         epilog=(
-            "subcommands: deploy (one multideployment), snapshot "
-            "(multisnapshotting), sweep (figure sweeps via the parallel "
-            "runner), faults (deployment under injected crashes), p2p "
-            "(cooperative chunk exchange), topo (hierarchical fabric + "
-            "locality policies), churn (long-horizon multi-tenant "
-            "SLOs), lineage (snapshot chains, compaction, restore-to-"
-            "version), trace (Perfetto causal traces), bonnie (the §5.4 "
-            "micro-benchmark), info (active calibration). "
             f"point kinds: {', '.join(known_kinds())}. "
             f"profiles: {', '.join(known_profiles())}."
         ),
@@ -612,11 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=["mirror", "qcow2-pvfs", "prepropagation"],
         default="mirror",
     )
-    p_deploy.add_argument(
-        "--trace", nargs="?", const="", default=None, metavar="PATH",
-        help="record a Perfetto trace (optional output path; "
-             "default deploy-<approach>-n<N>.trace.json)",
-    )
     p_deploy.set_defaults(func=cmd_deploy)
 
     p_snap = sub.add_parser("snapshot", help="deploy, dirty, multisnapshot")
@@ -624,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap.add_argument("--approach", choices=["mirror", "qcow2-pvfs"], default="mirror")
     p_snap.add_argument("--diff-mib", type=int, default=15,
                         help="local modifications per VM, in MiB")
-    p_snap.add_argument(
-        "--trace", nargs="?", const="", default=None, metavar="PATH",
-        help="record a Perfetto trace (optional output path; "
-             "default snapshot-<approach>-n<N>.trace.json)",
-    )
     p_snap.set_defaults(func=cmd_snapshot)
 
     p_trace = sub.add_parser(
@@ -825,7 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimulationError as exc:  # a run the runner refuses: no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

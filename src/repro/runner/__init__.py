@@ -30,7 +30,7 @@ from .profiles import (
     register_profile,
     resolve_profile,
 )
-from .spec import POINT_KINDS, PointResult, PointSpec
+from .spec import PointResult, PointSpec
 
 __all__ = [
     "BenchProfile",
@@ -41,7 +41,6 @@ __all__ = [
     "LINEAGE_SMOKE",
     "P2P",
     "PAPER",
-    "POINT_KINDS",
     "PointResult",
     "PointSpec",
     "QUICK",

@@ -29,7 +29,7 @@ from .spec import PointResult, PointSpec
 
 #: bump when a change to the simulator alters simulated outcomes; stale
 #: cache entries keyed under the old token are then never replayed
-CODE_VERSION = "sweep-cache-v5"  # v5: event fusion moved every cached event_count
+CODE_VERSION = "sweep-cache-v6"  # v6: deploy/snapshot report source metrics; p2p/topo kinds folded into deploy
 
 #: environment variable overriding the default cache directory
 CACHE_ENV = "REPRO_SWEEP_CACHE"

@@ -5,32 +5,62 @@ with any other point), runs one experiment, and returns plain data. The
 executors reproduce the figure benchmarks' measurement code exactly — same
 RNG labels, same construction order — so routing a sweep through the runner
 yields bit-identical series to the old in-line loops.
+
+Every kind reads the same cloud params (:data:`CLOUD_PARAMS`: the p2p
+overlay, storage replication and the rack fabric) plus the workload params it
+declares at :func:`point_kind`; a spec naming any other param is rejected
+before anything is built.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, FrozenSet, Tuple
 
 from ..cloud import build_cloud, deploy, seed_image, snapshot_all
 from ..common.errors import SimulationError
+from ..common.units import KiB, MiB
 from ..vmsim import make_image
 from ..vmsim.workloads import read_your_writes_workload
 from .profiles import BenchProfile, profile_calibration, resolve_profile
 from .spec import PointResult, PointSpec
 
-_EXECUTORS: Dict[str, Callable] = {}
+#: kind -> (executor, the workload params it accepts beside the cloud params)
+_EXECUTORS: Dict[str, Tuple[Callable, FrozenSet[str]]] = {}
 
 
-def point_kind(name: str):
+def point_kind(name: str, *params: str):
+    """Register the executor of kind ``name``, which reads workload ``params``."""
     def register(fn):
-        _EXECUTORS[name] = fn
+        _EXECUTORS[name] = (fn, frozenset(params))
         return fn
     return register
 
 
 def known_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_EXECUTORS))
+
+
+#: The cloud params every kind accepts, with their defaults (a flat,
+#: provider-only, unreplicated cloud: the seed model of §5.1).
+CLOUD_PARAMS = {
+    # p2p overlay
+    "p2p": False,              # enable the cooperative chunk exchange
+    "directory": "announce",   # peer location: announce | rendezvous
+    "cache_mib": None,         # per-node peer cache (None = the P2PConfig default)
+    "locate_fanout": 2,        # candidate peers tried per chunk before the providers
+    # storage
+    "replication": 1,          # provider replica count
+    "placement": None,         # None = rack-diverse if locality, racks > 1 and
+                               # replication > 1, else round-robin
+    "replica_write_mode": "parallel",  # parallel | pipeline
+    # fabric
+    "racks": 1,                # 1 = the flat fabric
+    "oversubscription": 4.0,   # rack uplink = hosts_per_rack * nic_bw / this
+    "locality": True,          # rack-aware peer ranking and replica reads
+                               # (False = the topology-blind baseline)
+    "fairness": "equal-share",  # flow-sharing model
+}
 
 
 def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
@@ -47,6 +77,26 @@ def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
     return cloud, image
 
 
+def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
+    """:func:`build_point_cloud` under ``spec``'s cloud params (+ the kind's keywords)."""
+    p = {name: spec.param(name, default) for name, default in CLOUD_PARAMS.items()}
+    replication, racks, locality = int(p["replication"]), int(p["racks"]), bool(p["locality"])
+    if p["cache_mib"] is not None:
+        cloud_kw["p2p_cache_bytes"] = int(p["cache_mib"]) * MiB
+    return build_point_cloud(
+        profile, spec.seed, calib=calib,
+        p2p=bool(p["p2p"]), p2p_directory=p["directory"],
+        p2p_locate_fanout=int(p["locate_fanout"]),
+        replication_factor=replication,
+        placement=p["placement"] or (
+            "rack-diverse" if locality and racks > 1 and replication > 1 else "round-robin"
+        ),
+        replica_write_mode=p["replica_write_mode"],
+        racks=racks, oversubscription=float(p["oversubscription"]), topo_aware=locality,
+        fairness=p["fairness"], **cloud_kw,
+    )
+
+
 def apply_diffs(cloud, image, vms, diff_bytes: int) -> None:
     """Each running VM writes ~``diff_bytes`` of local modifications (§5.3)."""
 
@@ -61,16 +111,46 @@ def apply_diffs(cloud, image, vms, diff_bytes: int) -> None:
     cloud.run(cloud.env.all_of(procs))
 
 
+def _source_metrics(cloud) -> Dict[str, float]:
+    """Where the point's bytes came from: providers, peers, and fabric tiers.
+
+    The per-tier split sorts the fluid-flow bytes by the scope of each flow's
+    endpoints (intra-rack / cross-rack), overall and for the ``payload`` kind
+    alone (provider chunk reads; peer-exchange chunk bytes travel as
+    ``rpc-response``). All of it is zero where the feature is off.
+    """
+    m = cloud.metrics
+    stats = cloud.p2p.stats() if cloud.p2p is not None else {}
+    scopes = m.topo_scope_totals()
+    return {
+        "provider_bytes": float(m.counters.get("provider-bytes", 0)),
+        "peer_hit_ratio": float(stats.get("peer_hit_ratio", 0.0)),
+        "bytes_from_peers": float(stats.get("bytes_from_peers", 0)),
+        "bytes_from_providers": float(stats.get("bytes_from_providers", 0)),
+        "peer_failovers": float(stats.get("peer_failovers", 0)),
+        "cache_evictions": float(stats.get("cache_evictions", 0)),
+        "intra_rack_bytes": float(scopes.get("intra-rack", 0)),
+        "cross_rack_bytes": float(scopes.get("cross-rack", 0) + scopes.get("cross-pod", 0)),
+        "intra_rack_payload_bytes": float(m.topo_kind_bytes("intra-rack", "payload")),
+        "cross_rack_payload_bytes": float(
+            m.topo_kind_bytes("cross-rack", "payload")
+            + m.topo_kind_bytes("cross-pod", "payload")
+        ),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # executors
 # --------------------------------------------------------------------------- #
-@point_kind("deploy")
+@point_kind("deploy", "mirror_prefetch")
 def _run_deploy(spec: PointSpec, profile: BenchProfile, calib):
-    """One Fig. 4 measurement: deploy ``n`` instances with ``approach``."""
-    cloud, image = build_point_cloud(
-        profile, spec.seed, calib=calib,
-        fairness=spec.param("fairness", "equal-share"),
-    )
+    """One Fig. 4 measurement: deploy ``n`` instances with ``approach``.
+
+    Param ``mirror_prefetch`` (strategy 1 of §3.3; default True). With the
+    cloud params this is also the cooperative-exchange point (``p2p``) and
+    the rack-fabric point (``racks``, ``locality``, ...).
+    """
+    cloud, image = _spec_cloud(spec, profile, calib)
     res = deploy(
         cloud, image, spec.n, spec.approach,
         mirror_prefetch=spec.param("mirror_prefetch", True),
@@ -80,15 +160,23 @@ def _run_deploy(spec: PointSpec, profile: BenchProfile, calib):
         "avg_boot_time": res.avg_boot_time,
         "completion_time": res.completion_time,
         "total_traffic": res.total_traffic,
+        **_source_metrics(cloud),
     }
     series = {"boot_times": tuple(res.boot_times)}
     return cloud, metrics, series
 
 
-@point_kind("snapshot")
+@point_kind("snapshot", "diff_bytes")
 def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
-    """One Fig. 5 measurement: deploy, write diffs, snapshot all."""
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib)
+    """One Fig. 5 measurement: deploy, write diffs, snapshot all.
+
+    Param ``diff_bytes`` (per-VM local modifications; default the
+    profile's). A racked, replicated burst is the same point with the cloud
+    params set: with ``racks`` > 1 and ``replication`` > 1 the default
+    rack-diverse placement sends a copy of every committed chunk across an
+    uplink.
+    """
+    cloud, image = _spec_cloud(spec, profile, calib)
     res = deploy(cloud, image, spec.n, spec.approach)
     diff_bytes = spec.param("diff_bytes", profile.diff_bytes)
     apply_diffs(cloud, image, res.vms, diff_bytes)
@@ -98,6 +186,7 @@ def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
         "completion_time": snap.completion_time,
         "total_bytes_moved": snap.total_bytes_moved,
         "deploy_completion_time": res.completion_time,
+        **_source_metrics(cloud),
     }
     series = {"snapshot_durations": tuple(s.duration for s in snap.per_instance)}
     return cloud, metrics, series
@@ -109,7 +198,7 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
     from ..vmsim import BonnieBenchmark
     from ..vmsim.backends import LocalRawBackend, MirrorBackend
 
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib)
+    cloud, image = _spec_cloud(spec, profile, calib)
     idents = seed_image(cloud, image)
     node = cloud.compute[0]
     fuse = cloud.calib.fuse
@@ -151,7 +240,10 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
     return cloud, metrics, {}
 
 
-@point_kind("resilience")
+@point_kind(
+    "resilience", "crashes", "mttr", "window", "plan", "faults_seed",
+    "attempts", "base_delay", "rpc_timeout",
+)
 def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
     """One resilience-sweep point: multideployment under injected crashes.
 
@@ -160,16 +252,15 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
     a crashed spare takes its data provider (and metadata shard) down with
     whatever chunks it held.
 
-    Params: ``replication`` (replica count), ``crashes`` (how many spares
-    die), ``mttr`` (0 = permanent loss), ``window`` (crash spread, seconds
-    into the boot phase), ``plan`` (``staggered`` | ``random``),
-    ``faults_seed``, ``attempts`` / ``rpc_timeout`` / ``base_delay``
-    (client retry policy), ``replica_write_mode`` (``parallel`` |
-    ``pipeline``).
+    Params: ``crashes`` (how many spares die), ``mttr`` (0 = permanent
+    loss), ``window`` (crash spread, seconds into the boot phase), ``plan``
+    (``staggered`` | ``random``), ``faults_seed``, ``attempts`` /
+    ``rpc_timeout`` / ``base_delay`` (client retry policy); the replica
+    count and write mode are the cloud params ``replication`` /
+    ``replica_write_mode``.
     """
     from ..faults import FaultPlan, RetryPolicy, resilient_deploy
 
-    replication = int(spec.param("replication", 1))
     crashes = int(spec.param("crashes", 0))
     mttr = float(spec.param("mttr", 0.0))
     window = float(spec.param("window", 5.0))
@@ -180,12 +271,7 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
         base_delay=float(spec.param("base_delay", 0.25)),
         rpc_timeout=float(spec.param("rpc_timeout", 2.0)),
     )
-    cloud, image = build_point_cloud(
-        profile, spec.seed, calib=calib,
-        replication_factor=replication,
-        replica_write_mode=spec.param("replica_write_mode", "parallel"),
-        retry=retry,
-    )
+    cloud, image = _spec_cloud(spec, profile, calib, retry=retry)
     spares = [h.name for h in cloud.compute[spec.n:]]
     if crashes > len(spares):
         raise SimulationError(
@@ -225,130 +311,22 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
         "boots_completed": float(res.boots_completed),
         "boots_failed": float(res.boots_failed),
         "survival_rate": res.survival_rate,
+        "faults_injected": float(len(cloud.injector.applied) if cloud.injector else 0),
     }
-    series = {"boot_times": tuple(res.boot_times)}
+    series = {
+        "boot_times": tuple(res.boot_times),
+        "failed": tuple(f"{vm} ({why})" for vm, why in sorted(res.failed.items())),
+        "fault_plan": (plan.describe(),),
+    }
     return cloud, metrics, series
 
 
-@point_kind("p2p")
-def _run_p2p(spec: PointSpec, profile: BenchProfile, calib):
-    """One cooperative-exchange sweep point: mirror deploy, p2p on or off.
-
-    Params: ``p2p`` (enable the exchange; default True), ``directory``
-    (``announce`` | ``rendezvous``), ``cache_mib`` (per-node peer cache;
-    omitted = the :class:`~repro.p2p.exchange.P2PConfig` default),
-    ``locate_fanout`` (candidates tried per chunk before the providers).
-    A point with ``p2p=False`` is the baseline the speedups are measured
-    against — same seed, same image, provider-only fetch path.
-    """
-    from ..common.units import MiB
-
-    enabled = bool(spec.param("p2p", True))
-    cloud_kw = {}
-    if enabled:
-        cloud_kw = dict(
-            p2p=True,
-            p2p_directory=spec.param("directory", "announce"),
-            p2p_locate_fanout=int(spec.param("locate_fanout", 2)),
-        )
-        cache_mib = spec.param("cache_mib")
-        if cache_mib is not None:
-            cloud_kw["p2p_cache_bytes"] = int(cache_mib) * MiB
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
-    res = deploy(cloud, image, spec.n, spec.approach or "mirror")
-    metrics = {
-        "avg_boot_time": res.avg_boot_time,
-        "completion_time": res.completion_time,
-        "total_traffic": res.total_traffic,
-        "provider_bytes": float(cloud.metrics.counters.get("provider-bytes", 0)),
-    }
-    stats = res.p2p_stats if res.p2p_stats is not None else {}
-    metrics["peer_hit_ratio"] = float(stats.get("peer_hit_ratio", 0.0))
-    metrics["bytes_from_peers"] = float(stats.get("bytes_from_peers", 0))
-    metrics["bytes_from_providers"] = float(stats.get("bytes_from_providers", 0))
-    metrics["peer_failovers"] = float(stats.get("peer_failovers", 0))
-    metrics["cache_evictions"] = float(stats.get("cache_evictions", 0))
-    series = {"boot_times": tuple(res.boot_times)}
-    return cloud, metrics, series
-
-
-@point_kind("topo")
-def _run_topo(spec: PointSpec, profile: BenchProfile, calib):
-    """One hierarchical-fabric sweep point: mirror deploy on a rack fabric.
-
-    Params: ``racks`` (default 8; ``1`` = flat fabric, bit-identical to the
-    ``p2p`` kind with the same knobs), ``oversubscription`` (rack uplink =
-    ``hosts_per_rack * nic_bw / oversubscription``; default 4.0),
-    ``locality`` (enable the rack-aware consumers — peer ranking, replica
-    reads; default True — False is the topology-blind baseline the
-    cross-rack cut is measured against), ``p2p`` / ``directory`` /
-    ``cache_mib`` / ``locate_fanout`` (the overlay knobs of the ``p2p``
-    kind; p2p defaults True here), ``replication`` (provider replica
-    count) and ``placement`` (defaults to ``rack-diverse`` on a multi-rack
-    fabric with replication > 1, else ``round-robin``).
-
-    Reported per-tier traffic splits the fluid-flow bytes by the scope of
-    each flow's endpoints (intra-rack / cross-rack), overall and for the
-    ``payload`` kind alone (provider chunk reads; peer-exchange chunk bytes
-    travel as ``rpc-response``).
-    """
-    from ..common.units import MiB
-
-    racks = int(spec.param("racks", 8))
-    locality = bool(spec.param("locality", True))
-    replication = int(spec.param("replication", 1))
-    placement = spec.param("placement")
-    if placement is None:
-        placement = (
-            "rack-diverse" if (locality and racks > 1 and replication > 1)
-            else "round-robin"
-        )
-    cloud_kw = dict(
-        racks=racks,
-        oversubscription=float(spec.param("oversubscription", 4.0)),
-        topo_aware=locality,
-        placement=placement,
-    )
-    if replication > 1:
-        cloud_kw["replication_factor"] = replication
-    if bool(spec.param("p2p", True)):
-        cloud_kw.update(
-            p2p=True,
-            p2p_directory=spec.param("directory", "announce"),
-            p2p_locate_fanout=int(spec.param("locate_fanout", 2)),
-        )
-        cache_mib = spec.param("cache_mib")
-        if cache_mib is not None:
-            cloud_kw["p2p_cache_bytes"] = int(cache_mib) * MiB
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
-    res = deploy(cloud, image, spec.n, spec.approach or "mirror")
-    m = cloud.metrics
-    scopes = m.topo_scope_totals()
-    metrics = {
-        "avg_boot_time": res.avg_boot_time,
-        "completion_time": res.completion_time,
-        "total_traffic": res.total_traffic,
-        "intra_rack_bytes": float(scopes.get("intra-rack", 0)),
-        "cross_rack_bytes": float(
-            scopes.get("cross-rack", 0) + scopes.get("cross-pod", 0)
-        ),
-        "intra_rack_payload_bytes": float(
-            m.topo_kind_bytes("intra-rack", "payload")
-        ),
-        "cross_rack_payload_bytes": float(
-            m.topo_kind_bytes("cross-rack", "payload")
-            + m.topo_kind_bytes("cross-pod", "payload")
-        ),
-    }
-    stats = res.p2p_stats if res.p2p_stats is not None else {}
-    metrics["peer_hit_ratio"] = float(stats.get("peer_hit_ratio", 0.0))
-    metrics["bytes_from_peers"] = float(stats.get("bytes_from_peers", 0))
-    metrics["bytes_from_providers"] = float(stats.get("bytes_from_providers", 0))
-    series = {"boot_times": tuple(res.boot_times)}
-    return cloud, metrics, series
-
-
-@point_kind("churn")
+@point_kind(
+    "churn", "policy", "arrivals", "rate", "tenants", "mean_lifetime",
+    "min_lifetime", "snapshot_fraction", "restore_fraction", "slots_per_node",
+    "max_queue", "gc_interval", "sample_interval", "retention",
+    "retain_snapshots", "diff_kib",
+)
 def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
     """One long-horizon churn run; ``spec.n`` counts *deploy requests*.
 
@@ -359,25 +337,13 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
     ``restore_fraction`` (post-teardown restore-to-version arrivals),
     ``slots_per_node``, ``max_queue``, ``gc_interval`` (0 disables the
     periodic sweep — the storage-growth ablation), ``sample_interval``,
-    ``retention``, ``retain_snapshots``, ``diff_kib``; plus the p2p overlay
-    knobs of the ``p2p`` kind (``p2p``, ``directory``, ``cache_mib``,
-    ``locate_fanout``) since locality-aware placement reads the peer
-    caches. ``approach`` is ignored (churn always runs the mirror path).
+    ``retention``, ``retain_snapshots``, ``diff_kib``. Locality-aware
+    placement reads the peer caches of the cloud param ``p2p``.
+    ``approach`` is ignored (churn always runs the mirror path).
     """
     from ..churn import ChurnEngine, ChurnSpec
-    from ..common.units import KiB, MiB
 
-    cloud_kw = {"with_pvfs": False}
-    if bool(spec.param("p2p", False)):
-        cloud_kw.update(
-            p2p=True,
-            p2p_directory=spec.param("directory", "announce"),
-            p2p_locate_fanout=int(spec.param("locate_fanout", 2)),
-        )
-        cache_mib = spec.param("cache_mib")
-        if cache_mib is not None:
-            cloud_kw["p2p_cache_bytes"] = int(cache_mib) * MiB
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
+    cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
     churn_spec = ChurnSpec(
         n_deploys=spec.n,
         arrivals=spec.param("arrivals", "poisson"),
@@ -437,7 +403,7 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
     return cloud, metrics, series
 
 
-@point_kind("lineage")
+@point_kind("lineage", "compact", "policy", "depth_bound")
 def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
     """One snapshot-lineage point; ``spec.n`` is the *chain depth*.
 
@@ -449,9 +415,9 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
     round-trips are what compaction bounds.
 
     Params: ``compact`` (run :func:`~repro.lineage.compact_chain`; default
-    False), ``policy`` (``flatten`` | ``merge``), ``depth_bound``,
-    ``replication`` (provider replica count), ``p2p`` (enable the peer
-    exchange on the restore fetch path).
+    False), ``policy`` (``flatten`` | ``merge``), ``depth_bound``. The
+    cloud params ``replication`` and ``p2p`` (the peer exchange on the
+    restore fetch path) apply as to every kind.
     """
     from ..blobseer.gc import collect_garbage
     from ..lineage import (
@@ -466,13 +432,7 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
     policy = spec.param("policy", "flatten")
     depth_bound = int(spec.param("depth_bound", 4))
 
-    cloud_kw = {"with_pvfs": False}
-    replication = int(spec.param("replication", 1))
-    if replication > 1:
-        cloud_kw["replication_factor"] = replication
-    if bool(spec.param("p2p", False)):
-        cloud_kw["p2p"] = True
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
+    cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
     dep = cloud.blobseer
 
     res = deploy(cloud, image, 1, "mirror")
@@ -567,7 +527,7 @@ def _run_mc_workers(cloud, workers, until=None):
     cloud.run(cloud.env.all_of(procs))
 
 
-@point_kind("montecarlo")
+@point_kind("montecarlo", "mode")
 def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib):
     """The §5.5 Monte Carlo application; param ``mode`` picks the setting:
 
@@ -578,7 +538,7 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib):
     from ..vmsim import MonteCarloWorker
 
     mode = spec.param("mode", "uninterrupted")
-    cloud, image = build_point_cloud(profile, spec.seed, calib=calib)
+    cloud, image = _spec_cloud(spec, profile, calib)
     n = min(profile.mc_workers, profile.pool_nodes)
     cfg = _mc_config(profile, calib, image)
 
@@ -673,12 +633,19 @@ def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
 def execute_point(spec: PointSpec) -> PointResult:
     """Run one spec in-process and return its structured result."""
     try:
-        executor = _EXECUTORS[spec.kind]
+        executor, params = _EXECUTORS[spec.kind]
     except KeyError:
         raise SimulationError(
             f"unknown point kind {spec.kind!r}; known kinds: "
             f"{', '.join(known_kinds())}"
         ) from None
+    accepted = params | CLOUD_PARAMS.keys()
+    unknown = sorted({name for name, _ in spec.params} - accepted)
+    if unknown:
+        raise SimulationError(
+            f"point {spec.label()!r}: unknown params {', '.join(unknown)}; "
+            f"kind {spec.kind!r} accepts {', '.join(sorted(accepted))}"
+        )
     profile = resolve_profile(spec.profile)
     calib = profile_calibration(profile, spec.overrides)
     t0 = time.perf_counter()

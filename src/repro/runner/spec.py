@@ -16,22 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-#: kinds of points the executor registry knows how to run
-POINT_KINDS = (
-    "deploy", "snapshot", "bonnie", "montecarlo", "resilience", "p2p", "churn",
-    "lineage", "topo",
-)
-
-
 def _freeze(pairs: Any) -> tuple:
-    """Canonicalize a dict/iterable of (key, value) pairs to a sorted tuple."""
+    """Canonicalize a dict/iterable of (key, value) pairs to a sorted tuple.
+
+    A key given twice is an error: neither value would be the obvious one.
+    """
     if pairs is None:
         return ()
     if isinstance(pairs, Mapping):
         items = pairs.items()
     else:
         items = [tuple(p) for p in pairs]
-    return tuple(sorted((str(k), v) for k, v in items))
+    frozen = tuple(sorted((str(k), v) for k, v in items))
+    keys = [k for k, _ in frozen]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate keys among {', '.join(keys)}")
+    return frozen
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runner import PointSpec, ResultCache, SweepError, SweepRunner
+from repro.common.errors import SimulationError
+from repro.runner import PointSpec, ResultCache, SweepError, SweepRunner, execute_point
 
 
 def _specs(counts=(1, 2), kind="deploy", approach="mirror"):
@@ -17,8 +18,11 @@ class TestEquivalence:
         specs = _specs(counts=(1, 2, 1, 2)) + [
             PointSpec(kind="lineage", profile="lineage-smoke", approach="mirror", n=3, seed=1,
                       params=(("compact", True), ("policy", "merge"), ("depth_bound", 2))),
-            PointSpec(kind="topo", profile="topo-smoke", approach="mirror", n=8, seed=1,
-                      params=(("racks", 4), ("locality", True))),
+            PointSpec(kind="deploy", profile="topo-smoke", approach="mirror", n=8, seed=1,
+                      params=(("p2p", True), ("racks", 4), ("locality", True))),
+            # a racked, replicated multisnapshot burst is one spec
+            PointSpec(kind="snapshot", profile="topo-smoke", approach="mirror", n=8, seed=1,
+                      params=(("racks", 4), ("replication", 2), ("p2p", False))),
         ]
         seq = SweepRunner(jobs=1, cache=None).run(specs)
         par = SweepRunner(jobs=4, cache=None).run(specs)
@@ -29,6 +33,7 @@ class TestEquivalence:
             assert a.series == b.series
             assert a.counters == b.counters
             assert a.event_count == b.event_count
+        assert seq[-1].metrics["cross_rack_bytes"] > 0
 
     def test_results_follow_input_order(self, micro_profile):
         specs = _specs(counts=(2, 1))
@@ -64,6 +69,37 @@ class TestFailureSurfacing:
         with pytest.raises(SweepError):
             SweepRunner(jobs=1, cache=cache).run(_specs(counts=(1,), approach="bogus"))
         assert len(cache) == 0
+
+
+class TestCloudParams:
+    """Every kind reads one table of cloud params; nothing else gets through."""
+
+    def test_misspelt_param_is_rejected_before_the_build(self, micro_profile):
+        spec = PointSpec(kind="deploy", profile="micro-test", approach="mirror", n=1,
+                         params=(("replicaton", 2),))
+        with pytest.raises(SimulationError) as err:
+            execute_point(spec)
+        message = str(err.value)
+        assert "replicaton" in message and "micro-test" in message
+        # the names the kind accepts: its own and the shared cloud params
+        assert "mirror_prefetch" in message and "replication" in message
+
+    def test_workload_params_belong_to_their_kind(self, micro_profile):
+        spec = PointSpec(kind="deploy", profile="micro-test", approach="mirror", n=1,
+                         params=(("crashes", 2),))
+        with pytest.raises(SimulationError, match="crashes"):
+            execute_point(spec)
+
+    def test_deploy_runs_the_peer_exchange(self):
+        def spec(**params):
+            return PointSpec(kind="deploy", profile="topo-smoke", approach="mirror",
+                             n=8, seed=1, params=params)
+
+        off = execute_point(spec())
+        on = execute_point(spec(p2p=True))
+        assert off.metrics["peer_hit_ratio"] == 0.0
+        assert on.metrics["peer_hit_ratio"] > 0.0
+        assert on.metrics["provider_bytes"] < off.metrics["provider_bytes"]
 
 
 class TestConfiguration:

@@ -15,6 +15,14 @@ class TestPointSpec:
         assert hash(a) == hash(b)
         assert a.params == (("a", 2), ("b", 1))
 
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(ValueError, match="replication"):
+            PointSpec(kind="deploy", profile="quick",
+                      params=[("replication", 2), ("replication", 3)])
+        with pytest.raises(ValueError, match="image.chunk_size"):
+            PointSpec(kind="deploy", profile="quick",
+                      overrides=[("image.chunk_size", 1), ("image.chunk_size", 2)])
+
     def test_param_lookup(self):
         spec = PointSpec(kind="deploy", profile="quick", params={"mode": "x"})
         assert spec.param("mode") == "x"

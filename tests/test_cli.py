@@ -101,17 +101,6 @@ class TestTrace:
         assert "critical path of snapshot:" in text
         assert out.exists()
 
-    def test_deploy_accepts_trace_flag(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main(
-            ["deploy", "--instances", "2", "--image-mib", "64",
-             "--touched-mib", "6", "--pool", "6", "--trace"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "trace:" in out
-        assert (tmp_path / "deploy-mirror-n2.trace.json").exists()
-
 
 class TestSweep:
     def test_parser_defaults(self):
@@ -208,6 +197,39 @@ class TestP2P:
         out = capsys.readouterr().out
         assert "peer hit ratio" in out
         assert "provider bytes" in out
+
+
+class TestFaults:
+    CLUSTER = ["--instances", "4", "--pool", "8", "--image-mib", "64",
+               "--touched-mib", "6"]
+
+    def test_replication_survives_crashes(self, capsys):
+        rc = main(["faults", *self.CLUSTER, "--replication", "2", "--crashes", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "survival 100%" in out
+        assert "injected:        2 incidents" in out
+        assert "provider-crash" in out  # the fault plan is printed
+
+    def test_more_crashes_than_spares_exit_2(self, capsys):
+        rc = main(["faults", *self.CLUSTER, "--crashes", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "spare" in captured.err
+        assert captured.out == ""
+
+
+class TestPoolBound:
+    @pytest.mark.parametrize("argv", [
+        ["topo", "--instances", "40"],
+        ["deploy", "--instances", "8", "--pool", "4"],
+        ["p2p", "--instances", "8", "--pool", "4"],
+        ["trace", "-n", "8", "--pool", "4"],
+    ])
+    def test_instances_beyond_the_pool_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceed the" in err and "pool" in err
 
 
 class TestVersionFlag:

@@ -1,14 +1,15 @@
-"""The ``topo`` runner point: determinism, the cross-rack cut, flat identity."""
+"""The ``deploy`` point on a rack fabric: determinism, the cross-rack cut, flat identity."""
 
 from repro.runner import PointSpec, execute_point
 
 N = 8  # topo-smoke: 16 nodes; 4 racks leaves every rack a few booters
 
 
-def topo_spec(kind="topo", n=N, **params):
+def topo_spec(n=N, **params):
+    """A mirror deploy with the peer exchange on (the ``topo`` CLI's default)."""
     return PointSpec(
-        kind=kind, profile="topo-smoke", approach="mirror", n=n, seed=1,
-        params=tuple(sorted(params.items())),
+        kind="deploy", profile="topo-smoke", approach="mirror", n=n, seed=1,
+        params={"p2p": True, **params},
     )
 
 
@@ -42,7 +43,7 @@ class TestFlatFabric:
     def test_one_rack_equals_the_p2p_kind(self):
         """``racks=1`` is the flat fabric: the seed model, with no tiers to count."""
         flat = execute_point(topo_spec(racks=1, locality=True))
-        ref = execute_point(topo_spec(kind="p2p"))
+        ref = execute_point(topo_spec())
         assert flat.series["boot_times"] == ref.series["boot_times"]
         assert flat.metrics["completion_time"] == ref.metrics["completion_time"]
         assert flat.metrics["total_traffic"] == ref.metrics["total_traffic"]
