@@ -37,11 +37,12 @@ suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards 
 outcome-digest:  ## simulated outcomes at toy sizes equal benchmarks/outcome_digests.json (~10 s; exit 1 with a diff)
 	python3 benchmarks/outcome_digest.py --smoke --expect benchmarks/outcome_digests.json
 
-examples:
+examples:        ## every script under examples/ (a CI step after tier 1)
 	python examples/quickstart.py
 	python examples/multideployment.py
 	python examples/debug_cloning.py
 	python examples/montecarlo_suspend_resume.py
+	python examples/webserver_farm.py
 
 clean:           ## drop caches only; tracked figure artifacts stay put
 	rm -rf .pytest_cache benchmarks/results/cache src/repro.egg-info

@@ -40,7 +40,12 @@ class BlobClient:
     def __init__(self, host: Host, deployment: "BlobSeerDeployment"):
         self.host = host
         self.deployment = deployment
-        self._node_cache: Dict[NodeId, TreeNode] = {}
+        #: the deployment's append-only node list, indexed by node id: the
+        #: metadata shards serve these very (immutable) objects
+        self._nodes: List[TreeNode] = deployment.metadata.nodes
+        #: the metadata cache: 1 at a node id once this client has fetched
+        #: that node (a byte per node, grown by :meth:`_fetch_flags`)
+        self._fetched = bytearray()
         self._snap_cache: Dict[Tuple[int, int], SnapshotRecord] = {}
         #: cooperative-exchange agent (:mod:`repro.p2p`); ``None`` keeps the
         #: provider-only fetch path byte-identical to a build without p2p
@@ -70,15 +75,26 @@ class BlobClient:
         self._snap_cache[(blob_id, rec.version)] = rec
         return rec
 
+    def _fetch_flags(self) -> bytearray:
+        """The fetched-node flags, grown to cover every node id minted so far."""
+        fetched = self._fetched
+        short = len(self._nodes) - len(fetched)
+        if short > 0:
+            fetched.extend(bytes(short))
+        return fetched
+
+    def cached_nodes(self) -> List[NodeId]:
+        """Ids of the tree nodes in this client's metadata cache, ascending."""
+        return [nid for nid, flag in enumerate(self._fetched) if flag]
+
     def _get_nodes(self, ids: Sequence[NodeId]):
         """Fetch tree nodes into the client cache, batched per metadata shard.
 
-        Returns the cache dict itself (a superset of ``ids``) rather than
-        building a per-call subset: callers only index by the ids they asked
-        for, and tree nodes are immutable once published.
+        A shard replies with the ids it holds; callers read the (immutable)
+        nodes themselves from ``self._nodes``.
         """
-        cache = self._node_cache
-        missing = [nid for nid in ids if nid not in cache]
+        fetched = self._fetch_flags()
+        missing = [nid for nid in ids if not fetched[nid]]
         if missing:
             tracer = self.host.fabric.tracer
             span = None
@@ -87,7 +103,7 @@ class BlobClient:
             try:
                 if self.deployment.retry is not None:
                     yield from self._get_nodes_resilient(missing)
-                    return cache
+                    return
                 by_shard: Dict[Host, List[NodeId]] = {}
                 for nid in missing:
                     by_shard.setdefault(self.deployment.shard_host(nid), []).append(nid)
@@ -99,7 +115,8 @@ class BlobClient:
                     ],
                 )
                 for batch in batches:
-                    cache.update(batch)
+                    for nid in batch:
+                        fetched[nid] = 1
             except BaseException as exc:
                 if span is not None:
                     span.set_error(exc)
@@ -107,7 +124,6 @@ class BlobClient:
             finally:
                 if span is not None:
                     span.finish()
-        return cache
 
     # ------------------------------------------------------------------ #
     # resilience (active only when the deployment carries a RetryPolicy;
@@ -155,7 +171,7 @@ class BlobClient:
         dep = self.deployment
         policy = dep.retry
         metrics = self.host.fabric.metrics
-        cache = self._node_cache
+        fetched = self._fetched
         pending: List[NodeId] = list(missing)
         for attempt in range(policy.attempts):
             by_shard: Dict[Host, List[NodeId]] = {}
@@ -181,9 +197,10 @@ class BlobClient:
                 if batch is None:
                     pending.extend(shard_ids)
                 else:
-                    cache.update(batch)
+                    for nid in batch:
+                        fetched[nid] = 1
             if not pending:
-                return cache
+                return
             metrics.count("meta-retry")
             yield self.host.env.timeout(policy.delay_for(attempt))
         raise ProviderUnavailableError(
@@ -381,14 +398,15 @@ class BlobClient:
         """
         refs: Dict[int, ChunkRef] = {}
         frontier: List[NodeId] = [root] if root is not None else []
-        cache = self._node_cache
+        fetched = self._fetch_flags()
+        nodes = self._nodes
         while frontier:
-            missing = [nid for nid in frontier if nid not in cache]
+            missing = [nid for nid in frontier if not fetched[nid]]
             if missing:
                 yield from self._get_nodes(missing)
             next_frontier: List[NodeId] = []
             for nid in frontier:
-                node = cache[nid]
+                node = nodes[nid]
                 lo = node.lo
                 if node.hi <= c_lo or lo >= c_hi:
                     continue

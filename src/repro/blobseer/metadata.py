@@ -81,26 +81,28 @@ class MetadataStore:
     """
 
     def __init__(self):
-        self._nodes: List[TreeNode] = []
+        #: every node, indexed by its id; append-only (only ``put`` writes
+        #: it), so readers may index it directly
+        self.nodes: List[TreeNode] = []
         self._index: Dict[Tuple, NodeId] = {}
 
     def put(self, node: TreeNode) -> NodeId:
         key = (node.lo, node.hi, node.left, node.right, node.ref)
         nid = self._index.get(key)
         if nid is None:
-            nid = len(self._nodes)
-            self._nodes.append(node)
+            nid = len(self.nodes)
+            self.nodes.append(node)
             self._index[key] = nid
         return nid
 
     def get(self, nid: NodeId) -> TreeNode:
         try:
-            return self._nodes[nid]
+            return self.nodes[nid]
         except IndexError:
             raise SimulationError(f"unknown metadata node {nid}") from None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
 
 def capacity_for(n_chunks: int) -> int:

@@ -205,21 +205,22 @@ class MetadataProviderService:
         """Serve a node batch: a pure timed read (see :func:`~repro.simkit.rpc.timed_read`).
 
         Published nodes are immutable and the service time is fixed by the
-        batch size, so the reply is known when the call starts.
+        batch size, so the reply is known when the call starts. The reply is
+        the ids: a shard holds the deployment's own node objects, which the
+        client reads from the append-only
+        :class:`~repro.blobseer.metadata.MetadataStore`; the wire size is
+        that of the serialized nodes.
         """
         seconds = self.model.metadata_node_overhead * len(ids)
         nodes = self.nodes
-        out: Dict[NodeId, TreeNode] = {}
-        try:
-            for nid in ids:
-                out[nid] = nodes[nid]
-        except KeyError:
-            return seconds, ChunkNotFoundError(
-                f"metadata shard {self.host.name}: node {nid}"
-            )
+        for nid in ids:
+            if nid not in nodes:
+                return seconds, ChunkNotFoundError(
+                    f"metadata shard {self.host.name}: node {nid}"
+                )
         self.host.fabric.metrics.counters["meta-get"] += len(ids)
         # Wire-size the batch so big metadata fetches cost transfer time.
-        return seconds, Sized(out, NODE_WIRE_BYTES * len(ids))
+        return seconds, Sized(ids, NODE_WIRE_BYTES * len(ids))
 
     def rpc_put_nodes(self, caller: Host, nodes: Dict[NodeId, TreeNode]):
         env = self.host.env

@@ -28,6 +28,7 @@ chunk stores.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
@@ -264,31 +265,33 @@ EMPTY = Payload()
 class SparseFile:
     """A fixed-size sparse byte space; unwritten regions read as zeros.
 
-    Segments are kept as a sorted list of ``(lo, hi, payload)`` triples with
-    no overlaps, beside the list of their start offsets that the two bisects
-    of every access run on; writes splice, reads stitch payload windows
-    together with zero-fill for holes. Used for local-disk files, chunk
-    stores, and the mirror file.
+    The written segments are sorted and disjoint, and kept as three parallel
+    columns rather than a tuple each: start offsets (a list, which the two
+    bisects of every access run on), end offsets (an ``array('q')``, no boxed
+    integer per segment) and payloads. Writes splice, reads stitch payload
+    windows together with zero-fill for holes. Used for local-disk files,
+    chunk stores, and the mirror file.
     """
 
-    __slots__ = ("size", "_segments", "_starts")
+    __slots__ = ("size", "_starts", "_ends", "_payloads")
 
     def __init__(self, size: int, base: Payload | None = None):
         self.size = int(size)
-        self._segments: List[Tuple[int, int, Payload]] = []
-        #: ``_starts[k] == _segments[k][0]``, always
         self._starts: List[int] = []
+        self._ends = array("q")
+        self._payloads: List[Payload] = []
         if base is not None:
             if base.size != size:
                 raise OutOfRangeError("base payload size mismatch")
-            self._segments.append((0, size, base))
             self._starts.append(0)
+            self._ends.append(self.size)
+            self._payloads.append(base)
 
     def _overlap_window(self, lo: int, hi: int) -> Tuple[int, int]:
         """Index range ``[i, j)`` of segments overlapping ``[lo, hi)``."""
         starts = self._starts
         k = bisect_left(starts, lo)
-        i = k - 1 if k > 0 and self._segments[k - 1][1] > lo else k
+        i = k - 1 if k > 0 and self._ends[k - 1] > lo else k
         j = bisect_left(starts, hi, i)
         return i, j
 
@@ -298,51 +301,63 @@ class SparseFile:
             raise OutOfRangeError(f"write [{lo},{hi}) beyond size {self.size}")
         if lo == hi:
             return
-        segments, starts = self._segments, self._starts
-        if not segments or segments[-1][1] <= lo:
+        starts, ends, payloads = self._starts, self._ends, self._payloads
+        if not starts or ends[-1] <= lo:
             # past the last segment: what a log-style writer always does
-            segments.append((lo, hi, payload))
             starts.append(lo)
+            ends.append(hi)
+            payloads.append(payload)
             return
         i, j = self._overlap_window(lo, hi)
         if i == j:
             # into a hole
-            segments.insert(i, (lo, hi, payload))
             starts.insert(i, lo)
+            ends.insert(i, hi)
+            payloads.insert(i, payload)
             return
         # Splice over the overlapped window in place, keeping what sticks out
         # of the first and last overlapped segments.
-        repl: List[Tuple[int, int, Payload]] = []
-        s_lo, s_hi, s_pl = segments[i]
+        new_starts: List[int] = []
+        new_ends = array("q")
+        new_payloads: List[Payload] = []
+        s_lo = starts[i]
         if s_lo < lo:
-            repl.append((s_lo, lo, s_pl.slice(0, lo - s_lo)))
-        repl.append((lo, hi, payload))
-        s_lo, s_hi, s_pl = segments[j - 1]
+            new_starts.append(s_lo)
+            new_ends.append(lo)
+            new_payloads.append(payloads[i].slice(0, lo - s_lo))
+        new_starts.append(lo)
+        new_ends.append(hi)
+        new_payloads.append(payload)
+        s_lo, s_hi = starts[j - 1], ends[j - 1]
         if s_hi > hi:
-            repl.append((hi, s_hi, s_pl.slice(hi - s_lo, s_hi - s_lo)))
-        segments[i:j] = repl
-        starts[i:j] = [seg[0] for seg in repl]
+            new_starts.append(hi)
+            new_ends.append(s_hi)
+            new_payloads.append(payloads[j - 1].slice(hi - s_lo, s_hi - s_lo))
+        starts[i:j] = new_starts
+        ends[i:j] = new_ends
+        payloads[i:j] = new_payloads
 
     def read(self, offset: int, nbytes: int) -> Payload:
         lo, hi = offset, offset + nbytes
         if lo < 0 or hi > self.size:
             raise OutOfRangeError(f"read [{lo},{hi}) beyond size {self.size}")
-        segments = self._segments
         i, j = self._overlap_window(lo, hi)
         if i == j:
             return Payload.zeros(hi - lo) if hi > lo else EMPTY
+        starts, ends, payloads = self._starts, self._ends, self._payloads
         if j == i + 1:
-            s_lo, s_hi, s_pl = segments[i]
-            if s_lo <= lo and hi <= s_hi:
-                return s_pl.slice(lo - s_lo, hi - s_lo)  # one covering segment
+            s_lo = starts[i]
+            if s_lo <= lo and hi <= ends[i]:
+                return payloads[i].slice(lo - s_lo, hi - s_lo)  # one covering segment
         parts: List[Payload] = []
         cursor = lo
-        for s_lo, s_hi, s_pl in segments[i:j]:
+        for k in range(i, j):
+            s_lo = starts[k]
             if s_lo > cursor:
                 parts.append(Payload.zeros(s_lo - cursor))
                 cursor = s_lo
-            w_hi = min(s_hi, hi)
-            parts.append(s_pl.slice(cursor - s_lo, w_hi - s_lo))
+            w_hi = min(ends[k], hi)
+            parts.append(payloads[k].slice(cursor - s_lo, w_hi - s_lo))
             cursor = w_hi
         if cursor < hi:
             parts.append(Payload.zeros(hi - cursor))
@@ -350,7 +365,7 @@ class SparseFile:
 
     def written_bytes(self) -> int:
         """Bytes covered by explicit segments (the file's physical footprint)."""
-        return sum(hi - lo for lo, hi, _ in self._segments)
+        return sum(self._ends) - sum(self._starts)
 
     def snapshot_payload(self) -> Payload:
         """The whole file content as one payload (zero-filled holes)."""

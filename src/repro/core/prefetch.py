@@ -122,19 +122,20 @@ class Prefetcher:
     def stop(self) -> None:
         self._stopped = True
 
-    def _consumed(self) -> int:
-        """How many profile chunks the foreground boot has explicitly read."""
-        touched = self.handle.touched_chunks
-        return sum(1 for idx in self.profile.predicted_order() if idx in touched)
+    def _consumed(self, chunks: List[int]) -> int:
+        """How many of ``chunks`` the foreground boot has explicitly read."""
+        return sum(map(self.handle.touched_chunks.__getitem__, chunks))
 
     def _run(self) -> Generator:
         env = self.handle.vfs.host.env
         order = self.profile.predicted_order()
+        # the profile's chunks inside this image: what a look-ahead check counts
+        in_image = [idx for idx in order if idx < len(self.handle.touched_chunks)]
         for idx in order:
             if self._stopped or self.handle.closed:
                 return self.fetched
             # bounded look-ahead: stay at most `window` chunks ahead
-            while self.fetched - self._consumed() >= self.window:
+            while self.fetched - self._consumed(in_image) >= self.window:
                 yield env.timeout(0.02)
                 if self._stopped or self.handle.closed:
                     return self.fetched

@@ -61,9 +61,9 @@ class MirrorHandle:
         #: blob receiving COMMITs (the clone once ioctl_clone ran)
         self.target_blob: int = source_blob
         self.target_version: int = source_version
-        #: chunk indices touched by explicit reads/writes (consumption signal
-        #: for the profile-guided prefetcher)
-        self.touched_chunks: set = set()
+        #: per chunk index: 1 once an explicit read touched it (the
+        #: consumption signal of the profile-guided prefetcher)
+        self.touched_chunks = bytearray(modmgr.n_chunks)
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -74,7 +74,9 @@ class MirrorHandle:
         self._check()
         if offset < 0 or offset + nbytes > self.size:
             raise MirrorStateError(f"read [{offset},{offset + nbytes}) beyond image")
-        self.touched_chunks.update(self.modmgr.chunks_overlapping(offset, offset + nbytes))
+        touched = self.touched_chunks
+        for idx in self.modmgr.chunks_overlapping(offset, offset + nbytes):
+            touched[idx] = 1
         tracer = self.vfs.host.fabric.tracer
         if tracer.enabled:
             span = tracer.start("vfs:read", "vfs", offset=offset, nbytes=nbytes)

@@ -2,7 +2,7 @@
 
 from .backends import LocalRawBackend, MirrorBackend, Qcow2PvfsBackend, SnapshotResult
 from .bonnie import BonnieBenchmark, BonnieResults
-from .boottrace import BootOp, boot_trace, trace_stats
+from .boottrace import BootOp, Trace, boot_trace, trace_stats
 from .hypervisor import VMInstance
 from .image import HotRegion, VmImage, make_image
 from .montecarlo import MonteCarloConfig, MonteCarloWorker
@@ -19,6 +19,7 @@ __all__ = [
     "MonteCarloWorker",
     "Qcow2PvfsBackend",
     "SnapshotResult",
+    "Trace",
     "VMInstance",
     "VmImage",
     "boot_trace",

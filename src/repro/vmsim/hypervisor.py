@@ -10,7 +10,7 @@ skew measured in §3.1.3 — then replays the boot trace. The instance's
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional
+from typing import Generator, Iterable, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..common.errors import SimulationError
 from ..common.payload import Payload
 from ..simkit.core import Timeout
 from ..simkit.host import Host
-from .boottrace import BootOp
+from .boottrace import CPU, READ, WRITE, BootOp, Trace
 
 
 class _WritePayloads(dict):
@@ -59,48 +59,56 @@ class VMInstance:
 
     # ------------------------------------------------------------------ #
     def run_ops(self, ops: Iterable[BootOp]) -> Generator:
-        """Replay a trace against the backend."""
-        env = self.host.env
-        backend = self.backend
-        tracer = self.host.fabric.tracer
-        if tracer.enabled:
+        """Replay a trace against the backend.
+
+        A :class:`~repro.vmsim.boottrace.Trace` replays from its columns, with
+        no object per op; any other iterable of ``BootOp``\\ s is packed into
+        one first.
+        """
+        if not isinstance(ops, Trace):
+            ops = Trace.from_ops(ops)
+        if self.host.fabric.tracer.enabled:
             yield from self._run_ops_traced(ops)
             return
+        env = self.host.env
+        backend = self.backend
         payloads = _WritePayloads(self.name)
-        for op in ops:
-            kind = op.kind
-            if kind == "cpu":
-                if op.duration > 0:
-                    yield Timeout(env, op.duration)
-            elif kind == "read":
-                yield from backend.read(op.offset, op.nbytes)
-            elif kind == "write":
-                yield from backend.write(op.offset, payloads[op.nbytes])
+        for kind, offset, nbytes, duration in zip(
+            ops.kinds, ops.offsets, ops.sizes, ops.durations
+        ):
+            if kind == CPU:
+                if duration > 0:
+                    yield Timeout(env, duration)
+            elif kind == READ:
+                yield from backend.read(offset, nbytes)
+            elif kind == WRITE:
+                yield from backend.write(offset, payloads[nbytes])
             else:
-                raise SimulationError(f"unknown boot op {kind!r}")
+                raise SimulationError(f"unknown boot op kind {kind}")
 
-    def _run_ops_traced(self, ops: Iterable[BootOp]) -> Generator:
+    def _run_ops_traced(self, ops: Trace) -> Generator:
         """run_ops with one span per trace op (guest CPU bursts vs. disk I/O)."""
         env = self.host.env
         backend = self.backend
         tracer = self.host.fabric.tracer
         payloads = _WritePayloads(self.name)
-        for op in ops:
-            kind = op.kind
-            if kind == "cpu":
-                if op.duration > 0:
-                    with tracer.start("guest-cpu", "cpu", duration=op.duration):
-                        yield Timeout(env, op.duration)
-            elif kind == "read":
-                with tracer.start("op:read", "vfs", offset=op.offset, nbytes=op.nbytes):
-                    yield from backend.read(op.offset, op.nbytes)
-            elif kind == "write":
-                with tracer.start("op:write", "vfs", offset=op.offset, nbytes=op.nbytes):
-                    yield from backend.write(op.offset, payloads[op.nbytes])
+        for kind, offset, nbytes, duration in zip(
+            ops.kinds, ops.offsets, ops.sizes, ops.durations
+        ):
+            if kind == CPU:
+                if duration > 0:
+                    with tracer.start("guest-cpu", "cpu", duration=duration):
+                        yield Timeout(env, duration)
+            elif kind == READ:
+                with tracer.start("op:read", "vfs", offset=offset, nbytes=nbytes):
+                    yield from backend.read(offset, nbytes)
+            elif kind == WRITE:
+                with tracer.start("op:write", "vfs", offset=offset, nbytes=nbytes):
+                    yield from backend.write(offset, payloads[nbytes])
             else:
-                raise SimulationError(f"unknown boot op {kind!r}")
+                raise SimulationError(f"unknown boot op kind {kind}")
 
-    def boot(self, trace: List[BootOp]) -> Generator:
+    def boot(self, trace: Iterable[BootOp]) -> Generator:
         """Hypervisor init + backend open + boot trace. Records boot_time."""
         env = self.host.env
         t_launch = env.now

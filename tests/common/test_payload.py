@@ -223,18 +223,24 @@ class TestSparseFile:
         assert got.atoms[2].offset == 13
 
 
+def segments(f):
+    """A file's segments as ``(lo, hi, payload)`` triples."""
+    return list(zip(f._starts, f._ends, f._payloads))
+
+
 def check_starts(f):
-    """The start-offset list the bisects run on mirrors the segments."""
-    assert f._starts == [seg[0] for seg in f._segments]
-    assert all(a[1] <= b[0] for a, b in zip(f._segments, f._segments[1:]))
-    assert all(lo < hi and pl.size == hi - lo for lo, hi, pl in f._segments)
+    """The three segment columns line up: sorted, disjoint, sized to their payloads."""
+    assert len(f._starts) == len(f._ends) == len(f._payloads)
+    segs = segments(f)
+    assert all(a[1] <= b[0] for a, b in zip(segs, segs[1:]))
+    assert all(lo < hi and pl.size == hi - lo for lo, hi, pl in segs)
 
 
 class TestSparseFileWritePaths:
     """Each way a write can meet the segments, by hand."""
 
     def layout(self, f):
-        return [(lo, hi) for lo, hi, _ in f._segments]
+        return [(lo, hi) for lo, hi, _ in segments(f)]
 
     def test_append_hole_split_span(self):
         f = SparseFile(100)
@@ -262,7 +268,7 @@ class TestSparseFileWritePaths:
         f = SparseFile(100, base=Payload.opaque("img", 100))
         f.write(40, Payload.opaque("diff", 20))
         assert f.read(45, 10) == Payload.opaque("diff", 10, offset=5)
-        assert f.read(40, 20) is f._segments[1][2]  # whole segment: shared, not copied
+        assert f.read(40, 20) is f._payloads[1]  # whole segment: shared, not copied
         assert f.read(10, 20) == Payload.opaque("img", 20, offset=10)
 
 

@@ -146,6 +146,30 @@ class TestPrefetcher:
         fetched = run(fab, scenario())
         assert fetched <= 2  # respected the look-ahead window
 
+    def test_profile_order_is_taken_once_per_run(self, monkeypatch):
+        """A look-ahead check counts the touched map; it never re-sorts the profile."""
+        fab, dep, hosts, rec, data = setup()
+        vfs = MirrorVFS(hosts[1], dep.client(hosts[1]))
+        profile = AccessProfile(CHUNK)
+        profile.record_run(list(range(16)))
+        calls = []
+        predicted_order = AccessProfile.predicted_order
+        monkeypatch.setattr(
+            AccessProfile, "predicted_order",
+            lambda self: calls.append(1) or predicted_order(self),
+        )
+
+        def scenario():
+            handle = yield from vfs.open(rec.blob_id, rec.version)
+            prefetcher = Prefetcher(handle, profile, window=2)
+            prefetcher.start()
+            yield fab.env.timeout(0.5)  # stalled on the window: ~25 look-ahead checks
+            prefetcher.stop()
+            yield fab.env.timeout(0.1)
+
+        run(fab, scenario())
+        assert len(calls) == 1
+
     def test_stop_halts_prefetch(self):
         fab, dep, hosts, rec, data = setup()
         vfs = MirrorVFS(hosts[1], dep.client(hosts[1]))

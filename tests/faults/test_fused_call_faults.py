@@ -63,7 +63,7 @@ def test_the_window_of_a_fused_gather():
     fab, _, _, client, ids = make()
     outcome, _ = fetch(fab, client, ids)
     assert 0.0001 < outcome["ok"] < 0.001
-    assert set(ids) <= set(client._node_cache)
+    assert set(ids) <= set(client.cached_nodes())
 
 
 def test_shard_crashing_inside_a_fused_gather_fails_it_on_wake():
@@ -74,7 +74,7 @@ def test_shard_crashing_inside_a_fused_gather_fails_it_on_wake():
     outcome, tracer = fetch(fab, client, ids, crash=meta[1], traced=True)
     # found down when the replies land — the instant the gather wakes at
     assert outcome == {"error": (wake, "meta1 failed during call")}
-    assert not client._node_cache, "a failed gather caches nothing"
+    assert not client.cached_nodes(), "a failed gather caches nothing"
     calls = {s.attrs["dst"]: s for s in tracer.spans if s.category == "rpc"}
     assert calls["meta1"].error == "ProviderUnavailableError: meta1 failed during call"
     assert calls["meta0"].error is None
@@ -105,7 +105,7 @@ def test_retry_policy_fails_over_a_shard_crashing_inside_a_fused_call():
     # attempt 0 loses meta1's batch on wake, backs off, asks the other home
     assert fab.metrics.counters["meta-retry"] == 1
     assert outcome["ok"] > healthy + POLICY.delay_for(0)
-    assert set(ids) <= set(client._node_cache)
+    assert set(ids) <= set(client.cached_nodes())
 
 
 def test_without_a_replica_the_retries_are_exhausted():

@@ -31,14 +31,11 @@ from repro.simkit.disk import FLUSH_QUANTUM, FileDevice
 def stepwise_get_nodes(self, caller, ids):
     yield Timeout(self.host.env, self.model.metadata_node_overhead * len(ids))
     nodes = self.nodes
-    out = {}
-    try:
-        for nid in ids:
-            out[nid] = nodes[nid]
-    except KeyError:
-        raise ChunkNotFoundError(f"metadata shard {self.host.name}: node {nid}")
+    for nid in ids:
+        if nid not in nodes:
+            raise ChunkNotFoundError(f"metadata shard {self.host.name}: node {nid}")
     self.host.fabric.metrics.counters["meta-get"] += len(ids)
-    return rpc.Sized(out, NODE_WIRE_BYTES * len(ids))
+    return rpc.Sized(ids, NODE_WIRE_BYTES * len(ids))
 
 
 def stepwise_gather(caller, calls):
