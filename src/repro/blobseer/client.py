@@ -96,11 +96,7 @@ class BlobClient:
         fetched = self._fetch_flags()
         missing = [nid for nid in ids if not fetched[nid]]
         if missing:
-            tracer = self.host.fabric.tracer
-            span = None
-            if tracer.enabled:
-                span = tracer.start("meta-walk", "meta", nodes=len(missing))
-            try:
+            with self.host.fabric.tracer.start("meta-walk", "meta", nodes=len(missing)):
                 if self.deployment.retry is not None:
                     yield from self._get_nodes_resilient(missing)
                     return
@@ -117,13 +113,6 @@ class BlobClient:
                 for batch in batches:
                     for nid in batch:
                         fetched[nid] = 1
-            except BaseException as exc:
-                if span is not None:
-                    span.set_error(exc)
-                raise
-            finally:
-                if span is not None:
-                    span.finish()
 
     # ------------------------------------------------------------------ #
     # resilience (active only when the deployment carries a RetryPolicy;
@@ -231,33 +220,21 @@ class BlobClient:
             def guarded(provider_name: str, indices: List[int]):
                 keys = [refs[i].key for i in indices]
                 provider = dep.fabric.hosts[provider_name]
-                tracer = self.host.fabric.tracer
-                aspan = None
-                if tracer.enabled:
-                    # one span per failover attempt: which replica rank was
-                    # asked, and (on failure) why the attempt died
-                    aspan = tracer.start(
-                        f"fetch-attempt:{attempt}", "chunk",
-                        provider=provider_name, attempt=attempt,
-                        replica=attempt % len(refs[indices[0]].providers),
-                        nchunks=len(indices),
-                    )
-                try:
-                    combined = yield from self._call_with_timeout(
-                        provider, "blob-data", "get_chunks", keys
-                    )
-                except (ProviderUnavailableError, ChunkNotFoundError) as exc:
-                    if aspan is not None:
-                        aspan.set_error(exc)
-                        aspan.finish()
-                    return None
-                except BaseException as exc:
-                    if aspan is not None:
-                        aspan.set_error(exc)
-                        aspan.finish()
-                    raise
-                if aspan is not None:
-                    aspan.finish()
+                # one span per failover attempt: which replica rank was
+                # asked, and (on failure) why the attempt died
+                with self.host.fabric.tracer.start(
+                    f"fetch-attempt:{attempt}", "chunk",
+                    provider=provider_name, attempt=attempt,
+                    replica=attempt % len(refs[indices[0]].providers),
+                    nchunks=len(indices),
+                ) as span:
+                    try:
+                        combined = yield from self._call_with_timeout(
+                            provider, "blob-data", "get_chunks", keys
+                        )
+                    except (ProviderUnavailableError, ChunkNotFoundError) as exc:
+                        span.set_error(exc)
+                        return None
                 group: Dict[int, Payload] = {}
                 cursor = 0
                 for i in indices:
@@ -475,19 +452,10 @@ class BlobClient:
 
     def fetch_refs(self, refs: Dict[int, ChunkRef]):
         """Fetch the chunks described by ``refs``, grouped per provider, in parallel."""
-        tracer = self.host.fabric.tracer
-        if tracer.enabled and refs:
-            span = tracer.start("chunk-fetch", "chunk", nchunks=len(refs))
-            try:
-                result = yield from self._fetch_refs_impl(refs)
-                return result
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
-        result = yield from self._fetch_refs_impl(refs)
-        return result
+        if not refs:  # an empty fetch opens no span
+            return (yield from self._fetch_refs_impl(refs))
+        with self.host.fabric.tracer.start("chunk-fetch", "chunk", nchunks=len(refs)):
+            return (yield from self._fetch_refs_impl(refs))
 
     def _fetch_refs_impl(self, refs: Dict[int, ChunkRef]):
         if self.peer_agent is not None:
@@ -629,10 +597,7 @@ class BlobClient:
 
         # 1. placement
         tracer = self.host.fabric.tracer
-        pspan = None
-        if tracer.enabled:
-            pspan = tracer.start("chunk-publish", "chunk", nchunks=len(updates))
-        try:
+        with tracer.start("chunk-publish", "chunk", nchunks=len(updates)):
             indices = sorted(updates)
             placements = yield from rpc.call(
                 self.host, dep.pmanager_host, "blob-pmgr", "allocate",
@@ -675,13 +640,6 @@ class BlobClient:
                 )
             else:
                 new_refs = yield from self._put_replicated(new_refs, updates)
-        except BaseException as exc:
-            if pspan is not None:
-                pspan.set_error(exc)
-            raise
-        finally:
-            if pspan is not None:
-                pspan.finish()
 
         # register freshly pushed content, then fold in deduplicated refs
         if dep.dedup_index is not None:
@@ -702,11 +660,8 @@ class BlobClient:
             node = dep.metadata.get(nid)
             for home in dep.shard_hosts(nid):
                 by_shard.setdefault(home, {})[nid] = node
-        mspan = None
-        if tracer.enabled and by_shard:
-            mspan = tracer.start("meta-scatter", "meta", nodes=len(new_node_ids))
-        try:
-            if by_shard:
+        if by_shard:
+            with tracer.start("meta-scatter", "meta", nodes=len(new_node_ids)):
                 puts = list(by_shard.items())
                 if dep.retry is None:
                     yield from self._parallel(
@@ -734,13 +689,6 @@ class BlobClient:
                             raise ProviderUnavailableError(
                                 f"metadata node {nid}: no home shard accepted the write"
                             )
-        except BaseException as exc:
-            if mspan is not None:
-                mspan.set_error(exc)
-            raise
-        finally:
-            if mspan is not None:
-                mspan.finish()
 
         # 4. publish: the version manager orders the snapshot
         rec: SnapshotRecord = yield from rpc.call(

@@ -139,14 +139,9 @@ class ChurnEngine:
     def _master(self):
         env = self.cloud.env
         spec = self.spec
-        tracer = self.cloud.fabric.tracer
-        root = None
-        if tracer.enabled:
-            root = tracer.start(
-                "churn:run", "churn",
-                requests=len(self.trace), policy=spec.policy,
-            )
-        try:
+        with self.cloud.fabric.tracer.start(
+            "churn:run", "churn", requests=len(self.trace), policy=spec.policy,
+        ):
             self.slo.on_slots(env.now, 0)
             self._sample_footprint()
             if spec.gc_interval > 0:
@@ -179,9 +174,6 @@ class ChurnEngine:
             if spec.gc_interval > 0:
                 self.slo.on_gc(collect_garbage(self.cloud.blobseer))
             self._sample_footprint()
-        finally:
-            if root is not None:
-                root.finish()
 
     # ------------------------------------------------------------------ #
     def _deliver(self, req) -> None:

@@ -71,54 +71,44 @@ def run_instance(engine: "ChurnEngine", rt: VmRuntime):
     fabric = engine.cloud.fabric
     calib = engine.cloud.calib
     req = rt.req
-    tracer = fabric.tracer
-    span = None
-    if tracer.enabled:
-        span = tracer.start(
-            f"churn:vm:{req.req_id}", "churn",
-            tenant=req.tenant, node=rt.node,
-        )
     try:
-        host = engine.cloud.compute[rt.node]
-        rec = engine.tenant_images[req.tenant]
-        backend = MirrorBackend(
-            host, engine.cloud.blobseer, rec.blob_id, rec.version, calib.fuse,
-            path=f"/mirror/churn-r{req.req_id}",
-        )
-        vm = VMInstance(
-            f"churn-{req.req_id:05d}", host, backend, calib.boot,
-            fabric.rng.get("churn-vm", req.req_id),
-        )
-        trace = boot_trace(
-            engine.image, calib.boot, fabric.rng.get("churn-trace", req.req_id)
-        )
-        rt.state = "booting"
-        queue_wait = env.now - req.at
-        yield from vm.boot(trace)
-        engine.slo.on_boot(queue_wait, vm.boot_time)
-        if engine.locality is not None:
-            engine.locality.note_hosted(rt.node, req.tenant)
+        with fabric.tracer.start(
+            f"churn:vm:{req.req_id}", "churn", tenant=req.tenant, node=rt.node,
+        ):
+            host = engine.cloud.compute[rt.node]
+            rec = engine.tenant_images[req.tenant]
+            backend = MirrorBackend(
+                host, engine.cloud.blobseer, rec.blob_id, rec.version, calib.fuse,
+                path=f"/mirror/churn-r{req.req_id}",
+            )
+            vm = VMInstance(
+                f"churn-{req.req_id:05d}", host, backend, calib.boot,
+                fabric.rng.get("churn-vm", req.req_id),
+            )
+            trace = boot_trace(
+                engine.image, calib.boot, fabric.rng.get("churn-trace", req.req_id)
+            )
+            rt.state = "booting"
+            queue_wait = env.now - req.at
+            yield from vm.boot(trace)
+            engine.slo.on_boot(queue_wait, vm.boot_time)
+            if engine.locality is not None:
+                engine.locality.note_hosted(rt.node, req.tenant)
 
-        rt.state = "running"
-        seq = 0
-        while True:
-            rt._wake = env.event()
-            while rt.snap_pending > 0:
-                rt.snap_pending -= 1
-                yield from _take_snapshot(engine, rt, vm, seq)
-                seq += 1
-            if rt.teardown_flag:
-                break
-            yield rt._wake
+            rt.state = "running"
+            seq = 0
+            while True:
+                rt._wake = env.event()
+                while rt.snap_pending > 0:
+                    rt.snap_pending -= 1
+                    yield from _take_snapshot(engine, rt, vm, seq)
+                    seq += 1
+                if rt.teardown_flag:
+                    break
+                yield rt._wake
 
-        yield from _teardown(engine, rt, vm)
-    except BaseException as exc:
-        if span is not None:
-            span.set_error(exc)
-        raise
+            yield from _teardown(engine, rt, vm)
     finally:
-        if span is not None:
-            span.finish()
         rt.state = "done"
         engine.release(rt)
 

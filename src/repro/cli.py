@@ -111,6 +111,10 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
+#: every traced root must be at least this much explained by specific spans
+TRACE_COVERAGE_GATE = 0.95
+
+
 def cmd_trace(args) -> int:
     from . import obs
     from .cloud import deploy, snapshot_all
@@ -137,6 +141,7 @@ def cmd_trace(args) -> int:
     out = args.out or f"{args.figure}-n{args.instances}.trace.json"
     obs.write_trace_json(out, tracer)
 
+    worst = None
     if roots:
         print(obs.render_breakdown_table(roots, tracer.spans, title=title))
         print()
@@ -145,8 +150,13 @@ def cmd_trace(args) -> int:
         print()
         print(f"span coverage:   {min(covs):.1%} (worst VM) / "
               f"{sum(covs) / len(covs):.1%} (mean)")
+        worst = min(zip(covs, (r.name for r in roots)))
     print(f"trace:           {out} ({len(tracer.spans)} spans; "
           f"open in https://ui.perfetto.dev)")
+    if worst is not None and worst[0] < TRACE_COVERAGE_GATE:
+        print(f"error: span coverage of {worst[1]} is {worst[0]:.1%}, "
+              f"below the {TRACE_COVERAGE_GATE:.0%} gate", file=sys.stderr)
+        return 1
     return 0
 
 

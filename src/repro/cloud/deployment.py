@@ -128,55 +128,39 @@ def deploy(
 
     tracer = fabric.tracer
 
+    def create_one(node):
+        yield cloud.env.timeout(cloud.calib.service.qcow2_create_overhead)
+
     def master():
-        root = None
-        if tracer.enabled:
-            root = tracer.start(
-                f"deploy:{approach}", "deploy", n_instances=n_instances
-            )
-        # ---- initialization phase -------------------------------------- #
-        if approach == "prepropagation":
-            if tracer.enabled:
+        with tracer.start(f"deploy:{approach}", "deploy", n_instances=n_instances):
+            # ---- initialization phase ----------------------------------- #
+            if approach == "prepropagation":
                 with tracer.start("init-phase", "init", approach=approach):
                     yield from prepropagate(
                         fabric, cloud.nfs, idents["nfs"], nodes, LOCAL_IMAGE_PATH,
                         fanout=cloud.calib.service.broadcast_fanout,
                     )
-            else:
-                yield from prepropagate(
-                    fabric, cloud.nfs, idents["nfs"], nodes, LOCAL_IMAGE_PATH,
-                    fanout=cloud.calib.service.broadcast_fanout,
+            elif approach == "qcow2-pvfs":
+                with tracer.start("init-phase", "init", approach=approach):
+                    procs = cloud.env.process_batch(create_one(n) for n in nodes)
+                    yield cloud.env.all_of(procs)
+            result.init_time = cloud.env.now - t_start
+
+            # ---- boot phase --------------------------------------------- #
+            boots = []
+            for i, node in enumerate(nodes):
+                name = f"vm{i:03d}"
+                backend = _make_backend(
+                    cloud, approach, node, idents, name, mirror_prefetch=mirror_prefetch
                 )
-        elif approach == "qcow2-pvfs":
-            def create_one(node):
-                yield cloud.env.timeout(cloud.calib.service.qcow2_create_overhead)
-
-            ispan = None
-            if tracer.enabled:
-                ispan = tracer.start("init-phase", "init", approach=approach)
-            procs = cloud.env.process_batch(create_one(n) for n in nodes)
-            yield cloud.env.all_of(procs)
-            if ispan is not None:
-                ispan.finish()
-        result.init_time = cloud.env.now - t_start
-
-        # ---- boot phase ------------------------------------------------- #
-        boots = []
-        for i, node in enumerate(nodes):
-            name = f"vm{i:03d}"
-            backend = _make_backend(
-                cloud, approach, node, idents, name, mirror_prefetch=mirror_prefetch
-            )
-            rng = fabric.rng.get("vm", approach, i)
-            vm = VMInstance(name, node, backend, boot_model, rng)
-            result.vms.append(vm)
-            trace = boot_trace(image, boot_model, fabric.rng.get("trace", approach, i))
-            if run_boot:
-                boots.append(cloud.env.process(vm.boot(trace), name=f"boot-{name}"))
-        if boots:
-            yield cloud.env.all_of(boots)
-        if root is not None:
-            root.finish()
+                rng = fabric.rng.get("vm", approach, i)
+                vm = VMInstance(name, node, backend, boot_model, rng)
+                result.vms.append(vm)
+                trace = boot_trace(image, boot_model, fabric.rng.get("trace", approach, i))
+                if run_boot:
+                    boots.append(cloud.env.process(vm.boot(trace), name=f"boot-{name}"))
+            if boots:
+                yield cloud.env.all_of(boots)
 
     cloud.run(cloud.env.process(master(), name=f"deploy-{approach}"))
     result.completion_time = cloud.env.now - t_start

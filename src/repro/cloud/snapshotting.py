@@ -46,26 +46,16 @@ def snapshot_all(cloud: Cloud, vms: Sequence, approach: str) -> SnapshotCampaign
     tracer = cloud.fabric.tracer
 
     def one(vm):
-        if tracer.enabled:
-            with tracer.start(f"snapshot:{vm.name}", "snapshot", host=vm.host.name):
-                snap = yield from vm.backend.snapshot()
-        else:
-            snap = yield from vm.backend.snapshot()
-        return snap
+        with tracer.start(f"snapshot:{vm.name}", "snapshot", host=vm.host.name):
+            return (yield from vm.backend.snapshot())
 
     def master():
-        root = None
-        if tracer.enabled:
-            root = tracer.start(
-                f"snapshot-campaign:{approach}", "snapshot", n_instances=len(vms)
-            )
-        procs = [
-            cloud.env.process(one(vm), name=f"snap-{vm.name}") for vm in vms
-        ]
-        snaps = yield cloud.env.all_of(procs)
-        result.per_instance = list(snaps)
-        if root is not None:
-            root.finish()
+        with tracer.start(f"snapshot-campaign:{approach}", "snapshot", n_instances=len(vms)):
+            procs = [
+                cloud.env.process(one(vm), name=f"snap-{vm.name}") for vm in vms
+            ]
+            snaps = yield cloud.env.all_of(procs)
+            result.per_instance = list(snaps)
 
     cloud.run(cloud.env.process(master(), name=f"snapshot-{approach}"))
     result.completion_time = cloud.env.now - t_start

@@ -78,18 +78,10 @@ class MirrorHandle:
         for idx in self.modmgr.chunks_overlapping(offset, offset + nbytes):
             touched[idx] = 1
         tracer = self.vfs.host.fabric.tracer
-        if tracer.enabled:
-            span = tracer.start("vfs:read", "vfs", offset=offset, nbytes=nbytes)
-            try:
-                data = yield from self.translator.read(offset, nbytes)
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
-        else:
-            data = yield from self.translator.read(offset, nbytes)
-        return data
+        if not tracer.enabled:  # once per guest op: no null span either (DESIGN.md §9)
+            return (yield from self.translator.read(offset, nbytes))
+        with tracer.start("vfs:read", "vfs", offset=offset, nbytes=nbytes):
+            return (yield from self.translator.read(offset, nbytes))
 
     def write(self, offset: int, payload: Payload) -> Generator:
         """``pwrite``: always local (plus strategy-2 gap fills)."""
@@ -97,17 +89,10 @@ class MirrorHandle:
         if offset < 0 or offset + payload.size > self.size:
             raise MirrorStateError(f"write [{offset},{offset + payload.size}) beyond image")
         tracer = self.vfs.host.fabric.tracer
-        if tracer.enabled:
-            span = tracer.start("vfs:write", "vfs", offset=offset, nbytes=payload.size)
-            try:
-                yield from self.translator.write(offset, payload)
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
-        else:
-            yield from self.translator.write(offset, payload)
+        if not tracer.enabled:  # once per guest op, as in read()
+            return (yield from self.translator.write(offset, payload))
+        with tracer.start("vfs:write", "vfs", offset=offset, nbytes=payload.size):
+            return (yield from self.translator.write(offset, payload))
 
     def close(self) -> Generator:
         """munmap + persist modification state for a later re-open."""
@@ -130,23 +115,10 @@ class MirrorHandle:
         COMMITs publish into the clone.
         """
         self._check()
-        tracer = self.vfs.host.fabric.tracer
-        if tracer.enabled:
-            span = tracer.start(
-                "ioctl:CLONE", "snapshot",
-                blob=self.source_blob, version=self.source_version,
-            )
-            try:
-                rec: SnapshotRecord = yield from self.vfs.client.clone(
-                    self.source_blob, self.source_version
-                )
-            except BaseException as exc:
-                span.set_error(exc)
-                raise
-            finally:
-                span.finish()
-        else:
-            rec = yield from self.vfs.client.clone(
+        with self.vfs.host.fabric.tracer.start(
+            "ioctl:CLONE", "snapshot", blob=self.source_blob, version=self.source_version,
+        ):
+            rec: SnapshotRecord = yield from self.vfs.client.clone(
                 self.source_blob, self.source_version
             )
         self.target_blob = rec.blob_id
@@ -165,32 +137,24 @@ class MirrorHandle:
         self._check()
         metrics = self.vfs.host.fabric.metrics
         tracer = self.vfs.host.fabric.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start("ioctl:COMMIT", "snapshot", blob=self.target_blob)
-        # Taken now, before any simulated time passes: a write that lands
-        # while the COMMIT is in flight stays dirty for the next one.
-        collected = self.modmgr.clear_dirty()
-        try:
-            updates = yield from self.translator.collect_dirty_chunks(sorted(collected))
-            if span is not None:
+        with tracer.start("ioctl:COMMIT", "snapshot", blob=self.target_blob) as span:
+            # Taken now, before any simulated time passes: a write that lands
+            # while the COMMIT is in flight stays dirty for the next one.
+            collected = self.modmgr.clear_dirty()
+            try:
+                updates = yield from self.translator.collect_dirty_chunks(sorted(collected))
                 span.set(dirty_chunks=len(updates))
-            if not updates:
-                rec = yield from self.vfs.client._lookup_snapshot(
-                    self.target_blob, self.target_version
+                if not updates:
+                    rec = yield from self.vfs.client._lookup_snapshot(
+                        self.target_blob, self.target_version
+                    )
+                    return rec
+                rec: SnapshotRecord = yield from self.vfs.client.write_chunks(
+                    self.target_blob, updates, base_version=self.target_version
                 )
-                return rec
-            rec: SnapshotRecord = yield from self.vfs.client.write_chunks(
-                self.target_blob, updates, base_version=self.target_version
-            )
-        except BaseException as exc:
-            self.modmgr.restore_dirty(collected)  # nothing was published
-            if span is not None:
-                span.set_error(exc)
-            raise
-        finally:
-            if span is not None:
-                span.finish()
+            except BaseException:
+                self.modmgr.restore_dirty(collected)  # nothing was published
+                raise
         self.target_version = rec.version
         metrics.count("ioctl-commit")
         metrics.count("commit-chunks", len(updates))

@@ -98,101 +98,91 @@ def compact_chain(
     if version is None:
         version = dep.registry.lookup(blob_id).version
     env = host.env
-    tracer = host.fabric.tracer
-    span = None
-    if tracer.enabled:
-        span = tracer.start(
-            "lineage.compact", "lineage",
-            blob=blob_id, version=version, policy=policy,
-            depth_bound=depth_bound, host=host.name,
-        )
     t0 = env.now
     pinned = False
-    try:
-        yield from rpc.call(
-            host, dep.vmanager_host, "blob-vmgr", "pin_version", blob_id, version
-        )
-        pinned = True
-
-        # walk the raw chain, head -> genesis, one lookup per record
-        entries = []
-        key = (blob_id, version)
-        seen = set()
-        while key is not None:
-            if key in seen:
-                raise LineageError(
-                    f"lineage cycle through blob {key[0]} v{key[1]}"
-                )
-            seen.add(key)
-            entry = yield from rpc.call(
-                host, dep.vmanager_host, "blob-vmgr", "lineage_entry",
-                key[0], key[1],
+    with host.fabric.tracer.start(
+        "lineage.compact", "lineage",
+        blob=blob_id, version=version, policy=policy,
+        depth_bound=depth_bound, host=host.name,
+    ) as span:
+        try:
+            yield from rpc.call(
+                host, dep.vmanager_host, "blob-vmgr", "pin_version", blob_id, version
             )
-            entries.append(entry)
-            key = entry.parent
-        depth_before = len(entries) - 1
-        genesis = entries[-1].key
+            pinned = True
 
-        # anchor positions counted from the genesis so the spacing is
-        # stable as the chain keeps growing at the head
-        anchors = set()
-        skips_written = 0
-        for i, entry in enumerate(entries):
-            pos = depth_before - i  # 0 at genesis
-            if pos > 0 and pos % depth_bound == 0:
-                anchors.add(entry.key)
-                if entry.skip != genesis:
-                    yield from rpc.call(
-                        host, dep.vmanager_host, "blob-vmgr", "set_skip",
-                        entry.blob_id, entry.version, genesis,
+            # walk the raw chain, head -> genesis, one lookup per record
+            entries = []
+            key = (blob_id, version)
+            seen = set()
+            while key is not None:
+                if key in seen:
+                    raise LineageError(
+                        f"lineage cycle through blob {key[0]} v{key[1]}"
                     )
-                    skips_written += 1
-
-        versions_merged = 0
-        if policy == "merge":
-            for entry in entries[1:-1]:  # never the head, never the genesis
-                if entry.blob_id != blob_id:
-                    continue  # a clone source's history is not ours to merge
-                if entry.key in anchors or entry.retired:
-                    continue
-                yield from rpc.call(
-                    host, dep.vmanager_host, "blob-vmgr", "delete_version",
-                    entry.blob_id, entry.version,
+                seen.add(key)
+                entry = yield from rpc.call(
+                    host, dep.vmanager_host, "blob-vmgr", "lineage_entry",
+                    key[0], key[1],
                 )
-                versions_merged += 1
+                entries.append(entry)
+                key = entry.parent
+            depth_before = len(entries) - 1
+            genesis = entries[-1].key
 
-        bytes_reclaimed = 0
-        if gc and versions_merged:
-            bytes_reclaimed = collect_garbage(dep).bytes_reclaimed
+            # anchor positions counted from the genesis so the spacing is
+            # stable as the chain keeps growing at the head
+            anchors = set()
+            skips_written = 0
+            for i, entry in enumerate(entries):
+                pos = depth_before - i  # 0 at genesis
+                if pos > 0 and pos % depth_bound == 0:
+                    anchors.add(entry.key)
+                    if entry.skip != genesis:
+                        yield from rpc.call(
+                            host, dep.vmanager_host, "blob-vmgr", "set_skip",
+                            entry.blob_id, entry.version, genesis,
+                        )
+                        skips_written += 1
 
-        forest = LineageForest.from_registry(dep.registry)
-        depth_after = forest.depth(blob_id, version, follow_skips=True)
-        report = CompactReport(
-            blob_id=blob_id,
-            head_version=version,
-            policy=policy,
-            depth_bound=depth_bound,
-            depth_before=depth_before,
-            depth_after=depth_after,
-            entries_examined=len(entries),
-            skips_written=skips_written,
-            versions_merged=versions_merged,
-            bytes_reclaimed=bytes_reclaimed,
-            duration=env.now - t0,
-        )
-        host.fabric.metrics.count("lineage-compact")
-        if span is not None:
+            versions_merged = 0
+            if policy == "merge":
+                for entry in entries[1:-1]:  # never the head, never the genesis
+                    if entry.blob_id != blob_id:
+                        continue  # a clone source's history is not ours to merge
+                    if entry.key in anchors or entry.retired:
+                        continue
+                    yield from rpc.call(
+                        host, dep.vmanager_host, "blob-vmgr", "delete_version",
+                        entry.blob_id, entry.version,
+                    )
+                    versions_merged += 1
+
+            bytes_reclaimed = 0
+            if gc and versions_merged:
+                bytes_reclaimed = collect_garbage(dep).bytes_reclaimed
+
+            forest = LineageForest.from_registry(dep.registry)
+            depth_after = forest.depth(blob_id, version, follow_skips=True)
+            report = CompactReport(
+                blob_id=blob_id,
+                head_version=version,
+                policy=policy,
+                depth_bound=depth_bound,
+                depth_before=depth_before,
+                depth_after=depth_after,
+                entries_examined=len(entries),
+                skips_written=skips_written,
+                versions_merged=versions_merged,
+                bytes_reclaimed=bytes_reclaimed,
+                duration=env.now - t0,
+            )
+            host.fabric.metrics.count("lineage-compact")
             span.set(
                 depth_before=depth_before, depth_after=depth_after,
                 skips=skips_written, merged=versions_merged,
             )
-        return report
-    except BaseException as exc:
-        if span is not None:
-            span.set_error(exc)
-        raise
-    finally:
-        if pinned:
-            dep.registry.unpin_version(blob_id, version)
-        if span is not None:
-            span.finish()
+            return report
+        finally:
+            if pinned:
+                dep.registry.unpin_version(blob_id, version)

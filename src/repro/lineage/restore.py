@@ -128,105 +128,93 @@ def restore_to_version(
     """
     env = host.env
     tracer = host.fabric.tracer
-    span = None
-    if tracer.enabled:
-        span = tracer.start(
-            "lineage.restore", "lineage",
-            blob=blob_id, version=version, host=host.name,
-        )
     t0 = env.now
     pinned_keys: List[int] = []
     pinned_nodes: List[int] = []
     pinned_version = False
-    try:
-        # 1. lease the source so retention/teardown deletes defer
-        yield from rpc.call(
-            host, dep.vmanager_host, "blob-vmgr", "pin_version", blob_id, version
-        )
-        pinned_version = True
+    with tracer.start(
+        "lineage.restore", "lineage", blob=blob_id, version=version, host=host.name,
+    ) as span:
+        try:
+            # 1. lease the source so retention/teardown deletes defer
+            yield from rpc.call(
+                host, dep.vmanager_host, "blob-vmgr", "pin_version", blob_id, version
+            )
+            pinned_version = True
 
-        # 2. ancestry scan: the depth-dependent chain-open cost
-        t_scan = env.now
-        if tracer.enabled:
-            with tracer.start("lineage.scan", "lineage", blob=blob_id,
-                              version=version) as scan_span:
+            # 2. ancestry scan: the depth-dependent chain-open cost
+            t_scan = env.now
+            with tracer.start(
+                "lineage.scan", "lineage", blob=blob_id, version=version,
+            ) as scan_span:
                 entries = yield from _scan_chain(dep, host, blob_id, version)
                 scan_span.set(hops=len(entries))
-        else:
-            entries = yield from _scan_chain(dep, host, blob_id, version)
-        scan_time = env.now - t_scan
-        target = entries[0]
+            scan_time = env.now - t_scan
+            target = entries[0]
 
-        # 3. a retired source is only restorable until GC reclaims it;
-        #    pin its chunks/nodes so a sweep racing the clone cannot win
-        if target.retired:
-            for nid in reachable_nodes(dep.metadata, target.root):
-                pinned_nodes.append(nid)
-                ref = dep.metadata.get(nid).ref
-                if ref is not None:
-                    pinned_keys.append(ref.key)
-            dep.pin_inflight(keys=pinned_keys, nodes=pinned_nodes)
-            _verify_chunks(dep, target.root, blob_id, version)
+            # 3. a retired source is only restorable until GC reclaims it;
+            #    pin its chunks/nodes so a sweep racing the clone cannot win
+            if target.retired:
+                for nid in reachable_nodes(dep.metadata, target.root):
+                    pinned_nodes.append(nid)
+                    ref = dep.metadata.get(nid).ref
+                    if ref is not None:
+                        pinned_keys.append(ref.key)
+                dep.pin_inflight(keys=pinned_keys, nodes=pinned_nodes)
+                _verify_chunks(dep, target.root, blob_id, version)
 
-        # 4. publish the restored branch as a new lineage head
-        t_clone = env.now
-        rec = yield from rpc.call(
-            host, dep.vmanager_host, "blob-vmgr", "clone_lineage",
-            blob_id, version,
-        )
-        clone_time = env.now - t_clone
-
-        # 5. lazy mirror open on the clone (p2p path reused when enabled)
-        t_open = env.now
-        backend = MirrorBackend(
-            host, dep, rec.blob_id, rec.version, fuse,
-            path=path or f"/mirror/restore-b{blob_id}v{version}",
-            full_chunk_prefetch=full_chunk_prefetch,
-        )
-        yield from backend.open()
-        open_time = env.now - t_open
-        restore_time = env.now - t0
-
-        result = RestoreResult(
-            source=(blob_id, version),
-            blob_id=rec.blob_id,
-            version=rec.version,
-            scan_hops=len(entries),
-            chain=tuple(e.key for e in entries),
-            retired_source=bool(target.retired),
-            scan_time=scan_time,
-            clone_time=clone_time,
-            open_time=open_time,
-            restore_time=restore_time,
-            backend=backend,
-        )
-        host.fabric.metrics.count("lineage-restore")
-
-        if image is not None:
-            from ..vmsim.hypervisor import VMInstance
-
-            vm = VMInstance(
-                name or f"restore-b{blob_id}v{version}", host, backend,
-                boot_model, vm_rng,
+            # 4. publish the restored branch as a new lineage head
+            t_clone = env.now
+            rec = yield from rpc.call(
+                host, dep.vmanager_host, "blob-vmgr", "clone_lineage",
+                blob_id, version,
             )
-            yield from vm.boot(trace)
-            result.vm = vm
-            result.boot_time = vm.boot_time
-        if span is not None:
+            clone_time = env.now - t_clone
+
+            # 5. lazy mirror open on the clone (p2p path reused when enabled)
+            t_open = env.now
+            backend = MirrorBackend(
+                host, dep, rec.blob_id, rec.version, fuse,
+                path=path or f"/mirror/restore-b{blob_id}v{version}",
+                full_chunk_prefetch=full_chunk_prefetch,
+            )
+            yield from backend.open()
+            open_time = env.now - t_open
+            restore_time = env.now - t0
+
+            result = RestoreResult(
+                source=(blob_id, version),
+                blob_id=rec.blob_id,
+                version=rec.version,
+                scan_hops=len(entries),
+                chain=tuple(e.key for e in entries),
+                retired_source=bool(target.retired),
+                scan_time=scan_time,
+                clone_time=clone_time,
+                open_time=open_time,
+                restore_time=restore_time,
+                backend=backend,
+            )
+            host.fabric.metrics.count("lineage-restore")
+
+            if image is not None:
+                from ..vmsim.hypervisor import VMInstance
+
+                vm = VMInstance(
+                    name or f"restore-b{blob_id}v{version}", host, backend,
+                    boot_model, vm_rng,
+                )
+                yield from vm.boot(trace)
+                result.vm = vm
+                result.boot_time = vm.boot_time
             span.set(
                 hops=result.scan_hops, restored_blob=rec.blob_id,
                 retired_source=result.retired_source,
             )
-        return result
-    except BaseException as exc:
-        if span is not None:
-            span.set_error(exc)
-        raise
-    finally:
-        # pure-state unpins: no simulated cost, never leaks a lease
-        if pinned_keys or pinned_nodes:
-            dep.unpin_inflight(keys=pinned_keys, nodes=pinned_nodes)
-        if pinned_version:
-            dep.registry.unpin_version(blob_id, version)
-        if span is not None:
-            span.finish()
+            return result
+        finally:
+            # pure-state unpins: no simulated cost, never leaks a lease
+            if pinned_keys or pinned_nodes:
+                dep.unpin_inflight(keys=pinned_keys, nodes=pinned_nodes)
+            if pinned_version:
+                dep.registry.unpin_version(blob_id, version)

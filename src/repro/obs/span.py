@@ -21,10 +21,12 @@ Like :class:`~repro.simkit.trace.Metrics`, spans are observers only: the
 tracer never schedules events, touches RNG streams, or adds simulated time,
 so an enabled tracer leaves every timeline bit-identical (regression-tested).
 The default tracer on every fabric is :data:`NULL_TRACER`, whose ``enabled``
-flag is ``False`` — the per-operation instrumentation sites guard on it, so a
-disabled run pays one attribute load and branch per site. Sites that run
-once per remote fetch just write ``with tracer.start(...):``; the null
-tracer hands them one shared inert span.
+flag is ``False``. Sites write ``with tracer.start(...):`` around one body;
+the null tracer hands them one shared inert span, which costs an untraced
+run about 0.4-0.6 us per site. Only the sites that run once per guest op or
+once per RPC (``VMInstance.run_ops``, ``MirrorHandle.read``/``write``,
+``rpc.call`` and its timed form, ``FlowNetwork.transfer``) branch on
+``enabled`` instead, paying one attribute load and branch (DESIGN.md §9).
 
 This module deliberately imports nothing from the rest of ``repro`` so the
 low-level simkit layers can depend on it without cycles.
@@ -279,12 +281,12 @@ class Tracer:
 
 
 class NullTracer:
-    """The zero-overhead default: ``enabled`` is False, everything no-ops.
+    """The default: ``enabled`` is False, everything no-ops.
 
-    Instrumentation sites branch on ``tracer.enabled`` and skip span
-    construction entirely; the engine-level spawn hook is skipped too because
-    installing a tracer also sets ``env._tracer``. The methods below make
-    unguarded use (``with tracer.start(...):`` at the rare sites) a no-op.
+    ``with tracer.start(...):`` gets the shared inert span, so a site needs
+    no branch of its own; the per-guest-op and per-RPC sites test
+    ``enabled`` and skip even that. The engine-level spawn hook is skipped
+    because only installing a tracer sets ``env._tracer``.
     """
 
     enabled = False

@@ -110,15 +110,12 @@ class PeerExchangeService:
         metrics.count("p2p-serve-hit", len(hit_keys))
         metrics.count("p2p-serve-miss", len(keys) - len(hit_keys))
         metrics.count("p2p-bytes-served", combined.size)
-        tracer = self.host.fabric.tracer
-        if tracer.enabled:
-            span = tracer.start(
-                "p2p.serve", "p2p",
-                peer=self.host.name, requested=len(keys),
-                hits=len(hit_keys), misses=len(keys) - len(hit_keys),
-                nbytes=combined.size,
-            )
-            span.finish()
+        self.host.fabric.tracer.record(
+            "p2p.serve", "p2p", env.now, env.now,
+            peer=self.host.name, requested=len(keys),
+            hits=len(hit_keys), misses=len(keys) - len(hit_keys),
+            nbytes=combined.size,
+        )
         return rpc.Sized(
             (tuple(hit_keys), combined),
             combined.size + PEER_ENTRY_BYTES * len(keys),
@@ -168,26 +165,14 @@ class PeerAgent:
         if not pending:
             return out
 
-        tracer = self.host.fabric.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                "p2p.fetch", "p2p", node=self.host.name, nchunks=len(pending)
-            )
-        try:
+        with self.host.fabric.tracer.start(
+            "p2p.fetch", "p2p", node=self.host.name, nchunks=len(pending)
+        ) as span:
             peer_served = yield from self._fetch_from_peers(client, pending)
             out.update(peer_served)
             for idx in peer_served:
                 del pending[idx]
-            if span is not None:
-                span.set(peer_hits=len(peer_served), provider_misses=len(pending))
-        except BaseException as exc:
-            if span is not None:
-                span.set_error(exc)
-            raise
-        finally:
-            if span is not None:
-                span.finish()
+            span.set(peer_hits=len(peer_served), provider_misses=len(pending))
 
         # 3. provider path for whatever peers could not supply
         if pending:
@@ -231,38 +216,26 @@ class PeerAgent:
                 if rpc.is_host_down(peer):
                     # known-dead peer: skip without paying the RPC timeout
                     return None
-                tracer = fabric.tracer
-                aspan = None
-                if tracer.enabled:
-                    aspan = tracer.start(
-                        f"p2p.attempt:{rank}", "p2p",
-                        peer=peer_name, rank=rank, nchunks=len(keys),
-                    )
-                try:
-                    if client.deployment.retry is not None:
-                        hit_keys, combined = yield from client._call_with_timeout(
-                            peer, PEER_SERVICE, "get_cached", keys
-                        )
-                    else:
-                        hit_keys, combined = yield from rpc.call(
-                            self.host, peer, PEER_SERVICE, "get_cached", keys
-                        )
-                except (ProviderUnavailableError, ChunkNotFoundError) as exc:
-                    # peer died (possibly mid-transfer) — next candidate or
-                    # the provider path picks these chunks up
-                    metrics.count("p2p-peer-failover")
-                    if aspan is not None:
-                        aspan.set_error(exc)
-                        aspan.finish()
-                    return None
-                except BaseException as exc:
-                    if aspan is not None:
-                        aspan.set_error(exc)
-                        aspan.finish()
-                    raise
-                if aspan is not None:
-                    aspan.set(hits=len(hit_keys))
-                    aspan.finish()
+                with fabric.tracer.start(
+                    f"p2p.attempt:{rank}", "p2p",
+                    peer=peer_name, rank=rank, nchunks=len(keys),
+                ) as span:
+                    try:
+                        if client.deployment.retry is not None:
+                            hit_keys, combined = yield from client._call_with_timeout(
+                                peer, PEER_SERVICE, "get_cached", keys
+                            )
+                        else:
+                            hit_keys, combined = yield from rpc.call(
+                                self.host, peer, PEER_SERVICE, "get_cached", keys
+                            )
+                    except (ProviderUnavailableError, ChunkNotFoundError) as exc:
+                        # peer died (possibly mid-transfer) — next candidate or
+                        # the provider path picks these chunks up
+                        metrics.count("p2p-peer-failover")
+                        span.set_error(exc)
+                        return None
+                    span.set(hits=len(hit_keys))
                 group: Dict[int, Payload] = {}
                 cursor = 0
                 for key in hit_keys:

@@ -226,19 +226,19 @@ def _begin_timed(
         raise SimulationError(
             f"{service_name}.{method}: a timed read replies Sized or an exception"
         )
-    span = None
     tracer = fabric.tracer
-    if tracer.enabled:
-        # no event fires at the interior instants: both spans go in closed
-        span = tracer.record(
-            f"rpc:{service_name}.{method}", "rpc", t0, t, src=caller.name, dst=callee.name
-        )
-        srv_span = tracer.record(
-            f"serve:{service_name}.{method}", "rpc-server", t_request, t_served,
-            parent=span, host=callee.name,
-        )
-        if isinstance(reply, BaseException):
-            srv_span.set_error(reply)
+    if not tracer.enabled:  # once per RPC, as in call()
+        return _TimedLeg(callee, t, reply, flow_bytes, None)
+    # no event fires at the interior instants: both spans go in closed
+    span = tracer.record(
+        f"rpc:{service_name}.{method}", "rpc", t0, t, src=caller.name, dst=callee.name
+    )
+    srv_span = tracer.record(
+        f"serve:{service_name}.{method}", "rpc-server", t_request, t_served,
+        parent=span, host=callee.name,
+    )
+    if isinstance(reply, BaseException):
+        srv_span.set_error(reply)
     return _TimedLeg(callee, t, reply, flow_bytes, span)
 
 
@@ -308,19 +308,11 @@ def call(
 
         # 2. server-side handler
         handler = _handler(callee, service_name, method)
-        if span is not None:
-            srv_span = tracer.start(
-                f"serve:{service_name}.{method}", "rpc-server", host=callee.name
-            )
-            try:
-                result = yield from handler(caller, *args)
-            except BaseException as exc:
-                srv_span.set_error(exc)
-                raise
-            finally:
-                srv_span.finish()
-        else:
+        if span is None:  # once per RPC: no null span (DESIGN.md §9)
             result = yield from handler(caller, *args)
+        else:
+            with tracer.start(f"serve:{service_name}.{method}", "rpc-server", host=callee.name):
+                result = yield from handler(caller, *args)
 
         if _down_hosts and _key(callee) in _down_hosts:
             # Host died while serving (failure injected mid-call).

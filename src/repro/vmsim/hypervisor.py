@@ -116,26 +116,12 @@ class VMInstance:
             self.boot_model.hypervisor_init_min, self.boot_model.hypervisor_init_max
         )
         tracer = self.host.fabric.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start(f"boot:{self.name}", "vm", host=self.host.name)
-        try:
-            if span is not None:
-                with tracer.start("hypervisor-init", "cpu", seconds=float(init)):
-                    yield env.timeout(float(init))
-                with tracer.start("backend-open", "vfs"):
-                    yield from self.backend.open()
-            else:
+        with tracer.start(f"boot:{self.name}", "vm", host=self.host.name):
+            with tracer.start("hypervisor-init", "cpu", seconds=float(init)):
                 yield env.timeout(float(init))
+            with tracer.start("backend-open", "vfs"):
                 yield from self.backend.open()
             yield from self.run_ops(trace)
-        except BaseException as exc:
-            if span is not None:
-                span.set_error(exc)
-            raise
-        finally:
-            if span is not None:
-                span.finish()
         self.booted_at = env.now
         self.boot_time = env.now - t_launch
         metrics = self.host.fabric.metrics

@@ -17,8 +17,10 @@ import pytest
 
 from repro import obs
 from repro.calibration import Calibration, ImageSpec
-from repro.cloud import build_cloud, deploy, snapshot_all
+from repro.cloud import build_cloud, deploy, seed_image, snapshot_all
+from repro.common.errors import ProviderUnavailableError
 from repro.common.units import KiB, MiB
+from repro.simkit import rpc
 from repro.vmsim import make_image
 
 CALIB = Calibration(
@@ -121,3 +123,31 @@ class TestAcceptance:
         # the instrumented layers all show up in one deploy+snapshot cycle
         for expected in ("deploy", "vm", "cpu", "vfs", "rpc", "net", "snapshot"):
             assert expected in cats, expected
+
+
+class TestFailedCampaign:
+    def test_deploy_root_records_the_failure_when_it_happens(self):
+        """A failing boot closes the campaign root with the error, at once.
+
+        The only provider is down, there is one replica and no retry, so
+        the first chunk fetch fails and takes its boot and the deploy with
+        it. The ``deploy:mirror`` root must end at that instant, marked
+        failed, not be left open for the end-of-run sweep to close clean.
+        """
+        cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB, data_nodes=1)
+        tracer = obs.install_tracer(cloud.fabric)
+        image = make_image(CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16)
+        idents = seed_image(cloud, image)
+        (provider,) = [cloud.fabric.hosts[name] for name in cloud.blobseer.data_services]
+        rpc.host_down(provider)
+        try:
+            with pytest.raises(ProviderUnavailableError):
+                deploy(cloud, image, N_INSTANCES, "mirror", idents=idents)
+        finally:
+            rpc.host_up(provider)
+        failed_at = cloud.env.now
+        (root,) = [s for s in tracer.spans if s.name == "deploy:mirror"]
+        assert root.error is not None and "ProviderUnavailableError" in root.error
+        assert root.t1 == failed_at
+        failed_boots = [s for s in obs.boot_spans(tracer.spans) if s.error is not None]
+        assert failed_boots and min(s.t1 for s in failed_boots) == failed_at

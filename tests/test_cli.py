@@ -101,6 +101,19 @@ class TestTrace:
         assert "critical path of snapshot:" in text
         assert out.exists()
 
+    def test_low_coverage_fails_naming_the_worst_root(self, capsys, tmp_path, monkeypatch):
+        from repro import obs
+
+        monkeypatch.setattr(obs, "coverage", lambda root, spans: 0.5)
+        rc = main(
+            ["trace", "-n", "2", "--image-mib", "64", "--touched-mib", "6",
+             "--pool", "6", "--out", str(tmp_path / "fig4.trace.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: span coverage of boot:vm")
+
 
 class TestSweep:
     def test_parser_defaults(self):
