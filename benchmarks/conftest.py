@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-# make `import repro` work without an installed package or PYTHONPATH=src
-SRC = Path(__file__).resolve().parents[1] / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+# make `import repro` work without an installed package or PYTHONPATH=src, and
+# the test references importable (the fairness ablation's max-min yardstick)
+ROOT = Path(__file__).resolve().parents[1]
+for path in (ROOT / "tests", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,18 @@ def _add_cluster_args(
     parser.add_argument("--seed", type=int, default=1, help="experiment seed")
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, refused with usage unless above 0."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _cli_profile(**fields):
     """Register the ``cli`` profile: ``paper`` resized by one command's flags."""
     from .runner import PAPER, register_profile
@@ -578,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrent VMs (0 = the profile's first count)")
     p_topo.add_argument("--profile", default="topo-smoke",
                         help="benchmark profile (topo, topo-smoke, ...)")
-    p_topo.add_argument("--racks", type=int, default=4,
+    p_topo.add_argument("--racks", type=_positive(int), default=4,
                         help="racks the compute pool is split across")
-    p_topo.add_argument("--oversubscription", type=float, default=4.0,
+    p_topo.add_argument("--oversubscription", type=_positive(float), default=4.0,
                         help="rack uplink = hosts_per_rack * NIC / this ratio")
     p_topo.add_argument("--directory", choices=["announce", "rendezvous"],
                         default="announce", help="peer-location strategy")

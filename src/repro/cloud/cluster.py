@@ -71,7 +71,6 @@ def build_cloud(
     with_pvfs: bool = True,
     data_nodes: Optional[int] = None,
     meta_nodes: Optional[int] = None,
-    fairness: str = "equal-share",
     placement: str = "round-robin",
     dedup: bool = False,
     replication_factor: int = 1,
@@ -85,8 +84,6 @@ def build_cloud(
     topology: Optional[Topology] = None,
     racks: int = 1,
     oversubscription: float = 4.0,
-    rack_uplink: Optional[float] = None,
-    core_capacity: Optional[float] = None,
     topo_aware: bool = True,
 ) -> Cloud:
     """Build the simulated testbed.
@@ -123,15 +120,12 @@ def build_cloud(
             racks,
             tb.nic_bandwidth,
             oversubscription=oversubscription,
-            rack_uplink=rack_uplink,
-            core_capacity=core_capacity,
             infra_hosts=("manager", "nfs-server"),
         )
     fabric = Fabric(
         seed=seed,
         nic_bandwidth=tb.nic_bandwidth,
         latency=tb.network_latency,
-        fairness=fairness,
         topology=topology,
     )
     compute = [

@@ -59,7 +59,6 @@ CLOUD_PARAMS = {
     "oversubscription": 4.0,   # rack uplink = hosts_per_rack * nic_bw / this
     "locality": True,          # rack-aware peer ranking and replica reads
                                # (False = the topology-blind baseline)
-    "fairness": "equal-share",  # flow-sharing model
 }
 
 
@@ -93,7 +92,7 @@ def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
         ),
         replica_write_mode=p["replica_write_mode"],
         racks=racks, oversubscription=float(p["oversubscription"]), topo_aware=locality,
-        fairness=p["fairness"], **cloud_kw,
+        **cloud_kw,
     )
 
 
@@ -130,12 +129,9 @@ def _source_metrics(cloud) -> Dict[str, float]:
         "peer_failovers": float(stats.get("peer_failovers", 0)),
         "cache_evictions": float(stats.get("cache_evictions", 0)),
         "intra_rack_bytes": float(scopes.get("intra-rack", 0)),
-        "cross_rack_bytes": float(scopes.get("cross-rack", 0) + scopes.get("cross-pod", 0)),
+        "cross_rack_bytes": float(scopes.get("cross-rack", 0)),
         "intra_rack_payload_bytes": float(m.topo_kind_bytes("intra-rack", "payload")),
-        "cross_rack_payload_bytes": float(
-            m.topo_kind_bytes("cross-rack", "payload")
-            + m.topo_kind_bytes("cross-pod", "payload")
-        ),
+        "cross_rack_payload_bytes": float(m.topo_kind_bytes("cross-rack", "payload")),
     }
 
 

@@ -31,7 +31,6 @@ class Fabric:
         seed: int = 0,
         nic_bandwidth: float = 117.5 * MB,
         latency: float = 0.1 * MILLISECONDS,
-        fairness: str = "equal-share",
         topology=None,
     ):
         self.env = Environment()
@@ -43,7 +42,6 @@ class Fabric:
             self.env,
             metrics=self.metrics,
             latency=latency,
-            fairness=fairness,
             topology=topology,
         )
         self.rng = RngStreams(seed)

@@ -1,4 +1,4 @@
-"""Flow-level network fabric with fair bandwidth sharing over links.
+"""Flow-level network fabric with equal-share bandwidth sharing over links.
 
 The paper's testbed is a commodity GigE cluster (117.5 MB/s measured TCP
 throughput, ~0.1 ms latency) behind a non-blocking switch, so the only
@@ -7,54 +7,41 @@ network at *flow level*: a bulk transfer is a fluid flow whose instantaneous
 rate is its fair share of every link on its path.
 
 **One link record.** A :class:`_Link` is one direction of a capacity-
-constrained resource. A NIC owns two (its uplink and its downlink); a
-hierarchical :class:`~repro.topo.Topology` adds one per trunk direction
-(``rack3:up``, ``pod0:down``, ``core``). ``Flow.links`` is the flow's whole
-path, ``(src.up, dst.down, *trunks)``; a flat fabric — no topology, a
-single rack, or two hosts of the same rack — is simply a path with no
-trunks. Nothing below distinguishes a NIC direction from a trunk.
+constrained resource. A NIC owns two (its uplink and its downlink); a racked
+:class:`~repro.topo.Topology` adds one per rack trunk direction
+(``rack3:up``, ``rack3:down``). ``Flow.links`` is the flow's whole path,
+``(src.up, dst.down, *trunks)``; a flat fabric — no topology, a single
+rack, or two hosts of the same rack — is simply a path with no trunks.
+Nothing below distinguishes a NIC direction from a trunk.
 
-Two fairness disciplines are provided:
+**One sharing rule: equal share.**
+``rate(f) = min(capacity(l) / n_flows(l) for l in f.links)``. It slightly
+*under*-estimates throughput versus true max-min sharing because the share
+a bottlenecked-elsewhere flow leaves on a link is not redistributed. Exact
+max-min (progressive filling) lives on only as a test yardstick,
+``MaxMinNetwork`` in ``tests/reference_network.py``, which the benchmarks'
+sharing-model ablation compares against.
 
-``"equal-share"`` (default)
-    ``rate(f) = min(capacity(l) / n_flows(l) for l in f.links)``.
-    Incremental, near-O(1) per flow arrival or departure (the cohort engine
-    below) — fast enough for 512-node bursts on any topology. It slightly
-    *under*-estimates throughput versus true max-min fairness because the
-    share a bottlenecked-elsewhere flow leaves on a link is not
-    redistributed.
-
-``"maxmin"``
-    exact max-min fairness via progressive filling, recomputed globally on
-    every flow arrival/departure. Heap-driven water filling, O(F log L) per
-    recompute, applied eagerly flow by flow (:meth:`FlowNetwork._set_rate`)
-    — used in tests and small topologies to bound the error of the fast
-    mode. It is only accepted on fabrics without trunks: no tracked result
-    needs it across racks, so the combination stays rejected rather than
-    carried untested.
-
-**Cohort engine** (equal-share): every flow bottlenecked on the same link
-has the *same* rate, so each link keeps one lazy cohort record (share
-level, an epoch counter, and a closed-segment history of past share
-levels) instead of touching every crossing flow on each arrival or
-departure. A flow's *home* is the tightest link on its path; on the other
-links of its path it is *foreign*. A flow's ``(remaining, t_last)`` is
-materialized only when its rate actually changes (its home switches to a
-link with a different share), when it becomes the cohort head (its ETA is
-needed), or when it aborts — by replaying the exact per-segment products an
-eager per-flow update would have computed, so results are bit-identical to
-a per-flow equal-share engine (kept as a reference under ``tests/``, see
-``tests/reference_network.py``). Flow maintenance is near-O(1) per event
-instead of O(flows on the touched links) — the difference between O(F²)
-and O(F log F) aggregate work for the paper's fan-in deployment patterns,
-on flat and oversubscribed fabrics alike. See DESIGN.md §8.
+**Cohort engine**: every flow bottlenecked on the same link has the *same*
+rate, so each link keeps one lazy cohort record (share level, an epoch
+counter, and a closed-segment history of past share levels) instead of
+touching every crossing flow on each arrival or departure. A flow's *home*
+is the tightest link on its path; on the other links of its path it is
+*foreign*. A flow's ``(remaining, t_last)`` is materialized only when its
+rate actually changes (its home switches to a link with a different share),
+when it becomes the cohort head (its ETA is needed), or when it aborts — by
+replaying the exact per-segment products an eager per-flow update would have
+computed, so results are bit-identical to a per-flow equal-share engine
+(kept as a reference under ``tests/``, see ``tests/reference_network.py``).
+Flow maintenance is near-O(1) per event instead of O(flows on the touched
+links) — the difference between O(F²) and O(F log F) aggregate work for the
+paper's fan-in deployment patterns, on flat and oversubscribed fabrics
+alike. See DESIGN.md §8.
 
 **Completion wakeups** use a single earliest-ETA sentinel event per network
 rather than one timer per flow per rebalance: a lazily-invalidated heap
 holds one entry per link (the cohort head's ETA, invalidated by epoch
-bumps) or, under max-min, one per flow rate change (invalidated by the
-flow's generation counter), and at most one pending sentinel timer tracks
-the heap head.
+bumps), and at most one pending sentinel timer tracks the heap head.
 
 Small control messages (below :attr:`FlowNetwork.message_threshold`) bypass
 the fluid model and pay ``latency + size/capacity + per_message_overhead``;
@@ -67,7 +54,7 @@ lives only in :class:`Metrics` and never affects the timeline.
 from __future__ import annotations
 
 from bisect import insort_right
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
@@ -170,18 +157,14 @@ class Flow:
 
     ``links`` is the flow's path, ``(src.up, dst.down, *trunks)``, and
     ``scope`` its tier label for traffic accounting (None without a
-    topology). Equal-share: ``home`` is the link whose share is the flow's
-    rate (the tightest link of the path) and ``seg_idx`` the absolute index
-    of the first segment of that link's history not yet applied to
-    ``remaining``. Max-min: ``rate`` is authoritative, ``ctime`` the
-    absolute completion time under it, and ``wake_seq`` the generation
-    counter bumped on every rate change (and on completion), which lazily
-    invalidates completion-heap entries pushed under earlier generations.
+    topology). ``home`` is the link whose share is the flow's rate (the
+    tightest link of the path) and ``seg_idx`` the absolute index of the
+    first segment of that link's history not yet applied to ``remaining``.
     """
 
     __slots__ = (
-        "src", "dst", "size", "remaining", "rate", "t_last", "ctime", "done",
-        "wake_seq", "kind", "span", "home", "seg_idx", "links", "scope",
+        "src", "dst", "size", "remaining", "t_last", "done", "kind", "span",
+        "home", "seg_idx", "links", "scope",
     )
 
     def __init__(
@@ -199,11 +182,8 @@ class Flow:
         self.dst = dst
         self.size = float(size)
         self.remaining = float(size)
-        self.rate = 0.0
         self.t_last = now
-        self.ctime = 0.0
         self.done = done
-        self.wake_seq = 0
         self.kind = kind
         self.span = None  # observability: set by transfer() when tracing
         self.home: Optional[_Link] = None
@@ -220,34 +200,23 @@ class FlowNetwork:
         env: Environment,
         metrics: Optional[Metrics] = None,
         latency: float = 0.1 * MILLISECONDS,
-        fairness: str = "equal-share",
         message_threshold: int = 4096,
         per_message_overhead: float = 0.02 * MILLISECONDS,
         message_header_bytes: int = 66,
         topology: Optional["Topology"] = None,
     ):
-        if fairness not in ("equal-share", "maxmin"):
-            raise ValueError(f"unknown fairness discipline {fairness!r}")
-        if fairness == "maxmin" and topology is not None and topology.multi_rack:
-            raise ValueError(
-                "hierarchical (multi-rack) topology requires equal-share fairness"
-            )
-        #: hierarchical fabric (None = flat switch): trunks on cross-rack
-        #: paths plus per-tier traffic accounting
+        #: racked fabric (None = flat switch): trunks on cross-rack paths
+        #: plus per-tier traffic accounting
         self.topology = topology
         self.env = env
         self.metrics = metrics if metrics is not None else Metrics()
         self.latency = latency
-        self.fairness = fairness
         self.message_threshold = message_threshold
         self.per_message_overhead = per_message_overhead
         self.message_header_bytes = message_header_bytes
         #: observability: flow begin/end spans; inert unless a tracer is
         #: installed via :func:`repro.obs.install_tracer`
         self.tracer = NULL_TRACER
-        #: max-min runs the eager per-flow engine: its progressive filling
-        #: is inherently global (see DESIGN.md §8); equal-share runs cohorts
-        self._eager = fairness == "maxmin"
         self._trunks: Dict[str, _Link] = {}
         if topology is not None:
             self._build_trunks(topology)
@@ -266,9 +235,8 @@ class FlowNetwork:
         self._pending: List[Tuple[_Link, float]] = []
         self._nics: Dict[str, Nic] = {}
         self._flows: Dict[Flow, None] = {}
-        #: min-heap of completion candidates, stale entries dropped lazily.
-        #: Equal-share: (head ETA, push tie-breaker, link epoch, link).
-        #: Max-min: (completion time, push tie-breaker, flow generation, flow).
+        #: min-heap of completion candidates, stale entries dropped lazily:
+        #: (head ETA, push tie-breaker, link epoch, link)
         self._completions: List[tuple] = []
         self._push_seq = 0
         #: generation of the currently armed sentinel timer (stale timers
@@ -298,17 +266,11 @@ class FlowNetwork:
     def _build_trunks(self, topo: "Topology") -> None:
         trunks = self._trunks
         for r in range(topo.n_racks):
-            trunks[f"rack{r}:up"] = _Link(f"rack{r}:up", topo.rack_uplink)
-            trunks[f"rack{r}:down"] = _Link(f"rack{r}:down", topo.rack_uplink)
-        if topo.racks_per_pod:
-            for p in range(topo.n_pods):
-                trunks[f"pod{p}:up"] = _Link(f"pod{p}:up", topo.pod_uplink)
-                trunks[f"pod{p}:down"] = _Link(f"pod{p}:down", topo.pod_uplink)
-        if topo.core_capacity is not None:
-            trunks["core"] = _Link("core", topo.core_capacity)
+            for name in (f"rack{r}:up", f"rack{r}:down"):
+                trunks[name] = _Link(name, topo.rack_uplink)
 
     def trunk(self, name: str) -> _Link:
-        """Look up a trunk link by name (``rack3:up``, ``pod0:down``, ``core``)."""
+        """Look up a trunk link by name (``rack3:up``, ``rack3:down``)."""
         try:
             return self._trunks[name]
         except KeyError:
@@ -319,10 +281,9 @@ class FlowNetwork:
         """``(trunks, scope)`` of a src->dst transfer, resolved once per rack pair.
 
         Intra-rack flows cross no trunk (the top-of-rack switch is
-        non-blocking); cross-rack flows pay both rack trunks, plus pod
-        trunks and the core when pods / a finite core are configured.
-        Without a topology every NIC sits in rack 0 and the one route is
-        ``((), None)``: no trunks, no tier accounting.
+        non-blocking); cross-rack flows pay both rack trunks (the core is
+        non-blocking). Without a topology every NIC sits in rack 0 and the
+        one route is ``((), None)``: no trunks, no tier accounting.
         """
         key = (src.rack, dst.rack)
         route = self._routes.get(key)
@@ -330,22 +291,10 @@ class FlowNetwork:
             return route
         topo = self.topology
         r1, r2 = key
-        path: List[_Link] = []
-        if r1 != r2:
-            trunks = self._trunks
-            path.append(trunks[f"rack{r1}:up"])
-            core = trunks.get("core")
-            if topo.pod(r1) != topo.pod(r2):
-                path.append(trunks[f"pod{topo.pod(r1)}:up"])
-                if core is not None:
-                    path.append(core)
-                path.append(trunks[f"pod{topo.pod(r2)}:down"])
-            elif core is not None and not topo.racks_per_pod:
-                # no pod tier: every cross-rack flow transits the core
-                path.append(core)
-            path.append(trunks[f"rack{r2}:down"])
+        trunks = self._trunks
+        path = (trunks[f"rack{r1}:up"], trunks[f"rack{r2}:down"]) if r1 != r2 else ()
         scope = topo.scope(src.name, dst.name) if topo is not None else None
-        route = self._routes[key] = (tuple(path), scope)
+        route = self._routes[key] = (path, scope)
         return route
 
     # ------------------------------------------------------------------ #
@@ -373,10 +322,7 @@ class FlowNetwork:
         self._flows[flow] = None
         for link in links:
             link.n_flows += 1
-        if self._eager:
-            self._rebalance(links)
-        else:
-            self._admit(flow)
+        self._admit(flow)
         return done
 
     def message(
@@ -445,8 +391,8 @@ class FlowNetwork:
         """Change a NIC's capacities mid-run (fault injection: NIC degradation).
 
         In-flight flows crossing the NIC are rebalanced immediately; flows on
-        other links are untouched (equal-share) or globally refilled (maxmin).
-        A rejected update leaves both capacities as they were.
+        other links are untouched. A rejected update leaves both capacities
+        as they were.
         """
         if down_capacity is None:
             down_capacity = up_capacity
@@ -484,7 +430,6 @@ class FlowNetwork:
                 link.n_flows -= 1
                 touched[link] = None
             self._drain(flow, now)  # at the pre-failure rate
-            flow.wake_seq += 1  # invalidate completion-heap entries
             sent = flow.size - flow.remaining
             self.metrics.add_traffic(sent, flow.kind)
             if flow.scope is not None:
@@ -495,27 +440,21 @@ class FlowNetwork:
                 span.finish()
                 flow.span = None
             flow.done.fail(ProviderUnavailableError(cause))
-        if not self._eager:
-            for flow in victims:
-                self._detach(flow)
+        for flow in victims:
+            self._detach(flow)
         self._rebalance(touched)
 
     def _drain(self, flow: Flow, now: float) -> None:
         """Advance ``remaining`` to ``now`` at the flow's current rate.
 
-        A homed (equal-share) flow first replays its pending closed
-        segments, then the open partial at its home's share — the exact
-        products an eager per-flow update would have applied.
+        Replays the flow's pending closed segments, then the open partial at
+        its home's share — the exact products an eager per-flow update would
+        have applied.
         """
-        home = flow.home
-        if home is None:
-            rate = flow.rate
-        else:
-            self._replay(flow)
-            rate = home.share
+        self._replay(flow)
         t = flow.t_last
         if t < now:
-            rem = flow.remaining - rate * (now - t)
+            rem = flow.remaining - flow.home.share * (now - t)
             flow.remaining = rem if rem > 0.0 else 0.0
             flow.t_last = now
 
@@ -524,36 +463,13 @@ class FlowNetwork:
     # ------------------------------------------------------------------ #
     def _rebalance(self, links: Iterable[_Link]) -> None:
         """Capacity or membership of ``links`` changed: re-rate their flows."""
-        if self._eager:
-            self._rebalance_global()
-        else:
-            now = self.env.now
-            for link in links:
-                self._reshare(link, link.capacity / max(1, link.n_flows), now)
-            self._flush_dirty(now)
-
-    def _set_rate(self, flow: Flow, new_rate: float, now: float) -> None:
-        """Eager engine: advance progress, bump generation, push the new ETA.
-
-        Callers skip flows whose rate is unchanged — a flow drains linearly,
-        so leaving ``(t_last, remaining)`` untouched until the rate actually
-        changes is exact (and keeps its completion-heap entry valid).
-        """
-        old = flow.rate
-        if old > 0.0:
-            rem = flow.remaining - old * (now - flow.t_last)
-            flow.remaining = rem if rem > 0.0 else 0.0
-        flow.t_last = now
-        flow.rate = new_rate
-        flow.wake_seq += 1
-        if new_rate > 0.0:
-            ctime = now + flow.remaining / new_rate
-            flow.ctime = ctime
-            self._push_seq += 1
-            heappush(self._completions, (ctime, self._push_seq, flow.wake_seq, flow))
+        now = self.env.now
+        for link in links:
+            self._reshare(link, link.capacity / max(1, link.n_flows), now)
+        self._flush_dirty(now)
 
     # ------------------------------------------------------------------ #
-    # cohort engine (equal-share): lazy per-link rate epochs
+    # cohort engine: lazy per-link rate epochs
     # ------------------------------------------------------------------ #
     def _admit(self, flow: Flow) -> None:
         """A counted new flow joins the cohorts of its path."""
@@ -657,7 +573,6 @@ class FlowNetwork:
         """Make ``flow`` a native of ``link`` (its rate = link.share from now on)."""
         flow.home = link
         flow.seg_idx = link.seg_base + len(link.segs)
-        flow.rate = link.share  # informational; authoritative rate is link.share
         floor = self._runner_up(flow).share
         if floor < link.others_floor:
             link.others_floor = floor
@@ -795,74 +710,10 @@ class FlowNetwork:
                     # ETA is the one an eager update pushed at that older
                     # materialization: t_last + remaining / share
                     ctime = head.t_last + head.remaining / link.share
-                    head.ctime = ctime
                     self._push_seq += 1
                     heappush(completions, (ctime, self._push_seq, link.epoch, link))
             dirty.clear()
         self._arm_sentinel()
-
-    # ------------------------------------------------------------------ #
-    # eager engine (max-min): global progressive filling
-    # ------------------------------------------------------------------ #
-    def _rebalance_global(self) -> None:
-        """Max-min rebalance: recompute every active flow's rate."""
-        now = self.env.now
-        for flow, rate in self._progressive_filling():
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        self._arm_sentinel()
-
-    def _progressive_filling(self) -> List[Tuple[Flow, float]]:
-        """Exact max-min fairness over all active flows (water filling).
-
-        Heap-driven: each link carries (residual capacity, unfixed flow
-        count); the globally tightest link fixes all its unfixed flows at
-        its share level, then the other links on their paths are re-pushed.
-        Lazy invalidation via per-link version counters. O(F log L) instead
-        of repeated O(links x flows) scans.
-        """
-        flows = self._flows
-        if not flows:
-            return []
-        # Filling record per link: [residual, count, unfixed flows, version,
-        # index], indexed in first-crossing order (the heap's tie-breaker).
-        records: Dict[_Link, list] = {}
-        order: List[list] = []
-        for flow in flows:
-            for link in flow.links:
-                rec = records.get(link)
-                if rec is None:
-                    rec = records[link] = [link.capacity, link.n_flows, {}, 0, len(order)]
-                    order.append(rec)
-                rec[2][flow] = None
-        heap: List[Tuple[float, int, int]] = [
-            (rec[0] / rec[1], rec[4], rec[3]) for rec in order
-        ]
-        heapify(heap)
-        rates: List[Tuple[Flow, float]] = []
-        n_unfixed = len(flows)
-        while n_unfixed and heap:
-            level, idx, ver = heappop(heap)
-            rec = order[idx]
-            if ver != rec[3] or rec[1] == 0:
-                continue  # stale entry
-            touched: Dict[int, list] = {}
-            for flow in list(rec[2]):
-                rates.append((flow, level))
-                n_unfixed -= 1
-                for link in flow.links:
-                    other = records[link]
-                    del other[2][flow]
-                    other[1] -= 1
-                    other[0] -= level
-                    if other is not rec:
-                        touched[other[4]] = other
-            rec[3] += 1  # saturated; invalidate pending entries
-            for other in touched.values():
-                other[3] += 1
-                if other[1] > 0:
-                    heappush(heap, (other[0] / other[1], other[4], other[3]))
-        return rates
 
     # ------------------------------------------------------------------ #
     # completion sentinel
@@ -870,24 +721,15 @@ class FlowNetwork:
     def _next_completion(self) -> Optional[Tuple[float, Flow]]:
         """Drop stale heap entries; ``(time, flow)`` of the earliest live one.
 
-        An equal-share entry is stale when its link's epoch moved on or the
-        link has no natives left; it stands for the cohort head. A max-min
-        entry is stale when its flow's generation moved on or the flow left.
+        An entry is stale when its link's epoch moved on or the link has no
+        natives left; a live one stands for the cohort head.
         """
         heap = self._completions
-        if self._eager:
-            flows = self._flows
-            while heap:
-                ctime, _, gen, flow = heap[0]
-                if gen == flow.wake_seq and flow in flows:
-                    return ctime, flow
-                heappop(heap)
-        else:
-            while heap:
-                ctime, _, epoch, link = heap[0]
-                if epoch == link.epoch and link.natives:
-                    return ctime, link.natives[0]
-                heappop(heap)
+        while heap:
+            ctime, _, epoch, link = heap[0]
+            if epoch == link.epoch and link.natives:
+                return ctime, link.natives[0]
+            heappop(heap)
         return None
 
     def _arm_sentinel(self) -> None:
@@ -932,7 +774,6 @@ class FlowNetwork:
         links = flow.links
         for link in links:
             link.n_flows -= 1
-        flow.wake_seq += 1  # invalidate any remaining heap entries
         self.metrics.add_traffic(flow.size, flow.kind)
         if flow.scope is not None:
             self.metrics.add_topo_traffic(flow.scope, flow.kind, flow.size)
@@ -943,8 +784,7 @@ class FlowNetwork:
                 span.set(achieved_bw=flow.size / elapsed)
             span.finish()
             flow.span = None
-        if not self._eager:
-            self._detach(flow)
+        self._detach(flow)
         self._rebalance(links)
         # Last byte still pays propagation latency; deliver `done` directly.
         env = self.env

@@ -1,8 +1,7 @@
-"""Hierarchical datacenter topology: racks, aggregation pods, and core.
+"""Racked datacenter topology: hosts in racks behind a non-blocking core.
 
 The flat simulator assumes every NIC hangs off one non-blocking switch.
-This package models the usual production shape instead — hosts grouped
-into racks, racks into pods, pods behind a core — with an explicit
+This package models hosts grouped into racks instead, with an explicit
 oversubscription ratio at the rack uplink.  The fabric model plugs in
 *under* :class:`repro.simkit.network.FlowNetwork` (flows traverse the
 bottleneck set of links on their path) and *over* the placement / peer

@@ -52,10 +52,6 @@ class TestBuildCloud:
         cloud = build_cloud(3, seed=1, calib=SMALL, placement="least-loaded")
         assert cloud.blobseer.policy.strategy == "least-loaded"
 
-    def test_fairness_mode(self):
-        cloud = build_cloud(2, seed=1, calib=SMALL, fairness="maxmin")
-        assert cloud.fabric.network.fairness == "maxmin"
-
     def test_write_buffer_from_calibration(self):
         cloud = build_cloud(2, seed=1, calib=SMALL)
         svc = next(iter(cloud.blobseer.data_services.values()))

@@ -1,4 +1,4 @@
-"""Per-flow equal-share reference for the cohort engine (test-only).
+"""Per-flow reference engines for the cohort engine (test-only).
 
 The production :class:`FlowNetwork` maintains equal-share rates lazily, one
 cohort record per link. Its correctness claim is *exact* float equality with
@@ -9,36 +9,42 @@ for every flow whose rate changed. That is O(flows) per event — the cost the
 cohort engine removed — and works on any path length, so the same reference
 covers flat fabrics and trunk-crossing flows.
 
-The reference rides on the production eager engine (``_set_rate``, per-flow
-heap entries), which max-min uses too; it only replaces *which rates* are
-applied, and it resolves paths and counts link membership on its own (from
-the topology, not from ``Flow.links`` / ``n_flows``), so an engine that
-forgets a trunk disagrees with it. A ``fail_nic`` event is one rebalance
-over every touched link, so event counts match the cohort engine on fault
-workloads as well.
+Both references ride on :class:`EagerNetwork`, the eager per-flow engine:
+each flow's rate and generation counter sit in side tables, a rate change
+drains the flow at its old rate and pushes a per-flow completion-heap entry
+tagged with the new generation, and entries of an earlier generation (or of
+a flow that left) are dropped lazily. The subclasses only choose *which
+rates* are applied:
+
+* :class:`EagerEqualShareNetwork` — equal share, resolving paths and
+  counting link membership on its own (from the topology, not from
+  ``Flow.links`` / ``n_flows``), so an engine that forgets a trunk
+  disagrees with it. A ``fail_nic`` event is one rebalance over every
+  touched link, so event counts match the cohort engine on fault workloads
+  as well.
+* :class:`MaxMinNetwork` — exact max-min by heap-driven progressive
+  filling over every active flow, the yardstick that bounds how far the
+  equal-share rule under-estimates throughput (the ``ablation_fairness``
+  bench and the max-min property tests).
+
+:func:`eager_fabric` / :func:`maxmin_fabric` make every cloud built inside
+the block use one of them.
 """
 
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
 
 import repro.simkit.host as hostmod
 from repro.simkit.network import FlowNetwork
 from repro.topo import Topology
 
 
-def round_robin_topology(
-    hosts, racks, rack_uplink, racks_per_pod=0, pod_uplink=None, core_capacity=None
-):
+def round_robin_topology(hosts, racks, rack_uplink):
     """``racks`` racks with ``hosts`` dealt round-robin (0 racks: no topology),
     so consecutive hosts sit in different racks and most pairs cross trunks."""
     if not racks:
         return None
-    topo = Topology(
-        n_racks=racks,
-        rack_uplink=rack_uplink,
-        racks_per_pod=racks_per_pod,
-        pod_uplink=pod_uplink if racks_per_pod else None,
-        core_capacity=core_capacity,
-    )
+    topo = Topology(n_racks=racks, rack_uplink=rack_uplink)
     for i, name in enumerate(hosts):
         topo.place(name, i % racks)
     return topo
@@ -49,29 +55,79 @@ def trunk_names(topo, src, dst):
     r1, r2 = topo.rack(src), topo.rack(dst)
     if r1 == r2:
         return []
-    names = [f"rack{r1}:up"]
-    p1, p2 = topo.pod(r1), topo.pod(r2)
-    finite_core = topo.core_capacity is not None
-    if p1 != p2:
-        names.append(f"pod{p1}:up")
-        if finite_core:
-            names.append("core")
-        names.append(f"pod{p2}:down")
-    elif finite_core and not topo.racks_per_pod:
-        names.append("core")  # no pod tier: cross-rack goes through the core
-    names.append(f"rack{r2}:down")
-    return names
+    return [f"rack{r1}:up", f"rack{r2}:down"]
 
 
-class EagerEqualShareNetwork(FlowNetwork):
-    """Equal-share fairness computed eagerly, flow by flow."""
+class EagerNetwork(FlowNetwork):
+    """The eager per-flow engine; subclasses define :meth:`_new_rates`."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        # max-min requests stay what they are (already eager); equal-share
-        # ones are switched from the cohort engine to the eager one
-        self._equal_share = not self._eager
-        self._eager = True
+        self.rate = {}  # flow -> its current rate (0.0 until first rated)
+        self.gen = {}   # flow -> generation, bumped on every rate change
+
+    def _new_rates(self, links):
+        """``(flow, rate)`` for every flow to re-rate after ``links`` changed."""
+        raise NotImplementedError
+
+    def _admit(self, flow):
+        self.rate[flow] = 0.0
+        self.gen[flow] = 0
+        self._rebalance(flow.links)
+
+    def _detach(self, flow):
+        del self.rate[flow], self.gen[flow]  # its heap entries go stale
+
+    def _drain(self, flow, now):
+        t = flow.t_last
+        if t < now:
+            rem = flow.remaining - self.rate[flow] * (now - t)
+            flow.remaining = rem if rem > 0.0 else 0.0
+            flow.t_last = now
+
+    def _rebalance(self, links):
+        now = self.env.now
+        for flow, rate in self._new_rates(links):
+            if rate != self.rate[flow]:
+                self._set_rate(flow, rate, now)
+        self._arm_sentinel()
+
+    def _set_rate(self, flow, new_rate, now):
+        """Advance progress, bump the generation, push the new ETA.
+
+        Callers skip flows whose rate is unchanged — a flow drains linearly,
+        so leaving ``(t_last, remaining)`` untouched until the rate actually
+        changes is exact (and keeps its completion-heap entry valid).
+        """
+        old = self.rate[flow]
+        if old > 0.0:
+            rem = flow.remaining - old * (now - flow.t_last)
+            flow.remaining = rem if rem > 0.0 else 0.0
+        flow.t_last = now
+        self.rate[flow] = new_rate
+        self.gen[flow] += 1
+        if new_rate > 0.0:
+            self._push_seq += 1
+            heappush(
+                self._completions,
+                (now + flow.remaining / new_rate, self._push_seq, self.gen[flow], flow),
+            )
+
+    def _next_completion(self):
+        heap = self._completions
+        while heap:
+            ctime, _, gen, flow = heap[0]
+            if gen == self.gen.get(flow):
+                return ctime, flow
+            heappop(heap)
+        return None
+
+
+class EagerEqualShareNetwork(EagerNetwork):
+    """Equal-share rates computed eagerly, flow by flow."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
         self._paths = {}
 
     def _path(self, flow):
@@ -85,10 +141,7 @@ class EagerEqualShareNetwork(FlowNetwork):
             )
         return path
 
-    def _rebalance(self, links):
-        if not self._equal_share:
-            return super()._rebalance(links)
-        now = self.env.now
+    def _new_rates(self, links):
         paths = {flow: self._path(flow) for flow in self._flows}
         crossing = {}  # link -> its flows, in start order
         for flow, path in paths.items():
@@ -100,22 +153,87 @@ class EagerEqualShareNetwork(FlowNetwork):
         for link in links:
             for flow in crossing.get(link, ()):
                 seen[flow] = None
-        for flow in seen:
-            rate = min(link.capacity / len(crossing[link]) for link in paths[flow])
-            if rate != flow.rate:
-                self._set_rate(flow, rate, now)
-        self._arm_sentinel()
+        return [
+            (flow, min(link.capacity / len(crossing[link]) for link in paths[flow]))
+            for flow in seen
+        ]
+
+
+class MaxMinNetwork(EagerNetwork):
+    """Exact max-min rates, recomputed globally on every event."""
+
+    def _new_rates(self, links):
+        return self._progressive_filling()
+
+    def _progressive_filling(self):
+        """Exact max-min fairness over all active flows (water filling).
+
+        Heap-driven: each link carries (residual capacity, unfixed flow
+        count); the globally tightest link fixes all its unfixed flows at
+        its share level, then the other links on their paths are re-pushed.
+        Lazy invalidation via per-link version counters. O(F log L) instead
+        of repeated O(links x flows) scans.
+        """
+        flows = self._flows
+        if not flows:
+            return []
+        # Filling record per link: [residual, count, unfixed flows, version,
+        # index], indexed in first-crossing order (the heap's tie-breaker).
+        records = {}
+        order = []
+        for flow in flows:
+            for link in flow.links:
+                rec = records.get(link)
+                if rec is None:
+                    rec = records[link] = [link.capacity, link.n_flows, {}, 0, len(order)]
+                    order.append(rec)
+                rec[2][flow] = None
+        heap = [(rec[0] / rec[1], rec[4], rec[3]) for rec in order]
+        heapify(heap)
+        rates = []
+        n_unfixed = len(flows)
+        while n_unfixed and heap:
+            level, idx, ver = heappop(heap)
+            rec = order[idx]
+            if ver != rec[3] or rec[1] == 0:
+                continue  # stale entry
+            touched = {}
+            for flow in list(rec[2]):
+                rates.append((flow, level))
+                n_unfixed -= 1
+                for link in flow.links:
+                    other = records[link]
+                    del other[2][flow]
+                    other[1] -= 1
+                    other[0] -= level
+                    if other is not rec:
+                        touched[other[4]] = other
+            rec[3] += 1  # saturated; invalidate pending entries
+            for other in touched.values():
+                other[3] += 1
+                if other[1] > 0:
+                    heappush(heap, (other[0] / other[1], other[4], other[3]))
+        return rates
 
 
 @contextmanager
-def eager_fabric():
-    """Builds inside the block get the eager reference as their network."""
+def _fabric_network(cls):
     prev = hostmod.FlowNetwork
-    hostmod.FlowNetwork = EagerEqualShareNetwork
+    hostmod.FlowNetwork = cls
     try:
         yield
     finally:
         hostmod.FlowNetwork = prev
+
+
+def eager_fabric():
+    """Builds inside the block get the eager equal-share reference."""
+    return _fabric_network(EagerEqualShareNetwork)
+
+
+def maxmin_fabric():
+    """Builds inside the block get the max-min yardstick as their network."""
+    return _fabric_network(MaxMinNetwork)
 
 
 def check_cohort_invariants(net):

@@ -5,9 +5,8 @@ that arrive from *outside* the flow population (fault injection while
 transfers are in flight), so they exercise the cohort engine's
 reshare/settle machinery on shares that did not change through a flow
 starting or completing. This property test drives randomized workloads —
-on a flat fabric and on 1, 2 and 4 racks, with and without pods and a
-finite core — where NIC and trunk capacity changes and NIC failures land
-mid-flow, and checks every completion and failure time, the clock, the
+on a flat fabric and on 1, 2 and 4 racks — where NIC and trunk capacity
+changes and NIC failures land mid-flow, and checks every completion and failure time, the clock, the
 event count and the per-tier traffic against the eager per-flow reference
 (``tests/reference_network.py``), which recomputes each touched flow
 independently. Comparisons are exact (``==``).
@@ -53,11 +52,8 @@ capacity_change = st.tuples(
     st.integers(1, 400),           # when, in ms
 )
 
-#: (racks, racks_per_pod, finite core); racks=0 is "no topology attached"
-fabric_spec = st.sampled_from(
-    [(0, 0, False), (1, 0, False), (2, 0, False), (2, 0, True),
-     (4, 0, False), (4, 2, False), (4, 2, True)]
-)
+#: racks; 0 is "no topology attached"
+racks_spec = st.sampled_from([0, 1, 2, 4])
 
 trunk_change = st.tuples(
     st.integers(0, 15),            # which trunk (modulo the fabric's count)
@@ -71,21 +67,13 @@ nic_failure = st.tuples(
 )
 
 
-def make_topology(fabric):
-    racks, racks_per_pod, core = fabric
-    # at most 2 hosts per rack: a CAP uplink is 2:1 oversubscribed on 2 racks
-    return round_robin_topology(
-        [f"h{i}" for i in range(N_HOSTS)], racks, rack_uplink=CAP,
-        racks_per_pod=racks_per_pod, pod_uplink=1.5 * CAP,
-        core_capacity=1.25 * CAP if core else None,
-    )
-
-
-def run_workload(net_cls, flows, changes, fabric=(0, 0, False), trunk_changes=(), failures=()):
+def run_workload(net_cls, flows, changes, racks=0, trunk_changes=(), failures=()):
     env = Environment()
-    net = net_cls(env, fairness="equal-share", latency=0.0, topology=make_topology(fabric))
+    # at most 2 hosts per rack: a CAP uplink is 2:1 oversubscribed on 2 racks
+    topo = round_robin_topology([f"h{i}" for i in range(N_HOSTS)], racks, rack_uplink=CAP)
+    net = net_cls(env, latency=0.0, topology=topo)
     nics = [net.add_nic(f"h{i}", CAP) for i in range(N_HOSTS)]
-    trunks = sorted(net._trunks) if fabric[0] > 1 else []
+    trunks = sorted(net._trunks) if racks > 1 else []
     check = net_cls is FlowNetwork
     finish, failed = {}, {}
 
@@ -129,16 +117,16 @@ def run_workload(net_cls, flows, changes, fabric=(0, 0, False), trunk_changes=()
 @given(
     st.lists(flow_spec, min_size=1, max_size=10),
     st.lists(capacity_change, min_size=1, max_size=6),
-    fabric_spec,
+    racks_spec,
     st.lists(trunk_change, max_size=4),
     st.lists(nic_failure, max_size=2),
 )
 def test_cohort_matches_reference_under_capacity_changes(
-    flows, changes, fabric, trunk_changes, failures
+    flows, changes, racks, trunk_changes, failures
 ):
-    cohort = run_workload(FlowNetwork, flows, changes, fabric, trunk_changes, failures)
+    cohort = run_workload(FlowNetwork, flows, changes, racks, trunk_changes, failures)
     reference = run_workload(
-        EagerEqualShareNetwork, flows, changes, fabric, trunk_changes, failures
+        EagerEqualShareNetwork, flows, changes, racks, trunk_changes, failures
     )
     assert cohort == reference
 

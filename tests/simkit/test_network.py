@@ -1,6 +1,7 @@
 """Tests for the flow-level network model."""
 
 import pytest
+from reference_network import MaxMinNetwork
 
 from repro.common.units import MB
 from repro.simkit.core import Environment
@@ -8,45 +9,49 @@ from repro.simkit.network import FlowNetwork
 from repro.simkit.trace import Metrics
 
 
-def make_net(fairness="equal-share", n_hosts=4, bw=100 * MB, latency=0.0001):
+#: the production equal-share engine and the max-min yardstick
+NETWORKS = {"equal-share": FlowNetwork, "maxmin": MaxMinNetwork}
+
+
+def make_net(engine="equal-share", n_hosts=4, bw=100 * MB, latency=0.0001):
     env = Environment()
     metrics = Metrics()
-    net = FlowNetwork(env, metrics=metrics, latency=latency, fairness=fairness)
+    net = NETWORKS[engine](env, metrics=metrics, latency=latency)
     nics = [net.add_nic(f"h{i}", bw) for i in range(n_hosts)]
     return env, net, nics, metrics
 
 
-@pytest.mark.parametrize("fairness", ["equal-share", "maxmin"])
+@pytest.mark.parametrize("engine", NETWORKS)
 class TestBothModes:
-    def test_single_flow_full_rate(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_single_flow_full_rate(self, engine):
+        env, net, nics, _ = make_net(engine)
         done = net.transfer(nics[0], nics[1], 100 * MB)
         env.run(done)
         assert env.now == pytest.approx(1.0, rel=1e-3)
 
-    def test_two_flows_share_uplink(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_two_flows_share_uplink(self, engine):
+        env, net, nics, _ = make_net(engine)
         d1 = net.transfer(nics[0], nics[1], 50 * MB)
         d2 = net.transfer(nics[0], nics[2], 50 * MB)
         env.run(env.all_of([d1, d2]))
         assert env.now == pytest.approx(1.0, rel=1e-3)
 
-    def test_two_flows_share_downlink(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_two_flows_share_downlink(self, engine):
+        env, net, nics, _ = make_net(engine)
         d1 = net.transfer(nics[1], nics[0], 50 * MB)
         d2 = net.transfer(nics[2], nics[0], 50 * MB)
         env.run(env.all_of([d1, d2]))
         assert env.now == pytest.approx(1.0, rel=1e-3)
 
-    def test_disjoint_flows_independent(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_disjoint_flows_independent(self, engine):
+        env, net, nics, _ = make_net(engine)
         d1 = net.transfer(nics[0], nics[1], 100 * MB)
         d2 = net.transfer(nics[2], nics[3], 100 * MB)
         env.run(env.all_of([d1, d2]))
         assert env.now == pytest.approx(1.0, rel=1e-3)
 
-    def test_departure_speeds_up_survivor(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_departure_speeds_up_survivor(self, engine):
+        env, net, nics, _ = make_net(engine)
         # Flow A: 100 MB, flow B: 50 MB, same uplink. B finishes at t=1
         # (rate 50), then A runs at 100: total = 1 + 0.5 = 1.5.
         dA = net.transfer(nics[0], nics[1], 100 * MB)
@@ -56,8 +61,8 @@ class TestBothModes:
         env.run(dA)
         assert env.now == pytest.approx(1.5, rel=1e-3)
 
-    def test_arrival_slows_down_existing(self, fairness):
-        env, net, nics, _ = make_net(fairness)
+    def test_arrival_slows_down_existing(self, engine):
+        env, net, nics, _ = make_net(engine)
         dA = net.transfer(nics[0], nics[1], 100 * MB)
 
         out = {}
@@ -75,21 +80,21 @@ class TestBothModes:
         assert out["B"] == pytest.approx(1.0, rel=1e-3)
         assert env.now == pytest.approx(1.25, rel=1e-3)
 
-    def test_traffic_accounted(self, fairness):
-        env, net, nics, metrics = make_net(fairness)
+    def test_traffic_accounted(self, engine):
+        env, net, nics, metrics = make_net(engine)
         done = net.transfer(nics[0], nics[1], 10 * MB, kind="chunk")
         env.run(done)
         assert metrics.traffic["chunk"] == 10 * MB
 
-    def test_loopback_is_free(self, fairness):
-        env, net, nics, metrics = make_net(fairness)
+    def test_loopback_is_free(self, engine):
+        env, net, nics, metrics = make_net(engine)
         done = net.transfer(nics[0], nics[0], 500 * MB)
         env.run(done)
         assert env.now == pytest.approx(0.0, abs=1e-9)
         assert metrics.total_traffic() == 0
 
-    def test_small_transfer_becomes_message(self, fairness):
-        env, net, nics, metrics = make_net(fairness)
+    def test_small_transfer_becomes_message(self, engine):
+        env, net, nics, metrics = make_net(engine)
         done = net.transfer(nics[0], nics[1], 100)  # below threshold
         env.run(done)
         assert net.active_flow_count == 0
@@ -106,7 +111,7 @@ class TestMaxMinSpecifics:
         uplink at 50 anyway. Use asymmetric capacities instead.
         """
         env = Environment()
-        net = FlowNetwork(env, fairness="maxmin", latency=0.0)
+        net = MaxMinNetwork(env, latency=0.0)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 30 * MB)
         c = net.add_nic("c", 100 * MB)
@@ -119,7 +124,7 @@ class TestMaxMinSpecifics:
     def test_equal_share_underestimates_here(self):
         """Same topology in equal-share mode: a->c only gets 50 (no redistribution)."""
         env = Environment()
-        net = FlowNetwork(env, fairness="equal-share", latency=0.0)
+        net = FlowNetwork(env, latency=0.0)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 30 * MB)
         c = net.add_nic("c", 100 * MB)
@@ -156,7 +161,8 @@ class TestMessages:
             net.add_nic("x", 1.0)
 
     def test_unknown_fairness_rejected(self):
-        with pytest.raises(ValueError):
+        """No sharing-rule switch: the option itself is refused."""
+        with pytest.raises(TypeError, match="fairness"):
             FlowNetwork(Environment(), fairness="weighted")
 
 

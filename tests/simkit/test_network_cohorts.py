@@ -6,55 +6,59 @@ design, which is kept as a test-only reference
 (``tests/reference_network.py``). Every comparison below is ``==``, not
 approx: same completion and failure times, same final clock, same event
 count, same traffic counters (per tier too) — on flat fabrics and on 1-, 2-
-and 4-rack topologies with and without pods and a finite core, under
-hot-spot fan-in across a trunk, mid-flow NIC and trunk capacity changes and
-``fail_nic`` on trunk-crossing flows. After every driver step the cohort
-run also checks the engine's own invariants.
+and 4-rack topologies, under hot-spot fan-in across a trunk, mid-flow NIC
+and trunk capacity changes and ``fail_nic`` on trunk-crossing flows. After
+every workload step the cohort run also checks the engine's own invariants.
 
 Also covered: capacity validation (``add_nic``, ``set_nic_capacity``), the
 unified traffic-accounting API, stale completion-heap entries after
-``fail_nic``, and stale-entry invalidation inside max-min progressive
-filling.
+``fail_nic``, the removed engine options, and the max-min yardstick
+(``MaxMinNetwork``): its timeline and stale-entry invalidation inside its
+progressive filling.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
 from reference_network import (
     EagerEqualShareNetwork,
+    MaxMinNetwork,
     check_cohort_invariants,
     round_robin_topology,
 )
 
-from repro.common.errors import ProviderUnavailableError
+from repro.cloud import build_cloud
+from repro.common.errors import ProviderUnavailableError, SimulationError
 from repro.common.units import MB
+from repro.runner import PointSpec, execute_point
 from repro.simkit.core import Environment
+from repro.simkit.host import Fabric
 from repro.simkit.network import FlowNetwork
 from repro.simkit.trace import Metrics
 
-ENGINES = {"cohort": FlowNetwork, "reference": EagerEqualShareNetwork}
+ENGINES = {
+    "cohort": FlowNetwork,
+    "reference": EagerEqualShareNetwork,
+    "maxmin": MaxMinNetwork,
+}
 
 
-def make_topology(racks, n_nics, pods=False, core=False):
-    """Oversubscribed 1.5-NIC rack uplinks; pods pair racks behind a 2-NIC
-    trunk, the finite core carries 2.5 NICs (0 racks = no topology)."""
+def make_topology(racks, n_nics):
+    """Oversubscribed 1.5-NIC rack uplinks (0 racks = no topology)."""
     return round_robin_topology(
-        [f"n{i}" for i in range(n_nics)], racks, rack_uplink=1.5e8,
-        racks_per_pod=2 if pods else 0, pod_uplink=2e8,
-        core_capacity=2.5e8 if core else None,
+        [f"n{i}" for i in range(n_nics)], racks, rack_uplink=1.5e8
     )
 
 
 def run_random(
     engine,
     seed,
-    fairness="equal-share",
     faults=False,
     uniform=False,
     hotspot=False,
     racks=0,
-    pods=False,
-    core=False,
     n_nics=10,
     n_ops=250,
     after_step=None,
@@ -65,9 +69,9 @@ def run_random(
     driver step; the cohort engine checks its invariants there by default."""
     rng = random.Random(seed)
     env = Environment()
-    topo = make_topology(racks, n_nics, pods, core)
-    net = ENGINES[engine](env, fairness=fairness, topology=topo)
-    if after_step is None and engine == "cohort" and fairness == "equal-share":
+    topo = make_topology(racks, n_nics)
+    net = ENGINES[engine](env, topology=topo)
+    if after_step is None and engine == "cohort":
         after_step = check_cohort_invariants
 
     def cap():
@@ -164,12 +168,18 @@ class TestCohortMatchesReferenceExactly:
         b = run_random("cohort", seed, faults=True, uniform=uniform)
         assert a == b
 
+    #: SHA-256 prefix of the sorted-keys JSON of each max-min run below, as
+    #: the engine that shared a class with the cohort engine produced it
+    MAXMIN_DIGESTS = ("c6a016870b21ce8f", "2a8a3361bd16c176", "2ea10aa715d32669")
+
     @pytest.mark.parametrize("seed", range(3))
     def test_maxmin_unaffected_by_reference_subclass(self, seed):
-        """Max-min always runs the eager engine; the subclass must be inert."""
-        a = run_random("reference", seed, fairness="maxmin", faults=True)
-        b = run_random("cohort", seed, fairness="maxmin", faults=True)
-        assert a == b
+        """The max-min yardstick rides the shared eager base unchanged: its
+        fault-workload timeline, event count and traffic are the ones it had
+        as a mode of the production class, to the bit."""
+        run = run_random("maxmin", seed, faults=True)
+        digest = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()
+        assert digest[:16] == self.MAXMIN_DIGESTS[seed]
 
     def test_cohort_is_deterministic(self):
         assert run_random("cohort", 11, faults=True) == run_random(
@@ -181,27 +191,36 @@ class TestCohortMatchesReferenceExactly:
         with pytest.raises(TypeError, match="rebalance"):
             FlowNetwork(Environment(), rebalance="legacy")
 
+    def test_fairness_option_is_gone(self):
+        """One sharing rule and rack trunks only: the engine switch and the
+        pod / core tiers are not settable anywhere on the way down."""
+        with pytest.raises(TypeError, match="fairness"):
+            FlowNetwork(Environment(), fairness="maxmin")
+        with pytest.raises(TypeError, match="fairness"):
+            Fabric(fairness="maxmin")
+        for option in ("fairness", "rack_uplink", "core_capacity"):
+            with pytest.raises(TypeError, match=option):
+                build_cloud(2, **{option: 1})
+        spec = PointSpec(
+            kind="deploy", profile="quick", approach="mirror", n=2, seed=1,
+            params=(("fairness", "maxmin"),),
+        )
+        with pytest.raises(SimulationError, match="unknown params fairness"):
+            execute_point(spec)
 
-#: (racks, pods, core): single-rack topology, plain racks, pod tier, finite
-#: core, and both together
-FABRICS = [
-    (1, False, False),
-    (2, False, False),
-    (2, False, True),
-    (4, False, False),
-    (4, True, False),
-    (4, True, True),
-]
+
+#: racks: a single-rack topology, then plain racked fabrics
+FABRICS = [1, 2, 4]
 
 
 class TestTrunksAreCohortsToo:
     """Trunk-crossing flows: a flow's home may be any link of its path."""
 
     @pytest.mark.parametrize("uniform", [False, True])
-    @pytest.mark.parametrize("racks,pods,core", FABRICS)
+    @pytest.mark.parametrize("racks", FABRICS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_mixed_workload(self, seed, racks, pods, core, uniform):
-        kw = dict(racks=racks, pods=pods, core=core, uniform=uniform, n_nics=12)
+    def test_mixed_workload(self, seed, racks, uniform):
+        kw = dict(racks=racks, uniform=uniform, n_nics=12)
         a = run_random("reference", seed, **kw)
         b = run_random("cohort", seed, **kw)
         assert a == b
@@ -209,43 +228,36 @@ class TestTrunksAreCohortsToo:
         if racks > 1:
             assert any(k.startswith("cross-") for k in b["topo_traffic"])
 
-    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
+    @pytest.mark.parametrize("racks", FABRICS[1:])
     @pytest.mark.parametrize("seed", range(3))
-    def test_hotspot_fan_in_across_a_trunk(self, seed, racks, pods, core):
+    def test_hotspot_fan_in_across_a_trunk(self, seed, racks):
         """Most flows funnel into n0: its rack's down trunk (1.5 NICs for a
         fan-in from every other rack) and its downlink trade the bottleneck."""
-        kw = dict(racks=racks, pods=pods, core=core, hotspot=True, n_nics=12)
+        kw = dict(racks=racks, hotspot=True, n_nics=12)
         a = run_random("reference", seed, **kw)
         b = run_random("cohort", seed, **kw)
         assert a == b
 
     @pytest.mark.parametrize("uniform", [False, True])
-    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
+    @pytest.mark.parametrize("racks", FABRICS[1:])
     @pytest.mark.parametrize("seed", range(3))
-    def test_nic_failures_on_trunk_crossing_flows(self, seed, racks, pods, core, uniform):
-        kw = dict(
-            racks=racks, pods=pods, core=core, faults=True, uniform=uniform,
-            n_nics=12, n_ops=300,
-        )
+    def test_nic_failures_on_trunk_crossing_flows(self, seed, racks, uniform):
+        kw = dict(racks=racks, faults=True, uniform=uniform, n_nics=12, n_ops=300)
         a = run_random("reference", seed, **kw)
         b = run_random("cohort", seed, **kw)
         assert a == b
         assert b["failed"], "the fault workload must abort some flows"
 
-    @pytest.mark.parametrize("racks,pods,core", FABRICS[1:])
-    def test_trunks_bind(self, racks, pods, core):
-        """Not vacuous: flows are homed on every tier the fabric has."""
+    @pytest.mark.parametrize("racks", FABRICS[1:])
+    def test_trunks_bind(self, racks):
+        """Not vacuous: some flows are homed on a rack trunk."""
         homes = set()
 
         def probe(net):
             homes.update(f.home.name.split(":")[0].rstrip("0123456789") for f in net._flows)
 
-        run_random(
-            "cohort", 0, racks=racks, pods=pods, core=core, hotspot=True, n_nics=12,
-            after_step=probe,
-        )
-        tiers = {"rack"} | ({"pod"} if pods else set()) | ({"core"} if core else set())
-        assert tiers <= homes, f"no flow was ever bottlenecked on {tiers - homes}"
+        run_random("cohort", 0, racks=racks, hotspot=True, n_nics=12, after_step=probe)
+        assert "rack" in homes, "no flow was ever bottlenecked on a rack trunk"
 
 
 class TestCapacityValidation:
@@ -368,7 +380,7 @@ class TestProgressiveFillingStaleEntries:
         shared uplink at a new level; its original heap entry is stale and
         must be skipped, not double-fix its flows at the old share."""
         env = Environment()
-        net = FlowNetwork(env, fairness="maxmin")
+        net = MaxMinNetwork(env)
         a = net.add_nic("a", 100 * MB)
         b = net.add_nic("b", 30 * MB)
         c = net.add_nic("c", 100 * MB)
@@ -388,7 +400,7 @@ class TestProgressiveFillingStaleEntries:
     def test_filling_conserves_link_capacity(self):
         """No link ends up oversubscribed even with many stale entries."""
         env = Environment()
-        net = FlowNetwork(env, fairness="maxmin")
+        net = MaxMinNetwork(env)
         rng = random.Random(3)
         nics = [net.add_nic(f"h{i}", 1e8 * rng.uniform(0.3, 1.5)) for i in range(8)]
         events = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_network import MaxMinNetwork
 
 from repro.common.units import MB
 from repro.simkit.core import Environment
@@ -11,6 +12,9 @@ from repro.simkit.network import FlowNetwork
 
 N_HOSTS = 5
 CAP = 100 * MB
+
+#: the production equal-share engine and the max-min yardstick
+NETWORKS = {"equal-share": FlowNetwork, "maxmin": MaxMinNetwork}
 
 flow_spec = st.tuples(
     st.integers(0, N_HOSTS - 1),  # src
@@ -20,9 +24,9 @@ flow_spec = st.tuples(
 )
 
 
-def run_workload(flows, fairness):
+def run_workload(flows, engine):
     env = Environment()
-    net = FlowNetwork(env, fairness=fairness, latency=0.0)
+    net = NETWORKS[engine](env, latency=0.0)
     nics = [net.add_nic(f"h{i}", CAP) for i in range(N_HOSTS)]
     finish = {}
 
@@ -40,10 +44,10 @@ def run_workload(flows, fairness):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(flow_spec, min_size=1, max_size=12))
-@pytest.mark.parametrize("fairness", ["equal-share", "maxmin"])
-def test_link_capacity_lower_bounds(fairness, flows):
+@pytest.mark.parametrize("engine", NETWORKS)
+def test_link_capacity_lower_bounds(engine, flows):
     """No schedule can beat the per-link aggregate capacity bound."""
-    finish = run_workload(flows, fairness)
+    finish = run_workload(flows, engine)
     # every flow individually: finish >= start + size/capacity
     for i, (src, dst, size_mb, start_ms) in enumerate(flows):
         if src == dst:
@@ -99,9 +103,9 @@ def test_equal_share_conservative_at_scale(seed):
             dst = (src + 1) % n_hosts
         env_flows.append((src, dst, rng.randrange(1, 16), rng.randrange(0, 400)))
 
-    def run_big(fairness):
+    def run_big(engine):
         env = Environment()
-        net = FlowNetwork(env, fairness=fairness, latency=0.0)
+        net = NETWORKS[engine](env, latency=0.0)
         nics = [net.add_nic(f"h{i}", CAP) for i in range(n_hosts)]
         finish = {}
 

@@ -296,6 +296,20 @@ class TestTopo:
         assert args.replication == 1
         assert not args.no_p2p
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--racks", "0"), ("--racks", "-2"),
+        ("--oversubscription", "0"), ("--oversubscription", "-1"),
+    ])
+    def test_non_positive_fabric_flag_exits_2_with_usage(self, capsys, flag, value):
+        """Refused while parsing, not by a traceback from deep in the build
+        (``--oversubscription 0`` used to divide by zero)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["topo", "--profile", "topo-smoke", "--instances", "4", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be positive, got {value}" in err
+
     def test_topo_prints_blind_vs_locality(self, capsys):
         rc = main(["topo", "--racks", "4"])
         assert rc == 0

@@ -226,6 +226,13 @@ class TestRegistryDocs:
             rows.append(m.group(1))
         assert sorted(rows) == sorted(kinds)
 
+    def test_readme_cloud_params_match_registry(self):
+        from repro.runner.points import CLOUD_PARAMS
+
+        text = (REPO / "README.md").read_text()
+        sentence = text.split("are params, not kinds:", 1)[1].split(".", 1)[0]
+        assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(CLOUD_PARAMS)
+
     def test_readme_profile_list_matches_registry(self):
         _kinds, profiles = self._fresh_registry()
         text = (REPO / "README.md").read_text()

@@ -1,10 +1,10 @@
-"""Unit tests for the hierarchical topology description."""
+"""Unit tests for the racked topology description."""
 
 import pytest
 
 from repro.common.units import MB
 from repro.topo import Topology, build_topology
-from repro.topo.fabric import CROSS_POD, CROSS_RACK, INTRA_RACK
+from repro.topo.fabric import CROSS_RACK, INTRA_RACK
 
 
 class TestValidation:
@@ -16,16 +16,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Topology(n_racks=2, rack_uplink=0)
 
-    def test_pod_tier_requires_pod_uplink(self):
-        with pytest.raises(ValueError):
-            Topology(n_racks=4, rack_uplink=100 * MB, racks_per_pod=2)
-
-    def test_pod_tier_accepted_with_uplink(self):
-        topo = Topology(
-            n_racks=4, rack_uplink=100 * MB, racks_per_pod=2,
-            pod_uplink=200 * MB,
-        )
-        assert topo.n_pods == 2
+    @pytest.mark.parametrize("bad", [0, -1, float("nan")])
+    def test_oversubscription_must_be_positive(self, bad):
+        """Checked before the uplink is derived from it: 0 used to be a
+        ZeroDivisionError and -1 blamed the derived ``rack_uplink``."""
+        with pytest.raises(ValueError, match="oversubscription must be positive"):
+            build_topology([f"n{i}" for i in range(8)], 2, 125 * MB, oversubscription=bad)
+        with pytest.raises(ValueError, match="oversubscription must be positive"):
+            Topology(n_racks=2, rack_uplink=100 * MB, oversubscription=bad)
 
 
 class TestPlacement:
@@ -65,16 +63,6 @@ class TestScope:
         assert topo.scope("a", "c") == CROSS_RACK
         assert topo.same_rack("a", "b")
         assert not topo.same_rack("a", "c")
-
-    def test_cross_pod(self):
-        topo = Topology(
-            n_racks=4, rack_uplink=100 * MB, racks_per_pod=2,
-            pod_uplink=200 * MB,
-        )
-        for i in range(4):
-            topo.place(f"h{i}", i)
-        assert topo.scope("h0", "h1") == CROSS_RACK  # same pod
-        assert topo.scope("h0", "h3") == CROSS_POD
 
     def test_multi_rack_flag(self):
         assert not Topology(n_racks=1, rack_uplink=100 * MB).multi_rack

@@ -18,13 +18,13 @@ from repro.topo import Topology
 CAP = 100 * MB
 
 
-def two_rack_net(rack_uplink=CAP, **kw):
+def two_rack_net(rack_uplink=CAP):
     """2 racks x 2 hosts: h0,h1 in rack 0; h2,h3 in rack 1."""
     topo = Topology(n_racks=2, rack_uplink=rack_uplink)
     for i in range(4):
         topo.place(f"h{i}", i // 2)
     env = Environment()
-    net = FlowNetwork(env, latency=0.0, topology=topo, **kw)
+    net = FlowNetwork(env, latency=0.0, topology=topo)
     nics = [net.add_nic(f"h{i}", CAP) for i in range(4)]
     return env, net, nics
 
@@ -75,35 +75,6 @@ class TestRouting:
             "h0:up", "h2:down", "rack0:up", "rack1:down",
         ]
         env.run()
-
-    def test_core_inserted_when_finite(self):
-        topo = Topology(n_racks=2, rack_uplink=CAP, core_capacity=CAP)
-        topo.place("a", 0)
-        topo.place("b", 1)
-        env = Environment()
-        net = FlowNetwork(env, latency=0.0, topology=topo)
-        a = net.add_nic("a", CAP)
-        b = net.add_nic("b", CAP)
-        assert trunk_path(net, a, b) == ["rack0:up", "core", "rack1:down"]
-
-    def test_pod_tier_routing(self):
-        topo = Topology(
-            n_racks=4, rack_uplink=CAP, racks_per_pod=2, pod_uplink=2 * CAP
-        )
-        for i in range(4):
-            topo.place(f"h{i}", i)
-        env = Environment()
-        net = FlowNetwork(env, latency=0.0, topology=topo)
-        nics = [net.add_nic(f"h{i}", CAP) for i in range(4)]
-        assert trunk_path(net, nics[0], nics[1]) == ["rack0:up", "rack1:down"]
-        assert trunk_path(net, nics[0], nics[3]) == [
-            "rack0:up", "pod0:up", "pod1:down", "rack3:down",
-        ]
-
-    def test_maxmin_rejects_multi_rack(self):
-        topo = Topology(n_racks=2, rack_uplink=CAP)
-        with pytest.raises(ValueError):
-            FlowNetwork(Environment(), fairness="maxmin", topology=topo)
 
     def test_single_rack_paths_have_no_trunks(self):
         """One rack is a flat fabric: every path is the two NIC links, and
