@@ -14,8 +14,14 @@ mirroring module needs:
   blob sharing all untouched chunks and metadata with its predecessor;
 * ``clone`` — the CLONE primitive: a new blob sharing everything.
 
-Replica failover: a chunk GET that hits a dead provider retries the other
-replicas recorded in the chunk's :class:`~repro.blobseer.metadata.ChunkRef`.
+Every data and metadata RPC goes through one path: :meth:`BlobClient._call`
+issues it, one failover loop (:meth:`BlobClient._failover`) moves a read that
+hits a dead provider or shard on to the next replica recorded in the chunk's
+:class:`~repro.blobseer.metadata.ChunkRef` (or the node's next metadata
+home), and replicated PUTs prune the replicas that stay dead. A
+:class:`~repro.faults.policy.RetryPolicy` only sets its numbers — a per-call
+deadline, the number of rounds, the backoff between them; without one a read
+tries each replica once and a write each replica once.
 """
 
 from __future__ import annotations
@@ -27,11 +33,14 @@ from ..common.payload import Payload
 from ..simkit import rpc
 from ..simkit.core import Timeout
 from ..simkit.host import Host
-from .metadata import ChunkRef, NodeId, TreeNode, capacity_for, write_chunks
+from .metadata import ChunkRef, NodeId, TreeNode, write_chunks
 from .vmanager import SnapshotRecord
 
 #: marker for "latest published version"
 LATEST = None
+
+#: what a failed attempt raises: its items go on to their next home
+FAILOVER = (ProviderUnavailableError, ChunkNotFoundError)
 
 
 class BlobClient:
@@ -55,12 +64,17 @@ class BlobClient:
     # helpers
     # ------------------------------------------------------------------ #
     def _parallel(self, gens: Sequence) -> List:
+        """Run ``gens`` concurrently: their results in order, a failover
+        error (:data:`FAILOVER`) being the result of the one it ended."""
         if len(gens) == 1:
             # Overwhelmingly common (single shard / single provider): run
             # inline instead of paying a Process bootstrap + AllOf per fetch.
-            result = yield from gens[0]
+            try:
+                result = yield from gens[0]
+            except FAILOVER as exc:
+                result = exc
             return [result]
-        procs = self.host.env.process_batch(gens)
+        procs = self.host.env.process_batch([rpc.settled(g, FAILOVER) for g in gens])
         results = yield self.host.env.all_of(procs)
         return results
 
@@ -87,270 +101,184 @@ class BlobClient:
         """Ids of the tree nodes in this client's metadata cache, ascending."""
         return [nid for nid, flag in enumerate(self._fetched) if flag]
 
-    def _get_nodes(self, ids: Sequence[NodeId]):
-        """Fetch tree nodes into the client cache, batched per metadata shard.
+    def _get_nodes(self, missing: Sequence[NodeId]):
+        """Fetch uncached tree nodes into the client cache, batched per shard.
 
         A shard replies with the ids it holds; callers read the (immutable)
-        nodes themselves from ``self._nodes``.
+        nodes themselves from ``self._nodes``. A node whose home shard fails
+        goes to its next home (:meth:`_failover`).
         """
         fetched = self._fetch_flags()
-        missing = [nid for nid in ids if not fetched[nid]]
-        if missing:
-            with self.host.fabric.tracer.start("meta-walk", "meta", nodes=len(missing)):
-                if self.deployment.retry is not None:
-                    yield from self._get_nodes_resilient(missing)
-                    return
-                by_shard: Dict[Host, List[NodeId]] = {}
-                for nid in missing:
-                    by_shard.setdefault(self.deployment.shard_host(nid), []).append(nid)
-                batches = yield from rpc.gather(
-                    self.host,
-                    [
-                        (shard, "blob-meta", "get_nodes", shard_ids)
-                        for shard, shard_ids in by_shard.items()
-                    ],
-                )
-                for batch in batches:
-                    for nid in batch:
-                        fetched[nid] = 1
+
+        def land(batches: List[List[NodeId]]):
+            for batch in batches:
+                for nid in batch:
+                    fetched[nid] = 1
+
+        with self.host.fabric.tracer.start("meta-walk", "meta", nodes=len(missing)):
+            yield from self._failover(
+                missing, self.deployment.shard_hosts, self._meta_round, land,
+                "metadata nodes", "meta-retry",
+            )
+
+    def _meta_round(self, by_shard: Dict[Host, List[NodeId]], attempt: int):
+        """One metadata round of :meth:`_failover`: a ``get_nodes`` per shard.
+
+        Without a deadline the scatter is one fused :func:`rpc.gather`
+        (DESIGN.md §8): a fault-free round wakes the client once.
+        """
+        work = list(by_shard.items())
+        if self.deployment.retry is None:
+            return work, rpc.gather(
+                self.host,
+                [(shard, "blob-meta", "get_nodes", shard_ids) for shard, shard_ids in work],
+                settle=FAILOVER,
+            )
+        return work, self._parallel([
+            self._call(shard, "blob-meta", "get_nodes", shard_ids) for shard, shard_ids in work
+        ])
 
     # ------------------------------------------------------------------ #
-    # resilience (active only when the deployment carries a RetryPolicy;
-    # with ``retry=None`` none of these run and the legacy paths above
-    # execute byte-identically)
+    # the one RPC path: data and metadata calls, read failover, replicated PUTs
     # ------------------------------------------------------------------ #
-    def _call_with_timeout(
+    def _call(
         self, callee: Host, service_name: str, method: str, *args,
         request_bytes: int = rpc.REQUEST_BYTES,
     ):
-        """``rpc.call`` bounded by the retry policy's per-RPC deadline.
+        """Issue one client RPC (``yield from`` the returned generator).
 
-        The call runs in a child process raced against a timeout; on
-        expiry the child is interrupted (its in-flight flow is abandoned)
-        and the caller sees :class:`ProviderUnavailableError`, exactly like
-        a fail-stop crash — so one failover path covers both.
+        Without a :class:`~repro.faults.policy.RetryPolicy` this is a plain
+        :func:`rpc.call`; with one, the call races the policy's deadline
+        (:meth:`_race`).
         """
-        policy = self.deployment.retry
-        env = self.host.env
-        proc = env.process(
-            rpc.call(
-                self.host, callee, service_name, method, *args,
-                request_bytes=request_bytes,
-            ),
-            name=f"rpc-{method}@{callee.name}",
+        call = rpc.call(
+            self.host, callee, service_name, method, *args, request_bytes=request_bytes
         )
-        deadline = Timeout(env, policy.rpc_timeout)
-        yield env.any_of((proc, deadline))
+        policy = self.deployment.retry
+        return call if policy is None else self._race(call, callee, method, policy.rpc_timeout)
+
+    def _race(self, call, callee: Host, method: str, timeout: float):
+        """Run ``call`` in a child process raced against ``timeout``.
+
+        On expiry the child is interrupted (its in-flight flow is abandoned)
+        and the caller sees :class:`ProviderUnavailableError`, exactly like a
+        fail-stop crash — so one failover path covers both.
+        """
+        env = self.host.env
+        proc = env.process(call, name=f"rpc-{method}@{callee.name}")
+        yield env.any_of((proc, Timeout(env, timeout)))
         if proc.triggered:
             if proc.ok:
                 return proc.value
             raise proc.value  # failed in the same timestep the deadline fired
         proc.interrupt("rpc-timeout")
-        raise ProviderUnavailableError(
-            f"{callee.name}: {method} timed out after {policy.rpc_timeout:g}s"
-        )
+        raise ProviderUnavailableError(f"{callee.name}: {method} timed out after {timeout:g}s")
 
-    def _get_nodes_resilient(self, missing: Sequence[NodeId]):
-        """Metadata fetch with multi-home failover + bounded backoff.
+    def _failover(self, pending: Iterable, homes, attempt_round, land, what: str, counter: str):
+        """The one failover loop behind metadata, chunk and exact-range reads.
 
-        Attempt ``a`` asks node ``nid``'s home of rank ``a mod k`` (the
-        primary first), so a lost shard redirects its nodes to the replica
-        homes while untouched shards keep serving their primaries.
+        ``homes(item)`` ranks an item's homes, the preferred one first.
+        Round ``a`` groups every pending item under its home of rank
+        ``a mod k``; ``attempt_round(groups, a)`` orders the groups into
+        ``(home, items)`` pairs and returns them with a scatter that yields
+        one result per pair: ``land(results)`` takes what the homes served,
+        and the items of a home whose attempt failed (its result is the
+        exception) go on to the next round. A
+        :class:`~repro.faults.policy.RetryPolicy` sets the number of rounds
+        and the backoff between them; without one each home is tried once,
+        in rank order, and the last failure is raised as it came.
         """
-        dep = self.deployment
-        policy = dep.retry
-        metrics = self.host.fabric.metrics
-        fetched = self._fetched
-        pending: List[NodeId] = list(missing)
-        for attempt in range(policy.attempts):
-            by_shard: Dict[Host, List[NodeId]] = {}
-            for nid in pending:
-                homes = dep.shard_hosts(nid)
-                by_shard.setdefault(homes[attempt % len(homes)], []).append(nid)
-
-            def guarded(shard: Host, shard_ids: List[NodeId]):
-                try:
-                    batch = yield from self._call_with_timeout(
-                        shard, "blob-meta", "get_nodes", shard_ids
-                    )
-                except (ProviderUnavailableError, ChunkNotFoundError):
-                    return None
-                return batch
-
-            groups = list(by_shard.items())
-            batches = yield from self._parallel(
-                [guarded(shard, shard_ids) for shard, shard_ids in groups]
-            )
-            pending = []
-            for batch, (_shard, shard_ids) in zip(batches, groups):
-                if batch is None:
-                    pending.extend(shard_ids)
-                else:
-                    for nid in batch:
-                        fetched[nid] = 1
-            if not pending:
+        attempt = 0
+        while True:
+            groups: Dict = {}
+            for item in pending:
+                ranked = homes(item)
+                groups.setdefault(ranked[attempt % len(ranked)], []).append(item)
+            work, scatter = attempt_round(groups, attempt)
+            results = yield from scatter
+            for result in results:
+                if isinstance(result, BaseException):
+                    break
+            else:
+                land(results)
                 return
-            metrics.count("meta-retry")
-            yield self.host.env.timeout(policy.delay_for(attempt))
-        raise ProviderUnavailableError(
-            f"metadata nodes {pending[:5]} unreachable after "
-            f"{policy.attempts} attempts"
-        )
-
-    def _fetch_refs_resilient(self, refs: Dict[int, ChunkRef]):
-        """Chunk fetch with replica failover + bounded backoff.
-
-        Attempt ``a`` reads each still-missing chunk from its replica of
-        rank ``a mod k``, batched per provider; failed groups roll over to
-        the next attempt after an exponential-backoff delay.
-        """
-        dep = self.deployment
-        policy = dep.retry
-        metrics = self.host.fabric.metrics
-        out: Dict[int, Payload] = {}
-        pending: List[int] = sorted(refs)
-        if not pending:
-            return out
-        for attempt in range(policy.attempts):
-            by_provider: Dict[str, List[int]] = {}
-            for idx in pending:
-                providers = refs[idx].providers
-                by_provider.setdefault(providers[attempt % len(providers)], []).append(idx)
-
-            def guarded(provider_name: str, indices: List[int]):
-                keys = [refs[i].key for i in indices]
-                provider = dep.fabric.hosts[provider_name]
-                # one span per failover attempt: which replica rank was
-                # asked, and (on failure) why the attempt died
-                with self.host.fabric.tracer.start(
-                    f"fetch-attempt:{attempt}", "chunk",
-                    provider=provider_name, attempt=attempt,
-                    replica=attempt % len(refs[indices[0]].providers),
-                    nchunks=len(indices),
-                ) as span:
-                    try:
-                        combined = yield from self._call_with_timeout(
-                            provider, "blob-data", "get_chunks", keys
-                        )
-                    except (ProviderUnavailableError, ChunkNotFoundError) as exc:
-                        span.set_error(exc)
-                        return None
-                group: Dict[int, Payload] = {}
-                cursor = 0
-                for i in indices:
-                    size = refs[i].size
-                    group[i] = combined.slice(cursor, cursor + size)
-                    cursor += size
-                return group
-
-            work = sorted(by_provider.items())
-            groups = yield from self._parallel(
-                [guarded(name, indices) for name, indices in work]
-            )
-            pending = []
-            for group, (_name, indices) in zip(groups, work):
-                if group is None:
-                    pending.extend(indices)
-                else:
-                    out.update(group)
-            if not pending:
-                return out
-            pending.sort()
-            metrics.count("fetch-retry")
-            yield self.host.env.timeout(policy.delay_for(attempt))
-        raise ProviderUnavailableError(
-            f"chunks {pending[:5]} unreachable on every replica after "
-            f"{policy.attempts} attempts"
-        )
+            failed = [
+                (items, result) for (_, items), result in zip(work, results)
+                if isinstance(result, BaseException)
+            ]
+            pending = [item for items, _ in failed for item in items]
+            policy = self.deployment.retry
+            if policy is None and attempt + 1 >= max(len(homes(item)) for item in pending):
+                raise failed[0][1]  # like a lone call's failure: nothing of it lands
+            land([result for result in results if not isinstance(result, BaseException)])
+            self.host.fabric.metrics.count(counter)
+            if policy is not None:
+                yield self.host.env.timeout(policy.delay_for(attempt))
+                if attempt + 1 == policy.attempts:
+                    raise ProviderUnavailableError(
+                        f"{what} {pending[:5]} unreachable after {policy.attempts} attempts"
+                    )
+            attempt += 1
 
     def _put_replicated(self, new_refs: Dict[int, ChunkRef], updates: Dict[int, Payload]):
-        """Replicated chunk PUTs under a retry policy and/or chain pipelining.
+        """Replicated chunk PUTs: the COMMIT data path.
 
         * ``parallel`` mode — the client streams each replica group itself,
-          retrying per provider with backoff. Providers that stay dead are
+          one ``put_chunks`` per provider. Providers that stay dead are
           pruned from the affected :class:`ChunkRef`\\ s (the write degrades
           to fewer replicas instead of failing); only a chunk with *zero*
           surviving replicas aborts the commit.
-        * ``pipeline`` mode — each replica set is written once through a
-          store-and-forward chain starting at its head; on failure the chain
-          is retried rotated one rank (idempotent provider puts make the
-          resend safe).
+        * ``pipeline`` mode — each replica set is written through a
+          store-and-forward chain starting at its head; a failed try is
+          resent rotated one rank (idempotent provider puts make the resend
+          safe), and a chain that fails every try aborts the commit.
 
-        Returns the (possibly pruned) refs to record in the metadata.
+        A policy gives every PUT its rounds and backoff; without one a
+        provider gets one try, a chain one per head. Returns the (possibly
+        pruned) refs to record in the metadata.
         """
         dep = self.deployment
         policy = dep.retry
-        env = self.host.env
         metrics = self.host.fabric.metrics
-        attempts = policy.attempts if policy is not None else 1
+        pipeline = dep.replica_write_mode == "pipeline"
 
-        if dep.replica_write_mode == "pipeline":
-            by_chain: Dict[Tuple[str, ...], List[int]] = {}
-            for idx in sorted(new_refs):
-                by_chain.setdefault(new_refs[idx].providers, []).append(idx)
-
-            def put_chain(chain: Tuple[str, ...], indices: List[int]):
-                items = [(new_refs[i].key, updates[i]) for i in indices]
-                total = sum(p.size for _, p in items)
-                for attempt in range(attempts):
-                    shift = attempt % len(chain)
-                    rotated = chain[shift:] + chain[:shift]
-                    head = dep.fabric.hosts[rotated[0]]
-                    try:
-                        if policy is not None:
-                            yield from self._call_with_timeout(
-                                head, "blob-data", "put_chunks_chain",
-                                items, rotated[1:],
-                                request_bytes=total + 64 * len(items),
-                            )
-                        else:
-                            yield from rpc.call(
-                                self.host, head, "blob-data", "put_chunks_chain",
-                                items, rotated[1:],
-                                request_bytes=total + 64 * len(items),
-                            )
-                        return
-                    except (ProviderUnavailableError, ChunkNotFoundError):
-                        if policy is None or attempt + 1 == attempts:
-                            raise
-                        metrics.count("put-retry")
-                        yield env.timeout(policy.delay_for(attempt))
-
-            yield from self._parallel(
-                [put_chain(chain, idxs) for chain, idxs in sorted(by_chain.items())]
-            )
-            return new_refs
-
-        # parallel mode with retries + replica pruning
-        by_provider: Dict[str, List[int]] = {}
-        for idx in sorted(new_refs):
-            for name in new_refs[idx].providers:
-                by_provider.setdefault(name, []).append(idx)
-
-        def put_group(provider_name: str, indices: List[int]):
+        def put(chain: Tuple[str, ...], indices: List[int]):
+            """PUT ``indices`` to ``chain[0]``, which forwards them down the rest."""
             items = [(new_refs[i].key, updates[i]) for i in indices]
-            total = sum(p.size for _, p in items)
-            provider = dep.fabric.hosts[provider_name]
+            request_bytes = sum(p.size for _, p in items) + 64 * len(items)
+            attempts = policy.attempts if policy is not None else len(chain)
             for attempt in range(attempts):
+                shift = attempt % len(chain)
+                rotated = chain[shift:] + chain[:shift]
+                args = (items, rotated[1:]) if pipeline else (items,)
                 try:
-                    yield from self._call_with_timeout(
-                        provider, "blob-data", "put_chunks", items,
-                        request_bytes=total + 64 * len(items),
+                    yield from self._call(
+                        dep.fabric.hosts[rotated[0]], "blob-data",
+                        "put_chunks_chain" if pipeline else "put_chunks", *args,
+                        request_bytes=request_bytes,
                     )
                     return True
-                except (ProviderUnavailableError, ChunkNotFoundError):
+                except FAILOVER:
                     if attempt + 1 < attempts:
                         metrics.count("put-retry")
-                        yield env.timeout(policy.delay_for(attempt))
+                        if policy is not None:
+                            yield self.host.env.timeout(policy.delay_for(attempt))
             return False
 
-        work = sorted(by_provider.items())
-        results = yield from self._parallel(
-            [put_group(name, indices) for name, indices in work]
-        )
-        dead = {name for ok, (name, _) in zip(results, work) if not ok}
+        groups: Dict[Tuple[str, ...], List[int]] = {}
+        for idx in sorted(new_refs):
+            providers = new_refs[idx].providers
+            chains = [providers] if pipeline else [(name,) for name in providers]
+            for chain in chains:
+                groups.setdefault(chain, []).append(idx)
+        work = sorted(groups.items())
+        results = yield from self._parallel([put(chain, indices) for chain, indices in work])
+        dead = {chain for ok, (chain, _) in zip(results, work) if not ok}
         if not dead:
             return new_refs
+        if pipeline:
+            raise ProviderUnavailableError(f"chains {sorted(dead)} failed every write try")
+        dead = {name for (name,) in dead}
         pruned: Dict[int, ChunkRef] = {}
         n_pruned = 0
         for idx, ref in new_refs.items():
@@ -451,80 +379,83 @@ class BlobClient:
         return result
 
     def fetch_refs(self, refs: Dict[int, ChunkRef]):
-        """Fetch the chunks described by ``refs``, grouped per provider, in parallel."""
+        """Fetch the chunks described by ``refs``: peers first when the p2p
+        agent is on, else grouped per provider, in parallel."""
+        agent = self.peer_agent
+        fetch = self._fetch_refs_providers(refs) if agent is None else agent.fetch_refs(self, refs)
         if not refs:  # an empty fetch opens no span
-            return (yield from self._fetch_refs_impl(refs))
+            return (yield from fetch)
         with self.host.fabric.tracer.start("chunk-fetch", "chunk", nchunks=len(refs)):
-            return (yield from self._fetch_refs_impl(refs))
+            return (yield from fetch)
 
-    def _fetch_refs_impl(self, refs: Dict[int, ChunkRef]):
-        if self.peer_agent is not None:
-            result = yield from self.peer_agent.fetch_refs(self, refs)
-            return result
-        result = yield from self._fetch_refs_providers(refs)
-        return result
+    def _replicas(self, refs: Dict[int, ChunkRef]):
+        """``homes`` of chunk ``idx`` for :meth:`_failover`: its replicas, preferred first.
 
-    def _read_replica(self, ref: ChunkRef) -> str:
-        """Which replica to read: same-rack when the deployment is rack-aware.
-
-        ``read_topology`` is None unless the cloud was built rack-aware, so
-        the default path stays exactly ``providers[0]`` (seed behavior).
+        The preferred replica is rank 0, or the first same-rack one when the
+        deployment reads rack-aware (``read_topology``); the others follow
+        in rank order from it.
         """
-        providers = ref.providers
         topo = self.deployment.read_topology
-        if topo is None or len(providers) == 1:
-            return providers[0]
+        if topo is None:
+            return lambda idx: refs[idx].providers
         my_rack = topo.rack(self.host.name)
-        for p in providers:
-            if topo.rack(p) == my_rack:
-                return p
-        return providers[0]
+
+        def homes(idx: int) -> Tuple[str, ...]:
+            providers = refs[idx].providers
+            if len(providers) > 1:
+                for rank, name in enumerate(providers):
+                    if topo.rack(name) == my_rack:
+                        return providers[rank:] + providers[:rank]
+            return providers
+
+        return homes
 
     def _fetch_refs_providers(self, refs: Dict[int, ChunkRef]):
-        """The provider-only fetch path (also the p2p fallback of last resort)."""
-        if self.deployment.retry is not None:
-            result = yield from self._fetch_refs_resilient(refs)
-            return result
-        by_provider: Dict[str, List[int]] = {}
-        for idx, ref in refs.items():
-            by_provider.setdefault(self._read_replica(ref), []).append(idx)
+        """The provider fetch (also the p2p fallback of last resort).
 
-        def fetch_group(provider_name: str, indices: List[int], replica: int = 0):
-            indices = sorted(indices)
+        One ``get_chunks`` per provider and round of :meth:`_failover`,
+        each under a ``fetch-attempt:<round>`` span naming the replica rank
+        it asked.
+        """
+        if not refs:
+            return {}
+        hosts = self.deployment.fabric.hosts
+        tracer = self.host.fabric.tracer
+
+        def fetch_group(provider_name: str, indices: List[int], attempt: int):
+            indices.sort()
             keys = [refs[i].key for i in indices]
-            provider = self.deployment.fabric.hosts[provider_name]
-            try:
-                combined = yield from rpc.call(
-                    self.host, provider, "blob-data", "get_chunks", keys
+            with tracer.start(
+                f"fetch-attempt:{attempt}", "chunk",
+                provider=provider_name, attempt=attempt,
+                replica=refs[indices[0]].providers.index(provider_name),
+                nchunks=len(indices),
+            ):
+                combined = yield from self._call(
+                    hosts[provider_name], "blob-data", "get_chunks", keys
                 )
-            except ProviderUnavailableError:
-                # Fail over chunk by chunk to the next replica.
-                out: Dict[int, Payload] = {}
-                for idx in indices:
-                    ref = refs[idx]
-                    if replica + 1 >= len(ref.providers):
-                        raise
-                    alt = self.deployment.fabric.hosts[ref.providers[replica + 1]]
-                    payload = yield from rpc.call(
-                        self.host, alt, "blob-data", "get_chunks", [ref.key]
-                    )
-                    out[idx] = payload
-                return out
-            out = {}
+            group: Dict[int, Payload] = {}
             cursor = 0
             for idx in indices:
                 size = refs[idx].size
-                out[idx] = combined.slice(cursor, cursor + size)
+                group[idx] = combined.slice(cursor, cursor + size)
                 cursor += size
-            return out
+            return group
 
-        groups = yield from self._parallel(
-            [fetch_group(p, idxs) for p, idxs in sorted(by_provider.items())]
+        def fetch_round(by_provider: Dict[str, List[int]], attempt: int):
+            work = sorted(by_provider.items())
+            return work, self._parallel(
+                [fetch_group(name, indices, attempt) for name, indices in work]
+            )
+
+        landed: List[Dict[int, Payload]] = []
+        yield from self._failover(
+            refs, self._replicas(refs), fetch_round, landed.extend, "chunks", "fetch-retry"
         )
-        merged: Dict[int, Payload] = {}
-        for group in groups:
-            merged.update(group)
-        return merged
+        out: Dict[int, Payload] = {}
+        for group in landed:
+            out.update(group)
+        return out
 
     def write_chunks(
         self,
@@ -618,28 +549,7 @@ class BlobClient:
             pinned_keys.extend(pin)
             dep.pin_inflight(keys=pin)
 
-            if dep.retry is None and dep.replica_write_mode == "parallel":
-                # Original path: parallel fan-out grouped per provider, no
-                # timeouts, fail-fast (byte-identical to the pre-fault code).
-                by_provider: Dict[str, List[Tuple[int, Payload]]] = {}
-                for idx in indices:
-                    ref = new_refs[idx]
-                    for name in ref.providers:
-                        by_provider.setdefault(name, []).append((ref.key, updates[idx]))
-
-                def put_group(provider_name: str, items: List[Tuple[int, Payload]]):
-                    provider = dep.fabric.hosts[provider_name]
-                    total = sum(p.size for _, p in items)
-                    yield from rpc.call(
-                        self.host, provider, "blob-data", "put_chunks", items,
-                        request_bytes=total + 64 * len(items),
-                    )
-
-                yield from self._parallel(
-                    [put_group(p, items) for p, items in sorted(by_provider.items())]
-                )
-            else:
-                new_refs = yield from self._put_replicated(new_refs, updates)
+            new_refs = yield from self._put_replicated(new_refs, updates)
 
         # register freshly pushed content, then fold in deduplicated refs
         if dep.dedup_index is not None:
@@ -663,27 +573,14 @@ class BlobClient:
         if by_shard:
             with tracer.start("meta-scatter", "meta", nodes=len(new_node_ids)):
                 puts = list(by_shard.items())
-                if dep.retry is None:
-                    yield from self._parallel(
-                        [
-                            rpc.call(self.host, shard, "blob-meta", "put_nodes", nodes)
-                            for shard, nodes in puts
-                        ]
-                    )
-                else:
-                    def guarded_put(shard: Host, nodes: Dict[NodeId, TreeNode]):
-                        try:
-                            yield from self._call_with_timeout(
-                                shard, "blob-meta", "put_nodes", nodes
-                            )
-                        except (ProviderUnavailableError, ChunkNotFoundError):
-                            return False
-                        return True
-
-                    oks = yield from self._parallel(
-                        [guarded_put(shard, nodes) for shard, nodes in puts]
-                    )
-                    ok_shards = {shard.name for ok, (shard, _) in zip(oks, puts) if ok}
+                results = yield from self._parallel([
+                    self._call(shard, "blob-meta", "put_nodes", nodes) for shard, nodes in puts
+                ])
+                ok_shards = {
+                    shard.name for result, (shard, _) in zip(results, puts)
+                    if not isinstance(result, BaseException)
+                }
+                if len(ok_shards) < len(puts):
                     for nid in new_node_ids:
                         if not any(h.name in ok_shards for h in dep.shard_hosts(nid)):
                             raise ProviderUnavailableError(

@@ -16,7 +16,7 @@ upload itself is not part of any measured figure).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..calibration import ServiceModel
 from ..common.errors import StorageError
@@ -82,8 +82,9 @@ class BlobSeerDeployment:
         self.replica_write_mode = replica_write_mode
         #: homes per metadata tree node (consecutive shards mod n_meta)
         self.meta_replication = meta_replication
-        #: client-side RetryPolicy; ``None`` keeps the original non-resilient
-        #: code paths byte-identical (no timeouts, no failover)
+        #: client-side RetryPolicy: the deadline, rounds and backoff of the
+        #: client's one failover loop; ``None`` = no deadline, no backoff,
+        #: each replica tried once
         self.retry = retry
         #: cooperative chunk-exchange overlay (:class:`repro.p2p.PeerNetwork`);
         #: ``None`` (the default) leaves clients on the provider-only path
@@ -131,6 +132,12 @@ class BlobSeerDeployment:
             self.data_services[host.name] = svc
 
         self.meta_hosts: List[Host] = list(meta_hosts)
+        n_meta = len(self.meta_hosts)
+        #: :meth:`shard_hosts` of the nodes whose primary is shard ``p``, at ``p``
+        self._homes = [
+            tuple(self.meta_hosts[(p + r) % n_meta] for r in range(meta_replication))
+            for p in range(n_meta)
+        ]
         self.meta_services: Dict[str, MetadataProviderService] = {}
         for host in self.meta_hosts:
             svc = MetadataProviderService(host, self.model)
@@ -174,19 +181,14 @@ class BlobSeerDeployment:
                 self.inflight_nodes.pop(nid, None)
 
     # ------------------------------------------------------------------ #
-    def shard_host(self, node_id: int) -> Host:
-        """Home metadata shard of a tree node (id-modulo placement)."""
-        return self.meta_hosts[node_id % len(self.meta_hosts)]
-
-    def shard_hosts(self, node_id: int) -> List[Host]:
+    def shard_hosts(self, node_id: int) -> Tuple[Host, ...]:
         """All homes of a tree node: ``meta_replication`` consecutive shards.
 
-        The first entry is the primary (identical to :meth:`shard_host`);
-        clients read from it and fail over to the followers in order.
+        The first entry is the primary (id-modulo placement); clients read
+        from it and fail over to the followers in order.
         """
-        n = len(self.meta_hosts)
-        primary = node_id % n
-        return [self.meta_hosts[(primary + r) % n] for r in range(self.meta_replication)]
+        homes = self._homes
+        return homes[node_id % len(homes)]
 
     def client(self, host: Host) -> BlobClient:
         client = BlobClient(host, self)

@@ -103,34 +103,27 @@ class RWTranslator:
 
     # ------------------------------------------------------------------ #
     def _fetch_ranges(self, gaps: Dict[int, List[Tuple[int, int]]]) -> Generator:
-        """Fetch exact byte ranges (no-prefetch ablation) and mirror them."""
-        snap = yield from self.client._lookup_snapshot(self.source_blob, self.source_version)
+        """Fetch exact byte ranges (no-prefetch ablation) and mirror them.
+
+        The ranges go through the client's failover loop like whole chunks:
+        one ``get_chunks`` of ``(key, lo, hi)`` requests per provider and
+        round, each range failing over across its chunk's replicas.
+        """
+        client = self.client
+        snap = yield from client._lookup_snapshot(self.source_blob, self.source_version)
         indices = sorted(gaps)
-        refs = yield from self.client._refs_for_range(snap.root, indices[0], indices[-1] + 1)
-        by_provider: Dict[str, List[Tuple[int, Tuple[int, int]]]] = {}
-        for idx in indices:
-            for gap in gaps[idx]:
-                if idx in refs:
-                    by_provider.setdefault(refs[idx].providers[0], []).append((idx, gap))
-
-        from ..simkit import rpc
-
-        retry = self.client.deployment.retry
+        refs = yield from client._refs_for_range(snap.root, indices[0], indices[-1] + 1)
+        hosts = client.deployment.fabric.hosts
+        landed: List[List[Tuple[int, Payload, int]]] = []
 
         def fetch_group(provider_name, items):
-            provider = self.client.deployment.fabric.hosts[provider_name]
             requests = []
             for idx, (g_lo, g_hi) in items:
                 c_lo, _ = self.modmgr.chunk_bounds(idx)
                 requests.append((refs[idx].key, g_lo - c_lo, g_hi - c_lo))
-            if retry is not None:
-                combined = yield from self.client._call_with_timeout(
-                    provider, "blob-data", "get_chunks", requests
-                )
-            else:
-                combined = yield from rpc.call(
-                    self.client.host, provider, "blob-data", "get_chunks", requests
-                )
+            combined = yield from client._call(
+                hosts[provider_name], "blob-data", "get_chunks", requests
+            )
             cursor = 0
             out = []
             for idx, (g_lo, g_hi) in items:
@@ -138,51 +131,18 @@ class RWTranslator:
                 cursor += g_hi - g_lo
             return out
 
-        if retry is None:
-            groups = yield from self.client._parallel(
-                [fetch_group(p, items) for p, items in sorted(by_provider.items())]
+        def fetch_round(by_provider, attempt):
+            work = sorted(by_provider.items())
+            return work, client._parallel([fetch_group(p, items) for p, items in work])
+
+        replicas = client._replicas(refs)
+        pending = [(idx, gap) for idx in indices if idx in refs for gap in gaps[idx]]
+        if pending:
+            yield from client._failover(
+                pending, lambda item: replicas(item[0]), fetch_round,
+                landed.extend, "ranges", "fetch-retry",
             )
-        else:
-            # Replica failover for exact-range fetches: attempt ``a`` asks
-            # each still-missing range's replica of rank ``a mod k``.
-            from ..common.errors import ChunkNotFoundError, ProviderUnavailableError
-
-            env = self.client.host.env
-            pending = [(idx, gap) for p, items in sorted(by_provider.items()) for idx, gap in items]
-            groups = []
-            for attempt in range(retry.attempts):
-                by_replica: Dict[str, List[Tuple[int, Tuple[int, int]]]] = {}
-                for idx, gap in pending:
-                    provs = refs[idx].providers
-                    by_replica.setdefault(provs[attempt % len(provs)], []).append((idx, gap))
-
-                def guarded(provider_name, items):
-                    try:
-                        out = yield from fetch_group(provider_name, items)
-                    except (ProviderUnavailableError, ChunkNotFoundError):
-                        return None
-                    return out
-
-                work = sorted(by_replica.items())
-                fetched = yield from self.client._parallel(
-                    [guarded(p, items) for p, items in work]
-                )
-                pending = []
-                for group, (_p, items) in zip(fetched, work):
-                    if group is None:
-                        pending.extend(items)
-                    else:
-                        groups.append(group)
-                if not pending:
-                    break
-                self._metrics.count("fetch-retry")
-                yield env.timeout(retry.delay_for(attempt))
-            else:
-                raise ProviderUnavailableError(
-                    f"ranges of chunks {sorted({i for i, _ in pending})[:5]} "
-                    f"unreachable after {retry.attempts} attempts"
-                )
-        for group in groups:
+        for group in landed:
             for g_lo, piece, idx in group:
                 yield from self._mirror_fetched(idx, g_lo, piece)
         # ranges inside source holes mirror as zeros

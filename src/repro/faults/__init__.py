@@ -14,9 +14,9 @@ the failure story:
 * :mod:`repro.faults.scenario` — :func:`resilient_deploy`, a
   multideployment that degrades instead of crashing when boots fail.
 
-Everything here is strictly off-path when disabled: an empty plan schedules
-no events, and with ``retry=None`` + ``replication_factor=1`` the storage
-client runs its original byte-identical code.
+An empty plan schedules no events. The storage client has one RPC path with
+or without a policy: a :class:`RetryPolicy` only tunes its failover loop, so
+a fault-free run takes the same timeline armed or not.
 """
 
 from .injector import FaultInjector

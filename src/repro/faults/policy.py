@@ -1,11 +1,12 @@
-"""Retry/backoff policy for the resilient storage-client paths.
+"""Retry/backoff policy for the storage client's failover loop.
 
 A :class:`RetryPolicy` is a pure value attached to a
-:class:`~repro.blobseer.service.BlobSeerDeployment`. When set, the BlobSeer
-client wraps its data/metadata RPCs in per-call timeouts, bounded
-exponential-backoff retries and replica failover; when ``None`` (the
-default), every client path is byte-identical to the retry-free code —
-the fault subsystem is strictly off-path when disabled.
+:class:`~repro.blobseer.service.BlobSeerDeployment`. The BlobSeer client
+fails over across replicas (and metadata homes) with or without one; the
+policy only sets the numbers: a per-RPC deadline, how many rounds a read or
+a PUT gets, and the bounded exponential backoff between them. With ``None``
+(the default) there is no deadline and no backoff, a read tries each replica
+once and a write each replica once.
 
 This module has no imports from the rest of :mod:`repro` so it can be used
 from both the simkit layer and the storage layer without cycles.

@@ -13,8 +13,8 @@ the flow network, and every mirror fetch goes through a :class:`PeerAgent`:
    mid-transfer, or simply no longer caches the chunk costs one failed
    attempt and the next candidate (or the provider) takes over — peer
    failures are *never* surfaced to the reader;
-3. **providers** — whatever is still missing goes down the unmodified
-   provider path (including replica failover and the deployment's
+3. **providers** — whatever is still missing goes down the client's
+   provider fetch (replica failover, tuned by the deployment's
    :class:`~repro.faults.policy.RetryPolicy` when one is configured).
 
 Everything fetched — from peers or providers — lands in the local cache and
@@ -29,11 +29,12 @@ to a build without this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..blobseer.client import FAILOVER
 from ..blobseer.metadata import ChunkRef
 from ..calibration import ServiceModel
-from ..common.errors import ChunkNotFoundError, ProviderUnavailableError, StorageError
+from ..common.errors import StorageError
 from ..common.payload import Payload
 from ..common.units import MiB
 from ..simkit import rpc
@@ -141,8 +142,8 @@ class PeerAgent:
         """Peer-first replacement for the client's provider fetch.
 
         ``client`` is the :class:`~repro.blobseer.client.BlobClient` that
-        delegated to us; its untouched provider path
-        (``_fetch_refs_providers``) remains the fallback of last resort.
+        delegated to us; its provider fetch (``_fetch_refs_providers``, with
+        its replica failover) remains the fallback of last resort.
         """
         metrics = self.host.fabric.metrics
         out: Dict[int, Payload] = {}
@@ -221,15 +222,10 @@ class PeerAgent:
                     peer=peer_name, rank=rank, nchunks=len(keys),
                 ) as span:
                     try:
-                        if client.deployment.retry is not None:
-                            hit_keys, combined = yield from client._call_with_timeout(
-                                peer, PEER_SERVICE, "get_cached", keys
-                            )
-                        else:
-                            hit_keys, combined = yield from rpc.call(
-                                self.host, peer, PEER_SERVICE, "get_cached", keys
-                            )
-                    except (ProviderUnavailableError, ChunkNotFoundError) as exc:
+                        hit_keys, combined = yield from client._call(
+                            peer, PEER_SERVICE, "get_cached", keys
+                        )
+                    except FAILOVER as exc:
                         # peer died (possibly mid-transfer) — next candidate or
                         # the provider path picks these chunks up
                         metrics.count("p2p-peer-failover")

@@ -337,7 +337,17 @@ def call(
             span.finish()
 
 
-def gather(caller: Host, calls: Sequence[tuple]) -> Generator[Event, None, List[Any]]:
+def settled(call: Generator, errors: tuple) -> Generator[Event, None, Any]:
+    """Run ``call``; an exception among ``errors`` is its result, not raised."""
+    try:
+        return (yield from call)
+    except errors as exc:
+        return exc
+
+
+def gather(
+    caller: Host, calls: Sequence[tuple], settle: tuple = ()
+) -> Generator[Event, None, List[Any]]:
     """Scatter ``calls`` from ``caller`` and wait for all: results in call order.
 
     Each call is ``(callee, service_name, method, *args)`` with the default
@@ -345,7 +355,9 @@ def gather(caller: Host, calls: Sequence[tuple]) -> Generator[Event, None, List[
     message, the scatter is priced leg by leg when it starts and the caller
     wakes once, at the latest reply — ``max`` over instants each computed as
     in :func:`call`. Otherwise the legs run as parallel processes and the
-    first failure fails the gather (a single leg runs inline).
+    first failure fails the gather (a single leg runs inline). A leg failing
+    with an exception among ``settle`` does not fail the gather: the
+    exception is that leg's result.
     """
     env = caller.env
     legs: list = []  # a _TimedLeg, or the generator of a call to be stepped
@@ -372,8 +384,16 @@ def gather(caller: Host, calls: Sequence[tuple]) -> Generator[Event, None, List[
             for leg in legs:
                 leg.fail(exc, env.now)
             raise
-        return [leg.deliver(env.now) for leg in legs]
+        results = []
+        for leg in legs:
+            try:
+                results.append(leg.deliver(env.now))
+            except settle as exc:
+                results.append(exc)
+        return results
     gens = [_finish_timed(caller, g) if type(g) is _TimedLeg else g for g in legs]
+    if settle:
+        gens = [settled(g, settle) for g in gens]
     if len(gens) == 1:
         result = yield from gens[0]
         return [result]

@@ -91,9 +91,9 @@ SCENARIOS = {
 }
 
 EXPECTED = {
-    'deploy-snapshot': (4023, '03ee70c19d21ea538d44dd49c43e3dad23ffdb214feae4761c98de477ca3c926'),
+    'deploy-snapshot': (4245, 'ba48f53231697dd6f6bff780e797715741ce534cd5fd68fcecd1a61b4a40ed2c'),
     'failover-read': (44, '19c21643c3df29cc94fa36d890e1ea422c61649bf099f3e94b734cb33c9f383e'),
-    'churn-p2p-restore-compact': (8693, '0bf60bc90b6fa276b45f69f7f8a24ef4b08616c767d8baad6c52cea644b1cdbe'),
+    'churn-p2p-restore-compact': (8777, '738dce167dce645af83113400250f111a74482d6dd1fe893a1d1adc11bb148a9'),
 }
 
 

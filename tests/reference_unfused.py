@@ -38,8 +38,10 @@ def stepwise_get_nodes(self, caller, ids):
     return rpc.Sized(ids, NODE_WIRE_BYTES * len(ids))
 
 
-def stepwise_gather(caller, calls):
+def stepwise_gather(caller, calls, settle=()):
     gens = [rpc.call(caller, *one) for one in calls]
+    if settle:
+        gens = [rpc.settled(g, settle) for g in gens]
     if len(gens) == 1:
         result = yield from gens[0]
         return [result]
