@@ -208,16 +208,21 @@ class BlobClient:
             ]
             pending = [item for items, _ in failed for item in items]
             policy = self.deployment.retry
-            if policy is None and attempt + 1 >= max(len(homes(item)) for item in pending):
+            if policy is not None:
+                rounds = policy.attempts
+            else:
+                rounds = max(len(homes(item)) for item in pending)
+            last = attempt + 1 >= rounds
+            if last and policy is None:
                 raise failed[0][1]  # like a lone call's failure: nothing of it lands
             land([result for result in results if not isinstance(result, BaseException)])
+            if last:
+                raise ProviderUnavailableError(
+                    f"{what} {pending[:5]} unreachable after {rounds} attempts"
+                )
             self.host.fabric.metrics.count(counter)
             if policy is not None:
                 yield self.host.env.timeout(policy.delay_for(attempt))
-                if attempt + 1 == policy.attempts:
-                    raise ProviderUnavailableError(
-                        f"{what} {pending[:5]} unreachable after {policy.attempts} attempts"
-                    )
             attempt += 1
 
     def _put_replicated(self, new_refs: Dict[int, ChunkRef], updates: Dict[int, Payload]):
