@@ -64,8 +64,8 @@ class BlobClient:
     # helpers
     # ------------------------------------------------------------------ #
     def _parallel(self, gens: Sequence) -> List:
-        """Run ``gens`` concurrently: their results in order, a failover
-        error (:data:`FAILOVER`) being the result of the one it ended."""
+        """Run ``gens`` concurrently and return their results in order; a
+        :data:`FAILOVER` error a generator fails with is its result."""
         if len(gens) == 1:
             # Overwhelmingly common (single shard / single provider): run
             # inline instead of paying a Process bootstrap + AllOf per fetch.
@@ -208,10 +208,7 @@ class BlobClient:
             ]
             pending = [item for items, _ in failed for item in items]
             policy = self.deployment.retry
-            if policy is not None:
-                rounds = policy.attempts
-            else:
-                rounds = max(len(homes(item)) for item in pending)
+            rounds = policy.attempts if policy else max(len(homes(item)) for item in pending)
             last = attempt + 1 >= rounds
             if last and policy is None:
                 raise failed[0][1]  # like a lone call's failure: nothing of it lands
@@ -278,12 +275,12 @@ class BlobClient:
                 groups.setdefault(chain, []).append(idx)
         work = sorted(groups.items())
         results = yield from self._parallel([put(chain, indices) for chain, indices in work])
-        dead = {chain for ok, (chain, _) in zip(results, work) if not ok}
-        if not dead:
+        failed = {chain for ok, (chain, _) in zip(results, work) if not ok}
+        if not failed:
             return new_refs
         if pipeline:
-            raise ProviderUnavailableError(f"chains {sorted(dead)} failed every write try")
-        dead = {name for (name,) in dead}
+            raise ProviderUnavailableError(f"chains {sorted(failed)} failed every write try")
+        dead = {name for (name,) in failed}
         pruned: Dict[int, ChunkRef] = {}
         n_pruned = 0
         for idx, ref in new_refs.items():
