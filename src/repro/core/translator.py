@@ -114,7 +114,6 @@ class RWTranslator:
         indices = sorted(gaps)
         refs = yield from client._refs_for_range(snap.root, indices[0], indices[-1] + 1)
         hosts = client.deployment.fabric.hosts
-        landed: List[List[Tuple[int, Payload, int]]] = []
 
         def fetch_group(provider_name, items):
             requests = []
@@ -137,6 +136,7 @@ class RWTranslator:
 
         replicas = client._replicas(refs)
         pending = [(idx, gap) for idx in indices if idx in refs for gap in gaps[idx]]
+        landed: List[List[Tuple[int, Payload, int]]] = []
         if pending:
             yield from client._failover(
                 pending, lambda item: replicas(item[0]), fetch_round,
