@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..common.errors import ChunkNotFoundError, ProviderUnavailableError, StorageError
+from ..common.errors import ProviderUnavailableError, StorageError
 from ..common.payload import Payload
 from ..simkit import rpc
 from ..simkit.core import Timeout
@@ -38,9 +38,6 @@ from .vmanager import SnapshotRecord
 
 #: marker for "latest published version"
 LATEST = None
-
-#: what a failed attempt raises: its items go on to their next home
-FAILOVER = (ProviderUnavailableError, ChunkNotFoundError)
 
 
 class BlobClient:
@@ -64,17 +61,12 @@ class BlobClient:
     # helpers
     # ------------------------------------------------------------------ #
     def _parallel(self, gens: Sequence) -> List:
-        """Run ``gens`` concurrently and return their results in order; a
-        :data:`FAILOVER` error a generator fails with is its result."""
         if len(gens) == 1:
             # Overwhelmingly common (single shard / single provider): run
             # inline instead of paying a Process bootstrap + AllOf per fetch.
-            try:
-                result = yield from gens[0]
-            except FAILOVER as exc:
-                result = exc
+            result = yield from gens[0]
             return [result]
-        procs = self.host.env.process_batch([rpc.settled(g, FAILOVER) for g in gens])
+        procs = self.host.env.process_batch(gens)
         results = yield self.host.env.all_of(procs)
         return results
 
@@ -132,10 +124,10 @@ class BlobClient:
             return work, rpc.gather(
                 self.host,
                 [(shard, "blob-meta", "get_nodes", shard_ids) for shard, shard_ids in work],
-                settle=FAILOVER,
             )
         return work, self._parallel([
-            self._call(shard, "blob-meta", "get_nodes", shard_ids) for shard, shard_ids in work
+            rpc.settled(self._call(shard, "blob-meta", "get_nodes", shard_ids))
+            for shard, shard_ids in work
         ])
 
     # ------------------------------------------------------------------ #
@@ -181,12 +173,14 @@ class BlobClient:
         Round ``a`` groups every pending item under its home of rank
         ``a mod k``; ``attempt_round(groups, a)`` orders the groups into
         ``(home, items)`` pairs and returns them with a scatter that yields
-        one result per pair: ``land(results)`` takes what the homes served,
-        and the items of a home whose attempt failed (its result is the
-        exception) go on to the next round. A
+        one result per pair, the :data:`rpc.FAILOVER` error of a failed
+        attempt as its result: ``land(results)`` takes what the homes
+        served, and the items of a failed home go on to the next round. A
         :class:`~repro.faults.policy.RetryPolicy` sets the number of rounds
         and the backoff between them; without one each home is tried once,
-        in rank order, and the last failure is raised as it came.
+        in rank order. Nothing of a failed last round lands: it raises the
+        policy's summary error, or without a policy the first failure as it
+        came.
         """
         attempt = 0
         while True:
@@ -209,14 +203,13 @@ class BlobClient:
             pending = [item for items, _ in failed for item in items]
             policy = self.deployment.retry
             rounds = policy.attempts if policy else max(len(homes(item)) for item in pending)
-            last = attempt + 1 >= rounds
-            if last and policy is None:
-                raise failed[0][1]  # like a lone call's failure: nothing of it lands
-            land([result for result in results if not isinstance(result, BaseException)])
-            if last:
+            if attempt + 1 >= rounds:  # nothing of a failed last round lands
+                if policy is None:
+                    raise failed[0][1]  # as it came, like a lone call's failure
                 raise ProviderUnavailableError(
                     f"{what} {pending[:5]} unreachable after {rounds} attempts"
                 )
+            land([result for result in results if not isinstance(result, BaseException)])
             self.host.fabric.metrics.count(counter)
             if policy is not None:
                 yield self.host.env.timeout(policy.delay_for(attempt))
@@ -260,7 +253,7 @@ class BlobClient:
                         request_bytes=request_bytes,
                     )
                     return True
-                except FAILOVER:
+                except rpc.FAILOVER:
                     if attempt + 1 < attempts:
                         metrics.count("put-retry")
                         if policy is not None:
@@ -427,15 +420,18 @@ class BlobClient:
         def fetch_group(provider_name: str, indices: List[int], attempt: int):
             indices.sort()
             keys = [refs[i].key for i in indices]
-            with tracer.start(
-                f"fetch-attempt:{attempt}", "chunk",
-                provider=provider_name, attempt=attempt,
-                replica=refs[indices[0]].providers.index(provider_name),
-                nchunks=len(indices),
-            ):
-                combined = yield from self._call(
-                    hosts[provider_name], "blob-data", "get_chunks", keys
-                )
+            try:
+                with tracer.start(
+                    f"fetch-attempt:{attempt}", "chunk",
+                    provider=provider_name, attempt=attempt,
+                    replica=refs[indices[0]].providers.index(provider_name),
+                    nchunks=len(indices),
+                ):
+                    combined = yield from self._call(
+                        hosts[provider_name], "blob-data", "get_chunks", keys
+                    )
+            except rpc.FAILOVER as exc:
+                return exc  # these chunks go on to their next replica
             group: Dict[int, Payload] = {}
             cursor = 0
             for idx in indices:
@@ -576,7 +572,8 @@ class BlobClient:
             with tracer.start("meta-scatter", "meta", nodes=len(new_node_ids)):
                 puts = list(by_shard.items())
                 results = yield from self._parallel([
-                    self._call(shard, "blob-meta", "put_nodes", nodes) for shard, nodes in puts
+                    rpc.settled(self._call(shard, "blob-meta", "put_nodes", nodes))
+                    for shard, nodes in puts
                 ])
                 ok_shards = {
                     shard.name for result, (shard, _) in zip(results, puts)

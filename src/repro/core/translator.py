@@ -20,6 +20,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 from ..blobseer.client import BlobClient
 from ..common.errors import MirrorStateError
 from ..common.payload import Payload
+from ..simkit import rpc
 from .localmirror import LocalMirrorFile
 from .modmanager import ModificationManager
 
@@ -120,9 +121,12 @@ class RWTranslator:
             for idx, (g_lo, g_hi) in items:
                 c_lo, _ = self.modmgr.chunk_bounds(idx)
                 requests.append((refs[idx].key, g_lo - c_lo, g_hi - c_lo))
-            combined = yield from client._call(
-                hosts[provider_name], "blob-data", "get_chunks", requests
-            )
+            try:
+                combined = yield from client._call(
+                    hosts[provider_name], "blob-data", "get_chunks", requests
+                )
+            except rpc.FAILOVER as exc:
+                return exc  # these ranges go on to their next replica
             cursor = 0
             out = []
             for idx, (g_lo, g_hi) in items:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..blobseer.client import FAILOVER
 from ..blobseer.metadata import ChunkRef
 from ..calibration import ServiceModel
 from ..common.errors import StorageError
@@ -225,7 +224,7 @@ class PeerAgent:
                         hit_keys, combined = yield from client._call(
                             peer, PEER_SERVICE, "get_cached", keys
                         )
-                    except FAILOVER as exc:
+                    except rpc.FAILOVER as exc:
                         # peer died (possibly mid-transfer) — next candidate or
                         # the provider path picks these chunks up
                         metrics.count("p2p-peer-failover")

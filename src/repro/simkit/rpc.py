@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, NamedTuple, Sequence, Set
 
-from ..common.errors import ProviderUnavailableError, SimulationError
+from ..common.errors import ChunkNotFoundError, ProviderUnavailableError, SimulationError
 from ..common.payload import Payload
 from .core import Event
 from .host import Host
@@ -47,6 +47,10 @@ RPC_TIMEOUT = 0.5
 #: Wire size assumed for an RPC request / non-payload response envelope.
 REQUEST_BYTES = 256
 RESPONSE_BYTES = 192
+
+#: What an unreachable or emptied home raises: a caller fails over from it
+#: to the item's next home instead of failing outright.
+FAILOVER = (ProviderUnavailableError, ChunkNotFoundError)
 
 _down_hosts: "Set[str]" = set()
 
@@ -337,27 +341,25 @@ def call(
             span.finish()
 
 
-def settled(call: Generator, errors: tuple) -> Generator[Event, None, Any]:
-    """Run ``call``; an exception among ``errors`` is its result, not raised."""
+def settled(call: Generator) -> Generator[Event, None, Any]:
+    """Run ``call``; a :data:`FAILOVER` error is its result, not raised."""
     try:
         return (yield from call)
-    except errors as exc:
+    except FAILOVER as exc:
         return exc
 
 
-def gather(
-    caller: Host, calls: Sequence[tuple], settle: tuple = ()
-) -> Generator[Event, None, List[Any]]:
+def gather(caller: Host, calls: Sequence[tuple]) -> Generator[Event, None, List[Any]]:
     """Scatter ``calls`` from ``caller`` and wait for all: results in call order.
 
     Each call is ``(callee, service_name, method, *args)`` with the default
     request size. When every call is a timed read whose reply lands as a
     message, the scatter is priced leg by leg when it starts and the caller
     wakes once, at the latest reply — ``max`` over instants each computed as
-    in :func:`call`. Otherwise the legs run as parallel processes and the
-    first failure fails the gather (a single leg runs inline). A leg failing
-    with an exception among ``settle`` does not fail the gather: the
-    exception is that leg's result.
+    in :func:`call`. Otherwise the legs run as parallel processes (a single
+    leg runs inline). A leg failing with a :data:`FAILOVER` error does not
+    fail the gather: the exception is that leg's result; any other failure
+    fails it.
     """
     env = caller.env
     legs: list = []  # a _TimedLeg, or the generator of a call to be stepped
@@ -388,12 +390,10 @@ def gather(
         for leg in legs:
             try:
                 results.append(leg.deliver(env.now))
-            except settle as exc:
+            except FAILOVER as exc:
                 results.append(exc)
         return results
-    gens = [_finish_timed(caller, g) if type(g) is _TimedLeg else g for g in legs]
-    if settle:
-        gens = [settled(g, settle) for g in gens]
+    gens = [settled(_finish_timed(caller, g) if type(g) is _TimedLeg else g) for g in legs]
     if len(gens) == 1:
         result = yield from gens[0]
         return [result]

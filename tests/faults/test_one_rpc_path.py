@@ -56,6 +56,17 @@ def test_an_armed_policy_leaves_a_fault_free_run_alone(kind, prefetch):
     assert armed == plain
 
 
+def test_exact_range_reads_prefer_the_same_rack_replica_without_a_policy():
+    """Exact ranges pick their replica like whole chunks: same-rack first.
+
+    The two copies of the exact-range fetch this path replaced both read
+    rank 0, which sent 35,104,545 B of this payload across the racks.
+    """
+    topo = fault_free_deploy("racked-replicated", prefetch=False, retry=None)["topo_traffic"]
+    assert topo["cross-rack/payload"] == 25_421_557
+    assert topo["intra-rack/payload"] == 33_984_271
+
+
 # ---------------------------------------------------------------------- #
 # the retry-free path fails over like the armed one
 # ---------------------------------------------------------------------- #

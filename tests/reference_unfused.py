@@ -11,7 +11,8 @@ lives here:
 * ``get_nodes`` as a generator handler (service timeout, then the read), so
   ``rpc.call`` takes its general path: request timeout, handler, response;
 * ``gather`` as a scatter of ``rpc.call`` processes sharing one bootstrap,
-  joined by ``AllOf`` (a single call runs inline);
+  joined by ``AllOf`` (a single call runs inline); a leg failing with an
+  ``rpc.FAILOVER`` error has the exception as its result;
 * ``FileDevice.write`` as two timeouts with the budget check in between;
 * the page-cache flusher as a process looping over ``Disk.write``.
 
@@ -38,10 +39,8 @@ def stepwise_get_nodes(self, caller, ids):
     return rpc.Sized(ids, NODE_WIRE_BYTES * len(ids))
 
 
-def stepwise_gather(caller, calls, settle=()):
-    gens = [rpc.call(caller, *one) for one in calls]
-    if settle:
-        gens = [rpc.settled(g, settle) for g in gens]
+def stepwise_gather(caller, calls):
+    gens = [rpc.settled(rpc.call(caller, *one)) for one in calls]
     if len(gens) == 1:
         result = yield from gens[0]
         return [result]
