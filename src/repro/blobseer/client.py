@@ -529,7 +529,7 @@ class BlobClient:
         with tracer.start("chunk-publish", "chunk", nchunks=len(updates)):
             indices = sorted(updates)
             placements = yield from rpc.call(
-                self.host, dep.pmanager_host, "blob-pmgr", "allocate",
+                self.host, dep.vmanager_host, "blob-pmgr", "allocate",
                 len(indices), snap.chunk_size, replication,
             )
 

@@ -90,7 +90,6 @@ def collect_garbage(deployment: "BlobSeerDeployment") -> GcReport:
         for key in dead:
             bytes_reclaimed += provider.store.get(key).size
             provider.store.discard(key)
-            provider.ram.discard(key)
         chunks_dropped += len(dead)
         chunks_kept += len(provider.store)
 

@@ -236,13 +236,7 @@ class ProviderManagerService:
 
     def _down_providers(self) -> Tuple[str, ...]:
         """Providers the manager currently believes dead (crash-injection only)."""
-        from ..simkit import rpc
-
-        if not rpc._down_hosts:  # fast path: failure-free runs never filter
-            return ()
         hosts = self.host.fabric.hosts
         return tuple(
-            name
-            for name in self.policy.providers
-            if name in hosts and rpc.is_host_down(hosts[name])
+            name for name in self.policy.providers if name in hosts and hosts[name].down
         )

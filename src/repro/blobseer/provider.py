@@ -4,9 +4,9 @@ version manager.
 Each service wraps pure state (chunk stores, metadata shards, the blob
 registry) with the simulated costs that shape the paper's results:
 
-* **Data provider** — serves chunk GETs (disk read on RAM-cache miss, free on
-  hit: repeated multideployment reads of a hot image are memory-served, as on
-  the real testbed) and chunk PUTs with BlobSeer's *asynchronous write
+* **Data provider** — serves chunk GETs (one random disk read each:
+  commodity providers persist chunks on disk, the same assumption the PVFS
+  baseline gets) and chunk PUTs with BlobSeer's *asynchronous write
   pipeline*: the ack returns once the data sits in the provider's RAM buffer;
   a background flusher commits it to disk. Buffer exhaustion throttles acks —
   this is exactly the "write pressure that eventually has to be committed to
@@ -46,20 +46,10 @@ class DataProviderService:
         host: Host,
         model: ServiceModel,
         write_buffer_bytes: int = 64 * MiB,
-        async_ack: bool = True,
-        cache_chunks: bool = False,
     ):
         self.host = host
         self.model = model
-        self.async_ack = async_ack
-        #: whether served chunks stay RAM-resident (kernel page cache). The
-        #: conservative default is off: commodity providers persist chunks on
-        #: disk and a GET pays a random read — the same assumption the PVFS
-        #: baseline gets, so the comparison stays apples-to-apples.
-        self.cache_chunks = cache_chunks
         self.store = ChunkStore()
-        #: chunk keys currently resident in RAM (page cache / write buffer)
-        self.ram: set[int] = set()
         self._buffer = Container(host.env, capacity=float(write_buffer_bytes))
         self._buffer.level = float(write_buffer_bytes)  # full budget available
         self._pending_flush = 0
@@ -81,12 +71,9 @@ class DataProviderService:
             key, lo, hi = item if isinstance(item, tuple) else (item, None, None)
             yield Timeout(env, self.model.chunk_request_overhead)
             payload = self.store.get(key)
-            if key not in self.ram:
-                nbytes = payload.size if lo is None else hi - lo
-                # random read: the chunk sits somewhere on the provider disk
-                yield from self.host.disk.read(nbytes, sequential=False)
-                if self.cache_chunks:
-                    self.ram.add(key)
+            nbytes = payload.size if lo is None else hi - lo
+            # random read: the chunk sits somewhere on the provider disk
+            yield from self.host.disk.read(nbytes, sequential=False)
             parts.append(payload if lo is None else payload.slice(lo, hi))
         combined = Payload.concat(parts)
         metrics = self.host.fabric.metrics
@@ -95,7 +82,7 @@ class DataProviderService:
         return combined
 
     def rpc_put_chunks(self, caller: Host, items: Sequence[Tuple[int, Payload]]):
-        """Store chunks; ack semantics depend on the async-write pipeline."""
+        """Store chunks; acked once they sit in the RAM write buffer."""
         env = self.host.env
         total = sum(p.size for _, p in items)
         for key, payload in items:
@@ -105,19 +92,13 @@ class DataProviderService:
                 # replicated write may resend chunks this provider already
                 # holds; re-storing an immutable chunk is a no-op.
                 self.store.put(key, payload)
-            if self.cache_chunks:
-                self.ram.add(key)
         self.host.fabric.metrics.counters["chunk-put"] += len(items)
-        if self.async_ack:
-            # Reserve RAM buffer (throttles when the flusher lags), ack,
-            # commit to disk in the background.
-            yield self._buffer.get(float(total))
-            self._pending_flush += total
-            self._unflushed.update(key for key, _ in items)
-            self.host.spawn(self._flush(items), name="provider-flush")
-        else:
-            for _key, payload in items:
-                yield from self.host.disk.write(payload.size, sequential=False)
+        # Reserve RAM buffer (throttles when the flusher lags), ack, commit
+        # to disk in the background.
+        yield self._buffer.get(float(total))
+        self._pending_flush += total
+        self._unflushed.update(key for key, _ in items)
+        self.host.spawn(self._flush(items), name="provider-flush")
         return None
 
     def rpc_put_chunks_chain(
@@ -164,11 +145,10 @@ class DataProviderService:
 
         Called by :meth:`~repro.simkit.host.Host.fail`. Acked-but-unflushed
         chunks are lost (the async-ack window is exactly the durability gap
-        the replication layer exists to cover), the RAM cache empties, and
-        any client blocked on the write buffer gets an immediate failure
-        instead of hanging on a dead flusher.
+        the replication layer exists to cover), and any client blocked on
+        the write buffer gets an immediate failure instead of hanging on a
+        dead flusher.
         """
-        self.ram.clear()
         for key in self._unflushed:
             self.store.discard(key)
         self._unflushed.clear()

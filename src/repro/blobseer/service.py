@@ -43,12 +43,9 @@ class BlobSeerDeployment:
         data_hosts: Sequence[Host],
         meta_hosts: Sequence[Host],
         vmanager_host: Host,
-        pmanager_host: Optional[Host] = None,
         model: Optional[ServiceModel] = None,
         placement: str = "round-robin",
-        async_ack: bool = True,
         write_buffer_bytes: int = 64 * 2**20,
-        cache_chunks: bool = False,
         dedup: bool = False,
         replication_factor: int = 1,
         replica_write_mode: str = "parallel",
@@ -117,17 +114,10 @@ class BlobSeerDeployment:
         self.inflight_keys: Dict[int, int] = {}
         self.inflight_nodes: Dict[int, int] = {}
         self.vmanager_host = vmanager_host
-        self.pmanager_host = pmanager_host if pmanager_host is not None else vmanager_host
 
         self.data_services: Dict[str, DataProviderService] = {}
         for host in data_hosts:
-            svc = DataProviderService(
-                host,
-                self.model,
-                write_buffer_bytes=write_buffer_bytes,
-                async_ack=async_ack,
-                cache_chunks=cache_chunks,
-            )
+            svc = DataProviderService(host, self.model, write_buffer_bytes=write_buffer_bytes)
             rpc.bind(host, "blob-data", svc)
             self.data_services[host.name] = svc
 
@@ -154,8 +144,8 @@ class BlobSeerDeployment:
             replication_factor=replication_factor,
             rack_of=topology.rack_of if topology is not None else None,
         )
-        self.pmanager = ProviderManagerService(self.pmanager_host, self.policy, self.model)
-        rpc.bind(self.pmanager_host, "blob-pmgr", self.pmanager)
+        self.pmanager = ProviderManagerService(vmanager_host, self.policy, self.model)
+        rpc.bind(vmanager_host, "blob-pmgr", self.pmanager)
 
     # ------------------------------------------------------------------ #
     def pin_inflight(self, keys: Sequence[int] = (), nodes: Sequence[int] = ()):
@@ -205,9 +195,9 @@ class BlobSeerDeployment:
     ) -> SnapshotRecord:
         """Inject a fully-uploaded blob at time zero (experiment setup).
 
-        Content lands in the providers' chunk stores *cold* (not RAM-cached),
-        the metadata tree is built and scattered to its shards, and the first
-        snapshot is published — exactly the state an out-of-band upload would
+        Content lands in the providers' on-disk chunk stores, the metadata
+        tree is built and scattered to its shards, and the first snapshot is
+        published — exactly the state an out-of-band upload would
         leave behind, with no simulated time elapsed.
         """
         size = payload.size

@@ -1,7 +1,7 @@
 """Provider-side chunk storage (content plane).
 
 A :class:`ChunkStore` holds the actual chunk payloads of one data provider.
-It is pure content: all timing (disk queue, RAM cache behaviour) lives in the
+It is pure content: all timing (disk queue, write buffer) lives in the
 provider *service* wrapping it. Keys are the globally unique chunk keys
 minted by clients at write time and recorded in the metadata leaves.
 """

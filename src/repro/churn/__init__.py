@@ -5,7 +5,7 @@ same machinery into a steady-state system: open-loop request generators
 (:mod:`~repro.churn.arrivals`), an admission/placement layer
 (:mod:`~repro.churn.scheduler`), per-instance lifecycle processes with
 snapshot retirement and periodic garbage collection
-(:mod:`~repro.churn.lifecycle`), and p50/p95/p99 service-level metrics
+(:mod:`~repro.churn.lifecycle`), and p50/p99 service-level metrics
 (:mod:`~repro.churn.slo`) — orchestrated by
 :class:`~repro.churn.engine.ChurnEngine`.
 """

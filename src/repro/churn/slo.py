@@ -1,10 +1,10 @@
 """Steady-state service-level metrics for churn runs.
 
-One :class:`SloTracker` per run, fed by the lifecycle processes. Everything
-rides on the simulator's existing measurement primitives — the log2-bucket
-:class:`~repro.simkit.trace.Histogram` for latency percentiles (p50/p95/p99
-of boot latency, queue wait and snapshot commit latency) — plus a
-time-integrated slot-utilization accumulator, admission accounting, and the
+One :class:`SloTracker` per run, fed by the lifecycle processes: raw
+samples of boot latency, queue wait, snapshot commit latency and restore
+latency (exact means, and percentiles by
+:func:`~repro.simkit.trace.nearest_rank`), a time-integrated
+slot-utilization accumulator, admission accounting, and the
 storage-footprint timeline that the GC-cadence ablation plots. The summary
 is a plain nested dict of floats/ints (JSON-able, deterministically
 ordered) so runner results and benchmark artifacts can embed it verbatim.
@@ -14,30 +14,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..simkit.trace import Histogram
+from ..simkit.trace import nearest_rank
 
 
-def _percentiles(hist: Histogram) -> Dict[str, float]:
+def _latency(ordered: List[float]) -> Dict[str, float]:
+    """Count and p50/p99 of one ascending latency series."""
     return {
-        "p50": hist.p50,
-        "p95": hist.p95,
-        "p99": hist.p99,
-        "count": hist.count,
+        "count": len(ordered),
+        "p50_exact": nearest_rank(ordered, 0.50),
+        "p99_exact": nearest_rank(ordered, 0.99),
     }
-
-
-def _exact(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile over raw samples.
-
-    The log2 histogram answers in power-of-two bucket edges — fine for a
-    report, too coarse to compare two policies whose p99s differ by 30%.
-    The benchmark gates use these exact values; the histograms stay in the
-    summary as the O(1)-memory production-style view.
-    """
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values) + 0.5) - 1))
-    return sorted_values[rank]
 
 
 class SloTracker:
@@ -45,9 +31,10 @@ class SloTracker:
 
     def __init__(self, total_slots: int):
         self.total_slots = total_slots
-        self.boot = Histogram()
-        self.queue_wait = Histogram()
-        self.snapshot = Histogram()
+        # raw latency samples, in arrival order
+        self.boot: List[float] = []
+        self.queue_wait: List[float] = []
+        self.snapshot: List[float] = []
         # admission / lifecycle accounting
         self.deploys = 0
         self.rejected = 0
@@ -57,7 +44,7 @@ class SloTracker:
         self.snapshots_missed = 0  # target already gone (or never admitted)
         self.lineages_retired = 0  # clone blobs unpublished at teardown
         # restore-to-version accounting (repro.lineage wired into churn)
-        self.restore = Histogram()
+        self.restore: List[float] = []
         self.restores_completed = 0
         self.restores_missed = 0   # no surviving snapshot, or already GC'd
         self.restores_from_retired = 0
@@ -70,12 +57,6 @@ class SloTracker:
         self._busy = 0
         self._last_t = 0.0
         self._busy_integral = 0.0
-        # raw samples for exact means/percentiles (Histogram buckets
-        # quantize to powers of two; see _exact)
-        self._boot_raw: List[float] = []
-        self._wait_raw: List[float] = []
-        self._snap_raw: List[float] = []
-        self._restore_raw: List[float] = []
 
     # ------------------------------------------------------------------ #
     def on_deploy(self) -> None:
@@ -88,17 +69,14 @@ class SloTracker:
         self.canceled += 1
 
     def on_boot(self, queue_wait: float, boot_time: float) -> None:
-        self.queue_wait.observe(queue_wait)
-        self.boot.observe(boot_time)
-        self._wait_raw.append(queue_wait)
-        self._boot_raw.append(boot_time)
+        self.queue_wait.append(queue_wait)
+        self.boot.append(boot_time)
 
     def on_complete(self) -> None:
         self.completed += 1
 
     def on_snapshot(self, commit_latency: float) -> None:
-        self.snapshot.observe(commit_latency)
-        self._snap_raw.append(commit_latency)
+        self.snapshot.append(commit_latency)
         self.snapshots_taken += 1
 
     def on_snapshot_missed(self) -> None:
@@ -108,8 +86,7 @@ class SloTracker:
         self.lineages_retired += 1
 
     def on_restore(self, latency: float, hops: int, from_retired: bool) -> None:
-        self.restore.observe(latency)
-        self._restore_raw.append(latency)
+        self.restore.append(latency)
         self.restores_completed += 1
         self.restore_hops_total += hops
         if from_retired:
@@ -140,13 +117,12 @@ class SloTracker:
         return integral / (now * self.total_slots)
 
     def summary(self, now: float) -> dict:
-        booted = self.boot.count
+        booted = len(self.boot)
         peak = max((v for _, v in self.footprint), default=0)
         final = self.footprint[-1][1] if self.footprint else 0
-        boots = sorted(self._boot_raw)
-        waits = sorted(self._wait_raw)
-        snaps = sorted(self._snap_raw)
-        restores = sorted(self._restore_raw)
+        # means sum the sorted samples: the order fixes the float result
+        boots = sorted(self.boot)
+        waits = sorted(self.queue_wait)
         return {
             "requests": {
                 "deploys": self.deploys,
@@ -162,26 +138,16 @@ class SloTracker:
                 "restores_from_retired": self.restores_from_retired,
             },
             "boot_latency": {
-                **_percentiles(self.boot),
+                **_latency(boots),
                 "mean": sum(boots) / booted if booted else 0.0,
-                "p50_exact": _exact(boots, 0.50),
-                "p99_exact": _exact(boots, 0.99),
             },
             "queue_wait": {
-                **_percentiles(self.queue_wait),
+                **_latency(waits),
                 "mean": sum(waits) / booted if booted else 0.0,
-                "p50_exact": _exact(waits, 0.50),
-                "p99_exact": _exact(waits, 0.99),
             },
-            "snapshot_latency": {
-                **_percentiles(self.snapshot),
-                "p50_exact": _exact(snaps, 0.50),
-                "p99_exact": _exact(snaps, 0.99),
-            },
+            "snapshot_latency": _latency(sorted(self.snapshot)),
             "restore_latency": {
-                **_percentiles(self.restore),
-                "p50_exact": _exact(restores, 0.50),
-                "p99_exact": _exact(restores, 0.99),
+                **_latency(sorted(self.restore)),
                 "mean_hops": (
                     self.restore_hops_total / self.restores_completed
                     if self.restores_completed else 0.0

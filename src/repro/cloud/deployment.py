@@ -50,8 +50,6 @@ class DeploymentResult:
     total_traffic: int = 0
     #: the running instances (for follow-up workloads/snapshots)
     vms: List[VMInstance] = field(default_factory=list)
-    #: peer-exchange effectiveness (None unless the cloud was built with p2p)
-    p2p_stats: Optional[dict] = None
 
     @property
     def avg_boot_time(self) -> float:
@@ -166,6 +164,4 @@ def deploy(
     result.completion_time = cloud.env.now - t_start
     result.boot_times = [vm.boot_time for vm in result.vms if vm.boot_time is not None]
     result.total_traffic = cloud.metrics.total_traffic() - traffic_before
-    if cloud.p2p is not None:
-        result.p2p_stats = cloud.p2p.stats()
     return result

@@ -47,12 +47,6 @@ class CloudMiddleware:
             self.upload_image(image)
         return deploy(self.cloud, image, n_instances, approach, idents=self._idents, **kwargs)
 
-    def p2p_stats(self) -> Optional[dict]:
-        """Cumulative peer-exchange stats (None if the cloud has no p2p)."""
-        if self.cloud.p2p is None:
-            return None
-        return self.cloud.p2p.stats()
-
     def terminate_set(self, vms: Sequence[VMInstance]) -> None:
         """Shut every instance down (closes backends, persists mirror state)."""
         env = self.cloud.env

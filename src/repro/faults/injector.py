@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from ..common.errors import SimulationError
-from .plan import KINDS, FaultEvent, FaultPlan
+from .plan import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cloud.cluster import Cloud
@@ -68,13 +68,11 @@ class FaultInjector:
     def _drive(self, event: FaultEvent):
         cloud = self.cloud
         env = cloud.env
-        metrics = cloud.metrics
         if event.at > 0:
             yield env.timeout(event.at)
         host = cloud.fabric.hosts[event.target]
         self.applied.append((env.now, event))
-        metrics.count(f"fault-{event.kind}")
-        metrics.record("fault-injections", env.now, float(KINDS.index(event.kind)))
+        cloud.metrics.count(f"fault-{event.kind}")
         if event.kind in ("provider-crash", "meta-crash"):
             host.fail(cause=event.kind)
             if event.duration > 0:

@@ -192,7 +192,7 @@ class AnnounceDirectory:
 
     def locate(self, agent: "PeerAgent", keys: Sequence[int]):
         """One locate RPC for the whole batch; {} if the directory is down."""
-        if rpc.is_host_down(self.service_host):
+        if self.service_host.down:
             return {key: () for key in keys}
         try:
             out = yield from rpc.call(
@@ -211,7 +211,7 @@ class AnnounceDirectory:
 
     def on_cached(self, agent: "PeerAgent", keys: Sequence[int]) -> None:
         """Announce freshly cached keys off the critical path."""
-        if not keys or rpc.is_host_down(self.service_host):
+        if not keys or self.service_host.down:
             return
 
         def announce(keys=tuple(keys)):

@@ -213,7 +213,7 @@ class PeerAgent:
 
             def ask(peer_name: str, keys: List[int], rank: int = rank):
                 peer = fabric.hosts[peer_name]
-                if rpc.is_host_down(peer):
+                if peer.down:
                     # known-dead peer: skip without paying the RPC timeout
                     return None
                 with fabric.tracer.start(

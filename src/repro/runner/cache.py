@@ -29,7 +29,7 @@ from .spec import PointResult, PointSpec
 
 #: bump when a change to the simulator alters simulated outcomes; stale
 #: cache entries keyed under the old token are then never replayed
-CODE_VERSION = "sweep-cache-v6"  # v6: deploy/snapshot report source metrics; p2p/topo kinds folded into deploy
+CODE_VERSION = "sweep-cache-v7"  # v7: churn points drop the histogram boot_p50/p95/p99
 
 #: environment variable overriding the default cache directory
 CACHE_ENV = "REPRO_SWEEP_CACHE"

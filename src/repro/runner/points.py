@@ -288,17 +288,7 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
             f"resilience plan must be 'staggered' or 'random', got {mode!r}"
         )
 
-    from ..simkit import rpc as _rpc
-
-    try:
-        res = resilient_deploy(
-            cloud, image, spec.n, spec.approach or "mirror", plan=plan
-        )
-    finally:
-        # The down-host registry is process-global and keyed by id(fabric);
-        # purge it so a later point in this worker (which may reuse the
-        # fabric's memory address) cannot inherit stale crash markers.
-        _rpc.reset_failures()
+    res = resilient_deploy(cloud, image, spec.n, spec.approach or "mirror", plan=plan)
     metrics = {
         "init_time": res.init_time,
         "avg_boot_time": res.avg_boot_time,
@@ -361,9 +351,6 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
     res = ChurnEngine(cloud, image, churn_spec).run()
     s = res.summary
     metrics = {
-        "boot_p50": s["boot_latency"]["p50"],
-        "boot_p95": s["boot_latency"]["p95"],
-        "boot_p99": s["boot_latency"]["p99"],
         "boot_p50_exact": s["boot_latency"]["p50_exact"],
         "boot_p99_exact": s["boot_latency"]["p99_exact"],
         "boot_mean": s["boot_latency"]["mean"],

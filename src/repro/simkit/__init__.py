@@ -5,7 +5,7 @@ from .disk import Disk, FileDevice, WritePolicy
 from .host import Fabric, Host
 from .network import FlowNetwork, Nic
 from .resources import Container, Request, Resource, Store
-from .trace import Metrics, SampleStats
+from .trace import Metrics
 
 __all__ = [
     "AllOf",
@@ -23,7 +23,6 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
-    "SampleStats",
     "Store",
     "Timeout",
     "WritePolicy",

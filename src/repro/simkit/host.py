@@ -102,7 +102,8 @@ class Host:
         self.services: Dict[str, object] = {}
         #: memoized (service, method) -> bound handler, filled by rpc.call
         self._rpc_cache: Dict[tuple, object] = {}
-        #: crashed flag (fault injection); see :meth:`fail` / :meth:`recover`
+        #: unreachable flag (fault injection): RPCs to the host fail while it
+        #: is set; see :meth:`fail` / :meth:`recover` and ``rpc.host_down``
         self.down = False
         #: processes started via :meth:`spawn` and still running — the set a
         #: crash must kill (insertion-ordered for deterministic interrupts)
@@ -164,9 +165,6 @@ class Host:
         if self.down:
             return
         self.down = True
-        from . import rpc  # local import: rpc imports Host
-
-        rpc.host_down(self)
         self.fabric.network.fail_nic(self.nic, cause=f"{self.name}: {cause}")
         for proc in list(self._live_procs):
             proc.interrupt(cause)
@@ -182,9 +180,6 @@ class Host:
         if not self.down:
             return
         self.down = False
-        from . import rpc
-
-        rpc.host_up(self)
         for svc in self.services.values():
             hook = getattr(svc, "on_host_restart", None)
             if hook is not None:

@@ -24,7 +24,9 @@ separate timeouts would — and waits for one event; :func:`gather` does the
 same for a scatter of calls and wakes once, at the latest reply (DESIGN.md
 §5 and §8). A reply too big for a message still rides the fabric as a flow.
 
-Failure injection: ``host_down(host)`` makes every call to that host raise
+Failure injection: a host whose ``down`` flag is set — by a crash
+(:meth:`~repro.simkit.host.Host.fail`) or by :func:`host_down`, which marks
+it unreachable without crashing it — makes every call to it raise
 :class:`~repro.common.errors.ProviderUnavailableError` after one timeout
 interval, which the replication layer of the storage service exercises. A
 callee is checked when the call starts and again after its handler ran; a
@@ -34,7 +36,7 @@ when its reply lands instead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, NamedTuple, Sequence, Set
+from typing import Any, Callable, Generator, List, NamedTuple, Sequence
 
 from ..common.errors import ChunkNotFoundError, ProviderUnavailableError, SimulationError
 from ..common.payload import Payload
@@ -52,29 +54,14 @@ RESPONSE_BYTES = 192
 #: to the item's next home instead of failing outright.
 FAILOVER = (ProviderUnavailableError, ChunkNotFoundError)
 
-_down_hosts: "Set[str]" = set()
-
 
 def host_down(host: Host) -> None:
-    """Mark ``host`` as failed: subsequent RPCs to it raise (failure injection)."""
-    _down_hosts.add(_key(host))
+    """Mark ``host`` unreachable: subsequent RPCs to it raise (failure injection)."""
+    host.down = True
 
 
 def host_up(host: Host) -> None:
-    _down_hosts.discard(_key(host))
-
-
-def reset_failures() -> None:
-    _down_hosts.clear()
-
-
-def is_host_down(host: Host) -> bool:
-    """True while ``host`` is in the failure registry (crash injected)."""
-    return bool(_down_hosts) and _key(host) in _down_hosts
-
-
-def _key(host: Host) -> str:
-    return f"{id(host.fabric)}:{host.name}"
+    host.down = False
 
 
 class Sized:
@@ -154,7 +141,7 @@ def _timed_handler(callee: Host, service_name: str, method: str):
     That takes a live callee (a dead one costs the caller a timeout) and a
     handler declared with :func:`timed_read`.
     """
-    if _down_hosts and _key(callee) in _down_hosts:
+    if callee.down:
         return None
     handler = _handler(callee, service_name, method)
     return handler if getattr(handler, "timed_read", False) else None
@@ -183,7 +170,7 @@ class _TimedLeg(NamedTuple):
 
     def deliver(self, now: float) -> Any:
         """``when`` has come: the reply, if the callee is still there."""
-        if _down_hosts and _key(self.callee) in _down_hosts:
+        if self.callee.down:
             # Host died between the start of the call and this instant.
             exc = ProviderUnavailableError(f"{self.callee.name} failed during call")
             self.fail(exc, now)
@@ -294,9 +281,7 @@ def call(
             f"rpc:{service_name}.{method}", "rpc", src=caller.name, dst=callee.name
         )
     try:
-        # The failure registry is empty in the vast majority of runs; skip the
-        # per-call key construction + hash unless failures were injected.
-        if _down_hosts and _key(callee) in _down_hosts:
+        if callee.down:
             yield env.timeout(RPC_TIMEOUT)
             raise ProviderUnavailableError(f"{callee.name} unreachable")
 
@@ -318,7 +303,7 @@ def call(
             with tracer.start(f"serve:{service_name}.{method}", "rpc-server", host=callee.name):
                 result = yield from handler(caller, *args)
 
-        if _down_hosts and _key(callee) in _down_hosts:
+        if callee.down:
             # Host died while serving (failure injected mid-call).
             raise ProviderUnavailableError(f"{callee.name} failed during call")
 

@@ -1,112 +1,31 @@
-"""Measurement side of the simulator: traffic counters, timelines, samples.
+"""Measurement side of the simulator: traffic counters and raw samples.
 
 Everything the benchmark harness reports — total network traffic (Fig. 4d),
-boot/snapshot latencies (Figs. 4a/b, 5a/b), Bonnie++ throughput (Figs. 6/7) —
-is recorded here. Metrics are deliberately dumb containers: they never affect
-simulated behaviour, so enabling/disabling them cannot change a timeline.
+boot/snapshot latencies (Figs. 4a/b, 5a/b), per-tier bytes — is recorded
+here. Metrics are deliberately dumb containers: they never affect simulated
+behaviour, so enabling/disabling them cannot change a timeline.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
 
-@dataclass
-class SampleStats:
-    """Streaming summary of a sample series (count/mean/min/max/stdev).
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of ascending ``sorted_values`` by nearest rank.
 
-    Variance uses Welford's online algorithm: the naive
-    ``E[x^2] - E[x]^2`` form cancels catastrophically when the spread is
-    tiny relative to the magnitude (e.g. millisecond jitter on timelines
-    hours into a simulation) and can even go negative.
+    The 1-based rank is ``q * n`` rounded half up, clamped to ``[1, n]``;
+    not the textbook ``ceil(q * n)``, which for n = 1360 and q = 0.99 picks
+    the 1347th value where this rule picks the 1346th. An empty sample
+    reads 0.0. This is the simulator's one percentile rule: every reported
+    percentile goes through it.
     """
-
-    count: int = 0
-    total: float = 0.0
-    #: Welford state: running mean and sum of squared deviations from it
-    welford_mean: float = 0.0
-    welford_m2: float = 0.0
-    min_value: float = math.inf
-    max_value: float = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        delta = value - self.welford_mean
-        self.welford_mean += delta / self.count
-        self.welford_m2 += delta * (value - self.welford_mean)
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Population standard deviation."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(max(0.0, self.welford_m2 / self.count))
-
-
-class Histogram:
-    """Fixed-bucket log2 histogram of positive values (durations, sizes).
-
-    Bucket ``i`` holds values in ``[base * 2**i, base * 2**(i + 1))``; with
-    the default ``base`` of 1 µs and 64 buckets the range covers every
-    duration the simulator can produce. Fixed buckets keep ``observe`` O(1)
-    and allocation-free, at the cost of ~2x resolution on the percentile
-    estimates — good enough for the p50/p95/p99 the reports print.
-    """
-
-    __slots__ = ("base", "buckets", "count", "underflow")
-
-    def __init__(self, base: float = 1e-6, n_buckets: int = 64):
-        self.base = base
-        self.buckets = [0] * n_buckets
-        self.count = 0
-        self.underflow = 0  # values below `base` (incl. zero / negative)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if value < self.base:
-            self.underflow += 1
-            return
-        idx = int(math.log2(value / self.base))
-        buckets = self.buckets
-        if idx >= len(buckets):
-            idx = len(buckets) - 1
-        buckets[idx] += 1
-
-    def percentile(self, q: float) -> float:
-        """Upper edge of the bucket holding the ``q``-quantile observation."""
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = self.underflow
-        if seen >= rank:
-            return self.base
-        for idx, n in enumerate(self.buckets):
-            seen += n
-            if seen >= rank:
-                return self.base * 2.0 ** (idx + 1)
-        return self.base * 2.0 ** len(self.buckets)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
+    n = len(sorted_values)
+    if not n:
+        return 0.0
+    return sorted_values[max(1, min(n, int(q * n + 0.5))) - 1]
 
 
 @dataclass
@@ -115,18 +34,10 @@ class Metrics:
 
     #: bytes moved over the wire, by category ("bulk", "message", "chunk", ...)
     traffic: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    #: named duration/value samples, e.g. "boot-time", "snapshot-time"
-    samples: Dict[str, SampleStats] = field(default_factory=lambda: defaultdict(SampleStats))
-    #: raw sample values for series that need percentiles or per-VM detail
+    #: raw sample values by series, e.g. "boot-time"
     raw: Dict[str, List[float]] = field(default_factory=lambda: defaultdict(list))
     #: event counters, e.g. "remote-read", "chunk-fetch", "rpc"
     counters: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    #: (time, value) timelines, e.g. queue depths
-    timelines: Dict[str, List[Tuple[float, float]]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    #: per-op log2 histograms (p50/p95/p99), e.g. "boot-time", "bonnie-op"
-    histograms: Dict[str, Histogram] = field(default_factory=lambda: defaultdict(Histogram))
     #: per-tier wire bytes when a topology is attached, keyed "scope/kind"
     #: ("intra-rack/payload", "cross-rack/rpc-response", ...); empty on the
     #: flat fabric so flat-model metric dumps are unchanged
@@ -154,58 +65,7 @@ class Metrics:
         return self.topo_traffic.get(f"{scope}/{kind}", 0)
 
     def sample(self, name: str, value: float) -> None:
-        self.samples[name].add(value)
         self.raw[name].append(value)
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] += n
-
-    def record(self, name: str, t: float, value: float) -> None:
-        self.timelines[name].append((t, value))
-
-    def observe(self, name: str, value: float) -> None:
-        self.histograms[name].observe(value)
-
-    # ------------------------------------------------------------------ #
-    def summary(self) -> str:
-        """Human-readable dump, used by examples and failure diagnostics."""
-        lines: List[str] = ["traffic:"]
-        for kind in sorted(self.traffic):
-            lines.append(f"  {kind:<16} {self.traffic[kind] / 2**20:10.1f} MiB")
-        if self.topo_traffic:
-            lines.append("topology traffic:")
-            totals = self.topo_scope_totals()
-            for scope in sorted(totals):
-                lines.append(f"  {scope:<16} {totals[scope] / 2**20:10.1f} MiB")
-        if self.samples:
-            lines.append("samples:")
-            for name in sorted(self.samples):
-                s = self.samples[name]
-                lines.append(
-                    f"  {name:<24} n={s.count:<6} mean={s.mean:.4f}"
-                    f" stdev={s.stdev:.4f}"
-                    f" min={s.min_value:.4f} max={s.max_value:.4f}"
-                )
-        if self.histograms:
-            lines.append("histograms:")
-            for name in sorted(self.histograms):
-                h = self.histograms[name]
-                lines.append(
-                    f"  {name:<24} n={h.count:<6} p50={h.p50:.4f}"
-                    f" p95={h.p95:.4f} p99={h.p99:.4f}"
-                )
-        if self.counters:
-            lines.append("counters:")
-            for name in sorted(self.counters):
-                lines.append(f"  {name:<24} {self.counters[name]}")
-        if self.timelines:
-            lines.append("timelines:")
-            for name in sorted(self.timelines):
-                points = self.timelines[name]
-                peak = max(v for _, v in points)
-                last_t, last_v = points[-1]
-                lines.append(
-                    f"  {name:<24} points={len(points):<6} peak={peak:.4f}"
-                    f" last={last_v:.4f}@{last_t:.4f}"
-                )
-        return "\n".join(lines)

@@ -82,22 +82,19 @@ class BonnieBenchmark:
                 yield from self.backend.write(cursor, Payload.opaque("bonnie", size))
             cursor += size
 
-    def _timed(self, gen, phase: str) -> Generator:
+    def _timed(self, gen) -> Generator:
         t0 = self.env.now
         yield from gen
-        elapsed = self.env.now - t0
-        # per-phase latency histogram (p50/p95/p99 across repeated runs)
-        self.backend.host.fabric.metrics.observe(f"bonnie-{phase}", elapsed)
-        return elapsed
+        return self.env.now - t0
 
     # ------------------------------------------------------------------ #
     def run(self) -> Generator:
         """Execute all phases; returns :class:`BonnieResults`."""
         ws_kb = self.working_set / 1024
 
-        t_write = yield from self._timed(self._sequential(False, True), "block-write")
-        t_read = yield from self._timed(self._sequential(True, False), "block-read")
-        t_over = yield from self._timed(self._sequential(True, True), "block-overwrite")
+        t_write = yield from self._timed(self._sequential(False, True))
+        t_read = yield from self._timed(self._sequential(True, False))
+        t_over = yield from self._timed(self._sequential(True, True))
 
         # Random seeks: seek syscall (metadata class) + small cached read.
         t0 = self.env.now

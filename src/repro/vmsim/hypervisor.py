@@ -124,9 +124,7 @@ class VMInstance:
             yield from self.run_ops(trace)
         self.booted_at = env.now
         self.boot_time = env.now - t_launch
-        metrics = self.host.fabric.metrics
-        metrics.sample("boot-time", self.boot_time)
-        metrics.observe("boot-time", self.boot_time)
+        self.host.fabric.metrics.sample("boot-time", self.boot_time)
         return self.boot_time
 
     def shutdown(self) -> Generator:

@@ -296,41 +296,6 @@ class TestReplicationAndFailure:
 
 
 class TestTimingSanity:
-    def test_read_takes_positive_time_and_second_read_is_cached_at_provider(self):
-        fab, dep, hosts, _ = make_deployment(cache_chunks=True)
-        rec = dep.seed_blob(Payload.opaque("img", 64 * CHUNK), CHUNK)
-        c1 = dep.client(hosts[0])
-
-        def scenario():
-            t0 = fab.env.now
-            yield from c1.read(rec.blob_id, rec.version, 0, 64 * CHUNK)
-            t_cold = fab.env.now - t0
-            t0 = fab.env.now
-            yield from c1.read(rec.blob_id, rec.version, 0, 64 * CHUNK)
-            t_warm = fab.env.now - t0
-            return t_cold, t_warm
-
-        t_cold, t_warm = run(fab, scenario())
-        assert t_cold > t_warm > 0.0
-        # cold pays provider disk reads; warm is network-only
-        assert t_cold > t_warm * 1.5
-
-    def test_async_ack_faster_than_sync(self):
-        def commit_time(async_ack):
-            fab, dep, hosts, _ = make_deployment(async_ack=async_ack)
-            rec = dep.seed_blob(Payload.opaque("img", 16 * CHUNK), CHUNK)
-            client = dep.client(hosts[0])
-
-            def scenario():
-                updates = {i: Payload.opaque("mod", CHUNK) for i in range(8)}
-                t0 = fab.env.now
-                yield from client.write_chunks(rec.blob_id, updates)
-                return fab.env.now - t0
-
-            return run(fab, scenario())
-
-        assert commit_time(True) < commit_time(False)
-
     def test_deterministic_timeline(self):
         def run_once():
             fab, dep, hosts, _ = make_deployment(seed=42)

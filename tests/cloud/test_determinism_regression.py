@@ -109,7 +109,6 @@ def _run_engine_fault_cycle(engine):
     replication survives) under an explicit equal-share engine."""
     from repro.faults import FaultPlan, RetryPolicy, resilient_deploy
     from repro.faults.plan import FaultEvent
-    from repro.simkit import rpc
 
     with _engine(engine):
         cloud = build_cloud(
@@ -132,10 +131,7 @@ def _run_engine_fault_cycle(engine):
     image = make_image(
         CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
     )
-    try:
-        res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
-    finally:
-        rpc.reset_failures()  # the down-host registry is process-global
+    res = resilient_deploy(cloud, image, N_NODES - 2, "mirror", plan=plan)
     return {
         "now": cloud.env.now,
         "events": cloud.env.event_count,

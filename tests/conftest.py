@@ -2,16 +2,7 @@
 
 import pytest
 
-import repro.simkit.rpc as rpc
 from repro.simkit import Fabric
-
-
-@pytest.fixture(autouse=True)
-def _clean_failure_registry():
-    """Failure injection state is process-global; isolate tests."""
-    rpc.reset_failures()
-    yield
-    rpc.reset_failures()
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.common.errors import ProviderUnavailableError, SimulationError
 from repro.common.payload import Payload
 from repro.common.units import KiB, MiB
 from repro.faults import FaultEvent, FaultPlan
-from repro.simkit import rpc
 
 SMALL = Calibration(
     image=ImageSpec(size=8 * MiB, chunk_size=64 * KiB, boot_touched_bytes=1 * MiB)
@@ -66,10 +65,8 @@ class TestCrashEvents:
         inj = cloud.inject_faults(plan)
         cloud.env.run(until=1.5)
         assert victim.down
-        assert rpc.is_host_down(victim)
         cloud.env.run(until=3.5)
         assert not victim.down
-        assert not rpc.is_host_down(victim)
         assert [t for t, _ in inj.applied] == [1.0]
         assert cloud.metrics.counters["fault-provider-crash"] == 1
         assert cloud.metrics.counters["host-crash"] == 1

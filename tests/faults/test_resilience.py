@@ -79,8 +79,7 @@ class TestDeterminism:
 
     def test_faults_leave_no_residue_in_the_worker(self, micro_profile):
         """A crashing point must not contaminate the next point's timeline
-        (the RPC failure registry is process-global and fabrics can reuse
-        memory addresses within one worker)."""
+        in the same worker (crash marks live on the crashed point's hosts)."""
         crashy_then_clean = SweepRunner(jobs=1, cache=None).run(
             [rspec(1, 2), rspec(1, 0)]
         )

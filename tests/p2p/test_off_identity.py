@@ -44,9 +44,8 @@ class TestOffByDefault:
         assert a == b
 
     def test_disabled_build_carries_no_p2p_state(self):
-        cloud, result = _run_cycle()
+        cloud, _ = _run_cycle()
         assert cloud.p2p is None
-        assert result.p2p_stats is None
 
     def test_p2p_needs_blobseer(self):
         with pytest.raises(ValueError):
@@ -63,8 +62,7 @@ class TestEnabledPath:
     def test_deploy_reports_stats(self, directory):
         cloud, result = _run_cycle(p2p=True, p2p_directory=directory)
         assert cloud.p2p is not None
-        stats = result.p2p_stats
-        assert stats is not None
+        stats = cloud.p2p.stats()
         assert stats["peer_hit_ratio"] > 0.0
         assert len(result.boot_times) == N_NODES
 

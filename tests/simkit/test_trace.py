@@ -1,52 +1,18 @@
-"""Tests for the metrics sink."""
+"""Tests for the metrics sink and the one percentile rule."""
 
-import math
+import sys
+from pathlib import Path
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simkit.trace import Histogram, Metrics, SampleStats
+from repro.simkit.trace import Metrics, nearest_rank
 
+SUITE = Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
+if str(SUITE) not in sys.path:
+    sys.path.insert(0, str(SUITE))
 
-class TestSampleStats:
-    def test_empty(self):
-        s = SampleStats()
-        assert s.mean == 0.0
-        assert s.stdev == 0.0
-        assert s.count == 0
-
-    def test_moments(self):
-        s = SampleStats()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            s.add(v)
-        assert s.mean == 2.5
-        assert s.min_value == 1.0
-        assert s.max_value == 4.0
-        assert s.stdev == math.sqrt(1.25)
-
-    def test_single_sample_stdev_zero(self):
-        s = SampleStats()
-        s.add(7.0)
-        assert s.stdev == 0.0
-
-    def test_stdev_survives_large_offsets(self):
-        """Welford regression: the naive E[x^2]-E[x]^2 form catastrophically
-        cancels when the spread is tiny relative to the magnitude — exactly
-        the shape of millisecond jitter hours into a simulated timeline."""
-        base = 1e9
-        offsets = (0.0, 1.0, 2.0, 3.0, 4.0)
-        s = SampleStats()
-        for o in offsets:
-            s.add(base + o)
-        # population stdev of the offsets; the base must cancel exactly
-        assert s.stdev == pytest.approx(math.sqrt(2.0), rel=1e-9)
-        assert s.mean == pytest.approx(base + 2.0)
-
-    def test_stdev_never_negative_under_cancellation(self):
-        s = SampleStats()
-        for _ in range(100):
-            s.add(1e12 + 0.001)
-        assert s.stdev >= 0.0
-        assert s.stdev == pytest.approx(0.0, abs=1e-6)
+import workloads  # noqa: E402  (benchmarks/suite/workloads.py, read-only)
 
 
 class TestMetrics:
@@ -60,10 +26,9 @@ class TestMetrics:
 
     def test_samples_and_raw(self):
         m = Metrics()
-        m.sample("boot", 1.0)
         m.sample("boot", 3.0)
-        assert m.samples["boot"].mean == 2.0
-        assert m.raw["boot"] == [1.0, 3.0]
+        m.sample("boot", 1.0)
+        assert m.raw["boot"] == [3.0, 1.0]  # arrival order
 
     def test_counters(self):
         m = Metrics()
@@ -71,97 +36,28 @@ class TestMetrics:
         m.count("rpc", 4)
         assert m.counters["rpc"] == 5
 
-    def test_timelines(self):
-        m = Metrics()
-        m.record("queue", 0.0, 1)
-        m.record("queue", 1.0, 2)
-        assert m.timelines["queue"] == [(0.0, 1), (1.0, 2)]
 
-    def test_summary_renders(self):
-        m = Metrics()
-        m.add_traffic(2**20, "bulk")
-        m.sample("boot", 1.5)
-        m.count("rpc", 3)
-        text = m.summary()
-        for token in ("bulk", "boot", "rpc", "1.0 MiB"):
-            assert token in text
+class TestNearestRank:
+    def test_empty_sample_reads_zero(self):
+        assert nearest_rank([], 0.5) == 0.0
+        assert nearest_rank([], 0.99) == 0.0
 
-    def test_observe_builds_histograms(self):
-        m = Metrics()
-        m.observe("op", 0.5)
-        m.observe("op", 2.0)
-        assert m.histograms["op"].count == 2
+    def test_single_sample_is_every_percentile(self):
+        for q in (0.0, 0.01, 0.5, 0.99, 1.0):
+            assert nearest_rank([7.0], q) == 7.0
 
-    def test_summary_pins_sample_line_format(self):
-        """The samples line carries n/mean/stdev/min/max in that order."""
-        m = Metrics()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            m.sample("boot", v)
-        text = m.summary()
-        expected = (
-            f"  {'boot':<24} n={4:<6} mean=2.5000"
-            f" stdev={math.sqrt(1.25):.4f} min=1.0000 max=4.0000"
-        )
-        assert expected in text
+    def test_rank_rounds_half_up_not_ceil(self):
+        values = list(range(1, 1361))
+        # q * n = 1346.4: rounding picks the 1346th value, ceil the 1347th
+        assert nearest_rank(values, 0.99) == 1346
+        # q * n = 2.5 rounds half up (Python's round() would give 2)
+        assert nearest_rank([1, 2, 3, 4, 5], 0.5) == 3
 
-    def test_summary_pins_histogram_line_format(self):
-        m = Metrics()
-        for v in (0.5, 0.5, 0.5, 8.0):
-            m.observe("op", v)
-        h = m.histograms["op"]
-        text = m.summary()
-        expected = (
-            f"  {'op':<24} n={4:<6} p50={h.p50:.4f}"
-            f" p95={h.p95:.4f} p99={h.p99:.4f}"
-        )
-        assert expected in text
-
-    def test_summary_renders_timelines(self):
-        m = Metrics()
-        m.record("queue", 0.0, 1.0)
-        m.record("queue", 1.5, 3.0)
-        m.record("queue", 2.0, 2.0)
-        text = m.summary()
-        assert "timelines:" in text
-        assert "points=3" in text
-        assert "peak=3.0000" in text
-        assert "last=2.0000@2.0000" in text
-
-
-class TestHistogram:
-    def test_empty(self):
-        h = Histogram()
-        assert h.count == 0
-        assert h.p50 == 0.0
-
-    def test_log2_bucketing(self):
-        h = Histogram(base=1.0, n_buckets=8)
-        h.observe(1.5)   # bucket 0: [1, 2)
-        h.observe(3.0)   # bucket 1: [2, 4)
-        h.observe(3.9)   # bucket 1
-        assert h.buckets[0] == 1
-        assert h.buckets[1] == 2
-
-    def test_underflow_and_overflow_clamped(self):
-        h = Histogram(base=1.0, n_buckets=4)
-        h.observe(0.0)
-        h.observe(-1.0)
-        h.observe(1e30)  # beyond the last bucket: clamped, not lost
-        assert h.underflow == 2
-        assert h.buckets[-1] == 1
-        assert h.count == 3
-
-    def test_percentiles_are_bucket_upper_edges(self):
-        h = Histogram(base=1.0, n_buckets=16)
-        for _ in range(99):
-            h.observe(1.5)   # bucket [1, 2)
-        h.observe(1000.0)    # bucket [512, 1024)
-        assert h.p50 == 2.0
-        assert h.p95 == 2.0
-        assert h.p99 == 2.0
-        assert h.percentile(1.0) == 1024.0
-
-    def test_percentile_all_underflow(self):
-        h = Histogram(base=1.0)
-        h.observe(0.5)
-        assert h.p50 == 1.0
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_the_benchmark_suite(self, values, q):
+        value, _beyond = workloads.nearest_rank(values, q)
+        assert nearest_rank(sorted(values), q) == value
