@@ -37,12 +37,11 @@ suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards 
 outcome-digest:  ## simulated outcomes at toy sizes equal benchmarks/outcome_digests.json (~10 s; exit 1 with a diff)
 	python3 benchmarks/outcome_digest.py --smoke --expect benchmarks/outcome_digests.json
 
-examples:        ## every script under examples/ (a CI step after tier 1)
-	python examples/quickstart.py
-	python examples/multideployment.py
-	python examples/debug_cloning.py
-	python examples/montecarlo_suspend_resume.py
-	python examples/webserver_farm.py
+examples:        ## every script under examples/, by glob; stops at the first that fails (a CI step after tier 1)
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		python "$$script" || exit 1; \
+	done
 
 clean:           ## drop caches only; tracked figure artifacts stay put
 	rm -rf .pytest_cache benchmarks/results/cache src/repro.egg-info

@@ -8,7 +8,7 @@
 """
 
 from .broadcast import BroadcastReport, broadcast, build_tree, tree_depth
-from .nfs import NfsClient, NfsServer
+from .nfs import NfsServer
 from .prepropagation import prepropagate
 from .pvfs import PvfsClient, PvfsDeployment, PvfsFileMeta
 from .qcow2 import DEFAULT_CLUSTER, IoReport, Qcow2Image
@@ -17,7 +17,6 @@ __all__ = [
     "BroadcastReport",
     "DEFAULT_CLUSTER",
     "IoReport",
-    "NfsClient",
     "NfsServer",
     "PvfsClient",
     "PvfsDeployment",

@@ -1,32 +1,28 @@
 """A central NFS-like file server (the prepropagation source, §5.2).
 
 The paper stores the initial 2 GB image on an NFS server with a single
-GigE interface, "similar in configuration to the compute nodes". Only two
-behaviours matter for the reproduction: whole-file/range reads constrained
-by the server's NIC and disk, and the fact that a single box serves
-everyone (the contention motivates broadcast trees in the first place).
+GigE interface, "similar in configuration to the compute nodes". What the
+reproduction needs is where the image lives: prepropagation broadcasts it
+from this one host, whose NIC and disk every copy starts behind (the
+contention that motivates broadcast trees in the first place). No VM
+mounts NFS, so the server has no read/write RPCs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict
 
-from ..calibration import ServiceModel
 from ..common.errors import StorageError
 from ..common.payload import Payload, SparseFile
-from ..simkit import rpc
 from ..simkit.host import Host
 
 
 class NfsServer:
-    """Single-host file service with server-side page cache."""
+    """The host that holds the image; prepropagation reads it from here."""
 
-    def __init__(self, host: Host, model: Optional[ServiceModel] = None):
+    def __init__(self, host: Host):
         self.host = host
-        self.model = model if model is not None else ServiceModel()
         self._files: Dict[str, SparseFile] = {}
-        self._ram: set[str] = set()
-        rpc.bind(host, "nfs", self)
 
     # ------------------------------------------------------------------ #
     def put_file(self, path: str, payload: Payload) -> None:
@@ -40,48 +36,3 @@ class NfsServer:
         if f is None:
             raise StorageError(f"nfs: no such file {path!r}")
         return f.size
-
-    # ------------------------------------------------------------------ #
-    def rpc_read(self, caller: Host, path: str, offset: int, nbytes: int):
-        f = self._files.get(path)
-        if f is None:
-            raise StorageError(f"nfs: no such file {path!r}")
-        yield self.host.env.timeout(self.model.chunk_request_overhead)
-        if path not in self._ram:
-            # Cold file: the first reader pays the server's disk.
-            yield from self.host.disk.read(nbytes, sequential=True)
-            if offset + nbytes >= f.size:
-                self._ram.add(path)
-        return f.read(offset, nbytes)
-
-    def rpc_write(self, caller: Host, path: str, offset: int, payload: Payload):
-        f = self._files.get(path)
-        if f is None:
-            f = SparseFile(max(offset + payload.size, 1))
-            self._files[path] = f
-        if offset + payload.size > f.size:
-            raise StorageError(f"nfs: write beyond eof of {path!r}")
-        yield from self.host.disk.write(payload.size, sequential=True)
-        f.write(offset, payload)
-        return None
-
-
-class NfsClient:
-    """Minimal client: ranged read/write against one server."""
-
-    def __init__(self, host: Host, server: NfsServer):
-        self.host = host
-        self.server = server
-
-    def read(self, path: str, offset: int, nbytes: int) -> Generator:
-        data = yield from rpc.call(
-            self.host, self.server.host, "nfs", "read", path, offset, nbytes
-        )
-        return data
-
-    def write(self, path: str, offset: int, payload: Payload) -> Generator:
-        yield from rpc.call(
-            self.host, self.server.host, "nfs", "write", path, offset, payload,
-            request_bytes=payload.size + 128,
-        )
-        return None

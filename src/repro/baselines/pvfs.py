@@ -12,8 +12,8 @@ What the paper's comparison needs from PVFS [9]:
   it into PVFS.
 
 Content lives in per-server stripe stores keyed by ``(path, stripe_idx)``;
-I/O servers RAM-cache stripes after first access like any Linux server
-(page cache), so hot boot data is memory-served under concurrency.
+I/O servers do direct stripe I/O, so every read of a stored stripe pays a
+random read on the server's disk.
 """
 
 from __future__ import annotations
@@ -40,17 +40,14 @@ class PvfsFileMeta:
 
 
 class PvfsIoServer:
-    """One I/O server: stripe store + disk/cache behaviour."""
+    """One I/O server: stripe store + disk behaviour."""
 
-    def __init__(self, host: Host, model: ServiceModel, cache_stripes: bool = False):
+    def __init__(self, host: Host, model: ServiceModel):
         self.host = host
         self.model = model
-        #: PVFS I/O servers perform direct stripe I/O; no server-side caching
-        #: unless explicitly enabled (kept symmetric with the BlobSeer
-        #: providers' default).
-        self.cache_stripes = cache_stripes
+        #: PVFS I/O servers perform direct stripe I/O: no server-side cache,
+        #: as on the BlobSeer providers
         self._stripes: Dict[Tuple[str, int], SparseFile] = {}
-        self._ram: set[Tuple[str, int]] = set()
 
     def _stripe(self, path: str, idx: int, stripe_size: int) -> SparseFile:
         key = (path, idx)
@@ -65,12 +62,9 @@ class PvfsIoServer:
         parts: List[Payload] = []
         for idx, stripe_size, off, nbytes in requests:
             yield self.host.env.timeout(self.model.chunk_request_overhead)
-            key = (path, idx)
-            if key not in self._ram and key in self._stripes:
+            if (path, idx) in self._stripes:
                 # random read of the requested extent within the stripe
                 yield from self.host.disk.read(nbytes, sequential=False)
-                if self.cache_stripes:
-                    self._ram.add(key)
             parts.append(self._stripe(path, idx, stripe_size).read(off, nbytes))
         self.host.fabric.metrics.count("pvfs-read", len(requests))
         return Payload.concat(parts)
@@ -81,8 +75,6 @@ class PvfsIoServer:
         for idx, stripe_size, off, payload in writes:
             yield self.host.env.timeout(self.model.chunk_request_overhead)
             self._stripe(path, idx, stripe_size).write(off, payload)
-            if self.cache_stripes:
-                self._ram.add((path, idx))
             total += payload.size
         # PVFS semantics: synchronous write-through to the server disk.
         yield from self.host.disk.write(total, sequential=True)
@@ -127,14 +119,6 @@ class PvfsMetaServer:
         if meta is None:
             raise StorageError(f"pvfs: no such file {path!r}")
         return meta
-
-    def rpc_truncate(self, caller: Host, path: str, size: int):
-        yield self.host.env.timeout(self.model.metadata_node_overhead)
-        meta = self.files.get(path)
-        if meta is None:
-            raise StorageError(f"pvfs: no such file {path!r}")
-        self.files[path] = PvfsFileMeta(path, size, meta.stripe_size, meta.layout)
-        return None
 
 
 class PvfsDeployment:

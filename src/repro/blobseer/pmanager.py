@@ -2,16 +2,11 @@
 
 BlobSeer's provider manager decides, for every chunk written, which data
 providers receive its replicas. The goal is even load distribution so that
-striping actually spreads I/O (§3.1.3). Three strategies are provided:
+striping actually spreads I/O (§3.1.3). Two strategies are provided:
 
 ``round-robin``
     deterministic cycling through the provider list (what the eval uses:
     uniform striping, replication 1);
-``random``
-    uniform random placement (models hash-based placement);
-``least-loaded``
-    pick the providers with the fewest allocated bytes (greedy balancing,
-    useful for the heterogeneous-diff ablation);
 ``rack-diverse``
     spread each chunk's replicas across distinct racks (requires a
     ``rack_of`` map from the attached topology). With replication >= the
@@ -19,18 +14,20 @@ striping actually spreads I/O (§3.1.3). Three strategies are provided:
     rack-local read path exists for every reader while a whole-rack
     failure still leaves live copies elsewhere.
 
-Replication ``r`` returns ``r`` distinct providers per chunk.
+Replication ``r`` returns ``r`` distinct providers per chunk, all of them
+*eligible*: not among the providers the manager knows are down.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..calibration import ServiceModel
 from ..common.errors import StorageError
 from ..simkit.host import Host
+
+#: the placement strategies :class:`PlacementPolicy` accepts
+STRATEGIES = ("round-robin", "rack-diverse")
 
 
 class PlacementPolicy:
@@ -40,13 +37,12 @@ class PlacementPolicy:
         self,
         providers: Sequence[str],
         strategy: str = "round-robin",
-        rng: Optional[np.random.Generator] = None,
         replication_factor: int = 1,
         rack_of: Optional[Dict[str, int]] = None,
     ):
         if not providers:
             raise StorageError("no data providers")
-        if strategy not in ("round-robin", "random", "least-loaded", "rack-diverse"):
+        if strategy not in STRATEGIES:
             raise StorageError(f"unknown placement strategy {strategy!r}")
         if replication_factor < 1 or replication_factor > len(providers):
             raise StorageError(
@@ -55,7 +51,6 @@ class PlacementPolicy:
             )
         self.providers = list(providers)
         self.strategy = strategy
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         #: default replica count when allocate() is called without one
         self.replication_factor = replication_factor
         self._cursor = 0
@@ -84,63 +79,48 @@ class PlacementPolicy:
         """Pick ``replication`` distinct providers for each of ``n_chunks`` chunks.
 
         ``exclude`` removes providers from consideration (crashed hosts the
-        provider manager knows are down); empty in every failure-free run.
+        provider manager knows are down); empty in every failure-free run,
+        where every provider is eligible. Round-robin takes ``replication``
+        consecutive eligible providers from the cursor, which advances by
+        one per chunk over the whole provider list.
         """
         if replication is None:
             replication = self.replication_factor
-        if exclude:
-            return self._allocate_excluding(n_chunks, chunk_size, replication, exclude)
-        if replication < 1 or replication > len(self.providers):
+        excluded = set(exclude)
+        eligible = [p for p in self.providers if p not in excluded]
+        m = len(eligible)
+        if replication < 1 or replication > m:
             raise StorageError(
-                f"replication {replication} impossible with {len(self.providers)} providers"
+                f"replication {replication} impossible with {m} "
+                f"live providers ({len(excluded)} excluded)"
             )
+        ring = tuple(eligible + eligible)  # every round-robin pick is one slice
+        n = len(self.providers)
+        round_robin = self.strategy == "round-robin"
+        load = self.load_bytes
         out: List[Tuple[str, ...]] = []
-        if self.strategy == "round-robin" and replication == 1:
-            # Hot case (the eval uploads stripe thousands of chunks with
-            # replication 1): same output as the generic loop below.
-            providers = self.providers
-            n = len(providers)
-            cursor = self._cursor
-            load = self.load_bytes
-            for _ in range(n_chunks):
-                p = providers[cursor]
-                cursor += 1
-                if cursor == n:
-                    cursor = 0
-                load[p] += chunk_size
-                out.append((p,))
-            self._cursor = cursor
-            return out
         for _ in range(n_chunks):
-            if self.strategy == "round-robin":
-                picks = [
-                    self.providers[(self._cursor + r) % len(self.providers)]
-                    for r in range(replication)
-                ]
-                self._cursor = (self._cursor + 1) % len(self.providers)
-            elif self.strategy == "random":
-                idx = self.rng.choice(len(self.providers), size=replication, replace=False)
-                picks = [self.providers[int(i)] for i in idx]
-            elif self.strategy == "rack-diverse":
-                picks = self._rack_diverse_picks(replication)
-            else:  # least-loaded
-                ranked = sorted(self.providers, key=lambda p: (self.load_bytes[p], p))
-                picks = ranked[:replication]
+            if round_robin:
+                start = self._cursor % m
+                picks = ring[start:start + replication]
+                self._cursor = (self._cursor + 1) % n
+            else:
+                picks = self._rack_diverse_picks(replication, excluded)
             for p in picks:
-                self.load_bytes[p] += chunk_size
-            out.append(tuple(picks))
+                load[p] += chunk_size
+            out.append(picks)
         return out
 
     def _rack_diverse_picks(
-        self, replication: int, allowed: Optional[Set[str]] = None
-    ) -> List[str]:
+        self, replication: int, excluded: Set[str]
+    ) -> Tuple[str, ...]:
         """One chunk's replica set: one provider per rack, racks rotating.
 
         The starting rack rotates per chunk (so replica-0 load spreads over
         all racks) and each rack keeps its own provider cursor (so load
         spreads within the rack). Replication beyond the number of racks —
-        or racks emptied by ``allowed`` filtering — falls back to cycling
-        the flat provider list for the remainder.
+        or racks whose providers are all ``excluded`` — falls back to
+        cycling the flat provider list for the remainder.
         """
         racks = self._racks
         n_racks = len(racks)
@@ -156,7 +136,7 @@ class PlacementPolicy:
             cur = self._rack_cursors[r]
             for j in range(n):
                 p = group[(cur + j) % n]
-                if allowed is not None and p not in allowed:
+                if p in excluded:
                     continue
                 picks.append(p)
                 chosen.add(p)
@@ -172,52 +152,12 @@ class PlacementPolicy:
                 p = providers[cur % n]
                 cur += 1
                 scanned += 1
-                if p in chosen or (allowed is not None and p not in allowed):
+                if p in chosen or p in excluded:
                     continue
                 picks.append(p)
                 chosen.add(p)
             self._cursor = cur % n
-        return picks
-
-    def _allocate_excluding(
-        self,
-        n_chunks: int,
-        chunk_size: int,
-        replication: int,
-        exclude: Sequence[str],
-    ) -> List[Tuple[str, ...]]:
-        """Slow path used only when some providers are known to be down."""
-        excluded = set(exclude)
-        eligible = [p for p in self.providers if p not in excluded]
-        if replication < 1 or replication > len(eligible):
-            raise StorageError(
-                f"replication {replication} impossible with {len(eligible)} "
-                f"live providers ({len(excluded)} excluded)"
-            )
-        out: List[Tuple[str, ...]] = []
-        for _ in range(n_chunks):
-            if self.strategy == "round-robin":
-                start = self._cursor % len(eligible)
-                picks = [eligible[(start + r) % len(eligible)] for r in range(replication)]
-                self._cursor = (self._cursor + 1) % len(self.providers)
-            elif self.strategy == "random":
-                idx = self.rng.choice(len(eligible), size=replication, replace=False)
-                picks = [eligible[int(i)] for i in idx]
-            elif self.strategy == "rack-diverse":
-                picks = self._rack_diverse_picks(replication, allowed=set(eligible))
-            else:  # least-loaded
-                ranked = sorted(eligible, key=lambda p: (self.load_bytes[p], p))
-                picks = ranked[:replication]
-            for p in picks:
-                self.load_bytes[p] += chunk_size
-            out.append(tuple(picks))
-        return out
-
-    def imbalance(self) -> float:
-        """max/mean allocated bytes (1.0 = perfectly balanced)."""
-        loads = list(self.load_bytes.values())
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean > 0 else 1.0
+        return tuple(picks)
 
 
 class ProviderManagerService:

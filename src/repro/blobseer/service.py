@@ -140,7 +140,6 @@ class BlobSeerDeployment:
         self.policy = PlacementPolicy(
             [h.name for h in data_hosts],
             strategy=placement,
-            rng=fabric.rng.get("blobseer-placement"),
             replication_factor=replication_factor,
             rack_of=topology.rack_of if topology is not None else None,
         )
@@ -229,11 +228,3 @@ class BlobSeerDeployment:
     def stored_bytes(self) -> int:
         """Physical bytes across all providers (storage-consumption metric)."""
         return sum(svc.stored_bytes for svc in self.data_services.values())
-
-    def drain_all(self):
-        """Process helper: wait for every provider's write buffer to flush."""
-        procs = [
-            self.fabric.env.process(svc.drain(), name=f"drain-{name}")
-            for name, svc in self.data_services.items()
-        ]
-        yield self.fabric.env.all_of(procs)

@@ -8,7 +8,7 @@ minted by clients at write time and recorded in the metadata leaves.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, KeysView
+from typing import Dict, KeysView
 
 from ..common.errors import ChunkNotFoundError
 from ..common.payload import Payload
@@ -39,12 +39,6 @@ class ChunkStore:
         """Remove a chunk (used only by failure injection)."""
         self._chunks.pop(key, None)
 
-    def wipe(self) -> int:
-        """Drop every chunk (total disk loss); returns the number dropped."""
-        n = len(self._chunks)
-        self._chunks.clear()
-        return n
-
     def keys(self) -> KeysView[int]:
         return self._chunks.keys()
 
@@ -60,11 +54,6 @@ class KeyMinter:
 
     def __init__(self):
         self._next = 1
-
-    def mint(self, n: int = 1) -> Iterable[int]:
-        start = self._next
-        self._next += n
-        return range(start, start + n)
 
     def mint_one(self) -> int:
         key = self._next

@@ -26,8 +26,6 @@ class Testbed:
     disk_read_bandwidth: float = 55 * MB       # local SATA, measured
     disk_write_bandwidth: float = 55 * MB
     disk_seek_time: float = 5 * MILLISECONDS   # avg seek, 7200rpm commodity class
-    cores_per_node: int = 8
-    ram_per_node: int = 8 * GiB
 
 
 @dataclass(frozen=True)
@@ -47,21 +45,15 @@ class ImageSpec:
 class BootModel:
     """Boot-phase behaviour (paper §2.3 and §3.1.3 measurements)."""
 
-    #: mean measured inter-instance skew when hitting the boot sector
-    initial_skew: float = 100 * MILLISECONDS
     #: hypervisor initialization overhead range (uniform), source of the skew
     hypervisor_init_min: float = 0.2
     hypervisor_init_max: float = 1.2
-    #: number of read syscalls a boot issues (scattered small reads)
-    read_ops: int = 160
     #: number of small config writes during boot
     write_ops: int = 24
     #: bytes written during boot (config files, logs)
     write_bytes: int = 2 * MiB
     #: CPU time consumed by the guest between I/Os, total
     cpu_seconds: float = 8.0
-    #: fraction of reads that re-read already-fetched regions (cache hits)
-    reread_fraction: float = 0.18
 
 
 @dataclass(frozen=True)
@@ -112,11 +104,6 @@ class ServiceModel:
     metadata_node_overhead: float = 35 * MICROSECONDS
     #: version-manager publish round-trip bookkeeping
     publish_overhead: float = 0.5 * MILLISECONDS
-    #: BlobSeer async write pipeline: client-visible ack happens after the
-    #: transfer, before the provider's disk commit (paper §5.3)
-    async_write_ack: bool = True
-    #: taktuk pipelining block size
-    broadcast_block: int = 4 * MiB
     #: taktuk tree fanout (adaptive trees on GigE settle around 2)
     broadcast_fanout: int = 2
     #: per-file qcow2 creation cost during the qcow2-over-PVFS init phase

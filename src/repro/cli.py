@@ -282,8 +282,8 @@ def cmd_churn(args) -> int:
     )
     if args.restore_fraction > 0.0:
         params["restore_fraction"] = args.restore_fraction
-        if args.retain_snapshots:
-            params["retain_snapshots"] = True
+    if args.retain_snapshots:
+        params["retain_snapshots"] = True
     if args.p2p:
         params["p2p"] = True
         if args.cache_mib > 0:

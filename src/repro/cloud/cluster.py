@@ -75,13 +75,11 @@ def build_cloud(
     dedup: bool = False,
     replication_factor: int = 1,
     replica_write_mode: str = "parallel",
-    meta_replication: Optional[int] = None,
     retry: Optional["RetryPolicy"] = None,
     p2p: bool = False,
     p2p_cache_bytes: Optional[int] = None,
     p2p_directory: str = "announce",
     p2p_locate_fanout: int = 2,
-    topology: Optional[Topology] = None,
     racks: int = 1,
     oversubscription: float = 4.0,
     topo_aware: bool = True,
@@ -96,15 +94,17 @@ def build_cloud(
     Fernández del Castillo) used by the scale benchmark to reproduce the
     paper's fan-in contention regime at large n.
 
-    ``racks > 1`` (or an explicit ``topology``) builds the hierarchical
-    fabric: compute nodes are block-assigned to racks, the rack uplink
-    defaults to ``hosts_per_rack * nic_bandwidth / oversubscription``, and
+    Metadata tree nodes get ``min(replication_factor, meta nodes)`` homes.
+
+    ``racks > 1`` builds the hierarchical fabric: compute nodes are
+    block-assigned to racks, the rack uplink defaults to
+    ``hosts_per_rack * nic_bandwidth / oversubscription``, and
     infrastructure hosts (manager, NFS server) land in rack 0.
     ``topo_aware=True`` additionally turns on the locality consumers
     (rack-ranked p2p peer selection and same-rack replica reads);
     ``topo_aware=False`` keeps the policies topology-blind so experiments
     can isolate the fabric cost from the locality win. The default flat
-    build (``racks=1``, no topology) is bit-identical to the seed model.
+    build (``racks=1``) has no topology and is bit-identical to the seed model.
     """
     for label, k in (("data_nodes", data_nodes), ("meta_nodes", meta_nodes)):
         if k is not None and not 1 <= k <= compute_nodes:
@@ -114,7 +114,8 @@ def build_cloud(
     if racks < 1:
         raise ValueError(f"racks must be >= 1, got {racks}")
     tb = calib.testbed
-    if topology is None and racks > 1:
+    topology = None
+    if racks > 1:
         topology = build_topology(
             [f"node{i:03d}" for i in range(compute_nodes)],
             racks,
@@ -131,16 +132,15 @@ def build_cloud(
     compute = [
         fabric.add_host(
             f"node{i:03d}",
-            cores=tb.cores_per_node,
             disk_read_bw=tb.disk_read_bandwidth,
             disk_write_bw=tb.disk_write_bandwidth,
             disk_seek_time=tb.disk_seek_time,
         )
         for i in range(compute_nodes)
     ]
-    manager = fabric.add_host("manager", cores=tb.cores_per_node)
-    nfs_host = fabric.add_host("nfs-server", cores=tb.cores_per_node)
-    nfs = NfsServer(nfs_host, calib.service)
+    manager = fabric.add_host("manager")
+    nfs_host = fabric.add_host("nfs-server")
+    nfs = NfsServer(nfs_host)
 
     fabric.connection_setup = calib.service.connection_setup
 
@@ -163,7 +163,6 @@ def build_cloud(
             dedup=dedup,
             replication_factor=replication_factor,
             replica_write_mode=replica_write_mode,
-            meta_replication=meta_replication,
             retry=retry,
             topology=topology,
             rack_aware_reads=locality_topo is not None,

@@ -5,9 +5,9 @@ which byte ranges of an image are present locally, dirty, or missing. This
 module provides a small, well-tested algebra of **sorted, coalesced sets of
 half-open intervals** ``[lo, hi)`` used by those components.
 
-:class:`IntervalSet` is immutable-by-discipline: mutating operations return
-``None`` and keep the internal list sorted and disjoint (adjacent intervals
-are merged), so the canonical-form invariant always holds. Property-based
+:class:`IntervalSet` only grows: :meth:`~IntervalSet.add` keeps the
+internal list sorted and disjoint (adjacent intervals are merged), so the
+canonical-form invariant always holds. Property-based
 tests in ``tests/common/test_intervals.py`` verify the algebra against a
 brute-force bitmap model.
 """
@@ -18,11 +18,6 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, Tuple
 
 Interval = Tuple[int, int]
-
-
-def clamp(lo: int, hi: int, bound_lo: int, bound_hi: int) -> Interval:
-    """Intersect ``[lo, hi)`` with ``[bound_lo, bound_hi)`` (may be empty)."""
-    return max(lo, bound_lo), min(hi, bound_hi)
 
 
 class IntervalSet:
@@ -71,23 +66,6 @@ class IntervalSet:
             j += 1
         ivs[start:j] = [(new_lo, new_hi)]
 
-    def remove(self, lo: int, hi: int) -> None:
-        """Delete ``[lo, hi)`` from the set (splitting intervals as needed)."""
-        if lo >= hi or not self._ivs:
-            return
-        ivs = self._ivs
-        i, j = self._overlap_window(lo, hi)
-        if i == j:
-            return
-        repl: List[Interval] = []
-        a0, _ = ivs[i]
-        if a0 < lo:
-            repl.append((a0, lo))
-        _, b1 = ivs[j - 1]
-        if b1 > hi:
-            repl.append((hi, b1))
-        ivs[i:j] = repl
-
     def _overlap_window(self, lo: int, hi: int) -> Tuple[int, int]:
         """Index range ``[i, j)`` of intervals overlapping ``[lo, hi)``."""
         ivs = self._ivs
@@ -95,9 +73,6 @@ class IntervalSet:
         i = k - 1 if k > 0 and ivs[k - 1][1] > lo else k
         j = bisect_left(ivs, (hi,), i)
         return i, j
-
-    def clear(self) -> None:
-        self._ivs.clear()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -108,16 +83,6 @@ class IntervalSet:
             return True
         i = bisect_right(self._ivs, (lo, float("inf"))) - 1
         return i >= 0 and self._ivs[i][0] <= lo and self._ivs[i][1] >= hi
-
-    def overlaps(self, lo: int, hi: int) -> bool:
-        """True iff any offset of ``[lo, hi)`` is in the set."""
-        if lo >= hi:
-            return False
-        i = bisect_right(self._ivs, (lo, float("inf"))) - 1
-        if i >= 0 and self._ivs[i][1] > lo:
-            return True
-        i += 1
-        return i < len(self._ivs) and self._ivs[i][0] < hi
 
     def gaps(self, lo: int, hi: int) -> List[Interval]:
         """Sub-intervals of ``[lo, hi)`` *not* covered by the set, in order.
@@ -141,19 +106,6 @@ class IntervalSet:
             out.append((cursor, hi))
         return out
 
-    def intersect(self, lo: int, hi: int) -> List[Interval]:
-        """Sub-intervals of ``[lo, hi)`` covered by the set, in order."""
-        out: List[Interval] = []
-        if lo >= hi:
-            return out
-        i, j = self._overlap_window(lo, hi)
-        for a, b in self._ivs[i:j]:
-            c_lo = a if a > lo else lo
-            c_hi = b if b < hi else hi
-            if c_lo < c_hi:
-                out.append((c_lo, c_hi))
-        return out
-
     def total(self) -> int:
         """Total number of covered bytes."""
         return sum(b - a for a, b in self._ivs)
@@ -171,11 +123,6 @@ class IntervalSet:
         strategy maintains *per chunk* (§3.3).
         """
         return len(self._ivs) <= 1
-
-    def copy(self) -> "IntervalSet":
-        new = IntervalSet()
-        new._ivs = list(self._ivs)
-        return new
 
     # ------------------------------------------------------------------ #
     # dunder plumbing

@@ -1,8 +1,8 @@
 """Deterministic random-number streams.
 
 Every stochastic component of the simulation (boot-trace generation, access
-skew, hypervisor init overhead, provider allocation ties, ...) draws from a
-named sub-stream derived from a single experiment seed. This guarantees:
+skew, hypervisor init overhead, ...) draws from a named sub-stream derived
+from a single experiment seed. This guarantees:
 
 * **determinism** — the same seed replays the exact same simulated timeline,
   which the test suite asserts;
@@ -44,12 +44,6 @@ class RngStreams:
             gen = np.random.default_rng(np.random.SeedSequence(material))
             self._cache[key] = gen
         return gen
-
-    def fork(self, *name: Hashable) -> "RngStreams":
-        """Derive an independent stream family (e.g. one per experiment run)."""
-        material = [self.seed] + [_hash_part(part) for part in name]
-        child_seed = int(np.random.SeedSequence(material).generate_state(1)[0])
-        return RngStreams(child_seed)
 
 
 def _hash_part(part: Hashable) -> int:

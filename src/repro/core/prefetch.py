@@ -10,8 +10,7 @@ for all others. Two pieces:
 
 * :class:`AccessProfile` — a recorder attached to a mirror handle that logs
   the order in which chunk indices are first touched. Profiles merge across
-  instances (order by median first-access rank) and serialize to a plain
-  dict, the form a cloud middleware would store next to the image.
+  instances (order by median first-access rank).
 * :class:`Prefetcher` — a background process on a freshly opened handle
   that walks the profile ahead of the boot, fetching predicted chunks with
   a bounded look-ahead window so it never floods the repository: it pauses
@@ -25,7 +24,7 @@ boot-time reduction; correctness tests live in
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from ..common.errors import MirrorStateError
 from .vfs import MirrorHandle
@@ -56,22 +55,6 @@ class AccessProfile:
             return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
         return sorted(self._ranks, key=lambda idx: (median(self._ranks[idx]), idx))
-
-    # ------------------------------------------------------------------ #
-    def to_state(self) -> dict:
-        return {
-            "chunk_size": self.chunk_size,
-            "recordings": self.recordings,
-            "ranks": {int(k): list(v) for k, v in self._ranks.items()},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "AccessProfile":
-        profile = cls(state["chunk_size"])
-        profile.recordings = state["recordings"]
-        for idx, ranks in state["ranks"].items():
-            profile._ranks[int(idx)] = list(ranks)
-        return profile
 
 
 class ProfileRecorder:
@@ -154,7 +137,3 @@ class Prefetcher:
                 self.handle.vfs.host.fabric.metrics.count("prefetch-chunk", len(plan.fetch_chunks))
         return self.fetched
 
-
-def record_boot_profile(handle: MirrorHandle) -> ProfileRecorder:
-    """Convenience: attach a recorder to a handle (used by the middleware)."""
-    return ProfileRecorder(handle)

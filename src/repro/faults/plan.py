@@ -15,7 +15,7 @@ the multideployment).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,25 +54,6 @@ class FaultEvent:
         if self.factor < 1.0:
             raise ValueError(f"degradation factor must be >= 1, got {self.factor}")
 
-    def to_json(self) -> dict:
-        return {
-            "at": self.at,
-            "kind": self.kind,
-            "target": self.target,
-            "duration": self.duration,
-            "factor": self.factor,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultEvent":
-        return cls(
-            at=float(data["at"]),
-            kind=str(data["kind"]),
-            target=str(data["target"]),
-            duration=float(data.get("duration", 0.0)),
-            factor=float(data.get("factor", 2.0)),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -101,14 +82,6 @@ class FaultPlan:
             + (f" for {e.duration:g}s" if e.duration > 0 else " (permanent)")
             for e in self.events
         )
-
-    # ------------------------------------------------------------------ #
-    def to_json(self) -> dict:
-        return {"events": [e.to_json() for e in self.events]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultPlan":
-        return cls(tuple(FaultEvent.from_json(e) for e in data.get("events", ())))
 
     # ------------------------------------------------------------------ #
     # generators

@@ -48,22 +48,3 @@ class RetryPolicy:
     def delay_for(self, attempt: int) -> float:
         """Backoff delay after failed attempt number ``attempt`` (0-based)."""
         return min(self.base_delay * self.backoff**attempt, self.max_delay)
-
-    def to_json(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "base_delay": self.base_delay,
-            "backoff": self.backoff,
-            "max_delay": self.max_delay,
-            "rpc_timeout": self.rpc_timeout,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RetryPolicy":
-        return cls(
-            attempts=int(data.get("attempts", 4)),
-            base_delay=float(data.get("base_delay", 0.25)),
-            backoff=float(data.get("backoff", 2.0)),
-            max_delay=float(data.get("max_delay", 4.0)),
-            rpc_timeout=float(data.get("rpc_timeout", 30.0)),
-        )

@@ -45,11 +45,6 @@ class VersionSharing:
     #: physical bytes shared with at least one other published version
     shared_bytes: int
 
-    @property
-    def reclaimable_bytes(self) -> int:
-        """Bytes a GC sweep frees if exactly this version is unpublished."""
-        return self.exclusive_bytes
-
 
 @dataclass(frozen=True)
 class DedupReport:

@@ -31,13 +31,7 @@ from .analyze import (
     render_critical_path,
     snapshot_spans,
 )
-from .export import (
-    read_spans_jsonl,
-    to_span_dicts,
-    to_trace_events,
-    write_spans_jsonl,
-    write_trace_json,
-)
+from .export import to_trace_events, write_trace_json
 from .span import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -58,9 +52,6 @@ __all__ = [
     "render_critical_path",
     "to_trace_events",
     "write_trace_json",
-    "to_span_dicts",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
 ]
 
 

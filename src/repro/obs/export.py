@@ -1,16 +1,12 @@
-"""Trace export: Chrome/Perfetto ``trace_event`` JSON and a JSONL span log.
+"""Trace export: Chrome/Perfetto ``trace_event`` JSON.
 
-Two formats, both derived from the same :class:`~repro.obs.span.Tracer`:
-
-* :func:`to_trace_events` / :func:`write_trace_json` — the Chrome trace-event
-  format (``{"traceEvents": [...]}`` with ``ph:"X"`` complete events in
-  microseconds), loadable directly into ``about:tracing`` or
-  https://ui.perfetto.dev. One pid represents the simulated cluster; each
-  simkit process gets its own named thread track, so nested spans render as
-  flame stacks and parallel fetch scatters as parallel tracks.
-* :func:`to_span_dicts` / :func:`write_spans_jsonl` — one JSON object per
-  span per line, for ad-hoc analysis (``jq``, pandas) and for re-loading
-  with :func:`read_spans_jsonl`.
+:func:`to_trace_events` / :func:`write_trace_json` render a
+:class:`~repro.obs.span.Tracer` in the Chrome trace-event format
+(``{"traceEvents": [...]}`` with ``ph:"X"`` complete events in
+microseconds), loadable directly into ``about:tracing`` or
+https://ui.perfetto.dev. One pid represents the simulated cluster; each
+simkit process gets its own named thread track, so nested spans render as
+flame stacks and parallel fetch scatters as parallel tracks.
 
 Sim time is in seconds; the trace-event format wants integer-ish
 microseconds, so timestamps are exported as ``t * 1e6``.
@@ -20,17 +16,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .span import Span, Tracer
 
-__all__ = [
-    "to_trace_events",
-    "write_trace_json",
-    "to_span_dicts",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
-]
+__all__ = ["to_trace_events", "write_trace_json"]
 
 #: single synthetic pid: the simulated cluster
 _PID = 1
@@ -119,57 +109,3 @@ def write_trace_json(path, tracer: Tracer, end_time: Optional[float] = None) -> 
     doc = to_trace_events(tracer, end_time=end_time)
     path.write_text(json.dumps(doc, default=str))
     return path
-
-
-# ---------------------------------------------------------------------- #
-# JSONL span log
-# ---------------------------------------------------------------------- #
-def to_span_dicts(tracer: Tracer, end_time: Optional[float] = None) -> List[Dict[str, Any]]:
-    """Plain-dict view of every span (JSON-serializable)."""
-    if end_time is None:
-        end_time = tracer.env.now
-    out = []
-    for span in tracer.spans:
-        out.append(
-            {
-                "trace_id": tracer.trace_id,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "name": span.name,
-                "category": span.category,
-                "t0": span.t0,
-                "t1": span.t1 if span.t1 is not None else end_time,
-                "track": span.track,
-                "attrs": span.attrs,
-                "events": [{"t": t, "name": n, "attrs": a} for t, n, a in span.events],
-                "error": span.error,
-            }
-        )
-    return out
-
-
-def write_spans_jsonl(path, tracer: Tracer, end_time: Optional[float] = None) -> Path:
-    """Write one JSON object per span per line; returns the path."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for record in to_span_dicts(tracer, end_time=end_time):
-            fh.write(json.dumps(record, default=str))
-            fh.write("\n")
-    return path
-
-
-def read_spans_jsonl(path) -> List[Dict[str, Any]]:
-    """Load a span log written by :func:`write_spans_jsonl`."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
-def iter_complete_events(doc: Dict[str, Any]) -> Iterable[Dict[str, Any]]:
-    """The ``ph:"X"`` span events of a trace-event document (export helper)."""
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") == "X":
-            yield ev

@@ -16,7 +16,7 @@ transfer costs live in :mod:`repro.p2p.exchange`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 from ..common.errors import StorageError
 from ..common.payload import Payload
@@ -68,14 +68,6 @@ class PeerChunkCache:
             self.used_bytes -= evicted.size
             self.evictions += 1
         return True
-
-    def put_many(self, items: Iterable[Tuple[int, Payload]]) -> int:
-        """Insert several chunks; returns how many were accepted."""
-        accepted = 0
-        for key, payload in items:
-            if self.put(key, payload):
-                accepted += 1
-        return accepted
 
     # ------------------------------------------------------------------ #
     def __contains__(self, key: int) -> bool:

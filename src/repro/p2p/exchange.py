@@ -64,8 +64,6 @@ class P2PConfig:
     directory: str = "announce"
     #: how many candidate peers to try per chunk before the provider path
     locate_fanout: int = 2
-    #: announce directory: holders remembered per chunk key
-    announce_max_holders: int = 16
 
     def __post_init__(self):
         if self.cache_bytes <= 0:
@@ -295,8 +293,7 @@ class PeerNetwork:
             if directory_host is None:
                 raise StorageError("announce directory needs a directory_host")
             self.directory_service = PeerDirectoryService(
-                directory_host, model, self.config.announce_max_holders,
-                topology=topology,
+                directory_host, model, topology=topology,
             )
             rpc.bind(directory_host, DIRECTORY_SERVICE, self.directory_service)
             self.directory = AnnounceDirectory(

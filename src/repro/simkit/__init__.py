@@ -4,7 +4,7 @@ from .core import AllOf, AnyOf, Environment, Event, Process, Timeout
 from .disk import Disk, FileDevice, WritePolicy
 from .host import Fabric, Host
 from .network import FlowNetwork, Nic
-from .resources import Container, Request, Resource, Store
+from .resources import Container, Request, Resource
 from .trace import Metrics
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
-    "Store",
     "Timeout",
     "WritePolicy",
 ]

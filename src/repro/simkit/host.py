@@ -9,17 +9,16 @@ threaded through every service constructor.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Optional
 
 from ..common.errors import SimulationError
 from ..common.payload import SparseFile
 from ..common.rng import RngStreams
 from ..common.units import MB, MILLISECONDS
 from ..obs.span import NULL_TRACER
-from .core import Environment, Event
+from .core import Environment
 from .disk import Disk
 from .network import FlowNetwork, Nic
-from .resources import Resource
 from .trace import Metrics
 
 
@@ -60,7 +59,6 @@ class Fabric:
     def add_host(
         self,
         name: str,
-        cores: int = 8,
         disk_read_bw: float = 55 * MB,
         disk_write_bw: float = 55 * MB,
         disk_seek_time: float = 8 * MILLISECONDS,
@@ -78,7 +76,7 @@ class Fabric:
             seek_time=disk_seek_time,
             metrics=self.metrics,
         )
-        host = Host(self, name, nic, disk, cores)
+        host = Host(self, name, nic, disk)
         self.hosts[name] = host
         return host
 
@@ -87,15 +85,14 @@ class Fabric:
 
 
 class Host:
-    """One machine: NIC, disk, CPU pool, local sparse-file namespace."""
+    """One machine: NIC, disk, local sparse-file namespace."""
 
-    def __init__(self, fabric: Fabric, name: str, nic: Nic, disk: Disk, cores: int):
+    def __init__(self, fabric: Fabric, name: str, nic: Nic, disk: Disk):
         self.fabric = fabric
         self.env = fabric.env
         self.name = name
         self.nic = nic
         self.disk = disk
-        self.cpu = Resource(fabric.env, capacity=cores)
         #: local file system: path -> SparseFile (content only; timing via disk)
         self.files: Dict[str, SparseFile] = {}
         #: RPC services bound on this host (service name -> object)
@@ -132,17 +129,8 @@ class Host:
         return path in self.files
 
     # ------------------------------------------------------------------ #
-    # computation
+    # processes
     # ------------------------------------------------------------------ #
-    def compute(self, seconds: float) -> Generator[Event, None, None]:
-        """Occupy one CPU core for ``seconds`` of simulated time."""
-        req = self.cpu.request()
-        yield req
-        try:
-            yield self.env.timeout(seconds)
-        finally:
-            self.cpu.release()
-
     def spawn(self, gen, name: str = ""):
         proc = self.env.process(gen, name=f"{self.name}:{name}")
         # Track until completion so a crash can interrupt it. The bookkeeping

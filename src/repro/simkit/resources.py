@@ -1,11 +1,9 @@
 """Queued resources for the discrete-event engine.
 
-Three classic primitives:
+Two classic primitives:
 
 * :class:`Resource` — a capacity-limited server pool with a FIFO wait queue
   (models disk queues, RPC worker pools, hypervisor launch slots, ...);
-* :class:`Store` — an unbounded FIFO of items with blocking ``get`` (models
-  message queues between services);
 * :class:`Container` — a continuous-level reservoir (models buffer space for
   the asynchronous write pipeline).
 
@@ -16,7 +14,7 @@ All follow the engine's event discipline: acquiring returns an
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Deque
 
 from ..common.errors import SimulationError
 from .core import Environment, Event, _PENDING
@@ -93,40 +91,9 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def acquire(self):
-        """Process-style helper: ``yield from resource.acquire()``."""
-        yield self.request()
-
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
-
-
-class Store:
-    """Unbounded FIFO of arbitrary items with blocking ``get``."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event firing with the next item (immediately if one is queued)."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class _ContainerOp(Event):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.nfs import NfsClient, NfsServer
+from repro.baselines.nfs import NfsServer
 from repro.baselines.pvfs import PvfsDeployment
 from repro.common.errors import StorageError
 from repro.common.payload import Payload
@@ -132,24 +132,6 @@ class TestPvfs:
 
 
 class TestNfs:
-    def test_read_write_roundtrip(self):
-        fab = Fabric(seed=1)
-        server_host = fab.add_host("nfs")
-        client_host = fab.add_host("c")
-        server = NfsServer(server_host)
-        server.put_file("/img", Payload.from_bytes(pattern(1000)))
-        client = NfsClient(client_host, server)
-
-        def scenario():
-            got = yield from client.read("/img", 100, 200)
-            yield from client.write("/img", 0, Payload.from_bytes(b"hello"))
-            got2 = yield from client.read("/img", 0, 5)
-            return got, got2
-
-        got, got2 = run(fab, scenario())
-        assert got.to_bytes() == pattern(1000)[100:300]
-        assert got2.to_bytes() == b"hello"
-
     def test_stat_and_missing(self):
         fab = Fabric(seed=1)
         server = NfsServer(fab.add_host("nfs"))
@@ -157,19 +139,3 @@ class TestNfs:
         assert server.stat("/img") == 123
         with pytest.raises(StorageError):
             server.stat("/none")
-
-    def test_single_nic_serializes_many_readers(self):
-        """The central server is the bottleneck prepropagation works around."""
-        fab = Fabric(seed=1)
-        server = NfsServer(fab.add_host("nfs"))
-        server.put_file("/img", Payload.opaque("img", 50 * 1000 * 1000))
-        readers = [fab.add_host(f"r{i}") for i in range(4)]
-
-        def read_all(h):
-            client = NfsClient(h, server)
-            yield from client.read("/img", 0, 50 * 1000 * 1000)
-
-        procs = [fab.env.process(read_all(h)) for h in readers]
-        fab.run(fab.env.all_of(procs))
-        # 4 x 50 MB through one 117.5 MB/s NIC: at least ~1.7 s
-        assert fab.env.now > 1.5

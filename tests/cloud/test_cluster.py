@@ -1,7 +1,5 @@
 """Tests for cluster construction options."""
 
-import pytest
-
 from repro.calibration import Calibration, ImageSpec
 from repro.cloud import build_cloud
 from repro.common.units import KiB, MiB
@@ -49,8 +47,8 @@ class TestBuildCloud:
         assert cloud2.blobseer.dedup_index is None
 
     def test_placement_strategy(self):
-        cloud = build_cloud(3, seed=1, calib=SMALL, placement="least-loaded")
-        assert cloud.blobseer.policy.strategy == "least-loaded"
+        cloud = build_cloud(4, seed=1, calib=SMALL, racks=2, placement="rack-diverse")
+        assert cloud.blobseer.policy.strategy == "rack-diverse"
 
     def test_write_buffer_from_calibration(self):
         cloud = build_cloud(2, seed=1, calib=SMALL)

@@ -50,21 +50,6 @@ class TestAccessProfile:
         assert profile.predicted_order() == [0, 5, 2, 9]
         assert profile.recordings == 3
 
-    def test_state_roundtrip(self):
-        profile = AccessProfile(CHUNK)
-        profile.record_run(EXPECTED_ORDER)
-        restored = AccessProfile.from_state(profile.to_state())
-        assert restored.predicted_order() == EXPECTED_ORDER
-        assert restored.chunk_size == CHUNK
-
-    def test_state_is_json_safe(self):
-        import json
-
-        profile = AccessProfile(CHUNK)
-        profile.record_run(EXPECTED_ORDER)
-        restored = AccessProfile.from_state(json.loads(json.dumps(profile.to_state())))
-        assert restored.predicted_order() == EXPECTED_ORDER
-
 
 class TestProfileRecorder:
     def test_records_first_access_order(self):

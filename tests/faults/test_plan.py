@@ -45,19 +45,11 @@ class TestFaultPlan:
         assert "permanent" in plan.describe()
         assert "node003" in plan.describe()
 
-    def test_json_round_trip(self):
-        plan = FaultPlan.staggered_crashes(
-            [f"node{i:03d}" for i in range(8)], 3, window=6.0, mttr=1.5
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_json_round_trip_preserves_degradations(self):
+    def test_degradations_carry_their_factor(self):
         plan = FaultPlan.degradations(
             ["a", "b"], "nic-degrade", at=1.0, duration=4.0, factor=8.0
         )
-        again = FaultPlan.from_json(plan.to_json())
-        assert again == plan
-        assert all(e.factor == 8.0 for e in again.events)
+        assert all(e.factor == 8.0 for e in plan.events)
 
 
 class TestGenerators:

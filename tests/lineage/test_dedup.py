@@ -66,7 +66,7 @@ class TestReclaimable:
         mid = records[2]
         predicted = row_for(
             dedup_accounting(dep), mid.blob_id, mid.version
-        ).reclaimable_bytes
+        ).exclusive_bytes
         stored_before = dep.stored_bytes()
         dep.registry.delete_version(mid.blob_id, mid.version)
         report = collect_garbage(dep)

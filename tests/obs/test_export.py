@@ -1,15 +1,8 @@
-"""Exporters: Perfetto trace-event JSON and the JSONL span log."""
+"""Exporter: Perfetto trace-event JSON."""
 
 import json
 
-from repro.obs.export import (
-    iter_complete_events,
-    read_spans_jsonl,
-    to_span_dicts,
-    to_trace_events,
-    write_spans_jsonl,
-    write_trace_json,
-)
+from repro.obs.export import to_trace_events, write_trace_json
 from repro.obs.span import Tracer
 
 
@@ -34,6 +27,11 @@ def sample_tracer():
     env.now = 2.0
     root.finish()
     return env, tr
+
+
+def iter_complete_events(doc):
+    """The ``ph:"X"`` span events of a trace-event document."""
+    return [ev for ev in doc["traceEvents"] if ev["ph"] == "X"]
 
 
 class TestTraceEvents:
@@ -86,20 +84,3 @@ class TestTraceEvents:
         path = write_trace_json(tmp_path / "out.trace.json", tr)
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) >= 3
-
-
-class TestSpansJsonl:
-    def test_roundtrip(self, tmp_path):
-        _, tr = sample_tracer()
-        path = write_spans_jsonl(tmp_path / "spans.jsonl", tr)
-        records = read_spans_jsonl(path)
-        assert [r["name"] for r in records] == ["boot:vm000", "rpc:read"]
-        rpc = records[1]
-        assert rpc["parent_id"] == records[0]["span_id"]
-        assert rpc["t0"] == 0.5 and rpc["t1"] == 1.5
-        assert rpc["error"] == "TimeoutError: slow"
-        assert rpc["events"] == [{"t": 0.5, "name": "retry", "attrs": {"attempt": 1}}]
-
-    def test_dicts_are_json_serializable(self):
-        _, tr = sample_tracer()
-        json.dumps(to_span_dicts(tr))

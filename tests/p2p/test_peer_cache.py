@@ -41,11 +41,10 @@ class TestBasics:
         assert cache.used_bytes == CHUNK
         assert cache.insertions == 1
 
-    def test_put_many_counts_accepted(self):
+    def test_put_past_capacity_evicts_to_fit(self):
         cache = PeerChunkCache(2 * CHUNK)
-        n = cache.put_many([(i, payload(fill=i)) for i in range(3)])
-        assert n == 3  # all accepted; the first was evicted to fit
-        assert len(cache) == 2
+        assert all(cache.put(i, payload(fill=i)) for i in range(3))
+        assert len(cache) == 2 and 0 not in cache
 
 
 class TestEviction:

@@ -163,20 +163,6 @@ class TestHostFabric:
         with pytest.raises(SimulationError):
             h.open_file("/nope")
 
-    def test_compute_occupies_core(self):
-        fab = Fabric(seed=0)
-        h = fab.add_host("n1", cores=1)
-        ends = []
-
-        def job():
-            yield from h.compute(1.0)
-            ends.append(fab.env.now)
-
-        h.spawn(job())
-        h.spawn(job())
-        fab.run()
-        assert ends == [pytest.approx(1.0), pytest.approx(2.0)]
-
 
 class EchoService:
     def __init__(self, host):

@@ -1,10 +1,10 @@
-"""Tests for Resource / Store / Container."""
+"""Tests for Resource / Container."""
 
 import pytest
 
 from repro.common.errors import InterruptedError_, SimulationError
 from repro.simkit.core import Environment
-from repro.simkit.resources import Container, Resource, Store
+from repro.simkit.resources import Container, Resource
 
 
 class TestResource:
@@ -90,65 +90,6 @@ class TestResource:
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):
             Resource(Environment(), capacity=0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-
-        def getter():
-            v = yield store.get()
-            return v
-
-        assert env.run(env.process(getter())) == "x"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        out = []
-
-        def getter():
-            v = yield store.get()
-            out.append((env.now, v))
-
-        def putter():
-            yield env.timeout(2.0)
-            store.put("late")
-
-        env.process(getter())
-        env.process(putter())
-        env.run()
-        assert out == [(2.0, "late")]
-
-    def test_fifo_items_and_getters(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def getter(i):
-            v = yield store.get()
-            got.append((i, v))
-
-        env.process(getter(0))
-        env.process(getter(1))
-
-        def putter():
-            yield env.timeout(1.0)
-            store.put("first")
-            store.put("second")
-
-        env.process(putter())
-        env.run()
-        assert got == [(0, "first"), (1, "second")]
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
 
 
 class TestContainer:

@@ -13,7 +13,6 @@ class TestPaperValues:
         assert tb.nic_bandwidth == 117.5 * MB  # measured TCP throughput
         assert tb.network_latency == 1e-4  # ~0.1 ms
         assert tb.disk_read_bandwidth == 55 * MB
-        assert tb.ram_per_node == 8 * GiB
 
     def test_image_matches_eval(self):
         img = DEFAULT.image

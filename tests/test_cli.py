@@ -178,6 +178,17 @@ class TestChurn:
         assert "restores:" in out
         assert "from retired chains" in out
 
+    def test_retain_snapshots_applies_without_restores(self, capsys):
+        """The flag pins every chain by itself: with it, GC reclaims nothing."""
+        def storage_line(*flags):
+            assert main(["churn", "--deploys", "10", "--rate", "3", "--seed", "3",
+                         *flags]) == 0
+            out = capsys.readouterr().out
+            return next(ln for ln in out.splitlines() if ln.startswith("storage:"))
+
+        assert "reclaimed 0 B" not in storage_line()
+        assert "reclaimed 0 B" in storage_line("--retain-snapshots")
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["churn", "--policy", "tetris"])

@@ -10,10 +10,13 @@ invariant across every workload family (multideployment, multisnapshot,
 p2p deploy, long-horizon churn).
 """
 
+from unittest import mock
+
 from repro.calibration import Calibration, ImageSpec
 from repro.churn import ChurnEngine, ChurnSpec
-from repro.cloud import build_cloud, deploy, snapshot_all
+from repro.cloud import build_cloud, cluster, deploy, snapshot_all
 from repro.common.units import KiB, MB, MiB
+from repro.simkit.host import Fabric
 from repro.topo import Topology
 from repro.vmsim import make_image
 
@@ -30,10 +33,19 @@ def single_rack_topology():
     return topo
 
 
+def _one_rack_fabric(**kw):
+    """The fabric ``build_cloud`` makes, on the degenerate one-rack topology.
+
+    ``build_cloud`` builds a topology only for ``racks > 1``; every locality
+    consumer it wires also needs more than one rack, so the fabric is the
+    one place a single-rack topology could move an event.
+    """
+    return Fabric(**{**kw, "topology": single_rack_topology()})
+
+
 def _build(flat, **cloud_kw):
-    if not flat:
-        cloud_kw["topology"] = single_rack_topology()
-    cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB, **cloud_kw)
+    with mock.patch.object(cluster, "Fabric", Fabric if flat else _one_rack_fabric):
+        cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB, **cloud_kw)
     image = make_image(
         CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16
     )
