@@ -19,15 +19,15 @@ bench-quick:     ## scaled-down smoke of every figure (~40 s; the tracked grids 
 
 sweep-smoke:     ## quick-profile fig4 sweep through the parallel runner (2 jobs)
 	PYTHONPATH=src python -m repro sweep --figure fig4 --profile quick \
-		--approach mirror --jobs 2 --no-cache
+		--approach mirror --jobs 2
 
 perf:            ## the repo's one benchmark: host time + simulated outcomes per workload (BENCHMARK.json)
 	python3 benchmarks/suite/run.py
 
-tracked:         ## every committed benchmarks/results artifact, uncached: the tracked-size churn / lineage / topo / p2p grids, then the quick-profile figure benches; any drift fails (~1.5 min on 2 cores)
-	REPRO_BENCH_NO_CACHE=1 pytest benchmarks/bench_churn.py benchmarks/bench_lineage.py \
+tracked:         ## every committed benchmarks/results artifact: the tracked-size churn / lineage / topo / p2p grids, then the quick-profile figure benches; any drift fails (~1.5 min on 2 cores)
+	pytest benchmarks/bench_churn.py benchmarks/bench_lineage.py \
 		benchmarks/bench_topo.py benchmarks/bench_p2p.py --benchmark-only
-	REPRO_BENCH_PROFILE=quick REPRO_BENCH_NO_CACHE=1 pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_PROFILE=quick pytest benchmarks/ --benchmark-only
 	git diff --exit-code -- benchmarks/results
 
 suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards the ledger's by-name patches)
@@ -44,5 +44,5 @@ examples:        ## every script under examples/, by glob; stops at the first th
 	done
 
 clean:           ## drop caches only; tracked figure artifacts stay put
-	rm -rf .pytest_cache benchmarks/results/cache src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

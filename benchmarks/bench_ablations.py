@@ -73,7 +73,7 @@ def _deploy_spec(chunk_size=None, mirror_prefetch=True, seed=5):
 
 
 def _deploy_point(**kw):
-    """One ablation deployment as a sweep point (cached, parallelizable)."""
+    """One ablation deployment as a sweep point."""
     return run_sweep([_deploy_spec(**kw)])[0]
 
 
@@ -390,7 +390,7 @@ def test_ablation_dedup_multisnapshot(benchmark, sweep_cache):
 
 def test_ablation_fairness_model(benchmark, sweep_cache):
     def compare():
-        # the max-min point bypasses the sweep (and its cache): its spec is
+        # the max-min point bypasses the sweep runner: its spec is
         # the equal-share one, only the network class differs
         with maxmin_fabric():
             maxmin = execute_point(_deploy_spec())

@@ -12,7 +12,7 @@ periodic garbage collector keeps the repository bounded. Two grids, seed 1:
 
 The committed ``benchmarks/results/churn_*.json`` *are* the expectation:
 every simulated outcome below is deterministic, so ``make tracked`` reruns
-the grids uncached and fails on any ``git diff``. The smoke-size behaviour
+the grids and fails on any ``git diff``. The smoke-size behaviour
 (determinism, GC reclaim, monotone no-GC growth) is tier-1:
 ``tests/churn/test_churn_engine.py``.
 """

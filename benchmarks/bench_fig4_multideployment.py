@@ -10,8 +10,8 @@ One initial 2 GiB image deployed to N concurrent instances, N swept up to
 
 Each sweep runs once (``pedantic`` with one round — the simulation is
 deterministic); the reported benchmark time is the harness cost of the whole
-sweep. The point loop goes through the parallel sweep runner (jobs/cache
-from the ``REPRO_BENCH_*`` environment). Panels assert the paper's
+sweep. The point loop goes through the parallel sweep runner (jobs from
+the ``REPRO_BENCH_*`` environment). Panels assert the paper's
 qualitative shapes.
 """
 

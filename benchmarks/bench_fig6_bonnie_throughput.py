@@ -5,9 +5,9 @@ A single VM writes, reads back, and overwrites an 800 MB working set in
 with a locally available raw image (hypervisor default path). Since the data
 is written before being read, the mirror never goes remote.
 
-Both runs are sweep points (``kind="bonnie"``) routed through the runner, so
-Figure 7 — which reports other metrics of the same run — replays them from
-the result cache instead of re-simulating.
+Both runs are sweep points (``kind="bonnie"``) routed through the runner and
+kept in the session's ``sweep_cache`` fixture, so Figure 7 — which reports
+other metrics of the same run — reads them instead of re-simulating.
 """
 
 import pytest

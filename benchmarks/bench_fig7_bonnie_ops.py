@@ -21,7 +21,7 @@ def test_fig7_run(benchmark, sweep_cache, kind):
         point = sweep_cache[("bonnie", kind)]
         benchmark.pedantic(lambda: point, rounds=1, iterations=1)
     else:
-        # a fig7-only session still shares the simulation via the result cache
+        # a fig7-only session simulates the run itself
         point = benchmark.pedantic(lambda: _run_bonnie(kind), rounds=1, iterations=1)
         sweep_cache[("bonnie", kind)] = point
     assert point.metrics["rnd_seek_ops"] > 0

@@ -9,8 +9,8 @@ depth-bounded compaction (:mod:`repro.lineage.compact`) is what keeps it flat.
 
 One grid, seed 1: depths x {uncompacted, flatten} plus one delta-merge point
 at the deepest chain. The committed ``benchmarks/results/lineage_restore.json``
-*is* the expectation: ``make tracked`` reruns the grid uncached and fails on
-any ``git diff``. The smoke-size behaviour (flatten bounds the scan, merge
+*is* the expectation: ``make tracked`` reruns the grid and fails on any
+``git diff``. The smoke-size behaviour (flatten bounds the scan, merge
 reclaims, accounting conserves, determinism) is tier-1:
 ``tests/lineage/test_point.py``.
 """

@@ -15,11 +15,11 @@ other; this sweep quantifies the effect:
 Acceptance gate of the subsystem: at the largest swept count the exchange
 cuts provider bytes by >= 30% and improves average boot time. Every point is
 a ``deploy`` spec with the ``p2p`` cloud params and goes through the parallel
-sweep runner and the persistent result cache.
+sweep runner.
 
 The grids have one size, the ``p2p`` profile's: the committed
 ``benchmarks/results/p2p_*.json`` *are* the expectation, and ``make tracked``
-reruns them uncached and fails on any ``git diff``.
+reruns them and fails on any ``git diff``.
 """
 
 from repro.analysis import Figure, Series, ascii_chart, check_shape, render_figure

@@ -15,8 +15,8 @@ chunk they held. Panels:
 Expected shapes: replication 1 loses instances as soon as providers die;
 replication >= 2 rides out every crash level of the sweep (the staggered
 plan never kills a whole replica set) at the cost of slower, retry-laden
-boots. The point loop goes through the parallel sweep runner, so results
-land in (and replay from) the persistent result cache like every figure.
+boots. The point loop goes through the parallel sweep runner like every
+figure.
 """
 
 from repro.analysis import Figure, Series, ascii_chart, check_shape, render_figure

@@ -17,7 +17,7 @@ Two grids, seed 1, ``topo`` profile (264-node pool):
   off, n = 64: only the *read* side differs between the two points.
 
 The committed ``benchmarks/results/topo_*.json`` *are* the expectation:
-``make tracked`` reruns the grids uncached and fails on any ``git diff``.
+``make tracked`` reruns the grids and fails on any ``git diff``.
 Every point is a ``deploy`` spec with the fabric cloud params. The
 smoke-size behaviour (``racks=1`` equals the flat fabric, the cross-rack
 cut, zero cross-rack replica payload, determinism) is tier-1:

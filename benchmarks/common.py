@@ -2,10 +2,9 @@
 
 Every benchmark describes each measurement point as a pure
 :class:`~repro.runner.PointSpec` (fresh seeds, no state leakage between
-points) and routes it through the :class:`~repro.runner.SweepRunner`: points
-fan out over a multiprocessing pool (``REPRO_BENCH_JOBS``, default all
-cores) and already-simulated points replay from the persistent result cache
-under ``benchmarks/results/cache/`` (disable with ``REPRO_BENCH_NO_CACHE=1``).
+points) and routes it through the :class:`~repro.runner.SweepRunner`: every
+point is simulated, fanned out over a multiprocessing pool
+(``REPRO_BENCH_JOBS``, default all cores).
 
 Two profiles are provided (see :mod:`repro.runner.profiles`):
 
@@ -35,7 +34,6 @@ from repro.runner import (  # noqa: F401 — re-exported for the bench modules
     BenchProfile,
     PointResult,
     PointSpec,
-    ResultCache,
     SweepRunner,
     active_profile,
     apply_diffs,
@@ -52,10 +50,7 @@ def bench_runner(jobs: Optional[int] = None) -> SweepRunner:
     if jobs is None:
         env = os.environ.get("REPRO_BENCH_JOBS")
         jobs = int(env) if env else None
-    cache = None
-    if os.environ.get("REPRO_BENCH_NO_CACHE") != "1":
-        cache = ResultCache(RESULTS_DIR / "cache")
-    return SweepRunner(jobs=jobs, cache=cache)
+    return SweepRunner(jobs=jobs)
 
 
 def run_sweep(specs: Sequence[PointSpec], jobs: Optional[int] = None) -> List[PointResult]:

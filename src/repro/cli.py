@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .calibration import DEFAULT
@@ -71,6 +70,9 @@ def _cluster_profile(args):
 
 
 def _check_pool(profile, counts) -> None:
+    negative = [n for n in counts if n < 0]
+    if negative:
+        raise SimulationError(f"counts {negative} are negative")
     bad = [n for n in counts if n > profile.pool_nodes]
     if bad:
         raise SimulationError(
@@ -395,7 +397,7 @@ def cmd_sweep(args) -> int:
     import time
 
     from .analysis import Figure, from_points, render_figure
-    from .runner import PointSpec, ResultCache, SweepRunner, resolve_profile
+    from .runner import PointSpec, SweepRunner, resolve_profile
 
     profile = resolve_profile(args.profile)
     kind, all_approaches = SWEEP_FIGURES[args.figure]
@@ -408,10 +410,7 @@ def cmd_sweep(args) -> int:
         for a in approaches
         for n in counts
     ]
-    cache = None if args.no_cache else ResultCache(
-        Path(args.cache_dir) if args.cache_dir else None
-    )
-    runner = SweepRunner(jobs=args.jobs, cache=cache, refresh=args.refresh)
+    runner = SweepRunner(jobs=args.jobs)
     t0 = time.perf_counter()
     results = runner.run(specs)
     wall = time.perf_counter() - t0
@@ -425,13 +424,9 @@ def cmd_sweep(args) -> int:
         print(render_figure(fig, fmt="{:14.3f}"))
         print()
 
-    stats = runner.stats
     rate = f", {len(specs) / wall:.2f} points/s" if wall > 0 else ""
-    print(f"sweep: {len(specs)} points ({stats.executed} simulated, "
-          f"{stats.cached} from cache) in {wall:.2f}s{rate} "
+    print(f"sweep: {len(specs)} points simulated in {wall:.2f}s{rate} "
           f"[jobs={runner.jobs}, profile={profile.name}]")
-    if cache is not None:
-        print(f"cache: {cache.root} ({len(cache)} entries)")
     return 0
 
 
@@ -513,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark profile (paper, quick, or a registered name)",
     )
     p_sweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_positive(int), default=None, metavar="N",
         help="worker processes (default: all cores; 1 = in-process sequential)",
     )
     p_sweep.add_argument(
@@ -526,17 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N1,N2,...", help="instance counts (default: the profile's sweep)",
     )
     p_sweep.add_argument("--seed", type=int, default=1, help="experiment seed")
-    p_sweep.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache entirely"
-    )
-    p_sweep.add_argument(
-        "--refresh", action="store_true",
-        help="recompute every point and refresh its cache entry",
-    )
-    p_sweep.add_argument(
-        "--cache-dir", default=None,
-        help="cache directory (default: benchmarks/results/cache)",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_faults = sub.add_parser(

@@ -111,6 +111,8 @@ def deploy(
     result of a previous :func:`seed_image`; otherwise the image is seeded
     now. The call drives the simulation to completion of all boots.
     """
+    if n_instances < 0:
+        raise MiddlewareError(f"{n_instances} instances: a count cannot be negative")
     if n_instances > len(cloud.compute):
         raise MiddlewareError(
             f"{n_instances} instances > {len(cloud.compute)} compute nodes"

@@ -1,34 +1,27 @@
-"""The sweep-execution engine: cache, fan out, stream back in order.
+"""The sweep-execution engine: fan out, return in order.
 
 :class:`SweepRunner` takes a list of :class:`~repro.runner.spec.PointSpec`
 and produces one :class:`~repro.runner.spec.PointResult` per spec, **in the
 input order** regardless of which worker finishes first. Each point is an
 independent deterministic simulation (fresh cloud, fixed seed), so the
-runner adds parallelism and memoization without perturbing a single
-simulated timeline: sequential and parallel runs of the same sweep are
-bit-identical.
+runner adds parallelism without perturbing a single simulated timeline:
+sequential and parallel runs of the same sweep are bit-identical.
 
-Execution strategy per point:
-
-1. result-cache lookup by content key (unless disabled or ``refresh``),
-2. misses fan out over a ``multiprocessing`` pool (``fork`` start method);
-   with ``jobs=1``, a single pending point, or on platforms without
-   ``fork`` the runner degrades to plain in-process execution,
-3. a point that raises is surfaced as :class:`SweepError` naming the
-   failing spec (the worker catches and ships the traceback — the pool
-   never hangs on a crashed point).
+Every point is simulated. The points fan out over a ``multiprocessing``
+pool (``fork`` start method); with ``jobs=1``, a single point, or on
+platforms without ``fork`` the runner degrades to plain in-process
+execution. A point that raises is surfaced as :class:`SweepError` naming
+the failing spec (the worker catches and ships the traceback — the pool
+never hangs on a crashed point).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from .cache import ResultCache, point_key
 from .points import execute_point
 from .spec import PointResult, PointSpec
 
@@ -40,20 +33,6 @@ class SweepError(RuntimeError):
         self.spec = spec
         self.trace = trace
         super().__init__(f"sweep point [{spec.label()}] failed: {message}")
-
-
-@dataclass
-class SweepStats:
-    """Bookkeeping of one :meth:`SweepRunner.run` call."""
-
-    points: int = 0
-    executed: int = 0
-    cached: int = 0
-    wall_s: float = 0.0
-
-    @property
-    def points_per_s(self) -> float:
-        return self.points / self.wall_s if self.wall_s > 0 else 0.0
 
 
 def _fork_available() -> bool:
@@ -74,81 +53,28 @@ def _execute_indexed(item):
 class SweepRunner:
     """Execute sweeps of independent measurement points.
 
-    :param jobs: worker processes for cache misses (default: all cores);
+    :param jobs: worker processes; ``None`` (the default) means all cores,
         ``1`` forces in-process sequential execution.
-    :param cache: a :class:`ResultCache`, or ``None`` to disable caching.
-    :param refresh: ignore cached entries and recompute (results are still
-        stored, refreshing the cache content).
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        refresh: bool = False,
-    ):
-        self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
+    def __init__(self, jobs: Optional[int] = None):
+        self.jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.cache = cache
-        self.refresh = refresh
-        self.stats = SweepStats()
 
-    # ------------------------------------------------------------------ #
     def run(self, specs: Sequence[PointSpec]) -> List[PointResult]:
         """All results, ordered like ``specs``."""
-        return list(self.run_iter(specs))
-
-    def run_iter(self, specs: Sequence[PointSpec]) -> Iterator[PointResult]:
-        """Stream results in deterministic input order as they become ready."""
         specs = list(specs)
-        t0 = time.perf_counter()
-        self.stats = SweepStats(points=len(specs))
-        results: dict = {}
-        pending: List[tuple] = []  # (index, spec, key)
-
-        for index, spec in enumerate(specs):
-            key = point_key(spec) if self.cache is not None else None
-            hit = None
-            if self.cache is not None and not self.refresh:
-                hit = self.cache.lookup(spec, key)
-            if hit is not None:
-                self.stats.cached += 1
-                results[index] = hit
-            else:
-                pending.append((index, spec, key))
-
-        emit_from = 0
-
-        def drain():
-            nonlocal emit_from
-            while emit_from in results:
-                yield results.pop(emit_from)
-                emit_from += 1
-
-        for index, outcome in self._execute(pending):
+        results: List[Optional[PointResult]] = [None] * len(specs)
+        for index, outcome in self._execute(list(enumerate(specs))):
             if outcome[0] == "err":
                 _, spec, message, trace = outcome
                 raise SweepError(spec, message, trace)
-            result = outcome[1]
-            self.stats.executed += 1
-            if self.cache is not None:
-                key = next(k for i, s, k in pending if i == index)
-                self.cache.store(result, key)
-            results[index] = result
-            self.stats.wall_s = time.perf_counter() - t0
-            yield from drain()
+            results[index] = outcome[1]
+        return results
 
-        self.stats.wall_s = time.perf_counter() - t0
-        yield from drain()
-        if results:  # pragma: no cover — defensive: a worker vanished
-            missing = sorted(results)
-            raise SweepError(specs[missing[0]], "no result returned")
-
-    # ------------------------------------------------------------------ #
-    def _execute(self, pending: List[tuple]) -> Iterable[tuple]:
-        """Yield ``(index, outcome)`` for every pending point, any order."""
-        items = [(index, spec) for index, spec, _key in pending]
+    def _execute(self, items: List[tuple]) -> Iterable[tuple]:
+        """Yield ``(index, outcome)`` for every ``(index, spec)``, any order."""
         workers = min(self.jobs, len(items))
         if workers <= 1 or not _fork_available():
             for item in items:
@@ -156,5 +82,4 @@ class SweepRunner:
             return
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            for index, outcome in pool.imap_unordered(_execute_indexed, items):
-                yield index, outcome
+            yield from pool.imap_unordered(_execute_indexed, items)

@@ -4,17 +4,16 @@ A :class:`PointSpec` is a pure value: everything needed to reproduce one
 measurement point (profile, kind of experiment, approach, scale, seed,
 calibration overrides, kind-specific parameters) and nothing else. Executing
 the same spec always yields the same simulated timeline, which is what makes
-both the multiprocessing fan-out and the content-keyed result cache safe.
+the multiprocessing fan-out safe.
 
 A :class:`PointResult` is the plain-data outcome: scalar metrics, small
-per-instance series, event counters, and the harness wall time. Both types
-round-trip through JSON (the cache format) without losing float precision.
+per-instance series, event counters, and the harness wall time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping
 
 def _freeze(pairs: Any) -> tuple:
     """Canonicalize a dict/iterable of (key, value) pairs to a sorted tuple.
@@ -70,29 +69,6 @@ class PointSpec:
         bits += [f"{k}={v}" for k, v in self.params]
         return " ".join(bits)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "profile": self.profile,
-            "approach": self.approach,
-            "n": self.n,
-            "seed": self.seed,
-            "overrides": [list(p) for p in self.overrides],
-            "params": [list(p) for p in self.params],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PointSpec":
-        return cls(
-            kind=data["kind"],
-            profile=data["profile"],
-            approach=data.get("approach", ""),
-            n=int(data.get("n", 0)),
-            seed=int(data.get("seed", 1)),
-            overrides=data.get("overrides", ()),
-            params=data.get("params", ()),
-        )
-
 
 @dataclass(frozen=True)
 class PointResult:
@@ -107,10 +83,8 @@ class PointResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: total events the simulation processed (deterministic)
     event_count: int = 0
-    #: harness wall time for this point (informational; not cached identity)
+    #: harness wall time for this point (informational)
     wall_s: float = 0.0
-    #: whether this result was replayed from the result cache
-    cached: bool = False
 
     # ---- conveniences mirroring DeploymentResult / SnapshotCampaignResult --
     @property
@@ -158,25 +132,3 @@ class PointResult:
                 f"point {self.spec.label()!r} has no metric {name!r}; "
                 f"available: {', '.join(sorted(self.metrics))}"
             ) from None
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "metrics": dict(self.metrics),
-            "series": {k: list(v) for k, v in self.series.items()},
-            "counters": dict(self.counters),
-            "event_count": self.event_count,
-            "wall_s": self.wall_s,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping, cached: bool = False) -> "PointResult":
-        return cls(
-            spec=PointSpec.from_json(data["spec"]),
-            metrics=dict(data.get("metrics", {})),
-            series={k: tuple(v) for k, v in data.get("series", {}).items()},
-            counters=dict(data.get("counters", {})),
-            event_count=int(data.get("event_count", 0)),
-            wall_s=float(data.get("wall_s", 0.0)),
-            cached=cached,
-        )

@@ -73,8 +73,8 @@ class TestDeterminism:
     def test_parallel_bit_identical_to_sequential(self):
         specs = [churn_spec(seed=s, policy=p)
                  for s in (5, 6) for p in ("first-fit", "locality")]
-        seq = SweepRunner(jobs=1, cache=None).run(specs)
-        par = SweepRunner(jobs=4, cache=None).run(specs)
+        seq = SweepRunner(jobs=1).run(specs)
+        par = SweepRunner(jobs=4).run(specs)
         for a, b in zip(seq, par):
             assert a.spec == b.spec
             assert a.metrics == b.metrics

@@ -62,6 +62,11 @@ class TestDeploy:
         with pytest.raises(MiddlewareError):
             deploy(cloud, image, 3, "mirror")
 
+    def test_negative_instance_count_rejected(self):
+        cloud, image = small_cloud(n=4)
+        with pytest.raises(MiddlewareError, match="negative"):
+            deploy(cloud, image, -1, "mirror")
+
     def test_unknown_approach_rejected(self):
         cloud, image = small_cloud(n=2)
         with pytest.raises(MiddlewareError):

@@ -58,7 +58,7 @@ class TestAcceptance:
         from repro.runner import SweepError
 
         with pytest.raises(SweepError, match="spare"):
-            SweepRunner(jobs=1, cache=None).run([rspec(1, 99)])
+            SweepRunner(jobs=1).run([rspec(1, 99)])
 
 
 class TestDeterminism:
@@ -72,15 +72,15 @@ class TestDeterminism:
     def test_parallel_bit_identical_to_sequential(self, micro_profile):
         """jobs=4 workers replay exactly the jobs=1 timelines, faults and all."""
         specs = [rspec(1, 0), rspec(1, 2), rspec(2, 2), rspec(2, 2, mttr=2.0)]
-        seq = SweepRunner(jobs=1, cache=None).run(specs)
-        par = SweepRunner(jobs=4, cache=None).run(specs)
+        seq = SweepRunner(jobs=1).run(specs)
+        par = SweepRunner(jobs=4).run(specs)
         for a, b in zip(seq, par):
             identical(a, b)
 
     def test_faults_leave_no_residue_in_the_worker(self, micro_profile):
         """A crashing point must not contaminate the next point's timeline
         in the same worker (crash marks live on the crashed point's hosts)."""
-        crashy_then_clean = SweepRunner(jobs=1, cache=None).run(
+        crashy_then_clean = SweepRunner(jobs=1).run(
             [rspec(1, 2), rspec(1, 0)]
         )
         clean_alone = execute_point(rspec(1, 0))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.runner import PointSpec, ResultCache, SweepError, SweepRunner, execute_point
+from repro.runner import PointSpec, SweepError, SweepRunner, execute_point
 
 
 def _specs(counts=(1, 2), kind="deploy", approach="mirror"):
@@ -24,8 +24,8 @@ class TestEquivalence:
             PointSpec(kind="snapshot", profile="topo-smoke", approach="mirror", n=8, seed=1,
                       params=(("racks", 4), ("replication", 2), ("p2p", False))),
         ]
-        seq = SweepRunner(jobs=1, cache=None).run(specs)
-        par = SweepRunner(jobs=4, cache=None).run(specs)
+        seq = SweepRunner(jobs=1).run(specs)
+        par = SweepRunner(jobs=4).run(specs)
         assert len(seq) == len(par) == len(specs)
         for a, b in zip(seq, par):
             assert a.spec == b.spec
@@ -37,13 +37,13 @@ class TestEquivalence:
 
     def test_results_follow_input_order(self, micro_profile):
         specs = _specs(counts=(2, 1))
-        out = SweepRunner(jobs=4, cache=None).run(specs)
+        out = SweepRunner(jobs=4).run(specs)
         assert [r.spec.n for r in out] == [2, 1]
 
     def test_snapshot_kind_through_pool(self, micro_profile):
         specs = _specs(counts=(2,), kind="snapshot")
-        seq = SweepRunner(jobs=1, cache=None).run(specs)
-        par = SweepRunner(jobs=2, cache=None).run(specs)
+        seq = SweepRunner(jobs=1).run(specs)
+        par = SweepRunner(jobs=2).run(specs)
         assert seq[0].metrics == par[0].metrics
         assert len(seq[0].per_instance) == 2
 
@@ -53,22 +53,16 @@ class TestFailureSurfacing:
     def test_point_error_names_the_spec(self, micro_profile, jobs):
         bad = _specs(counts=(1,), approach="bogus")
         with pytest.raises(SweepError) as err:
-            SweepRunner(jobs=jobs, cache=None).run(bad)
+            SweepRunner(jobs=jobs).run(bad)
         message = str(err.value)
         assert "bogus" in message and "micro-test" in message
         assert err.value.spec == bad[0]
 
     def test_unknown_kind_raises(self, micro_profile):
         with pytest.raises(SweepError, match="unknown point kind"):
-            SweepRunner(jobs=1, cache=None).run(
+            SweepRunner(jobs=1).run(
                 [PointSpec(kind="nope", profile="micro-test")]
             )
-
-    def test_failed_point_not_cached(self, micro_profile, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(SweepError):
-            SweepRunner(jobs=1, cache=cache).run(_specs(counts=(1,), approach="bogus"))
-        assert len(cache) == 0
 
 
 class TestCloudParams:
@@ -109,22 +103,8 @@ class TestConfiguration:
         assert SweepRunner().jobs == (os.cpu_count() or 1)
 
     def test_zero_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=-1)
-
-    def test_stats_track_execution(self, micro_profile):
-        runner = SweepRunner(jobs=1, cache=None)
-        runner.run(_specs())
-        assert runner.stats.points == 2
-        assert runner.stats.executed == 2
-        assert runner.stats.cached == 0
-        assert runner.stats.wall_s > 0
-        assert runner.stats.points_per_s > 0
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepRunner(jobs=0)
 
     def test_empty_sweep(self, micro_profile):
-        assert SweepRunner(jobs=4, cache=None).run([]) == []
-
-    def test_run_iter_streams_in_order(self, micro_profile):
-        runner = SweepRunner(jobs=4, cache=None)
-        seen = [r.spec.n for r in runner.run_iter(_specs(counts=(1, 2, 1)))]
-        assert seen == [1, 2, 1]
+        assert SweepRunner(jobs=4).run([]) == []

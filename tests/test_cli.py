@@ -122,7 +122,6 @@ class TestSweep:
         assert args.profile == "quick"
         assert args.jobs is None
         assert args.approach == []
-        assert not args.no_cache and not args.refresh
 
     def test_counts_parsed_as_ints(self):
         args = build_parser().parse_args(["sweep", "--counts", "1,2,8"])
@@ -134,31 +133,27 @@ class TestSweep:
 
     def test_counts_beyond_pool_fail(self, capsys):
         rc = main(["sweep", "--figure", "fig4", "--profile", "quick",
-                   "--counts", "100000", "--no-cache"])
+                   "--counts", "100000"])
         assert rc == 2
         assert "exceed" in capsys.readouterr().err
 
+    def test_zero_jobs_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--profile", "quick", "--approach", "mirror",
+                  "--counts", "1", "--jobs", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --jobs: must be positive, got 0" in captured.err
+        assert captured.out == ""
+
     def test_quick_sweep_runs(self, capsys):
         rc = main(["sweep", "--figure", "fig4", "--profile", "quick",
-                   "--approach", "mirror", "--counts", "1", "--jobs", "1",
-                   "--no-cache"])
+                   "--approach", "mirror", "--counts", "1", "--jobs", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "avg_boot_time" in out
-        assert "1 points (1 simulated, 0 from cache)" in out
+        assert "sweep: 1 points simulated in" in out
         assert "jobs=1" in out and "profile=quick" in out
-
-    def test_sweep_uses_cache_dir(self, capsys, tmp_path):
-        argv = ["sweep", "--figure", "fig4", "--profile", "quick",
-                "--approach", "mirror", "--counts", "1", "--jobs", "1",
-                "--cache-dir", str(tmp_path)]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "(1 simulated, 0 from cache)" in first
-        assert str(tmp_path) in first
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "(0 simulated, 1 from cache)" in second
 
 
 class TestChurn:
@@ -254,6 +249,19 @@ class TestPoolBound:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "exceed the" in err and "pool" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["deploy", "--instances", "-3"],
+        ["snapshot", "--instances", "-2"],
+        ["sweep", "--profile", "quick", "--approach", "mirror", "--counts", "-3"],
+    ])
+    def test_negative_counts_exit_2(self, capsys, argv):
+        small = ["--pool", "8", "--image-mib", "64", "--touched-mib", "12"]
+        assert main(argv + (small if argv[0] != "sweep" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: counts [")
+        assert "negative" in captured.err
+        assert captured.out == ""
 
 
 class TestVersionFlag:

@@ -1,7 +1,7 @@
 """Keep only what the workloads run: no unread constant, no untaken fork.
 
-A calibration field nothing reads still shows up in ``repro info`` and the
-cache key as if it shaped the simulation; a placement strategy or a
+A calibration field nothing reads still shows up in ``repro info`` as if it
+shaped the simulation; a placement strategy or a
 ``build_cloud`` keyword that no workload selects is a second code path the
 outcomes never exercise. This walks the source so neither comes back
 unnoticed.
