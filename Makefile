@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-quick sweep-smoke perf tracked suite-smoke outcome-digest examples clean
+.PHONY: install test lint bench bench-quick sweep-smoke perf tracked suite-smoke outcome-digest examples reach clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -42,6 +42,9 @@ examples:        ## every script under examples/, by glob; stops at the first th
 		echo "== $$script"; \
 		python "$$script" || exit 1; \
 	done
+
+reach:           ## every src/repro function is entered by a program path (examples, CLI, suite smoke, quick benches) or allowlisted with a reason (~2.5 min on 2 cores)
+	python3 benchmarks/reach.py
 
 clean:           ## drop caches only; tracked figure artifacts stay put
 	rm -rf .pytest_cache src/repro.egg-info

@@ -149,6 +149,10 @@ class PvfsDeployment:
             srv = PvfsMetaServer(host, self.model, deployment=self)
             rpc.bind(host, "pvfs-meta", srv)
             self.meta_servers[host.name] = srv
+        #: qcow2 snapshot files written into this deployment; numbers the
+        #: next one's path (which picks its metadata server), so a cloud's
+        #: snapshots do not depend on what ran before it in the process
+        self.snapshots_taken = 0
 
     def meta_host_for(self, path: str) -> Host:
         acc = 2166136261

@@ -88,9 +88,6 @@ class Qcow2Image:
                 f"[{offset},{offset + nbytes}) outside image of size {self.size}"
             )
 
-    def is_allocated(self, idx: int) -> bool:
-        return idx in self._clusters
-
     # ------------------------------------------------------------------ #
     # data plane
     # ------------------------------------------------------------------ #

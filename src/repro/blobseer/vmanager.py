@@ -329,9 +329,6 @@ class BlobRegistry:
             raise UnknownVersionError(f"blob {blob_id} has no version {version}")
         return rec
 
-    def versions(self, blob_id: int) -> List[int]:
-        return sorted(self._history(blob_id))
-
     def blob_ids(self) -> List[int]:
         return sorted(self._blobs)
 

@@ -13,12 +13,12 @@ happens to respond to it (open-loop arrivals, not closed-loop).
 Three arrival shapes, per the standard cloud-trace literature:
 
 * ``poisson`` — memoryless arrivals at a constant mean rate;
-* ``diurnal`` — a sinusoidally modulated rate (day/night cycle), generated
-  by thinning a Poisson process at the peak rate;
-* ``bursty`` — an on/off modulated rate (flash crowds over a quiet
-  baseline), also generated by thinning;
-* ``trace`` — explicit arrival times supplied by the caller
-  (:attr:`ChurnSpec.trace_times`), for replaying external traces.
+* ``diurnal`` — a sinusoidally modulated rate (day/night cycle, period
+  :data:`DIURNAL_PERIOD`), generated by thinning a Poisson process at the
+  peak rate;
+* ``bursty`` — an on/off modulated rate (flash crowds of
+  :data:`BURST_FACTOR` × the rate over a quiet baseline), also generated by
+  thinning.
 """
 
 from __future__ import annotations
@@ -30,7 +30,15 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-ARRIVAL_KINDS = ("poisson", "diurnal", "bursty", "trace")
+ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
+
+#: diurnal modulation: cycle length (simulated s) and relative amplitude
+DIURNAL_PERIOD = 400.0
+DIURNAL_AMPLITUDE = 0.8
+#: bursty modulation: peak rate over the mean, burst and calm phase lengths
+BURST_FACTOR = 6.0
+BURST_LEN = 15.0
+CALM_LEN = 90.0
 
 
 @dataclass(frozen=True)
@@ -108,15 +116,6 @@ class ChurnSpec:
     restore_fraction: float = 0.0
     #: local modifications written before each snapshot (the §5.3 diff)
     diff_bytes: int = 1 * 2**20
-    # ---- diurnal modulation ------------------------------------------ #
-    period: float = 400.0
-    amplitude: float = 0.8
-    # ---- bursty modulation ------------------------------------------- #
-    burst_factor: float = 6.0
-    burst_len: float = 15.0
-    calm_len: float = 90.0
-    # ---- trace-driven arrivals --------------------------------------- #
-    trace_times: Tuple[float, ...] = ()
     # ---- control plane ----------------------------------------------- #
     policy: str = "first-fit"
     slots_per_node: int = 2
@@ -138,8 +137,6 @@ class ChurnSpec:
                 f"unknown arrival kind {self.arrivals!r}; "
                 f"pick one of {ARRIVAL_KINDS}"
             )
-        if self.arrivals == "trace" and not self.trace_times:
-            raise ValueError("arrivals='trace' needs non-empty trace_times")
         if self.n_deploys < 1 or self.rate <= 0 or self.n_tenants < 1:
             raise ValueError("n_deploys, rate and n_tenants must be positive")
         if self.slots_per_node < 1 or self.max_queue < 0:
@@ -152,39 +149,30 @@ class ChurnSpec:
 # --------------------------------------------------------------------------- #
 def _arrival_times(spec: ChurnSpec, rng: np.random.Generator) -> List[float]:
     """Absolute deploy arrival times; strictly non-decreasing."""
-    if spec.arrivals == "trace":
-        times = sorted(float(t) for t in spec.trace_times[: spec.n_deploys])
-        if len(times) < spec.n_deploys:
-            raise ValueError(
-                f"trace_times holds {len(times)} arrivals, "
-                f"spec asks for {spec.n_deploys}"
-            )
-        return times
-
     if spec.arrivals == "poisson":
         gaps = rng.exponential(1.0 / spec.rate, size=spec.n_deploys)
         return list(np.cumsum(gaps))
 
     # diurnal / bursty: thinning of a Poisson process at the peak rate.
     if spec.arrivals == "diurnal":
-        peak = spec.rate * (1.0 + spec.amplitude)
+        peak = spec.rate * (1.0 + DIURNAL_AMPLITUDE)
 
         def intensity(t: float) -> float:
             return spec.rate * (
-                1.0 + spec.amplitude * math.sin(2.0 * math.pi * t / spec.period)
+                1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
             )
     else:  # bursty: flash crowds over a quiet baseline
-        peak = spec.rate * spec.burst_factor
-        cycle = spec.burst_len + spec.calm_len
+        peak = spec.rate * BURST_FACTOR
+        cycle = BURST_LEN + CALM_LEN
         # keep the long-run mean close to `rate`: the calm phase absorbs
         # what the bursts overshoot
         calm = max(
             0.1 * spec.rate,
-            (spec.rate * cycle - peak * spec.burst_len) / spec.calm_len,
+            (spec.rate * cycle - peak * BURST_LEN) / CALM_LEN,
         )
 
         def intensity(t: float) -> float:
-            return peak if (t % cycle) < spec.burst_len else calm
+            return peak if (t % cycle) < BURST_LEN else calm
 
     times: List[float] = []
     t = 0.0

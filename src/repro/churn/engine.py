@@ -57,8 +57,6 @@ class ChurnEngine:
     """Drives one churn run over an already-built :class:`~repro.cloud.Cloud`."""
 
     def __init__(self, cloud, image, spec: ChurnSpec):
-        if cloud.blobseer is None:
-            raise SimulationError("churn needs a cloud built with BlobSeer")
         spec.validate()
         self.cloud = cloud
         self.image = image
@@ -78,19 +76,14 @@ class ChurnEngine:
         }
 
         self.locality: Optional[LocalityMap] = None
-        if spec.policy in ("locality", "rack-affinity"):
+        if spec.policy == "locality":
             caches = None
             if cloud.p2p is not None:
                 caches = cloud.p2p.caches
-            rack_of = None
-            topo = getattr(cloud, "topology", None)
-            if topo is not None and topo.multi_rack:
-                rack_of = topo.rack_of
             self.locality = LocalityMap(
                 [h.name for h in cloud.compute],
                 caches=caches,
                 tenant_keys=self._tenant_chunk_keys(),
-                rack_of=rack_of,
             )
         self.scheduler = Scheduler(
             len(cloud.compute),

@@ -19,13 +19,7 @@ of them are strictly deterministic (ties break on the lowest node index):
   recently-hosted-tenant affinity when the cloud runs without the p2p
   overlay, and to least-loaded among equals. This is the policy that turns
   the cooperative-exchange overlay into a placement signal: booting where
-  the image's chunks already sit short-circuits most remote fetches;
-* ``rack-affinity`` — prefer free nodes in *racks* already hosting the
-  tenant (see :mod:`repro.topo`), then the locality score, then least
-  loaded. On a hierarchical fabric this keeps a tenant's instances — and
-  therefore its peer-exchange traffic — inside as few racks as possible,
-  so chunk fetches stay off the oversubscribed uplinks. Without a rack
-  map it degrades to exactly the ``locality`` ordering.
+  the image's chunks already sit short-circuits most remote fetches.
 """
 
 from __future__ import annotations
@@ -51,28 +45,15 @@ class LocalityMap:
         node_names: List[str],
         caches: Optional[Dict[str, object]] = None,
         tenant_keys: Optional[Dict[int, FrozenSet[int]]] = None,
-        rack_of: Optional[Dict[str, int]] = None,
     ):
         self.node_names = node_names
         self.caches = caches
         self.tenant_keys = tenant_keys if tenant_keys is not None else {}
         #: node index -> set of tenants whose instances ran there
         self.affinity: Dict[int, set] = {}
-        #: node name -> rack id (None when the fabric is flat)
-        self.rack_of = rack_of
-        #: tenant -> set of racks currently/recently hosting it
-        self.tenant_racks: Dict[int, set] = {}
 
     def note_hosted(self, node: int, tenant: int) -> None:
         self.affinity.setdefault(node, set()).add(tenant)
-        if self.rack_of is not None:
-            rack = self.rack_of.get(self.node_names[node], 0)
-            self.tenant_racks.setdefault(tenant, set()).add(rack)
-
-    def rack(self, node: int) -> int:
-        if self.rack_of is None:
-            return 0
-        return self.rack_of.get(self.node_names[node], 0)
 
     def score(self, node: int, tenant: int) -> int:
         """Higher is better; 0 means no locality information."""
@@ -119,33 +100,10 @@ def _locality(sched: "Scheduler", req: DeployRequest) -> Optional[int]:
     return min(free, key=lambda i: (-loc.score(i, req.tenant), sched.loads[i], i))
 
 
-def _rack_affinity(sched: "Scheduler", req: DeployRequest) -> Optional[int]:
-    free = _free_nodes(sched)
-    if not free:
-        return None
-    loc = sched.locality
-    if loc is None:
-        return min(free, key=lambda i: (sched.loads[i], i))
-    if loc.rack_of is None:
-        # no rack map: identical ordering to the plain locality policy
-        return min(free, key=lambda i: (-loc.score(i, req.tenant), sched.loads[i], i))
-    tenant_racks = loc.tenant_racks.get(req.tenant, ())
-    return min(
-        free,
-        key=lambda i: (
-            0 if loc.rack(i) in tenant_racks else 1,
-            -loc.score(i, req.tenant),
-            sched.loads[i],
-            i,
-        ),
-    )
-
-
 POLICIES: Dict[str, Callable[["Scheduler", DeployRequest], Optional[int]]] = {
     "first-fit": _first_fit,
     "least-loaded": _least_loaded,
     "locality": _locality,
-    "rack-affinity": _rack_affinity,
 }
 
 

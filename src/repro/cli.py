@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import List, Optional
 
 from .calibration import DEFAULT
 from .common.errors import SimulationError
 from .common.units import KiB, MiB, fmt_rate, fmt_size, fmt_time
+from .faults.policy import MAX_DELAY
 
 
 def _add_cluster_args(
@@ -45,6 +47,20 @@ def _positive(kind):
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _within(low, high=math.inf):
+    """An argparse type: a float, refused with usage unless in [low, high]."""
+    bound = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
+
+    def parse(text):
+        value = float(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"
     return parse
 
 
@@ -176,7 +192,7 @@ def cmd_trace(args) -> int:
 
 def cmd_faults(args) -> int:
     params = dict(
-        replication=args.replication, replica_write_mode=args.write_mode,
+        replication=args.replication,
         crashes=args.crashes, mttr=args.mttr, window=args.window, plan=args.plan,
         attempts=args.attempts, base_delay=args.base_delay,
         rpc_timeout=args.rpc_timeout,
@@ -186,8 +202,7 @@ def cmd_faults(args) -> int:
     res = _point(_cluster_profile(args), "resilience", args.instances, args.seed,
                  approach=args.approach, **params)
     m, s = res.metrics, res.series
-    print(f"approach:        {args.approach}  (replication={args.replication}, "
-          f"{args.write_mode} writes)")
+    print(f"approach:        {args.approach}  (replication={args.replication})")
     print(f"fault plan:      {s['fault_plan'][0]}")
     if args.crashes:
         print(f"injected:        {m['faults_injected']:.0f} incidents")
@@ -531,25 +546,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=["mirror", "qcow2-pvfs", "prepropagation"],
         default="mirror",
     )
-    p_faults.add_argument("--replication", type=int, default=2,
+    p_faults.add_argument("--replication", type=_positive(int), default=2,
                           help="replicas per chunk (and metadata node)")
-    p_faults.add_argument("--write-mode", choices=["parallel", "pipeline"],
-                          default="parallel", help="replica write strategy")
     p_faults.add_argument("--crashes", type=int, default=2,
                           help="spare nodes to crash during the boot phase")
-    p_faults.add_argument("--mttr", type=float, default=0.0,
+    p_faults.add_argument("--mttr", type=_within(0), default=0.0,
                           help="seconds until a crashed node revives (0 = permanent)")
-    p_faults.add_argument("--window", type=float, default=5.0,
+    p_faults.add_argument("--window", type=_within(0), default=5.0,
                           help="crashes spread over the first WINDOW seconds")
     p_faults.add_argument("--plan", choices=["staggered", "random"],
                           default="staggered", help="fault plan generator")
     p_faults.add_argument("--faults-seed", type=int, default=None,
                           help="seed for --plan random (default: --seed)")
-    p_faults.add_argument("--attempts", type=int, default=4,
+    p_faults.add_argument("--attempts", type=_positive(int), default=4,
                           help="client retry attempts per chunk/metadata fetch")
-    p_faults.add_argument("--base-delay", type=float, default=0.25,
+    p_faults.add_argument("--base-delay", type=_within(0, MAX_DELAY), default=0.25,
                           help="initial retry backoff in seconds")
-    p_faults.add_argument("--rpc-timeout", type=float, default=2.0,
+    p_faults.add_argument("--rpc-timeout", type=_positive(float), default=2.0,
                           help="per-RPC deadline in seconds")
     p_faults.set_defaults(func=cmd_faults)
 
@@ -561,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="announce", help="peer-location strategy")
     p_p2p.add_argument("--cache-mib", type=int, default=0,
                        help="per-node peer cache in MiB (0 = default 64)")
-    p_p2p.add_argument("--fanout", type=int, default=2,
+    p_p2p.add_argument("--fanout", type=_positive(int), default=2,
                        help="candidate peers tried per chunk before providers")
     p_p2p.set_defaults(func=cmd_p2p)
 
@@ -580,11 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rack uplink = hosts_per_rack * NIC / this ratio")
     p_topo.add_argument("--directory", choices=["announce", "rendezvous"],
                         default="announce", help="peer-location strategy")
-    p_topo.add_argument("--fanout", type=int, default=2,
+    p_topo.add_argument("--fanout", type=_positive(int), default=2,
                         help="candidate peers tried per chunk before providers")
     p_topo.add_argument("--no-p2p", action="store_true",
                         help="disable the cooperative chunk exchange")
-    p_topo.add_argument("--replication", type=int, default=1,
+    p_topo.add_argument("--replication", type=_positive(int), default=1,
                         help="replicas per chunk (locality run places them "
                              "rack-diverse)")
     p_topo.add_argument("--seed", type=int, default=1, help="experiment seed")
@@ -603,19 +616,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_churn.add_argument("--arrivals",
                          choices=["poisson", "diurnal", "bursty"],
                          default="poisson", help="arrival process")
-    p_churn.add_argument("--rate", type=float, default=2.0,
+    p_churn.add_argument("--rate", type=_positive(float), default=2.0,
                          help="mean arrival rate, deploys/second")
-    p_churn.add_argument("--tenants", type=int, default=4,
+    p_churn.add_argument("--tenants", type=_positive(int), default=4,
                          help="tenants sharing the pool (one base image each)")
-    p_churn.add_argument("--mean-lifetime", type=float, default=40.0,
+    p_churn.add_argument("--mean-lifetime", type=_within(0), default=40.0,
                          help="mean VM lifetime in seconds")
-    p_churn.add_argument("--gc-interval", type=float, default=60.0,
+    p_churn.add_argument("--gc-interval", type=_within(0), default=60.0,
                          help="seconds between GC sweeps (0 disables GC)")
     p_churn.add_argument("--p2p", action="store_true",
                          help="enable the cooperative peer chunk exchange")
     p_churn.add_argument("--cache-mib", type=int, default=0,
                          help="per-node peer cache in MiB (0 = default 64)")
-    p_churn.add_argument("--restore-fraction", type=float, default=0.0,
+    p_churn.add_argument("--restore-fraction", type=_within(0, 1), default=0.0,
                          help="fraction of deploys that schedule a "
                               "post-teardown restore-to-version (0 = off)")
     p_churn.add_argument("--retain-snapshots", action="store_true",
@@ -638,9 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compact the chain before restoring")
     p_lineage.add_argument("--policy", choices=["flatten", "merge"],
                            default="flatten", help="compaction policy")
-    p_lineage.add_argument("--depth-bound", type=int, default=4,
+    p_lineage.add_argument("--depth-bound", type=_positive(int), default=4,
                            help="compacted-walk bound (anchor spacing)")
-    p_lineage.add_argument("--replication", type=int, default=1,
+    p_lineage.add_argument("--replication", type=_positive(int), default=1,
                            help="replicas per chunk (dedup counts physical "
                                 "bytes per replica)")
     p_lineage.add_argument("--seed", type=int, default=1, help="experiment seed")

@@ -3,8 +3,8 @@
 :func:`build_cloud` assembles the full experimental infrastructure of §5.1:
 compute nodes (GigE NIC, local disk, KVM), a manager node running the
 BlobSeer version/provider managers, an NFS server (the prepropagation
-source), and — depending on the experiment — BlobSeer and/or PVFS deployed
-across the compute nodes' local disks.
+source), BlobSeer and — unless ``with_pvfs=False`` — PVFS deployed across
+the compute nodes' local disks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class Cloud:
     manager: Host
     nfs_host: Host
     nfs: NfsServer
-    blobseer: Optional[BlobSeerDeployment]
+    blobseer: BlobSeerDeployment
     pvfs: Optional[PvfsDeployment]
     calib: Calibration = field(default_factory=lambda: DEFAULT)
     injector: Optional["FaultInjector"] = None
@@ -67,7 +67,6 @@ def build_cloud(
     compute_nodes: int,
     seed: int = 0,
     calib: Calibration = DEFAULT,
-    with_blobseer: bool = True,
     with_pvfs: bool = True,
     data_nodes: Optional[int] = None,
     meta_nodes: Optional[int] = None,
@@ -150,27 +149,23 @@ def build_cloud(
         topology if (topo_aware and topology is not None and topology.multi_rack)
         else None
     )
-    blobseer = None
-    if with_blobseer:
-        blobseer = BlobSeerDeployment(
-            fabric,
-            data_hosts=compute[:data_nodes] if data_nodes else compute,
-            meta_hosts=compute[:meta_nodes] if meta_nodes else compute,
-            vmanager_host=manager,
-            model=calib.service,
-            placement=placement,
-            write_buffer_bytes=calib.service.provider_write_buffer,
-            dedup=dedup,
-            replication_factor=replication_factor,
-            replica_write_mode=replica_write_mode,
-            retry=retry,
-            topology=topology,
-            rack_aware_reads=locality_topo is not None,
-        )
+    blobseer = BlobSeerDeployment(
+        fabric,
+        data_hosts=compute[:data_nodes] if data_nodes else compute,
+        meta_hosts=compute[:meta_nodes] if meta_nodes else compute,
+        vmanager_host=manager,
+        model=calib.service,
+        placement=placement,
+        write_buffer_bytes=calib.service.provider_write_buffer,
+        dedup=dedup,
+        replication_factor=replication_factor,
+        replica_write_mode=replica_write_mode,
+        retry=retry,
+        topology=topology,
+        rack_aware_reads=locality_topo is not None,
+    )
     peer_network = None
     if p2p:
-        if blobseer is None:
-            raise ValueError("p2p chunk exchange requires with_blobseer=True")
         from ..p2p.exchange import P2PConfig, PeerNetwork
 
         config_kw = dict(

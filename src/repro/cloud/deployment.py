@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..baselines.prepropagation import prepropagate
-from ..calibration import BootModel
 from ..common.errors import MiddlewareError
 from ..vmsim.backends import LocalRawBackend, MirrorBackend, Qcow2PvfsBackend
 from ..vmsim.boottrace import boot_trace
@@ -68,9 +67,9 @@ def seed_image(cloud: Cloud, image: VmImage) -> dict:
     if cloud.pvfs is not None:
         cloud.pvfs.seed_file(PVFS_IMAGE_PATH, image.payload)
         idents["pvfs"] = PVFS_IMAGE_PATH
-    if cloud.blobseer is not None:
-        rec = cloud.blobseer.seed_blob(image.payload, cloud.calib.image.chunk_size)
-        idents["blobseer"] = rec
+    idents["blobseer"] = cloud.blobseer.seed_blob(
+        image.payload, cloud.calib.image.chunk_size
+    )
     return idents
 
 
@@ -85,8 +84,6 @@ def _make_backend(
             raise MiddlewareError("cloud built without PVFS")
         return Qcow2PvfsBackend(host, cloud.pvfs, idents["pvfs"], cloud.calib.fuse)
     if approach == "mirror":
-        if cloud.blobseer is None:
-            raise MiddlewareError("cloud built without BlobSeer")
         rec = idents["blobseer"]
         return MirrorBackend(
             host, cloud.blobseer, rec.blob_id, rec.version, cloud.calib.fuse,
@@ -101,7 +98,6 @@ def deploy(
     n_instances: int,
     approach: str,
     idents: Optional[dict] = None,
-    boot_model: Optional[BootModel] = None,
     run_boot: bool = True,
     mirror_prefetch: bool = True,
 ) -> DeploymentResult:
@@ -119,7 +115,7 @@ def deploy(
         )
     if idents is None:
         idents = seed_image(cloud, image)
-    boot_model = boot_model if boot_model is not None else cloud.calib.boot
+    boot_model = cloud.calib.boot
     fabric = cloud.fabric
     nodes = cloud.compute[:n_instances]
     traffic_before = cloud.metrics.total_traffic()

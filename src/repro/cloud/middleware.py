@@ -86,8 +86,6 @@ class CloudMiddleware:
         a new ``Qcow2PvfsBackend`` with the snapshot as a local file, which
         the Fig. 8 benchmark constructs explicitly.
         """
-        if self.cloud.blobseer is None:
-            raise MiddlewareError("cloud built without BlobSeer")
         if len(snapshots) > len(nodes):
             raise MiddlewareError("not enough nodes to resume onto")
         vms: List[VMInstance] = []

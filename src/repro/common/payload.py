@@ -238,9 +238,6 @@ class Payload:
     def __hash__(self) -> int:
         return hash(self._atoms)
 
-    def __len__(self) -> int:
-        return self._size
-
     def __repr__(self) -> str:
         parts = []
         for atom in self._atoms[:4]:

@@ -16,6 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: multiplier applied to the delay after each failed attempt
+BACKOFF = 2.0
+#: ceiling on the inter-attempt delay (seconds, simulated)
+MAX_DELAY = 4.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -25,26 +30,19 @@ class RetryPolicy:
     attempts: int = 4
     #: delay before the second attempt (seconds, simulated)
     base_delay: float = 0.25
-    #: multiplier applied to the delay after each failed attempt
-    backoff: float = 2.0
-    #: ceiling on the inter-attempt delay (seconds, simulated)
-    max_delay: float = 4.0
     #: per-RPC watchdog: an unanswered call is abandoned after this long
     rpc_timeout: float = 30.0
 
     def __post_init__(self):
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.base_delay < 0 or self.max_delay < self.base_delay:
+        if not 0 <= self.base_delay <= MAX_DELAY:
             raise ValueError(
-                f"need 0 <= base_delay <= max_delay, got "
-                f"{self.base_delay}/{self.max_delay}"
+                f"need 0 <= base_delay <= {MAX_DELAY}, got {self.base_delay}"
             )
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
         if self.rpc_timeout <= 0:
             raise ValueError(f"rpc_timeout must be positive, got {self.rpc_timeout}")
 
     def delay_for(self, attempt: int) -> float:
         """Backoff delay after failed attempt number ``attempt`` (0-based)."""
-        return min(self.base_delay * self.backoff**attempt, self.max_delay)
+        return min(self.base_delay * BACKOFF**attempt, MAX_DELAY)

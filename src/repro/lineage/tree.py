@@ -50,12 +50,6 @@ class LineageForest:
             )
         return entry
 
-    def __contains__(self, key: VersionKey) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def parent(self, blob_id: int, version: int) -> Optional[VersionKey]:
         return self.entry(blob_id, version).parent
 
@@ -123,10 +117,6 @@ class LineageForest:
             for e in self._entries.values()
             if e.kind == "clone" and e.parent is not None
         ))
-
-    def blob_chain(self, blob_id: int) -> Tuple[VersionKey, ...]:
-        """All of one blob's snapshots in version order (live or retired)."""
-        return tuple(sorted(k for k in self._entries if k[0] == blob_id))
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:

@@ -295,9 +295,6 @@ class NullTracer:
     def current(self) -> None:
         return None
 
-    def on_spawn(self, proc) -> None:
-        pass
-
     def start(self, name: str, category: str = "other", parent=None, **attrs) -> "_NullSpan":
         return _NULL_SPAN
 

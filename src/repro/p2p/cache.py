@@ -76,9 +76,6 @@ class PeerChunkCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def keys(self):
-        return self._entries.keys()
-
     def clear(self) -> None:
         """Drop everything (volatile state lost on a host crash)."""
         self._entries.clear()

@@ -53,7 +53,6 @@ CLOUD_PARAMS = {
     "replication": 1,          # provider replica count
     "placement": None,         # None = rack-diverse if locality, racks > 1 and
                                # replication > 1, else round-robin
-    "replica_write_mode": "parallel",  # parallel | pipeline
     # fabric
     "racks": 1,                # 1 = the flat fabric
     "oversubscription": 4.0,   # rack uplink = hosts_per_rack * nic_bw / this
@@ -90,7 +89,6 @@ def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
         placement=p["placement"] or (
             "rack-diverse" if locality and racks > 1 and replication > 1 else "round-robin"
         ),
-        replica_write_mode=p["replica_write_mode"],
         racks=racks, oversubscription=float(p["oversubscription"]), topo_aware=locality,
         **cloud_kw,
     )
@@ -162,20 +160,17 @@ def _run_deploy(spec: PointSpec, profile: BenchProfile, calib):
     return cloud, metrics, series
 
 
-@point_kind("snapshot", "diff_bytes")
+@point_kind("snapshot")
 def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
-    """One Fig. 5 measurement: deploy, write diffs, snapshot all.
+    """One Fig. 5 measurement: deploy, write the profile's diffs, snapshot all.
 
-    Param ``diff_bytes`` (per-VM local modifications; default the
-    profile's). A racked, replicated burst is the same point with the cloud
-    params set: with ``racks`` > 1 and ``replication`` > 1 the default
-    rack-diverse placement sends a copy of every committed chunk across an
-    uplink.
+    A racked, replicated burst is the same point with the cloud params set:
+    with ``racks`` > 1 and ``replication`` > 1 the default rack-diverse
+    placement sends a copy of every committed chunk across an uplink.
     """
     cloud, image = _spec_cloud(spec, profile, calib)
     res = deploy(cloud, image, spec.n, spec.approach)
-    diff_bytes = spec.param("diff_bytes", profile.diff_bytes)
-    apply_diffs(cloud, image, res.vms, diff_bytes)
+    apply_diffs(cloud, image, res.vms, profile.diff_bytes)
     snap = snapshot_all(cloud, res.vms, spec.approach)
     metrics = {
         "avg_time": snap.avg_time,
@@ -252,8 +247,7 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
     loss), ``window`` (crash spread, seconds into the boot phase), ``plan``
     (``staggered`` | ``random``), ``faults_seed``, ``attempts`` /
     ``rpc_timeout`` / ``base_delay`` (client retry policy); the replica
-    count and write mode are the cloud params ``replication`` /
-    ``replica_write_mode``.
+    count is the cloud param ``replication``.
     """
     from ..faults import FaultPlan, RetryPolicy, resilient_deploy
 

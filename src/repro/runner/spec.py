@@ -120,10 +120,6 @@ class PointResult:
     def avg_time(self) -> float:
         return self.metrics.get("avg_time", 0.0)
 
-    @property
-    def total_bytes_moved(self) -> float:
-        return self.metrics.get("total_bytes_moved", 0.0)
-
     def metric(self, name: str) -> float:
         try:
             return self.metrics[name]

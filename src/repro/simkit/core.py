@@ -371,10 +371,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # ---- scheduling ------------------------------------------------------- #
     def _schedule(self, event: Event, delay: float) -> None:
         self._seq += 1

@@ -125,10 +125,6 @@ class Disk:
         self._queue.release()
         done(nbytes)
 
-    @property
-    def queue_length(self) -> int:
-        return self._queue.queue_length
-
     # ------------------------------------------------------------------ #
     # fault injection
     # ------------------------------------------------------------------ #

@@ -51,11 +51,6 @@ class Fabric:
         self.connection_setup: float = 0.0
         self._rpc_conn_pairs: set = set()
 
-    @property
-    def topology(self):
-        """The attached :class:`~repro.topo.Topology`, or None (flat fabric)."""
-        return self.network.topology
-
     def add_host(
         self,
         name: str,

@@ -22,10 +22,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown arrival kind"):
             ChurnSpec(arrivals="lunar").validate()
 
-    def test_trace_kind_needs_times(self):
-        with pytest.raises(ValueError, match="trace_times"):
-            ChurnSpec(arrivals="trace").validate()
-
     @pytest.mark.parametrize("kw", [
         {"n_deploys": 0}, {"rate": 0.0}, {"n_tenants": 0},
         {"slots_per_node": 0}, {"max_queue": -1},
@@ -65,18 +61,6 @@ class TestShapes:
         assert len(deploys) == 40
         assert all(0 <= d.tenant < 3 for d in deploys)
         assert all(b.at >= a.at for a, b in zip(trace, trace[1:]))
-
-    def test_trace_kind_replays_explicit_times(self):
-        times = (1.0, 2.5, 9.0)
-        spec = ChurnSpec(n_deploys=3, arrivals="trace", trace_times=times)
-        deploys = [r for r in generate_trace(spec, rng())
-                   if isinstance(r, DeployRequest)]
-        assert tuple(d.at for d in deploys) == times
-
-    def test_trace_kind_with_too_few_times(self):
-        spec = ChurnSpec(n_deploys=5, arrivals="trace", trace_times=(1.0,))
-        with pytest.raises(ValueError, match="trace_times holds"):
-            generate_trace(spec, rng())
 
     def test_snapshot_fraction_extremes(self):
         none = generate_trace(

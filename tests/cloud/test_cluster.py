@@ -19,11 +19,9 @@ class TestBuildCloud:
         assert cloud.pvfs is not None
 
     def test_services_optional(self):
-        cloud = build_cloud(4, seed=1, calib=SMALL, with_blobseer=False)
-        assert cloud.blobseer is None
-        assert cloud.pvfs is not None
-        cloud2 = build_cloud(4, seed=1, calib=SMALL, with_pvfs=False)
-        assert cloud2.pvfs is None
+        cloud = build_cloud(4, seed=1, calib=SMALL, with_pvfs=False)
+        assert cloud.pvfs is None
+        assert cloud.blobseer is not None
 
     def test_storage_on_compute_nodes(self):
         """§3.1.1: the pool aggregates the compute nodes' local disks."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.calibration import Calibration, ImageSpec
-from repro.cloud import build_cloud, deploy, seed_image, snapshot_all
+from repro.cloud import build_cloud, deploy, snapshot_all
 from repro.common.errors import MiddlewareError
 from repro.common.units import KiB, MiB
 from repro.vmsim import make_image
@@ -132,6 +132,16 @@ class TestSnapshotCampaign:
         s1 = snapshot_all(cloud, res.vms, "qcow2-pvfs")
         s2 = snapshot_all(cloud, res.vms, "qcow2-pvfs")
         assert s2.total_bytes_moved >= s1.total_bytes_moved  # no shadowing
+
+    def test_qcow2_snapshot_paths_are_numbered_per_cloud(self):
+        """A PVFS snapshot's path picks its metadata server, so a cloud's
+        qcow2 snapshots must not depend on the clouds built before it."""
+        runs = []
+        for _ in range(2):
+            cloud, image, res = self._deployed("qcow2-pvfs")
+            snap = snapshot_all(cloud, res.vms, "qcow2-pvfs")
+            runs.append(([s.ident for s in snap.per_instance], snap.avg_time))
+        assert runs[0] == runs[1]
 
     def test_each_mirror_snapshot_is_distinct_blob(self):
         cloud, image, res = self._deployed("mirror")

@@ -13,7 +13,7 @@ from repro.simkit.host import Fabric
 CHUNK = 4 * KiB
 
 #: fast retries so failure exhaustion costs milliseconds of simulated time
-POLICY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05, rpc_timeout=1.0)
+POLICY = RetryPolicy(attempts=3, base_delay=0.01, rpc_timeout=1.0)
 
 
 def pattern(n, seed=1):

@@ -8,7 +8,7 @@ from repro.simkit import rpc
 from p2p_setup import CHUNK, IMG, build, read_all, run
 
 #: fast retries so failure exhaustion costs milliseconds of simulated time
-POLICY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05, rpc_timeout=1.0)
+POLICY = RetryPolicy(attempts=3, base_delay=0.01, rpc_timeout=1.0)
 
 
 class TestDownPeer:

@@ -47,10 +47,6 @@ class TestOffByDefault:
         cloud, _ = _run_cycle()
         assert cloud.p2p is None
 
-    def test_p2p_needs_blobseer(self):
-        with pytest.raises(ValueError):
-            build_cloud(N_NODES, seed=SEED, calib=CALIB, with_blobseer=False, p2p=True)
-
 
 class TestEnabledPath:
     def test_enabled_timeline_is_reproducible(self):

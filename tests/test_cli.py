@@ -263,6 +263,30 @@ class TestPoolBound:
         assert "negative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["churn", "--rate", "0"],
+        ["churn", "--tenants", "0"],
+        ["churn", "--mean-lifetime", "-3"],
+        ["churn", "--restore-fraction", "2"],
+        ["churn", "--gc-interval", "-5"],
+        ["p2p", "--fanout", "0"],
+        ["topo", "--fanout", "0"],
+        ["faults", "--attempts", "0"],
+        ["faults", "--rpc-timeout", "0"],
+        ["faults", "--base-delay", "-1"],
+        ["faults", "--window", "-1"],
+        ["faults", "--mttr", "-1"],
+        ["faults", "--replication", "0"],
+        ["lineage", "--compact", "--depth-bound", "0"],
+        ["lineage", "--replication", "0"],
+    ])
+    def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        flag = next(a for a in argv[1:] if a.startswith("--") and a != "--compact")
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits(self, capsys):

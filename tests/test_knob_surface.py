@@ -1,10 +1,10 @@
 """Keep only what the workloads run: no unread constant, no untaken fork.
 
 A calibration field nothing reads still shows up in ``repro info`` as if it
-shaped the simulation; a placement strategy or a
+shaped the simulation; a placement strategy, a spec field or a
 ``build_cloud`` keyword that no workload selects is a second code path the
-outcomes never exercise. This walks the source so neither comes back
-unnoticed.
+outcomes never exercise. This walks the source and the option surface so
+neither comes back unnoticed.
 """
 
 import ast
@@ -12,10 +12,18 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro import calibration
 from repro.blobseer.pmanager import STRATEGIES, PlacementPolicy
-from repro.cloud import build_cloud
+from repro.churn import ARRIVAL_KINDS, POLICIES, ChurnSpec
+from repro.cli import build_parser
+from repro.cloud import build_cloud, deploy
+from repro.common.errors import SimulationError
+from repro.faults import RetryPolicy
+from repro.runner import PointSpec, execute_point
+from repro.runner.points import CLOUD_PARAMS
 
 SRC = Path(repro.__file__).parent
 
@@ -57,3 +65,32 @@ def test_build_cloud_takes_no_unselected_knobs():
     params = inspect.signature(build_cloud).parameters
     assert "meta_replication" not in params
     assert "topology" not in params
+    assert "with_blobseer" not in params
+    assert "boot_model" not in inspect.signature(deploy).parameters
+
+
+def test_churn_has_no_unset_shape_knobs_or_strategies():
+    fields = {f.name for f in dataclasses.fields(ChurnSpec)}
+    gone = {"period", "amplitude", "burst_factor", "burst_len", "calm_len", "trace_times"}
+    assert fields & gone == set()
+    assert ARRIVAL_KINDS == ("poisson", "diurnal", "bursty")
+    assert set(POLICIES) == {"first-fit", "least-loaded", "locality"}
+
+
+def test_retry_policy_has_three_fields():
+    assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+        "attempts", "base_delay", "rpc_timeout",
+    ]
+
+
+def test_no_write_mode_selector():
+    assert "replica_write_mode" not in CLOUD_PARAMS
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["faults", "--write-mode", "pipeline"])
+    assert exc.value.code == 2
+
+
+def test_snapshot_point_refuses_diff_bytes():
+    spec = PointSpec("snapshot", "quick", "mirror", n=1, params={"diff_bytes": 1})
+    with pytest.raises(SimulationError, match="unknown params diff_bytes"):
+        execute_point(spec)

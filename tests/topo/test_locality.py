@@ -1,11 +1,11 @@
-"""Locality consumers: peer ranking, replica placement, churn placement.
+"""Locality consumers: peer ranking and replica placement.
 
-The topology's ``rack()`` map feeds three independent policies — the p2p
-directories (rack-ranked candidate order), the BlobSeer provider manager
-(rack-diverse replica sets, same-rack replica reads) and the churn
-scheduler (rack-affinity placement). Each is tested in isolation on its
-pure state machine, plus one end-to-end check that rack-aware replica
-reads keep the no-failure deploy path entirely off the uplink.
+The topology's ``rack()`` map feeds two independent policies — the p2p
+directories (rack-ranked candidate order) and the BlobSeer provider manager
+(rack-diverse replica sets, same-rack replica reads). Each is tested in
+isolation on its pure state machine, plus one end-to-end check that
+rack-aware replica reads keep the no-failure deploy path entirely off the
+uplink.
 """
 
 import pytest
@@ -15,8 +15,6 @@ from repro.cloud import build_cloud, deploy
 from repro.common.errors import StorageError
 from repro.common.units import KiB, MB, MiB
 from repro.blobseer.pmanager import PlacementPolicy
-from repro.churn.arrivals import DeployRequest
-from repro.churn.scheduler import LocalityMap, Scheduler
 from repro.p2p.directory import rack_ranked
 from repro.topo import Topology
 from repro.vmsim import make_image
@@ -96,48 +94,6 @@ class TestRackDiversePlacement:
         for picks in policy.allocate(4, chunk_size=1, exclude=("n2",)):
             assert "n2" not in picks
             assert len(set(picks)) == 2
-
-
-class TestRackAffinityScheduler:
-    NODES = ["n0", "n1", "n2", "n3"]
-    RACK_OF = {"n0": 0, "n1": 0, "n2": 1, "n3": 1}
-
-    def test_prefers_tenant_racks(self):
-        loc = LocalityMap(self.NODES, rack_of=self.RACK_OF)
-        sched = Scheduler(4, policy="rack-affinity", locality=loc)
-        loc.note_hosted(2, tenant=9)  # tenant 9 lives in rack 1
-        # the warm node itself wins first (affinity + same rack) ...
-        state, node = sched.submit(DeployRequest(req_id=0, at=0.0, tenant=9))
-        assert (state, node) == ("placed", 2)
-        # ... and with n2 full, the rack-1 sibling beats the empty rack 0
-        state, node = sched.submit(DeployRequest(req_id=1, at=0.0, tenant=9))
-        assert (state, node) == ("placed", 3)
-
-    def test_unknown_tenant_degrades_to_least_loaded(self):
-        loc = LocalityMap(self.NODES, rack_of=self.RACK_OF)
-        sched = Scheduler(4, policy="rack-affinity", locality=loc)
-        state, node = sched.submit(DeployRequest(req_id=0, at=0.0, tenant=1))
-        assert (state, node) == ("placed", 0)
-
-    def test_no_rack_map_matches_locality_policy(self):
-        reqs = [DeployRequest(req_id=i, at=0.0, tenant=i % 2) for i in range(4)]
-        placements = {}
-        for policy in ("locality", "rack-affinity"):
-            loc = LocalityMap(self.NODES)  # flat: no rack_of
-            sched = Scheduler(4, policy=policy, locality=loc, slots_per_node=1)
-            placed = []
-            for req in reqs:
-                _state, node = sched.submit(req)
-                placed.append(node)
-                loc.note_hosted(node, req.tenant)
-            placements[policy] = placed
-        assert placements["locality"] == placements["rack-affinity"]
-
-    def test_tenant_racks_tracked_on_note_hosted(self):
-        loc = LocalityMap(self.NODES, rack_of=self.RACK_OF)
-        loc.note_hosted(0, tenant=5)
-        loc.note_hosted(3, tenant=5)
-        assert loc.tenant_racks[5] == {0, 1}
 
 
 class TestRackAwareReadsEndToEnd:
