@@ -29,11 +29,11 @@ skip_under_quick_profile("tests/churn/test_churn_engine.py")
 #: spilling into the bounded admission queue
 WORKLOAD = (
     ("rate", 6.0),
-    ("tenants", 8),
+    ("n_tenants", 8),
     ("mean_lifetime", 16.0),
     ("min_lifetime", 4.0),
     ("p2p", True),
-    ("cache_mib", 64),
+    ("p2p_cache_bytes", 64 * MiB),
 )
 
 #: grid -> (deploy requests, ((label, placement policy, gc_interval), ...))

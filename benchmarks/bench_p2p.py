@@ -23,6 +23,7 @@ reruns them and fails on any ``git diff``.
 """
 
 from repro.analysis import Figure, Series, ascii_chart, check_shape, render_figure
+from repro.common.units import MiB
 
 from common import (
     P2P,
@@ -38,8 +39,8 @@ skip_under_quick_profile("tests/p2p/")
 #: (strategy label, spec params) — baseline first
 STRATEGIES = (
     ("baseline", (("p2p", False),)),
-    ("announce", (("p2p", True), ("directory", "announce"))),
-    ("rendezvous", (("p2p", True), ("directory", "rendezvous"))),
+    ("announce", (("p2p", True), ("p2p_directory", "announce"))),
+    ("rendezvous", (("p2p", True), ("p2p_directory", "rendezvous"))),
 )
 
 CACHE_MIBS = (4, 16, 64)
@@ -66,8 +67,8 @@ def cache_specs():
             kind="deploy", profile=PROFILE.name, approach="mirror", n=N_MAX, seed=1,
             params=(
                 ("p2p", True),
-                ("directory", "announce"),
-                ("cache_mib", mib),
+                ("p2p_directory", "announce"),
+                ("p2p_cache_bytes", mib * MiB),
             ),
         )
         for mib in CACHE_MIBS
@@ -77,7 +78,7 @@ def cache_specs():
 def _strategy_of(point):
     if not point.spec.param("p2p"):
         return "baseline"
-    return point.spec.param("directory", "announce")
+    return point.spec.param("p2p_directory")
 
 
 def test_p2p_sweep(benchmark, sweep_cache):
@@ -185,7 +186,7 @@ def test_p2p_provider_offload(benchmark, sweep_cache):
 def test_p2p_cache_sizing(benchmark, sweep_cache):
     def sweep():
         points = run_sweep(cache_specs())
-        return {p.spec.param("cache_mib"): p for p in points}
+        return {p.spec.param("p2p_cache_bytes") // MiB: p for p in points}
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     fig = Figure(

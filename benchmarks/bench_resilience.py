@@ -38,7 +38,7 @@ def resilience_specs():
             kind="resilience", profile=PROFILE.name, approach="mirror",
             n=N_INSTANCES, seed=1,
             params=(
-                ("replication", r),
+                ("replication_factor", r),
                 ("crashes", c),
                 ("window", 5.0),
                 ("rpc_timeout", 2.0),
@@ -52,7 +52,7 @@ def resilience_specs():
 def _sweep():
     points = run_sweep(resilience_specs())
     return {
-        (p.spec.param("replication"), p.spec.param("crashes")): p for p in points
+        (p.spec.param("replication_factor"), p.spec.param("crashes")): p for p in points
     }
 
 

@@ -39,7 +39,7 @@ OVERSUB = 4.0
 #: locality must cut cross-rack bytes by at least this fraction at ``N_MAX``
 MIN_CROSS_RACK_CUT = 0.50
 
-#: label -> (n, racks, oversubscription, locality)
+#: label -> (n, racks, oversubscription, topo_aware)
 SWEEP = {
     **{
         f"{mode}-n{n}": (n, RACKS, OVERSUB, mode == "locality")
@@ -56,7 +56,7 @@ REPLICA = {
     "blind": (64, 2, OVERSUB, False),
     "local": (64, 2, OVERSUB, True),
 }
-REPLICA_PARAMS = (("p2p", False), ("replication", 2), ("placement", "rack-diverse"))
+REPLICA_PARAMS = (("p2p", False), ("replication_factor", 2), ("placement", "rack-diverse"))
 
 #: simulated outcomes recorded per point
 SIM_FIELDS = (
@@ -72,10 +72,10 @@ def _run_grid(grid, extra_params):
         PointSpec(
             kind="deploy", profile="topo", approach="mirror", n=n, seed=1,
             params=(
-                ("racks", racks), ("oversubscription", oversub), ("locality", locality),
+                ("racks", racks), ("oversubscription", oversub), ("topo_aware", aware),
             ) + extra_params,
         )
-        for n, racks, oversub, locality in grid.values()
+        for n, racks, oversub, aware in grid.values()
     ]
     points = run_sweep(specs)
     return {label: {f: p.metrics[f] for f in SIM_FIELDS} for label, p in zip(grid, points)}

@@ -63,14 +63,6 @@ def speedup(baseline: Series, ours: Series, name: str | None = None) -> Series:
     return out
 
 
-def collect(results: Sequence, x_attr: str, y_attr: str, name: str) -> Series:
-    """Build a series by pulling two attributes off a result list."""
-    out = Series(name)
-    for r in results:
-        out.add(getattr(r, x_attr), getattr(r, y_attr))
-    return out
-
-
 def from_points(
     points: Sequence,
     metric: Union[str, Callable],

@@ -122,7 +122,7 @@ class ChurnSpec:
     max_queue: int = 16
     # ---- storage hygiene --------------------------------------------- #
     #: seconds between collect_garbage sweeps; 0 disables periodic GC
-    gc_interval: float = 0.0
+    gc_interval: float = 60.0
     #: storage-footprint sampling cadence when GC is off (same timeline)
     sample_interval: float = 25.0
     #: published snapshots kept per live instance (older ones unpublished)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 from typing import List, Optional
@@ -29,39 +30,65 @@ def _add_cluster_args(
         *instances_flags, dest="instances", type=int, default=16,
         help="concurrent VMs",
     )
-    parser.add_argument("--pool", type=int, default=0,
+    parser.add_argument("--pool", type=_within(0, kind=int), default=0,
                         help="storage pool size (0 = max(24, instances))")
     parser.add_argument("--image-mib", type=int, default=1024, help="image size in MiB")
     parser.add_argument("--touched-mib", type=int, default=64,
                         help="bytes the boot actually reads, in MiB")
-    parser.add_argument("--chunk-kib", type=int, default=256, help="chunk size in KiB")
-    parser.add_argument("--seed", type=int, default=1, help="experiment seed")
+    parser.add_argument("--chunk-kib", type=_positive(int), default=256,
+                        help="chunk size in KiB")
+    parser.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
 
 
-def _positive(kind):
-    """An argparse type: ``kind(text)``, refused with usage unless above 0."""
+def _positive(kind, unit=1):
+    """An argparse type: ``kind(text) * unit``, refused with usage unless above 0."""
     def parse(text):
         value = kind(text)
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
+        return value * unit
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
 
 
-def _within(low, high=math.inf):
-    """An argparse type: a float, refused with usage unless in [low, high]."""
+def _within(low, high=math.inf, kind=float):
+    """An argparse type: ``kind(text)``, refused with usage unless in [low, high]."""
     bound = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
 
     def parse(text):
-        value = float(text)
+        value = kind(text)
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
-    parse.__name__ = "float"
+    parse.__name__ = kind.__name__
     return parse
+
+
+def _param(parser, *flags, **kw):
+    """A flag whose ``dest`` is a point param of the command's kind.
+
+    The command forwards it to the point under that name. Left at the
+    default ``argparse.SUPPRESS`` an unset flag passes nothing, so the
+    param's reader keeps its own default.
+    """
+    kw.setdefault("default", argparse.SUPPRESS)
+    dest = parser.add_argument(*flags, **kw).dest
+    parser.set_defaults(params=(parser.get_default("params") or ()) + (dest,))
+
+
+def _params(args) -> dict:
+    """The point params ``args`` sets: every given :func:`_param` flag."""
+    return {d: getattr(args, d) for d in getattr(args, "params", ()) if hasattr(args, d)}
+
+
+def _setting(args, dest, reader, name=None):
+    """What a point runs with: ``args.<dest>`` if set, else ``reader``'s own
+    default for its keyword or field ``name`` (``dest`` by default)."""
+    if hasattr(args, dest):
+        return getattr(args, dest)
+    return inspect.signature(reader).parameters[name or dest].default
 
 
 def _cli_profile(**fields):
@@ -74,7 +101,7 @@ def _cli_profile(**fields):
 def _cluster_profile(args):
     """The ``cli`` profile of the cluster flags (and ``--diff-mib``, if any)."""
     fields = dict(
-        pool_nodes=args.pool if args.pool > 0 else max(24, args.instances),
+        pool_nodes=args.pool or max(24, args.instances),
         image_size=args.image_mib * MiB,
         chunk_size=args.chunk_kib * KiB,
         touched_bytes=args.touched_mib * MiB,
@@ -116,6 +143,14 @@ def _print_pair(n, setup, rows, columns=None) -> None:
         print(" " * 18 + "".join(f"{c:>14}" for c in columns))
     for label, a, b in rows:
         print(f"{label:<18}" + (f"{a:>14}{b:>14}" if columns else f"{a} -> {b}"))
+
+
+def _add_peer_args(parser: argparse.ArgumentParser) -> None:
+    _param(parser, "--directory", dest="p2p_directory",
+           choices=["announce", "rendezvous"],
+           help="peer-location strategy")
+    _param(parser, "--fanout", dest="p2p_locate_fanout", type=_positive(int),
+           help="candidate peers tried per chunk before providers")
 
 
 def cmd_deploy(args) -> int:
@@ -191,18 +226,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    params = dict(
-        replication=args.replication,
-        crashes=args.crashes, mttr=args.mttr, window=args.window, plan=args.plan,
-        attempts=args.attempts, base_delay=args.base_delay,
-        rpc_timeout=args.rpc_timeout,
-    )
-    if args.faults_seed is not None:
-        params["faults_seed"] = args.faults_seed
     res = _point(_cluster_profile(args), "resilience", args.instances, args.seed,
-                 approach=args.approach, **params)
+                 approach=args.approach, **_params(args))
     m, s = res.metrics, res.series
-    print(f"approach:        {args.approach}  (replication={args.replication})")
+    print(f"approach:        {args.approach}  (replication={args.replication_factor})")
     print(f"fault plan:      {s['fault_plan'][0]}")
     if args.crashes:
         print(f"injected:        {m['faults_injected']:.0f} incidents")
@@ -222,18 +249,23 @@ def cmd_faults(args) -> int:
     return 0 if m["boots_failed"] == 0 else 1
 
 
+def _peer(args, field):
+    """The peer-exchange setting ``field`` a point runs with (``p2p_<field>``)."""
+    from .p2p import P2PConfig
+
+    return _setting(args, f"p2p_{field}", P2PConfig, field)
+
+
 def cmd_p2p(args) -> int:
     profile = _cluster_profile(args)
-    peers = dict(p2p=True, directory=args.directory, locate_fanout=args.fanout)
-    if args.cache_mib > 0:
-        peers["cache_mib"] = args.cache_mib
     base, res = (
         _point(profile, "deploy", args.instances, args.seed, **params).metrics
-        for params in ({}, peers)
+        for params in ({}, dict(p2p=True, **_params(args)))
     )
     base_pb, p2p_pb = base["provider_bytes"], res["provider_bytes"]
     saved = 1.0 - (p2p_pb / base_pb) if base_pb else 0.0
-    _print_pair(args.instances, f"directory={args.directory}, fanout={args.fanout}", [
+    setup = f"directory={_peer(args, 'directory')}, fanout={_peer(args, 'locate_fanout')}"
+    _print_pair(args.instances, setup, [
         ("avg boot:", fmt_time(base["avg_boot_time"]), fmt_time(res["avg_boot_time"])),
         ("completion:", fmt_time(base["completion_time"]),
          fmt_time(res["completion_time"])),
@@ -247,18 +279,14 @@ def cmd_p2p(args) -> int:
 
 
 def cmd_topo(args) -> int:
+    from .cloud import build_cloud
     from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
-    n = args.instances if args.instances > 0 else profile.instance_counts[0]
+    n = args.instances or profile.instance_counts[0]
     bm, am = (
-        _point(
-            profile, "deploy", n, args.seed, racks=args.racks,
-            oversubscription=args.oversubscription, locality=locality,
-            p2p=not args.no_p2p, directory=args.directory,
-            locate_fanout=args.fanout, replication=args.replication,
-        ).metrics
-        for locality in (False, True)
+        _point(profile, "deploy", n, args.seed, topo_aware=aware, **_params(args)).metrics
+        for aware in (False, True)
     )
 
     def cross_frac(m):
@@ -269,8 +297,9 @@ def cmd_topo(args) -> int:
            if bm["cross_rack_bytes"] else 0.0)
     _print_pair(
         n,
-        f"racks={args.racks}, oversubscription={args.oversubscription:g}, "
-        f"p2p={not args.no_p2p}, directory={args.directory}",
+        f"racks={args.racks}, "
+        f"oversubscription={_setting(args, 'oversubscription', build_cloud):g}, "
+        f"p2p={args.p2p}, directory={_peer(args, 'directory')}",
         [
             ("avg boot:", fmt_time(bm["avg_boot_time"]), fmt_time(am["avg_boot_time"])),
             ("completion:", fmt_time(bm["completion_time"]),
@@ -288,28 +317,21 @@ def cmd_topo(args) -> int:
 
 
 def cmd_churn(args) -> int:
+    from .churn import ChurnSpec
+    from .cloud import build_cloud
     from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
-    n = args.deploys if args.deploys > 0 else profile.instance_counts[0]
-    params = dict(
-        policy=args.policy, arrivals=args.arrivals, rate=args.rate,
-        tenants=args.tenants, mean_lifetime=args.mean_lifetime,
-        gc_interval=args.gc_interval,
-    )
-    if args.restore_fraction > 0.0:
-        params["restore_fraction"] = args.restore_fraction
-    if args.retain_snapshots:
-        params["retain_snapshots"] = True
-    if args.p2p:
-        params["p2p"] = True
-        if args.cache_mib > 0:
-            params["cache_mib"] = args.cache_mib
+    n = args.deploys or profile.instance_counts[0]
     m = _point(profile, "churn", n, args.seed, approach=args.policy, pooled=False,
-               **params).metrics
+               **_params(args)).metrics
 
-    print(f"policy:           {args.policy}  (arrivals={args.arrivals}, "
-          f"rate={args.rate}/s, tenants={args.tenants}, p2p={args.p2p})")
+    def churn(field):
+        return _setting(args, field, ChurnSpec)
+
+    print(f"policy:           {args.policy}  (arrivals={churn('arrivals')}, "
+          f"rate={churn('rate')}/s, tenants={churn('n_tenants')}, "
+          f"p2p={_setting(args, 'p2p', build_cloud)})")
     print(f"requests:         {m['n_requests']:.0f} total, {n} deploys "
           f"({m['booted']:.0f} booted, {m['rejected']:.0f} rejected, "
           f"{m['canceled']:.0f} canceled while queued)")
@@ -320,7 +342,7 @@ def cmd_churn(args) -> int:
     print(f"snapshots:        {m['snapshots_taken']:.0f} taken "
           f"({m['snapshots_missed']:.0f} missed), commit p99 "
           f"{fmt_time(m['snapshot_p99_exact'])}")
-    if args.restore_fraction > 0.0:
+    if churn("restore_fraction") > 0.0:
         print(f"restores:         {m['restores_completed']:.0f} completed "
               f"({m['restores_missed']:.0f} missed, "
               f"{m['restores_from_retired']:.0f} from retired chains), p99 "
@@ -337,16 +359,17 @@ def cmd_churn(args) -> int:
 
 
 def cmd_lineage(args) -> int:
+    from .lineage import compact_chain
     from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
-    depth = args.depth if args.depth > 0 else profile.instance_counts[-1]
-    params = dict(replication=args.replication)
-    if args.compact:
-        params.update(compact=True, policy=args.policy, depth_bound=args.depth_bound)
+    depth = args.depth or profile.instance_counts[-1]
+    params = _params(args)
     m = _point(profile, "lineage", depth, args.seed, pooled=False, **params).metrics
 
-    mode = (f"compact={args.policy}/{args.depth_bound}" if args.compact
+    compact = params.get("compact")
+    mode = (f"compact={_setting(args, 'policy', compact_chain)}/"
+            f"{_setting(args, 'depth_bound', compact_chain)}" if compact
             else "uncompacted")
     print(f"chain:            depth {depth} ({mode}), "
           f"{m['forest_snapshots']:.0f} snapshots in the forest")
@@ -361,7 +384,7 @@ def cmd_lineage(args) -> int:
     print(f"conservation:     exclusive+shared==live: "
           f"{'ok' if m['conserved'] else 'VIOLATED'}; live==stored: "
           f"{'ok' if m['footprint_matches'] else 'VIOLATED'}")
-    if args.compact:
+    if compact:
         print(f"compaction:       {m['skips_written']:.0f} skips written, "
               f"{m['versions_merged']:.0f} versions merged, "
               f"{fmt_time(m['compact_duration'])}")
@@ -487,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap = sub.add_parser("snapshot", help="deploy, dirty, multisnapshot")
     _add_cluster_args(p_snap)
     p_snap.add_argument("--approach", choices=["mirror", "qcow2-pvfs"], default="mirror")
-    p_snap.add_argument("--diff-mib", type=int, default=15,
+    p_snap.add_argument("--diff-mib", type=_within(0, kind=int), default=15,
                         help="local modifications per VM, in MiB")
     p_snap.set_defaults(func=cmd_snapshot)
 
@@ -503,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=["mirror", "qcow2-pvfs", "prepropagation"],
         default="mirror",
     )
-    p_trace.add_argument("--diff-mib", type=int, default=15,
+    p_trace.add_argument("--diff-mib", type=_within(0, kind=int), default=15,
                          help="fig5: local modifications per VM, in MiB")
     p_trace.add_argument(
         "--out", default=None, metavar="PATH",
@@ -535,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--counts", type=lambda s: [int(v) for v in s.split(",")], default=None,
         metavar="N1,N2,...", help="instance counts (default: the profile's sweep)",
     )
-    p_sweep.add_argument("--seed", type=int, default=1, help="experiment seed")
+    p_sweep.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_faults = sub.add_parser(
@@ -546,36 +569,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=["mirror", "qcow2-pvfs", "prepropagation"],
         default="mirror",
     )
-    p_faults.add_argument("--replication", type=_positive(int), default=2,
-                          help="replicas per chunk (and metadata node)")
-    p_faults.add_argument("--crashes", type=int, default=2,
-                          help="spare nodes to crash during the boot phase")
-    p_faults.add_argument("--mttr", type=_within(0), default=0.0,
-                          help="seconds until a crashed node revives (0 = permanent)")
-    p_faults.add_argument("--window", type=_within(0), default=5.0,
-                          help="crashes spread over the first WINDOW seconds")
-    p_faults.add_argument("--plan", choices=["staggered", "random"],
-                          default="staggered", help="fault plan generator")
-    p_faults.add_argument("--faults-seed", type=int, default=None,
-                          help="seed for --plan random (default: --seed)")
-    p_faults.add_argument("--attempts", type=_positive(int), default=4,
-                          help="client retry attempts per chunk/metadata fetch")
-    p_faults.add_argument("--base-delay", type=_within(0, MAX_DELAY), default=0.25,
-                          help="initial retry backoff in seconds")
-    p_faults.add_argument("--rpc-timeout", type=_positive(float), default=2.0,
-                          help="per-RPC deadline in seconds")
+    _param(p_faults, "--replication", dest="replication_factor", type=_positive(int),
+           default=2, help="replicas per chunk (and metadata node)")
+    _param(p_faults, "--crashes", type=_within(0, kind=int), default=2,
+           help="spare nodes to crash during the boot phase")
+    _param(p_faults, "--mttr", type=_within(0),
+           help="seconds until a crashed node revives (0 = permanent)")
+    _param(p_faults, "--window", type=_within(0),
+           help="crashes spread over the first WINDOW seconds")
+    _param(p_faults, "--plan", choices=["staggered", "random"],
+           help="fault plan generator")
+    _param(p_faults, "--faults-seed", type=_within(0, kind=int),
+           help="seed for --plan random (default: --seed)")
+    _param(p_faults, "--attempts", type=_positive(int),
+           help="client retry attempts per chunk/metadata fetch")
+    _param(p_faults, "--base-delay", type=_within(0, MAX_DELAY),
+           help="initial retry backoff in seconds")
+    _param(p_faults, "--rpc-timeout", type=_positive(float),
+           help="per-RPC deadline in seconds")
     p_faults.set_defaults(func=cmd_faults)
 
     p_p2p = sub.add_parser(
         "p2p", help="multideployment with cooperative peer chunk exchange"
     )
     _add_cluster_args(p_p2p)
-    p_p2p.add_argument("--directory", choices=["announce", "rendezvous"],
-                       default="announce", help="peer-location strategy")
-    p_p2p.add_argument("--cache-mib", type=int, default=0,
-                       help="per-node peer cache in MiB (0 = default 64)")
-    p_p2p.add_argument("--fanout", type=_positive(int), default=2,
-                       help="candidate peers tried per chunk before providers")
+    _add_peer_args(p_p2p)
+    _param(p_p2p, "--cache-mib", dest="p2p_cache_bytes", type=_positive(int, MiB),
+           help="per-node peer cache in MiB")
     p_p2p.set_defaults(func=cmd_p2p)
 
     p_topo = sub.add_parser(
@@ -583,58 +603,52 @@ def build_parser() -> argparse.ArgumentParser:
         help="multideployment over a hierarchical (racked) fabric, "
              "locality-aware vs topology-blind",
     )
-    p_topo.add_argument("--instances", type=int, default=0,
+    p_topo.add_argument("--instances", type=_within(0, kind=int), default=0,
                         help="concurrent VMs (0 = the profile's first count)")
     p_topo.add_argument("--profile", default="topo-smoke",
                         help="benchmark profile (topo, topo-smoke, ...)")
-    p_topo.add_argument("--racks", type=_positive(int), default=4,
-                        help="racks the compute pool is split across")
-    p_topo.add_argument("--oversubscription", type=_positive(float), default=4.0,
-                        help="rack uplink = hosts_per_rack * NIC / this ratio")
-    p_topo.add_argument("--directory", choices=["announce", "rendezvous"],
-                        default="announce", help="peer-location strategy")
-    p_topo.add_argument("--fanout", type=_positive(int), default=2,
-                        help="candidate peers tried per chunk before providers")
-    p_topo.add_argument("--no-p2p", action="store_true",
-                        help="disable the cooperative chunk exchange")
-    p_topo.add_argument("--replication", type=_positive(int), default=1,
-                        help="replicas per chunk (locality run places them "
-                             "rack-diverse)")
-    p_topo.add_argument("--seed", type=int, default=1, help="experiment seed")
+    _param(p_topo, "--racks", type=_positive(int), default=4,
+           help="racks the compute pool is split across")
+    _param(p_topo, "--oversubscription", type=_positive(float),
+           help="rack uplink = hosts_per_rack * NIC / this ratio")
+    _add_peer_args(p_topo)
+    _param(p_topo, "--no-p2p", dest="p2p", action="store_false", default=True,
+           help="disable the cooperative chunk exchange")
+    _param(p_topo, "--replication", dest="replication_factor", type=_positive(int),
+           help="replicas per chunk (the locality run places them rack-diverse)")
+    p_topo.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
     p_topo.set_defaults(func=cmd_topo)
 
     p_churn = sub.add_parser(
         "churn", help="long-horizon multi-tenant churn run with steady-state SLOs"
     )
-    p_churn.add_argument("--deploys", type=int, default=0,
+    p_churn.add_argument("--deploys", type=_within(0, kind=int), default=0,
                          help="deploy requests (0 = the profile's first count)")
     p_churn.add_argument("--profile", default="churn-smoke",
                          help="benchmark profile (churn, churn-smoke, ...)")
-    p_churn.add_argument("--policy",
-                         choices=["first-fit", "least-loaded", "locality"],
-                         default="least-loaded", help="placement policy")
-    p_churn.add_argument("--arrivals",
-                         choices=["poisson", "diurnal", "bursty"],
-                         default="poisson", help="arrival process")
-    p_churn.add_argument("--rate", type=_positive(float), default=2.0,
-                         help="mean arrival rate, deploys/second")
-    p_churn.add_argument("--tenants", type=_positive(int), default=4,
-                         help="tenants sharing the pool (one base image each)")
-    p_churn.add_argument("--mean-lifetime", type=_within(0), default=40.0,
-                         help="mean VM lifetime in seconds")
-    p_churn.add_argument("--gc-interval", type=_within(0), default=60.0,
-                         help="seconds between GC sweeps (0 disables GC)")
-    p_churn.add_argument("--p2p", action="store_true",
-                         help="enable the cooperative peer chunk exchange")
-    p_churn.add_argument("--cache-mib", type=int, default=0,
-                         help="per-node peer cache in MiB (0 = default 64)")
-    p_churn.add_argument("--restore-fraction", type=_within(0, 1), default=0.0,
-                         help="fraction of deploys that schedule a "
-                              "post-teardown restore-to-version (0 = off)")
-    p_churn.add_argument("--retain-snapshots", action="store_true",
-                         help="pin snapshot chains past teardown so restores "
-                              "never hit a retired chain")
-    p_churn.add_argument("--seed", type=int, default=1, help="experiment seed")
+    _param(p_churn, "--policy", choices=["first-fit", "least-loaded", "locality"],
+           default="least-loaded", help="placement policy")
+    _param(p_churn, "--arrivals", choices=["poisson", "diurnal", "bursty"],
+           help="arrival process")
+    _param(p_churn, "--rate", type=_positive(float),
+           help="mean arrival rate, deploys/second")
+    _param(p_churn, "--tenants", dest="n_tenants", type=_positive(int),
+           help="tenants sharing the pool (one base image each)")
+    _param(p_churn, "--mean-lifetime", type=_within(0),
+           help="mean VM lifetime in seconds")
+    _param(p_churn, "--gc-interval", type=_within(0),
+           help="seconds between GC sweeps (0 disables GC)")
+    _param(p_churn, "--p2p", action="store_true",
+           help="enable the cooperative peer chunk exchange")
+    _param(p_churn, "--cache-mib", dest="p2p_cache_bytes", type=_positive(int, MiB),
+           help="per-node peer cache in MiB")
+    _param(p_churn, "--restore-fraction", type=_within(0, 1),
+           help="fraction of deploys that schedule a post-teardown "
+                "restore-to-version (0 = off)")
+    _param(p_churn, "--retain-snapshots", action="store_true",
+           help="pin snapshot chains past teardown so restores never hit a "
+                "retired chain")
+    p_churn.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
     p_churn.set_defaults(func=cmd_churn)
 
     p_lineage = sub.add_parser(
@@ -642,27 +656,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot chain + compaction + restore-to-version with dedup "
              "accounting",
     )
-    p_lineage.add_argument("--depth", type=int, default=0,
+    p_lineage.add_argument("--depth", type=_within(0, kind=int), default=0,
                            help="chain depth / COMMITs (0 = the profile's "
                                 "deepest sweep point)")
     p_lineage.add_argument("--profile", default="lineage",
                            help="benchmark profile (lineage, lineage-smoke, ...)")
-    p_lineage.add_argument("--compact", action="store_true",
-                           help="compact the chain before restoring")
-    p_lineage.add_argument("--policy", choices=["flatten", "merge"],
-                           default="flatten", help="compaction policy")
-    p_lineage.add_argument("--depth-bound", type=_positive(int), default=4,
-                           help="compacted-walk bound (anchor spacing)")
-    p_lineage.add_argument("--replication", type=_positive(int), default=1,
-                           help="replicas per chunk (dedup counts physical "
-                                "bytes per replica)")
-    p_lineage.add_argument("--seed", type=int, default=1, help="experiment seed")
+    _param(p_lineage, "--compact", action="store_true",
+           help="compact the chain before restoring")
+    _param(p_lineage, "--policy", choices=["flatten", "merge"],
+           help="compaction policy")
+    _param(p_lineage, "--depth-bound", type=_positive(int),
+           help="compacted-walk bound (anchor spacing)")
+    _param(p_lineage, "--replication", dest="replication_factor", type=_positive(int),
+           help="replicas per chunk (dedup counts physical bytes per "
+                "replica)")
+    p_lineage.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
     p_lineage.set_defaults(func=cmd_lineage)
 
     p_bonnie = sub.add_parser("bonnie", help="run the §5.4 micro-benchmark")
     p_bonnie.add_argument("--image-mib", type=int, default=1024)
-    p_bonnie.add_argument("--working-mib", type=int, default=256)
-    p_bonnie.add_argument("--seed", type=int, default=1)
+    p_bonnie.add_argument("--working-mib", type=_positive(int), default=256)
+    p_bonnie.add_argument("--seed", type=_within(0, kind=int), default=1)
     p_bonnie.set_defaults(func=cmd_bonnie)
 
     p_info = sub.add_parser("info", help="print the active calibration")

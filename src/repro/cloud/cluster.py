@@ -70,15 +70,15 @@ def build_cloud(
     with_pvfs: bool = True,
     data_nodes: Optional[int] = None,
     meta_nodes: Optional[int] = None,
-    placement: str = "round-robin",
+    placement: Optional[str] = None,
     dedup: bool = False,
     replication_factor: int = 1,
     replica_write_mode: str = "parallel",
     retry: Optional["RetryPolicy"] = None,
     p2p: bool = False,
     p2p_cache_bytes: Optional[int] = None,
-    p2p_directory: str = "announce",
-    p2p_locate_fanout: int = 2,
+    p2p_directory: Optional[str] = None,
+    p2p_locate_fanout: Optional[int] = None,
     racks: int = 1,
     oversubscription: float = 4.0,
     topo_aware: bool = True,
@@ -94,6 +94,10 @@ def build_cloud(
     paper's fan-in contention regime at large n.
 
     Metadata tree nodes get ``min(replication_factor, meta nodes)`` homes.
+    ``placement=None`` places replicas ``rack-diverse`` on a locality-aware
+    multi-rack fabric with ``replication_factor > 1``, else ``round-robin``.
+    ``p2p=True`` adds the cooperative chunk exchange; a ``p2p_*`` keyword
+    left at None keeps the :class:`~repro.p2p.exchange.P2PConfig` default.
 
     ``racks > 1`` builds the hierarchical fabric: compute nodes are
     block-assigned to racks, the rack uplink defaults to
@@ -155,7 +159,10 @@ def build_cloud(
         meta_hosts=compute[:meta_nodes] if meta_nodes else compute,
         vmanager_host=manager,
         model=calib.service,
-        placement=placement,
+        placement=placement or (
+            "rack-diverse" if topo_aware and racks > 1 and replication_factor > 1
+            else "round-robin"
+        ),
         write_buffer_bytes=calib.service.provider_write_buffer,
         dedup=dedup,
         replication_factor=replication_factor,
@@ -169,15 +176,14 @@ def build_cloud(
         from ..p2p.exchange import P2PConfig, PeerNetwork
 
         config_kw = dict(
-            directory=p2p_directory, locate_fanout=p2p_locate_fanout
+            cache_bytes=p2p_cache_bytes, directory=p2p_directory,
+            locate_fanout=p2p_locate_fanout,
         )
-        if p2p_cache_bytes is not None:
-            config_kw["cache_bytes"] = p2p_cache_bytes
         peer_network = PeerNetwork(
             fabric,
             compute,
             calib.service,
-            config=P2PConfig(**config_kw),
+            config=P2PConfig(**{k: v for k, v in config_kw.items() if v is not None}),
             directory_host=manager,
             topology=locality_topo,
         )

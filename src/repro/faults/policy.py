@@ -31,7 +31,7 @@ class RetryPolicy:
     #: delay before the second attempt (seconds, simulated)
     base_delay: float = 0.25
     #: per-RPC watchdog: an unanswered call is abandoned after this long
-    rpc_timeout: float = 30.0
+    rpc_timeout: float = 2.0
 
     def __post_init__(self):
         if self.attempts < 1:

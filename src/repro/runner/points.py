@@ -6,33 +6,46 @@ executors reproduce the figure benchmarks' measurement code exactly — same
 RNG labels, same construction order — so routing a sweep through the runner
 yields bit-identical series to the old in-line loops.
 
-Every kind reads the same cloud params (:data:`CLOUD_PARAMS`: the p2p
-overlay, storage replication and the rack fabric) plus the workload params it
-declares at :func:`point_kind`; a spec naming any other param is rejected
+A point param is named after the keyword or field that reads it, and only
+that reader holds its default: every kind takes the cloud params
+(:data:`CLOUD_PARAMS`, keywords of :func:`~repro.cloud.build_cloud`), its
+executor's own keyword-only arguments, and the keywords it passes on to one
+consumer (``ChurnSpec``, ``RetryPolicy``, ``compact_chain``, ``deploy``),
+declared at :func:`point_kind`. A spec naming any other param is rejected
 before anything is built.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
-from typing import Callable, Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from ..churn import ChurnEngine, ChurnSpec
 from ..cloud import build_cloud, deploy, seed_image, snapshot_all
 from ..common.errors import SimulationError
-from ..common.units import KiB, MiB
+from ..faults import FaultPlan, RetryPolicy, resilient_deploy
+from ..lineage import LineageForest, compact_chain, dedup_accounting, restore_to_version
 from ..vmsim import make_image
 from ..vmsim.workloads import read_your_writes_workload
 from .profiles import BenchProfile, profile_calibration, resolve_profile
 from .spec import PointResult, PointSpec
 
-#: kind -> (executor, the workload params it accepts beside the cloud params)
-_EXECUTORS: Dict[str, Tuple[Callable, FrozenSet[str]]] = {}
+#: kind -> (executor, the consumer it passes params on to, the workload
+#: params it accepts beside the cloud params)
+_EXECUTORS: Dict[str, Tuple[Callable, Optional[Callable], FrozenSet[str]]] = {}
 
 
-def point_kind(name: str, *params: str):
-    """Register the executor of kind ``name``, which reads workload ``params``."""
+def point_kind(name: str, consumer: Optional[Callable] = None, *passed: str):
+    """Register the executor of kind ``name``.
+
+    Its workload params are its own keyword-only arguments plus ``passed``,
+    keywords or fields of ``consumer`` that it hands on unchanged.
+    """
     def register(fn):
-        _EXECUTORS[name] = (fn, frozenset(params))
+        own = {p.name for p in inspect.signature(fn).parameters.values()
+               if p.kind is p.KEYWORD_ONLY}
+        _EXECUTORS[name] = (fn, consumer, frozenset(own) | frozenset(passed))
         return fn
     return register
 
@@ -41,24 +54,24 @@ def known_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_EXECUTORS))
 
 
-#: The cloud params every kind accepts, with their defaults (a flat,
-#: provider-only, unreplicated cloud: the seed model of §5.1).
-CLOUD_PARAMS = {
-    # p2p overlay
-    "p2p": False,              # enable the cooperative chunk exchange
-    "directory": "announce",   # peer location: announce | rendezvous
-    "cache_mib": None,         # per-node peer cache (None = the P2PConfig default)
-    "locate_fanout": 2,        # candidate peers tried per chunk before the providers
-    # storage
-    "replication": 1,          # provider replica count
-    "placement": None,         # None = rack-diverse if locality, racks > 1 and
-                               # replication > 1, else round-robin
-    # fabric
-    "racks": 1,                # 1 = the flat fabric
-    "oversubscription": 4.0,   # rack uplink = hosts_per_rack * nic_bw / this
-    "locality": True,          # rack-aware peer ranking and replica reads
-                               # (False = the topology-blind baseline)
-}
+#: The cloud params every kind accepts: :func:`build_cloud` keywords, which
+#: hold their defaults (a flat, provider-only, unreplicated cloud: the seed
+#: model of §5.1).
+CLOUD_PARAMS = (
+    "p2p", "p2p_directory", "p2p_cache_bytes", "p2p_locate_fanout",  # peer exchange
+    "replication_factor", "placement",                                # storage
+    "racks", "oversubscription", "topo_aware",                        # fabric
+)
+
+
+def accepted_params(kind: str) -> FrozenSet[str]:
+    """Every param name a ``kind`` point accepts."""
+    try:
+        return _EXECUTORS[kind][2] | frozenset(CLOUD_PARAMS)
+    except KeyError:
+        raise SimulationError(
+            f"unknown point kind {kind!r}; known kinds: {', '.join(known_kinds())}"
+        ) from None
 
 
 def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
@@ -77,21 +90,8 @@ def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
 
 def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
     """:func:`build_point_cloud` under ``spec``'s cloud params (+ the kind's keywords)."""
-    p = {name: spec.param(name, default) for name, default in CLOUD_PARAMS.items()}
-    replication, racks, locality = int(p["replication"]), int(p["racks"]), bool(p["locality"])
-    if p["cache_mib"] is not None:
-        cloud_kw["p2p_cache_bytes"] = int(p["cache_mib"]) * MiB
-    return build_point_cloud(
-        profile, spec.seed, calib=calib,
-        p2p=bool(p["p2p"]), p2p_directory=p["directory"],
-        p2p_locate_fanout=int(p["locate_fanout"]),
-        replication_factor=replication,
-        placement=p["placement"] or (
-            "rack-diverse" if locality and racks > 1 and replication > 1 else "round-robin"
-        ),
-        racks=racks, oversubscription=float(p["oversubscription"]), topo_aware=locality,
-        **cloud_kw,
-    )
+    cloud_kw.update((k, v) for k, v in spec.params if k in CLOUD_PARAMS)
+    return build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
 
 
 def apply_diffs(cloud, image, vms, diff_bytes: int) -> None:
@@ -136,19 +136,16 @@ def _source_metrics(cloud) -> Dict[str, float]:
 # --------------------------------------------------------------------------- #
 # executors
 # --------------------------------------------------------------------------- #
-@point_kind("deploy", "mirror_prefetch")
-def _run_deploy(spec: PointSpec, profile: BenchProfile, calib):
+@point_kind("deploy", deploy, "mirror_prefetch")
+def _run_deploy(spec: PointSpec, profile: BenchProfile, calib, **deploy_kw):
     """One Fig. 4 measurement: deploy ``n`` instances with ``approach``.
 
-    Param ``mirror_prefetch`` (strategy 1 of §3.3; default True). With the
-    cloud params this is also the cooperative-exchange point (``p2p``) and
-    the rack-fabric point (``racks``, ``locality``, ...).
+    Param ``mirror_prefetch`` (strategy 1 of §3.3) goes to :func:`deploy`.
+    With the cloud params this is also the cooperative-exchange point
+    (``p2p``) and the rack-fabric point (``racks``, ``topo_aware``, ...).
     """
     cloud, image = _spec_cloud(spec, profile, calib)
-    res = deploy(
-        cloud, image, spec.n, spec.approach,
-        mirror_prefetch=spec.param("mirror_prefetch", True),
-    )
+    res = deploy(cloud, image, spec.n, spec.approach, **deploy_kw)
     metrics = {
         "init_time": res.init_time,
         "avg_boot_time": res.avg_boot_time,
@@ -231,11 +228,11 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
     return cloud, metrics, {}
 
 
-@point_kind(
-    "resilience", "crashes", "mttr", "window", "plan", "faults_seed",
-    "attempts", "base_delay", "rpc_timeout",
-)
-def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
+@point_kind("resilience", RetryPolicy, "attempts", "base_delay", "rpc_timeout")
+def _run_resilience(
+    spec: PointSpec, profile: BenchProfile, calib, *, crashes=0, mttr=0.0,
+    window=5.0, plan="staggered", faults_seed=None, **retry_kw,
+):
     """One resilience-sweep point: multideployment under injected crashes.
 
     Victims are *spare* pool nodes (nodes not running a VM), so the sweep
@@ -245,23 +242,12 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
 
     Params: ``crashes`` (how many spares die), ``mttr`` (0 = permanent
     loss), ``window`` (crash spread, seconds into the boot phase), ``plan``
-    (``staggered`` | ``random``), ``faults_seed``, ``attempts`` /
-    ``rpc_timeout`` / ``base_delay`` (client retry policy); the replica
-    count is the cloud param ``replication``.
+    (``staggered`` | ``random``), ``faults_seed`` (default: the point's
+    seed); ``attempts`` / ``base_delay`` / ``rpc_timeout`` go to the
+    client's :class:`RetryPolicy`. The replica count is the cloud param
+    ``replication_factor``.
     """
-    from ..faults import FaultPlan, RetryPolicy, resilient_deploy
-
-    crashes = int(spec.param("crashes", 0))
-    mttr = float(spec.param("mttr", 0.0))
-    window = float(spec.param("window", 5.0))
-    mode = spec.param("plan", "staggered")
-
-    retry = RetryPolicy(
-        attempts=int(spec.param("attempts", 4)),
-        base_delay=float(spec.param("base_delay", 0.25)),
-        rpc_timeout=float(spec.param("rpc_timeout", 2.0)),
-    )
-    cloud, image = _spec_cloud(spec, profile, calib, retry=retry)
+    cloud, image = _spec_cloud(spec, profile, calib, retry=RetryPolicy(**retry_kw))
     spares = [h.name for h in cloud.compute[spec.n:]]
     if crashes > len(spares):
         raise SimulationError(
@@ -269,20 +255,20 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
             f"nodes of a {profile.pool_nodes}-node pool with n={spec.n}"
         )
     if crashes == 0:
-        plan = FaultPlan()
-    elif mode == "staggered":
-        plan = FaultPlan.staggered_crashes(spares, crashes, window, mttr=mttr)
-    elif mode == "random":
-        plan = FaultPlan.random_crashes(
+        faults = FaultPlan()
+    elif plan == "staggered":
+        faults = FaultPlan.staggered_crashes(spares, crashes, window, mttr=mttr)
+    elif plan == "random":
+        faults = FaultPlan.random_crashes(
             spares, crashes, window, mttr=mttr,
-            seed=int(spec.param("faults_seed", spec.seed)),
+            seed=spec.seed if faults_seed is None else faults_seed,
         )
     else:
         raise SimulationError(
-            f"resilience plan must be 'staggered' or 'random', got {mode!r}"
+            f"resilience plan must be 'staggered' or 'random', got {plan!r}"
         )
 
-    res = resilient_deploy(cloud, image, spec.n, spec.approach or "mirror", plan=plan)
+    res = resilient_deploy(cloud, image, spec.n, spec.approach or "mirror", plan=faults)
     metrics = {
         "init_time": res.init_time,
         "avg_boot_time": res.avg_boot_time,
@@ -296,53 +282,29 @@ def _run_resilience(spec: PointSpec, profile: BenchProfile, calib):
     series = {
         "boot_times": tuple(res.boot_times),
         "failed": tuple(f"{vm} ({why})" for vm, why in sorted(res.failed.items())),
-        "fault_plan": (plan.describe(),),
+        "fault_plan": (faults.describe(),),
     }
     return cloud, metrics, series
 
 
 @point_kind(
-    "churn", "policy", "arrivals", "rate", "tenants", "mean_lifetime",
-    "min_lifetime", "snapshot_fraction", "restore_fraction", "slots_per_node",
-    "max_queue", "gc_interval", "sample_interval", "retention",
-    "retain_snapshots", "diff_kib",
+    "churn", ChurnSpec, "arrivals", "rate", "n_tenants", "mean_lifetime",
+    "min_lifetime", "snapshot_fraction", "restore_fraction", "diff_bytes",
+    "policy", "slots_per_node", "max_queue", "gc_interval", "sample_interval",
+    "retention_per_vm", "retain_snapshots",
 )
-def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
+def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
     """One long-horizon churn run; ``spec.n`` counts *deploy requests*.
 
-    Params mirror :class:`~repro.churn.arrivals.ChurnSpec`: ``policy``
-    (``first-fit`` | ``least-loaded`` | ``locality``), ``arrivals``
-    (``poisson`` | ``diurnal`` | ``bursty``), ``rate``, ``tenants``,
-    ``mean_lifetime``, ``min_lifetime``, ``snapshot_fraction``,
-    ``restore_fraction`` (post-teardown restore-to-version arrivals),
-    ``slots_per_node``, ``max_queue``, ``gc_interval`` (0 disables the
-    periodic sweep — the storage-growth ablation), ``sample_interval``,
-    ``retention``, ``retain_snapshots``, ``diff_kib``. Locality-aware
-    placement reads the peer caches of the cloud param ``p2p``.
-    ``approach`` is ignored (churn always runs the mirror path).
+    Every workload param is a :class:`~repro.churn.arrivals.ChurnSpec`
+    field and keeps its default there, except ``diff_bytes``: the profile's
+    diff size unless set. Locality-aware placement reads the peer caches of
+    the cloud param ``p2p``. ``approach`` is ignored (churn always runs the
+    mirror path).
     """
-    from ..churn import ChurnEngine, ChurnSpec
-
     cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
-    churn_spec = ChurnSpec(
-        n_deploys=spec.n,
-        arrivals=spec.param("arrivals", "poisson"),
-        rate=float(spec.param("rate", 2.0)),
-        n_tenants=int(spec.param("tenants", 4)),
-        mean_lifetime=float(spec.param("mean_lifetime", 40.0)),
-        min_lifetime=float(spec.param("min_lifetime", 8.0)),
-        snapshot_fraction=float(spec.param("snapshot_fraction", 0.5)),
-        restore_fraction=float(spec.param("restore_fraction", 0.0)),
-        diff_bytes=int(spec.param("diff_kib", profile.diff_bytes // KiB)) * KiB,
-        policy=spec.param("policy", "first-fit"),
-        slots_per_node=int(spec.param("slots_per_node", 2)),
-        max_queue=int(spec.param("max_queue", 16)),
-        gc_interval=float(spec.param("gc_interval", 60.0)),
-        sample_interval=float(spec.param("sample_interval", 25.0)),
-        retention_per_vm=int(spec.param("retention", 1)),
-        retain_snapshots=bool(spec.param("retain_snapshots", False)),
-    )
-    res = ChurnEngine(cloud, image, churn_spec).run()
+    churn_kw.setdefault("diff_bytes", profile.diff_bytes)
+    res = ChurnEngine(cloud, image, ChurnSpec(n_deploys=spec.n, **churn_kw)).run()
     s = res.summary
     metrics = {
         "boot_p50_exact": s["boot_latency"]["p50_exact"],
@@ -380,8 +342,9 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib):
     return cloud, metrics, series
 
 
-@point_kind("lineage", "compact", "policy", "depth_bound")
-def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
+@point_kind("lineage", compact_chain, "policy", "depth_bound")
+def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, *, compact=False,
+                 **compact_kw):
     """One snapshot-lineage point; ``spec.n`` is the *chain depth*.
 
     A single mirror-backed VM commits ``n`` snapshots (CLONE once, then
@@ -391,23 +354,17 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
     measured quantity is the restore *scan*, whose per-hop version-manager
     round-trips are what compaction bounds.
 
-    Params: ``compact`` (run :func:`~repro.lineage.compact_chain`; default
-    False), ``policy`` (``flatten`` | ``merge``), ``depth_bound``. The
-    cloud params ``replication`` and ``p2p`` (the peer exchange on the
-    restore fetch path) apply as to every kind.
+    Params: ``compact`` (run :func:`~repro.lineage.compact_chain`), and
+    its ``policy`` (``flatten`` | ``merge``) and ``depth_bound``. The
+    cloud params ``replication_factor`` and ``p2p`` (the peer exchange on
+    the restore fetch path) apply as to every kind.
     """
     from ..blobseer.gc import collect_garbage
-    from ..lineage import (
-        LineageForest, compact_chain, dedup_accounting, restore_to_version,
-    )
     from ..vmsim import boot_trace
 
     depth = spec.n
     if depth < 1:
         raise SimulationError(f"lineage: chain depth must be >= 1, got {depth}")
-    do_compact = bool(spec.param("compact", False))
-    policy = spec.param("policy", "flatten")
-    depth_bound = int(spec.param("depth_bound", 4))
 
     cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
     dep = cloud.blobseer
@@ -431,11 +388,10 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib):
     head = (handle.target_blob, handle.target_version)
 
     out = {}
-    if do_compact:
+    if compact:
         def run_compact():
             out["compact"] = yield from compact_chain(
-                dep, vm.host, head[0], head[1],
-                policy=policy, depth_bound=depth_bound,
+                dep, vm.host, head[0], head[1], **compact_kw
             )
         cloud.run(cloud.env.process(run_compact(), name="lineage-compact"))
     gc_report = collect_garbage(dep)
@@ -504,8 +460,9 @@ def _run_mc_workers(cloud, workers, until=None):
     cloud.run(cloud.env.all_of(procs))
 
 
-@point_kind("montecarlo", "mode")
-def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib):
+@point_kind("montecarlo")
+def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
+                    mode="uninterrupted"):
     """The §5.5 Monte Carlo application; param ``mode`` picks the setting:
 
     * ``uninterrupted`` (default) — deploy and run to completion;
@@ -514,7 +471,6 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib):
     """
     from ..vmsim import MonteCarloWorker
 
-    mode = spec.param("mode", "uninterrupted")
     cloud, image = _spec_cloud(spec, profile, calib)
     n = min(profile.mc_workers, profile.pool_nodes)
     cfg = _mc_config(profile, calib, image)
@@ -609,14 +565,7 @@ def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
 # --------------------------------------------------------------------------- #
 def execute_point(spec: PointSpec) -> PointResult:
     """Run one spec in-process and return its structured result."""
-    try:
-        executor, params = _EXECUTORS[spec.kind]
-    except KeyError:
-        raise SimulationError(
-            f"unknown point kind {spec.kind!r}; known kinds: "
-            f"{', '.join(known_kinds())}"
-        ) from None
-    accepted = params | CLOUD_PARAMS.keys()
+    accepted = accepted_params(spec.kind)
     unknown = sorted({name for name, _ in spec.params} - accepted)
     if unknown:
         raise SimulationError(
@@ -626,7 +575,8 @@ def execute_point(spec: PointSpec) -> PointResult:
     profile = resolve_profile(spec.profile)
     calib = profile_calibration(profile, spec.overrides)
     t0 = time.perf_counter()
-    cloud, metrics, series = executor(spec, profile, calib)
+    workload = {k: v for k, v in spec.params if k not in CLOUD_PARAMS}
+    cloud, metrics, series = _EXECUTORS[spec.kind][0](spec, profile, calib, **workload)
     wall = time.perf_counter() - t0
     return PointResult(
         spec=spec,

@@ -51,11 +51,13 @@ class PointSpec:
         object.__setattr__(self, "overrides", _freeze(self.overrides))
         object.__setattr__(self, "params", _freeze(self.params))
 
-    def param(self, name: str, default: Any = None) -> Any:
+    def param(self, name: str) -> Any:
+        """The value the spec sets for param ``name``; None when it sets none
+        (the param's reader then applies its own default)."""
         for key, value in self.params:
             if key == name:
                 return value
-        return default
+        return None
 
     def label(self) -> str:
         """Short human-readable identity (error messages, progress lines)."""
@@ -88,10 +90,6 @@ class PointResult:
 
     # ---- conveniences mirroring DeploymentResult / SnapshotCampaignResult --
     @property
-    def n_instances(self) -> int:
-        return self.spec.n
-
-    @property
     def boot_times(self) -> tuple:
         return self.series.get("boot_times", ())
 
@@ -99,10 +97,6 @@ class PointResult:
     def per_instance(self) -> tuple:
         """Per-instance snapshot durations (Fig. 5 campaigns)."""
         return self.series.get("snapshot_durations", ())
-
-    @property
-    def init_time(self) -> float:
-        return self.metrics.get("init_time", 0.0)
 
     @property
     def avg_boot_time(self) -> float:
@@ -119,12 +113,3 @@ class PointResult:
     @property
     def avg_time(self) -> float:
         return self.metrics.get("avg_time", 0.0)
-
-    def metric(self, name: str) -> float:
-        try:
-            return self.metrics[name]
-        except KeyError:
-            raise KeyError(
-                f"point {self.spec.label()!r} has no metric {name!r}; "
-                f"available: {', '.join(sorted(self.metrics))}"
-            ) from None

@@ -6,7 +6,7 @@ from repro.runner import PointSpec, SweepRunner, execute_point
 
 
 def churn_spec(n=24, seed=5, **params):
-    defaults = {"rate": 3.0, "tenants": 3, "mean_lifetime": 10.0,
+    defaults = {"rate": 3.0, "n_tenants": 3, "mean_lifetime": 10.0,
                 "min_lifetime": 3.0, "gc_interval": 20.0}
     defaults.update(params)
     return PointSpec(

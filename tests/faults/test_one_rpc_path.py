@@ -33,7 +33,7 @@ CHUNK = 4 * KiB
 CLOUDS = {
     "flat": {},
     "replicated": {"replication_factor": 2},
-    "racked-replicated": {"racks": 2, "replication_factor": 2},
+    "racked-replicated": {"racks": 2, "replication_factor": 2, "placement": "round-robin"},
 }
 
 

@@ -14,7 +14,7 @@ from repro.runner.points import execute_point
 
 def rspec(replication, crashes, **extra):
     params = {
-        "replication": replication,
+        "replication_factor": replication,
         "crashes": crashes,
         "window": 1.0,
         "rpc_timeout": 1.0,

@@ -19,10 +19,10 @@ class TestEquivalence:
             PointSpec(kind="lineage", profile="lineage-smoke", approach="mirror", n=3, seed=1,
                       params=(("compact", True), ("policy", "merge"), ("depth_bound", 2))),
             PointSpec(kind="deploy", profile="topo-smoke", approach="mirror", n=8, seed=1,
-                      params=(("p2p", True), ("racks", 4), ("locality", True))),
+                      params=(("p2p", True), ("racks", 4), ("topo_aware", True))),
             # a racked, replicated multisnapshot burst is one spec
             PointSpec(kind="snapshot", profile="topo-smoke", approach="mirror", n=8, seed=1,
-                      params=(("racks", 4), ("replication", 2), ("p2p", False))),
+                      params=(("racks", 4), ("replication_factor", 2), ("p2p", False))),
         ]
         seq = SweepRunner(jobs=1).run(specs)
         par = SweepRunner(jobs=4).run(specs)
@@ -70,13 +70,13 @@ class TestCloudParams:
 
     def test_misspelt_param_is_rejected_before_the_build(self, micro_profile):
         spec = PointSpec(kind="deploy", profile="micro-test", approach="mirror", n=1,
-                         params=(("replicaton", 2),))
+                         params=(("replicaton_factor", 2),))
         with pytest.raises(SimulationError) as err:
             execute_point(spec)
         message = str(err.value)
-        assert "replicaton" in message and "micro-test" in message
+        assert "replicaton_factor" in message and "micro-test" in message
         # the names the kind accepts: its own and the shared cloud params
-        assert "mirror_prefetch" in message and "replication" in message
+        assert "mirror_prefetch" in message and "replication_factor" in message
 
     def test_workload_params_belong_to_their_kind(self, micro_profile):
         spec = PointSpec(kind="deploy", profile="micro-test", approach="mirror", n=1,

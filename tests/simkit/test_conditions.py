@@ -63,21 +63,3 @@ class TestConditionFailures:
             return value
 
         assert env.run(env.process(proc())) == [1, 2]
-
-
-class TestCollectHelper:
-    def test_collect_builds_series_from_results(self):
-        from dataclasses import dataclass
-
-        from repro.analysis import collect
-
-        @dataclass
-        class R:
-            n: int
-            t: float
-
-        results = [R(1, 0.5), R(10, 2.0), R(100, 9.0)]
-        s = collect(results, "n", "t", "boot")
-        assert s.name == "boot"
-        assert s.x == [1.0, 10.0, 100.0]
-        assert s.at(10) == 2.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _params, build_parser, main
 
 
 class TestParser:
@@ -159,11 +159,9 @@ class TestSweep:
 class TestChurn:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["churn"])
-        assert args.policy == "least-loaded"
-        assert args.arrivals == "poisson"
         assert args.profile == "churn-smoke"
-        assert args.restore_fraction == 0.0
-        assert args.retain_snapshots is False
+        # every other flag is unset: ChurnSpec and build_cloud keep their defaults
+        assert _params(args) == {"policy": "least-loaded"}
 
     def test_churn_restore_flags_print_restore_slos(self, capsys):
         rc = main(["churn", "--deploys", "10", "--rate", "3", "--seed", "3",
@@ -199,9 +197,13 @@ class TestChurn:
 
 class TestP2P:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["p2p"])
-        assert args.directory == "announce"
-        assert args.fanout == 2
+        assert _params(build_parser().parse_args(["p2p"])) == {}
+        args = build_parser().parse_args(
+            ["p2p", "--directory", "rendezvous", "--fanout", "3", "--cache-mib", "8"])
+        assert _params(args) == {
+            "p2p_directory": "rendezvous", "p2p_locate_fanout": 3,
+            "p2p_cache_bytes": 8 * 2**20,
+        }
 
     def test_invalid_directory_rejected(self):
         with pytest.raises(SystemExit):
@@ -279,6 +281,18 @@ class TestPoolBound:
         ["faults", "--replication", "0"],
         ["lineage", "--compact", "--depth-bound", "0"],
         ["lineage", "--replication", "0"],
+        ["deploy", "--chunk-kib", "0"],
+        ["bonnie", "--working-mib", "0"],
+        ["deploy", "--pool", "-3"],
+        ["faults", "--crashes", "-1"],
+        ["p2p", "--cache-mib", "-5"],
+        ["churn", "--cache-mib", "-5"],
+        ["churn", "--deploys", "-5"],
+        ["lineage", "--depth", "-3"],
+        ["topo", "--instances", "-2"],
+        ["deploy", "--seed", "-1"],
+        ["faults", "--faults-seed", "-1"],
+        ["snapshot", "--diff-mib", "-1"],
     ])
     def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -310,9 +324,10 @@ class TestLineage:
         args = build_parser().parse_args(["lineage"])
         assert args.depth == 0
         assert args.profile == "lineage"
-        assert args.policy == "flatten"
-        assert args.depth_bound == 4
-        assert not args.compact
+        assert _params(args) == {}
+        args = build_parser().parse_args(
+            ["lineage", "--compact", "--policy", "merge", "--depth-bound", "2"])
+        assert _params(args) == {"compact": True, "policy": "merge", "depth_bound": 2}
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -333,11 +348,8 @@ class TestTopo:
         args = build_parser().parse_args(["topo"])
         assert args.profile == "topo-smoke"
         assert args.instances == 0
-        assert args.racks == 4
-        assert args.oversubscription == 4.0
-        assert args.directory == "announce"
-        assert args.replication == 1
-        assert not args.no_p2p
+        assert _params(args) == {"racks": 4, "p2p": True}
+        assert _params(build_parser().parse_args(["topo", "--no-p2p"]))["p2p"] is False
 
     @pytest.mark.parametrize("flag,value", [
         ("--racks", "0"), ("--racks", "-2"),

@@ -3,10 +3,13 @@
 A calibration field nothing reads still shows up in ``repro info`` as if it
 shaped the simulation; a placement strategy, a spec field or a
 ``build_cloud`` keyword that no workload selects is a second code path the
-outcomes never exercise. This walks the source and the option surface so
-neither comes back unnoticed.
+outcomes never exercise. A knob that goes by one name on the CLI, another in
+the point params and a third at its reader, each with its own default, can
+drift apart. This walks the source and the option surface so none of it
+comes back unnoticed.
 """
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -22,8 +25,8 @@ from repro.cli import build_parser
 from repro.cloud import build_cloud, deploy
 from repro.common.errors import SimulationError
 from repro.faults import RetryPolicy
-from repro.runner import PointSpec, execute_point
-from repro.runner.points import CLOUD_PARAMS
+from repro.runner import PointSpec, execute_point, known_kinds
+from repro.runner.points import _EXECUTORS, CLOUD_PARAMS, accepted_params
 
 SRC = Path(repro.__file__).parent
 
@@ -94,3 +97,61 @@ def test_snapshot_point_refuses_diff_bytes():
     spec = PointSpec("snapshot", "quick", "mirror", n=1, params={"diff_bytes": 1})
     with pytest.raises(SimulationError, match="unknown params diff_bytes"):
         execute_point(spec)
+
+
+# --------------------------------------------------------------------------- #
+# one name and one default per scenario knob
+# --------------------------------------------------------------------------- #
+def _keywords(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+def test_executors_read_no_defaulted_spec_param():
+    """Params reach an executor as keywords; the reader holds the default."""
+    tree = ast.parse((SRC / "runner" / "points.py").read_text())
+    defaulted = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "param" and len(node.args) + len(node.keywords) > 1
+    ]
+    assert defaulted == []
+
+
+def test_cloud_params_are_build_cloud_keywords():
+    assert set(CLOUD_PARAMS) <= _keywords(build_cloud)
+
+
+def test_every_kind_param_is_a_keyword_of_its_reader():
+    for kind in known_kinds():
+        executor, consumer, params = _EXECUTORS[kind]
+        own = {p.name for p in inspect.signature(executor).parameters.values()
+               if p.kind is p.KEYWORD_ONLY}
+        readers = own | (_keywords(consumer) if consumer else set())
+        assert params <= readers, kind
+    # the consumers' knobs stay settable: every field the executor does not fill
+    assert accepted_params("churn") >= _keywords(ChurnSpec) - {"n_deploys"}
+    assert accepted_params("resilience") >= _keywords(RetryPolicy)
+
+
+#: subcommand -> the point kind it runs
+COMMAND_KINDS = {
+    "deploy": "deploy", "snapshot": "snapshot", "bonnie": "bonnie",
+    "faults": "resilience", "p2p": "deploy", "topo": "deploy",
+    "churn": "churn", "lineage": "lineage",
+}
+#: dests that size the profile or pick the run, not a point param
+RUN_DESTS = {
+    "help", "instances", "pool", "image_mib", "touched_mib", "chunk_kib",
+    "diff_mib", "seed", "approach", "profile", "deploys", "depth", "working_mib",
+}
+
+
+def test_every_forwarded_cli_dest_is_an_accepted_param():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, kind in COMMAND_KINDS.items():
+        sub = commands[command]
+        dests = {a.dest for a in sub._actions} - RUN_DESTS
+        assert set(sub.get_default("params") or ()) == dests, command
+        assert dests <= accepted_params(kind), command
