@@ -22,7 +22,9 @@ audit fails on any unreached function missing from
 ``benchmarks/reach_allowlist.txt``, and on any allowlist entry that a path
 now reaches, that no longer exists, or that gives no reason. Each entry is
 ``repro/<module>.py::<qualname>  <reason>: <detail>``, with the reason one
-of ``REASONS``; a ``test-seam`` names the test under ``tests/`` that needs it.
+of ``REASONS``. A function only a test calls has no reason: a program path
+that computes the same value calls it, or the test moves onto the public
+path and the function goes.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ ALLOWLIST = HERE / "reach_allowlist.txt"
 
 #: why an unreached function may stay: a name the suite ledger patches
 #: (ROADMAP item 1(c)), a fault hook the chaos profile is to arm (item 4(d)),
-#: an error / cleanup / durability path, a seam a named test drives, or a
-#: debugging ``__repr__``
-REASONS = ("ledger", "fault-hook", "safety", "test-seam", "repr")
+#: an error / cleanup / durability path or one implementation's half of a
+#: protocol a program path calls on the others, or a debugging ``__repr__``
+REASONS = ("ledger", "fault-hook", "safety", "repr")
 
 BOOTSTRAP = '''\
 """Reach recorder (generated by benchmarks/reach.py): first entry per code object."""
@@ -215,7 +217,7 @@ def load_allowlist():
         if not line or line.startswith("#"):
             continue
         m = pattern.match(line)
-        if m is None or (m.group(2) == "test-seam" and "tests/" not in m.group(3)):
+        if m is None:
             bad.append(f"{ALLOWLIST.name}:{n}: {line}")
         else:
             entries[m.group(1)] = m.group(2)
@@ -245,8 +247,7 @@ def audit(records: Path) -> int:
                "now reached" if i in reached else "inside an unreached function")
         print(f"allowlisted but {why}: {i}")
     for line in bad:
-        print(f"allowlist line without a valid reason ({'/'.join(REASONS)}; "
-              f"a test-seam names its test under tests/): {line}")
+        print(f"allowlist line without a valid reason ({'/'.join(REASONS)}): {line}")
     return 1 if missing or stale or bad else 0
 
 

@@ -14,13 +14,11 @@ from .series import Figure, Series
 
 #: marker characters assigned to series, in insertion order
 MARKERS = "ox+*#@%&"
+#: plot area in characters
+WIDTH, HEIGHT = 64, 16
 
 
-def ascii_chart(
-    figure: Figure,
-    width: int = 64,
-    height: int = 16,
-) -> str:
+def ascii_chart(figure: Figure) -> str:
     """Render a figure's series as an ASCII scatter/line chart."""
     all_x = [x for s in figure.series.values() for x in s.x]
     all_y = [y for s in figure.series.values() for y in s.y]
@@ -32,12 +30,12 @@ def ascii_chart(
         y_hi = y_lo + 1.0
     x_span = (x_hi - x_lo) or 1.0
 
-    grid: List[List[str]] = [[" "] * width for _ in range(height)]
+    grid: List[List[str]] = [[" "] * WIDTH for _ in range(HEIGHT)]
 
     def plot_point(x: float, y: float, marker: str) -> None:
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = int((y - y_lo) / (y_hi - y_lo) * (height - 1))
-        row = height - 1 - row  # origin at bottom
+        col = int((x - x_lo) / x_span * (WIDTH - 1))
+        row = int((y - y_lo) / (y_hi - y_lo) * (HEIGHT - 1))
+        row = HEIGHT - 1 - row  # origin at bottom
         if grid[row][col] == " ":
             grid[row][col] = marker
         elif grid[row][col] != marker:
@@ -47,7 +45,7 @@ def ascii_chart(
         points = sorted(zip(series.x, series.y))
         # linear interpolation between measured points for a line feel
         for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            steps = max(2, int((x1 - x0) / x_span * width))
+            steps = max(2, int((x1 - x0) / x_span * WIDTH))
             for k in range(steps + 1):
                 t = k / steps
                 plot_point(x0 + t * (x1 - x0), y0 + t * (y1 - y0), marker)
@@ -57,7 +55,7 @@ def ascii_chart(
     lines = [f"{figure.y_label} (0 .. {y_hi:g})"]
     for row in grid:
         lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
+    lines.append("+" + "-" * WIDTH)
     lines.append(f" {figure.x_label}: {x_lo:g} .. {x_hi:g}")
     legend = "  ".join(
         f"{marker}={name}" for (name, _), marker in zip(figure.series.items(), MARKERS)

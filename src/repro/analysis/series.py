@@ -18,28 +18,12 @@ class Series:
         self.x.append(float(x))
         self.y.append(float(y))
 
-    def at(self, x: float, tol: float = 0.0) -> float:
-        """The y value at x.
-
-        The exact match is the fast path. With ``tol > 0`` the nearest
-        measured x within ``tol`` is accepted instead (useful when x values
-        went through float arithmetic); a miss raises :class:`KeyError`
-        either way.
-        """
-        xf = float(x)
+    def at(self, x: float) -> float:
+        """The y value at exactly ``x``; a miss raises :class:`KeyError`."""
         try:
-            return self.y[self.x.index(xf)]
+            return self.y[self.x.index(float(x))]
         except ValueError:
-            pass
-        if tol > 0 and self.x:
-            nearest = min(range(len(self.x)), key=lambda i: abs(self.x[i] - xf))
-            if abs(self.x[nearest] - xf) <= tol:
-                return self.y[nearest]
-            raise KeyError(
-                f"{self.name}: no point within {tol} of x={x} "
-                f"(nearest measured x={self.x[nearest]})"
-            )
-        raise KeyError(f"{self.name}: no point at x={x}") from None
+            raise KeyError(f"{self.name}: no point at x={x}") from None
 
     def last(self) -> float:
         return self.y[-1]
@@ -49,9 +33,6 @@ class Series:
 
     def max(self) -> float:
         return max(self.y)
-
-    def __len__(self) -> int:
-        return len(self.x)
 
 
 def speedup(baseline: Series, ours: Series, name: str | None = None) -> Series:

@@ -83,13 +83,13 @@ def broadcast(
     dest_path: str,
     fanout: int = 2,
     block_size: Optional[int] = None,
-    read_from_disk_at_source: bool = True,
-    forward_from_disk: bool = False,
 ) -> Generator[Event, None, BroadcastReport]:
     """Broadcast ``payload`` from ``source`` to every target's local disk.
 
     ``block_size=None`` -> taktuk-style store-and-forward (whole file per
-    hop); otherwise pipelined forwarding at ``block_size`` granularity.
+    hop); otherwise pipelined forwarding at ``block_size`` granularity. The
+    source reads each block from its disk (the file is cold on the NFS
+    server); an inner node forwards from its page cache.
     Returns a :class:`BroadcastReport`; each target ends up with the content
     at ``dest_path`` in its local file namespace.
     """
@@ -120,11 +120,6 @@ def broadcast(
         for b, blen in enumerate(blocks):
             yield block_ready[parent_name][b]
             if parent_name == source.name:
-                # the source file is cold on the NFS server's disk
-                if read_from_disk_at_source:
-                    yield from parent.disk.read(blen, sequential=True)
-            elif forward_from_disk:
-                # ablation: staging without page cache (re-read per child)
                 yield from parent.disk.read(blen, sequential=True)
             yield fabric.network.transfer(parent.nic, child.nic, blen, kind="broadcast")
             yield from child.disk.write(blen, sequential=True)

@@ -14,20 +14,22 @@ from ..simkit.host import Fabric, Host
 from .broadcast import BroadcastReport, broadcast
 from .nfs import NfsServer
 
+#: where every target holds the raw image once the broadcast completes
+LOCAL_IMAGE_PATH = "/local/image.raw"
+
 
 def prepropagate(
     fabric: Fabric,
     nfs: NfsServer,
     image_path: str,
     targets: Sequence[Host],
-    dest_path: str = "/local/image.raw",
     fanout: int = 2,
     block_size: int | None = None,
 ) -> Generator:
     """Broadcast the image stored on the NFS server to all targets.
 
     Returns the :class:`~repro.baselines.broadcast.BroadcastReport`; after it
-    completes every target holds the raw image at ``dest_path``.
+    completes every target holds the raw image at :data:`LOCAL_IMAGE_PATH`.
     """
     size = nfs.stat(image_path)
     payload = nfs._files[image_path].read(0, size)
@@ -36,7 +38,7 @@ def prepropagate(
         nfs.host,
         targets,
         payload,
-        dest_path,
+        LOCAL_IMAGE_PATH,
         fanout=fanout,
         block_size=block_size,
     )

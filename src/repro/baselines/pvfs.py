@@ -81,9 +81,6 @@ class PvfsIoServer:
         self.host.fabric.metrics.count("pvfs-write", len(writes))
         return None
 
-    def stored_bytes(self) -> int:
-        return sum(s.written_bytes() for s in self._stripes.values())
-
 
 class PvfsMetaServer:
     """One metadata server: a shard of the path namespace."""
@@ -162,9 +159,6 @@ class PvfsDeployment:
 
     def client(self, host: Host) -> "PvfsClient":
         return PvfsClient(host, self)
-
-    def stored_bytes(self) -> int:
-        return sum(s.stored_bytes() for s in self.io_servers.values())
 
     def peek(self, path: str, offset: int, nbytes: int) -> Payload:
         """Content-plane read bypassing the simulated fabric.

@@ -18,7 +18,8 @@ The class is pure content + accounting. Every operation returns an
 :class:`IoReport` describing the physical I/O it implies (backing reads,
 local reads/writes, cluster allocations); the simulated backend in
 :mod:`repro.vmsim.backends` turns reports into simulated time, and the
-snapshot path copies ``file_bytes`` back to the distributed file system.
+snapshot path copies the file :meth:`~Qcow2Image.serialize` produces back
+to the distributed file system.
 """
 
 from __future__ import annotations
@@ -143,25 +144,6 @@ class Qcow2Image:
             report.local_write_bytes += ln
             cursor = w_hi
         return report
-
-    # ------------------------------------------------------------------ #
-    # accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def allocated_clusters(self) -> int:
-        return len(self._clusters)
-
-    @property
-    def file_bytes(self) -> int:
-        """Physical size of the qcow2 file (what a snapshot copy must move)."""
-        return HEADER_BYTES + sum(
-            c.size for c in self._clusters.values()
-        )
-
-    def flatten(self) -> Payload:
-        """The full guest-visible content (for verification against a model)."""
-        payload, _ = self.read(0, self.size)
-        return payload
 
     # ------------------------------------------------------------------ #
     # file (de)serialization — what a snapshot copy physically moves

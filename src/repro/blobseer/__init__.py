@@ -17,7 +17,6 @@ from .metadata import (
     lookup,
     lookup_range,
     reachable_nodes,
-    shared_nodes,
     write_chunks,
 )
 from .pmanager import PlacementPolicy
@@ -46,6 +45,5 @@ __all__ = [
     "lookup",
     "lookup_range",
     "reachable_nodes",
-    "shared_nodes",
     "write_chunks",
 ]

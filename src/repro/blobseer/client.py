@@ -89,10 +89,6 @@ class BlobClient:
             fetched.extend(bytes(short))
         return fetched
 
-    def cached_nodes(self) -> List[NodeId]:
-        """Ids of the tree nodes in this client's metadata cache, ascending."""
-        return [nid for nid, flag in enumerate(self._fetched) if flag]
-
     def _get_nodes(self, missing: Sequence[NodeId]):
         """Fetch uncached tree nodes into the client cache, batched per shard.
 

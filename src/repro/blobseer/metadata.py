@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.errors import SimulationError
 
@@ -274,19 +274,3 @@ def reachable_nodes(store: MetadataStore, root: Optional[NodeId]) -> Set[NodeId]
             if child is not None:
                 stack.append(child)
     return seen
-
-
-def shared_nodes(store: MetadataStore, roots: Iterable[Optional[NodeId]]) -> Dict[str, int]:
-    """Sharing statistics across several snapshots.
-
-    Returns ``{"union": ..., "sum": ...}``: the number of distinct nodes
-    reachable from all the roots together versus the sum of per-root
-    reachable counts. ``sum / union`` > 1 quantifies metadata sharing.
-    """
-    union: Set[NodeId] = set()
-    total = 0
-    for root in roots:
-        nodes = reachable_nodes(store, root)
-        union |= nodes
-        total += len(nodes)
-    return {"union": len(union), "sum": total}

@@ -49,7 +49,6 @@ class BlobSeerDeployment:
         dedup: bool = False,
         replication_factor: int = 1,
         replica_write_mode: str = "parallel",
-        meta_replication: Optional[int] = None,
         retry: Optional["RetryPolicy"] = None,
         topology=None,
         rack_aware_reads: bool = False,
@@ -66,19 +65,13 @@ class BlobSeerDeployment:
                 f"unknown replica write mode {replica_write_mode!r} "
                 "(expected 'parallel' or 'pipeline')"
             )
-        if meta_replication is None:
-            meta_replication = min(replication_factor, len(meta_hosts))
-        if meta_replication < 1 or meta_replication > len(meta_hosts):
-            raise StorageError(
-                f"metadata replication {meta_replication} impossible with "
-                f"{len(meta_hosts)} metadata hosts"
-            )
         #: replicas per chunk written through this deployment's clients
         self.replication_factor = replication_factor
         #: how replicated chunk writes travel: client fan-out or chain
         self.replica_write_mode = replica_write_mode
-        #: homes per metadata tree node (consecutive shards mod n_meta)
-        self.meta_replication = meta_replication
+        #: homes per metadata tree node (consecutive shards mod n_meta): one
+        #: per chunk replica, as far as the metadata hosts go
+        self.meta_replication = min(replication_factor, len(meta_hosts))
         #: client-side RetryPolicy: the deadline, rounds and backoff of the
         #: client's one failover loop; ``None`` = no deadline, no backoff,
         #: each replica tried once
@@ -125,7 +118,7 @@ class BlobSeerDeployment:
         n_meta = len(self.meta_hosts)
         #: :meth:`shard_hosts` of the nodes whose primary is shard ``p``, at ``p``
         self._homes = [
-            tuple(self.meta_hosts[(p + r) % n_meta] for r in range(meta_replication))
+            tuple(self.meta_hosts[(p + r) % n_meta] for r in range(self.meta_replication))
             for p in range(n_meta)
         ]
         self.meta_services: Dict[str, MetadataProviderService] = {}
@@ -184,9 +177,6 @@ class BlobSeerDeployment:
         if self.peer_network is not None:
             client.peer_agent = self.peer_network.agent_for(host)
         return client
-
-    def provider(self, name: str) -> DataProviderService:
-        return self.data_services[name]
 
     # ------------------------------------------------------------------ #
     def seed_blob(

@@ -199,7 +199,7 @@ class BlobRegistry:
             raise UnknownVersionError(
                 f"blob {blob_id}: cannot delete its only snapshot; delete the blob"
             )
-        if self._pins.get((blob_id, version), 0) > 0:
+        if self.pin_count(blob_id, version) > 0:
             self._deferred_versions.add((blob_id, version))
             return
         self._delete_version_now(blob_id, version)
@@ -218,7 +218,7 @@ class BlobRegistry:
         until the last pin on the blob drops.
         """
         history = self._history(blob_id)  # existence check
-        if any(self._pins.get((blob_id, v), 0) > 0 for v in history):
+        if any(self.pin_count(blob_id, v) > 0 for v in history):
             self._deferred_blobs.add(blob_id)
             return
         self._delete_blob_now(blob_id)
@@ -271,7 +271,7 @@ class BlobRegistry:
         if blob_id in self._deferred_blobs:
             history = self._blobs.get(blob_id)
             if history is not None and not any(
-                self._pins.get((blob_id, v), 0) > 0 for v in history
+                self.pin_count(blob_id, v) > 0 for v in history
             ):
                 self._delete_blob_now(blob_id)
             return
@@ -328,9 +328,6 @@ class BlobRegistry:
         if rec is None:
             raise UnknownVersionError(f"blob {blob_id} has no version {version}")
         return rec
-
-    def blob_ids(self) -> List[int]:
-        return sorted(self._blobs)
 
     def live_records(self) -> List[SnapshotRecord]:
         """Every published snapshot across all blobs (the GC root set)."""

@@ -86,10 +86,12 @@ class FuseModel:
 
 @dataclass(frozen=True)
 class SnapshotModel:
-    """Multisnapshotting workload (paper §5.3)."""
+    """Multisnapshotting workload (paper §5.3, §5.5).
 
-    #: local modifications per VM instance when the snapshot is taken
-    diff_bytes: int = 15 * MiB
+    The local modifications per VM when the snapshot is taken are the
+    profile's ``diff_bytes`` (:mod:`repro.runner.profiles`).
+    """
+
     #: intermediate Monte Carlo result file size (paper §5.5)
     montecarlo_state_bytes: int = 10 * MiB
 

@@ -61,7 +61,6 @@ class ChurnEngine:
         self.cloud = cloud
         self.image = image
         self.spec = spec
-        self.slo = SloTracker(len(cloud.compute) * spec.slots_per_node)
         self.trace = generate_trace(spec, cloud.fabric.rng.get("churn-arrivals"))
         self.runtimes: Dict[int, VmRuntime] = {}
         self.placements: Dict[int, int] = {}
@@ -92,6 +91,7 @@ class ChurnEngine:
             max_queue=spec.max_queue,
             locality=self.locality,
         )
+        self.slo = SloTracker(self.scheduler.total_slots)
 
     # ------------------------------------------------------------------ #
     def _tenant_chunk_keys(self) -> Dict[int, FrozenSet[int]]:

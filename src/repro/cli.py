@@ -27,13 +27,14 @@ def _add_cluster_args(
     parser: argparse.ArgumentParser, instances_flags=("--instances",)
 ) -> None:
     parser.add_argument(
-        *instances_flags, dest="instances", type=int, default=16,
+        *instances_flags, dest="instances", type=_positive(int), default=16,
         help="concurrent VMs",
     )
     parser.add_argument("--pool", type=_within(0, kind=int), default=0,
                         help="storage pool size (0 = max(24, instances))")
-    parser.add_argument("--image-mib", type=int, default=1024, help="image size in MiB")
-    parser.add_argument("--touched-mib", type=int, default=64,
+    parser.add_argument("--image-mib", type=_positive(int), default=1024,
+                        help="image size in MiB")
+    parser.add_argument("--touched-mib", type=_positive(int), default=64,
                         help="bytes the boot actually reads, in MiB")
     parser.add_argument("--chunk-kib", type=_positive(int), default=256,
                         help="chunk size in KiB")
@@ -113,9 +114,6 @@ def _cluster_profile(args):
 
 
 def _check_pool(profile, counts) -> None:
-    negative = [n for n in counts if n < 0]
-    if negative:
-        raise SimulationError(f"counts {negative} are negative")
     bad = [n for n in counts if n > profile.pool_nodes]
     if bad:
         raise SimulationError(
@@ -555,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one approach (repeatable; default: the figure's set)",
     )
     p_sweep.add_argument(
-        "--counts", type=lambda s: [int(v) for v in s.split(",")], default=None,
+        "--counts", type=lambda s: [_positive(int)(v) for v in s.split(",")], default=None,
         metavar="N1,N2,...", help="instance counts (default: the profile's sweep)",
     )
     p_sweep.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
@@ -674,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lineage.set_defaults(func=cmd_lineage)
 
     p_bonnie = sub.add_parser("bonnie", help="run the §5.4 micro-benchmark")
-    p_bonnie.add_argument("--image-mib", type=int, default=1024)
+    p_bonnie.add_argument("--image-mib", type=_positive(int), default=1024)
     p_bonnie.add_argument("--working-mib", type=_positive(int), default=256)
     p_bonnie.add_argument("--seed", type=_within(0, kind=int), default=1)
     p_bonnie.set_defaults(func=cmd_bonnie)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..baselines.prepropagation import prepropagate
+from ..baselines.prepropagation import LOCAL_IMAGE_PATH, prepropagate
 from ..common.errors import MiddlewareError
 from ..vmsim.backends import LocalRawBackend, MirrorBackend, Qcow2PvfsBackend
 from ..vmsim.boottrace import boot_trace
@@ -30,7 +30,6 @@ APPROACHES = ("prepropagation", "qcow2-pvfs", "mirror")
 #: Repository paths/identifiers for the seeded initial image.
 NFS_IMAGE_PATH = "/images/initial.raw"
 PVFS_IMAGE_PATH = "/images/initial.raw"
-LOCAL_IMAGE_PATH = "/local/image.raw"
 
 
 @dataclass
@@ -133,7 +132,7 @@ def deploy(
             if approach == "prepropagation":
                 with tracer.start("init-phase", "init", approach=approach):
                     yield from prepropagate(
-                        fabric, cloud.nfs, idents["nfs"], nodes, LOCAL_IMAGE_PATH,
+                        fabric, cloud.nfs, idents["nfs"], nodes,
                         fanout=cloud.calib.service.broadcast_fanout,
                     )
             elif approach == "qcow2-pvfs":

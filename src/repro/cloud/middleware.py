@@ -3,9 +3,8 @@
 A thin orchestration facade over the deployment and snapshotting runners:
 what a Nimbus-style central service would expose to clients. It covers the
 management tasks the paper lists — deploying an image on a set of compute
-nodes, snapshotting individual instances or the whole set, terminating, and
-resuming snapshots on (possibly different) nodes — plus the fine-grained
-per-instance CLONE/COMMIT control the debugging use-case relies on.
+nodes, snapshotting any subset of the instances (one, for the debugging
+use-case), terminating, and resuming snapshots on (possibly different) nodes.
 """
 
 from __future__ import annotations
@@ -57,18 +56,8 @@ class CloudMiddleware:
     # snapshot management
     # ------------------------------------------------------------------ #
     def snapshot_set(self, vms: Sequence[VMInstance], approach: str = "mirror") -> SnapshotCampaignResult:
-        """Global snapshot: CLONE+COMMIT (or qcow2 copy-back) on all instances."""
+        """Snapshot ``vms``: CLONE+COMMIT (or qcow2 copy-back) on each, in parallel."""
         return snapshot_all(self.cloud, vms, approach)
-
-    def snapshot_instance(self, vm: VMInstance) -> SnapshotResult:
-        """Fine-grained control: snapshot a single instance."""
-        out = {}
-
-        def one():
-            out["snap"] = yield from vm.backend.snapshot()
-
-        self.cloud.run(self.cloud.env.process(one(), name=f"snap-{vm.name}"))
-        return out["snap"]
 
     # ------------------------------------------------------------------ #
     # resume (redeploy snapshots, possibly on fresh nodes)

@@ -110,12 +110,6 @@ class IntervalSet:
         """Total number of covered bytes."""
         return sum(b - a for a, b in self._ivs)
 
-    def span(self) -> Interval:
-        """Smallest ``[lo, hi)`` containing the whole set (``(0, 0)`` if empty)."""
-        if not self._ivs:
-            return (0, 0)
-        return (self._ivs[0][0], self._ivs[-1][1])
-
     def is_single_interval(self) -> bool:
         """True iff the set is empty or one contiguous interval.
 
@@ -135,11 +129,6 @@ class IntervalSet:
 
     def __bool__(self) -> bool:
         return bool(self._ivs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return self._ivs == other._ivs
 
     def __repr__(self) -> str:
         body = ", ".join(f"[{a},{b})" for a, b in self._ivs)

@@ -172,10 +172,6 @@ class Payload:
     def size(self) -> int:
         return self._size
 
-    @property
-    def atoms(self) -> Tuple[Atom, ...]:
-        return self._atoms
-
     def is_materialized(self) -> bool:
         """True iff the payload contains no opaque atoms (bytes recoverable)."""
         return all(not isinstance(a, OpaqueAtom) for a in self._atoms)
@@ -219,13 +215,6 @@ class Payload:
             if cursor >= hi:
                 break
         return Payload._from_normalized(out, hi - lo)
-
-    def __getitem__(self, key: slice) -> "Payload":
-        if not isinstance(key, slice) or key.step not in (None, 1):
-            raise TypeError("Payload supports contiguous slicing only")
-        lo = 0 if key.start is None else key.start
-        hi = self._size if key.stop is None else key.stop
-        return self.slice(lo, hi)
 
     def __add__(self, other: "Payload") -> "Payload":
         return Payload.concat([self, other])
@@ -359,10 +348,6 @@ class SparseFile:
         if cursor < hi:
             parts.append(Payload.zeros(hi - cursor))
         return Payload.concat(parts)
-
-    def written_bytes(self) -> int:
-        """Bytes covered by explicit segments (the file's physical footprint)."""
-        return sum(self._ends) - sum(self._starts)
 
     def snapshot_payload(self) -> Payload:
         """The whole file content as one payload (zero-filled holes)."""

@@ -271,15 +271,8 @@ class ModificationManager:
     def is_mirrored(self, lo: int, hi: int) -> bool:
         return not self.plan_read_exact(lo, hi)
 
-    def dirty_chunks(self) -> List[int]:
-        return sorted(idx for idx, s in self._dirty.items() if s)
-
     def dirty_bytes(self) -> int:
         return sum(s.total() for s in self._dirty.values())
-
-    def dirty_intervals(self, idx: int) -> List[Interval]:
-        """Locally written ranges of chunk ``idx``, in order."""
-        return list(self._dirty.get(idx, ()))
 
     def mirrored_bytes(self) -> int:
         hulls = sum(self._m_hi) - sum(self._m_lo)

@@ -68,9 +68,6 @@ class FaultPlan:
             tuple(sorted(self.events, key=lambda e: (e.at, e.kind, e.target))),
         )
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __bool__(self) -> bool:
         return bool(self.events)
 

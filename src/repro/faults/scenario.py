@@ -82,7 +82,7 @@ def resilient_deploy(
     from ..vmsim.boottrace import boot_trace
 
     base = deploy(cloud, image, n_instances, approach, idents=idents, run_boot=False)
-    if plan is not None and plan.events:
+    if plan:
         cloud.inject_faults(plan)
 
     fabric = cloud.fabric

@@ -50,15 +50,6 @@ class LineageForest:
             )
         return entry
 
-    def parent(self, blob_id: int, version: int) -> Optional[VersionKey]:
-        return self.entry(blob_id, version).parent
-
-    def children(self, blob_id: int, version: int) -> Tuple[VersionKey, ...]:
-        return tuple(self._children.get((blob_id, version), ()))
-
-    def is_retired(self, blob_id: int, version: int) -> bool:
-        return self.entry(blob_id, version).retired
-
     # ------------------------------------------------------------------ #
     def ancestry(
         self, blob_id: int, version: int, follow_skips: bool = False
@@ -86,14 +77,6 @@ class LineageForest:
     def depth(self, blob_id: int, version: int, follow_skips: bool = False) -> int:
         """Edges between a snapshot and its genesis (0 for a genesis)."""
         return len(self.ancestry(blob_id, version, follow_skips)) - 1
-
-    def is_ancestor(
-        self, ancestor: VersionKey, descendant: VersionKey
-    ) -> bool:
-        """Whether ``ancestor`` lies on ``descendant``'s raw parent chain."""
-        return tuple(ancestor) in (
-            tuple(k) for k in self.ancestry(*descendant)
-        )
 
     # ------------------------------------------------------------------ #
     def roots(self) -> Tuple[VersionKey, ...]:

@@ -26,7 +26,6 @@ from .analyze import (
     boot_spans,
     category_breakdown,
     coverage,
-    critical_path,
     render_breakdown_table,
     render_critical_path,
     snapshot_spans,
@@ -40,10 +39,8 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "install_tracer",
-    "uninstall_tracer",
     "Segment",
     "attribute",
-    "critical_path",
     "category_breakdown",
     "coverage",
     "boot_spans",
@@ -68,10 +65,3 @@ def install_tracer(fabric, trace_id=None) -> Tracer:
     fabric.network.tracer = tracer
     fabric.env._tracer = tracer
     return tracer
-
-
-def uninstall_tracer(fabric) -> None:
-    """Restore the zero-overhead null tracer on ``fabric``."""
-    fabric.tracer = NULL_TRACER
-    fabric.network.tracer = NULL_TRACER
-    fabric.env._tracer = None

@@ -11,10 +11,10 @@ overhead around it attributes to the enclosing VFS span, and so on. The
 resulting segments partition the root's interval exactly, so the
 per-category breakdown sums to the root's duration by construction.
 
-``critical_path`` is the same sweep with adjacent same-span segments merged:
-for a (sequential) root span it is literally the chain of operations that
-determined its latency; for roots with parallel children the deepest-latest
-tie-break picks one representative branch per instant.
+:func:`render_critical_path` prints those segments: for a (sequential) root
+span they are literally the chain of operations that determined its
+latency; for roots with parallel children the deepest-latest tie-break
+picks one representative branch per instant.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .span import Span
 __all__ = [
     "Segment",
     "attribute",
-    "critical_path",
     "category_breakdown",
     "coverage",
     "boot_spans",
@@ -110,13 +109,6 @@ def attribute(root: Span, spans: Sequence[Span]) -> List[Segment]:
     return merged
 
 
-def critical_path(
-    root: Span, spans: Sequence[Span], min_duration: float = 0.0
-) -> List[Segment]:
-    """The deepest-cover chain through ``root``, tiny segments filtered."""
-    return [s for s in attribute(root, spans) if s.duration > min_duration]
-
-
 def category_breakdown(root: Span, spans: Sequence[Span]) -> Dict[str, float]:
     """Seconds per category over the root's interval; sums to root.duration."""
     out: Dict[str, float] = {}
@@ -183,13 +175,11 @@ def render_breakdown_table(
     return render_bars(title, labels, groups, fmt="{:12.3f}")
 
 
-def render_critical_path(
-    root: Span, spans: Sequence[Span], min_fraction: float = 0.01
-) -> str:
+def render_critical_path(root: Span, spans: Sequence[Span]) -> str:
     """Human-readable critical path of one root span.
 
-    Segments shorter than ``min_fraction`` of the root are folded into a
-    single trailing "(+ N shorter segments, X s)" line.
+    Segments shorter than 1 % of the root are folded into a single
+    trailing "(+ N shorter segments, X s)" line.
     """
     duration = root.duration
     segments = attribute(root, spans)
@@ -197,7 +187,7 @@ def render_critical_path(
     folded = 0
     folded_secs = 0.0
     for seg in segments:
-        if duration > 0 and seg.duration < min_fraction * duration:
+        if duration > 0 and seg.duration < 0.01 * duration:
             folded += 1
             folded_secs += seg.duration
             continue

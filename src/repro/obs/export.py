@@ -83,19 +83,6 @@ def to_trace_events(tracer: Tracer, end_time: Optional[float] = None) -> Dict[st
                 "args": _span_args(span),
             }
         )
-        for t, name, attrs in span.events:
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",  # thread-scoped instant
-                    "name": name,
-                    "cat": span.category,
-                    "ts": t * 1e6,
-                    "pid": _PID,
-                    "tid": span.track,
-                    "args": dict(attrs, span_id=span.span_id),
-                }
-            )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

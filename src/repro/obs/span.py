@@ -2,7 +2,7 @@
 
 A :class:`Span` is one timed operation — an RPC, a network flow, a VM boot
 phase — carrying ``trace_id``/``span_id``/``parent_id`` links, sim-time
-start/end, attributes and point events. A :class:`Tracer` produces spans and
+start/end and attributes. A :class:`Tracer` produces spans and
 threads *context* through the simulation so nesting comes out right without
 any site passing parents around explicitly:
 
@@ -34,7 +34,7 @@ low-level simkit layers can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -55,7 +55,6 @@ class Span:
         "t0",
         "t1",
         "attrs",
-        "events",
         "track",
         "error",
         "_ctx_key",
@@ -81,7 +80,6 @@ class Span:
         self.t0 = t0
         self.t1: Optional[float] = None
         self.attrs = attrs
-        self.events: List[Tuple[float, str, Dict[str, Any]]] = []
         self.track = track
         self.error: Optional[str] = None
         self._ctx_key = ctx_key
@@ -91,10 +89,6 @@ class Span:
         """Attach/overwrite attributes."""
         self.attrs.update(attrs)
         return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a point event at the current simulated time."""
-        self.events.append((self.tracer.env.now, name, attrs))
 
     def set_error(self, exc) -> None:
         """Mark the span failed; accepts an exception or a message string."""
@@ -292,20 +286,11 @@ class NullTracer:
     enabled = False
     spans: List[Span] = []
 
-    def current(self) -> None:
-        return None
-
     def start(self, name: str, category: str = "other", parent=None, **attrs) -> "_NullSpan":
-        return _NULL_SPAN
-
-    def start_async(self, name: str, category: str = "other", parent=None, **attrs) -> "_NullSpan":
         return _NULL_SPAN
 
     def record(self, name: str, category: str, t0: float, t1: float, parent=None, **attrs) -> "_NullSpan":
         return _NULL_SPAN
-
-    def finish_open_spans(self) -> int:
-        return 0
 
 
 class _NullSpan:
@@ -316,13 +301,7 @@ class _NullSpan:
     def set(self, **attrs):
         return self
 
-    def event(self, name, **attrs):
-        pass
-
     def set_error(self, exc):
-        pass
-
-    def finish(self):
         pass
 
     def __enter__(self):

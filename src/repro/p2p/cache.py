@@ -73,9 +73,6 @@ class PeerChunkCache:
     def __contains__(self, key: int) -> bool:
         return key in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def clear(self) -> None:
         """Drop everything (volatile state lost on a host crash)."""
         self._entries.clear()

@@ -62,7 +62,7 @@ PAPER = BenchProfile(
     chunk_size=DEFAULT.image.chunk_size,    # 256 KiB
     touched_bytes=DEFAULT.image.boot_touched_bytes,  # ~109 MiB
     n_regions=64,
-    diff_bytes=DEFAULT.snapshot.diff_bytes,  # 15 MiB
+    diff_bytes=15 * MiB,  # per-VM local modifications, paper §5.3
     mc_workers=100,
     mc_total_compute=1000.0,
     bonnie_working_set=800 * MiB,

@@ -53,10 +53,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         return self._ok
 
@@ -393,29 +389,6 @@ class Environment:
         heappush(self._queue, (when, self._seq, event))
         return event
 
-    def step(self) -> None:
-        """Process the next scheduled event (advances ``now``)."""
-        queue = self._queue
-        if not queue:
-            raise SimulationError(
-                "step() on an empty event queue: the simulation has drained "
-                "(or deadlocked) and no further event can be processed"
-            )
-        when, _, event = queue[0]
-        # Validate *before* popping so a failure leaves the queue and `now`
-        # consistent (the event is not silently lost).
-        if when < self.now - 1e-12:
-            raise SimulationError("time went backwards")
-        heappop(queue)
-        self.now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        self.event_count += 1
-        if callbacks:
-            for cb in callbacks:
-                cb(event)
-
     def run(self, until: "Event | float | None" = None) -> Any:
         """Run until an event fires, a time is reached, or the queue drains.
 
@@ -424,11 +397,10 @@ class Environment:
         * ``until`` is a number: run until simulated time reaches it.
         * ``until`` is None: run until no events remain.
         """
-        # The loops below inline step()'s body: one Python-level call per
-        # processed event is measurable at the event rates the paper sweeps
-        # drive (hundreds of thousands of events per run).
-        # (The "time went backwards" sanity check lives in step(); the
-        # schedulers already reject past times, so the inlined loops skip it.)
+        # The loops below process one event each inline: one Python-level
+        # call per processed event is measurable at the event rates the
+        # paper sweeps drive (hundreds of thousands of events per run). The
+        # schedulers reject past times, so no loop checks that time advances.
         #
         # Cyclic GC is paused for the duration of the loop: the engine
         # allocates hundreds of thousands of short-lived events per run and
@@ -489,12 +461,19 @@ class Environment:
             return None
         horizon = float(until)
         # Exception-safe horizon handling: if a callback raises mid-loop,
-        # `now` still reflects the last event actually processed (step()
-        # validates before popping, so no event is lost either); only on a
-        # clean drain is the clock advanced to the horizon.
-        queue = self._queue
+        # `now` and `event_count` reflect the last event actually processed
+        # and the later events stay queued; only on a clean drain is the
+        # clock advanced to the horizon.
         while queue and queue[0][0] <= horizon:
-            self.step()
+            when, _, event = pop(queue)
+            self.now = when
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            self.event_count += 1
+            if callbacks:
+                for cb in callbacks:
+                    cb(event)
         if self.now < horizon:
             self.now = horizon
         return None

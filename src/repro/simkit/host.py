@@ -95,7 +95,7 @@ class Host:
         #: memoized (service, method) -> bound handler, filled by rpc.call
         self._rpc_cache: Dict[tuple, object] = {}
         #: unreachable flag (fault injection): RPCs to the host fail while it
-        #: is set; see :meth:`fail` / :meth:`recover` and ``rpc.host_down``
+        #: is set; :meth:`fail` / :meth:`recover` also kill and restart work
         self.down = False
         #: processes started via :meth:`spawn` and still running — the set a
         #: crash must kill (insertion-ordered for deterministic interrupts)

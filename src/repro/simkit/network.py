@@ -256,9 +256,6 @@ class FlowNetwork:
         self._nics[name] = nic
         return nic
 
-    def nic(self, name: str) -> Nic:
-        return self._nics[name]
-
     @property
     def active_flow_count(self) -> int:
         return len(self._flows)
@@ -268,14 +265,6 @@ class FlowNetwork:
         for r in range(topo.n_racks):
             for name in (f"rack{r}:up", f"rack{r}:down"):
                 trunks[name] = _Link(name, topo.rack_uplink)
-
-    def trunk(self, name: str) -> _Link:
-        """Look up a trunk link by name (``rack3:up``, ``rack3:down``)."""
-        try:
-            return self._trunks[name]
-        except KeyError:
-            known = ", ".join(self._trunks) or "none (no topology attached)"
-            raise ValueError(f"unknown trunk {name!r}; known trunks: {known}") from None
 
     def _route(self, src: Nic, dst: Nic) -> Tuple[Tuple[_Link, ...], Optional[str]]:
         """``(trunks, scope)`` of a src->dst transfer, resolved once per rack pair.
@@ -403,8 +392,14 @@ class FlowNetwork:
         self._rebalance((nic.up, nic.down))
 
     def set_trunk_capacity(self, name: str, capacity: float) -> None:
-        """Change a trunk's capacity mid-run (fault injection: uplink squeeze)."""
-        trunk = self.trunk(name)
+        """Change a trunk's capacity mid-run (fault injection: uplink squeeze).
+
+        ``name`` is ``rack<r>:up`` or ``rack<r>:down``.
+        """
+        trunk = self._trunks.get(name)
+        if trunk is None:
+            known = ", ".join(self._trunks) or "none (no topology attached)"
+            raise ValueError(f"unknown trunk {name!r}; known trunks: {known}")
         trunk.capacity = _Link.checked(capacity, f"capacity of trunk {name}")
         self._rebalance((trunk,))
 

@@ -91,10 +91,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class _ContainerOp(Event):
     """A pending ``get``/``put`` on a :class:`Container` (cancel-aware)."""

@@ -25,8 +25,8 @@ same for a scatter of calls and wakes once, at the latest reply (DESIGN.md
 §5 and §8). A reply too big for a message still rides the fabric as a flow.
 
 Failure injection: a host whose ``down`` flag is set — by a crash
-(:meth:`~repro.simkit.host.Host.fail`) or by :func:`host_down`, which marks
-it unreachable without crashing it — makes every call to it raise
+(:meth:`~repro.simkit.host.Host.fail`) or by hand, which marks it
+unreachable without crashing it — makes every call to it raise
 :class:`~repro.common.errors.ProviderUnavailableError` after one timeout
 interval, which the replication layer of the storage service exercises. A
 callee is checked when the call starts and again after its handler ran; a
@@ -53,15 +53,6 @@ RESPONSE_BYTES = 192
 #: What an unreachable or emptied home raises: a caller fails over from it
 #: to the item's next home instead of failing outright.
 FAILOVER = (ProviderUnavailableError, ChunkNotFoundError)
-
-
-def host_down(host: Host) -> None:
-    """Mark ``host`` unreachable: subsequent RPCs to it raise (failure injection)."""
-    host.down = True
-
-
-def host_up(host: Host) -> None:
-    host.down = False
 
 
 class Sized:

@@ -86,12 +86,6 @@ class Topology:
     def same_rack(self, a: str, b: str) -> bool:
         return self.rack_of.get(a, 0) == self.rack_of.get(b, 0)
 
-    def describe(self) -> str:
-        return (
-            f"{self.n_racks} rack(s), uplink {self.rack_uplink / 1e6:.1f} MB/s, "
-            f"non-blocking core, oversubscription {self.oversubscription:g}:1"
-        )
-
 
 def _check_oversubscription(oversubscription: float) -> None:
     if not oversubscription > 0:

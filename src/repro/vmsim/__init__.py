@@ -2,11 +2,11 @@
 
 from .backends import LocalRawBackend, MirrorBackend, Qcow2PvfsBackend, SnapshotResult
 from .bonnie import BonnieBenchmark, BonnieResults
-from .boottrace import BootOp, Trace, boot_trace, trace_stats
+from .boottrace import BootOp, Trace, boot_trace
 from .hypervisor import VMInstance
 from .image import HotRegion, VmImage, make_image
 from .montecarlo import MonteCarloConfig, MonteCarloWorker
-from .workloads import cpu_workload, log_append_workload, read_your_writes_workload
+from .workloads import log_append_workload, read_your_writes_workload
 
 __all__ = [
     "BonnieBenchmark",
@@ -23,9 +23,7 @@ __all__ = [
     "VMInstance",
     "VmImage",
     "boot_trace",
-    "cpu_workload",
     "log_append_workload",
     "make_image",
     "read_your_writes_workload",
-    "trace_stats",
 ]

@@ -25,6 +25,9 @@ from typing import Generator
 from ..common.payload import Payload
 from ..common.units import KiB, MiB
 
+#: bytes of adjacent blocks issued as one backend call in the sequential phases
+BATCH_BYTES = 4 * MiB
+
 
 @dataclass
 class BonnieResults:
@@ -51,7 +54,6 @@ class BonnieBenchmark:
         base_offset: int = 0,
         n_seeks: int = 4000,
         n_files: int = 16384,
-        batch_bytes: int = 4 * MiB,
     ):
         self.backend = backend
         self.per_op = data_op_overhead
@@ -61,7 +63,6 @@ class BonnieBenchmark:
         self.base = base_offset
         self.n_seeks = n_seeks
         self.n_files = n_files
-        self.batch = batch_bytes
         self.env = backend.host.env
 
     # ------------------------------------------------------------------ #
@@ -70,7 +71,7 @@ class BonnieBenchmark:
         cursor = self.base
         end = self.base + self.working_set
         while cursor < end:
-            size = min(self.batch, end - cursor)
+            size = min(BATCH_BYTES, end - cursor)
             blocks = -(-size // self.block)
             # per-block syscall cost beyond the single batched call below
             extra_ops = blocks - 1 + (blocks if do_read and do_write else 0)

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 import numpy as np
 
 from ..calibration import BootModel
-from ..common.errors import SimulationError
 from ..common.units import KiB
 from .image import VmImage
 
@@ -34,7 +33,6 @@ from .image import VmImage
 CPU, READ, WRITE = 0, 1, 2
 #: op kind names, indexed by code
 KINDS = ("cpu", "read", "write")
-_CODES = {name: code for code, name in enumerate(KINDS)}
 
 
 @dataclass(slots=True)
@@ -70,41 +68,17 @@ class Trace:
         self.sizes = array("q") if sizes is None else sizes
         self.durations = array("d") if durations is None else durations
 
-    @classmethod
-    def from_ops(cls, ops: Iterable[BootOp]) -> "Trace":
-        """Pack ``BootOp``\\ s; an unknown kind raises :class:`SimulationError`."""
-        trace = cls()
-        for op in ops:
-            code = _CODES.get(op.kind)
-            if code is None:
-                raise SimulationError(f"unknown boot op {op.kind!r}")
-            trace.append(code, op.offset, op.nbytes, op.duration)
-        return trace
-
     def append(self, kind: int, offset: int = 0, nbytes: int = 0, duration: float = 0.0) -> None:
         self.kinds.append(kind)
         self.offsets.append(offset)
         self.sizes.append(nbytes)
         self.durations.append(duration)
 
-    def __len__(self) -> int:
-        return len(self.kinds)
-
     def __iter__(self) -> Iterator[BootOp]:
         for kind, offset, nbytes, duration in zip(
             self.kinds, self.offsets, self.sizes, self.durations
         ):
             yield BootOp(KINDS[kind], offset, nbytes, duration)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (
-            self.kinds == other.kinds
-            and self.offsets == other.offsets
-            and self.sizes == other.sizes
-            and self.durations == other.durations
-        )
 
 
 def cut_points(size: int, n_sub: int) -> List[int]:
@@ -191,14 +165,3 @@ def boot_trace(image: VmImage, model: BootModel, rng: np.random.Generator) -> Tr
     durations = array("d", bytes(8 * n_ops))
     durations[0::2] = array("d", bursts.astype(np.float64).tobytes())
     return Trace(kinds, offsets, sizes, durations)
-
-
-def trace_stats(ops: Iterable[BootOp]) -> dict:
-    """Aggregate measures of a trace (used by tests and calibration)."""
-    return {
-        "reads": sum(1 for o in ops if o.kind == "read"),
-        "writes": sum(1 for o in ops if o.kind == "write"),
-        "read_bytes": sum(o.nbytes for o in ops if o.kind == "read"),
-        "write_bytes": sum(o.nbytes for o in ops if o.kind == "write"),
-        "cpu_seconds": sum(o.duration for o in ops if o.kind == "cpu"),
-    }

@@ -10,7 +10,7 @@ skew measured in §3.1.3 — then replays the boot trace. The instance's
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..common.errors import SimulationError
 from ..common.payload import Payload
 from ..simkit.core import Timeout
 from ..simkit.host import Host
-from .boottrace import CPU, READ, WRITE, BootOp, Trace
+from .boottrace import CPU, READ, WRITE, Trace
 
 
 class _WritePayloads(dict):
@@ -58,15 +58,8 @@ class VMInstance:
         self.booted_at: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    def run_ops(self, ops: Iterable[BootOp]) -> Generator:
-        """Replay a trace against the backend.
-
-        A :class:`~repro.vmsim.boottrace.Trace` replays from its columns, with
-        no object per op; any other iterable of ``BootOp``\\ s is packed into
-        one first.
-        """
-        if not isinstance(ops, Trace):
-            ops = Trace.from_ops(ops)
+    def run_ops(self, ops: Trace) -> Generator:
+        """Replay a trace against the backend, from its columns (no object per op)."""
         if self.host.fabric.tracer.enabled:
             yield from self._run_ops_traced(ops)
             return
@@ -108,7 +101,7 @@ class VMInstance:
             else:
                 raise SimulationError(f"unknown boot op kind {kind}")
 
-    def boot(self, trace: Iterable[BootOp]) -> Generator:
+    def boot(self, trace: Trace) -> Generator:
         """Hypervisor init + backend open + boot trace. Records boot_time."""
         env = self.host.env
         t_launch = env.now

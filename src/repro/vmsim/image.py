@@ -44,9 +44,6 @@ class VmImage:
     def size(self) -> int:
         return self.payload.size
 
-    def touched_bytes(self) -> int:
-        return sum(r.size for r in self.hot_regions)
-
 
 def make_image(
     size: int,

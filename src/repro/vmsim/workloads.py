@@ -2,8 +2,8 @@
 
 After boot, the paper distinguishes (1) negligible disk access — CPU-bound
 jobs or jobs using dedicated storage — and (2) read-your-writes access, e.g.
-web servers maintaining logs and object caches inside the image. Both are
-provided as trace generators returning a
+web servers maintaining logs and object caches inside the image. The second
+kind is provided as trace generators returning a
 :class:`~repro.vmsim.boottrace.Trace` for
 :meth:`repro.vmsim.hypervisor.VMInstance.run_ops`.
 """
@@ -16,27 +16,19 @@ from ..common.units import KiB
 from .boottrace import CPU, READ, WRITE, Trace
 
 
-def cpu_workload(seconds: float, slices: int = 10) -> Trace:
-    """Pure computation: CPU bursts only (negligible disk access)."""
-    trace = Trace()
-    for _ in range(slices):
-        trace.append(CPU, duration=seconds / slices)
-    return trace
-
-
 def read_your_writes_workload(
     base_offset: int,
     total_bytes: int,
     rng: np.random.Generator,
-    write_block: int = 8 * KiB,
     reread_fraction: float = 0.5,
-    cpu_between: float = 0.002,
 ) -> Trace:
     """Log/object-cache pattern: append writes, re-read some of what was written.
 
-    All reads target previously written offsets, so a lazy-mirroring backend
-    serves them locally (the property §5.4 measures).
+    Writes go in 8 KiB blocks, each after 2 ms of CPU. All reads target
+    previously written offsets, so a lazy-mirroring backend serves them
+    locally (the property §5.4 measures).
     """
+    write_block, cpu_between = 8 * KiB, 0.002
     trace = Trace()
     append = trace.append
     n_written = 0
@@ -56,14 +48,12 @@ def read_your_writes_workload(
     return trace
 
 
-def log_append_workload(
-    base_offset: int, n_appends: int, append_bytes: int, cpu_between: float = 0.01
-) -> Trace:
-    """Sequential append-only log (webserver access log)."""
+def log_append_workload(base_offset: int, n_appends: int, append_bytes: int) -> Trace:
+    """Sequential append-only log (webserver access log), 10 ms of CPU per append."""
     trace = Trace()
     cursor = base_offset
     for _ in range(n_appends):
-        trace.append(CPU, 0, 0, cpu_between)
+        trace.append(CPU, 0, 0, 0.01)
         trace.append(WRITE, cursor, append_bytes)
         cursor += append_bytes
     return trace

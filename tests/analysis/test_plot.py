@@ -32,7 +32,7 @@ class TestAsciiChart:
         for n in (0, 10, 20):
             s.add(n, 5.0)
         fig.add_series(s)
-        text = ascii_chart(fig, width=30, height=10)
+        text = ascii_chart(fig)
         rows_with_marker = [line for line in text.splitlines() if "o" in line and line.startswith("|")]
         assert len(rows_with_marker) == 1
 
@@ -42,7 +42,7 @@ class TestAsciiChart:
         for n in range(5):
             s.add(n, float(n))
         fig.add_series(s)
-        text = ascii_chart(fig, width=30, height=10)
+        text = ascii_chart(fig)
         rows_with_marker = [line for line in text.splitlines() if "o" in line and line.startswith("|")]
         assert len(rows_with_marker) >= 5
 
@@ -59,4 +59,4 @@ class TestAsciiChart:
             b.add(n, 1.0)  # exact overlap
         fig.add_series(a)
         fig.add_series(b)
-        assert "?" in ascii_chart(fig, width=20, height=6)
+        assert "?" in ascii_chart(fig)

@@ -22,7 +22,7 @@ class TestSeries:
         s.add(20, 30.0)
         assert s.at(1) == 10.0
         assert s.at(20) == 30.0
-        assert len(s) == 2
+        assert s.x == [1.0, 20.0]
 
     def test_at_missing_raises(self):
         s = Series("x")
@@ -56,28 +56,13 @@ class TestSeriesAtTolerance:
         s.add(2.0, 20.0)
         return s
 
-    def test_exact_match_wins_even_with_tol(self):
-        s = self._series()
-        s.add(2.05, 99.0)
-        assert s.at(2.0, tol=0.1) == 20.0
-
-    def test_nearest_within_tol(self):
-        s = self._series()
-        assert s.at(2.04, tol=0.1) == 20.0
-        assert s.at(0.96, tol=0.1) == 10.0
-
-    def test_near_miss_outside_tol_raises(self):
-        s = self._series()
-        with pytest.raises(KeyError, match="nearest measured"):
-            s.at(2.5, tol=0.1)
-
     def test_zero_tol_keeps_strict_lookup(self):
         with pytest.raises(KeyError):
             self._series().at(2.0000001)
 
     def test_empty_series_raises(self):
         with pytest.raises(KeyError):
-            Series("empty").at(1.0, tol=10.0)
+            Series("empty").at(1.0)
 
 
 class _FakePoint:

@@ -1,6 +1,4 @@
-"""Additional broadcast-mode tests (disk staging variants, fanout effects)."""
-
-import pytest
+"""Additional broadcast tests (fanout effects)."""
 
 from repro.baselines.broadcast import broadcast
 from repro.common.payload import Payload
@@ -28,16 +26,6 @@ def run_broadcast(n=6, **kwargs):
 
 
 class TestStagingVariants:
-    def test_forward_from_disk_slower(self):
-        page_cache = run_broadcast(forward_from_disk=False).makespan
-        disk_staged = run_broadcast(forward_from_disk=True).makespan
-        assert disk_staged > page_cache
-
-    def test_skip_source_disk_read(self):
-        cold_source = run_broadcast(read_from_disk_at_source=True).makespan
-        warm_source = run_broadcast(read_from_disk_at_source=False).makespan
-        assert warm_source < cold_source
-
     def test_higher_fanout_shallower_but_contended(self):
         f2 = run_broadcast(n=12, fanout=2)
         f4 = run_broadcast(n=12, fanout=4)

@@ -56,8 +56,8 @@ class TestPvfs:
     def test_stripes_distributed_round_robin(self):
         fab, dep, hosts = make_pvfs(n=4)
         dep.seed_file("/f", Payload.from_bytes(pattern(8 * STRIPE)))
-        per_server = [dep.io_servers[h.name].stored_bytes() for h in hosts]
-        assert per_server == [2 * STRIPE] * 4
+        per_server = [sorted(idx for _, idx in dep.io_servers[h.name]._stripes) for h in hosts]
+        assert per_server == [[k, k + 4] for k in range(4)]
 
     def test_write_overwrites_in_place_no_versioning(self):
         fab, dep, hosts = make_pvfs()
@@ -74,7 +74,8 @@ class TestPvfs:
         expected = bytearray(data[:20])
         expected[10:13] = b"NEW"
         assert got.to_bytes() == bytes(expected)
-        assert dep.stored_bytes() == len(data)  # no extra version stored
+        stripes = [key for srv in dep.io_servers.values() for key in srv._stripes]
+        assert sorted(stripes) == [("/f", 0), ("/f", 1)]  # no extra version stored
 
     def test_missing_file(self):
         fab, dep, hosts = make_pvfs()

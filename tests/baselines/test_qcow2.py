@@ -112,16 +112,16 @@ class TestWrite:
 class TestAccounting:
     def test_file_bytes_counts_allocated_plus_header(self):
         img, _, _ = backed_image()
-        assert img.file_bytes == HEADER_BYTES
+        assert img.serialize()[0].size == HEADER_BYTES
         img.write(0, Payload.from_bytes(b"x"))
-        assert img.file_bytes == HEADER_BYTES + CL
+        assert img.serialize()[0].size == HEADER_BYTES + CL
         img.write(3 * CL, Payload.from_bytes(b"y" * CL))
-        assert img.file_bytes == HEADER_BYTES + 2 * CL
+        assert img.serialize()[0].size == HEADER_BYTES + 2 * CL
 
     def test_tail_cluster_short(self):
         img = Qcow2Image(CL + 10, None, cluster_size=CL)
         img.write(CL, Payload.from_bytes(b"ab"))
-        assert img.file_bytes == HEADER_BYTES + 10
+        assert img.serialize()[0].size == HEADER_BYTES + 10
 
 
 @settings(max_examples=150)
@@ -148,4 +148,4 @@ def test_matches_flat_model(ops):
             content = pattern(ln, seed=off + ln)
             img.write(off, Payload.from_bytes(content))
             model[off : off + ln] = content
-    assert img.flatten().to_bytes() == bytes(model)
+    assert img.read(0, IMG)[0].to_bytes() == bytes(model)

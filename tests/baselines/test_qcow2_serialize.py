@@ -33,11 +33,11 @@ def test_serialize_deserialize_preserves_guest_view(writes):
         img.write(off, Payload.from_bytes(pattern(ln, seed)))
     file_payload, index = img.serialize()
     # the file holds exactly header + allocated clusters
-    assert file_payload.size == img.file_bytes
+    assert file_payload.size == HEADER_BYTES + len(index) * CL
     assert sorted(index) == index  # canonical order
     reopened = Qcow2Image.deserialize(file_payload, index, IMG, backing_read, cluster_size=CL)
-    assert reopened.flatten() == img.flatten()
-    assert reopened.allocated_clusters == img.allocated_clusters
+    assert reopened.read(0, IMG)[0] == img.read(0, IMG)[0]
+    assert reopened.serialize() == (file_payload, index)
 
 
 @settings(max_examples=60)
@@ -50,10 +50,10 @@ def test_deserialized_copy_diverges_independently(writes):
         img.write(off, Payload.from_bytes(pattern(ln, seed)))
     file_payload, index = img.serialize()
     copy = Qcow2Image.deserialize(file_payload, index, IMG, backing_read, cluster_size=CL)
-    snapshot_view = img.flatten()
+    snapshot_view, _ = img.read(0, IMG)
     copy.write(0, Payload.from_bytes(b"DIVERGED"))
     # the original is untouched by writes to the copy
-    assert img.flatten() == snapshot_view
+    assert img.read(0, IMG)[0] == snapshot_view
 
 
 def test_empty_image_serializes_to_header_only():

@@ -13,7 +13,6 @@ from repro.blobseer.metadata import (
     lookup,
     lookup_range,
     reachable_nodes,
-    shared_nodes,
     write_chunks,
 )
 
@@ -95,10 +94,10 @@ class TestShadowing:
         v1 = build_tree(store, {i: ref(i) for i in range(8)}, 8)
         n_before = len(reachable_nodes(store, v1))
         v2 = write_chunks(store, v1, {0: ref(100)}, 8)
-        stats = shared_nodes(store, [v1, v2])
+        n1, n2 = reachable_nodes(store, v1), reachable_nodes(store, v2)
         # Only the path to leaf 0 is new: depth log2(8)=3 + leaf = 4 new nodes.
-        assert stats["union"] == n_before + 4
-        assert stats["sum"] == 2 * n_before
+        assert len(n1 | n2) == n_before + 4
+        assert len(n1) + len(n2) == 2 * n_before
 
     def test_write_into_hole(self):
         store = MetadataStore()
@@ -179,11 +178,11 @@ class TestSharingStats:
         for k in range(20):
             root = write_chunks(store, root, {k % C: ref(1000 + k)}, C)
             roots.append(root)
-        stats = shared_nodes(store, roots)
+        per_root = [reachable_nodes(store, r) for r in roots]
         depth = 9  # log2(256) + 1 levels
-        assert stats["union"] <= (2 * C - 1) + 20 * depth
+        assert len(set().union(*per_root)) <= (2 * C - 1) + 20 * depth
         # naive copies would need 21 full trees
-        assert stats["sum"] >= 21 * C
+        assert sum(len(nodes) for nodes in per_root) >= 21 * C
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,6 @@ from repro.common.errors import (
 )
 from repro.common.payload import Payload
 from repro.common.units import KiB
-from repro.simkit import rpc
 from repro.simkit.host import Fabric
 from repro.blobseer import BlobSeerDeployment
 
@@ -120,7 +119,7 @@ class TestCreateUploadRead:
             yield from client.upload(blob, Payload.from_bytes(data))
 
         run(fab, scenario())
-        counts = [len(dep.provider(h.name).store) for h in hosts]
+        counts = [len(dep.data_services[h.name].store) for h in hosts]
         assert counts == [2, 2, 2, 2]  # round-robin over 4 providers
 
 
@@ -268,7 +267,7 @@ class TestReplicationAndFailure:
         data = pattern(4 * CHUNK)
         rec = dep.seed_blob(Payload.from_bytes(data), CHUNK, replication=2)
         client = dep.client(hosts[3])
-        rpc.host_down(hosts[0])
+        hosts[0].down = True
 
         def scenario():
             got = yield from client.read(rec.blob_id, rec.version, 0, len(data))
@@ -281,7 +280,7 @@ class TestReplicationAndFailure:
         data = pattern(4 * CHUNK)
         rec = dep.seed_blob(Payload.from_bytes(data), CHUNK, replication=1)
         client = dep.client(hosts[3])
-        rpc.host_down(hosts[0])
+        hosts[0].down = True
 
         def scenario():
             yield from client.read(rec.blob_id, rec.version, 0, len(data))

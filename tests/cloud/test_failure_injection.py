@@ -13,7 +13,6 @@ from repro.common.errors import (
 from repro.common.payload import Payload
 from repro.common.units import KiB, MiB
 from repro.core import mount
-from repro.simkit import rpc
 from repro.simkit.host import Fabric
 from repro.vmsim import boot_trace, make_image
 from repro.vmsim.backends import MirrorBackend
@@ -40,7 +39,7 @@ class TestProviderFailureDuringDeployment:
 
     def test_boot_survives_provider_loss_with_replication(self):
         fab, dep, hosts, rec, data = self._setup(replication=2)
-        rpc.host_down(hosts[1])
+        hosts[1].down = True
 
         def scenario():
             h = yield from mount(hosts[5], dep, rec.blob_id, rec.version)
@@ -52,7 +51,7 @@ class TestProviderFailureDuringDeployment:
 
     def test_boot_fails_without_replication(self):
         fab, dep, hosts, rec, data = self._setup(replication=1)
-        rpc.host_down(hosts[1])
+        hosts[1].down = True
 
         def scenario():
             h = yield from mount(hosts[5], dep, rec.blob_id, rec.version)
@@ -63,8 +62,8 @@ class TestProviderFailureDuringDeployment:
 
     def test_recovered_provider_serves_again(self):
         fab, dep, hosts, rec, data = self._setup(replication=1)
-        rpc.host_down(hosts[1])
-        rpc.host_up(hosts[1])
+        hosts[1].down = True
+        hosts[1].down = False
 
         def scenario():
             h = yield from mount(hosts[5], dep, rec.blob_id, rec.version)

@@ -33,7 +33,7 @@ class TestControlApi:
     def test_snapshot_instance_fine_grained(self):
         cloud, image, mw = make_mw()
         res = mw.deploy_set(image, 2, "mirror")
-        snap = mw.snapshot_instance(res.vms[0])
+        (snap,) = mw.snapshot_set(res.vms[:1]).per_instance
         assert snap.ident.startswith("blob")
 
     def test_snapshot_set_then_resume_on_fresh_nodes(self):

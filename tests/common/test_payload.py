@@ -45,7 +45,7 @@ class TestConstruction:
 
     def test_zero_size_is_the_empty_payload(self):
         for p in (Payload.zeros(0), Payload.opaque("img", 0, offset=7), Payload.from_bytes(b"")):
-            assert p == EMPTY and p.atoms == ()
+            assert p == EMPTY and p._atoms == ()
 
     def test_negative_size_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -92,11 +92,6 @@ class TestSliceConcat:
         p = Payload.from_bytes(b"abcdef")
         assert p.slice(1, 4).to_bytes() == b"bcd"
 
-    def test_getitem(self):
-        p = Payload.from_bytes(b"abcdef")
-        assert p[2:5].to_bytes() == b"cde"
-        assert p[:].to_bytes() == b"abcdef"
-
     def test_slice_across_atoms(self):
         p = Payload.from_bytes(b"abc") + Payload.zeros(3) + Payload.from_bytes(b"xyz")
         assert p.slice(2, 8).to_bytes() == b"c\x00\x00\x00xy"
@@ -113,24 +108,24 @@ class TestSliceConcat:
     def test_opaque_slice_window_arithmetic(self):
         p = Payload.opaque("img", 100, offset=50)
         sub = p.slice(10, 30)
-        (atom,) = sub.atoms
+        (atom,) = sub._atoms
         assert (atom.tag, atom.offset, atom.nbytes) == ("img", 60, 20)
 
     def test_adjacent_opaque_windows_merge(self):
         a = Payload.opaque("img", 10, offset=0)
         b = Payload.opaque("img", 10, offset=10)
-        assert len((a + b).atoms) == 1
+        assert len((a + b)._atoms) == 1
         assert (a + b).size == 20
 
     def test_nonadjacent_opaque_do_not_merge(self):
         a = Payload.opaque("img", 10, offset=0)
         b = Payload.opaque("img", 10, offset=11)
-        assert len((a + b).atoms) == 2
+        assert len((a + b)._atoms) == 2
 
     def test_different_tags_do_not_merge(self):
         a = Payload.opaque("img1", 10, offset=0)
         b = Payload.opaque("img2", 10, offset=10)
-        assert len((a + b).atoms) == 2
+        assert len((a + b)._atoms) == 2
 
     def test_equality_normalized(self):
         a = Payload.from_bytes(b"ab") + Payload.from_bytes(b"cd")
@@ -200,14 +195,6 @@ class TestSparseFile:
         with pytest.raises(OutOfRangeError):
             f.read(0, 5)
 
-    def test_written_bytes_tracks_footprint(self):
-        f = SparseFile(100)
-        f.write(0, Payload.from_bytes(b"ab"))
-        f.write(50, Payload.from_bytes(b"cd"))
-        assert f.written_bytes() == 4
-        f.write(1, Payload.from_bytes(b"zz"))  # overlap extends by 1
-        assert f.written_bytes() == 5
-
     def test_base_payload_must_match_size(self):
         with pytest.raises(OutOfRangeError):
             SparseFile(5, base=Payload.from_bytes(b"abc"))
@@ -218,9 +205,9 @@ class TestSparseFile:
         got = f.read(5, 20)
         assert got.size == 20
         # window [5,10) opaque, [10,13) bytes, [13,25) opaque
-        assert got.atoms[0].tag == "img" and got.atoms[0].offset == 5
-        assert got.atoms[1].data == b"mod"
-        assert got.atoms[2].offset == 13
+        assert got._atoms[0].tag == "img" and got._atoms[0].offset == 5
+        assert got._atoms[1].data == b"mod"
+        assert got._atoms[2].offset == 13
 
 
 def segments(f):

@@ -118,7 +118,7 @@ class TestTransitions:
     def test_record_write_marks_dirty_and_mirrored(self):
         m = mgr()
         m.record_write(150, 350)
-        assert m.dirty_chunks() == [1, 2, 3]
+        assert sorted(m.to_state()["dirty"]) == [1, 2, 3]
         assert m.dirty_bytes() == 200
         assert m.is_mirrored(150, 350)
         assert not m.is_mirrored(100, 150)
@@ -126,14 +126,14 @@ class TestTransitions:
     def test_record_fetch_not_dirty(self):
         m = mgr()
         m.record_fetch(4)
-        assert m.dirty_chunks() == []
+        assert m.to_state()["dirty"] == {}
         assert m.is_mirrored(400, 500)
 
     def test_clear_dirty(self):
         m = mgr()
         m.record_write(0, 50)
         m.clear_dirty()
-        assert m.dirty_chunks() == []
+        assert m.to_state()["dirty"] == {}
         assert m.is_mirrored(0, 50)  # still mirrored
 
     def test_strategy2_invariant_enforced(self):
@@ -182,12 +182,11 @@ class TestTransitions:
         m.record_write(150, 250)
         taken = m.clear_dirty()
         assert {idx: list(s) for idx, s in taken.items()} == {1: [(150, 200)], 2: [(200, 250)]}
-        assert m.dirty_chunks() == [] and m.dirty_bytes() == 0
+        assert m.to_state()["dirty"] == {} and m.dirty_bytes() == 0
         m.record_write(160, 170)  # dirtied after the hand-over: a fresh entry
-        assert m.dirty_intervals(1) == [(160, 170)]
+        assert m.to_state()["dirty"] == {1: [(160, 170)]}
         m.restore_dirty(taken)
-        assert m.dirty_intervals(1) == [(150, 200)]
-        assert m.dirty_chunks() == [1, 2]
+        assert m.to_state()["dirty"] == {1: [(150, 200)], 2: [(200, 250)]}
 
 
 class TestFragmentedMirror:
@@ -249,7 +248,7 @@ class TestPersistence:
         m.record_write(920, 1000)
         m2 = ModificationManager.from_state(m.to_state())
         assert m2.image_size == m.image_size
-        assert m2.dirty_chunks() == m.dirty_chunks()
+        assert m2.to_state()["dirty"] == m.to_state()["dirty"]
         assert m2.mirrored_bytes() == m.mirrored_bytes()
         assert m2.plan_read(150, 170).is_local
         assert not m2.plan_read(100, 200).is_local
@@ -299,9 +298,8 @@ def test_protocol_preserves_invariants(ops):
         c_lo, c_hi = m.chunk_bounds(idx)
         assert c_lo <= span_lo <= span_hi <= c_hi or (span_lo, span_hi) == (0, 0)
     # dirty is a subset of mirrored
-    for idx in m.dirty_chunks():
-        c_lo, c_hi = m.chunk_bounds(idx)
-        for d_lo, d_hi in m.dirty_intervals(idx):
+    for dirty in m.to_state()["dirty"].values():
+        for d_lo, d_hi in dirty:
             assert m.is_mirrored(d_lo, d_hi)
 
 

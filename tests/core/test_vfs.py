@@ -258,9 +258,9 @@ class TestCommitKeepsWhatItDidNotPublish:
             writer = fab.env.process(late_writer(h))
             out["first"] = yield from h.ioctl_commit()
             yield writer
-            out["dirty_after_first"] = h.modmgr.dirty_chunks()
+            out["dirty_after_first"] = sorted(h.modmgr.to_state()["dirty"])
             out["second"] = yield from h.ioctl_commit()
-            out["dirty_after_second"] = h.modmgr.dirty_chunks()
+            out["dirty_after_second"] = sorted(h.modmgr.to_state()["dirty"])
             reader = dep.client(hosts[2])
             first, second = out["first"], out["second"]
             out["chunk3_first"] = yield from reader.read(
@@ -297,7 +297,7 @@ class TestCommitKeepsWhatItDidNotPublish:
             writer = fab.env.process(late_writer(h))
             yield from h.ioctl_commit()
             yield writer
-            out["dirty"] = h.modmgr.dirty_intervals(0)
+            out["dirty"] = h.modmgr.to_state()["dirty"].get(0, [])
             snap = yield from h.ioctl_commit()
             reader = dep.client(hosts[2])
             out["published"] = yield from reader.read(snap.blob_id, snap.version, 0, 100)
@@ -324,7 +324,7 @@ class TestCommitKeepsWhatItDidNotPublish:
             h.vfs.client.write_chunks = refused
             with pytest.raises(StorageError):
                 yield from h.ioctl_commit()
-            out["dirty"] = {idx: h.modmgr.dirty_intervals(idx) for idx in h.modmgr.dirty_chunks()}
+            out["dirty"] = h.modmgr.to_state()["dirty"]
             h.vfs.client.write_chunks = publish
             snap = yield from h.ioctl_commit()
             reader = dep.client(hosts[1])
@@ -372,7 +372,7 @@ class TestWriteDuringFetchSurvives:
 
         run(fab, scenario())
         assert out["write_done"] < out["fetch_done"]  # the write really raced the fetch
-        dirty = out["h"].modmgr.dirty_intervals(2)
+        dirty = out["h"].modmgr.to_state()["dirty"][2]
         assert any(lo <= write_at and write_at + 50 <= hi for lo, hi in dirty)
         return out
 
@@ -481,7 +481,7 @@ class TestPersistenceAcrossOpen:
         remote_before, p, h2 = run(fab, scenario())
         assert p.to_bytes() == b"persist"
         assert fab.metrics.counters["mirror-remote-read"] == remote_before
-        assert h2.modmgr.dirty_chunks() == [0]
+        assert sorted(h2.modmgr.to_state()["dirty"]) == [0]
 
     def test_reopen_wrong_snapshot_rejected(self):
         fab, dep, hosts, rec, data = setup_cloud()

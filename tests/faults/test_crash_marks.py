@@ -10,7 +10,6 @@ import gc
 from repro.calibration import Calibration, ImageSpec
 from repro.cloud import build_cloud, deploy
 from repro.common.units import KiB, MiB
-from repro.simkit import rpc
 from repro.vmsim import make_image
 
 CALIB = Calibration(
@@ -37,7 +36,7 @@ def _deploy_timeline():
 def _leave_a_crashed_cloud():
     cloud = build_cloud(N_NODES, seed=SEED, calib=CALIB)
     cloud.compute[0].fail()              # crashed, never recovered
-    rpc.host_down(cloud.compute[1])      # unreachable without a crash
+    cloud.compute[1].down = True  # unreachable without a crash
     assert cloud.compute[0].down and cloud.compute[1].down
 
 

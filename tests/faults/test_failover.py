@@ -7,7 +7,6 @@ from repro.common.errors import ProviderUnavailableError, StorageError
 from repro.common.payload import Payload
 from repro.common.units import KiB
 from repro.faults import RetryPolicy
-from repro.simkit import rpc
 from repro.simkit.host import Fabric
 
 CHUNK = 4 * KiB
@@ -106,8 +105,8 @@ class TestReplicatedWrites:
 
     def test_write_fails_when_no_replica_survives(self):
         fab, dep, data, meta, ch = make(replication=1, n_data=2)
-        rpc.host_down(data[0])
-        rpc.host_down(data[1])
+        data[0].down = True
+        data[1].down = True
         client = dep.client(ch)
 
         def scenario():
@@ -124,7 +123,7 @@ class TestFailoverReads:
         fab, dep, data, meta, ch = make(replication=2)
         payload = Payload.from_bytes(pattern(16 * CHUNK))
         rec = dep.seed_blob(payload, CHUNK)
-        rpc.host_down(data[0])
+        data[0].down = True
         client = dep.client(ch)
 
         def scenario():
@@ -137,7 +136,7 @@ class TestFailoverReads:
     def test_unreplicated_read_exhausts_attempts(self):
         fab, dep, data, meta, ch = make(replication=1)
         rec = dep.seed_blob(Payload.from_bytes(pattern(16 * CHUNK)), CHUNK)
-        rpc.host_down(data[0])
+        data[0].down = True
         client = dep.client(ch)
 
         def scenario():
@@ -154,7 +153,7 @@ class TestFailoverReads:
         assert dep.meta_replication == 2
         payload = Payload.from_bytes(pattern(16 * CHUNK))
         rec = dep.seed_blob(payload, CHUNK)
-        rpc.host_down(meta[0])
+        meta[0].down = True
         client = dep.client(ch)
 
         def scenario():

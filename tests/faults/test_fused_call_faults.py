@@ -21,13 +21,15 @@ CHUNK = 4 * KiB
 POLICY = RetryPolicy(attempts=3, base_delay=0.01, rpc_timeout=1.0)
 
 
-def make(retry=None, meta_replication=1):
+def make(retry=None, replication=1):
+    """Two data and two metadata hosts: ``replication`` 2 gives every tree
+    node two metadata homes."""
     fab = Fabric(seed=41)
     data = [fab.add_host(f"node{i}") for i in range(2)]
     meta = [fab.add_host(f"meta{i}") for i in range(2)]
     dep = BlobSeerDeployment(
         fab, data_hosts=data, meta_hosts=meta, vmanager_host=fab.add_host("manager"),
-        retry=retry, meta_replication=meta_replication,
+        retry=retry, replication_factor=replication,
     )
     dep.seed_blob(Payload.opaque("img", 16 * CHUNK), CHUNK)
     client = dep.client(fab.add_host("client"))
@@ -63,7 +65,7 @@ def test_the_window_of_a_fused_gather():
     fab, _, _, client, ids = make()
     outcome, _ = fetch(fab, client, ids)
     assert 0.0001 < outcome["ok"] < 0.001
-    assert set(ids) <= set(client.cached_nodes())
+    assert all(client._fetched[nid] for nid in ids)
 
 
 def test_shard_crashing_inside_a_fused_gather_fails_it_on_wake():
@@ -74,7 +76,7 @@ def test_shard_crashing_inside_a_fused_gather_fails_it_on_wake():
     outcome, tracer = fetch(fab, client, ids, crash=meta[1], traced=True)
     # found down when the replies land — the instant the gather wakes at
     assert outcome == {"error": (wake, "meta1 failed during call")}
-    assert not client.cached_nodes(), "a failed gather caches nothing"
+    assert not any(client._fetched), "a failed gather caches nothing"
     calls = {s.attrs["dst"]: s for s in tracer.spans if s.category == "rpc"}
     assert calls["meta1"].error == "ProviderUnavailableError: meta1 failed during call"
     assert calls["meta0"].error is None
@@ -96,20 +98,20 @@ def test_shard_already_down_costs_the_gather_a_timeout():
 
 
 def test_retry_policy_fails_over_a_shard_crashing_inside_a_fused_call():
-    fab, _, _, healthy_client, ids = make(retry=POLICY, meta_replication=2)
+    fab, _, _, healthy_client, ids = make(retry=POLICY, replication=2)
     healthy = fetch(fab, healthy_client, ids)[0]["ok"]
     assert fab.metrics.counters["meta-retry"] == 0
 
-    fab, _, meta, client, ids = make(retry=POLICY, meta_replication=2)
+    fab, _, meta, client, ids = make(retry=POLICY, replication=2)
     outcome, _ = fetch(fab, client, ids, crash=meta[1])
     # attempt 0 loses meta1's batch on wake, backs off, asks the other home
     assert fab.metrics.counters["meta-retry"] == 1
     assert outcome["ok"] > healthy + POLICY.delay_for(0)
-    assert set(ids) <= set(client.cached_nodes())
+    assert all(client._fetched[nid] for nid in ids)
 
 
 def test_without_a_replica_the_retries_are_exhausted():
-    fab, _, meta, client, ids = make(retry=POLICY, meta_replication=1)
+    fab, _, meta, client, ids = make(retry=POLICY, replication=1)
     outcome, _ = fetch(fab, client, ids, crash=meta[1])
     assert "unreachable after 3 attempts" in outcome["error"][1]
     # no backoff after the last attempt: it raises at once
@@ -120,7 +122,7 @@ def test_without_a_replica_the_retries_are_exhausted():
 def test_tracing_does_not_move_a_faulted_timeline(retry):
     runs = []
     for traced in (False, True):
-        fab, _, meta, client, ids = make(retry=retry, meta_replication=2 if retry else 1)
+        fab, _, meta, client, ids = make(retry=retry, replication=2 if retry else 1)
         outcome, _ = fetch(fab, client, ids, crash=meta[1], traced=traced)
         runs.append((outcome, fab.env.now, fab.env.event_count, dict(fab.metrics.counters)))
     assert runs[0] == runs[1]

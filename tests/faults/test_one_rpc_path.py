@@ -70,13 +70,13 @@ def test_exact_range_reads_prefer_the_same_rack_replica_without_a_policy():
 # ---------------------------------------------------------------------- #
 # the retry-free path fails over like the armed one
 # ---------------------------------------------------------------------- #
-def make(replication=2, meta_replication=None, n_data=4, n_meta=2):
+def make(replication=2, n_data=4, n_meta=2):
     fab = Fabric(seed=37)
     data = [fab.add_host(f"node{i}") for i in range(n_data)]
     meta = [fab.add_host(f"meta{i}") for i in range(n_meta)]
     dep = BlobSeerDeployment(
         fab, data_hosts=data, meta_hosts=meta, vmanager_host=fab.add_host("manager"),
-        replication_factor=replication, meta_replication=meta_replication,
+        replication_factor=replication,
     )
     assert dep.retry is None
     return fab, dep, data, meta, fab.add_host("client")
@@ -92,7 +92,7 @@ def pattern(n):
 
 @pytest.mark.parametrize("crash_at", [None, 0.0001], ids=["down", "dies-mid-gather"])
 def test_a_dead_primary_shard_fails_over_to_the_next_home(crash_at):
-    fab, dep, _, meta, ch = make(replication=1, meta_replication=2)
+    fab, dep, _, meta, ch = make(replication=2)  # two metadata homes per node
     dep.seed_blob(Payload.opaque("img", 16 * CHUNK), CHUNK)
     client = dep.client(ch)
     ids = list(range(8))  # homed on both shards: a two-leg gather
@@ -106,7 +106,7 @@ def test_a_dead_primary_shard_fails_over_to_the_next_home(crash_at):
     else:
         fab.env.process(crasher())
     run(fab, client._get_nodes(ids))
-    assert set(ids) <= set(client.cached_nodes())
+    assert all(client._fetched[nid] for nid in ids)
     assert fab.metrics.counters["meta-retry"] == 1
 
 
@@ -115,7 +115,7 @@ def test_a_dead_primary_provider_costs_one_get_chunks_per_fallback_provider():
     payload = pattern(16 * CHUNK)
     rec = dep.seed_blob(payload, CHUNK)
     refs = [node.ref for node in dep.metadata.nodes if node.ref is not None]
-    rpc.host_down(data[0])
+    data[0].down = True
     tracer = obs.install_tracer(fab)
     client = dep.client(ch)
 

@@ -35,7 +35,7 @@ class TestFaultPlan:
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
-        assert len(FaultPlan()) == 0
+        assert FaultPlan().events == ()
         assert FaultPlan().describe() == "empty fault plan"
 
     def test_describe_mentions_permanence(self):

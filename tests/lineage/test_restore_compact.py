@@ -46,12 +46,10 @@ class TestRestore:
         mid = records[2]
         res = restore(fab, dep, hosts[2], mid.blob_id, mid.version)
         forest = LineageForest.from_registry(dep.registry)
-        assert forest.parent(res.blob_id, res.version) == (
+        assert forest.entry(res.blob_id, res.version).parent == (
             mid.blob_id, mid.version,
         )
-        assert forest.is_ancestor(
-            (rec.blob_id, rec.version), (res.blob_id, res.version)
-        )
+        assert (rec.blob_id, rec.version) in forest.ancestry(res.blob_id, res.version)
 
     def test_scan_pays_one_hop_per_ancestor(self, chain):
         fab, dep, hosts, rec, records = chain
@@ -114,8 +112,9 @@ class TestRestore:
         # the restore completed against the pinned source; the deferred
         # teardown then retired the whole source blob
         assert res.source == (head.blob_id, head.version)
-        assert head.blob_id not in dep.registry.blob_ids()
-        assert res.blob_id in dep.registry.blob_ids()
+        live = {rec.blob_id for rec in dep.registry.live_records()}
+        assert head.blob_id not in live
+        assert res.blob_id in live
 
 
 class TestCompaction:

@@ -37,16 +37,11 @@ class TestAncestry:
         blobs_on_path = {b for b, _ in path}
         assert blobs_on_path == {second.blob_id, mid.blob_id, rec.blob_id}
         # the clone head's parent edge lands exactly on the cloned version
-        assert forest.parent(second.blob_id, second.version) == (
+        assert forest.entry(second.blob_id, second.version).parent == (
             mid.blob_id, mid.version,
         )
-        assert forest.is_ancestor(
-            (rec.blob_id, rec.version), (second.blob_id, second.version)
-        )
-        assert not forest.is_ancestor(
-            (records[-1].blob_id, records[-1].version),
-            (second.blob_id, second.version),
-        )
+        assert (rec.blob_id, rec.version) in path
+        assert (records[-1].blob_id, records[-1].version) not in path
 
     def test_branch_points_and_clone_edges(self, chain):
         fab, dep, hosts, rec, records = chain
@@ -60,7 +55,9 @@ class TestAncestry:
         forest = LineageForest.from_registry(dep.registry)
         # mid now has two children: the next commit and the clone head
         assert (mid.blob_id, mid.version) in forest.branch_points()
-        assert len(forest.children(mid.blob_id, mid.version)) == 2
+        children = [e.key for e in dep.registry.lineage_entries()
+                    if e.parent == (mid.blob_id, mid.version)]
+        assert len(children) == 2
         sources = {src for src, _ in forest.clone_edges()}
         assert (rec.blob_id, rec.version) in sources
         assert (mid.blob_id, mid.version) in sources
@@ -79,7 +76,7 @@ class TestAncestry:
         mid = records[2]
         dep.registry.delete_version(mid.blob_id, mid.version)
         forest = LineageForest.from_registry(dep.registry)
-        assert forest.is_retired(mid.blob_id, mid.version)
+        assert forest.entry(mid.blob_id, mid.version).retired
         # the chain through the retired node is still walkable
         head = records[-1]
         assert (mid.blob_id, mid.version) in forest.ancestry(

@@ -7,7 +7,6 @@ from repro.obs.analyze import (
     boot_spans,
     category_breakdown,
     coverage,
-    critical_path,
     render_breakdown_table,
     render_critical_path,
     snapshot_spans,
@@ -159,8 +158,9 @@ class TestCriticalPath:
                 ("b", "cpu", 5.001, 10.0, "root"),
             ]
         )
-        path = critical_path(s["root"], tr.spans, min_duration=0.01)
-        assert [g.span.name for g in path] == ["a", "b"]
+        text = render_critical_path(s["root"], tr.spans)
+        assert [line.split()[-1] for line in text.splitlines()[1:3]] == ["a", "b"]
+        assert "(+ 1 shorter segments" in text
 
     def test_render_critical_path_folds_short_segments(self):
         tr, s = build(
@@ -170,7 +170,7 @@ class TestCriticalPath:
                 ("blip", "net", 9.99, 10.0, "root"),
             ]
         )
-        text = render_critical_path(s["root"], tr.spans, min_fraction=0.01)
+        text = render_critical_path(s["root"], tr.spans)
         assert "critical path of root (10.000 s):" in text
         assert "[cpu] a" in text
         assert "shorter segments" in text

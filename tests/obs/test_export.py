@@ -20,7 +20,6 @@ def sample_tracer():
     root = tr.start("boot:vm000", "vm", host="node00")
     env.now = 0.5
     inner = tr.start("rpc:read", "rpc")
-    inner.event("retry", attempt=1)
     env.now = 1.5
     inner.set_error("TimeoutError: slow")
     inner.finish()
@@ -41,7 +40,7 @@ class TestTraceEvents:
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert doc["otherData"]["trace_id"] == "trace-test"
         phases = {ev["ph"] for ev in doc["traceEvents"]}
-        assert phases == {"M", "X", "i"}
+        assert phases == {"M", "X"}
 
     def test_complete_events_use_microseconds(self):
         _, tr = sample_tracer()

@@ -7,7 +7,6 @@ from repro.blobseer import BlobSeerDeployment
 from repro.common.payload import Payload
 from repro.common.units import KiB
 from repro.faults import RetryPolicy
-from repro.simkit import rpc
 from repro.simkit.host import Fabric
 
 CHUNK = 4 * KiB
@@ -42,7 +41,7 @@ def failover_read(traced):
     payload = Payload.from_bytes(pattern(16 * CHUNK))
     rec = dep.seed_blob(payload, CHUNK)
     tracer = obs.install_tracer(fab) if traced else None
-    rpc.host_down(data[0])
+    data[0].down = True
     client = dep.client(ch)
 
     def scenario():

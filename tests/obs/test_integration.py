@@ -110,7 +110,7 @@ class TestAcceptance:
         path = obs.write_trace_json(tmp_path / "fig.trace.json", tracer)
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
-        assert {ev["ph"] for ev in events} <= {"M", "X", "i"}
+        assert {ev["ph"] for ev in events} <= {"M", "X"}
         complete = [ev for ev in events if ev["ph"] == "X"]
         assert len(complete) == len(tracer.spans)
         for ev in complete:
@@ -139,12 +139,12 @@ class TestFailedCampaign:
         image = make_image(CALIB.image.size, CALIB.image.boot_touched_bytes, n_regions=16)
         idents = seed_image(cloud, image)
         (provider,) = [cloud.fabric.hosts[name] for name in cloud.blobseer.data_services]
-        rpc.host_down(provider)
+        provider.down = True
         try:
             with pytest.raises(ProviderUnavailableError):
                 deploy(cloud, image, N_INSTANCES, "mirror", idents=idents)
         finally:
-            rpc.host_up(provider)
+            provider.down = False
         failed_at = cloud.env.now
         (root,) = [s for s in tracer.spans if s.name == "deploy:mirror"]
         assert root.error is not None and "ProviderUnavailableError" in root.error

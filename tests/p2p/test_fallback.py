@@ -15,7 +15,7 @@ class TestDownPeer:
     def test_known_down_peer_skipped_without_timeout(self):
         fab, dep, hosts, rec, data, net = build()
         run(fab, read_all(dep, hosts[0], rec))
-        rpc.host_down(hosts[0])
+        hosts[0].down = True
         t0 = fab.env.now
         assert run(fab, read_all(dep, hosts[1], rec)) == data
         stats = net.stats()
@@ -27,7 +27,7 @@ class TestDownPeer:
     def test_down_directory_degrades_to_providers(self):
         fab, dep, hosts, rec, data, net = build()
         run(fab, read_all(dep, hosts[0], rec))
-        rpc.host_down(net.directory.service_host)
+        net.directory.service_host.down = True
         assert run(fab, read_all(dep, hosts[1], rec)) == data
         assert net.stats()["chunks_from_peers"] == 0
 
@@ -56,6 +56,6 @@ class TestPeerCrash:
     def test_crash_loses_the_cache(self):
         fab, dep, hosts, rec, data, net = build()
         run(fab, read_all(dep, hosts[0], rec))
-        assert len(net.caches["node0"]) > 0
+        assert net.caches["node0"].used_bytes > 0
         hosts[0].fail()
-        assert len(net.caches["node0"]) == 0
+        assert net.caches["node0"].used_bytes == 0

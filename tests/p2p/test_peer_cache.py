@@ -20,7 +20,6 @@ class TestBasics:
         assert cache.put(1, p)
         assert cache.get(1) is p
         assert 1 in cache
-        assert len(cache) == 1
         assert cache.used_bytes == CHUNK
 
     def test_miss_returns_none(self):
@@ -44,7 +43,7 @@ class TestBasics:
     def test_put_past_capacity_evicts_to_fit(self):
         cache = PeerChunkCache(2 * CHUNK)
         assert all(cache.put(i, payload(fill=i)) for i in range(3))
-        assert len(cache) == 2 and 0 not in cache
+        assert cache.used_bytes == 2 * CHUNK and 0 not in cache
 
 
 class TestEviction:
@@ -63,7 +62,7 @@ class TestEviction:
         for key in range(5):
             cache.put(key, payload(fill=key))
         assert cache.used_bytes == 2 * CHUNK
-        assert len(cache) == 2
+        assert [k in cache for k in range(5)] == [False, False, False, True, True]
         assert cache.evictions == 3
 
     def test_oversize_chunk_rejected_not_thrashing(self):
@@ -79,7 +78,7 @@ class TestEviction:
         for key in range(4):
             cache.put(key, payload(fill=key))
         cache.clear()
-        assert len(cache) == 0
+        assert not any(key in cache for key in range(4))
         assert cache.used_bytes == 0
         assert cache.insertions == 4
         assert cache.evictions == 2

@@ -110,7 +110,8 @@ class ReferenceModificationManager:
             mirror = self._mirrored.get(idx)
             if mirror is None or not mirror:
                 continue  # nothing mirrored yet: the write itself is contiguous
-            m_lo, m_hi = mirror.span()
+            ivs = list(mirror)
+            m_lo, m_hi = ivs[0][0], ivs[-1][1]
             if w_lo > m_hi:
                 fills.append((idx, (m_hi, w_lo)))
             elif w_hi < m_lo:
@@ -209,8 +210,8 @@ class ReferenceModificationManager:
         return sum(s.total() for s in self._mirrored.values())
 
     def mirrored_interval(self, idx: int) -> Interval:
-        mirror = self._mirrored.get(idx)
-        return mirror.span() if mirror is not None else (0, 0)
+        ivs = list(self._mirrored.get(idx, ()))
+        return (ivs[0][0], ivs[-1][1]) if ivs else (0, 0)
 
     def mirrored_intervals(self, idx: int) -> List[Interval]:
         return list(self._mirrored.get(idx, ()))

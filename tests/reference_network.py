@@ -137,7 +137,7 @@ class EagerEqualShareNetwork(EagerNetwork):
             topo = self.topology
             names = trunk_names(topo, *key) if topo is not None else ()
             path = self._paths[key] = (flow.src.up, flow.dst.down) + tuple(
-                self.trunk(name) for name in names
+                self._trunks[name] for name in names
             )
         return path
 

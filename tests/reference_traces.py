@@ -67,10 +67,6 @@ def boot_trace(image: VmImage, model: BootModel, rng: np.random.Generator) -> Li
     return out
 
 
-def cpu_workload(seconds: float, slices: int = 10) -> List[BootOp]:
-    return [BootOp("cpu", duration=seconds / slices) for _ in range(slices)]
-
-
 def read_your_writes_workload(
     base_offset: int,
     total_bytes: int,

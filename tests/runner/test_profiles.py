@@ -73,8 +73,13 @@ class TestCalibrationOverrides:
         assert calib.image.size == QUICK.image_size  # untouched fields survive
 
     def test_override_other_section(self):
-        calib = profile_calibration(QUICK, (("snapshot.diff_bytes", 123),))
-        assert calib.snapshot.diff_bytes == 123
+        calib = profile_calibration(QUICK, (("snapshot.montecarlo_state_bytes", 123),))
+        assert calib.snapshot.montecarlo_state_bytes == 123
+
+    def test_snapshot_diff_bytes_is_not_a_calibration_field(self):
+        # every point reads the profile's diff_bytes; the override is refused
+        with pytest.raises(ValueError, match="bad calibration override"):
+            profile_calibration(QUICK, (("snapshot.diff_bytes", 123),))
 
     def test_bad_override_path_raises(self):
         with pytest.raises(ValueError, match="override"):

@@ -108,7 +108,7 @@ def test_waiting_on_already_processed_event():
     ev = env.event()
     ev.succeed(99)
     env.run(until=0.0)  # process the trigger
-    assert ev.processed
+    assert env.event_count == 1
 
     def late():
         v = yield ev

@@ -226,7 +226,7 @@ class TestRpc:
 
     def test_host_down_raises_after_timeout(self):
         fab, a, b = self._setup()
-        rpc.host_down(b)
+        b.down = True
 
         def client():
             yield from rpc.call(a, b, "svc", "echo", 1)
@@ -237,8 +237,8 @@ class TestRpc:
 
     def test_host_recovers(self):
         fab, a, b = self._setup()
-        rpc.host_down(b)
-        rpc.host_up(b)
+        b.down = True
+        b.down = False
 
         def client():
             return (yield from rpc.call(a, b, "svc", "echo", 3))

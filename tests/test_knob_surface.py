@@ -12,6 +12,7 @@ comes back unnoticed.
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -52,6 +53,9 @@ def _attributes_read_outside_calibration():
 
 
 def test_every_calibration_field_is_read():
+    # By attribute name only: a calibration field that shares its name with
+    # an attribute read elsewhere (``SnapshotModel.diff_bytes`` and
+    # ``profile.diff_bytes`` once) passes here while nothing reads it.
     read = _attributes_read_outside_calibration()
     unread = sorted(f"{cls}.{field}" for cls, field in _calibration_fields()
                     if field not in read)
@@ -155,3 +159,30 @@ def test_every_forwarded_cli_dest_is_an_accepted_param():
         dests = {a.dest for a in sub._actions} - RUN_DESTS
         assert set(sub.get_default("params") or ()) == dests, command
         assert dests <= accepted_params(kind), command
+
+
+#: keywords no program path passed: each is the constant every path ran with
+GONE_KEYWORDS = [
+    ("repro.blobseer.service:BlobSeerDeployment", "meta_replication"),
+    ("repro.analysis.series:Series.at", "tol"),
+    ("repro.analysis.plot:ascii_chart", "width"),
+    ("repro.analysis.plot:ascii_chart", "height"),
+    ("repro.baselines.broadcast:broadcast", "read_from_disk_at_source"),
+    ("repro.baselines.broadcast:broadcast", "forward_from_disk"),
+    ("repro.baselines.prepropagation:prepropagate", "dest_path"),
+    ("repro.obs.analyze:render_critical_path", "min_fraction"),
+    ("repro.vmsim.bonnie:BonnieBenchmark", "batch_bytes"),
+    ("repro.vmsim.workloads:read_your_writes_workload", "write_block"),
+    ("repro.vmsim.workloads:read_your_writes_workload", "cpu_between"),
+    ("repro.vmsim.workloads:log_append_workload", "cpu_between"),
+]
+
+
+@pytest.mark.parametrize("target,keyword", GONE_KEYWORDS,
+                         ids=[f"{t.split(':')[1]}-{k}" for t, k in GONE_KEYWORDS])
+def test_a_keyword_only_tests_set_stays_gone(target, keyword):
+    module, _, qualname = target.partition(":")
+    obj = importlib.import_module(module)
+    for name in qualname.split("."):
+        obj = getattr(obj, name)
+    assert keyword not in inspect.signature(obj).parameters

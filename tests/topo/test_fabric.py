@@ -93,8 +93,3 @@ class TestBuildTopology:
         assert topo.rack("manager") == 0
         assert topo.rack("nfs-server") == 0
         assert topo.rack("n7") == 1
-
-    def test_describe_mentions_shape(self):
-        topo = build_topology([f"n{i}" for i in range(8)], 2, 125 * MB)
-        text = topo.describe()
-        assert "2 rack(s)" in text

@@ -31,7 +31,7 @@ def two_rack_net(rack_uplink=CAP):
 
 def finish_times(env, net, specs):
     """Run ``(src, dst, nbytes, start_s)`` specs; return completion times."""
-    nics = [net.nic(f"h{i}") for i in range(4)]
+    nics = [net._nics[f"h{i}"] for i in range(4)]
     finish = {}
 
     def starter(i, src, dst, nbytes, start_s):
@@ -133,18 +133,17 @@ class TestTrunkCapacityChange:
         _, net, _ = two_rack_net()
         with pytest.raises(ValueError, match="positive"):
             net.set_trunk_capacity("rack0:up", 0)
-        assert net.trunk("rack0:up").capacity == CAP
+        assert net._trunks["rack0:up"].capacity == CAP
 
     def test_unknown_trunk_lists_the_known_names(self):
         _, net, _ = two_rack_net()
-        for call in (net.trunk, lambda name: net.set_trunk_capacity(name, CAP)):
-            with pytest.raises(ValueError, match="rack9:up.*rack0:up.*rack1:down"):
-                call("rack9:up")
+        with pytest.raises(ValueError, match="rack9:up.*rack0:up.*rack1:down"):
+            net.set_trunk_capacity("rack9:up", CAP)
 
     def test_flat_network_has_no_trunks_to_name(self):
         net = FlowNetwork(Environment())
         with pytest.raises(ValueError, match="no topology"):
-            net.trunk("rack0:up")
+            net.set_trunk_capacity("rack0:up", CAP)
 
     def test_mid_flow_squeeze_rebalances(self):
         env, net, nics = two_rack_net()

@@ -11,7 +11,7 @@ from repro.common.units import KiB, MiB
 from repro.simkit.host import Fabric
 from repro.vmsim import VMInstance, boot_trace, make_image
 from repro.vmsim.backends import MirrorBackend
-from repro.vmsim.boottrace import BootOp
+from repro.vmsim.boottrace import CPU, WRITE, Trace
 
 CHUNK = 64 * KiB
 IMG = 8 * MiB
@@ -41,7 +41,7 @@ class TestBoot:
     def test_boot_includes_hypervisor_init(self):
         fab, vm = setup()
         # empty trace: boot time ~= init overhead alone
-        t = fab.run(fab.env.process(vm.boot([])))
+        t = fab.run(fab.env.process(vm.boot(Trace())))
         model = BootModel()
         assert model.hypervisor_init_min <= t
         assert t <= model.hypervisor_init_max + 0.1
@@ -64,12 +64,14 @@ class TestBoot:
 
     def test_unknown_op_kind_rejected(self):
         fab, vm = setup()
+        ops = Trace()
+        ops.append(7, 0, 10)  # no such kind code
 
         def scenario():
             yield from vm.backend.open()
-            yield from vm.run_ops([BootOp("format-disk", 0, 10)])
+            yield from vm.run_ops(ops)
 
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="unknown boot op kind 7"):
             fab.run(fab.env.process(scenario()))
 
     def test_shutdown_closes_backend(self):
@@ -86,7 +88,9 @@ class TestBoot:
         def scenario():
             yield from vm.backend.open()
             t0 = fab.env.now
-            yield from vm.run_ops([BootOp("cpu", duration=0.0)])
+            ops = Trace()
+            ops.append(CPU, duration=0.0)
+            yield from vm.run_ops(ops)
             return fab.env.now - t0
 
         assert fab.run(fab.env.process(scenario())) == 0.0
@@ -114,7 +118,9 @@ class TestGuestWritePayloads:
             obs.install_tracer(fab)
         vm.backend = RecordingBackend()
         writes = [(0, 8192), (8192, 8192), (16384, 512), (0, 8192)]
-        ops = [BootOp("write", off, n) for off, n in writes]
+        ops = Trace()
+        for off, n in writes:
+            ops.append(WRITE, off, n)
         fab.run(fab.env.process(vm.run_ops(ops)))
         (_, a), (_, b), (_, small), (_, again) = vm.backend.writes
         assert a is b is again  # same (tag, offset 0, n): the same immutable content
@@ -126,6 +132,8 @@ class TestGuestWritePayloads:
         fab, vm = setup()
         other = VMInstance("vm1", vm.host, RecordingBackend())
         vm.backend = RecordingBackend()
+        ops = Trace()
+        ops.append(WRITE, 0, 4096)
         for instance in (vm, other):
-            fab.run(fab.env.process(instance.run_ops([BootOp("write", 0, 4096)])))
+            fab.run(fab.env.process(instance.run_ops(ops)))
         assert vm.backend.writes[0][1] != other.backend.writes[0][1]

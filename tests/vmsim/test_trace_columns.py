@@ -30,7 +30,7 @@ def fields(ops):
 
 
 def assert_same_ops(got, want):
-    assert isinstance(got, Trace) and len(got) == len(want)
+    assert isinstance(got, Trace) and len(got.kinds) == len(want)
     got, want = fields(got), fields(want)
     assert got == want
     assert [tuple(map(type, f)) for f in got] == [tuple(map(type, f)) for f in want]
@@ -65,15 +65,13 @@ def test_boot_trace_equals_the_list_generator(
     seed=st.integers(0, 2**32 - 1),
     base=st.integers(0, 2**30),
     total=st.integers(0, 200 * KiB),
-    block=st.sampled_from([512, 4 * KiB, 8 * KiB, 10_000]),
     reread=st.floats(0.0, 1.0),
-    cpu=st.floats(0.0, 0.01),
 )
-def test_read_your_writes_equals_the_list_generator(seed, base, total, block, reread, cpu):
+def test_read_your_writes_equals_the_list_generator(seed, base, total, reread):
     new, old = twin_rngs(seed)
     assert_same_ops(
-        workloads.read_your_writes_workload(base, total, new, block, reread, cpu),
-        ref.read_your_writes_workload(base, total, old, block, reread, cpu),
+        workloads.read_your_writes_workload(base, total, new, reread),
+        ref.read_your_writes_workload(base, total, old, reread_fraction=reread),
     )
     assert new.random() == old.random()
 
@@ -82,25 +80,12 @@ def test_read_your_writes_equals_the_list_generator(seed, base, total, block, re
     base=st.integers(0, 2**40),
     n_appends=st.integers(0, 64),
     nbytes=st.integers(1, MiB),
-    cpu=st.floats(0.0, 1.0),
 )
-def test_log_append_equals_the_list_generator(base, n_appends, nbytes, cpu):
+def test_log_append_equals_the_list_generator(base, n_appends, nbytes):
     assert_same_ops(
-        workloads.log_append_workload(base, n_appends, nbytes, cpu),
-        ref.log_append_workload(base, n_appends, nbytes, cpu),
+        workloads.log_append_workload(base, n_appends, nbytes),
+        ref.log_append_workload(base, n_appends, nbytes),
     )
-
-
-@given(seconds=st.floats(0.0, 100.0), slices=st.integers(1, 50))
-def test_cpu_workload_equals_the_list_generator(seconds, slices):
-    assert_same_ops(workloads.cpu_workload(seconds, slices), ref.cpu_workload(seconds, slices))
-
-
-def test_packing_the_ops_of_a_trace_gives_it_back():
-    image = make_image(32 * MiB, 8 * MiB, n_regions=32)
-    trace = boot_trace(image, BootModel(), np.random.default_rng(5))
-    assert Trace.from_ops(trace) == trace
-    assert Trace.from_ops(list(trace)) == trace
 
 
 def test_boot_traces_hold_under_40_bytes_per_op():
@@ -117,5 +102,5 @@ def test_boot_traces_hold_under_40_bytes_per_op():
     finally:
         if not already:
             tracemalloc.stop()
-    per_op = held / sum(len(t) for t in traces)
+    per_op = held / sum(len(t.kinds) for t in traces)
     assert per_op < 40, f"{per_op:.1f} B per op"
