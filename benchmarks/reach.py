@@ -139,8 +139,7 @@ def program_paths(scratch: Path):
         ["churn", "--policy", "first-fit", "--arrivals", "diurnal"],
         ["churn", "--policy", "locality", "--p2p", "--arrivals", "bursty"],
         ["lineage"],
-        ["lineage", "--compact"],
-        ["lineage", "--compact", "--policy", "merge"],
+        ["lineage", "--merge-keep-every", "4"],
         ["bonnie", "--image-mib", "64", "--working-mib", "16"],
     ]
     small = " ".join(SMALL)

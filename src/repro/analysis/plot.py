@@ -8,9 +8,9 @@ points, who is on top) directly in the benchmark run's output.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from .series import Figure, Series
+from .series import Figure
 
 #: marker characters assigned to series, in insertion order
 MARKERS = "ox+*#@%&"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .series import Figure, Series
+from .series import Figure
 
 
 def render_figure(figure: Figure, fmt: str = "{:10.2f}") -> str:

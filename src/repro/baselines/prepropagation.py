@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from ..simkit.host import Fabric, Host
-from .broadcast import BroadcastReport, broadcast
+from .broadcast import broadcast
 from .nfs import NfsServer
 
 #: where every target holds the raw image once the broadcast completes

@@ -20,7 +20,7 @@ registry) with the simulated costs that shape the paper's results:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..calibration import ServiceModel
 from ..common.errors import ChunkNotFoundError, ProviderUnavailableError
@@ -30,9 +30,9 @@ from ..simkit.core import Timeout
 from ..simkit.host import Host
 from ..simkit.resources import Container, Resource
 from ..simkit.rpc import Sized, timed_read
-from .metadata import MetadataStore, NodeId, TreeNode
+from .metadata import NodeId, TreeNode
 from .store import ChunkStore
-from .vmanager import BlobRegistry, SnapshotRecord
+from .vmanager import BlobRegistry
 
 #: wire size of one serialized tree node (range + child ids + chunk ref)
 NODE_WIRE_BYTES = 72
@@ -268,9 +268,10 @@ class VersionManagerService:
     def rpc_lineage_entry(self, caller: Host, blob_id: int, version: int):
         """Fetch one snapshot's permanent lineage record.
 
-        This is the per-hop cost of an ancestry walk (restore-to-version
-        opens a chain one record at a time, like a qcow2 chain open): a
-        read-only registry lookup, unserialized, same price as ``lookup``.
+        A restore reads one, its target's: the version's metadata root
+        reaches every chunk it needs, so no ancestor is opened (unlike a
+        qcow2 backing chain). A read-only registry lookup, unserialized,
+        same price as ``lookup``.
         """
         yield self.host.env.timeout(self.model.publish_overhead / 4)
         return self.registry.lineage_entry(blob_id, version)
@@ -281,7 +282,7 @@ class VersionManagerService:
         return self.registry.clone_from_lineage(blob_id, version)
 
     def rpc_pin_version(self, caller: Host, blob_id: int, version: int):
-        """Take a restore/compaction lease on a snapshot (cheap lookup cost)."""
+        """Take a restore/merge lease on a snapshot (cheap lookup cost)."""
         yield self.host.env.timeout(self.model.publish_overhead / 4)
         self.registry.pin_version(blob_id, version)
         return None
@@ -290,12 +291,6 @@ class VersionManagerService:
         """Drop a lease; any delete deferred behind it completes now."""
         yield self.host.env.timeout(self.model.publish_overhead / 4)
         self.registry.unpin_version(blob_id, version)
-        return None
-
-    def rpc_set_skip(self, caller: Host, blob_id: int, version: int, skip):
-        """Write a flattening skip pointer (a metadata write; serialized)."""
-        yield from self._serialized(self.model.publish_overhead)
-        self.registry.set_skip(blob_id, version, skip)
         return None
 
     def rpc_dedup_query(self, caller: Host, chunks, index):

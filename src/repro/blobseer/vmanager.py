@@ -20,12 +20,13 @@ CLONE source for a clone's first snapshot), the metadata root and, once the
 snapshot is unpublished, a ``retired`` marker. The log is what lets the
 :mod:`repro.lineage` subsystem reconstruct the full snapshot forest —
 including branches that churn has already torn down — and what
-restore-to-version walks to reopen a historical chain. Entries are tiny
+restore-to-version reads to reopen a historical snapshot: the target's own
+entry, since its metadata root reaches every chunk it needs. Entries are tiny
 (a few ints) and never deleted, mirroring how the central
 :class:`~repro.blobseer.metadata.MetadataStore` retains tree nodes.
 
 The registry also supports refcounted **version pins** with deferred
-deletes: while a restore (or compaction) holds a pin on ``(blob, version)``,
+deletes: while a restore (or a merge) holds a pin on ``(blob, version)``,
 ``delete_version`` / ``delete_blob`` targeting it do not unpublish — the
 delete is recorded and replayed when the last pin drops. Since a deferred
 version stays published, it remains a GC root, so a pinned snapshot can
@@ -62,9 +63,6 @@ class LineageEntry:
     ``parent`` is the previous snapshot of the same blob for ordinary
     publishes, the CLONE source for a clone's first snapshot, and ``None``
     for a genesis snapshot (version 0, or a seeded blob's first publish).
-    ``skip`` is an optional flattening pointer written by chain compaction:
-    ancestry walks follow it instead of ``parent``, jumping over merged
-    interior versions (the qcow2-chain-flattening analogue).
     """
 
     blob_id: int
@@ -75,15 +73,10 @@ class LineageEntry:
     size: int
     chunk_size: int
     retired: bool = False
-    skip: Optional[VersionKey] = None
 
     @property
     def key(self) -> VersionKey:
         return (self.blob_id, self.version)
-
-    def next_hop(self) -> Optional[VersionKey]:
-        """Where an ancestry walk goes from here (skip pointer wins)."""
-        return self.skip if self.skip is not None else self.parent
 
 
 class BlobRegistry:
@@ -104,7 +97,7 @@ class BlobRegistry:
         self._next_blob = 1
         #: append-only lineage log: every snapshot ever published
         self._lineage: Dict[VersionKey, LineageEntry] = {}
-        #: refcounted version pins (restore / compaction leases)
+        #: refcounted version pins (restore / merge leases)
         self._pins: Dict[VersionKey, int] = {}
         #: deletes deferred because their target was pinned
         self._deferred_versions: Set[VersionKey] = set()
@@ -241,14 +234,13 @@ class BlobRegistry:
         self._deferred_versions.discard((blob_id, version))
 
     # ------------------------------------------------------------------ #
-    # version pins (restore / compaction leases)
+    # version pins (restore / merge leases)
     # ------------------------------------------------------------------ #
     def pin_version(self, blob_id: int, version: int) -> None:
         """Take a refcounted lease on a snapshot's lineage record.
 
         The version may already be retired (a restore from a retired
-        mid-chain snapshot still pins it so a racing compaction cannot
-        rewrite the record underneath the walk); pinning a never-published
+        snapshot pins it like a live one); pinning a never-published
         version raises.
         """
         key = (blob_id, version)
@@ -296,22 +288,6 @@ class BlobRegistry:
     def lineage_entries(self) -> List[LineageEntry]:
         """Every lineage record ever logged, in publish order."""
         return list(self._lineage.values())
-
-    def set_skip(
-        self, blob_id: int, version: int, skip: Optional[VersionKey]
-    ) -> None:
-        """Write (or clear) a flattening skip pointer on a lineage record."""
-        entry = self.lineage_entry(blob_id, version)
-        if skip is not None:
-            if skip == (blob_id, version):
-                raise LineageError(
-                    f"blob {blob_id} v{version}: skip pointer cannot self-loop"
-                )
-            if skip not in self._lineage:
-                raise UnknownVersionError(
-                    f"skip target blob {skip[0]} v{skip[1]} was never published"
-                )
-        entry.skip = skip
 
     def is_published(self, blob_id: int, version: int) -> bool:
         """Whether the snapshot is still in the published (GC-rooted) set."""

@@ -263,9 +263,7 @@ class ChurnEngine:
         except LineageError:
             self.slo.on_restore_missed()
             return
-        self.slo.on_restore(
-            res.restore_time, res.scan_hops, res.retired_source
-        )
+        self.slo.on_restore(res.restore_time, res.retired_source)
         # the restored instance is ephemeral: shut down, drop the local
         # mirror file, unpublish the restored branch
         yield from res.vm.shutdown()

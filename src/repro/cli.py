@@ -344,8 +344,7 @@ def cmd_churn(args) -> int:
         print(f"restores:         {m['restores_completed']:.0f} completed "
               f"({m['restores_missed']:.0f} missed, "
               f"{m['restores_from_retired']:.0f} from retired chains), p99 "
-              f"{fmt_time(m['restore_p99_exact'])}, mean "
-              f"{m['restore_mean_hops']:.1f} hops")
+              f"{fmt_time(m['restore_p99_exact'])}")
     print(f"rejection rate:   {m['rejection_rate']:.1%}")
     print(f"utilization:      {m['utilization']:.1%}")
     print(f"storage:          peak {fmt_size(m['footprint_peak'])}, final "
@@ -357,7 +356,6 @@ def cmd_churn(args) -> int:
 
 
 def cmd_lineage(args) -> int:
-    from .lineage import compact_chain
     from .runner import resolve_profile
 
     profile = resolve_profile(args.profile)
@@ -365,16 +363,13 @@ def cmd_lineage(args) -> int:
     params = _params(args)
     m = _point(profile, "lineage", depth, args.seed, pooled=False, **params).metrics
 
-    compact = params.get("compact")
-    mode = (f"compact={_setting(args, 'policy', compact_chain)}/"
-            f"{_setting(args, 'depth_bound', compact_chain)}" if compact
-            else "uncompacted")
+    keep_every = params.get("keep_every")
+    mode = f"merged, keep every {keep_every}" if keep_every else "unmerged"
     print(f"chain:            depth {depth} ({mode}), "
           f"{m['forest_snapshots']:.0f} snapshots in the forest")
-    print(f"restore scan:     {m['scan_hops']:.0f} hops, "
-          f"{fmt_time(m['scan_time'])}")
     print(f"restore latency:  {fmt_time(m['restore_time'])} "
-          f"(clone {fmt_time(m['clone_time'])}, open {fmt_time(m['open_time'])})")
+          f"(lookup {fmt_time(m['lookup_time'])}, clone "
+          f"{fmt_time(m['clone_time'])}, open {fmt_time(m['open_time'])})")
     print(f"restored boot:    {fmt_time(m['boot_time'])}")
     print(f"dedup accounting: exclusive {fmt_size(m['dedup_exclusive'])}, shared "
           f"{fmt_size(m['dedup_shared'])} ({m['sharing_ratio']:.1%} of "
@@ -382,10 +377,10 @@ def cmd_lineage(args) -> int:
     print(f"conservation:     exclusive+shared==live: "
           f"{'ok' if m['conserved'] else 'VIOLATED'}; live==stored: "
           f"{'ok' if m['footprint_matches'] else 'VIOLATED'}")
-    if compact:
-        print(f"compaction:       {m['skips_written']:.0f} skips written, "
-              f"{m['versions_merged']:.0f} versions merged, "
-              f"{fmt_time(m['compact_duration'])}")
+    if keep_every:
+        print(f"merge:            {m['versions_merged']:.0f} versions merged "
+              f"in {fmt_time(m['merge_time'])}, GC reclaimed "
+              f"{fmt_size(m['gc_bytes_reclaimed'])}")
 
     return 0
 
@@ -651,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lineage = sub.add_parser(
         "lineage",
-        help="snapshot chain + compaction + restore-to-version with dedup "
+        help="snapshot chain + merge + restore-to-version with dedup "
              "accounting",
     )
     p_lineage.add_argument("--depth", type=_within(0, kind=int), default=0,
@@ -659,12 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "deepest sweep point)")
     p_lineage.add_argument("--profile", default="lineage",
                            help="benchmark profile (lineage, lineage-smoke, ...)")
-    _param(p_lineage, "--compact", action="store_true",
-           help="compact the chain before restoring")
-    _param(p_lineage, "--policy", choices=["flatten", "merge"],
-           help="compaction policy")
-    _param(p_lineage, "--depth-bound", type=_positive(int),
-           help="compacted-walk bound (anchor spacing)")
+    _param(p_lineage, "--merge-keep-every", dest="keep_every", type=_positive(int),
+           metavar="K",
+           help="before restoring, merge the chain: unpublish its interior "
+                "versions except every K-th from the genesis (off if not "
+                "given)")
     _param(p_lineage, "--replication", dest="replication_factor", type=_positive(int),
            help="replicas per chunk (dedup counts physical bytes per "
                 "replica)")

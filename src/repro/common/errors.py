@@ -44,10 +44,10 @@ class ChunkNotFoundError(StorageError):
 
 
 class LineageError(StorageError):
-    """Invalid snapshot-lineage operation (restore, pinning, compaction).
+    """Invalid snapshot-lineage operation (restore, pinning, merge).
 
     Raised e.g. when restoring a retired version whose chunks were already
-    garbage-collected, or when a compaction skip pointer is malformed.
+    garbage-collected, or when a merge keeps every ``k < 1``-th version.
     """
 
 

@@ -11,7 +11,7 @@ from typing import Generator, Optional
 from ..blobseer.service import BlobSeerDeployment
 from ..calibration import FuseModel
 from ..simkit.host import Host
-from .vfs import MirrorHandle, MirrorVFS
+from .vfs import MirrorVFS
 
 
 def mount(

@@ -6,8 +6,9 @@ manager's lineage log (:mod:`~repro.lineage.tree`), attributes repository
 footprint per version with exact sharing accounting
 (:mod:`~repro.lineage.dedup`), boots a VM from any historical snapshot by
 publishing it as a new branch head (:mod:`~repro.lineage.restore`), and
-bounds the metadata amplification of ever-deepening snapshot chains with
-flattening / delta-merge compaction (:mod:`~repro.lineage.compact`).
+thins a deep chain's published versions for GC with a retention merge
+(:mod:`~repro.lineage.compact`). A restore reads one lineage record at any
+chain depth: shadowing and cloning make every snapshot a standalone image.
 
 Everything here is strictly additive: a run that never imports this package
 touches none of its code paths, and the registry-side lineage log is pure
@@ -15,19 +16,17 @@ bookkeeping with no simulated-time cost — figure timelines stay
 bit-identical to a tree without the subsystem.
 """
 
-from .compact import COMPACTION_POLICIES, CompactReport, compact_chain
+from .compact import merge_chain
 from .dedup import DedupReport, VersionSharing, dedup_accounting
 from .restore import RestoreResult, restore_to_version
 from .tree import LineageForest
 
 __all__ = [
-    "COMPACTION_POLICIES",
-    "CompactReport",
     "DedupReport",
     "LineageForest",
     "RestoreResult",
     "VersionSharing",
-    "compact_chain",
     "dedup_accounting",
+    "merge_chain",
     "restore_to_version",
 ]

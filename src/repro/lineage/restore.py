@@ -8,11 +8,11 @@ chain. :func:`restore_to_version` is a simulation process that:
    that defers any concurrent retention ``delete_version`` / teardown
    ``delete_blob`` until the restore is done (see
    :meth:`~repro.blobseer.vmanager.BlobRegistry.pin_version`);
-2. **scans** the ancestry chain (``lineage.scan``): one ``lineage_entry``
-   RPC per hop from the target back to its genesis, honoring compaction
-   skip pointers. This is the depth-dependent cost of restore — the
-   analogue of opening each backing file of a qcow2 chain — and exactly
-   what :mod:`~repro.lineage.compact` exists to bound;
+2. **looks up** the target's own lineage record: one ``lineage_entry``
+   RPC, whatever the chain depth. Shadowing and cloning make every snapshot
+   a standalone image (§3.1, Fig. 3): its metadata root reaches every chunk
+   it needs, so no ancestor is read — unlike a qcow2 backing chain, whose
+   open pays one file per ancestor;
 3. for a **retired** source, verifies its chunks still exist on the data
    providers (a version unpublished *and* swept by GC is unrestorable —
    :class:`~repro.common.errors.LineageError`) and pins the chunks and
@@ -26,7 +26,7 @@ chain. :func:`restore_to_version` is a simulation process that:
    (the p2p fetch path is reused automatically when the deployment has a
    peer network) and, when an image is supplied, boots a VM from it.
 
-Restore latency is reported *excluding* the guest boot (scan + pin +
+Restore latency is reported *excluding* the guest boot (pin + lookup +
 clone + VFS open); the boot time rides along separately.
 """
 
@@ -54,39 +54,19 @@ class RestoreResult:
     #: the restored branch head (a fresh clone blob, version 1)
     blob_id: int
     version: int
-    #: ancestry hops the scan paid (one lineage_entry RPC each)
-    scan_hops: int
-    #: the walked chain, target first, genesis last
-    chain: Tuple[Tuple[int, int], ...]
     #: whether the source was already unpublished when restored
     retired_source: bool
     # -- simulated timings (seconds) ---------------------------------- #
-    scan_time: float = 0.0
+    #: the one lineage_entry lookup
+    lookup_time: float = 0.0
     clone_time: float = 0.0
     open_time: float = 0.0
-    #: pin + scan + clone + VFS open (excludes the guest boot)
+    #: pin + lookup + clone + VFS open (excludes the guest boot)
     restore_time: float = 0.0
     boot_time: Optional[float] = None
     # -- live objects (not serialized anywhere) ------------------------ #
     backend: Optional[MirrorBackend] = field(default=None, repr=False)
     vm: Optional[object] = field(default=None, repr=False)
-
-
-def _scan_chain(dep: "BlobSeerDeployment", host: "Host", blob_id: int, version: int):
-    """Walk the ancestry via per-hop version-manager RPCs; returns entries."""
-    entries = []
-    key: Optional[Tuple[int, int]] = (blob_id, version)
-    seen = set()
-    while key is not None:
-        if key in seen:
-            raise LineageError(f"lineage cycle through blob {key[0]} v{key[1]}")
-        seen.add(key)
-        entry = yield from rpc.call(
-            host, dep.vmanager_host, "blob-vmgr", "lineage_entry", key[0], key[1]
-        )
-        entries.append(entry)
-        key = entry.next_hop()
-    return entries
 
 
 def _verify_chunks(dep: "BlobSeerDeployment", root, blob_id: int, version: int):
@@ -116,8 +96,6 @@ def restore_to_version(
     trace=None,
     fuse=None,
     path: Optional[str] = None,
-    name: Optional[str] = None,
-    full_chunk_prefetch: bool = True,
 ):
     """Process: restore ``(blob, version)`` on ``host``; returns the result.
 
@@ -142,15 +120,13 @@ def restore_to_version(
             )
             pinned_version = True
 
-            # 2. ancestry scan: the depth-dependent chain-open cost
-            t_scan = env.now
-            with tracer.start(
-                "lineage.scan", "lineage", blob=blob_id, version=version,
-            ) as scan_span:
-                entries = yield from _scan_chain(dep, host, blob_id, version)
-                scan_span.set(hops=len(entries))
-            scan_time = env.now - t_scan
-            target = entries[0]
+            # 2. the target's own record: its root reaches every chunk
+            t_lookup = env.now
+            target = yield from rpc.call(
+                host, dep.vmanager_host, "blob-vmgr", "lineage_entry",
+                blob_id, version,
+            )
+            lookup_time = env.now - t_lookup
 
             # 3. a retired source is only restorable until GC reclaims it;
             #    pin its chunks/nodes so a sweep racing the clone cannot win
@@ -176,7 +152,6 @@ def restore_to_version(
             backend = MirrorBackend(
                 host, dep, rec.blob_id, rec.version, fuse,
                 path=path or f"/mirror/restore-b{blob_id}v{version}",
-                full_chunk_prefetch=full_chunk_prefetch,
             )
             yield from backend.open()
             open_time = env.now - t_open
@@ -186,10 +161,8 @@ def restore_to_version(
                 source=(blob_id, version),
                 blob_id=rec.blob_id,
                 version=rec.version,
-                scan_hops=len(entries),
-                chain=tuple(e.key for e in entries),
-                retired_source=bool(target.retired),
-                scan_time=scan_time,
+                retired_source=target.retired,
+                lookup_time=lookup_time,
                 clone_time=clone_time,
                 open_time=open_time,
                 restore_time=restore_time,
@@ -201,15 +174,14 @@ def restore_to_version(
                 from ..vmsim.hypervisor import VMInstance
 
                 vm = VMInstance(
-                    name or f"restore-b{blob_id}v{version}", host, backend,
+                    f"restore-b{blob_id}v{version}", host, backend,
                     boot_model, vm_rng,
                 )
                 yield from vm.boot(trace)
                 result.vm = vm
                 result.boot_time = vm.boot_time
             span.set(
-                hops=result.scan_hops, restored_blob=rec.blob_id,
-                retired_source=result.retired_source,
+                restored_blob=rec.blob_id, retired_source=result.retired_source,
             )
             return result
         finally:

@@ -6,13 +6,11 @@ every snapshot ever published is a node; parent edges follow the previous
 snapshot of the same blob (ordinary COMMITs), jump across blobs at CLONE
 points, and survive churn retirements (a retired snapshot stays in the
 forest, flagged). On top of that graph the forest answers the queries the
-rest of the subsystem needs: ancestry chains (the restore scan path, with
-or without honoring compaction skip pointers), depths, branch points, heads
+rest of the subsystem needs: ancestry chains, depths, branch points, heads
 and per-blob chains.
 
 Building the forest reads registry state directly — it is an analysis
-structure with no simulated cost; the *simulated* per-hop price of walking
-a chain is paid by restore's ``lineage_entry`` RPCs, not here.
+structure with no simulated cost.
 """
 
 from __future__ import annotations
@@ -51,15 +49,8 @@ class LineageForest:
         return entry
 
     # ------------------------------------------------------------------ #
-    def ancestry(
-        self, blob_id: int, version: int, follow_skips: bool = False
-    ) -> List[VersionKey]:
-        """The chain from ``(blob, version)`` back to its genesis, inclusive.
-
-        ``follow_skips=True`` walks the compacted chain (skip pointers
-        taken where present) — exactly the hops a restore scan pays after
-        flattening; the default walks raw parent edges.
-        """
+    def ancestry(self, blob_id: int, version: int) -> List[VersionKey]:
+        """The chain from ``(blob, version)`` back to its genesis, inclusive."""
         chain: List[VersionKey] = []
         seen = set()
         key: Optional[VersionKey] = (blob_id, version)
@@ -70,13 +61,12 @@ class LineageForest:
                 )
             seen.add(key)
             chain.append(key)
-            entry = self.entry(*key)
-            key = entry.next_hop() if follow_skips else entry.parent
+            key = self.entry(*key).parent
         return chain
 
-    def depth(self, blob_id: int, version: int, follow_skips: bool = False) -> int:
+    def depth(self, blob_id: int, version: int) -> int:
         """Edges between a snapshot and its genesis (0 for a genesis)."""
-        return len(self.ancestry(blob_id, version, follow_skips)) - 1
+        return len(self.ancestry(blob_id, version)) - 1
 
     # ------------------------------------------------------------------ #
     def roots(self) -> Tuple[VersionKey, ...]:
@@ -105,7 +95,6 @@ class LineageForest:
     def stats(self) -> Dict[str, int]:
         """Whole-forest shape summary (benchmark artifacts, CLI output)."""
         retired = sum(1 for e in self._entries.values() if e.retired)
-        skips = sum(1 for e in self._entries.values() if e.skip is not None)
         max_depth = 0
         for key in self.heads():
             max_depth = max(max_depth, self.depth(*key))
@@ -116,6 +105,5 @@ class LineageForest:
             "heads": len(self.heads()),
             "branch_points": len(self.branch_points()),
             "clones": len(self.clone_edges()),
-            "skips": skips,
             "max_depth": max_depth,
         }

@@ -10,7 +10,7 @@ A point param is named after the keyword or field that reads it, and only
 that reader holds its default: every kind takes the cloud params
 (:data:`CLOUD_PARAMS`, keywords of :func:`~repro.cloud.build_cloud`), its
 executor's own keyword-only arguments, and the keywords it passes on to one
-consumer (``ChurnSpec``, ``RetryPolicy``, ``compact_chain``, ``deploy``),
+consumer (``ChurnSpec``, ``RetryPolicy``, ``merge_chain``, ``deploy``),
 declared at :func:`point_kind`. A spec naming any other param is rejected
 before anything is built.
 """
@@ -25,7 +25,7 @@ from ..churn import ChurnEngine, ChurnSpec
 from ..cloud import build_cloud, deploy, seed_image, snapshot_all
 from ..common.errors import SimulationError
 from ..faults import FaultPlan, RetryPolicy, resilient_deploy
-from ..lineage import LineageForest, compact_chain, dedup_accounting, restore_to_version
+from ..lineage import LineageForest, dedup_accounting, merge_chain, restore_to_version
 from ..vmsim import make_image
 from ..vmsim.workloads import read_your_writes_workload
 from .profiles import BenchProfile, profile_calibration, resolve_profile
@@ -325,7 +325,6 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
         "restores_missed": float(s["requests"]["restores_missed"]),
         "restores_from_retired": float(s["requests"]["restores_from_retired"]),
         "restore_p99_exact": s["restore_latency"]["p99_exact"],
-        "restore_mean_hops": s["restore_latency"]["mean_hops"],
         "gc_sweeps": float(s["gc"]["sweeps"]),
         "bytes_reclaimed": float(s["gc"]["bytes_reclaimed"]),
         "footprint_peak": float(s["gc"]["footprint_peak"]),
@@ -342,22 +341,21 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
     return cloud, metrics, series
 
 
-@point_kind("lineage", compact_chain, "policy", "depth_bound")
-def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, *, compact=False,
-                 **compact_kw):
+@point_kind("lineage", merge_chain, "keep_every")
+def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     """One snapshot-lineage point; ``spec.n`` is the *chain depth*.
 
     A single mirror-backed VM commits ``n`` snapshots (CLONE once, then
     COMMITs), building an ``n``-deep chain. The point then optionally
-    compacts the chain, runs a GC sweep, computes the exact dedup
-    accounting, and restores the chain head onto a different node — the
-    measured quantity is the restore *scan*, whose per-hop version-manager
-    round-trips are what compaction bounds.
+    merges the chain, runs a GC sweep, computes the exact dedup
+    accounting, and restores the chain head onto a different node. A
+    restore reads the head's own lineage record only, so its latency does
+    not depend on the depth.
 
-    Params: ``compact`` (run :func:`~repro.lineage.compact_chain`), and
-    its ``policy`` (``flatten`` | ``merge``) and ``depth_bound``. The
-    cloud params ``replication_factor`` and ``p2p`` (the peer exchange on
-    the restore fetch path) apply as to every kind.
+    Params: ``keep_every`` (given: run :func:`~repro.lineage.merge_chain`
+    before the sweep, keeping every ``keep_every``-th version). The cloud
+    params ``replication_factor`` and ``p2p`` (the peer exchange on the
+    restore fetch path) apply as to every kind.
     """
     from ..blobseer.gc import collect_garbage
     from ..vmsim import boot_trace
@@ -387,13 +385,15 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, *, compact=False
     handle = vm.backend.handle
     head = (handle.target_blob, handle.target_version)
 
-    out = {}
-    if compact:
-        def run_compact():
-            out["compact"] = yield from compact_chain(
-                dep, vm.host, head[0], head[1], **compact_kw
+    out = {"merged": 0, "merge_time": 0.0}
+    if merge_kw:
+        def run_merge():
+            t0 = cloud.env.now
+            out["merged"] = yield from merge_chain(
+                dep, vm.host, head[0], head[1], **merge_kw
             )
-        cloud.run(cloud.env.process(run_compact(), name="lineage-compact"))
+            out["merge_time"] = cloud.env.now - t0
+        cloud.run(cloud.env.process(run_merge(), name="lineage-merge"))
     gc_report = collect_garbage(dep)
     report = dedup_accounting(dep)
 
@@ -412,13 +412,11 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, *, compact=False
     cloud.run(cloud.env.process(run_restore(), name="lineage-restore"))
 
     restore = out["restore"]
-    compact = out.get("compact")
     forest = LineageForest.from_registry(dep.registry)
     stats = forest.stats()
     metrics = {
         "chain_depth": float(depth),
-        "scan_hops": float(restore.scan_hops),
-        "scan_time": restore.scan_time,
+        "lookup_time": restore.lookup_time,
         "clone_time": restore.clone_time,
         "open_time": restore.open_time,
         "restore_time": restore.restore_time,
@@ -433,14 +431,10 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, *, compact=False
         "gc_bytes_reclaimed": float(gc_report.bytes_reclaimed),
         "forest_snapshots": float(stats["snapshots"]),
         "forest_max_depth": float(stats["max_depth"]),
-        "skips_written": float(compact.skips_written if compact else 0),
-        "versions_merged": float(compact.versions_merged if compact else 0),
-        "compact_duration": compact.duration if compact else 0.0,
+        "versions_merged": float(out["merged"]),
+        "merge_time": out["merge_time"],
     }
-    series = {
-        "snapshot_durations": tuple(durations),
-        "chain": tuple(f"b{b}v{v}" for b, v in restore.chain),
-    }
+    series = {"snapshot_durations": tuple(durations)}
     return cloud, metrics, series
 
 

@@ -1,7 +1,5 @@
 """Tests for the analysis helpers (series, speedups, reports)."""
 
-import math
-
 import pytest
 
 from repro.analysis import (

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import (
-    ChunkNotFoundError,
     ProviderUnavailableError,
     StorageError,
     UnknownBlobError,

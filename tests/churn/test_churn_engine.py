@@ -1,7 +1,5 @@
 """End-to-end churn runs: accounting, GC bounding, parallel determinism."""
 
-import pytest
-
 from repro.runner import PointSpec, SweepRunner, execute_point
 
 
@@ -114,7 +112,6 @@ class TestRestores:
         # retained lineages restore from published heads, never retired ones
         assert m["restores_from_retired"] == 0
         assert m["restore_p99_exact"] > 0
-        assert m["restore_mean_hops"] >= 1
 
     def test_retention_trades_restores_for_footprint(self):
         """Default retention: restores race GC — some come from retired

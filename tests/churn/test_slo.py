@@ -19,7 +19,7 @@ def _fed_tracker():
         slo.on_boot(wait, boot)
     slo.on_snapshot(0.2)
     slo.on_snapshot(0.1)
-    slo.on_restore(4.0, hops=2, from_retired=False)
+    slo.on_restore(4.0, from_retired=False)
     return slo
 
 
@@ -36,7 +36,7 @@ def test_latency_values_are_nearest_rank_over_the_samples():
     assert s["queue_wait"]["p50_exact"] == 0.25
     assert s["snapshot_latency"] == {"count": 2, "p50_exact": 0.1, "p99_exact": 0.2}
     assert s["restore_latency"] == {
-        "count": 1, "p50_exact": 4.0, "p99_exact": 4.0, "mean_hops": 2.0,
+        "count": 1, "p50_exact": 4.0, "p99_exact": 4.0, "mean_hops": 1.0,
     }
 
 

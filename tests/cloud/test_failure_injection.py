@@ -16,7 +16,6 @@ from repro.core import mount
 from repro.simkit.host import Fabric
 from repro.vmsim import boot_trace, make_image
 from repro.vmsim.backends import MirrorBackend
-from repro.vmsim.hypervisor import VMInstance
 
 CHUNK = 4 * KiB
 

@@ -1,7 +1,5 @@
 """Tests for the no-prefetch ablation of mirroring strategy 1 (§3.3)."""
 
-import pytest
-
 from repro.blobseer import BlobSeerDeployment
 from repro.common.payload import Payload
 from repro.common.units import KiB

@@ -20,7 +20,6 @@ from repro.cloud import build_cloud, deploy
 from repro.common.payload import Payload
 from repro.common.units import KiB, MiB
 from repro.faults import RetryPolicy
-from repro.simkit import rpc
 from repro.simkit.host import Fabric
 from repro.vmsim import make_image
 

@@ -84,27 +84,3 @@ class TestDeferredDeletes:
         mid = records[1]
         reg.delete_version(mid.blob_id, mid.version)
         assert not reg.is_published(mid.blob_id, mid.version)
-
-
-class TestSkipPointers:
-    def test_set_and_clear_skip(self):
-        reg, records = chainreg()
-        head = records[-1]
-        genesis = (head.blob_id, 0)
-        reg.set_skip(head.blob_id, head.version, genesis)
-        assert reg.lineage_entry(head.blob_id, head.version).next_hop() == genesis
-        reg.set_skip(head.blob_id, head.version, None)
-        entry = reg.lineage_entry(head.blob_id, head.version)
-        assert entry.next_hop() == entry.parent
-
-    def test_skip_self_loop_rejected(self):
-        reg, records = chainreg()
-        head = records[-1]
-        with pytest.raises(LineageError):
-            reg.set_skip(head.blob_id, head.version, (head.blob_id, head.version))
-
-    def test_skip_to_unpublished_target_rejected(self):
-        reg, records = chainreg()
-        head = records[-1]
-        with pytest.raises(UnknownVersionError):
-            reg.set_skip(head.blob_id, head.version, (999, 1))

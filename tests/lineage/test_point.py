@@ -1,4 +1,6 @@
-"""The ``lineage`` runner point: metrics, compaction effect, off-path identity."""
+"""The ``lineage`` runner point: metrics, merge effect, off-path identity."""
+
+import pytest
 
 from repro.runner import PointSpec, execute_point
 
@@ -15,35 +17,27 @@ class TestExecutor:
         res = execute_point(lineage_spec(depth=4))
         m = res.metrics
         assert m["chain_depth"] == 4
-        # uncompacted scan: 4 commits + clone v1 + source v1 + source v0
-        assert m["scan_hops"] == 4 + 3
-        assert m["restore_time"] > m["scan_time"] > 0
+        assert m["restore_time"] > m["lookup_time"] > 0
         assert m["conserved"] == 1.0
         assert m["footprint_matches"] == 1.0
         assert m["dedup_exclusive"] + m["dedup_shared"] == m["dedup_live"]
         assert len(res.series["snapshot_durations"]) == 4
-        assert len(res.series["chain"]) == m["scan_hops"]
 
-    def test_compaction_bounds_the_scan(self):
-        plain = execute_point(lineage_spec(depth=8))
-        flat = execute_point(lineage_spec(
-            depth=8, compact=True, policy="flatten", depth_bound=2,
-        ))
-        assert flat.metrics["skips_written"] > 0
-        assert flat.metrics["scan_hops"] <= 2 + 2
-        assert flat.metrics["scan_hops"] < plain.metrics["scan_hops"]
-        assert flat.metrics["restore_time"] < plain.metrics["restore_time"]
+    def test_restore_time_does_not_grow_with_depth(self):
+        shallow = execute_point(lineage_spec(depth=2)).metrics
+        deep = execute_point(lineage_spec(depth=8)).metrics
+        assert deep["restore_time"] == pytest.approx(
+            shallow["restore_time"], rel=0, abs=1e-12)
 
     def test_merge_reclaims(self):
-        res = execute_point(lineage_spec(
-            depth=8, compact=True, policy="merge", depth_bound=2,
-        ))
+        res = execute_point(lineage_spec(depth=8, keep_every=2))
         assert res.metrics["versions_merged"] > 0
+        assert res.metrics["gc_bytes_reclaimed"] > 0
         assert res.metrics["conserved"] == 1.0
 
     def test_deterministic(self):
-        a = execute_point(lineage_spec(depth=5, compact=True))
-        b = execute_point(lineage_spec(depth=5, compact=True))
+        a = execute_point(lineage_spec(depth=5, keep_every=4))
+        b = execute_point(lineage_spec(depth=5, keep_every=4))
         assert a.metrics == b.metrics
         assert a.series == b.series
         assert a.event_count == b.event_count
@@ -55,7 +49,7 @@ class TestOffPath:
         deploy = PointSpec(kind="deploy", profile="lineage-smoke",
                            approach="mirror", n=4, seed=1)
         before = execute_point(deploy)
-        execute_point(lineage_spec(depth=5, compact=True, policy="merge"))
+        execute_point(lineage_spec(depth=5, keep_every=4))
         after = execute_point(deploy)
         assert before.metrics == after.metrics
         assert before.series == after.series

@@ -1,10 +1,11 @@
-"""End-to-end restore-to-version and chain compaction over a live deployment."""
+"""End-to-end restore-to-version and chain merge over a live deployment."""
 
 import pytest
 
+from repro import obs
 from repro.blobseer import collect_garbage
 from repro.common.errors import LineageError
-from repro.lineage import LineageForest, compact_chain, restore_to_version
+from repro.lineage import LineageForest, merge_chain, restore_to_version
 
 from helpers import CHUNK, IMG, build_chain, make, pattern, run
 
@@ -22,8 +23,10 @@ def restore(fab, dep, host, blob_id, version, **kw):
     return run(fab, restore_to_version(dep, host, blob_id, version, **kw))
 
 
-def compact(fab, dep, host, blob_id, **kw):
-    return run(fab, compact_chain(dep, host, blob_id, **kw))
+def merge(fab, dep, host, head, keep_every):
+    return run(fab, merge_chain(
+        dep, host, head.blob_id, head.version, keep_every=keep_every,
+    ))
 
 
 class TestRestore:
@@ -51,16 +54,22 @@ class TestRestore:
         )
         assert (rec.blob_id, rec.version) in forest.ancestry(res.blob_id, res.version)
 
-    def test_scan_pays_one_hop_per_ancestor(self, chain):
-        fab, dep, hosts, rec, records = chain
-        head = records[-1]
-        res = restore(fab, dep, hosts[2], head.blob_id, head.version)
-        forest = LineageForest.from_registry(dep.registry)
-        raw = forest.ancestry(head.blob_id, head.version)
-        assert res.scan_hops == len(raw)
-        assert res.chain == tuple(raw)
-        assert res.scan_time > 0
-        assert res.restore_time >= res.scan_time + res.clone_time
+    def test_restore_reads_one_lineage_entry(self):
+        """A snapshot is a standalone image: no ancestor record is read, so
+        the restore of a depth-8 head costs what a depth-2 head does."""
+        results = []
+        for depth in (2, 8):
+            fab, dep, hosts, rec = make()
+            head = build_chain(fab, dep, hosts[0], rec, depth=depth)[-1]
+            tracer = obs.install_tracer(fab)
+            res = restore(fab, dep, hosts[2], head.blob_id, head.version)
+            lookups = [s for s in tracer.spans
+                       if s.name == "rpc:blob-vmgr.lineage_entry"]
+            assert len(lookups) == 1, depth
+            assert res.restore_time >= res.lookup_time + res.clone_time > 0
+            results.append(res)
+        shallow, deep = results
+        assert deep.restore_time == pytest.approx(shallow.restore_time, rel=0, abs=1e-12)
 
     def test_restore_from_retired_mid_chain(self, chain):
         """Satellite: a retired version restores until GC reclaims it."""
@@ -101,7 +110,7 @@ class TestRestore:
             proc = fab.env.process(restore_to_version(
                 dep, hosts[2], head.blob_id, head.version
             ))
-            # fire the teardown while the restore scan is mid-flight
+            # fire the teardown while the restore is mid-flight
             yield fab.env.timeout(1e-6)
             dep.registry.delete_blob(head.blob_id)
             res = yield proc
@@ -118,41 +127,11 @@ class TestRestore:
 
 
 class TestCompaction:
-    def test_flatten_bounds_the_walk(self):
+    def test_merge_is_idempotent(self):
         fab, dep, hosts, rec = make()
-        records = build_chain(fab, dep, hosts[0], rec, depth=12)
-        head = records[-1]
-        before = restore(fab, dep, hosts[2], head.blob_id, head.version)
-        report = compact(
-            fab, dep, hosts[1], head.blob_id, policy="flatten", depth_bound=3
-        )
-        assert report.skips_written > 0
-        assert report.versions_merged == 0
-        assert report.depth_after <= 3
-        after = restore(fab, dep, hosts[2], head.blob_id, head.version)
-        assert after.scan_hops <= 3 + 1
-        assert after.scan_hops < before.scan_hops
-        assert after.scan_time < before.scan_time
-
-        def read_all():
-            p = yield from after.backend.read(0, IMG)
-            return p
-
-        assert run(fab, read_all()).to_bytes() == expected_bytes(12)
-
-    def test_flatten_is_idempotent(self):
-        fab, dep, hosts, rec = make()
-        records = build_chain(fab, dep, hosts[0], rec, depth=9)
-        head = records[-1]
-        first = compact(
-            fab, dep, hosts[1], head.blob_id, policy="flatten", depth_bound=3
-        )
-        second = compact(
-            fab, dep, hosts[1], head.blob_id, policy="flatten", depth_bound=3
-        )
-        assert first.skips_written > 0
-        assert second.skips_written == 0
-        assert second.depth_after == first.depth_after
+        head = build_chain(fab, dep, hosts[0], rec, depth=9)[-1]
+        assert merge(fab, dep, hosts[1], head, keep_every=3) > 0
+        assert merge(fab, dep, hosts[1], head, keep_every=3) == 0
 
     def test_merge_unpublishes_interiors_keeps_anchors(self):
         fab, dep, hosts, rec = make()
@@ -161,16 +140,13 @@ class TestCompaction:
         records = build_chain(fab, dep, hosts[0], rec, depth=8, chunk_index=0)
         head = records[-1]
         live_before = len(dep.registry.live_records())
-        report = compact(
-            fab, dep, hosts[1], head.blob_id,
-            policy="merge", depth_bound=4, gc=True,
-        )
-        assert report.versions_merged > 0
+        merged = merge(fab, dep, hosts[1], head, keep_every=4)
+        assert merged > 0
         # every merged commit surrenders its superseded diff; the merged
         # clone head (v1) shares the seed's tree and owns no diff
-        assert report.bytes_reclaimed == (report.versions_merged - 1) * CHUNK
+        assert collect_garbage(dep).bytes_reclaimed == (merged - 1) * CHUNK
         live_after = len(dep.registry.live_records())
-        assert live_after == live_before - report.versions_merged
+        assert live_after == live_before - merged
         # head and genesis survive; the chain still restores correctly
         assert dep.registry.is_published(head.blob_id, head.version)
         res = restore(fab, dep, hosts[2], head.blob_id, head.version)
@@ -187,13 +163,11 @@ class TestCompaction:
         """Satellite: merge cannot rip a version out from under a restore."""
         fab, dep, hosts, rec = make()
         records = build_chain(fab, dep, hosts[0], rec, depth=8)
-        # records[3] (v4) is a non-anchor interior at depth_bound=4
+        # records[3] (v4) is a non-anchor interior at keep_every=4
         # (anchors land on v3 and v7, counted from the seed's genesis)
         head, interior = records[-1], records[3]
         dep.registry.pin_version(interior.blob_id, interior.version)
-        compact(
-            fab, dep, hosts[1], head.blob_id, policy="merge", depth_bound=4
-        )
+        merge(fab, dep, hosts[1], head, keep_every=4)
         # still published while the lease is held, gone after
         assert dep.registry.is_published(interior.blob_id, interior.version)
         dep.registry.unpin_version(interior.blob_id, interior.version)
@@ -201,17 +175,11 @@ class TestCompaction:
 
     def test_merge_spares_the_clone_sources_history(self, chain):
         fab, dep, hosts, rec, records = chain
-        head = records[-1]
-        compact(
-            fab, dep, hosts[1], head.blob_id, policy="merge", depth_bound=2
-        )
+        merge(fab, dep, hosts[1], records[-1], keep_every=2)
         # the seed blob (the clone source) is untouched by the merge
         assert dep.registry.is_published(rec.blob_id, rec.version)
 
-    def test_invalid_policy_and_bound_raise(self, chain):
+    def test_invalid_keep_every_raises(self, chain):
         fab, dep, hosts, rec, records = chain
-        head = records[-1]
         with pytest.raises(LineageError):
-            compact(fab, dep, hosts[1], head.blob_id, policy="squash")
-        with pytest.raises(LineageError):
-            compact(fab, dep, hosts[1], head.blob_id, depth_bound=0)
+            merge(fab, dep, hosts[1], records[-1], keep_every=0)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.blobseer.vmanager import LineageEntry
 from repro.common.errors import LineageError
 from repro.lineage import LineageForest
 
-from helpers import build_chain, make, run
+from helpers import run
 
 
 class TestAncestry:
@@ -89,18 +90,17 @@ class TestAncestry:
         with pytest.raises(LineageError):
             forest.entry(999, 1)
 
-    def test_cycle_detection(self, chain):
-        fab, dep, hosts, rec, records = chain
-        head = records[-1]
-        # forge a cycle with a skip pointer aimed forward in the chain
-        dep.registry.set_skip(
-            head.blob_id, head.version - 2, (head.blob_id, head.version)
-        )
-        forest = LineageForest.from_registry(dep.registry)
+    def test_cycle_detection(self):
+        # the registry only logs parents published earlier; forge a log
+        # whose parent edges loop
+        forest = LineageForest([
+            LineageEntry(1, 1, parent=(1, 2), kind="publish", root=None,
+                         size=0, chunk_size=1),
+            LineageEntry(1, 2, parent=(1, 1), kind="publish", root=None,
+                         size=0, chunk_size=1),
+        ])
         with pytest.raises(LineageError, match="cycle"):
-            forest.ancestry(head.blob_id, head.version, follow_skips=True)
-        # the raw parent walk is unaffected by the forged skip
-        assert forest.ancestry(head.blob_id, head.version)
+            forest.ancestry(1, 2)
 
 
 class TestStats:
@@ -111,15 +111,5 @@ class TestStats:
         assert stats["snapshots"] == len(dep.registry.lineage_entries())
         assert stats["clones"] == 1
         assert stats["retired"] == 0
-        assert stats["skips"] == 0
         forest = LineageForest.from_registry(dep.registry)
         assert stats["max_depth"] == forest.depth(head.blob_id, head.version)
-
-    def test_depth_with_skips_shrinks(self, chain):
-        fab, dep, hosts, rec, records = chain
-        head = records[-1]
-        genesis = (records[0].blob_id, 0)
-        dep.registry.set_skip(head.blob_id, head.version, genesis)
-        forest = LineageForest.from_registry(dep.registry)
-        assert forest.depth(head.blob_id, head.version, follow_skips=True) == 1
-        assert forest.depth(head.blob_id, head.version) > 1

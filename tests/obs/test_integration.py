@@ -20,7 +20,6 @@ from repro.calibration import Calibration, ImageSpec
 from repro.cloud import build_cloud, deploy, seed_image, snapshot_all
 from repro.common.errors import ProviderUnavailableError
 from repro.common.units import KiB, MiB
-from repro.simkit import rpc
 from repro.vmsim import make_image
 
 CALIB = Calibration(

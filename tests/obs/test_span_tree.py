@@ -16,7 +16,7 @@ The scenarios cover every instrumented layer between them: a mirror
 deploy + CLONE/COMMIT campaign (boot, vfs, rpc, flows, chunk publish,
 metadata scatter), a failover read under a retry policy (per-attempt fetch
 spans, one failing), and a small racked churn run with the peer exchange,
-restores and one flatten compaction.
+restores and one chain merge.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from test_integration import run_cycle
 
 from repro import obs
 from repro.churn import ChurnEngine, ChurnSpec
-from repro.lineage import LineageForest, compact_chain
+from repro.lineage import LineageForest, merge_chain
 from repro.runner.points import build_point_cloud
 from repro.runner.profiles import resolve_profile
 
@@ -56,7 +56,7 @@ def failover_spans():
 
 
 def churn_spans():
-    """A racked churn run with p2p and restores, then one flatten compaction."""
+    """A racked churn run with p2p and restores, then one chain merge."""
     profile = resolve_profile("churn-smoke")
     cloud, image = build_point_cloud(
         profile, 3, with_pvfs=False, racks=2, topo_aware=True,
@@ -71,16 +71,18 @@ def churn_spans():
     )
     ChurnEngine(cloud, image, spec).run()
     forest = LineageForest.from_registry(cloud.blobseer.registry)
-    head = max(forest.heads(), key=lambda key: (forest.depth(*key), key))
-    assert forest.depth(*head) >= 2, "the churn run built no chain to compact"
+    # the head with the most commits of its own: its v1 is an interior
+    # version at position 2 from the genesis, which keep_every=3 merges
+    head = max(forest.heads(), key=lambda key: (key[1], key))
+    assert head[1] >= 2, "the churn run committed no chain to merge"
 
-    def compact():
-        yield from compact_chain(
-            cloud.blobseer, cloud.compute[0], head[0], head[1],
-            policy="flatten", depth_bound=1,
+    def merge():
+        merged = yield from merge_chain(
+            cloud.blobseer, cloud.compute[0], head[0], head[1], keep_every=3,
         )
+        assert merged == 1
 
-    cloud.run(cloud.env.process(compact(), name="compact"))
+    cloud.run(cloud.env.process(merge(), name="merge"))
     return tracer.spans
 
 
@@ -93,7 +95,7 @@ SCENARIOS = {
 EXPECTED = {
     'deploy-snapshot': (4245, 'ba48f53231697dd6f6bff780e797715741ce534cd5fd68fcecd1a61b4a40ed2c'),
     'failover-read': (44, '19c21643c3df29cc94fa36d890e1ea422c61649bf099f3e94b734cb33c9f383e'),
-    'churn-p2p-restore-compact': (8777, '738dce167dce645af83113400250f111a74482d6dd1fe893a1d1adc11bb148a9'),
+    'churn-p2p-restore-compact': (8727, '22342ebe38cbf7ca5f80c01f288b94b48e143b36bf2588c7cc4fb05d234b3a8d'),
 }
 
 
@@ -108,7 +110,7 @@ def test_failover_read_span_tree():
 def test_churn_span_tree():
     spans = churn_spans()
     names = {s.name for s in spans}
-    for expected in ("churn:run", "p2p.fetch", "lineage.restore", "lineage.compact"):
+    for expected in ("churn:run", "p2p.fetch", "lineage.restore", "lineage.merge"):
         assert expected in names, expected
     assert span_tree_digest(spans) == EXPECTED["churn-p2p-restore-compact"]
 

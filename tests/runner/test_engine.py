@@ -17,7 +17,7 @@ class TestEquivalence:
     def test_parallel_bit_identical_to_sequential(self, micro_profile):
         specs = _specs(counts=(1, 2, 1, 2)) + [
             PointSpec(kind="lineage", profile="lineage-smoke", approach="mirror", n=3, seed=1,
-                      params=(("compact", True), ("policy", "merge"), ("depth_bound", 2))),
+                      params=(("keep_every", 2),)),
             PointSpec(kind="deploy", profile="topo-smoke", approach="mirror", n=8, seed=1,
                       params=(("p2p", True), ("racks", 4), ("topo_aware", True))),
             # a racked, replicated multisnapshot burst is one spec

@@ -1,7 +1,5 @@
 """Profile registry, env-var validation, and calibration overrides."""
 
-import dataclasses
-
 import pytest
 
 from repro.runner import (
@@ -11,7 +9,6 @@ from repro.runner import (
     apply_overrides,
     known_profiles,
     profile_calibration,
-    register_profile,
     resolve_profile,
 )
 from repro.runner.profiles import PROFILE_ENV

@@ -1,6 +1,5 @@
 """Property tests for the flow network: physical bounds hold for any workload."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -310,7 +310,7 @@ class TestPoolBound:
         ["faults", "--window", "-1"],
         ["faults", "--mttr", "-1"],
         ["faults", "--replication", "0"],
-        ["lineage", "--compact", "--depth-bound", "0"],
+        ["lineage", "--merge-keep-every", "0"],
         ["lineage", "--replication", "0"],
         ["deploy", "--chunk-kib", "0"],
         ["bonnie", "--working-mib", "0"],
@@ -329,8 +329,7 @@ class TestPoolBound:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        flag = next(a for a in argv[1:] if a.startswith("--") and a != "--compact")
-        assert f"error: argument {flag}:" in capsys.readouterr().err
+        assert f"error: argument {argv[1]}:" in capsys.readouterr().err
 
 
 class TestVersionFlag:
@@ -356,13 +355,24 @@ class TestLineage:
         assert args.depth == 0
         assert args.profile == "lineage"
         assert _params(args) == {}
-        args = build_parser().parse_args(
-            ["lineage", "--compact", "--policy", "merge", "--depth-bound", "2"])
-        assert _params(args) == {"compact": True, "policy": "merge", "depth_bound": 2}
+        args = build_parser().parse_args(["lineage", "--merge-keep-every", "2"])
+        assert _params(args) == {"keep_every": 2}
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lineage", "--policy", "squash"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--policy", "merge"], ["--compact"], ["--depth-bound", "2"],
+    ])
+    def test_no_flag_is_given_then_ignored(self, capsys, argv):
+        """The merge is one flag: the old selectors, of which ``--policy``
+        and ``--depth-bound`` ran nothing without ``--compact``, are usage
+        errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lineage", "--profile", "lineage-smoke", "--depth", "3", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_lineage_prints_restore_and_dedup(self, capsys):
         rc = main(["lineage", "--profile", "lineage-smoke", "--depth", "3",
@@ -372,6 +382,15 @@ class TestLineage:
         assert "restore latency" in out
         assert "dedup accounting" in out
         assert "exclusive+shared==live: ok" in out
+        assert "unmerged" in out and "merge:" not in out
+
+    def test_lineage_merge_prints_what_it_merged(self, capsys):
+        rc = main(["lineage", "--profile", "lineage-smoke", "--depth", "8",
+                   "--seed", "7", "--merge-keep-every", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "keep every 2" in out
+        assert "versions merged" in out
 
 
 class TestTopo:

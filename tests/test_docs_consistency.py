@@ -4,7 +4,6 @@ import json
 import re
 from pathlib import Path
 
-import pytest
 
 REPO = Path(__file__).parent.parent
 RESULTS = REPO / "benchmarks" / "results"
@@ -152,9 +151,8 @@ class TestLineageDocs:
         rows = tracked_grid("lineage_restore")
         depths = sorted(int(label.split("-d")[1]) for label in rows if label.startswith("off-"))
         assert len(depths) >= 2
-        for mode in ("off", "flatten"):
-            for d in depths:
-                assert f"{mode}-d{d}" in rows, f"missing {mode}-d{d}"
+        for d in depths:
+            assert f"off-d{d}" in rows, f"missing off-d{d}"
         assert f"merge-d{depths[-1]}" in rows
 
     def test_makefile_and_ci_wire_lineage_smoke(self):

@@ -175,6 +175,12 @@ GONE_KEYWORDS = [
     ("repro.vmsim.workloads:read_your_writes_workload", "write_block"),
     ("repro.vmsim.workloads:read_your_writes_workload", "cpu_between"),
     ("repro.vmsim.workloads:log_append_workload", "cpu_between"),
+    ("repro.lineage.restore:restore_to_version", "name"),
+    ("repro.lineage.restore:restore_to_version", "full_chunk_prefetch"),
+    # merge_chain runs one pass: no policy to select, no walk bound, no sweep
+    ("repro.lineage.compact:merge_chain", "policy"),
+    ("repro.lineage.compact:merge_chain", "depth_bound"),
+    ("repro.lineage.compact:merge_chain", "gc"),
 ]
 
 
