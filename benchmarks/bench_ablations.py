@@ -16,7 +16,6 @@ Not paper figures — sanity probes behind the paper's §3 design arguments:
   not a cloud param, so its point runs in-process under ``maxmin_fabric()``.
 """
 
-import pytest
 from reference_network import maxmin_fabric
 
 from repro.analysis import Series, check_shape, render_figure, Figure
@@ -25,7 +24,7 @@ from repro.calibration import Calibration, ImageSpec
 from repro.cloud import build_cloud, deploy
 from repro.common.payload import Payload
 from repro.common.units import GiB, KiB, MiB
-from repro.runner import execute_point
+from repro.runner import execute_point, register_profile
 from repro.simkit.host import Fabric
 from repro.vmsim import make_image
 
@@ -34,7 +33,6 @@ from common import (
     PointSpec,
     active_profile,
     emit,
-    register_profile,
     run_sweep,
 )
 
@@ -216,10 +214,9 @@ def test_ablation_profile_prefetch(benchmark, sweep_cache):
     instances run a bounded-look-ahead prefetcher alongside the boot, so
     chunk fetch overlaps guest CPU bursts instead of serializing with them.
     """
+    from repro.cloud import instance
     from repro.core.prefetch import AccessProfile, Prefetcher, ProfileRecorder
     from repro.vmsim import boot_trace
-    from repro.vmsim.backends import MirrorBackend
-    from repro.vmsim.hypervisor import VMInstance
 
     def run_variant(use_prefetch):
         calib = Calibration(
@@ -231,17 +228,17 @@ def test_ablation_profile_prefetch(benchmark, sweep_cache):
 
         idents = seed_image(cloud, image)
         rec = idents["blobseer"]
+        at = (rec.blob_id, rec.version)
+
+        def mirror_vm(name, node, path, rng):
+            backend = instance.open_mirror(node, cloud.blobseer, at, cloud.calib.fuse, path)
+            return instance.new_vm(name, backend, rng, calib.boot)
 
         # pilot run records the profile
         profile = AccessProfile(256 * KiB)
-        pilot_backend = MirrorBackend(
-            cloud.compute[POOL - 1], cloud.blobseer, rec.blob_id, rec.version,
-            cloud.calib.fuse, path="/mirror/pilot",
-        )
-        pilot = VMInstance(
-            "pilot", cloud.compute[POOL - 1], pilot_backend, calib.boot,
-            cloud.fabric.rng.get("pilot"),
-        )
+        pilot_backend = mirror_vm(
+            "pilot", cloud.compute[POOL - 1], "/mirror/pilot", ("pilot",)
+        ).backend
         trace = boot_trace(image, calib.boot, cloud.fabric.rng.get("pilot-trace"))
 
         def pilot_boot():
@@ -263,12 +260,8 @@ def test_ablation_profile_prefetch(benchmark, sweep_cache):
         boots = []
         vms = []
         for i in range(N):
-            node = cloud.compute[i]
-            backend = MirrorBackend(
-                node, cloud.blobseer, rec.blob_id, rec.version,
-                cloud.calib.fuse, path=f"/mirror/vm{i}",
-            )
-            vm = VMInstance(f"vm{i}", node, backend, calib.boot, cloud.fabric.rng.get("vm", i))
+            vm = mirror_vm(f"vm{i}", cloud.compute[i], f"/mirror/vm{i}", ("vm", i))
+            backend = vm.backend
             vms.append(vm)
             vm_trace = boot_trace(image, calib.boot, cloud.fabric.rng.get("trace", i))
 
@@ -323,8 +316,6 @@ def test_ablation_dedup_multisnapshot(benchmark, sweep_cache):
     stores the shared diff once.
     """
     from repro.cloud import snapshot_all
-    from repro.cloud.deployment import seed_image as _seed
-    from repro.vmsim.boottrace import BootOp
 
     def run_variant(dedup):
         calib = Calibration(

@@ -24,9 +24,9 @@ reruns them and fails on any ``git diff``.
 
 from repro.analysis import Figure, Series, ascii_chart, check_shape, render_figure
 from repro.common.units import MiB
+from repro.runner import P2P
 
 from common import (
-    P2P,
     PointSpec,
     emit,
     figure_data,

@@ -27,19 +27,12 @@ from typing import List, Optional, Sequence
 import pytest
 
 from repro.analysis import render_bars
-from repro.runner import (  # noqa: F401 — re-exported for the bench modules
-    P2P,
-    PAPER,
-    QUICK,
+from repro.runner import (
     BenchProfile,
     PointResult,
     PointSpec,
     SweepRunner,
     active_profile,
-    apply_diffs,
-    build_point_cloud,
-    profile_calibration,
-    register_profile,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"

@@ -54,12 +54,12 @@ def main() -> None:
           + ", ".join(s.ident for s in captured))
 
     # --- iterate: analyze + patch clones of the captured state --------------
-    def attempt_fix(snapshot_ident: str, patch: bytes, attempt: int):
-        blob, version = snapshot_ident[4:].split("@v")
+    def attempt_fix(snapshot, patch: bytes, attempt: int):
+        blob, version = snapshot.at
         node = cloud.compute[4 + attempt % 4]  # scratch nodes
         handle = yield from mount(
-            node, cloud.blobseer, int(blob), int(version),
-            path=f"/debug/attempt{attempt}-{snapshot_ident}",
+            node, cloud.blobseer, blob, version,
+            path=f"/debug/attempt{attempt}-{snapshot.ident}",
         )
         config = yield from handle.read(CONFIG_OFFSET, len(patch))
         print(f"  attempt {attempt}: found config {config.to_bytes()!r}")
@@ -74,7 +74,7 @@ def main() -> None:
 
     for attempt, patch in enumerate([BUGGY, FIXED]):  # first try fails
         crashed, rec = cloud.run(
-            cloud.env.process(attempt_fix(captured[0].ident, patch, attempt))
+            cloud.env.process(attempt_fix(captured[0], patch, attempt))
         )
         outcome = "still crashes" if crashed else "runs clean"
         print(f"  attempt {attempt}: patched lineage blob {rec.blob_id} "
@@ -84,9 +84,9 @@ def main() -> None:
 
     # --- the captured snapshot itself was never disturbed -------------------
     def verify_untouched():
-        blob, version = captured[0].ident[4:].split("@v")
+        blob, version = captured[0].at
         reader = cloud.blobseer.client(cloud.manager)
-        config = yield from reader.read(int(blob), int(version), CONFIG_OFFSET, len(BUGGY))
+        config = yield from reader.read(blob, version, CONFIG_OFFSET, len(BUGGY))
         return config.to_bytes()
 
     still = cloud.run(cloud.env.process(verify_untouched()))

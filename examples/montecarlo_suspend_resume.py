@@ -13,10 +13,10 @@ Run: ``python examples/montecarlo_suspend_resume.py [n_workers]``
 import sys
 
 from repro.calibration import Calibration, ImageSpec
-from repro.cloud import build_cloud
+from repro.cloud import build_cloud, instance
 from repro.cloud.middleware import CloudMiddleware
 from repro.common.units import KiB, MiB, fmt_time
-from repro.vmsim import MonteCarloConfig, MonteCarloWorker, boot_trace, make_image
+from repro.vmsim import MonteCarloConfig, MonteCarloWorker, make_image
 
 
 def main() -> None:
@@ -53,11 +53,7 @@ def main() -> None:
     # --- phase 3: resume every worker on a different node --------------------
     fresh = cloud.compute[n_workers:]
     resumed = mw.resume_set(list(campaign.per_instance), fresh)
-    boots = []
-    for i, vm in enumerate(resumed):
-        trace = boot_trace(image, calib.boot, cloud.fabric.rng.get("resume-trace", i))
-        boots.append(cloud.env.process(vm.boot(trace)))
-    cloud.run(cloud.env.all_of(boots))
+    cloud.run(cloud.env.all_of(instance.spawn_boots(resumed, image, ("resume-trace",))))
     print(f"resumed on fresh nodes {fresh[0].name}..{fresh[-1].name}, rebooted")
 
     new_workers = [MonteCarloWorker(vm.name, vm.backend, cfg) for vm in resumed]

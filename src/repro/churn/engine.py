@@ -25,8 +25,8 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..blobseer.gc import collect_garbage
 from ..blobseer.metadata import reachable_nodes
-from ..common.errors import LineageError, SimulationError
-from ..simkit import rpc
+from ..cloud import instance
+from ..common.errors import SimulationError, StorageError
 from .arrivals import (
     ChurnSpec, DeployRequest, RestoreRequest, SnapshotRequest, TeardownRequest,
     generate_trace, trace_crc,
@@ -151,14 +151,16 @@ class ChurnEngine:
             # deploys, so re-collect until nothing is alive) and every
             # in-flight restore
             while True:
-                alive = [
-                    rt.proc for rt in self.runtimes.values()
-                    if rt.proc is not None and rt.proc.is_alive
-                ]
-                alive += [p for p in self._restore_procs if p.is_alive]
+                procs = [rt.proc for rt in self.runtimes.values()]
+                procs += self._restore_procs
+                alive = [p for p in procs if p.is_alive]
                 if not alive:
                     break
                 yield env.all_of(alive)
+            # faults are counted where they strike; anything else is a defect
+            for proc in procs:
+                if not proc.ok:
+                    raise proc.value
             if self.scheduler.queue:
                 raise SimulationError(
                     f"churn drain left {len(self.scheduler.queue)} queued "
@@ -238,40 +240,33 @@ class ChurnEngine:
         GC sweep already reclaimed raises
         :class:`~repro.common.errors.LineageError` — counted as a missed
         restore, exactly the staleness SLO the retention policy trades
-        against.
+        against; so is a restore a fault denies.
         """
         from ..lineage.restore import restore_to_version
-        from ..vmsim.boottrace import boot_trace
 
         cloud = self.cloud
         node_idx = self.placements.get(req.target, -1)
         if node_idx < 0:
             node_idx = req.req_id % len(cloud.compute)
-        host = cloud.compute[node_idx]
         try:
             res = yield from restore_to_version(
-                cloud.blobseer, host, blob_id, version,
+                cloud.blobseer, cloud.compute[node_idx], blob_id, version,
                 image=self.image, boot_model=cloud.calib.boot,
-                vm_rng=cloud.fabric.rng.get("churn-restore-vm", req.req_id),
-                trace=boot_trace(
-                    self.image, cloud.calib.boot,
-                    cloud.fabric.rng.get("churn-restore-trace", req.req_id),
-                ),
+                vm_rng=("churn-restore-vm", req.req_id),
+                trace=("churn-restore-trace", req.req_id),
                 fuse=cloud.calib.fuse,
                 path=f"/mirror/churn-restore-{req.req_id}",
             )
-        except LineageError:
+        except StorageError:
             self.slo.on_restore_missed()
             return
-        self.slo.on_restore(res.restore_time, res.retired_source)
+        if res.boot_time is None:  # the restored VM died booting (counted)
+            self.slo.on_restore_missed()
+        else:
+            self.slo.on_restore(res.restore_time, res.retired_source)
         # the restored instance is ephemeral: shut down, drop the local
         # mirror file, unpublish the restored branch
-        yield from res.vm.shutdown()
-        res.backend.handle.local.unlink()
-        yield from rpc.call(
-            host, cloud.blobseer.vmanager_host, "blob-vmgr", "delete_blob",
-            res.blob_id,
-        )
+        yield from instance.teardown(res.vm, res.blob_id)
 
     # ------------------------------------------------------------------ #
     def _sample_footprint(self) -> None:

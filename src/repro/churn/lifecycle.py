@@ -2,27 +2,21 @@
 
 Each placed :class:`~repro.churn.arrivals.DeployRequest` becomes one
 :class:`VmRuntime` driven by a single simulation process
-(:func:`run_instance`): it opens a mirror backend on the placed node, boots
-the tenant's image through the paper's on-demand VFS, then sleeps until the
-dispatcher delivers snapshot or teardown requests. Snapshots write the §5.3
-local diff and run the CLONE + COMMIT cycle; retention pruning unpublishes
-older mid-life snapshots as new ones land. Teardown shuts the hypervisor
-down, unlinks the local mirror file (and its persisted modification state)
-so compute-node storage stays bounded over tens of thousands of requests,
-unpublishes the instance's retired snapshot lineage (making it reclaimable
-by the next :func:`~repro.blobseer.gc.collect_garbage` sweep), and releases
-the slot back to the scheduler — which may immediately pop queued deploys.
+(:func:`run_instance`), which takes the one instance lifecycle of
+:mod:`repro.cloud.instance`: a mirror of the tenant's image on the placed
+node, a boot, then snapshots (local diff + CLONE + COMMIT, pruned to the
+newest few) as the dispatcher delivers them, and a teardown that unlinks
+the local mirror, unpublishes the retired lineage for the next GC sweep and
+releases the slot — which may immediately pop queued deploys.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
+from ..cloud import instance
 from ..simkit import rpc
-from ..vmsim.backends import MirrorBackend
-from ..vmsim.boottrace import boot_trace
 from ..vmsim.hypervisor import VMInstance
-from ..vmsim.workloads import read_your_writes_workload
 from .arrivals import DeployRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,31 +60,33 @@ class VmRuntime:
 
 
 def run_instance(engine: "ChurnEngine", rt: VmRuntime):
-    """The lifecycle process of one placed deploy (a generator)."""
+    """The lifecycle process of one placed deploy (a generator); its whole
+    life is :func:`~repro.cloud.instance.guarded`, so a fault is counted."""
+    cloud = engine.cloud
+    req = rt.req
+    rec = engine.tenant_images[req.tenant]
+    backend = instance.open_mirror(
+        cloud.compute[rt.node], cloud.blobseer, (rec.blob_id, rec.version),
+        cloud.calib.fuse, f"/mirror/churn-r{req.req_id}",
+    )
+    vm = instance.new_vm(
+        f"churn-{req.req_id:05d}", backend, ("churn-vm", req.req_id), cloud.calib.boot,
+    )
+    return instance.guarded(vm, _live(engine, rt, vm))
+
+
+def _live(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
+    """Boot, serve snapshot requests until the teardown, tear down, release."""
     env = engine.cloud.env
-    fabric = engine.cloud.fabric
-    calib = engine.cloud.calib
     req = rt.req
     try:
-        with fabric.tracer.start(
+        with engine.cloud.fabric.tracer.start(
             f"churn:vm:{req.req_id}", "churn", tenant=req.tenant, node=rt.node,
         ):
-            host = engine.cloud.compute[rt.node]
-            rec = engine.tenant_images[req.tenant]
-            backend = MirrorBackend(
-                host, engine.cloud.blobseer, rec.blob_id, rec.version, calib.fuse,
-                path=f"/mirror/churn-r{req.req_id}",
-            )
-            vm = VMInstance(
-                f"churn-{req.req_id:05d}", host, backend, calib.boot,
-                fabric.rng.get("churn-vm", req.req_id),
-            )
-            trace = boot_trace(
-                engine.image, calib.boot, fabric.rng.get("churn-trace", req.req_id)
-            )
+            booting = instance.boot(vm, engine.image, ("churn-trace", req.req_id))
             rt.state = "booting"
             queue_wait = env.now - req.at
-            yield from vm.boot(trace)
+            yield from booting
             engine.slo.on_boot(queue_wait, vm.boot_time)
             if engine.locality is not None:
                 engine.locality.note_hosted(rt.node, req.tenant)
@@ -116,18 +112,11 @@ def run_instance(engine: "ChurnEngine", rt: VmRuntime):
 def _take_snapshot(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance, seq: int):
     """Write the local diff, CLONE + COMMIT, prune retained snapshots."""
     spec = engine.spec
-    fabric = engine.cloud.fabric
-    if spec.diff_bytes > 0:
-        ops = read_your_writes_workload(
-            engine.image.write_base, spec.diff_bytes,
-            fabric.rng.get("churn-diff", rt.req.req_id, seq),
-            reread_fraction=0.05,
-        )
-        yield from vm.run_ops(ops)
-    snap = yield from vm.backend.snapshot()
+    snap = yield from instance.snapshot(
+        vm, engine.image, spec.diff_bytes, ("churn-diff", rt.req.req_id, seq)
+    )
     engine.slo.on_snapshot(snap.duration)
-    handle = vm.backend.handle
-    rt.published.append((handle.target_blob, handle.target_version))
+    rt.published.append(snap.at)
     # retention: unpublish mid-life snapshots beyond the newest K
     dep = engine.cloud.blobseer
     while len(rt.published) > spec.retention_per_vm:
@@ -139,23 +128,15 @@ def _take_snapshot(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance, seq: in
 
 
 def _teardown(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
-    """Shutdown, local-file cleanup, lineage unpublish."""
-    dep = engine.cloud.blobseer
+    """Shutdown and local-file cleanup; unpublish the clone's lineage."""
     handle = vm.backend.handle
-    clone_blob: Optional[int] = None
-    if handle is not None and handle.target_blob != handle.source_blob:
-        clone_blob = handle.target_blob
-    yield from vm.shutdown()
-    if handle is not None:
-        # drop the local mirror file and its persisted modification state;
-        # without this, node-local storage grows with every request served
-        handle.local.unlink()
-    if clone_blob is not None and not engine.spec.retain_snapshots:
-        # unpublish the whole retired lineage: the clone blob (and every
-        # chunk only it references) becomes garbage for the next GC sweep
-        yield from rpc.call(
-            vm.host, dep.vmanager_host, "blob-vmgr", "delete_blob", clone_blob
-        )
+    clone = None
+    if handle.target_blob != handle.source_blob and not engine.spec.retain_snapshots:
+        clone = handle.target_blob
+    # the unpublished clone blob (and every chunk only it references)
+    # becomes garbage for the next GC sweep
+    yield from instance.teardown(vm, clone)
+    if clone is not None:
         rt.retired.extend(rt.published)
         rt.published.clear()
         engine.slo.on_retire()

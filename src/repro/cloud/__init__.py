@@ -1,26 +1,14 @@
 """Cluster construction and multideployment/multisnapshotting orchestration."""
 
 from .cluster import Cloud, build_cloud
-from .deployment import (
-    APPROACHES,
-    DeploymentResult,
-    LOCAL_IMAGE_PATH,
-    NFS_IMAGE_PATH,
-    PVFS_IMAGE_PATH,
-    deploy,
-    seed_image,
-)
+from .deployment import DeploymentResult, deploy, seed_image
 from .middleware import CloudMiddleware
 from .snapshotting import SnapshotCampaignResult, snapshot_all
 
 __all__ = [
-    "APPROACHES",
     "Cloud",
     "CloudMiddleware",
     "DeploymentResult",
-    "LOCAL_IMAGE_PATH",
-    "NFS_IMAGE_PATH",
-    "PVFS_IMAGE_PATH",
     "SnapshotCampaignResult",
     "build_cloud",
     "deploy",

@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..common.errors import MiddlewareError
-from ..vmsim.backends import MirrorBackend, SnapshotResult
+from ..vmsim.backends import SnapshotResult
 from ..vmsim.hypervisor import VMInstance
 from ..vmsim.image import VmImage
+from . import instance
 from .cluster import Cloud
 from .deployment import DeploymentResult, deploy, seed_image
 from .snapshotting import SnapshotCampaignResult, snapshot_all
@@ -68,35 +69,19 @@ class CloudMiddleware:
         nodes: Sequence,
         name_prefix: str = "resumed",
     ) -> List[VMInstance]:
-        """Mount each mirror snapshot on a node and return fresh instances.
-
-        Only snapshots produced by the mirror approach are resumable this
-        way (``blob<id>@v<version>`` identifiers); qcow2 resumes go through
-        a new ``Qcow2PvfsBackend`` with the snapshot as a local file, which
-        the Fig. 8 benchmark constructs explicitly.
-        """
+        """Resume each mirror snapshot on a node: fresh instances, not booted,
+        each a mirror opened at the ``(blob, version)`` the snapshot carries.
+        A qcow2 copy's resume (a download) is the Fig. 8 benchmark's own."""
         if len(snapshots) > len(nodes):
             raise MiddlewareError("not enough nodes to resume onto")
+        cloud = self.cloud
         vms: List[VMInstance] = []
         for i, (snap, node) in enumerate(zip(snapshots, nodes)):
-            ident = snap.ident
-            if not ident.startswith("blob"):
-                raise MiddlewareError(f"cannot resume non-mirror snapshot {ident!r}")
-            blob_part, version_part = ident[4:].split("@v")
-            backend = MirrorBackend(
-                node,
-                self.cloud.blobseer,
-                int(blob_part),
-                int(version_part),
-                self.cloud.calib.fuse,
-                path=f"/mirror/{name_prefix}-{i:03d}",
+            if snap.at is None:
+                raise MiddlewareError(f"cannot resume non-mirror snapshot {snap.ident!r}")
+            name = f"{name_prefix}-{i:03d}"
+            backend = instance.open_mirror(
+                node, cloud.blobseer, snap.at, cloud.calib.fuse, f"/mirror/{name}"
             )
-            vm = VMInstance(
-                f"{name_prefix}-{i:03d}",
-                node,
-                backend,
-                self.cloud.calib.boot,
-                self.cloud.fabric.rng.get("vm-resume", i),
-            )
-            vms.append(vm)
+            vms.append(instance.new_vm(name, backend, ("vm-resume", i), cloud.calib.boot))
         return vms

@@ -22,28 +22,30 @@ from typing import Hashable
 
 import numpy as np
 
+from .errors import SimulationError
+
 
 class RngStreams:
     """A family of independent, reproducibly-seeded numpy generators."""
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._cache: dict[tuple[Hashable, ...], np.random.Generator] = {}
+        self._drawn: set[tuple[Hashable, ...]] = set()
 
     def get(self, *name: Hashable) -> np.random.Generator:
-        """Return the generator for sub-stream ``name`` (created on first use).
+        """Return the generator of sub-stream ``name``, which is drawn once.
 
         The same ``(seed, *name)`` always yields a generator producing the
         same sequence; distinct names yield statistically independent
-        sequences (numpy's ``SeedSequence`` spawning guarantees this).
+        sequences (numpy's ``SeedSequence`` spawning guarantees this). Only
+        names are kept; a repeat raises rather than restart its sequence.
         """
         key = tuple(name)
-        gen = self._cache.get(key)
-        if gen is None:
-            material = [self.seed] + [_hash_part(part) for part in key]
-            gen = np.random.default_rng(np.random.SeedSequence(material))
-            self._cache[key] = gen
-        return gen
+        if key in self._drawn:
+            raise SimulationError(f"RNG stream {key!r} drawn twice")
+        self._drawn.add(key)
+        material = [self.seed] + [_hash_part(part) for part in key]
+        return np.random.default_rng(np.random.SeedSequence(material))
 
 
 def _hash_part(part: Hashable) -> int:

@@ -46,12 +46,12 @@ def hypervisor_policy(fuse: FuseModel) -> WritePolicy:
     )
 
 
-def _state_registry(host: Host) -> Dict[str, dict]:
-    """Per-host registry simulating the persisted mirror-metadata files."""
-    reg = getattr(host, "_mirror_states", None)
+def host_registry(host: Host, name: str) -> Dict[str, object]:
+    """A per-host table by mirror path (persisted states, open handles)."""
+    reg = getattr(host, name, None)
     if reg is None:
         reg = {}
-        host._mirror_states = reg  # type: ignore[attr-defined]
+        setattr(host, name, reg)
     return reg
 
 
@@ -110,17 +110,22 @@ class LocalMirrorFile:
         self._check_open()
         yield from self.device.sync()
         yield from self.host.disk.write(4096, sequential=False)  # metadata blob
-        _state_registry(self.host)[self.path] = state
-        self._open = False
+        host_registry(self.host, "_mirror_states")[self.path] = state
+        self._release()
 
     def load_state(self) -> Optional[dict]:
         """Open-time: restore persisted modification state, if any."""
-        return _state_registry(self.host).get(self.path)
+        return host_registry(self.host, "_mirror_states").get(self.path)
 
     def unlink(self) -> None:
         """Discard the mirror and its persisted state (VM destroyed)."""
         self.host.unlink(self.path)
-        _state_registry(self.host).pop(self.path, None)
+        host_registry(self.host, "_mirror_states").pop(self.path, None)
+        self._release()
+
+    def _release(self) -> None:
+        """No handle holds the file any more: it may be opened again."""
+        host_registry(self.host, "_mirror_handles").pop(self.path, None)
         self._open = False
 
     def _check_open(self) -> None:

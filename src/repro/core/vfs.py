@@ -27,7 +27,7 @@ from ..calibration import FuseModel
 from ..common.errors import MirrorStateError
 from ..common.payload import Payload
 from ..simkit.host import Host
-from .localmirror import LocalMirrorFile
+from .localmirror import LocalMirrorFile, host_registry
 from .modmanager import ModificationManager
 from .translator import RWTranslator
 
@@ -193,11 +193,21 @@ class MirrorVFS:
 
         First open creates an empty sparse local file of the snapshot's
         size; a re-open of the same ``path`` restores the persisted
-        modification state (locally mirrored content survives).
+        modification state (locally mirrored content survives). While a
+        handle holds ``path`` open, only its own module may open it again.
         """
         snap = yield from self.client._lookup_snapshot(blob_id, version)
         if path is None:
             path = f"/mirror/blob{snap.blob_id}@{snap.version}"
+        handles = host_registry(self.host, "_mirror_handles")
+        held = handles.get(path)
+        if held is not None:
+            # the holder reopening (a restore, then its hypervisor) shares the
+            # handle; a second instance would overwrite the first one's writes
+            if held.vfs is not self or held.source_blob != snap.blob_id:
+                raise MirrorStateError(f"{path}: mirror held by another open handle")
+            self.host.fabric.metrics.count("mirror-open")
+            return held
         local = LocalMirrorFile(self.host, path, snap.size, self.fuse)
         state = local.load_state()
         if state is not None:
@@ -222,5 +232,6 @@ class MirrorVFS:
                 self, path, snap.blob_id, snap.version, snap.size, snap.chunk_size,
                 modmgr, local,
             )
+        handles[path] = handle
         self.host.fabric.metrics.count("mirror-open")
         return handle

@@ -11,29 +11,23 @@ how many instances still booted, and how much slower — instead of crashing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..common.errors import InterruptedError_, StorageError
+from ..cloud import instance
+from ..cloud.deployment import DeploymentResult, seed_image
 from .plan import FaultPlan
 
 
 @dataclass
-class ResilienceResult:
-    """Outcome of one multideployment under faults (one resilience point)."""
+class ResilienceResult(DeploymentResult):
+    """Outcome of one multideployment under faults (one resilience point).
 
-    approach: str
-    n_instances: int
-    #: initialization phase duration (before faults are armed)
-    init_time: float
-    #: boot duration of every instance that completed
-    boot_times: List[float] = field(default_factory=list)
+    ``init_time`` is fault-free; ``completion_time`` and ``total_traffic``
+    cover the boot phase alone, and ``boot_times`` the boots that completed.
+    """
+
     #: vm name -> exception class name, for every boot that did not complete
     failed: Dict[str, str] = field(default_factory=dict)
-    #: wall time until every boot completed or failed, excl. init
-    completion_time: float = 0.0
-    #: bytes that crossed the network during the boot phase
-    total_traffic: int = 0
-    vms: list = field(default_factory=list)
 
     @property
     def boots_completed(self) -> int:
@@ -46,22 +40,6 @@ class ResilienceResult:
     @property
     def survival_rate(self) -> float:
         return self.boots_completed / self.n_instances if self.n_instances else 1.0
-
-    @property
-    def avg_boot_time(self) -> float:
-        return sum(self.boot_times) / len(self.boot_times) if self.boot_times else 0.0
-
-
-def _guarded_boot(vm, trace, result: ResilienceResult):
-    metrics = vm.host.fabric.metrics
-    try:
-        yield from vm.boot(trace)
-    except (StorageError, InterruptedError_) as exc:
-        # The boot died with the fault (host crash kills the spawned boot
-        # process; exhausted retries surface as StorageError). Record and
-        # keep the rest of the fleet going.
-        result.failed[vm.name] = type(exc).__name__
-        metrics.count("boot-failed")
 
 
 def resilient_deploy(
@@ -77,33 +55,27 @@ def resilient_deploy(
     The initialization phase (image seeding, broadcast/qcow2 creation, VM
     construction) runs fault-free; the plan is armed at the start of the
     boot phase, so event times are relative to "all hypervisors launch".
+    Each boot runs on its VM's host and :func:`~repro.cloud.instance.guarded`.
     """
-    from ..cloud.deployment import deploy
-    from ..vmsim.boottrace import boot_trace
-
-    base = deploy(cloud, image, n_instances, approach, idents=idents, run_boot=False)
-    if plan:
-        cloud.inject_faults(plan)
-
-    fabric = cloud.fabric
+    if idents is None:
+        idents = seed_image(cloud, image)
     env = cloud.env
     t0 = env.now
+
+    def opening():
+        with cloud.fabric.tracer.start(f"deploy:{approach}", "deploy", n_instances=n_instances):
+            return (yield from instance.open_fleet(cloud, approach, n_instances, idents))
+
+    vms = cloud.run(env.process(opening(), name=f"deploy-{approach}"))
+    result = ResilienceResult(approach, n_instances, env.now - t0, vms=vms)
+    if plan:
+        cloud.inject_faults(plan)
+    t0 = env.now
     traffic0 = cloud.metrics.total_traffic()
-    result = ResilienceResult(
-        approach=approach,
-        n_instances=n_instances,
-        init_time=base.init_time,
-        vms=base.vms,
-    )
-    boots = []
-    for i, vm in enumerate(base.vms):
-        trace = boot_trace(image, cloud.calib.boot, fabric.rng.get("fault-trace", approach, i))
-        # host.spawn (not env.process): a crash of the VM's node must kill
-        # the in-flight boot, exactly like the hypervisor process dying.
-        boots.append(vm.host.spawn(_guarded_boot(vm, trace, result), name=f"boot-{vm.name}"))
+    boots = instance.spawn_boots(vms, image, ("fault-trace", approach), result.failed)
     if boots:
         cloud.run(env.all_of(boots))
     result.completion_time = env.now - t0
-    result.boot_times = [vm.boot_time for vm in base.vms if vm.boot_time is not None]
+    result.boot_times = [vm.boot_time for vm in vms if vm.boot_time is not None]
     result.total_traffic = cloud.metrics.total_traffic() - traffic0
     return result

@@ -22,9 +22,8 @@ chain. :func:`restore_to_version` is a simulation process that:
    publishing the restored branch as a brand-new lineage head whose parent
    edge points at the historical version — rollback as a branch, never a
    rewrite;
-5. opens a lazy :class:`~repro.vmsim.backends.MirrorBackend` on the clone
-   (the p2p fetch path is reused automatically when the deployment has a
-   peer network) and, when an image is supplied, boots a VM from it.
+5. **resumes** at the clone like any snapshot (:mod:`repro.cloud.instance`):
+   a lazy mirror open, then, given an image, a VM booted from it.
 
 Restore latency is reported *excluding* the guest boot (pin + lookup +
 clone + VFS open); the boot time rides along separately.
@@ -36,13 +35,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..blobseer.metadata import reachable_nodes
+from ..cloud import instance
 from ..common.errors import LineageError
 from ..simkit import rpc
-from ..vmsim.backends import MirrorBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..blobseer.service import BlobSeerDeployment
     from ..simkit.host import Host
+    from ..vmsim.backends import MirrorBackend
 
 
 @dataclass
@@ -65,7 +65,7 @@ class RestoreResult:
     restore_time: float = 0.0
     boot_time: Optional[float] = None
     # -- live objects (not serialized anywhere) ------------------------ #
-    backend: Optional[MirrorBackend] = field(default=None, repr=False)
+    backend: Optional["MirrorBackend"] = field(default=None, repr=False)
     vm: Optional[object] = field(default=None, repr=False)
 
 
@@ -99,10 +99,11 @@ def restore_to_version(
 ):
     """Process: restore ``(blob, version)`` on ``host``; returns the result.
 
-    With ``image`` (plus ``boot_model``, ``vm_rng`` and a boot ``trace``)
-    the restored clone is booted through a fresh
-    :class:`~repro.vmsim.hypervisor.VMInstance`; without it the backend is
-    opened and handed back unbooted (engines that drive their own guest).
+    The clone is mirrored at ``path`` (default: unique per restore). With
+    ``image`` (plus ``boot_model``) it boots inline, drawing from the RNG
+    streams named ``vm_rng`` (hypervisor jitter) and ``trace`` (boot trace);
+    a boot a fault kills is counted and leaves ``boot_time`` None. Without
+    an image the backend is opened and handed back unbooted.
     """
     env = host.env
     tracer = host.fabric.tracer
@@ -147,11 +148,12 @@ def restore_to_version(
             )
             clone_time = env.now - t_clone
 
-            # 5. lazy mirror open on the clone (p2p path reused when enabled)
+            # 5. resume at the clone: a lazy mirror open (the p2p fetch path
+            #    is reused when enabled), then the boot
             t_open = env.now
-            backend = MirrorBackend(
-                host, dep, rec.blob_id, rec.version, fuse,
-                path=path or f"/mirror/restore-b{blob_id}v{version}",
+            backend = instance.open_mirror(
+                host, dep, (rec.blob_id, rec.version), fuse,
+                path or f"/mirror/restore-b{rec.blob_id}",
             )
             yield from backend.open()
             open_time = env.now - t_open
@@ -171,14 +173,10 @@ def restore_to_version(
             host.fabric.metrics.count("lineage-restore")
 
             if image is not None:
-                from ..vmsim.hypervisor import VMInstance
-
-                vm = VMInstance(
-                    f"restore-b{blob_id}v{version}", host, backend,
-                    boot_model, vm_rng,
+                vm = result.vm = instance.new_vm(
+                    f"restore-b{blob_id}v{version}", backend, vm_rng, boot_model,
                 )
-                yield from vm.boot(trace)
-                result.vm = vm
+                yield from instance.guarded(vm, instance.boot(vm, image, trace))
                 result.boot_time = vm.boot_time
             span.set(
                 restored_blob=rec.blob_id, retired_source=result.retired_source,

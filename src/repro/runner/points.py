@@ -22,12 +22,11 @@ import time
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..churn import ChurnEngine, ChurnSpec
-from ..cloud import build_cloud, deploy, seed_image, snapshot_all
+from ..cloud import build_cloud, deploy, instance, seed_image, snapshot_all
 from ..common.errors import SimulationError
 from ..faults import FaultPlan, RetryPolicy, resilient_deploy
 from ..lineage import LineageForest, dedup_accounting, merge_chain, restore_to_version
 from ..vmsim import make_image
-from ..vmsim.workloads import read_your_writes_workload
 from .profiles import BenchProfile, profile_calibration, resolve_profile
 from .spec import PointResult, PointSpec
 
@@ -96,15 +95,10 @@ def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
 
 def apply_diffs(cloud, image, vms, diff_bytes: int) -> None:
     """Each running VM writes ~``diff_bytes`` of local modifications (§5.3)."""
-
-    def one(vm, i):
-        ops = read_your_writes_workload(
-            image.write_base, diff_bytes, cloud.fabric.rng.get("app-diff", i),
-            reread_fraction=0.05,
-        )
-        yield from vm.run_ops(ops)
-
-    procs = [cloud.env.process(one(vm, i)) for i, vm in enumerate(vms)]
+    procs = [
+        cloud.env.process(instance.write_diff(vm, image, diff_bytes, ("app-diff", i)))
+        for i, vm in enumerate(vms)
+    ]
     cloud.run(cloud.env.all_of(procs))
 
 
@@ -183,21 +177,19 @@ def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
 @point_kind("bonnie")
 def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
     """The §5.4 Bonnie++ run; ``approach`` is ``local`` or ``mirror``."""
+    from ..baselines.prepropagation import LOCAL_IMAGE_PATH
     from ..vmsim import BonnieBenchmark
-    from ..vmsim.backends import LocalRawBackend, MirrorBackend
 
     cloud, image = _spec_cloud(spec, profile, calib)
-    idents = seed_image(cloud, image)
+    rec = seed_image(cloud, image)["blobseer"]
     node = cloud.compute[0]
     fuse = cloud.calib.fuse
     if spec.approach == "local":
-        f = node.create_file("/local/image.raw", image.size)
-        f.write(0, image.payload)
-        backend = LocalRawBackend(node, "/local/image.raw", fuse)
+        node.create_file(LOCAL_IMAGE_PATH, image.size).write(0, image.payload)
+        backend = instance.open_backend(cloud, "prepropagation", node)
         data_op, meta_op = fuse.local_data_op_overhead, fuse.local_per_op_overhead
     elif spec.approach == "mirror":
-        rec = idents["blobseer"]
-        backend = MirrorBackend(node, cloud.blobseer, rec.blob_id, rec.version, fuse)
+        backend = instance.open_backend(cloud, "mirror", node, (rec.blob_id, rec.version))
         data_op, meta_op = fuse.data_op_overhead, fuse.per_op_overhead
     else:
         raise SimulationError(
@@ -358,7 +350,6 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     restore fetch path) apply as to every kind.
     """
     from ..blobseer.gc import collect_garbage
-    from ..vmsim import boot_trace
 
     depth = spec.n
     if depth < 1:
@@ -369,49 +360,32 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
 
     res = deploy(cloud, image, 1, "mirror")
     vm = res.vms[0]
+    env = cloud.env
     durations = []
-
-    def step(i):
-        ops = read_your_writes_workload(
-            image.write_base, profile.diff_bytes,
-            cloud.fabric.rng.get("lineage-diff", i), reread_fraction=0.05,
-        )
-        yield from vm.run_ops(ops)
-        snap = yield from vm.backend.snapshot()
-        durations.append(snap.duration)
-
     for i in range(depth):
-        cloud.run(cloud.env.process(step(i), name=f"lineage-step-{i}"))
-    handle = vm.backend.handle
-    head = (handle.target_blob, handle.target_version)
+        snap = cloud.run(env.process(
+            instance.snapshot(vm, image, profile.diff_bytes, ("lineage-diff", i)),
+            name=f"lineage-step-{i}",
+        ))
+        durations.append(snap.duration)
+    head = snap.at
 
-    out = {"merged": 0, "merge_time": 0.0}
+    merged, merge_time = 0, 0.0
     if merge_kw:
-        def run_merge():
-            t0 = cloud.env.now
-            out["merged"] = yield from merge_chain(
-                dep, vm.host, head[0], head[1], **merge_kw
-            )
-            out["merge_time"] = cloud.env.now - t0
-        cloud.run(cloud.env.process(run_merge(), name="lineage-merge"))
+        t0 = env.now
+        merged = cloud.run(env.process(
+            merge_chain(dep, vm.host, *head, **merge_kw), name="lineage-merge"
+        ))
+        merge_time = env.now - t0
     gc_report = collect_garbage(dep)
     report = dedup_accounting(dep)
 
-    node = cloud.compute[-1]
-    def run_restore():
-        out["restore"] = yield from restore_to_version(
-            dep, node, head[0], head[1],
-            image=image, boot_model=cloud.calib.boot,
-            vm_rng=cloud.fabric.rng.get("lineage-restore-vm", 0),
-            trace=boot_trace(
-                image, cloud.calib.boot,
-                cloud.fabric.rng.get("lineage-restore-trace", 0),
-            ),
-            fuse=cloud.calib.fuse,
-        )
-    cloud.run(cloud.env.process(run_restore(), name="lineage-restore"))
-
-    restore = out["restore"]
+    restore = cloud.run(env.process(restore_to_version(
+        dep, cloud.compute[-1], *head,
+        image=image, boot_model=cloud.calib.boot,
+        vm_rng=("lineage-restore-vm", 0), trace=("lineage-restore-trace", 0),
+        fuse=cloud.calib.fuse,
+    ), name="lineage-restore"))
     forest = LineageForest.from_registry(dep.registry)
     stats = forest.stats()
     metrics = {
@@ -431,8 +405,8 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
         "gc_bytes_reclaimed": float(gc_report.bytes_reclaimed),
         "forest_snapshots": float(stats["snapshots"]),
         "forest_max_depth": float(stats["max_depth"]),
-        "versions_merged": float(out["merged"]),
-        "merge_time": out["merge_time"],
+        "versions_merged": float(merged),
+        "merge_time": merge_time,
     }
     series = {"snapshot_durations": tuple(durations)}
     return cloud, metrics, series
@@ -489,9 +463,7 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
 def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
     from ..baselines.qcow2 import Qcow2Image
     from ..cloud.middleware import CloudMiddleware
-    from ..vmsim import MonteCarloWorker, boot_trace
-    from ..vmsim.backends import Qcow2PvfsBackend
-    from ..vmsim.hypervisor import VMInstance
+    from ..vmsim import MonteCarloWorker
 
     half = profile.mc_total_compute / 2
     mw = CloudMiddleware(cloud)
@@ -507,7 +479,6 @@ def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
     # resume on different nodes: shifted placement over the pool
     shift = max(1, profile.pool_nodes - n)
     fresh = [cloud.compute[(i + shift) % profile.pool_nodes] for i in range(n)]
-    boot_model = cloud.calib.boot
 
     if spec.approach == "mirror":
         resumed = mw.resume_set(list(campaign.per_instance), fresh)
@@ -515,13 +486,10 @@ def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
         resumed = []
         for i, (snap, node) in enumerate(zip(campaign.per_instance, fresh)):
             # download the qcow2 snapshot file from PVFS, reopen it locally
-            src_backend = res.vms[i].backend
-            backend = Qcow2PvfsBackend(
-                node, cloud.pvfs, "/images/initial.raw", cloud.calib.fuse,
-                cluster_size=src_backend.image.cluster_size,
-            )
+            src = res.vms[i].backend
+            backend = instance.open_backend(cloud, "qcow2-pvfs", node)
 
-            def fetch(backend=backend, snap=snap, src=src_backend):
+            def fetch(backend=backend, snap=snap, src=src):
                 payload = yield from backend.client.read(snap.ident, 0, snap.bytes_moved)
                 _, index = src.image.serialize()
                 backend.image = Qcow2Image.deserialize(
@@ -531,19 +499,12 @@ def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
                 )
 
             cloud.run(cloud.env.process(fetch(), name=f"resume-fetch-{i}"))
-            resumed.append(
-                VMInstance(
-                    f"resumed-{i:03d}", node, backend, boot_model,
-                    cloud.fabric.rng.get("vm-resume", i),
-                )
-            )
+            resumed.append(instance.new_vm(
+                f"resumed-{i:03d}", backend, ("vm-resume", i), cloud.calib.boot,
+            ))
 
     # reboot the resumed instances (fresh nodes: everything remote again)
-    boots = []
-    for i, vm in enumerate(resumed):
-        trace = boot_trace(image, boot_model, cloud.fabric.rng.get("trace-resume", i))
-        boots.append(cloud.env.process(vm.boot(trace), name=f"reboot-{vm.name}"))
-    cloud.run(cloud.env.all_of(boots))
+    cloud.run(cloud.env.all_of(instance.spawn_boots(resumed, image, ("trace-resume",))))
 
     new_workers = [MonteCarloWorker(vm.name, vm.backend, cfg) for vm in resumed]
     _run_mc_workers(cloud, new_workers)

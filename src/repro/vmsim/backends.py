@@ -18,7 +18,7 @@ All methods are process-style generators running on the simulated fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from ..baselines.pvfs import PvfsDeployment
 from ..baselines.qcow2 import Qcow2Image
@@ -43,6 +43,8 @@ class SnapshotResult:
     bytes_moved: int
     #: simulated seconds the snapshot took
     duration: float
+    #: ``(blob_id, version)`` of a mirror snapshot (None for a qcow2 copy)
+    at: Optional[Tuple[int, int]] = None
 
 
 class LocalRawBackend:
@@ -216,5 +218,6 @@ class MirrorBackend:
             yield from handle.ioctl_clone()
         rec = yield from handle.ioctl_commit()
         return SnapshotResult(
-            f"blob{rec.blob_id}@v{rec.version}", moved, self.host.env.now - t0
+            f"blob{rec.blob_id}@v{rec.version}", moved, self.host.env.now - t0,
+            (rec.blob_id, rec.version),
         )

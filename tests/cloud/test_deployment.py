@@ -146,5 +146,5 @@ class TestSnapshotCampaign:
     def test_each_mirror_snapshot_is_distinct_blob(self):
         cloud, image, res = self._deployed("mirror")
         snap = snapshot_all(cloud, res.vms, "mirror")
-        blobs = {s.ident.split("@")[0] for s in snap.per_instance}
+        blobs = {s.at[0] for s in snap.per_instance}
         assert len(blobs) == 6

@@ -4,7 +4,7 @@ import pytest
 
 from repro.blobseer import BlobSeerDeployment
 from repro.calibration import Calibration, ImageSpec
-from repro.cloud import build_cloud, deploy
+from repro.cloud import build_cloud, instance, seed_image
 from repro.common.errors import (
     ChunkNotFoundError,
     InterruptedError_,
@@ -14,8 +14,7 @@ from repro.common.payload import Payload
 from repro.common.units import KiB, MiB
 from repro.core import mount
 from repro.simkit.host import Fabric
-from repro.vmsim import boot_trace, make_image
-from repro.vmsim.backends import MirrorBackend
+from repro.vmsim import make_image
 
 CHUNK = 4 * KiB
 
@@ -72,6 +71,16 @@ class TestProviderFailureDuringDeployment:
         assert fab.run(fab.env.process(scenario())).to_bytes() == data
 
 
+def unbooted_vm(cloud, image):
+    """One mirror instance of a freshly seeded image, not booted yet."""
+    rec = seed_image(cloud, image)["blobseer"]
+    at = (rec.blob_id, rec.version)
+    backend = instance.open_mirror(
+        cloud.compute[0], cloud.blobseer, at, cloud.calib.fuse, "/mirror/vm000"
+    )
+    return instance.new_vm("vm000", backend, ("vm", 0), cloud.calib.boot), at
+
+
 class TestInterruptedBoot:
     def test_premature_termination_leaves_consistent_state(self):
         """§2.3: the shutdown phase 'is completely missing if the VM was
@@ -81,10 +90,8 @@ class TestInterruptedBoot:
         )
         cloud = build_cloud(4, seed=61, calib=calib)
         image = make_image(64 * MiB, 8 * MiB, n_regions=12)
-        res = deploy(cloud, image, 1, "mirror", run_boot=False)
-        vm = res.vms[0]
-        trace = boot_trace(image, calib.boot, cloud.fabric.rng.get("t", 0))
-        proc = cloud.env.process(vm.boot(trace), name="doomed-boot")
+        vm, at = unbooted_vm(cloud, image)
+        proc = cloud.env.process(instance.boot(vm, image, ("t", 0)), name="doomed-boot")
 
         def killer():
             yield cloud.env.timeout(2.0)  # mid-boot (hardware failure)
@@ -110,10 +117,8 @@ class TestInterruptedBoot:
         )
         cloud = build_cloud(4, seed=62, calib=calib)
         image = make_image(16 * MiB, 2 * MiB, n_regions=6)
-        res = deploy(cloud, image, 1, "mirror", run_boot=False)
-        vm = res.vms[0]
-        trace = boot_trace(image, calib.boot, cloud.fabric.rng.get("t", 0))
-        proc = cloud.env.process(vm.boot(trace))
+        vm, at = unbooted_vm(cloud, image)
+        proc = cloud.env.process(instance.boot(vm, image, ("t", 0)))
 
         def killer():
             yield cloud.env.timeout(1.0)
@@ -123,10 +128,7 @@ class TestInterruptedBoot:
         with pytest.raises(InterruptedError_):
             cloud.run(proc)
         # repository unchanged: another node deploys the same image fine
-        backend = MirrorBackend(
-            cloud.compute[2], cloud.blobseer,
-            res.vms[0].backend.blob_id, res.vms[0].backend.version,
-        )
+        backend = instance.open_mirror(cloud.compute[2], cloud.blobseer, at, cloud.calib.fuse)
 
         def redeploy():
             yield from backend.open()

@@ -1,5 +1,8 @@
 """Tests for deterministic RNG streams."""
 
+import pytest
+
+from repro.common.errors import SimulationError
 from repro.common.rng import RngStreams
 
 
@@ -18,13 +21,14 @@ def test_different_names_independent():
     assert a != c
 
 
-def test_stream_cached_not_restarted():
+def test_a_stream_name_is_drawn_once():
+    # Handing the name out again would restart its sequence (or, cached,
+    # keep every generator alive for the run): a second draw is an error.
     s = RngStreams(7)
-    first = s.get("x").integers(0, 10**9)
-    second = s.get("x").integers(0, 10**9)
-    # Two draws from the same cached generator advance its state.
-    fresh = RngStreams(7).get("x")
-    assert [first, second] == list(fresh.integers(0, 10**9, 2))
+    s.get("x", 1)
+    s.get("x", 2)
+    with pytest.raises(SimulationError, match="drawn twice"):
+        s.get("x", 1)
 
 
 def test_string_hash_stable_across_instances():

@@ -4,7 +4,8 @@ import pytest
 
 from repro import obs
 from repro.blobseer import collect_garbage
-from repro.common.errors import LineageError
+from repro.common.errors import LineageError, MirrorStateError
+from repro.common.payload import Payload
 from repro.lineage import LineageForest, merge_chain, restore_to_version
 
 from helpers import CHUNK, IMG, build_chain, make, pattern, run
@@ -99,6 +100,35 @@ class TestRestore:
             restore(fab, dep, hosts[2], head.blob_id, head.version)
         # the failed restore leaked nothing
         assert dep.registry.pin_count(head.blob_id, head.version) == 0
+
+    def test_two_restores_of_one_version_keep_their_own_mirrors(self, chain):
+        """Two restores of one version on one host are two instances: the
+        second must not reopen the first's mirror and clobber its writes."""
+        fab, dep, hosts, rec, records = chain
+        mid = records[2]
+        first = restore(fab, dep, hosts[1], mid.blob_id, mid.version)
+        own = Payload.from_bytes(pattern(CHUNK, 99))
+
+        def write():
+            yield from first.backend.write(0, own)
+
+        def read(backend):
+            p = yield from backend.read(0, CHUNK)
+            return p.to_bytes()
+
+        run(fab, write())
+        second = restore(fab, dep, hosts[1], mid.blob_id, mid.version)
+        assert run(fab, read(second.backend)) == expected_bytes(2)[:CHUNK]
+        assert run(fab, read(first.backend)) == own.to_bytes()
+
+    def test_a_held_mirror_path_is_not_reopened(self, chain):
+        fab, dep, hosts, rec, records = chain
+        mid = records[2]
+        restore(fab, dep, hosts[1], mid.blob_id, mid.version, path="/mirror/mine")
+        with pytest.raises(MirrorStateError, match="held by another open handle"):
+            restore(fab, dep, hosts[1], mid.blob_id, mid.version, path="/mirror/mine")
+        # the refused restore leaked no lease
+        assert dep.registry.pin_count(mid.blob_id, mid.version) == 0
 
     def test_restore_pin_defers_concurrent_teardown(self, chain):
         """A teardown delete_blob racing a restore loses gracefully."""

@@ -1,5 +1,7 @@
 """Shared scaffolding for the cooperative peer-exchange tests."""
 
+from itertools import count
+
 from repro.blobseer import BlobSeerDeployment
 from repro.common.payload import Payload
 from repro.common.units import KiB
@@ -39,13 +41,18 @@ def build(seed=33, n_nodes=4, retry=None, **config_kw):
     return fab, dep, hosts, rec, data, net
 
 
+#: every read_all mirror is a fresh one: a held mirror path cannot be reopened
+_MIRRORS = count()
+
+
 def read_all(dep, host, rec, settle=0.05):
     """A scenario generator: mirror-read the whole blob on ``host``."""
     fab = dep.fabric
+    path = f"/mirror/read-all-{next(_MIRRORS)}"
 
     def scenario():
         vfs = MirrorVFS(host, dep.client(host))
-        handle = yield from vfs.open(rec.blob_id, rec.version)
+        handle = yield from vfs.open(rec.blob_id, rec.version, path)
         p = yield from handle.read(0, IMG)
         if settle:
             # drain the off-critical-path announce processes

@@ -181,6 +181,8 @@ GONE_KEYWORDS = [
     ("repro.lineage.compact:merge_chain", "policy"),
     ("repro.lineage.compact:merge_chain", "depth_bound"),
     ("repro.lineage.compact:merge_chain", "gc"),
+    # a deployment opens and boots; resilient_deploy boots guarded itself
+    ("repro.cloud.deployment:deploy", "run_boot"),
 ]
 
 

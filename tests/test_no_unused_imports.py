@@ -1,4 +1,4 @@
-"""No import that its module never uses, in ``src/`` or ``tests/``.
+"""No import that its module never uses, in the program, tests, benchmarks or examples.
 
 The stdlib-``ast`` twin of ruff's F401, which ``make lint`` runs: an
 imported name counts as used when the module reads it anywhere, names it in
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-ROOTS = ("src", "tests")
+ROOTS = ("src", "tests", "benchmarks", "examples")
 
 
 def _names_in_string_annotation(annotation):

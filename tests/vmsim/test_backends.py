@@ -147,9 +147,8 @@ class TestApproachSpecific:
         s1, s2 = run(cloud, scenario())
         assert cloud.metrics.counters["ioctl-clone"] == 1  # cloned once only
         assert cloud.metrics.counters["ioctl-commit"] == 2
-        blob1 = s1.ident.split("@")[0]
-        blob2 = s2.ident.split("@")[0]
-        assert blob1 == blob2  # same clone lineage, ordered versions
+        assert s1.at[0] == s2.at[0]  # same clone lineage, ordered versions
+        assert s1.at[1] < s2.at[1]
 
     def test_mirror_snapshot_readable_as_standalone_image(self, cloud_and_image):
         cloud, image, idents, data = cloud_and_image
@@ -159,9 +158,8 @@ class TestApproachSpecific:
             yield from backend.open()
             yield from backend.write(100, Payload.from_bytes(b"SNAPPED"))
             snap = yield from backend.snapshot()
-            blob, version = snap.ident[4:].split("@v")
             reader = cloud.blobseer.client(cloud.compute[3])
-            img = yield from reader.read(int(blob), int(version), 0, IMG)
+            img = yield from reader.read(*snap.at, 0, IMG)
             return img
 
         got = run(cloud, scenario())

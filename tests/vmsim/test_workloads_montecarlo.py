@@ -114,10 +114,8 @@ class TestMonteCarlo:
             yield from worker.run(until_progress=4.0)
             snap = yield from backend.snapshot()
             # open the snapshot on another node
-            blob, version = snap.ident[4:].split("@v")
-            other = MirrorBackend(
-                fab.hosts["n2"], backend.deployment, int(blob), int(version)
-            )
+            blob, version = snap.at
+            other = MirrorBackend(fab.hosts["n2"], backend.deployment, blob, version)
             yield from other.open()
             w2 = self._worker(fab, other)
             progress = yield from w2._load_progress()
