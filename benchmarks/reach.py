@@ -129,15 +129,14 @@ def program_paths(scratch: Path):
          "--approach", "mirror", "--jobs", "2"],
         ["faults", "--instances", "8", "--replication", "2", "--crashes", "2"],
         ["faults", "--instances", "8", "--replication", "2", "--crashes", "1",
-         "--plan", "random", "--mttr", "1"],
+         "--mttr", "1"],
         ["p2p", "--instances", "4", *SMALL],
         ["p2p", "--instances", "4", "--directory", "rendezvous", *SMALL],
         ["topo"],
         ["topo", "--replication", "2"],
         ["churn"],
         ["churn", "--gc-interval", "0"],
-        ["churn", "--policy", "first-fit", "--arrivals", "diurnal"],
-        ["churn", "--policy", "locality", "--p2p", "--arrivals", "bursty"],
+        ["churn", "--policy", "locality", "--p2p"],
         ["lineage"],
         ["lineage", "--merge-keep-every", "4"],
         ["bonnie", "--image-mib", "64", "--working-mib", "16"],

@@ -21,11 +21,13 @@ The package provides:
 
 Quickstart::
 
-    from repro.cloud import build_cloud
-    from repro.cloud.deployment import deploy_mirror
+    from repro.cloud import build_cloud, deploy
+    from repro.common.units import MiB
+    from repro.vmsim import make_image
 
     cloud = build_cloud(compute_nodes=16, seed=1)
-    result = deploy_mirror(cloud, n_instances=16)
+    image = make_image(64 * MiB, touched_bytes=16 * MiB)
+    result = deploy(cloud, image, 16, "mirror")
     print(result.completion_time, result.total_traffic)
 """
 

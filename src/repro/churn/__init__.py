@@ -11,7 +11,7 @@ snapshot retirement and periodic garbage collection
 """
 
 from .arrivals import (
-    ARRIVAL_KINDS, ChurnSpec, DeployRequest, RestoreRequest, SnapshotRequest,
+    ChurnSpec, DeployRequest, RestoreRequest, SnapshotRequest,
     TeardownRequest, generate_trace, trace_crc,
 )
 from .engine import ChurnEngine, ChurnResult
@@ -20,7 +20,6 @@ from .scheduler import POLICIES, LocalityMap, Scheduler
 from .slo import SloTracker
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "POLICIES",
     "ChurnEngine",
     "ChurnResult",

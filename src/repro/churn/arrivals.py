@@ -10,35 +10,16 @@ what makes churn runs seed-reproducible end to end: the stream of requests
 is a pure function of ``(spec, rng)``, independent of how the cluster
 happens to respond to it (open-loop arrivals, not closed-loop).
 
-Three arrival shapes, per the standard cloud-trace literature:
-
-* ``poisson`` — memoryless arrivals at a constant mean rate;
-* ``diurnal`` — a sinusoidally modulated rate (day/night cycle, period
-  :data:`DIURNAL_PERIOD`), generated by thinning a Poisson process at the
-  peak rate;
-* ``bursty`` — an on/off modulated rate (flash crowds of
-  :data:`BURST_FACTOR` × the rate over a quiet baseline), also generated by
-  thinning.
+Arrivals are Poisson: memoryless, at a constant mean rate.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
-
-ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
-
-#: diurnal modulation: cycle length (simulated s) and relative amplitude
-DIURNAL_PERIOD = 400.0
-DIURNAL_AMPLITUDE = 0.8
-#: bursty modulation: peak rate over the mean, burst and calm phase lengths
-BURST_FACTOR = 6.0
-BURST_LEN = 15.0
-CALM_LEN = 90.0
 
 
 @dataclass(frozen=True)
@@ -101,6 +82,8 @@ class ChurnSpec:
 
     # ---- workload ---------------------------------------------------- #
     n_deploys: int = 200
+    #: always "poisson"; kept only because the benchmark suite passes it
+    #: (ROADMAP item 1 deletes the field)
     arrivals: str = "poisson"
     #: mean arrival rate, deploys per simulated second
     rate: float = 2.0
@@ -117,7 +100,7 @@ class ChurnSpec:
     #: local modifications written before each snapshot (the §5.3 diff)
     diff_bytes: int = 1 * 2**20
     # ---- control plane ----------------------------------------------- #
-    policy: str = "first-fit"
+    policy: str = "least-loaded"
     slots_per_node: int = 2
     max_queue: int = 16
     # ---- storage hygiene --------------------------------------------- #
@@ -132,10 +115,9 @@ class ChurnSpec:
     retain_snapshots: bool = False
 
     def validate(self) -> "ChurnSpec":
-        if self.arrivals not in ARRIVAL_KINDS:
+        if self.arrivals != "poisson":
             raise ValueError(
-                f"unknown arrival kind {self.arrivals!r}; "
-                f"pick one of {ARRIVAL_KINDS}"
+                f"unknown arrival kind {self.arrivals!r}; arrivals are 'poisson'"
             )
         if self.n_deploys < 1 or self.rate <= 0 or self.n_tenants < 1:
             raise ValueError("n_deploys, rate and n_tenants must be positive")
@@ -149,38 +131,7 @@ class ChurnSpec:
 # --------------------------------------------------------------------------- #
 def _arrival_times(spec: ChurnSpec, rng: np.random.Generator) -> List[float]:
     """Absolute deploy arrival times; strictly non-decreasing."""
-    if spec.arrivals == "poisson":
-        gaps = rng.exponential(1.0 / spec.rate, size=spec.n_deploys)
-        return list(np.cumsum(gaps))
-
-    # diurnal / bursty: thinning of a Poisson process at the peak rate.
-    if spec.arrivals == "diurnal":
-        peak = spec.rate * (1.0 + DIURNAL_AMPLITUDE)
-
-        def intensity(t: float) -> float:
-            return spec.rate * (
-                1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
-            )
-    else:  # bursty: flash crowds over a quiet baseline
-        peak = spec.rate * BURST_FACTOR
-        cycle = BURST_LEN + CALM_LEN
-        # keep the long-run mean close to `rate`: the calm phase absorbs
-        # what the bursts overshoot
-        calm = max(
-            0.1 * spec.rate,
-            (spec.rate * cycle - peak * BURST_LEN) / CALM_LEN,
-        )
-
-        def intensity(t: float) -> float:
-            return peak if (t % cycle) < BURST_LEN else calm
-
-    times: List[float] = []
-    t = 0.0
-    while len(times) < spec.n_deploys:
-        t += float(rng.exponential(1.0 / peak))
-        if rng.random() <= intensity(t) / peak:
-            times.append(t)
-    return times
+    return list(np.cumsum(rng.exponential(1.0 / spec.rate, size=spec.n_deploys)))
 
 
 def generate_trace(spec: ChurnSpec, rng: np.random.Generator) -> Tuple[Request, ...]:

@@ -10,8 +10,6 @@ counted, the open-loop analogue of a 503).
 Placement policies are plain functions registered in :data:`POLICIES`; all
 of them are strictly deterministic (ties break on the lowest node index):
 
-* ``first-fit`` — the lowest-indexed node with a free slot (packs the left
-  end of the pool; good cache reuse, bad load spread);
 * ``least-loaded`` — the free node with the fewest resident instances
   (spreads load; indifferent to data locality);
 * ``locality`` — prefer free nodes whose *peer chunk caches* already hold
@@ -77,11 +75,6 @@ def _free_nodes(sched: "Scheduler") -> List[int]:
     ]
 
 
-def _first_fit(sched: "Scheduler", req: DeployRequest) -> Optional[int]:
-    free = _free_nodes(sched)
-    return free[0] if free else None
-
-
 def _least_loaded(sched: "Scheduler", req: DeployRequest) -> Optional[int]:
     free = _free_nodes(sched)
     if not free:
@@ -101,7 +94,6 @@ def _locality(sched: "Scheduler", req: DeployRequest) -> Optional[int]:
 
 
 POLICIES: Dict[str, Callable[["Scheduler", DeployRequest], Optional[int]]] = {
-    "first-fit": _first_fit,
     "least-loaded": _least_loaded,
     "locality": _locality,
 }
@@ -113,9 +105,9 @@ class Scheduler:
     def __init__(
         self,
         n_nodes: int,
-        policy: str = "first-fit",
-        slots_per_node: int = 1,
-        max_queue: int = 16,
+        policy: str,
+        slots_per_node: int,
+        max_queue: int,
         locality: Optional[LocalityMap] = None,
     ):
         if policy not in POLICIES:

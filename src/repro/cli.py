@@ -321,14 +321,14 @@ def cmd_churn(args) -> int:
 
     profile = resolve_profile(args.profile)
     n = args.deploys or profile.instance_counts[0]
-    m = _point(profile, "churn", n, args.seed, approach=args.policy, pooled=False,
-               **_params(args)).metrics
 
     def churn(field):
         return _setting(args, field, ChurnSpec)
 
-    print(f"policy:           {args.policy}  (arrivals={churn('arrivals')}, "
-          f"rate={churn('rate')}/s, tenants={churn('n_tenants')}, "
+    m = _point(profile, "churn", n, args.seed, approach=churn("policy"), pooled=False,
+               **_params(args)).metrics
+    print(f"policy:           {churn('policy')}  (rate={churn('rate')}/s, "
+          f"tenants={churn('n_tenants')}, "
           f"p2p={_setting(args, 'p2p', build_cloud)})")
     print(f"requests:         {m['n_requests']:.0f} total, {n} deploys "
           f"({m['booted']:.0f} booted, {m['rejected']:.0f} rejected, "
@@ -570,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
            help="seconds until a crashed node revives (0 = permanent)")
     _param(p_faults, "--window", type=_within(0),
            help="crashes spread over the first WINDOW seconds")
-    _param(p_faults, "--plan", choices=["staggered", "random"],
-           help="fault plan generator")
-    _param(p_faults, "--faults-seed", type=_within(0, kind=int),
-           help="seed for --plan random (default: --seed)")
     _param(p_faults, "--attempts", type=_positive(int),
            help="client retry attempts per chunk/metadata fetch")
     _param(p_faults, "--base-delay", type=_within(0, MAX_DELAY),
@@ -619,10 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="deploy requests (0 = the profile's first count)")
     p_churn.add_argument("--profile", default="churn-smoke",
                          help="benchmark profile (churn, churn-smoke, ...)")
-    _param(p_churn, "--policy", choices=["first-fit", "least-loaded", "locality"],
-           default="least-loaded", help="placement policy")
-    _param(p_churn, "--arrivals", choices=["poisson", "diurnal", "bursty"],
-           help="arrival process")
+    _param(p_churn, "--policy", choices=["least-loaded", "locality"],
+           help="placement policy")
     _param(p_churn, "--rate", type=_positive(float),
            help="mean arrival rate, deploys/second")
     _param(p_churn, "--tenants", dest="n_tenants", type=_positive(int),

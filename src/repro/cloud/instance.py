@@ -103,8 +103,8 @@ def boot(vm: VMInstance, image, trace: Sequence):
 def guarded(vm: VMInstance, body, failed: Optional[dict] = None):
     """Run ``body``, a process body of ``vm``; a fault that kills it is
     counted — ``boot-failed``, or ``vm-failed`` once booted — and recorded
-    in ``failed`` (VM name -> exception class), not raised. Returns
-    ``body``'s value, None after a failure."""
+    in ``failed`` (VM name -> exception class), not raised, and the dead
+    VM's mirror is dropped. Returns ``body``'s value, None after a failure."""
     try:
         return (yield from body)
     except FAULTS as exc:
@@ -113,6 +113,10 @@ def guarded(vm: VMInstance, body, failed: Optional[dict] = None):
         vm.host.fabric.metrics.count(
             "boot-failed" if vm.boot_time is None else "vm-failed"
         )
+        # as a teardown does, drop its mirror file, persisted state and
+        # handle (pure state, no simulated time)
+        if isinstance(vm.backend, MirrorBackend) and vm.backend.handle is not None:
+            vm.backend.handle.local.unlink()
 
 
 def spawn_boots(vms: Sequence[VMInstance], image, stream: Tuple, failed=None) -> List:
@@ -147,9 +151,11 @@ def snapshot(vm: VMInstance, image, diff_bytes: int, diff: Sequence):
 
 def teardown(vm: VMInstance, blob: Optional[int] = None):
     """Generator: shut ``vm`` down, drop its mirror file and persisted state
-    (node storage stays bounded) and, given ``blob``, unpublish that blob."""
-    yield from vm.shutdown()
-    vm.backend.handle.local.unlink()
+    (node storage stays bounded) — unless it died booting, when
+    :func:`guarded` dropped them — and, given ``blob``, unpublish that blob."""
+    if vm.boot_time is not None:
+        yield from vm.shutdown()
+        vm.backend.handle.local.unlink()
     if blob is not None:
         dep = vm.backend.deployment
         yield from rpc.call(vm.host, dep.vmanager_host, "blob-vmgr", "delete_blob", blob)

@@ -3,9 +3,9 @@
 A :class:`FaultPlan` is a pure value: a schedule of :class:`FaultEvent`\\ s
 to inject into a running cloud. Plans are data, not behaviour — the
 :class:`~repro.faults.injector.FaultInjector` turns them into simkit
-processes. Because a plan is either written out explicitly or generated from
-an integer seed, the same (cloud seed, fault plan) pair always reproduces
-the same timeline bit for bit, across runs and across sweep workers.
+processes. Because a plan is written out explicitly or generated without
+randomness, the same (cloud seed, fault plan) pair always reproduces the
+same timeline bit for bit, across runs and across sweep workers.
 
 Event times are *relative to the moment the plan is armed* (deployments arm
 right before the boot phase, so ``at=2.0`` means two simulated seconds into
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-import numpy as np
 
 #: injectable event kinds
 KINDS = ("provider-crash", "meta-crash", "disk-stall", "nic-degrade")
@@ -113,32 +111,6 @@ class FaultPlan:
                 duration=mttr,
             )
             for i in range(n_crashes)
-        ]
-        return cls(tuple(events))
-
-    @classmethod
-    def random_crashes(
-        cls,
-        targets: Sequence[str],
-        n_crashes: int,
-        window: float,
-        mttr: float = 0.0,
-        seed: int = 0,
-        kind: str = "provider-crash",
-    ) -> "FaultPlan":
-        """Seed-reproducible random plan: distinct victims, uniform times."""
-        if not targets:
-            raise ValueError("no targets to crash")
-        if n_crashes > len(targets):
-            raise ValueError(f"{n_crashes} crashes > {len(targets)} targets")
-        rng = np.random.default_rng(seed)
-        victims = rng.choice(len(targets), size=n_crashes, replace=False)
-        times = np.sort(rng.uniform(0.0, window, size=n_crashes))
-        events = [
-            FaultEvent(
-                at=float(t), kind=kind, target=targets[int(v)], duration=mttr
-            )
-            for t, v in zip(times, victims)
         ]
         return cls(tuple(events))
 

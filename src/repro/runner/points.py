@@ -223,7 +223,7 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
 @point_kind("resilience", RetryPolicy, "attempts", "base_delay", "rpc_timeout")
 def _run_resilience(
     spec: PointSpec, profile: BenchProfile, calib, *, crashes=0, mttr=0.0,
-    window=5.0, plan="staggered", faults_seed=None, **retry_kw,
+    window=5.0, **retry_kw,
 ):
     """One resilience-sweep point: multideployment under injected crashes.
 
@@ -232,11 +232,10 @@ def _run_resilience(
     a crashed spare takes its data provider (and metadata shard) down with
     whatever chunks it held.
 
-    Params: ``crashes`` (how many spares die), ``mttr`` (0 = permanent
-    loss), ``window`` (crash spread, seconds into the boot phase), ``plan``
-    (``staggered`` | ``random``), ``faults_seed`` (default: the point's
-    seed); ``attempts`` / ``base_delay`` / ``rpc_timeout`` go to the
-    client's :class:`RetryPolicy`. The replica count is the cloud param
+    Params: ``crashes`` (how many spares die, staggered across the window),
+    ``mttr`` (0 = permanent loss), ``window`` (crash spread, seconds into
+    the boot phase); ``attempts`` / ``base_delay`` / ``rpc_timeout`` go to
+    the client's :class:`RetryPolicy`. The replica count is the cloud param
     ``replication_factor``.
     """
     cloud, image = _spec_cloud(spec, profile, calib, retry=RetryPolicy(**retry_kw))
@@ -246,19 +245,8 @@ def _run_resilience(
             f"resilience: {crashes} crashes exceed the {len(spares)} spare "
             f"nodes of a {profile.pool_nodes}-node pool with n={spec.n}"
         )
-    if crashes == 0:
-        faults = FaultPlan()
-    elif plan == "staggered":
-        faults = FaultPlan.staggered_crashes(spares, crashes, window, mttr=mttr)
-    elif plan == "random":
-        faults = FaultPlan.random_crashes(
-            spares, crashes, window, mttr=mttr,
-            seed=spec.seed if faults_seed is None else faults_seed,
-        )
-    else:
-        raise SimulationError(
-            f"resilience plan must be 'staggered' or 'random', got {plan!r}"
-        )
+    faults = (FaultPlan.staggered_crashes(spares, crashes, window, mttr=mttr)
+              if crashes else FaultPlan())
 
     res = resilient_deploy(cloud, image, spec.n, spec.approach or "mirror", plan=faults)
     metrics = {
@@ -280,7 +268,7 @@ def _run_resilience(
 
 
 @point_kind(
-    "churn", ChurnSpec, "arrivals", "rate", "n_tenants", "mean_lifetime",
+    "churn", ChurnSpec, "rate", "n_tenants", "mean_lifetime",
     "min_lifetime", "snapshot_fraction", "restore_fraction", "diff_bytes",
     "policy", "slots_per_node", "max_queue", "gc_interval", "sample_interval",
     "retention_per_vm", "retain_snapshots",

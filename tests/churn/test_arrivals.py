@@ -33,11 +33,11 @@ class TestSpecValidation:
     def test_unknown_policy_rejected_by_scheduler(self):
         from repro.churn import Scheduler
         with pytest.raises(ValueError, match="unknown placement policy"):
-            Scheduler(4, policy="tetris")
+            Scheduler(4, policy="tetris", slots_per_node=1, max_queue=0)
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind", ["poisson", "diurnal", "bursty"])
+    @pytest.mark.parametrize("kind", ["poisson"])
     def test_same_seed_identical_trace(self, kind):
         spec = ChurnSpec(n_deploys=50, arrivals=kind)
         a = generate_trace(spec, rng(7))
@@ -53,7 +53,7 @@ class TestDeterminism:
 
 
 class TestShapes:
-    @pytest.mark.parametrize("kind", ["poisson", "diurnal", "bursty"])
+    @pytest.mark.parametrize("kind", ["poisson"])
     def test_deploy_count_and_tenant_range(self, kind):
         spec = ChurnSpec(n_deploys=40, arrivals=kind, n_tenants=3)
         trace = generate_trace(spec, rng())

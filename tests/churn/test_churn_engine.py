@@ -70,7 +70,7 @@ class TestDeterminism:
 
     def test_parallel_bit_identical_to_sequential(self):
         specs = [churn_spec(seed=s, policy=p)
-                 for s in (5, 6) for p in ("first-fit", "locality")]
+                 for s in (5, 6) for p in ("least-loaded", "locality")]
         seq = SweepRunner(jobs=1).run(specs)
         par = SweepRunner(jobs=4).run(specs)
         for a, b in zip(seq, par):
@@ -80,10 +80,11 @@ class TestDeterminism:
             assert a.event_count == b.event_count
 
     def test_policy_changes_placements_not_trace(self):
-        ff = execute_point(churn_spec(policy="first-fit"))
-        ll = execute_point(churn_spec(policy="least-loaded"))
-        assert ff.metrics["trace_crc"] == ll.metrics["trace_crc"]
-        assert ff.series["placements"] != ll.series["placements"]
+        # locality reads the peer caches: with p2p on, it places elsewhere
+        loc = execute_point(churn_spec(policy="locality", p2p=True))
+        ll = execute_point(churn_spec(policy="least-loaded", p2p=True))
+        assert loc.metrics["trace_crc"] == ll.metrics["trace_crc"]
+        assert loc.series["placements"] != ll.series["placements"]
 
 
 class TestOffPath:

@@ -44,3 +44,14 @@ def test_every_placed_deploy_completes_or_is_counted_failed():
     # a restore a fault denies is a missed one, never a lost one
     asked = sum(1 for req in engine.trace if isinstance(req, RestoreRequest))
     assert r["restores_completed"] + r["restores_missed"] == asked
+
+
+def test_a_dead_vm_leaves_no_mirror_behind():
+    """Every instance a fault kills drops its mirror as a torn-down one does:
+    no mirror file, persisted state or open handle outlives the run."""
+    cloud, _engine, _res = crashed_churn_run()
+    assert cloud.metrics.counters.get("boot-failed", 0) > 0
+    for host in cloud.compute:
+        assert [p for p in host.files if p.startswith("/mirror/")] == [], host.name
+        assert not getattr(host, "_mirror_states", {}), host.name
+        assert not getattr(host, "_mirror_handles", {}), host.name

@@ -77,25 +77,8 @@ class TestGenerators:
     def test_too_many_crashes_rejected(self):
         with pytest.raises(ValueError, match="crashes > "):
             FaultPlan.staggered_crashes(self.TARGETS[:2], 3, window=5.0)
-        with pytest.raises(ValueError, match="crashes > "):
-            FaultPlan.random_crashes(self.TARGETS[:2], 3, window=5.0)
 
     def test_no_targets_rejected(self):
         with pytest.raises(ValueError, match="no targets"):
             FaultPlan.staggered_crashes([], 1, window=5.0)
 
-    def test_random_same_seed_identical(self):
-        a = FaultPlan.random_crashes(self.TARGETS, 4, window=5.0, seed=42)
-        b = FaultPlan.random_crashes(self.TARGETS, 4, window=5.0, seed=42)
-        assert a == b
-
-    def test_random_different_seed_differs(self):
-        a = FaultPlan.random_crashes(self.TARGETS, 4, window=5.0, seed=1)
-        b = FaultPlan.random_crashes(self.TARGETS, 4, window=5.0, seed=2)
-        assert a != b
-
-    def test_random_victims_distinct(self):
-        plan = FaultPlan.random_crashes(self.TARGETS, 6, window=5.0, seed=7)
-        victims = [e.target for e in plan.events]
-        assert len(set(victims)) == len(victims)
-        assert all(0.0 <= e.at <= 5.0 for e in plan.events)

@@ -65,10 +65,6 @@ class TestDeterminism:
     def test_same_spec_bit_identical_across_runs(self, micro_profile):
         identical(execute_point(rspec(2, 2)), execute_point(rspec(2, 2)))
 
-    def test_random_plan_bit_identical_across_runs(self, micro_profile):
-        spec = rspec(2, 2, plan="random", faults_seed=5)
-        identical(execute_point(spec), execute_point(spec))
-
     def test_parallel_bit_identical_to_sequential(self, micro_profile):
         """jobs=4 workers replay exactly the jobs=1 timelines, faults and all."""
         specs = [rspec(1, 0), rspec(1, 2), rspec(2, 2), rspec(2, 2, mttr=2.0)]

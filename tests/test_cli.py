@@ -160,8 +160,8 @@ class TestChurn:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["churn"])
         assert args.profile == "churn-smoke"
-        # every other flag is unset: ChurnSpec and build_cloud keep their defaults
-        assert _params(args) == {"policy": "least-loaded"}
+        # every flag is unset: ChurnSpec and build_cloud keep their defaults
+        assert _params(args) == {}
 
     def test_churn_restore_flags_print_restore_slos(self, capsys):
         rc = main(["churn", "--deploys", "10", "--rate", "3", "--seed", "3",
@@ -322,7 +322,7 @@ class TestPoolBound:
         ["lineage", "--depth", "-3"],
         ["topo", "--instances", "-2"],
         ["deploy", "--seed", "-1"],
-        ["faults", "--faults-seed", "-1"],
+        ["topo", "--racks", "0"],
         ["snapshot", "--diff-mib", "-1"],
     ])
     def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):

@@ -2,7 +2,10 @@
 
 import json
 import re
+import textwrap
 from pathlib import Path
+
+import repro
 
 
 REPO = Path(__file__).parent.parent
@@ -89,6 +92,14 @@ class TestReadme:
             assert (REPO / doc).exists()
 
 
+class TestPackageDocstring:
+    def test_quickstart_runs(self, capsys):
+        """The package docstring ends with its quickstart: it runs as printed."""
+        exec(textwrap.dedent(repro.__doc__.split("Quickstart::\n", 1)[1]), {})
+        completion, traffic = capsys.readouterr().out.split()
+        assert float(completion) > 0 and int(traffic) > 0
+
+
 class TestExperimentsDoc:
     def test_covers_every_figure(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
@@ -122,7 +133,7 @@ class TestChurnDocs:
         assert "churn_{policy,gc}.json" in text and "make tracked" in text
 
     def test_tracked_churn_numbers_exist(self):
-        assert set(tracked_grid("churn_policy")) == {"first-fit", "least-loaded", "locality"}
+        assert set(tracked_grid("churn_policy")) == {"least-loaded", "locality"}
         assert set(tracked_grid("churn_gc")) == {"gc", "nogc"}
 
     def test_makefile_and_ci_wire_churn_smoke(self):

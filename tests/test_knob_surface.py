@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro import calibration
 from repro.blobseer.pmanager import STRATEGIES, PlacementPolicy
-from repro.churn import ARRIVAL_KINDS, POLICIES, ChurnSpec
+from repro.churn import POLICIES, ChurnSpec
 from repro.cli import build_parser
 from repro.cloud import build_cloud, deploy
 from repro.common.errors import SimulationError
@@ -80,8 +80,7 @@ def test_churn_has_no_unset_shape_knobs_or_strategies():
     fields = {f.name for f in dataclasses.fields(ChurnSpec)}
     gone = {"period", "amplitude", "burst_factor", "burst_len", "calm_len", "trace_times"}
     assert fields & gone == set()
-    assert ARRIVAL_KINDS == ("poisson", "diurnal", "bursty")
-    assert set(POLICIES) == {"first-fit", "least-loaded", "locality"}
+    assert set(POLICIES) == {"least-loaded", "locality"}
 
 
 def test_retry_policy_has_three_fields():
@@ -133,7 +132,10 @@ def test_every_kind_param_is_a_keyword_of_its_reader():
         readers = own | (_keywords(consumer) if consumer else set())
         assert params <= readers, kind
     # the consumers' knobs stay settable: every field the executor does not fill
-    assert accepted_params("churn") >= _keywords(ChurnSpec) - {"n_deploys"}
+    # ``arrivals`` has one value, so it is no param
+    assert accepted_params("churn") >= _keywords(ChurnSpec) - {"n_deploys", "arrivals"}
+    assert "arrivals" not in accepted_params("churn")
+    assert {"plan", "faults_seed"}.isdisjoint(accepted_params("resilience"))
     assert accepted_params("resilience") >= _keywords(RetryPolicy)
 
 
@@ -183,6 +185,9 @@ GONE_KEYWORDS = [
     ("repro.lineage.compact:merge_chain", "gc"),
     # a deployment opens and boots; resilient_deploy boots guarded itself
     ("repro.cloud.deployment:deploy", "run_boot"),
+    # a resilience point crashes its spares staggered; no random plan to seed
+    ("repro.runner.points:_run_resilience", "plan"),
+    ("repro.runner.points:_run_resilience", "faults_seed"),
 ]
 
 
