@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-quick sweep-smoke perf tracked suite-smoke outcome-digest examples reach clean
+.PHONY: install test lint bench sweep-smoke perf tracked suite-smoke outcome-digest examples reach clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -11,11 +11,8 @@ test:            ## tier-1 test suite (what CI runs)
 lint:            ## ruff over src/ and tests/ (what the CI lint job runs)
 	ruff check src tests
 
-bench:           ## full paper-profile figure reproduction + the tracked grids (~30 min)
-	pytest benchmarks/ --benchmark-only
-
-bench-quick:     ## scaled-down smoke of every figure (~40 s; the tracked grids skip)
-	REPRO_BENCH_PROFILE=quick pytest benchmarks/ --benchmark-only
+bench:           ## every row of benchmarks/grids.py, the figures at the paper profile (~5.5 min on 2 cores)
+	python3 benchmarks/tracked.py
 
 sweep-smoke:     ## quick-profile fig4 sweep through the parallel runner (2 jobs)
 	PYTHONPATH=src python -m repro sweep --figure fig4 --profile quick \
@@ -24,10 +21,8 @@ sweep-smoke:     ## quick-profile fig4 sweep through the parallel runner (2 jobs
 perf:            ## the repo's one benchmark: host time + simulated outcomes per workload (BENCHMARK.json)
 	python3 benchmarks/suite/run.py
 
-tracked:         ## every committed benchmarks/results artifact: the tracked-size churn / lineage / topo / p2p grids, then the quick-profile figure benches; any drift fails (~1.5 min on 2 cores)
-	pytest benchmarks/bench_churn.py benchmarks/bench_lineage.py \
-		benchmarks/bench_topo.py benchmarks/bench_p2p.py --benchmark-only
-	REPRO_BENCH_PROFILE=quick pytest benchmarks/ --benchmark-only
+tracked:         ## every committed benchmarks/results artifact: each row of benchmarks/grids.py, the figures at the quick profile, in one sweep; any drift fails (~80 s on 2 cores)
+	REPRO_BENCH_PROFILE=quick python3 benchmarks/tracked.py
 	git diff --exit-code -- benchmarks/results
 
 suite-smoke:     ## benchmark suite at toy sizes + its own tests (~20 s; guards the ledger's by-name patches)
@@ -43,7 +38,7 @@ examples:        ## every script under examples/, by glob; stops at the first th
 		python "$$script" || exit 1; \
 	done
 
-reach:           ## every src/repro function is entered by a program path (examples, CLI, suite smoke, quick benches) or allowlisted with a reason (~2.5 min on 2 cores)
+reach:           ## every src/repro function is entered by a program path (examples, CLI, suite smoke, the quick-profile grid rows) or allowlisted with a reason (~2 min on 2 cores)
 	python3 benchmarks/reach.py
 
 clean:           ## drop caches only; tracked figure artifacts stay put

@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Reach audit: every ``src/repro`` function is entered by a program path.
 
-    python3 benchmarks/reach.py        # or: make reach (~2.5 min on 2 cores)
+    python3 benchmarks/reach.py        # or: make reach (~2 min on 2 cores)
 
 A *program path* is something a user or the benchmark harness runs, never a
 test: every ``examples/*.py``, every ``python -m repro`` subcommand and
 strategy choice at toy sizes, ``benchmarks/suite/run.py --smoke``,
-``benchmarks/outcome_digest.py --smoke`` and the quick-profile figure
-benches. Each runs in fresh
-interpreters whose ``PYTHONPATH`` starts with a generated ``sitecustomize``:
-it installs a ``sys.setprofile`` hook that notes the first entry of every
-code object, dumps the ``src/repro`` ones when the process exits (also
-through ``os._exit``, as fork-pool workers do) and re-arms itself in forked
-children. The benches run with ``--benchmark-disable``, because
-pytest-benchmark pauses any profiler during its timed rounds.
+``benchmarks/outcome_digest.py --smoke`` and ``benchmarks/tracked.py``
+over the grid rows that follow ``REPRO_BENCH_PROFILE``, at ``quick``. Each
+runs in fresh interpreters whose ``PYTHONPATH`` starts with a generated
+``sitecustomize``: it installs a ``sys.setprofile`` hook that notes the first
+entry of every code object, dumps the ``src/repro`` ones when the process
+exits (also through ``os._exit``, as fork-pool workers do, or on the
+SIGTERM with which a pool ends its idle workers) and re-arms itself in
+forked children.
 
 An AST walk then lists every ``def`` under ``src/repro``, keyed by its first
 line (the first decorator's, as ``co_firstlineno`` counts it). A function no
@@ -30,6 +30,7 @@ path and the function goes.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import re
 import shutil
@@ -55,6 +56,7 @@ BOOTSTRAP = '''\
 """Reach recorder (generated by benchmarks/reach.py): first entry per code object."""
 import atexit
 import os
+import signal
 import sys
 import threading
 
@@ -86,6 +88,8 @@ def _arm():
 
 def _rearm_in_child():
     _seen.clear()  # the parent dumps what it saw before the fork
+    # a pool that leaves its `with` block terminates its idle workers
+    signal.signal(signal.SIGTERM, lambda signum, frame: _dump_then_exit(128 + signum))
     _arm()
 
 
@@ -105,6 +109,15 @@ _arm()
 
 #: toy cluster flags shared by the scenario subcommands
 SMALL = ["--pool", "8", "--image-mib", "64", "--touched-mib", "12"]
+
+
+def profile_rows():
+    """Artifact ids of the grid rows that follow ``REPRO_BENCH_PROFILE``: the
+    fixed-size ones add a minute and run point kinds the CLI paths enter."""
+    spec = importlib.util.spec_from_file_location("grids", HERE / "grids.py")
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    return [r.__name__ for row in grids.GRIDS if row.profile is None for r in row.records]
 
 
 def program_paths(scratch: Path):
@@ -147,9 +160,7 @@ def program_paths(scratch: Path):
     paths += [
         ("suite run.py --smoke", [py, str(HERE / "suite" / "run.py"), "--smoke"], {}),
         ("outcome_digest.py --smoke", [py, str(HERE / "outcome_digest.py"), "--smoke"], {}),
-        ("quick-profile benches",
-         [py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
-          *sorted(str(p) for p in HERE.glob("bench_*.py"))],
+        ("tracked.py, quick-profile rows", [py, str(HERE / "tracked.py"), *profile_rows()],
          {"REPRO_BENCH_PROFILE": "quick"}),
     ]
     return paths

@@ -26,7 +26,7 @@ def main() -> None:
                               vmanager_host=manager)
 
     # --- store a 32 MiB image, striped in 256 KiB chunks --------------------
-    image_bytes = bytes((i * 37 + 11) % 256 for i in range(32 * MiB))
+    image_bytes = bytes((i * 37 + 11) % 256 for i in range(256)) * (32 * MiB // 256)
     snap = repo.seed_blob(Payload.from_bytes(image_bytes), chunk_size=256 * KiB)
     print(f"seeded image: blob {snap.blob_id} v{snap.version}, "
           f"{fmt_size(snap.size)} in {fmt_size(snap.chunk_size)} chunks")

@@ -9,8 +9,8 @@ instance's lifecycle process (:mod:`~repro.churn.lifecycle`). A periodic
 :func:`~repro.blobseer.gc.collect_garbage` sweep (cadence
 :attr:`~repro.churn.arrivals.ChurnSpec.gc_interval`) keeps the repository
 footprint bounded; with the cadence off the same run shows monotone growth,
-which is exactly the ablation ``benchmarks/bench_churn.py`` tracks
-(``churn_gc``). All steady-state
+which is exactly the ablation the churn row of ``benchmarks/grids.py``
+tracks (``churn_gc``). All steady-state
 metrics land in a :class:`~repro.churn.slo.SloTracker`.
 
 The engine is strictly additive: it only *uses* the existing deployment,

@@ -16,7 +16,7 @@ for all others. Two pieces:
   a bounded look-ahead window so it never floods the repository: it pauses
   whenever it is ``window`` chunks ahead of what the boot has consumed.
 
-The ablation benchmark ``benchmarks/bench_ablations.py`` quantifies the
+The ``ablation_prefetch`` row of ``benchmarks/grids.py`` quantifies the
 boot-time reduction; correctness tests live in
 ``tests/core/test_prefetch_profile.py``.
 """

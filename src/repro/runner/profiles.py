@@ -144,9 +144,9 @@ SCALE_SMOKE = BenchProfile(
     calib_overrides=SCALE.calib_overrides,
 )
 
-#: Long-horizon churn runs (``benchmarks/bench_churn.py``): thousands of
-#: small instances arriving, snapshotting and tearing down over a shared
-#: pool. Small images keep a 10k-request horizon tractable while the
+#: Long-horizon churn runs (the churn row of ``benchmarks/grids.py``):
+#: thousands of small instances arriving, snapshotting and tearing down over
+#: a shared pool. Small images keep a 10k-request horizon tractable while the
 #: concentrated 8-node repository preserves the paper's fan-in regime; for
 #: a churn point ``n`` counts *deploy requests*, not concurrent instances.
 CHURN = BenchProfile(
@@ -195,9 +195,9 @@ CHURN_SMOKE = BenchProfile(
     calib_overrides=SCALE.calib_overrides,
 )
 
-#: Snapshot-lineage runs (``benchmarks/bench_lineage.py``): one VM commits a
-#: chain of snapshots; for a lineage point ``n`` is the *chain depth* (COMMIT
-#: count), not an instance count. Small images and the concentrated NVMe
+#: Snapshot-lineage runs (the lineage row of ``benchmarks/grids.py``): one
+#: VM commits a chain of snapshots; for a lineage point ``n`` is the *chain
+#: depth* (COMMIT count), not an instance count. Small images and the concentrated NVMe
 #: repository keep deep chains fast to build — the measured quantity is the
 #: restore *scan*, whose cost is version-manager round-trips, not data I/O.
 LINEAGE = BenchProfile(
@@ -235,9 +235,9 @@ LINEAGE_SMOKE = BenchProfile(
     calib_overrides=SCALE.calib_overrides,
 )
 
-#: Hierarchical-fabric runs (``benchmarks/bench_topo.py``): the co-located
-#: repository of §3.1.1 (every compute node is a provider) spread over
-#: racks with oversubscribed uplinks. NVMe-class disks keep the *network*
+#: Hierarchical-fabric runs (the topo rows of ``benchmarks/grids.py``): the
+#: co-located repository of §3.1.1 (every compute node is a provider) spread
+#: over racks with oversubscribed uplinks. NVMe-class disks keep the *network*
 #: the bottleneck, so the cross-rack byte volume — the quantity the
 #: locality-aware policies attack — is what sets deployment time. For a
 #: topo point ``n`` is the concurrent-instance count, as in ``scale``.

@@ -1,5 +1,6 @@
 """Keep the documentation honest: referenced artifacts must exist."""
 
+import importlib.util
 import json
 import re
 import textwrap
@@ -17,12 +18,50 @@ LIVE_DOCS = (
     ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
 )
 
-#: paths retired with the legacy tracked harnesses
+#: paths and options retired with the legacy tracked harnesses
 DELETED = (
     [f"BENCH_{name}.json" for name in ("simkit", "scale", "churn", "lineage", "topo")]
-    + [f"bench_{stem}.py" for stem in ("simperf", "scale")]
-    + ["gates.py", "test_perf_harness.py"]
+    + [f"bench_{stem}.py" for stem in (
+        "simperf", "scale", "ablations", "churn", "fig4_multideployment",
+        "fig5_multisnapshotting", "fig6_bonnie_throughput", "fig7_bonnie_ops",
+        "fig8_montecarlo", "lineage", "p2p", "resilience", "topo")]
+    + ["gates.py", "test_perf_harness.py", "benchmarks/common.py", "benchmarks/conftest.py",
+       "--benchmark-only", "--benchmark-disable", "pytest-benchmark", "sweep_cache"]
 )
+
+#: every artifact a paper figure panel writes
+FIGURE_PANELS = ("fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig6", "fig7", "fig8")
+
+
+def grid_rows():
+    """``benchmarks/grids.py``'s table: one row per tracked sweep."""
+    spec = importlib.util.spec_from_file_location("grids", REPO / "benchmarks" / "grids.py")
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    return grids.GRIDS
+
+
+def artifact_ids():
+    """Each record of the table writes the artifact it is named after."""
+    return {record.__name__ for row in grid_rows() for record in row.records}
+
+
+def named_artifacts(text):
+    """The artifact ids a doc names: ``tracked.py`` arguments, and the
+    ``results/<id>.json`` files or bare ``<id>.json`` names of a tracked
+    family (``fig<N>``, ``churn_``, ``p2p_``, ...), braces expanded."""
+    named = set()
+    for args in re.findall(r"tracked\.py((?:\s+[a-z]\w*)+)", text):
+        named |= set(args.split())
+    families = {aid.split("_")[0] for aid in artifact_ids() if "_" in aid}
+    for prefix, stem in re.findall(r"(results/)?([\w{},]+)\.json", text):
+        head, _, rest = stem.partition("{")
+        alternatives, _, tail = rest.partition("}")
+        for alt in alternatives.split(",") if rest else [""]:
+            name = head + alt + tail
+            if prefix or name.split("_")[0] in families or re.fullmatch(r"fig\d\w?", name):
+                named.add(name)
+    return named
 
 
 def tracked_grid(figure_id):
@@ -45,8 +84,11 @@ def assert_docs_follow_the_makefile(subsystem):
         assert not stale, f"{doc} names retired paths: {stale}"
     assert "tracked" in targets
     assert "make tracked" in (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    assert f"bench_{subsystem}.py" in (REPO / "Makefile").read_text()
-    assert list(RESULTS.glob(f"{subsystem}_*.json"))
+    # `make tracked` runs the driver over every row, the subsystem's among them
+    recipe = re.search(r"^tracked:.*\n((?:\t.*\n)+)", (REPO / "Makefile").read_text(), re.M)
+    assert re.search(r"benchmarks/tracked\.py\s*$", recipe.group(1), re.M), recipe.group(1)
+    files = {p.stem for p in RESULTS.glob(f"{subsystem}_*.json")}
+    assert files and files <= artifact_ids()
 
 
 class TestDesignDoc:
@@ -68,17 +110,20 @@ class TestDesignDoc:
                 missing.append(name)
         assert not missing, f"DESIGN.md references missing modules: {missing}"
 
-    def test_bench_targets_exist(self):
-        text = (REPO / "DESIGN.md").read_text()
-        for ref in re.findall(r"`benchmarks/(bench_\w+\.py)", text):
-            assert (REPO / "benchmarks" / ref).exists(), ref
+    def test_artifacts_named_in_docs_are_rows(self):
+        ids = artifact_ids()
+        for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+            named = named_artifacts((REPO / doc).read_text())
+            assert named - ids == set(), f"{doc} names artifacts no row writes"
 
-    def test_bench_test_names_exist(self):
+    def test_figure_table_names_each_panel_artifact(self):
+        """Experiment F4a's row names ``tracked.py fig4a``, and so on to F8."""
         text = (REPO / "DESIGN.md").read_text()
-        fig4 = (REPO / "benchmarks" / "bench_fig4_multideployment.py").read_text()
-        fig5 = (REPO / "benchmarks" / "bench_fig5_multisnapshotting.py").read_text()
-        for name in re.findall(r"::(\w+)`", text):
-            assert f"def {name}" in fig4 + fig5, name
+        for panel in FIGURE_PANELS:
+            exp = "F" + panel[3:]
+            row = re.search(rf"^\| {exp} \|.*\| `tracked\.py (\w+)` \|$", text, re.M)
+            assert row and row.group(1) == panel, exp
+        assert set(FIGURE_PANELS) <= artifact_ids()
 
 
 class TestReadme:
@@ -261,11 +306,19 @@ class TestRegistryDocs:
 
 
 class TestBenchmarkCoverage:
-    def test_one_bench_file_per_figure(self):
-        bench_dir = REPO / "benchmarks"
-        for fig in (4, 5, 6, 7, 8):
-            hits = list(bench_dir.glob(f"bench_fig{fig}_*.py"))
-            assert hits, f"no benchmark for figure {fig}"
+    def test_every_figure_panel_has_a_row(self):
+        """Each Fig. 4-8 panel is written by a row that follows
+        ``REPRO_BENCH_PROFILE``, so ``make bench`` runs it at the paper's scale."""
+        followers = {r.__name__ for row in grid_rows() if row.profile is None for r in row.records}
+        assert set(FIGURE_PANELS) <= followers
+
+    def test_every_result_is_written_by_one_row(self):
+        written = [record.__name__ for row in grid_rows() for record in row.records]
+        assert len(written) == len(set(written)), "an artifact id in two rows"
+        files = {p.stem for p in RESULTS.glob("*.json")}
+        assert files == set(written)
+        for aid in written:
+            assert json.loads((RESULTS / f"{aid}.json").read_text())["figure_id"] == aid
 
     def test_examples_have_docstrings_and_main(self):
         for script in (REPO / "examples").glob("*.py"):
