@@ -397,7 +397,8 @@ def fig8(points, profile):
             suspend["mirror"] > uninterrupted["mirror"],
         ),
     ]
-    return bars("fig8: Monte Carlo completion time (s), 100 VM instances",
+    workers = min(profile.mc_workers, profile.pool_nodes)  # what the point runs
+    return bars(f"fig8: Monte Carlo completion time (s), {workers} VM instances",
                 ["Uninterrupted", "Suspend/Resume"], groups, checks)
 
 

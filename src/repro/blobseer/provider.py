@@ -281,8 +281,15 @@ class VersionManagerService:
         yield from self._serialized(self.model.publish_overhead)
         return self.registry.clone_from_lineage(blob_id, version)
 
+    def rpc_merge_chain(self, caller: Host, blob_id: int, version: int, keep_every: int):
+        """Thin a snapshot chain where its lineage log lives
+        (:meth:`~repro.blobseer.vmanager.BlobRegistry.merge_chain`): one
+        serialized pass, priced like ``delete_blob`` retiring a whole blob."""
+        yield from self._serialized(self.model.publish_overhead)
+        return self.registry.merge_chain(blob_id, version, keep_every)
+
     def rpc_pin_version(self, caller: Host, blob_id: int, version: int):
-        """Take a restore/merge lease on a snapshot (cheap lookup cost)."""
+        """Take a restore lease on a snapshot (cheap lookup cost)."""
         yield self.host.env.timeout(self.model.publish_overhead / 4)
         self.registry.pin_version(blob_id, version)
         return None

@@ -21,12 +21,13 @@ snapshot is unpublished, a ``retired`` marker. The log is what lets the
 :mod:`repro.lineage` subsystem reconstruct the full snapshot forest —
 including branches that churn has already torn down — and what
 restore-to-version reads to reopen a historical snapshot: the target's own
-entry, since its metadata root reaches every chunk it needs. Entries are tiny
+entry, since its metadata root reaches every chunk it needs. A chain merge
+walks it here, in one pass (:meth:`BlobRegistry.merge_chain`). Entries are tiny
 (a few ints) and never deleted, mirroring how the central
 :class:`~repro.blobseer.metadata.MetadataStore` retains tree nodes.
 
 The registry also supports refcounted **version pins** with deferred
-deletes: while a restore (or a merge) holds a pin on ``(blob, version)``,
+deletes: while a restore holds a pin on ``(blob, version)``,
 ``delete_version`` / ``delete_blob`` targeting it do not unpublish — the
 delete is recorded and replayed when the last pin drops. Since a deferred
 version stays published, it remains a GC root, so a pinned snapshot can
@@ -97,7 +98,7 @@ class BlobRegistry:
         self._next_blob = 1
         #: append-only lineage log: every snapshot ever published
         self._lineage: Dict[VersionKey, LineageEntry] = {}
-        #: refcounted version pins (restore / merge leases)
+        #: refcounted version pins (restore leases)
         self._pins: Dict[VersionKey, int] = {}
         #: deletes deferred because their target was pinned
         self._deferred_versions: Set[VersionKey] = set()
@@ -227,6 +228,32 @@ class BlobRegistry:
             key for key in self._deferred_versions if key[0] != blob_id
         }
 
+    def merge_chain(self, blob_id: int, version: int, keep_every: int) -> int:
+        """Unpublish the non-anchor interiors of ``(blob, version)``'s
+        chain; returns how many.
+
+        Walks the lineage log from the head to the genesis and keeps the
+        head, the genesis, every ``keep_every``-th position counted from the
+        genesis, and every entry already retired or of another blob (a clone
+        source's history). The rest go through :meth:`delete_version`, so a
+        pinned interior is deferred, not lost.
+        """
+        chain = []
+        key: Optional[VersionKey] = (blob_id, version)
+        while key is not None:
+            entry = self.lineage_entry(*key)
+            chain.append(entry)
+            key = entry.parent
+        genesis_pos = len(chain) - 1
+        merged = 0
+        for pos, entry in enumerate(chain[1:-1], start=1):
+            if entry.blob_id != blob_id or entry.retired \
+                    or (genesis_pos - pos) % keep_every == 0:
+                continue
+            self.delete_version(entry.blob_id, entry.version)
+            merged += 1
+        return merged
+
     def _retire(self, blob_id: int, version: int) -> None:
         entry = self._lineage.get((blob_id, version))
         if entry is not None:
@@ -234,7 +261,7 @@ class BlobRegistry:
         self._deferred_versions.discard((blob_id, version))
 
     # ------------------------------------------------------------------ #
-    # version pins (restore / merge leases)
+    # version pins (restore leases)
     # ------------------------------------------------------------------ #
     def pin_version(self, blob_id: int, version: int) -> None:
         """Take a refcounted lease on a snapshot's lineage record.

@@ -56,9 +56,9 @@ class RestoreRequest:
     """Boot a fresh instance from the newest snapshot deploy ``target`` left.
 
     Restores arrive *after* the target's teardown (a tenant going back to a
-    saved state), so unless the run retains snapshot lineages the target
-    version is already retired — restorable exactly until the next GC sweep
-    reclaims its chunks (see :mod:`repro.lineage.restore`).
+    saved state), so the target version is already retired — restorable
+    exactly until the next GC sweep reclaims its chunks (see
+    :mod:`repro.lineage.restore`).
     """
 
     req_id: int
@@ -75,9 +75,10 @@ class ChurnSpec:
     """Everything a churn run is parameterized by (frozen, hashable).
 
     The spec covers the open-loop workload (arrivals, tenants, lifetimes,
-    snapshot propensity), the control plane (placement policy, slots,
-    admission queue) and the storage hygiene cadence (GC interval,
-    snapshot retention).
+    snapshot propensity), the control plane (placement policy, admission
+    queue) and the GC cadence. Slots per node and the footprint sampling
+    cadence are constants of :mod:`~repro.churn.engine`; retention is
+    fixed in :mod:`~repro.churn.lifecycle`.
     """
 
     # ---- workload ---------------------------------------------------- #
@@ -101,18 +102,10 @@ class ChurnSpec:
     diff_bytes: int = 1 * 2**20
     # ---- control plane ----------------------------------------------- #
     policy: str = "least-loaded"
-    slots_per_node: int = 2
     max_queue: int = 16
     # ---- storage hygiene --------------------------------------------- #
     #: seconds between collect_garbage sweeps; 0 disables periodic GC
     gc_interval: float = 60.0
-    #: storage-footprint sampling cadence when GC is off (same timeline)
-    sample_interval: float = 25.0
-    #: published snapshots kept per live instance (older ones unpublished)
-    retention_per_vm: int = 1
-    #: keep each instance's snapshot lineage published after teardown
-    #: (False = the clone blob is unpublished, so a GC sweep reclaims it)
-    retain_snapshots: bool = False
 
     def validate(self) -> "ChurnSpec":
         if self.arrivals != "poisson":
@@ -121,8 +114,8 @@ class ChurnSpec:
             )
         if self.n_deploys < 1 or self.rate <= 0 or self.n_tenants < 1:
             raise ValueError("n_deploys, rate and n_tenants must be positive")
-        if self.slots_per_node < 1 or self.max_queue < 0:
-            raise ValueError("slots_per_node must be >= 1, max_queue >= 0")
+        if self.max_queue < 0:
+            raise ValueError("max_queue must be >= 0")
         if not 0.0 <= self.restore_fraction <= 1.0:
             raise ValueError("restore_fraction must be within [0, 1]")
         return self

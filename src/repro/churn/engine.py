@@ -35,6 +35,12 @@ from .lifecycle import VmRuntime, run_instance
 from .scheduler import LocalityMap, Scheduler
 from .slo import SloTracker
 
+#: instance slots per compute node
+SLOTS_PER_NODE = 2
+#: seconds between storage-footprint samples when GC is off (the GC loop
+#: samples after each sweep instead)
+SAMPLE_INTERVAL = 25.0
+
 
 @dataclass
 class ChurnResult:
@@ -87,7 +93,7 @@ class ChurnEngine:
         self.scheduler = Scheduler(
             len(cloud.compute),
             policy=spec.policy,
-            slots_per_node=spec.slots_per_node,
+            slots_per_node=SLOTS_PER_NODE,
             max_queue=spec.max_queue,
             locality=self.locality,
         )
@@ -139,7 +145,7 @@ class ChurnEngine:
             self._sample_footprint()
             if spec.gc_interval > 0:
                 env.process(self._gc_loop(), name="churn-gc")
-            elif spec.sample_interval > 0:
+            else:
                 env.process(self._sample_loop(), name="churn-sample")
 
             for req in self.trace:
@@ -198,13 +204,9 @@ class ChurnEngine:
             # else: the deploy was rejected at admission; nothing to do
         elif isinstance(req, RestoreRequest):
             rt = self.runtimes.get(req.target)
-            target = None
-            if rt is not None:
-                if rt.published:
-                    target = rt.published[-1]
-                elif rt.retired:
-                    # restorable until the next GC sweep reclaims the chunks
-                    target = rt.retired[-1]
+            # retired at teardown: restorable until the next GC sweep
+            # reclaims its chunks
+            target = None if rt is None else rt.snapshot
             if target is None:
                 self.slo.on_restore_missed()
             else:
@@ -284,5 +286,5 @@ class ChurnEngine:
     def _sample_loop(self):
         env = self.cloud.env
         while True:
-            yield env.timeout(self.spec.sample_interval)
+            yield env.timeout(SAMPLE_INTERVAL)
             self._sample_footprint()

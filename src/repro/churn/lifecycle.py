@@ -4,15 +4,19 @@ Each placed :class:`~repro.churn.arrivals.DeployRequest` becomes one
 :class:`VmRuntime` driven by a single simulation process
 (:func:`run_instance`), which takes the one instance lifecycle of
 :mod:`repro.cloud.instance`: a mirror of the tenant's image on the placed
-node, a boot, then snapshots (local diff + CLONE + COMMIT, pruned to the
-newest few) as the dispatcher delivers them, and a teardown that unlinks
-the local mirror, unpublishes the retired lineage for the next GC sweep and
-releases the slot — which may immediately pop queued deploys.
+node, a boot, then snapshots (local diff + CLONE + COMMIT) as the
+dispatcher delivers them, and a teardown that unlinks the local mirror,
+unpublishes the clone blob for the next GC sweep and releases the slot —
+which may immediately pop queued deploys.
+
+Retention keeps one snapshot per instance, the newest: each COMMIT
+unpublishes the previous one with a ``delete_version``. The newest is the
+restore target, live or (after the teardown) retired.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..cloud import instance
 from ..simkit import rpc
@@ -28,7 +32,7 @@ class VmRuntime:
 
     __slots__ = (
         "req", "node", "state", "snap_pending", "teardown_flag",
-        "proc", "published", "retired", "_wake",
+        "proc", "snapshot", "_wake",
     )
 
     def __init__(self, req: DeployRequest, node: int):
@@ -38,11 +42,10 @@ class VmRuntime:
         self.snap_pending = 0
         self.teardown_flag = False
         self.proc = None
-        #: (blob_id, version) of every still-published mid-life snapshot
-        self.published: List[Tuple[int, int]] = []
-        #: snapshots unpublished at teardown — restore targets until the
-        #: next GC sweep reclaims their chunks (see RestoreRequest)
-        self.retired: List[Tuple[int, int]] = []
+        #: (blob_id, version) of the newest snapshot: published while the
+        #: instance lives, retired by its teardown — a restore target until
+        #: the next GC sweep reclaims its chunks (see RestoreRequest)
+        self.snapshot: Optional[Tuple[int, int]] = None
         self._wake = None
 
     # -- dispatcher side ------------------------------------------------ #
@@ -110,34 +113,26 @@ def _live(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
 
 
 def _take_snapshot(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance, seq: int):
-    """Write the local diff, CLONE + COMMIT, prune retained snapshots."""
-    spec = engine.spec
+    """Write the local diff, CLONE + COMMIT, unpublish the previous snapshot."""
     snap = yield from instance.snapshot(
-        vm, engine.image, spec.diff_bytes, ("churn-diff", rt.req.req_id, seq)
+        vm, engine.image, engine.spec.diff_bytes, ("churn-diff", rt.req.req_id, seq)
     )
     engine.slo.on_snapshot(snap.duration)
-    rt.published.append(snap.at)
-    # retention: unpublish mid-life snapshots beyond the newest K
-    dep = engine.cloud.blobseer
-    while len(rt.published) > spec.retention_per_vm:
-        blob_id, version = rt.published.pop(0)
+    previous, rt.snapshot = rt.snapshot, snap.at
+    if previous is not None:
+        dep = engine.cloud.blobseer
         yield from rpc.call(
-            vm.host, dep.vmanager_host, "blob-vmgr", "delete_version",
-            blob_id, version,
+            vm.host, dep.vmanager_host, "blob-vmgr", "delete_version", *previous,
         )
 
 
 def _teardown(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
     """Shutdown and local-file cleanup; unpublish the clone's lineage."""
     handle = vm.backend.handle
-    clone = None
-    if handle.target_blob != handle.source_blob and not engine.spec.retain_snapshots:
-        clone = handle.target_blob
+    clone = handle.target_blob if handle.target_blob != handle.source_blob else None
     # the unpublished clone blob (and every chunk only it references)
     # becomes garbage for the next GC sweep
     yield from instance.teardown(vm, clone)
     if clone is not None:
-        rt.retired.extend(rt.published)
-        rt.published.clear()
         engine.slo.on_retire()
     engine.slo.on_complete()

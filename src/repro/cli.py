@@ -382,7 +382,7 @@ def cmd_lineage(args) -> int:
               f"in {fmt_time(m['merge_time'])}, GC reclaimed "
               f"{fmt_size(m['gc_bytes_reclaimed'])}")
 
-    return 0
+    return 0 if m["conserved"] and m["footprint_matches"] else 1
 
 
 def cmd_bonnie(args) -> int:
@@ -632,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     _param(p_churn, "--restore-fraction", type=_within(0, 1),
            help="fraction of deploys that schedule a post-teardown "
                 "restore-to-version (0 = off)")
-    _param(p_churn, "--retain-snapshots", action="store_true",
-           help="pin snapshot chains past teardown so restores never hit a "
-                "retired chain")
     p_churn.add_argument("--seed", type=_within(0, kind=int), default=1, help="experiment seed")
     p_churn.set_defaults(func=cmd_churn)
 

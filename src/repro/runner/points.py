@@ -270,17 +270,18 @@ def _run_resilience(
 @point_kind(
     "churn", ChurnSpec, "rate", "n_tenants", "mean_lifetime",
     "min_lifetime", "snapshot_fraction", "restore_fraction", "diff_bytes",
-    "policy", "slots_per_node", "max_queue", "gc_interval", "sample_interval",
-    "retention_per_vm", "retain_snapshots",
+    "policy", "max_queue", "gc_interval",
 )
 def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
     """One long-horizon churn run; ``spec.n`` counts *deploy requests*.
 
     Every workload param is a :class:`~repro.churn.arrivals.ChurnSpec`
     field and keeps its default there, except ``diff_bytes``: the profile's
-    diff size unless set. Locality-aware placement reads the peer caches of
-    the cloud param ``p2p``. ``approach`` is ignored (churn always runs the
-    mirror path).
+    diff size unless set. Slots per node, the footprint sampling cadence
+    and retention (the newest snapshot per instance) are no params: every
+    churn run shares them. Locality-aware placement reads the peer caches
+    of the cloud param ``p2p``. ``approach`` is ignored (churn always runs
+    the mirror path).
     """
     cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
     churn_kw.setdefault("diff_bytes", profile.diff_bytes)
@@ -332,8 +333,9 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     restore reads the head's own lineage record only, so its latency does
     not depend on the depth.
 
-    Params: ``keep_every`` (given: run :func:`~repro.lineage.merge_chain`
-    before the sweep, keeping every ``keep_every``-th version). The cloud
+    Params: ``keep_every`` (given: run :func:`~repro.lineage.merge_chain`,
+    one version-manager RPC, before the sweep, keeping every
+    ``keep_every``-th version). The cloud
     params ``replication_factor`` and ``p2p`` (the peer exchange on the
     restore fetch path) apply as to every kind.
     """

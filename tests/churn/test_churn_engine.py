@@ -101,19 +101,6 @@ class TestOffPath:
 
 
 class TestRestores:
-    def test_restores_complete_when_snapshots_retained(self):
-        res = execute_point(churn_spec(
-            snapshot_fraction=1.0, restore_fraction=1.0,
-            retain_snapshots=True,
-        ))
-        m = res.metrics
-        # most restores land (a few targets may not have snapshotted yet:
-        # queueing delays a VM's life past its trace-scheduled restore)
-        assert m["restores_completed"] > m["restores_missed"]
-        # retained lineages restore from published heads, never retired ones
-        assert m["restores_from_retired"] == 0
-        assert m["restore_p99_exact"] > 0
-
     def test_retention_trades_restores_for_footprint(self):
         """Default retention: restores race GC — some come from retired
         lineage records, and any whose chunks were swept are missed."""

@@ -15,8 +15,8 @@ prints the ``(spans, digest)`` pair of every scenario in the form of
 The scenarios cover every instrumented layer between them: a mirror
 deploy + CLONE/COMMIT campaign (boot, vfs, rpc, flows, chunk publish,
 metadata scatter), a failover read under a retry policy (per-attempt fetch
-spans, one failing), and a small racked churn run with the peer exchange,
-restores and one chain merge.
+spans, one failing), and a small racked churn run with the peer exchange
+and restores, then one VM's short snapshot chain and its merge.
 """
 
 import hashlib
@@ -26,7 +26,8 @@ from test_integration import run_cycle
 
 from repro import obs
 from repro.churn import ChurnEngine, ChurnSpec
-from repro.lineage import LineageForest, merge_chain
+from repro.cloud import deploy, instance
+from repro.lineage import merge_chain
 from repro.runner.points import build_point_cloud
 from repro.runner.profiles import resolve_profile
 
@@ -56,7 +57,7 @@ def failover_spans():
 
 
 def churn_spans():
-    """A racked churn run with p2p and restores, then one chain merge."""
+    """A racked churn run with p2p and restores, then a short chain's merge."""
     profile = resolve_profile("churn-smoke")
     cloud, image = build_point_cloud(
         profile, 3, with_pvfs=False, racks=2, topo_aware=True,
@@ -67,22 +68,24 @@ def churn_spans():
         n_deploys=10, rate=1.0, n_tenants=2, mean_lifetime=6.0,
         min_lifetime=3.0, snapshot_fraction=1.0, restore_fraction=1.0,
         diff_bytes=profile.diff_bytes, policy="least-loaded", gc_interval=15.0,
-        retention_per_vm=3, retain_snapshots=True,
     )
     ChurnEngine(cloud, image, spec).run()
-    forest = LineageForest.from_registry(cloud.blobseer.registry)
-    # the head with the most commits of its own: its v1 is an interior
-    # version at position 2 from the genesis, which keep_every=3 merges
-    head = max(forest.heads(), key=lambda key: (key[1], key))
-    assert head[1] >= 2, "the churn run committed no chain to merge"
+    # churn keeps no chain past a teardown: one VM commits two snapshots,
+    # so the clone's v1 is an interior version at position 2 from the
+    # genesis, which keep_every=3 merges
+    vm = deploy(cloud, image, 1, "mirror").vms[0]
 
-    def merge():
+    def commit_and_merge():
+        for i in range(2):
+            snap = yield from instance.snapshot(
+                vm, image, profile.diff_bytes, ("compact-diff", i),
+            )
         merged = yield from merge_chain(
-            cloud.blobseer, cloud.compute[0], head[0], head[1], keep_every=3,
+            cloud.blobseer, vm.host, *snap.at, keep_every=3,
         )
         assert merged == 1
 
-    cloud.run(cloud.env.process(merge(), name="merge"))
+    cloud.run(cloud.env.process(commit_and_merge(), name="merge"))
     return tracer.spans
 
 
@@ -95,7 +98,7 @@ SCENARIOS = {
 EXPECTED = {
     'deploy-snapshot': (4245, 'ba48f53231697dd6f6bff780e797715741ce534cd5fd68fcecd1a61b4a40ed2c'),
     'failover-read': (44, '19c21643c3df29cc94fa36d890e1ea422c61649bf099f3e94b734cb33c9f383e'),
-    'churn-p2p-restore-compact': (8727, '22342ebe38cbf7ca5f80c01f288b94b48e143b36bf2588c7cc4fb05d234b3a8d'),
+    'churn-p2p-restore-compact': (9259, 'b901bec107716ef58f71712bab1799480a9eda3c360396791e65a84e7348d2d3'),
 }
 
 

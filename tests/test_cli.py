@@ -165,22 +165,11 @@ class TestChurn:
 
     def test_churn_restore_flags_print_restore_slos(self, capsys):
         rc = main(["churn", "--deploys", "10", "--rate", "3", "--seed", "3",
-                   "--restore-fraction", "0.5", "--retain-snapshots"])
+                   "--restore-fraction", "0.5"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "restores:" in out
         assert "from retired chains" in out
-
-    def test_retain_snapshots_applies_without_restores(self, capsys):
-        """The flag pins every chain by itself: with it, GC reclaims nothing."""
-        def storage_line(*flags):
-            assert main(["churn", "--deploys", "10", "--rate", "3", "--seed", "3",
-                         *flags]) == 0
-            out = capsys.readouterr().out
-            return next(ln for ln in out.splitlines() if ln.startswith("storage:"))
-
-        assert "reclaimed 0 B" not in storage_line()
-        assert "reclaimed 0 B" in storage_line("--retain-snapshots")
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -391,6 +380,14 @@ class TestLineage:
         out = capsys.readouterr().out
         assert "keep every 2" in out
         assert "versions merged" in out
+
+    def test_violated_accounting_exits_1(self, capsys, monkeypatch):
+        from repro.lineage.dedup import DedupReport
+
+        monkeypatch.setattr(DedupReport, "conserves", lambda self: False)
+        rc = main(["lineage", "--profile", "lineage-smoke", "--depth", "3"])
+        assert rc == 1
+        assert "exclusive+shared==live: VIOLATED" in capsys.readouterr().out
 
 
 class TestTopo:

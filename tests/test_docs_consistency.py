@@ -27,6 +27,8 @@ DELETED = (
         "fig8_montecarlo", "lineage", "p2p", "resilience", "topo")]
     + ["gates.py", "test_perf_harness.py", "benchmarks/common.py", "benchmarks/conftest.py",
        "--benchmark-only", "--benchmark-disable", "pytest-benchmark", "sweep_cache"]
+    # one-value churn knobs: constants, not spec fields, params or flags
+    + ["--retain-snapshots", "retain_snapshots", "retention_per_vm", "sample_interval"]
 )
 
 #: every artifact a paper figure panel writes
@@ -93,22 +95,26 @@ def assert_docs_follow_the_makefile(subsystem):
 
 class TestDesignDoc:
     def test_every_module_in_map_exists(self):
-        text = (REPO / "DESIGN.md").read_text()
-        block = text.split("```")[1]  # the module-map code block
-        missing = []
+        """Each module-map entry exists at the path its indentation implies
+        (two spaces per directory level), and every ``src/repro`` module but
+        ``__init__`` and ``__main__`` has an entry."""
+        block = (REPO / "DESIGN.md").read_text().split("```")[1]  # the module map
+        parents, entries = [], set()
         for line in block.splitlines():
-            match = re.match(r"\s+(\w+/|\w+\.py)", line)
-            if match and ".py" in line:
-                rel = line.strip().split()[0]
-                # reconstruct path: indentation encodes the package
-                continue
-        # simpler: every "name.py" token in the block exists somewhere in src/
-        for name in set(re.findall(r"(\w+\.py)", block)):
-            hits = list((REPO / "src").rglob(name))
-            hits += list((REPO / "benchmarks").glob(name))
-            if not hits:
-                missing.append(name)
-        assert not missing, f"DESIGN.md references missing modules: {missing}"
+            match = re.match(r"( *)([\w./]+(?:\.py|\.json|/))(?:\s|$)", line)
+            if not match:
+                continue  # a description's continuation line
+            indent, name = match.groups()
+            parents = parents[:len(indent) // 2]
+            entries.add(Path(*parents, name))
+            if name.endswith("/"):
+                parents.append(name)
+        missing = sorted(str(path) for path in entries if not (REPO / path).exists())
+        assert not missing, f"DESIGN.md maps modules that do not exist: {missing}"
+        modules = {path.relative_to(REPO) for path in (REPO / "src" / "repro").rglob("*.py")
+                   if path.stem not in ("__init__", "__main__")}
+        unmapped = sorted(str(path) for path in modules - entries)
+        assert not unmapped, f"DESIGN.md's module map leaves out: {unmapped}"
 
     def test_artifacts_named_in_docs_are_rows(self):
         ids = artifact_ids()

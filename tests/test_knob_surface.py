@@ -96,6 +96,22 @@ def test_no_write_mode_selector():
     assert exc.value.code == 2
 
 
+#: churn knobs only tests set; each is the constant every churn run shares
+GONE_CHURN_FIELDS = ("retention_per_vm", "retain_snapshots", "slots_per_node",
+                     "sample_interval")
+
+
+def test_churn_has_no_one_value_knobs():
+    assert {f.name for f in dataclasses.fields(ChurnSpec)}.isdisjoint(GONE_CHURN_FIELDS)
+    for name in GONE_CHURN_FIELDS:
+        spec = PointSpec("churn", "churn-smoke", "mirror", n=1, params={name: 1})
+        with pytest.raises(SimulationError, match=f"unknown params {name}"):
+            execute_point(spec)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["churn", "--retain-snapshots"])
+    assert exc.value.code == 2
+
+
 def test_snapshot_point_refuses_diff_bytes():
     spec = PointSpec("snapshot", "quick", "mirror", n=1, params={"diff_bytes": 1})
     with pytest.raises(SimulationError, match="unknown params diff_bytes"):

@@ -108,7 +108,6 @@ class TestSingleRackIsBitIdentical:
             diff_bytes=256 * KiB,
             policy="least-loaded",
             gc_interval=30.0,
-            sample_interval=15.0,
         )
 
         def cycle(flat):
