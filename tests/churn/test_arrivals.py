@@ -23,7 +23,8 @@ class TestSpecValidation:
             ChurnSpec(arrivals="lunar").validate()
 
     @pytest.mark.parametrize("kw", [
-        {"n_deploys": 0}, {"rate": 0.0}, {"n_tenants": 0}, {"max_queue": -1},
+        {"n_deploys": 0}, {"rate": 0.0}, {"n_tenants": 0},
+        {"rate": -1.0}, {"max_queue": -1},
     ])
     def test_positive_counts_required(self, kw):
         with pytest.raises(ValueError):
