@@ -35,7 +35,7 @@ outcome-digest:  ## simulated outcomes at toy sizes equal benchmarks/outcome_dig
 examples:        ## every script under examples/, by glob; stops at the first that fails (a CI step after tier 1)
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		python "$$script" || exit 1; \
+		PYTHONPATH=src python "$$script" || exit 1; \
 	done
 
 reach:           ## every src/repro function is entered by a program path (examples, CLI, suite smoke, the quick-profile grid rows) or allowlisted with a reason (~2 min on 2 cores)

@@ -3,8 +3,8 @@
 Every committed ``benchmarks/results/<id>.json`` is written by one row of
 :data:`GRIDS`, and ``benchmarks/tracked.py`` runs the table. A row has
 
-* ``profile``: a fixed profile name (``churn``, ``lineage``, ``topo``,
-  ``p2p``: a tracked grid has one size), or ``None`` to follow
+* ``profile``: a fixed profile (``CHURN``, ``LINEAGE``, ``TOPO``,
+  ``P2P``: a tracked grid has one size), or ``None`` to follow
   ``REPRO_BENCH_PROFILE`` (the figures, ablations and resilience sweep);
 * ``specs``: ``profile -> {label: PointSpec}``, the row's points. The
   driver simulates the points of every selected row in one sweep;
@@ -53,7 +53,8 @@ from repro.cloud.deployment import seed_image  # noqa: E402
 from repro.common.payload import Payload  # noqa: E402
 from repro.common.units import GiB, KiB, MiB  # noqa: E402
 from repro.core.prefetch import AccessProfile, Prefetcher, ProfileRecorder  # noqa: E402
-from repro.runner import PointSpec, execute_point, register_profile  # noqa: E402
+from repro.runner import PointSpec, execute_point  # noqa: E402
+from repro.runner.profiles import CHURN, LINEAGE, P2P, TOPO, BenchProfile  # noqa: E402
 from repro.simkit.host import Fabric  # noqa: E402
 from repro.vmsim import boot_trace, make_image  # noqa: E402
 
@@ -61,7 +62,7 @@ from repro.vmsim import boot_trace, make_image  # noqa: E402
 class Grid(NamedTuple):
     """One row of the table: one sweep and the artifacts it writes."""
 
-    profile: Optional[str]
+    profile: Optional[BenchProfile]
     specs: Callable
     #: one per artifact, named after its id
     records: Tuple[Callable, ...]
@@ -110,7 +111,7 @@ def table(lines, checks, data):
 
 def point(profile, kind, approach="mirror", n=0, seed=1, **params):
     """A :class:`PointSpec` on ``profile``; the keywords are its params."""
-    return PointSpec(kind=kind, profile=profile.name, approach=approach, n=n, seed=seed,
+    return PointSpec(kind=kind, profile=profile, approach=approach, n=n, seed=seed,
                      params=params)
 
 
@@ -497,20 +498,17 @@ def ablation(profile):
     return 8, 12, 256 * MiB, 24 * MiB
 
 
-def ablation_deploy(profile, chunk_size=None, mirror_prefetch=True, seed=5):
-    """One ablation deployment as a sweep point. Its profile is registered
-    here, before the sweep fans out, so that the workers resolve it by name."""
+def ablation_deploy(profile, chunk_size=256 * KiB, mirror_prefetch=True, seed=5):
+    """One ablation deployment as a sweep point, on the ablations' cluster
+    with an image of ``chunk_size`` chunks."""
     N, POOL, IMAGE, TOUCHED = ablation(profile)
-    name = f"ablation-{profile.name}"
-    register_profile(replace(profile, name=name, pool_nodes=POOL, instance_counts=(N,),
-                             image_size=IMAGE, chunk_size=256 * KiB, touched_bytes=TOUCHED,
-                             n_regions=48))
-    overrides = () if chunk_size is None else (("image.chunk_size", chunk_size),)
+    image = ImageSpec(size=IMAGE, chunk_size=chunk_size, boot_touched_bytes=TOUCHED)
+    cluster = replace(profile, name=f"ablation-{profile.name}", pool_nodes=POOL,
+                      instance_counts=(N,), calib=replace(profile.calib, image=image),
+                      n_regions=48)
     params = () if mirror_prefetch else (("mirror_prefetch", False),)
-    return PointSpec(
-        kind="deploy", profile=name, approach="mirror", n=N, seed=seed,
-        overrides=overrides, params=params,
-    )
+    return PointSpec(kind="deploy", profile=cluster, approach="mirror", n=N, seed=seed,
+                     params=params)
 
 
 def ablation_specs(profile):
@@ -1222,12 +1220,12 @@ def p2p_cache(points, profile):
 
 GRIDS = (
     # profile (None: REPRO_BENCH_PROFILE), specs, records
-    Grid("churn", churn_specs, (churn_policy, churn_gc)),
-    Grid("topo", topo_specs(TOPO_SWEEP, (("p2p", True),)), (topo_sweep,)),
-    Grid("topo", topo_specs(TOPO_REPLICA, TOPO_REPLICA_PARAMS), (topo_replica,)),
-    Grid("p2p", p2p_matrix_specs, (p2p_boot, p2p_provider_bytes)),
-    Grid("p2p", p2p_cache_specs, (p2p_cache,)),
-    Grid("lineage", lineage_specs, (lineage_restore,)),
+    Grid(CHURN, churn_specs, (churn_policy, churn_gc)),
+    Grid(TOPO, topo_specs(TOPO_SWEEP, (("p2p", True),)), (topo_sweep,)),
+    Grid(TOPO, topo_specs(TOPO_REPLICA, TOPO_REPLICA_PARAMS), (topo_replica,)),
+    Grid(P2P, p2p_matrix_specs, (p2p_boot, p2p_provider_bytes)),
+    Grid(P2P, p2p_cache_specs, (p2p_cache,)),
+    Grid(LINEAGE, lineage_specs, (lineage_restore,)),
     Grid(None, campaign_specs("deploy", FIG4_APPROACHES), (fig4a, fig4b, fig4c, fig4d)),
     Grid(None, campaign_specs("snapshot", FIG5_APPROACHES), (fig5a, fig5b)),
     Grid(None, lambda p: {kind: point(p, "bonnie", kind, seed=3) for kind in ("local", "mirror")},

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from grids import GRIDS
 
-from repro.runner import SweepRunner, active_profile, resolve_profile
+from repro.runner import SweepRunner, active_profile
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -42,7 +42,7 @@ def main(ids) -> int:
     for row in GRIDS:
         selected = [record for record in row.records if record.__name__ in wanted]
         if selected:
-            profile = resolve_profile(row.profile) if row.profile else active
+            profile = row.profile or active
             plan.append((selected, profile, row.specs(profile)))
 
     # one sweep over every distinct point of the selected rows

@@ -214,62 +214,45 @@ class BlobClient:
     def _put_replicated(self, new_refs: Dict[int, ChunkRef], updates: Dict[int, Payload]):
         """Replicated chunk PUTs: the COMMIT data path.
 
-        * ``parallel`` mode — the client streams each replica group itself,
-          one ``put_chunks`` per provider. Providers that stay dead are
-          pruned from the affected :class:`ChunkRef`\\ s (the write degrades
-          to fewer replicas instead of failing); only a chunk with *zero*
-          surviving replicas aborts the commit.
-        * ``pipeline`` mode — each replica set is written through a
-          store-and-forward chain starting at its head; a failed try is
-          resent rotated one rank (idempotent provider puts make the resend
-          safe), and a chain that fails every try aborts the commit.
-
-        A policy gives every PUT its rounds and backoff; without one a
-        provider gets one try, a chain one per head. Returns the (possibly
-        pruned) refs to record in the metadata.
+        The client streams each replica group itself, one ``put_chunks`` per
+        provider. Providers that stay dead are pruned from the affected
+        :class:`ChunkRef`\\ s (the write degrades to fewer replicas instead of
+        failing); only a chunk with *zero* surviving replicas aborts the
+        commit. A policy gives every PUT its rounds and backoff; without one
+        a provider gets one try. Returns the (possibly pruned) refs to record
+        in the metadata.
         """
         dep = self.deployment
         policy = dep.retry
         metrics = self.host.fabric.metrics
-        pipeline = dep.replica_write_mode == "pipeline"
 
-        def put(chain: Tuple[str, ...], indices: List[int]):
-            """PUT ``indices`` to ``chain[0]``, which forwards them down the rest."""
+        def put(name: str, indices: List[int]):
+            """PUT ``indices`` to provider ``name``."""
             items = [(new_refs[i].key, updates[i]) for i in indices]
             request_bytes = sum(p.size for _, p in items) + 64 * len(items)
-            attempts = policy.attempts if policy is not None else len(chain)
+            attempts = policy.attempts if policy is not None else 1
             for attempt in range(attempts):
-                shift = attempt % len(chain)
-                rotated = chain[shift:] + chain[:shift]
-                args = (items, rotated[1:]) if pipeline else (items,)
                 try:
                     yield from self._call(
-                        dep.fabric.hosts[rotated[0]], "blob-data",
-                        "put_chunks_chain" if pipeline else "put_chunks", *args,
+                        dep.fabric.hosts[name], "blob-data", "put_chunks", items,
                         request_bytes=request_bytes,
                     )
                     return True
                 except rpc.FAILOVER:
                     if attempt + 1 < attempts:
                         metrics.count("put-retry")
-                        if policy is not None:
-                            yield self.host.env.timeout(policy.delay_for(attempt))
+                        yield self.host.env.timeout(policy.delay_for(attempt))
             return False
 
-        groups: Dict[Tuple[str, ...], List[int]] = {}
+        groups: Dict[str, List[int]] = {}
         for idx in sorted(new_refs):
-            providers = new_refs[idx].providers
-            chains = [providers] if pipeline else [(name,) for name in providers]
-            for chain in chains:
-                groups.setdefault(chain, []).append(idx)
+            for name in new_refs[idx].providers:
+                groups.setdefault(name, []).append(idx)
         work = sorted(groups.items())
-        results = yield from self._parallel([put(chain, indices) for chain, indices in work])
-        failed = {chain for ok, (chain, _) in zip(results, work) if not ok}
-        if not failed:
+        results = yield from self._parallel([put(name, indices) for name, indices in work])
+        dead = {name for ok, (name, _) in zip(results, work) if not ok}
+        if not dead:
             return new_refs
-        if pipeline:
-            raise ProviderUnavailableError(f"chains {sorted(failed)} failed every write try")
-        dead = {name for (name,) in failed}
         pruned: Dict[int, ChunkRef] = {}
         n_pruned = 0
         for idx, ref in new_refs.items():

@@ -109,7 +109,8 @@ class DataProviderService:
         The client streams each replica group to the head provider only; the
         head forwards to the next replica, and so on — k-1 provider-to-provider
         transfers replace k-1 client uplink transfers (classic chain
-        replication, cheap when the client NIC is the bottleneck).
+        replication, cheap when the client NIC is the bottleneck). No client
+        sends it: every replicated write fans out from the client.
         """
         yield from self.rpc_put_chunks(caller, items)
         if chain:

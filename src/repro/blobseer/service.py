@@ -48,7 +48,6 @@ class BlobSeerDeployment:
         write_buffer_bytes: int = 64 * 2**20,
         dedup: bool = False,
         replication_factor: int = 1,
-        replica_write_mode: str = "parallel",
         retry: Optional["RetryPolicy"] = None,
         topology=None,
         rack_aware_reads: bool = False,
@@ -60,15 +59,8 @@ class BlobSeerDeployment:
                 f"replication factor {replication_factor} impossible with "
                 f"{len(data_hosts)} data hosts"
             )
-        if replica_write_mode not in ("parallel", "pipeline"):
-            raise StorageError(
-                f"unknown replica write mode {replica_write_mode!r} "
-                "(expected 'parallel' or 'pipeline')"
-            )
         #: replicas per chunk written through this deployment's clients
         self.replication_factor = replication_factor
-        #: how replicated chunk writes travel: client fan-out or chain
-        self.replica_write_mode = replica_write_mode
         #: homes per metadata tree node (consecutive shards mod n_meta): one
         #: per chunk replica, as far as the metadata hosts go
         self.meta_replication = min(replication_factor, len(meta_hosts))

@@ -53,7 +53,7 @@ class TeardownRequest:
 
 @dataclass(frozen=True)
 class RestoreRequest:
-    """Boot a fresh instance from the newest snapshot deploy ``target`` left.
+    """Boot a fresh instance from the snapshot deploy ``target`` left.
 
     Restores arrive *after* the target's teardown (a tenant going back to a
     saved state), so the target version is already retired — restorable
@@ -77,8 +77,8 @@ class ChurnSpec:
     The spec covers the open-loop workload (arrivals, tenants, lifetimes,
     snapshot propensity), the control plane (placement policy, admission
     queue) and the GC cadence. Slots per node and the footprint sampling
-    cadence are constants of :mod:`~repro.churn.engine`; retention is
-    fixed in :mod:`~repro.churn.lifecycle`.
+    cadence are constants of :mod:`~repro.churn.engine`; a deploy takes at
+    most one snapshot.
     """
 
     # ---- workload ---------------------------------------------------- #
@@ -95,7 +95,7 @@ class ChurnSpec:
     #: probability a deploy schedules a mid-life snapshot
     snapshot_fraction: float = 0.5
     #: probability a *snapshotting* deploy schedules a post-teardown restore
-    #: of its newest snapshot (0 keeps the trace — and every RNG draw —
+    #: of its snapshot (0 keeps the trace — and every RNG draw —
     #: bit-identical to a spec without the field)
     restore_fraction: float = 0.0
     #: local modifications written before each snapshot (the §5.3 diff)

@@ -241,8 +241,8 @@ class ChurnEngine:
         is the likeliest to still hold the chunks). A target whose chunks a
         GC sweep already reclaimed raises
         :class:`~repro.common.errors.LineageError` — counted as a missed
-        restore, exactly the staleness SLO the retention policy trades
-        against; so is a restore a fault denies.
+        restore, exactly the staleness SLO the GC cadence trades against;
+        so is a restore a fault denies.
         """
         from ..lineage.restore import restore_to_version
 

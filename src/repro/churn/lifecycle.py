@@ -1,17 +1,17 @@
-"""Per-instance lifecycle processes: boot -> run -> snapshot* -> teardown.
+"""Per-instance lifecycle processes: boot -> run -> snapshot? -> teardown.
 
 Each placed :class:`~repro.churn.arrivals.DeployRequest` becomes one
 :class:`VmRuntime` driven by a single simulation process
 (:func:`run_instance`), which takes the one instance lifecycle of
 :mod:`repro.cloud.instance`: a mirror of the tenant's image on the placed
-node, a boot, then snapshots (local diff + CLONE + COMMIT) as the
-dispatcher delivers them, and a teardown that unlinks the local mirror,
+node, a boot, then the snapshot (local diff + CLONE + COMMIT) if the
+dispatcher delivers one, and a teardown that unlinks the local mirror,
 unpublishes the clone blob for the next GC sweep and releases the slot —
 which may immediately pop queued deploys.
 
-Retention keeps one snapshot per instance, the newest: each COMMIT
-unpublishes the previous one with a ``delete_version``. The newest is the
-restore target, live or (after the teardown) retired.
+A deploy schedules at most one snapshot
+(:func:`~repro.churn.arrivals.generate_trace`); it is the restore target,
+live or (after the teardown) retired.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..cloud import instance
-from ..simkit import rpc
 from ..vmsim.hypervisor import VMInstance
 from .arrivals import DeployRequest
 
@@ -31,7 +30,7 @@ class VmRuntime:
     """Control-plane state of one placed instance."""
 
     __slots__ = (
-        "req", "node", "state", "snap_pending", "teardown_flag",
+        "req", "node", "state", "snapshot_due", "teardown_flag",
         "proc", "snapshot", "_wake",
     )
 
@@ -39,10 +38,10 @@ class VmRuntime:
         self.req = req
         self.node = node
         self.state = "placed"  # placed -> booting -> running -> done
-        self.snap_pending = 0
+        self.snapshot_due = False
         self.teardown_flag = False
         self.proc = None
-        #: (blob_id, version) of the newest snapshot: published while the
+        #: (blob_id, version) of the snapshot: published while the
         #: instance lives, retired by its teardown — a restore target until
         #: the next GC sweep reclaims its chunks (see RestoreRequest)
         self.snapshot: Optional[Tuple[int, int]] = None
@@ -50,7 +49,7 @@ class VmRuntime:
 
     # -- dispatcher side ------------------------------------------------ #
     def deliver_snapshot(self) -> None:
-        self.snap_pending += 1
+        self.snapshot_due = True
         self._trigger()
 
     def deliver_teardown(self) -> None:
@@ -95,13 +94,11 @@ def _live(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
                 engine.locality.note_hosted(rt.node, req.tenant)
 
             rt.state = "running"
-            seq = 0
             while True:
                 rt._wake = env.event()
-                while rt.snap_pending > 0:
-                    rt.snap_pending -= 1
-                    yield from _take_snapshot(engine, rt, vm, seq)
-                    seq += 1
+                if rt.snapshot_due:
+                    rt.snapshot_due = False
+                    yield from _take_snapshot(engine, rt, vm)
                 if rt.teardown_flag:
                     break
                 yield rt._wake
@@ -112,18 +109,13 @@ def _live(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
         engine.release(rt)
 
 
-def _take_snapshot(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance, seq: int):
-    """Write the local diff, CLONE + COMMIT, unpublish the previous snapshot."""
+def _take_snapshot(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):
+    """Write the local diff, CLONE + COMMIT: the VM's one snapshot."""
     snap = yield from instance.snapshot(
-        vm, engine.image, engine.spec.diff_bytes, ("churn-diff", rt.req.req_id, seq)
+        vm, engine.image, engine.spec.diff_bytes, ("churn-diff", rt.req.req_id, 0)
     )
     engine.slo.on_snapshot(snap.duration)
-    previous, rt.snapshot = rt.snapshot, snap.at
-    if previous is not None:
-        dep = engine.cloud.blobseer
-        yield from rpc.call(
-            vm.host, dep.vmanager_host, "blob-vmgr", "delete_version", *previous,
-        )
+    rt.snapshot = snap.at
 
 
 def _teardown(engine: "ChurnEngine", rt: VmRuntime, vm: VMInstance):

@@ -17,7 +17,7 @@ import math
 import sys
 from typing import List, Optional
 
-from .calibration import DEFAULT
+from .calibration import DEFAULT, Calibration, ImageSpec
 from .common.errors import SimulationError
 from .common.units import KiB, MiB, fmt_rate, fmt_size, fmt_time
 from .faults.policy import MAX_DELAY
@@ -92,25 +92,21 @@ def _setting(args, dest, reader, name=None):
     return inspect.signature(reader).parameters[name or dest].default
 
 
-def _cli_profile(**fields):
-    """Register the ``cli`` profile: ``paper`` resized by one command's flags."""
-    from .runner import PAPER, register_profile
+def _cli_profile(image: ImageSpec, **fields):
+    """The ``cli`` profile: ``paper`` on ``image``, resized by one command's flags."""
+    from .runner import PAPER
 
-    return register_profile(dataclasses.replace(PAPER, name="cli", **fields))
+    return dataclasses.replace(PAPER, name="cli", calib=Calibration(image=image), **fields)
 
 
 def _cluster_profile(args):
     """The ``cli`` profile of the cluster flags (and ``--diff-mib``, if any)."""
-    fields = dict(
-        pool_nodes=args.pool or max(24, args.instances),
-        image_size=args.image_mib * MiB,
-        chunk_size=args.chunk_kib * KiB,
-        touched_bytes=args.touched_mib * MiB,
-        n_regions=48,
-    )
+    fields = dict(pool_nodes=args.pool or max(24, args.instances), n_regions=48)
     if hasattr(args, "diff_mib"):
         fields["diff_bytes"] = args.diff_mib * MiB
-    return _cli_profile(**fields)
+    image = ImageSpec(size=args.image_mib * MiB, chunk_size=args.chunk_kib * KiB,
+                      boot_touched_bytes=args.touched_mib * MiB)
+    return _cli_profile(image, **fields)
 
 
 def _check_pool(profile, counts) -> None:
@@ -129,7 +125,7 @@ def _point(profile, kind, n, seed, approach="mirror", pooled=True, **params):
     if pooled:
         _check_pool(profile, [n])
     return execute_point(PointSpec(
-        kind=kind, profile=profile.name, approach=approach, n=n, seed=seed,
+        kind=kind, profile=profile, approach=approach, n=n, seed=seed,
         params=params,
     ))
 
@@ -388,9 +384,8 @@ def cmd_lineage(args) -> int:
 def cmd_bonnie(args) -> int:
     size = args.image_mib * MiB
     profile = _cli_profile(
-        pool_nodes=8, image_size=size,
-        touched_bytes=size // 8,  # the boot hot set: Bonnie++ never boots
-        bonnie_working_set=min(args.working_mib * MiB, size // 2),
+        ImageSpec(size=size, boot_touched_bytes=size // 8),  # boot hot set: Bonnie++ never boots
+        pool_nodes=8, bonnie_working_set=min(args.working_mib * MiB, size // 2),
     )
     rows = {
         a: _point(profile, "bonnie", 0, args.seed, approach=a).metrics
@@ -437,7 +432,7 @@ def cmd_sweep(args) -> int:
     _check_pool(profile, counts)
 
     specs = [
-        PointSpec(kind=kind, profile=profile.name, approach=a, n=n, seed=args.seed)
+        PointSpec(kind=kind, profile=profile, approach=a, n=n, seed=args.seed)
         for a in approaches
         for n in counts
     ]

@@ -73,7 +73,6 @@ def build_cloud(
     placement: Optional[str] = None,
     dedup: bool = False,
     replication_factor: int = 1,
-    replica_write_mode: str = "parallel",
     retry: Optional["RetryPolicy"] = None,
     p2p: bool = False,
     p2p_cache_bytes: Optional[int] = None,
@@ -166,7 +165,6 @@ def build_cloud(
         write_buffer_bytes=calib.service.provider_write_buffer,
         dedup=dedup,
         replication_factor=replication_factor,
-        replica_write_mode=replica_write_mode,
         retry=retry,
         topology=topology,
         rack_aware_reads=locality_topo is not None,

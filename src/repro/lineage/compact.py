@@ -11,7 +11,7 @@ sweep; the anchors keep restore granularity at ``keep_every`` snapshots.
 The merge runs where the lineage log lives: one serialized ``merge_chain``
 RPC to the version manager (:meth:`~repro.blobseer.vmanager.BlobRegistry.merge_chain`),
 priced like retiring a whole blob. One serialized pass cannot interleave
-with churn retention, so it takes no lease. It does not change what a
+with another version-manager call, so it takes no lease. It does not change what a
 restore pays: every snapshot is a standalone image (see
 :mod:`~repro.lineage.restore`). Interior versions pinned by an in-flight
 restore are *not* lost: the registry defers their deletion until the last

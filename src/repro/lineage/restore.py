@@ -5,7 +5,7 @@ version; going back means reopening an arbitrary point of a snapshot
 chain. :func:`restore_to_version` is a simulation process that:
 
 1. **pins** the source version at the version manager — a refcounted lease
-   that defers any concurrent retention ``delete_version`` / teardown
+   that defers any concurrent merge ``delete_version`` / teardown
    ``delete_blob`` until the restore is done (see
    :meth:`~repro.blobseer.vmanager.BlobRegistry.pin_version`);
 2. **looks up** the target's own lineage record: one ``lineage_entry``
@@ -115,7 +115,7 @@ def restore_to_version(
         "lineage.restore", "lineage", blob=blob_id, version=version, host=host.name,
     ) as span:
         try:
-            # 1. lease the source so retention/teardown deletes defer
+            # 1. lease the source so merge/teardown deletes defer
             yield from rpc.call(
                 host, dep.vmanager_host, "blob-vmgr", "pin_version", blob_id, version
             )

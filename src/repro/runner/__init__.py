@@ -22,10 +22,7 @@ from .profiles import (
     SCALE_SMOKE,
     BenchProfile,
     active_profile,
-    apply_overrides,
     known_profiles,
-    profile_calibration,
-    register_profile,
     resolve_profile,
 )
 from .spec import PointResult, PointSpec
@@ -47,12 +44,9 @@ __all__ = [
     "SweepRunner",
     "active_profile",
     "apply_diffs",
-    "apply_overrides",
     "build_point_cloud",
     "execute_point",
     "known_kinds",
     "known_profiles",
-    "profile_calibration",
-    "register_profile",
     "resolve_profile",
 ]

@@ -27,7 +27,7 @@ from ..common.errors import SimulationError
 from ..faults import FaultPlan, RetryPolicy, resilient_deploy
 from ..lineage import LineageForest, dedup_accounting, merge_chain, restore_to_version
 from ..vmsim import make_image
-from .profiles import BenchProfile, profile_calibration, resolve_profile
+from .profiles import BenchProfile
 from .spec import PointResult, PointSpec
 
 #: kind -> (executor, the consumer it passes params on to, the workload
@@ -73,9 +73,9 @@ def accepted_params(kind: str) -> FrozenSet[str]:
         ) from None
 
 
-def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
-    """Fresh cluster + image for one measurement point."""
-    calib = calib if calib is not None else profile_calibration(profile)
+def build_point_cloud(profile: BenchProfile, seed: int, **cloud_kw):
+    """Fresh cluster + image for one measurement point, under ``profile.calib``."""
+    calib = profile.calib
     if profile.data_nodes is not None:
         cloud_kw.setdefault("data_nodes", profile.data_nodes)
     if profile.meta_nodes is not None:
@@ -87,10 +87,10 @@ def build_point_cloud(profile: BenchProfile, seed: int, calib=None, **cloud_kw):
     return cloud, image
 
 
-def _spec_cloud(spec: PointSpec, profile: BenchProfile, calib, **cloud_kw):
+def _spec_cloud(spec: PointSpec, **cloud_kw):
     """:func:`build_point_cloud` under ``spec``'s cloud params (+ the kind's keywords)."""
     cloud_kw.update((k, v) for k, v in spec.params if k in CLOUD_PARAMS)
-    return build_point_cloud(profile, spec.seed, calib=calib, **cloud_kw)
+    return build_point_cloud(spec.profile, spec.seed, **cloud_kw)
 
 
 def apply_diffs(cloud, image, vms, diff_bytes: int) -> None:
@@ -131,14 +131,14 @@ def _source_metrics(cloud) -> Dict[str, float]:
 # executors
 # --------------------------------------------------------------------------- #
 @point_kind("deploy", deploy, "mirror_prefetch")
-def _run_deploy(spec: PointSpec, profile: BenchProfile, calib, **deploy_kw):
+def _run_deploy(spec: PointSpec, **deploy_kw):
     """One Fig. 4 measurement: deploy ``n`` instances with ``approach``.
 
     Param ``mirror_prefetch`` (strategy 1 of §3.3) goes to :func:`deploy`.
     With the cloud params this is also the cooperative-exchange point
     (``p2p``) and the rack-fabric point (``racks``, ``topo_aware``, ...).
     """
-    cloud, image = _spec_cloud(spec, profile, calib)
+    cloud, image = _spec_cloud(spec)
     res = deploy(cloud, image, spec.n, spec.approach, **deploy_kw)
     metrics = {
         "init_time": res.init_time,
@@ -152,16 +152,16 @@ def _run_deploy(spec: PointSpec, profile: BenchProfile, calib, **deploy_kw):
 
 
 @point_kind("snapshot")
-def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
+def _run_snapshot(spec: PointSpec):
     """One Fig. 5 measurement: deploy, write the profile's diffs, snapshot all.
 
     A racked, replicated burst is the same point with the cloud params set:
     with ``racks`` > 1 and ``replication`` > 1 the default rack-diverse
     placement sends a copy of every committed chunk across an uplink.
     """
-    cloud, image = _spec_cloud(spec, profile, calib)
+    cloud, image = _spec_cloud(spec)
     res = deploy(cloud, image, spec.n, spec.approach)
-    apply_diffs(cloud, image, res.vms, profile.diff_bytes)
+    apply_diffs(cloud, image, res.vms, spec.profile.diff_bytes)
     snap = snapshot_all(cloud, res.vms, spec.approach)
     metrics = {
         "avg_time": snap.avg_time,
@@ -175,12 +175,12 @@ def _run_snapshot(spec: PointSpec, profile: BenchProfile, calib):
 
 
 @point_kind("bonnie")
-def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
+def _run_bonnie(spec: PointSpec):
     """The §5.4 Bonnie++ run; ``approach`` is ``local`` or ``mirror``."""
     from ..baselines.prepropagation import LOCAL_IMAGE_PATH
     from ..vmsim import BonnieBenchmark
 
-    cloud, image = _spec_cloud(spec, profile, calib)
+    cloud, image = _spec_cloud(spec)
     rec = seed_image(cloud, image)["blobseer"]
     node = cloud.compute[0]
     fuse = cloud.calib.fuse
@@ -198,7 +198,7 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
     base = image.size // 2  # working set in the free half of the image
     bench = BonnieBenchmark(
         backend, data_op, meta_op,
-        working_set=profile.bonnie_working_set, base_offset=base,
+        working_set=spec.profile.bonnie_working_set, base_offset=base,
     )
     out = {}
 
@@ -222,8 +222,7 @@ def _run_bonnie(spec: PointSpec, profile: BenchProfile, calib):
 
 @point_kind("resilience", RetryPolicy, "attempts", "base_delay", "rpc_timeout")
 def _run_resilience(
-    spec: PointSpec, profile: BenchProfile, calib, *, crashes=0, mttr=0.0,
-    window=5.0, **retry_kw,
+    spec: PointSpec, *, crashes=0, mttr=0.0, window=5.0, **retry_kw,
 ):
     """One resilience-sweep point: multideployment under injected crashes.
 
@@ -238,12 +237,12 @@ def _run_resilience(
     the client's :class:`RetryPolicy`. The replica count is the cloud param
     ``replication_factor``.
     """
-    cloud, image = _spec_cloud(spec, profile, calib, retry=RetryPolicy(**retry_kw))
+    cloud, image = _spec_cloud(spec, retry=RetryPolicy(**retry_kw))
     spares = [h.name for h in cloud.compute[spec.n:]]
     if crashes > len(spares):
         raise SimulationError(
             f"resilience: {crashes} crashes exceed the {len(spares)} spare "
-            f"nodes of a {profile.pool_nodes}-node pool with n={spec.n}"
+            f"nodes of a {spec.profile.pool_nodes}-node pool with n={spec.n}"
         )
     faults = (FaultPlan.staggered_crashes(spares, crashes, window, mttr=mttr)
               if crashes else FaultPlan())
@@ -272,19 +271,18 @@ def _run_resilience(
     "min_lifetime", "snapshot_fraction", "restore_fraction", "diff_bytes",
     "policy", "max_queue", "gc_interval",
 )
-def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
+def _run_churn(spec: PointSpec, **churn_kw):
     """One long-horizon churn run; ``spec.n`` counts *deploy requests*.
 
     Every workload param is a :class:`~repro.churn.arrivals.ChurnSpec`
     field and keeps its default there, except ``diff_bytes``: the profile's
-    diff size unless set. Slots per node, the footprint sampling cadence
-    and retention (the newest snapshot per instance) are no params: every
-    churn run shares them. Locality-aware placement reads the peer caches
-    of the cloud param ``p2p``. ``approach`` is ignored (churn always runs
-    the mirror path).
+    diff size unless set. Slots per node and the footprint sampling
+    cadence are no params: every churn run shares them. Locality-aware
+    placement reads the peer caches of the cloud param ``p2p``.
+    ``approach`` is ignored (churn always runs the mirror path).
     """
-    cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
-    churn_kw.setdefault("diff_bytes", profile.diff_bytes)
+    cloud, image = _spec_cloud(spec, with_pvfs=False)
+    churn_kw.setdefault("diff_bytes", spec.profile.diff_bytes)
     res = ChurnEngine(cloud, image, ChurnSpec(n_deploys=spec.n, **churn_kw)).run()
     s = res.summary
     metrics = {
@@ -323,7 +321,7 @@ def _run_churn(spec: PointSpec, profile: BenchProfile, calib, **churn_kw):
 
 
 @point_kind("lineage", merge_chain, "keep_every")
-def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
+def _run_lineage(spec: PointSpec, **merge_kw):
     """One snapshot-lineage point; ``spec.n`` is the *chain depth*.
 
     A single mirror-backed VM commits ``n`` snapshots (CLONE once, then
@@ -345,7 +343,7 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     if depth < 1:
         raise SimulationError(f"lineage: chain depth must be >= 1, got {depth}")
 
-    cloud, image = _spec_cloud(spec, profile, calib, with_pvfs=False)
+    cloud, image = _spec_cloud(spec, with_pvfs=False)
     dep = cloud.blobseer
 
     res = deploy(cloud, image, 1, "mirror")
@@ -354,7 +352,7 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     durations = []
     for i in range(depth):
         snap = cloud.run(env.process(
-            instance.snapshot(vm, image, profile.diff_bytes, ("lineage-diff", i)),
+            instance.snapshot(vm, image, spec.profile.diff_bytes, ("lineage-diff", i)),
             name=f"lineage-step-{i}",
         ))
         durations.append(snap.duration)
@@ -402,13 +400,13 @@ def _run_lineage(spec: PointSpec, profile: BenchProfile, calib, **merge_kw):
     return cloud, metrics, series
 
 
-def _mc_config(profile: BenchProfile, calib, image):
+def _mc_config(profile: BenchProfile, image):
     from ..vmsim import MonteCarloConfig
 
     return MonteCarloConfig(
         total_compute=profile.mc_total_compute,
         checkpoint_interval=profile.mc_total_compute / 10,
-        state_bytes=calib.snapshot.montecarlo_state_bytes,
+        state_bytes=profile.calib.snapshot.montecarlo_state_bytes,
         state_offset=image.write_base,
     )
 
@@ -419,8 +417,7 @@ def _run_mc_workers(cloud, workers, until=None):
 
 
 @point_kind("montecarlo")
-def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
-                    mode="uninterrupted"):
+def _run_montecarlo(spec: PointSpec, *, mode="uninterrupted"):
     """The §5.5 Monte Carlo application; param ``mode`` picks the setting:
 
     * ``uninterrupted`` (default) — deploy and run to completion;
@@ -429,9 +426,10 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
     """
     from ..vmsim import MonteCarloWorker
 
-    cloud, image = _spec_cloud(spec, profile, calib)
+    profile = spec.profile
+    cloud, image = _spec_cloud(spec)
     n = min(profile.mc_workers, profile.pool_nodes)
-    cfg = _mc_config(profile, calib, image)
+    cfg = _mc_config(profile, image)
 
     if mode == "uninterrupted":
         res = deploy(cloud, image, n, spec.approach)
@@ -440,7 +438,7 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
         if not all(w.finished for w in workers):
             raise SimulationError("montecarlo: not every worker finished")
     elif mode == "suspend-resume":
-        _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n)
+        _montecarlo_suspend_resume(spec, cloud, image, cfg, n)
     else:
         raise SimulationError(
             f"montecarlo mode must be 'uninterrupted' or 'suspend-resume', "
@@ -450,11 +448,12 @@ def _run_montecarlo(spec: PointSpec, profile: BenchProfile, calib, *,
     return cloud, metrics, {}
 
 
-def _montecarlo_suspend_resume(spec, profile, cloud, image, cfg, n):
+def _montecarlo_suspend_resume(spec, cloud, image, cfg, n):
     from ..baselines.qcow2 import Qcow2Image
     from ..cloud.middleware import CloudMiddleware
     from ..vmsim import MonteCarloWorker
 
+    profile = spec.profile
     half = profile.mc_total_compute / 2
     mw = CloudMiddleware(cloud)
     res = mw.deploy_set(image, n, spec.approach)
@@ -517,11 +516,9 @@ def execute_point(spec: PointSpec) -> PointResult:
             f"point {spec.label()!r}: unknown params {', '.join(unknown)}; "
             f"kind {spec.kind!r} accepts {', '.join(sorted(accepted))}"
         )
-    profile = resolve_profile(spec.profile)
-    calib = profile_calibration(profile, spec.overrides)
     t0 = time.perf_counter()
     workload = {k: v for k, v in spec.params if k not in CLOUD_PARAMS}
-    cloud, metrics, series = _EXECUTORS[spec.kind][0](spec, profile, calib, **workload)
+    cloud, metrics, series = _EXECUTORS[spec.kind][0](spec, **workload)
     wall = time.perf_counter() - t0
     return PointResult(
         spec=spec,

@@ -1,19 +1,19 @@
 """Benchmark profiles: named parameter sets for the paper's sweeps.
 
-A :class:`BenchProfile` pins everything a measurement point needs beyond the
-calibration constants: pool size, the instance counts the figure sweeps,
-image geometry, and the workload knobs of the §5.4/§5.5 experiments. Two
-profiles ship by default:
+A :class:`BenchProfile` pins everything a measurement point needs: pool
+size, the instance counts the figure sweeps, the :class:`Calibration` its
+points run under (image geometry and testbed included), and the workload
+knobs of the §5.4/§5.5 experiments. Two profiles ship for the figures:
 
 * ``paper`` — the full §5.1 setup: 120-node pool, 2 GiB image, 256 KiB
   chunks, up to 110 concurrent instances;
 * ``quick`` — a scaled-down profile for smoke-testing the harness
   (``REPRO_BENCH_PROFILE=quick``).
 
-Profiles are resolved *by name* so a :class:`~repro.runner.spec.PointSpec`
-stays a small picklable value that worker processes can reconstruct.
-Ad-hoc profiles (ablations, tests) register themselves with
-:func:`register_profile` before the sweep fans out.
+A :class:`~repro.runner.spec.PointSpec` carries its profile by value, so an
+ad-hoc profile (an ablation, a CLI run, a test) is ``dataclasses.replace``
+of a shipped one and needs no registration. The name table below serves
+the CLI's ``--profile`` and ``REPRO_BENCH_PROFILE``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..calibration import DEFAULT, Calibration, ImageSpec
+from ..calibration import DEFAULT, BootModel, Calibration, ImageSpec, Testbed
 from ..common.units import KiB, MB, MiB, MILLISECONDS
 
 #: environment variable selecting the benchmark profile
@@ -35,9 +35,8 @@ class BenchProfile:
     name: str
     pool_nodes: int
     instance_counts: tuple
-    image_size: int
-    chunk_size: int
-    touched_bytes: int
+    #: the calibration every point of the profile runs under
+    calib: Calibration
     n_regions: int
     diff_bytes: int
     mc_workers: int
@@ -49,18 +48,13 @@ class BenchProfile:
     #: paper's fan-in contention regime reachable at large n.
     data_nodes: Optional[int] = None
     meta_nodes: Optional[int] = None
-    #: profile-level calibration overrides, same ``("section.field", value)``
-    #: shape as spec overrides; spec overrides apply on top and win.
-    calib_overrides: tuple = ()
 
 
 PAPER = BenchProfile(
     name="paper",
     pool_nodes=120,
     instance_counts=(1, 20, 40, 60, 80, 110),
-    image_size=DEFAULT.image.size,          # 2 GiB
-    chunk_size=DEFAULT.image.chunk_size,    # 256 KiB
-    touched_bytes=DEFAULT.image.boot_touched_bytes,  # ~109 MiB
+    calib=DEFAULT,  # 2 GiB image, 256 KiB chunks, ~109 MiB touched
     n_regions=64,
     diff_bytes=15 * MiB,  # per-VM local modifications, paper §5.3
     mc_workers=100,
@@ -72,9 +66,7 @@ QUICK = BenchProfile(
     name="quick",
     pool_nodes=24,
     instance_counts=(1, 8, 16, 24),
-    image_size=512 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=32 * MiB,
+    calib=Calibration(image=ImageSpec(size=512 * MiB, boot_touched_bytes=32 * MiB)),
     n_regions=32,
     diff_bytes=6 * MiB,
     mc_workers=16,
@@ -86,9 +78,7 @@ P2P = BenchProfile(
     name="p2p",
     pool_nodes=80,
     instance_counts=(16, 32, 64),
-    image_size=256 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=24 * MiB,
+    calib=Calibration(image=ImageSpec(size=256 * MiB, boot_touched_bytes=24 * MiB)),
     n_regions=32,
     diff_bytes=6 * MiB,
     mc_workers=16,
@@ -96,20 +86,26 @@ P2P = BenchProfile(
     bonnie_working_set=128 * MiB,
 )
 
+#: NVMe-class disks for a repository on dedicated nodes (López García &
+#: Fernández del Castillo): with the disks out of the way the GigE fabric is
+#: the bottleneck. The ``scale``, ``churn``, ``lineage`` and ``topo``
+#: profiles and their smoke siblings run on it.
+NVME = Testbed(
+    disk_read_bandwidth=1000 * MB,
+    disk_write_bandwidth=1000 * MB,
+    disk_seek_time=0.05 * MILLISECONDS,
+)
+
 #: The paper-scale fabric profile of the benchmark suite's burst workloads
 #: (``benchmarks/suite/workloads.py``). The repository is *concentrated* on the
-#: first 8 pool nodes (dedicated repository nodes, as in López García &
-#: Fernández del Castillo) and the providers get NVMe-class disks, so the
-#: GigE fabric — not the disks — is the bottleneck: hundreds of concurrent
-#: flows fan in on 8 uplinks, the contention regime the paper's fig4/fig5
+#: first 8 pool nodes and runs on :data:`NVME`, so hundreds of concurrent
+#: flows fan in on 8 uplinks: the contention regime the paper's fig4/fig5
 #: campaigns study at n in the hundreds.
 SCALE = BenchProfile(
     name="scale",
     pool_nodes=520,
     instance_counts=(64, 256, 512),
-    image_size=32 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=8 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=32 * MiB, boot_touched_bytes=8 * MiB)),
     n_regions=32,
     diff_bytes=2 * MiB,
     mc_workers=16,
@@ -117,11 +113,6 @@ SCALE = BenchProfile(
     bonnie_working_set=128 * MiB,
     data_nodes=8,
     meta_nodes=8,
-    calib_overrides=(
-        ("testbed.disk_read_bandwidth", 1000 * MB),
-        ("testbed.disk_write_bandwidth", 1000 * MB),
-        ("testbed.disk_seek_time", 0.05 * MILLISECONDS),
-    ),
 )
 
 #: Tiny sibling of ``scale`` for CI smoke runs (``make suite-smoke``): the
@@ -131,9 +122,7 @@ SCALE_SMOKE = BenchProfile(
     name="scale-smoke",
     pool_nodes=20,
     instance_counts=(4, 12),
-    image_size=8 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=2 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=8 * MiB, boot_touched_bytes=2 * MiB)),
     n_regions=16,
     diff_bytes=1 * MiB,
     mc_workers=4,
@@ -141,7 +130,6 @@ SCALE_SMOKE = BenchProfile(
     bonnie_working_set=32 * MiB,
     data_nodes=4,
     meta_nodes=4,
-    calib_overrides=SCALE.calib_overrides,
 )
 
 #: Long-horizon churn runs (the churn row of ``benchmarks/grids.py``):
@@ -153,9 +141,17 @@ CHURN = BenchProfile(
     name="churn",
     pool_nodes=48,
     instance_counts=(400, 1500),
-    image_size=32 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=16 * MiB,
+    #: NVMe repository disks but a *rate-limited* tenant NIC and a
+    #: stripped-down appliance guest: churn studies placement, so boots must
+    #: be dominated by the image-fetch I/O placement actually influences.
+    #: Commodity clouds cap per-instance bandwidth well below line rate
+    #: (~400 Mbit here), which also puts the 8 repository uplinks in the
+    #: paper's fan-in-contention regime during arrival bursts.
+    calib=Calibration(
+        testbed=dataclasses.replace(NVME, nic_bandwidth=50 * MB),
+        image=ImageSpec(size=32 * MiB, boot_touched_bytes=16 * MiB),
+        boot=BootModel(cpu_seconds=0.5, hypervisor_init_min=0.1, hypervisor_init_max=0.4),
+    ),
     n_regions=16,
     diff_bytes=2 * MiB,
     mc_workers=8,
@@ -163,18 +159,6 @@ CHURN = BenchProfile(
     bonnie_working_set=64 * MiB,
     data_nodes=8,
     meta_nodes=8,
-    #: NVMe repository disks (as in ``scale``) but a *rate-limited* tenant
-    #: NIC and a stripped-down appliance guest: churn studies placement, so
-    #: boots must be dominated by the image-fetch I/O placement actually
-    #: influences. Commodity clouds cap per-instance bandwidth well below
-    #: line rate (~400 Mbit here), which also puts the 8 repository uplinks
-    #: in the paper's fan-in-contention regime during arrival bursts.
-    calib_overrides=SCALE.calib_overrides + (
-        ("testbed.nic_bandwidth", 50 * MB),
-        ("boot.cpu_seconds", 0.5),
-        ("boot.hypervisor_init_min", 0.1),
-        ("boot.hypervisor_init_max", 0.4),
-    ),
 )
 
 #: Tiny sibling of ``churn`` for CI smoke runs and the determinism tests.
@@ -182,9 +166,7 @@ CHURN_SMOKE = BenchProfile(
     name="churn-smoke",
     pool_nodes=10,
     instance_counts=(30, 60),
-    image_size=8 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=2 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=8 * MiB, boot_touched_bytes=2 * MiB)),
     n_regions=8,
     diff_bytes=512 * KiB,
     mc_workers=4,
@@ -192,7 +174,6 @@ CHURN_SMOKE = BenchProfile(
     bonnie_working_set=32 * MiB,
     data_nodes=4,
     meta_nodes=4,
-    calib_overrides=SCALE.calib_overrides,
 )
 
 #: Snapshot-lineage runs (the lineage row of ``benchmarks/grids.py``): one
@@ -204,9 +185,7 @@ LINEAGE = BenchProfile(
     name="lineage",
     pool_nodes=12,
     instance_counts=(2, 4, 8, 16, 32),
-    image_size=32 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=8 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=32 * MiB, boot_touched_bytes=8 * MiB)),
     n_regions=16,
     diff_bytes=1 * MiB,
     mc_workers=4,
@@ -214,7 +193,6 @@ LINEAGE = BenchProfile(
     bonnie_working_set=32 * MiB,
     data_nodes=4,
     meta_nodes=4,
-    calib_overrides=SCALE.calib_overrides,
 )
 
 #: Tiny sibling of ``lineage`` for CI smoke runs and the determinism tests.
@@ -222,9 +200,7 @@ LINEAGE_SMOKE = BenchProfile(
     name="lineage-smoke",
     pool_nodes=8,
     instance_counts=(2, 5),
-    image_size=8 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=2 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=8 * MiB, boot_touched_bytes=2 * MiB)),
     n_regions=8,
     diff_bytes=256 * KiB,
     mc_workers=4,
@@ -232,7 +208,6 @@ LINEAGE_SMOKE = BenchProfile(
     bonnie_working_set=32 * MiB,
     data_nodes=4,
     meta_nodes=4,
-    calib_overrides=SCALE.calib_overrides,
 )
 
 #: Hierarchical-fabric runs (the topo rows of ``benchmarks/grids.py``): the
@@ -245,16 +220,13 @@ TOPO = BenchProfile(
     name="topo",
     pool_nodes=264,
     instance_counts=(64, 256),
-    image_size=32 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=8 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=32 * MiB, boot_touched_bytes=8 * MiB)),
     n_regions=32,
     diff_bytes=2 * MiB,
     mc_workers=16,
     mc_total_compute=120.0,
     bonnie_working_set=128 * MiB,
     meta_nodes=8,
-    calib_overrides=SCALE.calib_overrides,
 )
 
 #: Tiny sibling of ``topo`` for CI smoke runs and the determinism tests.
@@ -262,40 +234,28 @@ TOPO_SMOKE = BenchProfile(
     name="topo-smoke",
     pool_nodes=16,
     instance_counts=(8, 12),
-    image_size=8 * MiB,
-    chunk_size=256 * KiB,
-    touched_bytes=2 * MiB,
+    calib=Calibration(testbed=NVME, image=ImageSpec(size=8 * MiB, boot_touched_bytes=2 * MiB)),
     n_regions=16,
     diff_bytes=512 * KiB,
     mc_workers=4,
     mc_total_compute=30.0,
     bonnie_working_set=32 * MiB,
     meta_nodes=4,
-    calib_overrides=SCALE.calib_overrides,
 )
 
-_REGISTRY: Dict[str, BenchProfile] = {
-    PAPER.name: PAPER, QUICK.name: QUICK, P2P.name: P2P,
-    SCALE.name: SCALE, SCALE_SMOKE.name: SCALE_SMOKE,
-    CHURN.name: CHURN, CHURN_SMOKE.name: CHURN_SMOKE,
-    LINEAGE.name: LINEAGE, LINEAGE_SMOKE.name: LINEAGE_SMOKE,
-    TOPO.name: TOPO, TOPO_SMOKE.name: TOPO_SMOKE,
+_BY_NAME: Dict[str, BenchProfile] = {
+    p.name: p for p in (PAPER, QUICK, P2P, SCALE, SCALE_SMOKE, CHURN, CHURN_SMOKE,
+                        LINEAGE, LINEAGE_SMOKE, TOPO, TOPO_SMOKE)
 }
 
 
-def register_profile(profile: BenchProfile) -> BenchProfile:
-    """Register (or replace) a profile so specs can resolve it by name."""
-    _REGISTRY[profile.name] = profile
-    return profile
-
-
 def known_profiles() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_BY_NAME))
 
 
 def resolve_profile(name: str) -> BenchProfile:
     try:
-        return _REGISTRY[name]
+        return _BY_NAME[name]
     except KeyError:
         raise ValueError(
             f"unknown benchmark profile {name!r}; known profiles: "
@@ -313,37 +273,9 @@ def active_profile() -> BenchProfile:
     value = os.environ.get(PROFILE_ENV)
     if value is None or value == "":
         return PAPER
-    if value not in _REGISTRY:
+    if value not in _BY_NAME:
         raise ValueError(
             f"unrecognized {PROFILE_ENV}={value!r}; known profiles: "
             f"{', '.join(known_profiles())}"
         )
-    return _REGISTRY[value]
-
-
-def apply_overrides(calib: Calibration, overrides: Iterable[tuple]) -> Calibration:
-    """Return ``calib`` with ``("section.field", value)`` overrides applied."""
-    for path, value in overrides:
-        try:
-            section_name, field_name = path.split(".", 1)
-            section = getattr(calib, section_name)
-            section = dataclasses.replace(section, **{field_name: value})
-        except (ValueError, AttributeError, TypeError):
-            raise ValueError(f"bad calibration override {path!r}") from None
-        calib = dataclasses.replace(calib, **{section_name: section})
-    return calib
-
-
-def profile_calibration(
-    profile: BenchProfile, overrides: Iterable[tuple] = ()
-) -> Calibration:
-    """The calibration a profile's points run under (plus spec overrides)."""
-    calib = Calibration(
-        image=ImageSpec(
-            size=profile.image_size,
-            chunk_size=profile.chunk_size,
-            boot_touched_bytes=profile.touched_bytes,
-        )
-    )
-    calib = apply_overrides(calib, profile.calib_overrides)
-    return apply_overrides(calib, overrides)
+    return _BY_NAME[value]

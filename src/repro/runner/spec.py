@@ -1,10 +1,11 @@
 """Picklable descriptions of sweep points and their structured results.
 
 A :class:`PointSpec` is a pure value: everything needed to reproduce one
-measurement point (profile, kind of experiment, approach, scale, seed,
-calibration overrides, kind-specific parameters) and nothing else. Executing
-the same spec always yields the same simulated timeline, which is what makes
-the multiprocessing fan-out safe.
+measurement point (profile with its calibration, kind of experiment,
+approach, scale, seed, kind-specific parameters) and nothing else. It holds
+its profile by value, so any process can execute it, and the same spec
+always yields the same simulated timeline, which is what makes the
+multiprocessing fan-out safe.
 
 A :class:`PointResult` is the plain-data outcome: scalar metrics, small
 per-instance series, event counters, and the harness wall time.
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
+
+from .profiles import BenchProfile
+
 
 def _freeze(pairs: Any) -> tuple:
     """Canonicalize a dict/iterable of (key, value) pairs to a sorted tuple.
@@ -38,17 +42,16 @@ class PointSpec:
     """One measurement point of a sweep, as a pure picklable value."""
 
     kind: str
-    profile: str
+    profile: BenchProfile
     approach: str = ""
     n: int = 0
     seed: int = 1
-    #: calibration overrides: (("image.chunk_size", 65536), ...)
-    overrides: tuple = ()
     #: kind-specific knobs: (("mirror_prefetch", False), ...)
     params: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "overrides", _freeze(self.overrides))
+        if not isinstance(self.profile, BenchProfile):
+            raise TypeError(f"PointSpec.profile must be a BenchProfile, got {self.profile!r}")
         object.__setattr__(self, "params", _freeze(self.params))
 
     def param(self, name: str) -> Any:
@@ -61,13 +64,12 @@ class PointSpec:
 
     def label(self) -> str:
         """Short human-readable identity (error messages, progress lines)."""
-        bits = [self.kind, self.profile]
+        bits = [self.kind, self.profile.name]
         if self.approach:
             bits.append(self.approach)
         if self.n:
             bits.append(f"n={self.n}")
         bits.append(f"seed={self.seed}")
-        bits += [f"{k}={v}" for k, v in self.overrides]
         bits += [f"{k}={v}" for k, v in self.params]
         return " ".join(bits)
 

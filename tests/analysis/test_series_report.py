@@ -98,9 +98,9 @@ class TestFromPoints:
         assert s.x == [4.0]
 
     def test_real_point_result(self):
-        from repro.runner import PointResult, PointSpec
+        from repro.runner import QUICK, PointResult, PointSpec
 
-        spec = PointSpec(kind="deploy", profile="quick", approach="mirror", n=5)
+        spec = PointSpec(kind="deploy", profile=QUICK, approach="mirror", n=5)
         point = PointResult(spec=spec, metrics={"avg_boot_time": 1.5},
                             series={"boot_times": (1.5,)}, counters={},
                             event_count=1, wall_s=0.0)

@@ -1,6 +1,6 @@
 """End-to-end churn runs: accounting, GC bounding, parallel determinism."""
 
-from repro.runner import PointSpec, SweepRunner, execute_point
+from repro.runner import CHURN_SMOKE, PointSpec, SweepRunner, execute_point
 
 
 def churn_spec(n=24, seed=5, **params):
@@ -8,7 +8,7 @@ def churn_spec(n=24, seed=5, **params):
                 "min_lifetime": 3.0, "gc_interval": 20.0}
     defaults.update(params)
     return PointSpec(
-        kind="churn", profile="churn-smoke", n=n, seed=seed,
+        kind="churn", profile=CHURN_SMOKE, n=n, seed=seed,
         params=tuple(defaults.items()),
     )
 
@@ -90,7 +90,7 @@ class TestDeterminism:
 class TestOffPath:
     def test_churn_run_leaves_other_kinds_untouched(self):
         """fig4-style points are bit-identical before/after a churn run."""
-        deploy = PointSpec(kind="deploy", profile="churn-smoke",
+        deploy = PointSpec(kind="deploy", profile=CHURN_SMOKE,
                            approach="mirror", n=4, seed=1)
         before = execute_point(deploy)
         execute_point(churn_spec())

@@ -19,7 +19,7 @@ def pattern(n, seed=1):
     return bytes((i * 131 + seed * 17) % 256 for i in range(n))
 
 
-def make(replication=2, retry=POLICY, n_data=4, n_meta=2, **kw):
+def make(replication=2, retry=POLICY, n_data=4, n_meta=2):
     fab = Fabric(seed=37)
     data = [fab.add_host(f"node{i}") for i in range(n_data)]
     meta = [fab.add_host(f"meta{i}") for i in range(n_meta)]
@@ -27,7 +27,7 @@ def make(replication=2, retry=POLICY, n_data=4, n_meta=2, **kw):
     client_host = fab.add_host("client")
     dep = BlobSeerDeployment(
         fab, data_hosts=data, meta_hosts=meta, vmanager_host=manager,
-        replication_factor=replication, retry=retry, **kw,
+        replication_factor=replication, retry=retry,
     )
     return fab, dep, data, meta, client_host
 
@@ -54,28 +54,6 @@ class TestReplicatedWrites:
 
         assert run(fab, scenario()).to_bytes() == payload.to_bytes()
         assert stored_copies(dep) == 2 * 8  # every chunk lives twice
-
-    def test_pipeline_mode_stores_the_same_replicas(self):
-        results = {}
-        for mode in ("parallel", "pipeline"):
-            fab, dep, data, meta, ch = make(
-                replication=3, replica_write_mode=mode
-            )
-            client = dep.client(ch)
-            payload = Payload.from_bytes(pattern(4 * CHUNK))
-
-            def scenario():
-                blob = yield from client.create(4 * CHUNK, CHUNK)
-                rec = yield from client.upload(blob, payload)
-                got = yield from client.read(rec.blob_id, rec.version, 0, 4 * CHUNK)
-                return got
-
-            assert run(fab, scenario()).to_bytes() == payload.to_bytes()
-            results[mode] = {
-                name: sorted(svc.store.keys())
-                for name, svc in dep.data_services.items()
-            }
-        assert results["parallel"] == results["pipeline"]
 
     def test_write_prunes_dead_replicas(self):
         """A provider that dies mid-write drops out of the chunks' refs.
@@ -195,7 +173,3 @@ class TestStrictlyOffPath:
     def test_replication_beyond_pool_rejected(self):
         with pytest.raises(StorageError):
             make(replication=5, n_data=4)
-
-    def test_bad_write_mode_rejected(self):
-        with pytest.raises(StorageError):
-            make(replica_write_mode="telepathy")

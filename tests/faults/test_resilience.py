@@ -12,7 +12,7 @@ from repro.runner import PointSpec, SweepRunner
 from repro.runner.points import execute_point
 
 
-def rspec(replication, crashes, **extra):
+def rspec(profile, replication, crashes, **extra):
     params = {
         "replication_factor": replication,
         "crashes": crashes,
@@ -21,7 +21,7 @@ def rspec(replication, crashes, **extra):
     }
     params.update(extra)
     return PointSpec(
-        kind="resilience", profile="micro-test", approach="mirror",
+        kind="resilience", profile=profile, approach="mirror",
         n=2, seed=1, params=tuple(params.items()),
     )
 
@@ -40,14 +40,14 @@ class TestAcceptance:
     ):
         """The PR's reason to exist: replication 2 completes a deployment
         that replication 1 cannot, under the same crash plan."""
-        fragile = execute_point(rspec(1, 2))
-        replicated = execute_point(rspec(2, 2))
+        fragile = execute_point(rspec(micro_profile, 1, 2))
+        replicated = execute_point(rspec(micro_profile, 2, 2))
         assert fragile.metrics["survival_rate"] < 1.0
         assert fragile.metrics["boots_failed"] > 0
         assert replicated.metrics["survival_rate"] == 1.0
         assert replicated.metrics["boots_failed"] == 0
         # resilience is not free: the survivors boot slower than fault-free
-        clean = execute_point(rspec(2, 0))
+        clean = execute_point(rspec(micro_profile, 2, 0))
         assert clean.metrics["survival_rate"] == 1.0
         assert (
             replicated.metrics["completion_time"]
@@ -58,16 +58,18 @@ class TestAcceptance:
         from repro.runner import SweepError
 
         with pytest.raises(SweepError, match="spare"):
-            SweepRunner(jobs=1).run([rspec(1, 99)])
+            SweepRunner(jobs=1).run([rspec(micro_profile, 1, 99)])
 
 
 class TestDeterminism:
     def test_same_spec_bit_identical_across_runs(self, micro_profile):
-        identical(execute_point(rspec(2, 2)), execute_point(rspec(2, 2)))
+        spec = rspec(micro_profile, 2, 2)
+        identical(execute_point(spec), execute_point(spec))
 
     def test_parallel_bit_identical_to_sequential(self, micro_profile):
         """jobs=4 workers replay exactly the jobs=1 timelines, faults and all."""
-        specs = [rspec(1, 0), rspec(1, 2), rspec(2, 2), rspec(2, 2, mttr=2.0)]
+        specs = [rspec(micro_profile, r, c, **kw)
+                 for r, c, kw in ((1, 0, {}), (1, 2, {}), (2, 2, {}), (2, 2, {"mttr": 2.0}))]
         seq = SweepRunner(jobs=1).run(specs)
         par = SweepRunner(jobs=4).run(specs)
         for a, b in zip(seq, par):
@@ -77,7 +79,7 @@ class TestDeterminism:
         """A crashing point must not contaminate the next point's timeline
         in the same worker (crash marks live on the crashed point's hosts)."""
         crashy_then_clean = SweepRunner(jobs=1).run(
-            [rspec(1, 2), rspec(1, 0)]
+            [rspec(micro_profile, 1, 2), rspec(micro_profile, 1, 0)]
         )
-        clean_alone = execute_point(rspec(1, 0))
+        clean_alone = execute_point(rspec(micro_profile, 1, 0))
         identical(crashy_then_clean[1], clean_alone)

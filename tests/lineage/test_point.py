@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.runner import PointSpec, execute_point
+from repro.runner import LINEAGE_SMOKE, PointSpec, execute_point
 
 
 def lineage_spec(depth=4, seed=3, **params):
     return PointSpec(
-        kind="lineage", profile="lineage-smoke", approach="mirror",
+        kind="lineage", profile=LINEAGE_SMOKE, approach="mirror",
         n=depth, seed=seed, params=tuple(sorted(params.items())),
     )
 
@@ -46,7 +46,7 @@ class TestExecutor:
 class TestOffPath:
     def test_lineage_run_leaves_other_kinds_untouched(self):
         """fig4-style points are bit-identical before/after a lineage run."""
-        deploy = PointSpec(kind="deploy", profile="lineage-smoke",
+        deploy = PointSpec(kind="deploy", profile=LINEAGE_SMOKE,
                            approach="mirror", n=4, seed=1)
         before = execute_point(deploy)
         execute_point(lineage_spec(depth=5, keep_every=4))

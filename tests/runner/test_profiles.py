@@ -1,17 +1,25 @@
-"""Profile registry, env-var validation, and calibration overrides."""
+"""Profile name table, env-var validation, and each profile's calibration."""
+
+import dataclasses
 
 import pytest
 
+from repro.calibration import DEFAULT, SnapshotModel
+from repro.common.units import KiB, MB, MiB
 from repro.runner import (
+    CHURN,
+    CHURN_SMOKE,
+    LINEAGE,
+    LINEAGE_SMOKE,
     PAPER,
     QUICK,
+    SCALE,
+    SCALE_SMOKE,
     active_profile,
-    apply_overrides,
-    known_profiles,
-    profile_calibration,
+    build_point_cloud,
     resolve_profile,
 )
-from repro.runner.profiles import PROFILE_ENV
+from repro.runner.profiles import NVME, PROFILE_ENV, TOPO, TOPO_SMOKE
 
 
 class TestActiveProfile:
@@ -37,6 +45,8 @@ class TestActiveProfile:
 
 
 class TestRegistry:
+    """The static name table behind ``--profile`` and ``REPRO_BENCH_PROFILE``."""
+
     def test_resolve_known(self):
         assert resolve_profile("paper") is PAPER
         assert resolve_profile("quick") is QUICK
@@ -45,47 +55,28 @@ class TestRegistry:
         with pytest.raises(ValueError, match="known profiles"):
             resolve_profile("nope")
 
-    def test_register_and_resolve(self, micro_profile):
-        assert resolve_profile(micro_profile.name) is micro_profile
-        assert micro_profile.name in known_profiles()
-        # registered profiles become valid env-var values too
-        import os
-        os.environ[PROFILE_ENV] = micro_profile.name
-        try:
-            assert active_profile() is micro_profile
-        finally:
-            del os.environ[PROFILE_ENV]
-
 
 class TestCalibrationOverrides:
-    def test_profile_calibration_uses_profile_image(self):
-        calib = profile_calibration(QUICK)
-        assert calib.image.size == QUICK.image_size
-        assert calib.image.chunk_size == QUICK.chunk_size
-        assert calib.image.boot_touched_bytes == QUICK.touched_bytes
+    """A profile sets a calibration value one way: in its own Calibration."""
 
-    def test_override_applied(self):
-        calib = profile_calibration(QUICK, (("image.chunk_size", 4096),))
-        assert calib.image.chunk_size == 4096
-        assert calib.image.size == QUICK.image_size  # untouched fields survive
-
-    def test_override_other_section(self):
-        calib = profile_calibration(QUICK, (("snapshot.montecarlo_state_bytes", 123),))
-        assert calib.snapshot.montecarlo_state_bytes == 123
+    def test_point_cloud_runs_under_the_calibration_of_its_profile(self):
+        cloud, image = build_point_cloud(QUICK, seed=1, with_pvfs=False)
+        assert cloud.calib is QUICK.calib
+        assert image.size == QUICK.calib.image.size == 512 * MiB
+        assert QUICK.calib.image.chunk_size == 256 * KiB
+        # the sections the profile leaves alone keep the paper's values
+        assert QUICK.calib.testbed == DEFAULT.testbed
 
     def test_snapshot_diff_bytes_is_not_a_calibration_field(self):
-        # every point reads the profile's diff_bytes; the override is refused
-        with pytest.raises(ValueError, match="bad calibration override"):
-            profile_calibration(QUICK, (("snapshot.diff_bytes", 123),))
+        # every point reads the profile's diff_bytes; the calibration has none
+        assert "diff_bytes" not in {f.name for f in dataclasses.fields(SnapshotModel)}
+        assert QUICK.diff_bytes == 6 * MiB
 
-    def test_bad_override_path_raises(self):
-        with pytest.raises(ValueError, match="override"):
-            profile_calibration(QUICK, (("image.no_such_field", 1),))
-        with pytest.raises(ValueError, match="override"):
-            profile_calibration(QUICK, (("nodots", 1),))
-
-    def test_apply_overrides_does_not_mutate(self):
-        base = profile_calibration(QUICK)
-        out = apply_overrides(base, (("image.chunk_size", 1024),))
-        assert base.image.chunk_size == QUICK.chunk_size
-        assert out.image.chunk_size == 1024
+    def test_nvme_profiles_share_one_testbed(self):
+        for profile in (SCALE, SCALE_SMOKE, CHURN_SMOKE, LINEAGE, LINEAGE_SMOKE,
+                        TOPO, TOPO_SMOKE):
+            assert profile.calib.testbed is NVME, profile.name
+        # churn rate-limits the tenant NIC on the same disks and runs a
+        # stripped-down guest
+        assert CHURN.calib.testbed == dataclasses.replace(NVME, nic_bandwidth=50 * MB)
+        assert CHURN.calib.boot.cpu_seconds == 0.5

@@ -2,34 +2,29 @@
 
 import pytest
 
-from repro.runner import PointResult, PointSpec
+from repro.runner import QUICK, PointResult, PointSpec
 
 
 class TestPointSpec:
-    def test_params_and_overrides_canonicalized(self):
-        a = PointSpec(kind="deploy", profile="quick",
-                      params={"b": 1, "a": 2}, overrides=[("z.y", 3), ("a.b", 4)])
-        b = PointSpec(kind="deploy", profile="quick",
-                      params=[("a", 2), ("b", 1)], overrides=(("a.b", 4), ("z.y", 3)))
+    def test_params_canonicalized(self):
+        a = PointSpec(kind="deploy", profile=QUICK, params={"b": 1, "a": 2})
+        b = PointSpec(kind="deploy", profile=QUICK, params=[("a", 2), ("b", 1)])
         assert a == b
         assert hash(a) == hash(b)
         assert a.params == (("a", 2), ("b", 1))
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="replication"):
-            PointSpec(kind="deploy", profile="quick",
+            PointSpec(kind="deploy", profile=QUICK,
                       params=[("replication", 2), ("replication", 3)])
-        with pytest.raises(ValueError, match="image.chunk_size"):
-            PointSpec(kind="deploy", profile="quick",
-                      overrides=[("image.chunk_size", 1), ("image.chunk_size", 2)])
 
     def test_param_lookup(self):
-        spec = PointSpec(kind="deploy", profile="quick", params={"mode": "x"})
+        spec = PointSpec(kind="deploy", profile=QUICK, params={"mode": "x"})
         assert spec.param("mode") == "x"
         assert spec.param("missing") is None
 
     def test_label_names_the_point(self):
-        spec = PointSpec(kind="deploy", profile="quick", approach="mirror", n=8)
+        spec = PointSpec(kind="deploy", profile=QUICK, approach="mirror", n=8)
         label = spec.label()
         for token in ("deploy", "quick", "mirror", "n=8", "seed=1"):
             assert token in label
@@ -37,13 +32,13 @@ class TestPointSpec:
     def test_picklable(self):
         import pickle
 
-        spec = PointSpec(kind="deploy", profile="quick", approach="mirror", n=8)
+        spec = PointSpec(kind="deploy", profile=QUICK, approach="mirror", n=8)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestPointResult:
     def _result(self):
-        spec = PointSpec(kind="deploy", profile="quick", approach="mirror", n=2)
+        spec = PointSpec(kind="deploy", profile=QUICK, approach="mirror", n=2)
         return PointResult(
             spec=spec,
             metrics={"avg_boot_time": 1.25, "completion_time": 2.5,

@@ -32,7 +32,7 @@ from reference_network import (
 from repro.cloud import build_cloud
 from repro.common.errors import ProviderUnavailableError, SimulationError
 from repro.common.units import MB
-from repro.runner import PointSpec, execute_point
+from repro.runner import QUICK, PointSpec, execute_point
 from repro.simkit.core import Environment
 from repro.simkit.host import Fabric
 from repro.simkit.network import FlowNetwork
@@ -202,7 +202,7 @@ class TestCohortMatchesReferenceExactly:
             with pytest.raises(TypeError, match=option):
                 build_cloud(2, **{option: 1})
         spec = PointSpec(
-            kind="deploy", profile="quick", approach="mirror", n=2, seed=1,
+            kind="deploy", profile=QUICK, approach="mirror", n=2, seed=1,
             params=(("fairness", "maxmin"),),
         )
         with pytest.raises(SimulationError, match="unknown params fairness"):

@@ -257,25 +257,9 @@ class TestTopoDocs:
 class TestRegistryDocs:
     """The README's registry table must match the runner's registries."""
 
-    @staticmethod
-    def _fresh_registry():
-        # other tests register throwaway profiles into the live registry,
-        # so snapshot it in a clean interpreter
-        import json
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import json; from repro.runner import known_kinds, known_profiles; "
-             "print(json.dumps([known_kinds(), known_profiles()]))"],
-            capture_output=True, text=True, check=True, cwd=REPO,
-        )
-        kinds, profiles = json.loads(out.stdout)
-        return kinds, profiles
-
     def test_readme_point_kind_table_matches_registry(self):
-        kinds, _profiles = self._fresh_registry()
+        from repro.runner import known_kinds
+
         text = (REPO / "README.md").read_text()
         table = text.split("| point kind |", 1)[1]
         rows = []
@@ -284,7 +268,7 @@ class TestRegistryDocs:
             if not m:
                 break
             rows.append(m.group(1))
-        assert sorted(rows) == sorted(kinds)
+        assert sorted(rows) == sorted(known_kinds())
 
     def test_readme_cloud_params_match_registry(self):
         from repro.runner.points import CLOUD_PARAMS
@@ -294,11 +278,12 @@ class TestRegistryDocs:
         assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(CLOUD_PARAMS)
 
     def test_readme_profile_list_matches_registry(self):
-        _kinds, profiles = self._fresh_registry()
+        from repro.runner import known_profiles
+
         text = (REPO / "README.md").read_text()
         para = text.split("Profiles bundle", 1)[1].split("\n\n", 1)[0]
         listed = set(re.findall(r"`([\w-]+)`", para))
-        assert listed == set(profiles)
+        assert listed == set(known_profiles())
 
     def test_help_epilog_enumerates_registries(self):
         from repro.cli import build_parser

@@ -19,14 +19,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import calibration
+from repro import calibration, runner
+from repro.blobseer import BlobSeerDeployment
 from repro.blobseer.pmanager import STRATEGIES, PlacementPolicy
 from repro.churn import POLICIES, ChurnSpec
 from repro.cli import build_parser
 from repro.cloud import build_cloud, deploy
 from repro.common.errors import SimulationError
 from repro.faults import RetryPolicy
-from repro.runner import PointSpec, execute_point, known_kinds
+from repro.runner import CHURN_SMOKE, QUICK, BenchProfile, PointSpec, execute_point, known_kinds
 from repro.runner.points import _EXECUTORS, CLOUD_PARAMS, accepted_params
 
 SRC = Path(repro.__file__).parent
@@ -91,6 +92,8 @@ def test_retry_policy_has_three_fields():
 
 def test_no_write_mode_selector():
     assert "replica_write_mode" not in CLOUD_PARAMS
+    assert "replica_write_mode" not in inspect.signature(build_cloud).parameters
+    assert "replica_write_mode" not in inspect.signature(BlobSeerDeployment).parameters
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["faults", "--write-mode", "pipeline"])
     assert exc.value.code == 2
@@ -104,7 +107,7 @@ GONE_CHURN_FIELDS = ("retention_per_vm", "retain_snapshots", "slots_per_node",
 def test_churn_has_no_one_value_knobs():
     assert {f.name for f in dataclasses.fields(ChurnSpec)}.isdisjoint(GONE_CHURN_FIELDS)
     for name in GONE_CHURN_FIELDS:
-        spec = PointSpec("churn", "churn-smoke", "mirror", n=1, params={name: 1})
+        spec = PointSpec("churn", CHURN_SMOKE, "mirror", n=1, params={name: 1})
         with pytest.raises(SimulationError, match=f"unknown params {name}"):
             execute_point(spec)
     with pytest.raises(SystemExit) as exc:
@@ -112,8 +115,18 @@ def test_churn_has_no_one_value_knobs():
     assert exc.value.code == 2
 
 
+def test_a_calibration_value_is_set_in_one_place():
+    """No profile field or string path patches a calibration: ``calib`` is it."""
+    fields = {f.name for f in dataclasses.fields(BenchProfile)}
+    assert "calib" in fields
+    assert fields.isdisjoint({"calib_overrides", "image_size", "chunk_size", "touched_bytes"})
+    assert "overrides" not in {f.name for f in dataclasses.fields(PointSpec)}
+    for name in ("register_profile", "apply_overrides", "profile_calibration"):
+        assert not hasattr(runner, name), name
+
+
 def test_snapshot_point_refuses_diff_bytes():
-    spec = PointSpec("snapshot", "quick", "mirror", n=1, params={"diff_bytes": 1})
+    spec = PointSpec("snapshot", QUICK, "mirror", n=1, params={"diff_bytes": 1})
     with pytest.raises(SimulationError, match="unknown params diff_bytes"):
         execute_point(spec)
 

@@ -1,6 +1,7 @@
 """The ``deploy`` point on a rack fabric: determinism, the cross-rack cut, flat identity."""
 
 from repro.runner import PointSpec, execute_point
+from repro.runner.profiles import TOPO_SMOKE
 
 N = 8  # topo-smoke: 16 nodes; 4 racks leaves every rack a few booters
 
@@ -8,7 +9,7 @@ N = 8  # topo-smoke: 16 nodes; 4 racks leaves every rack a few booters
 def topo_spec(n=N, **params):
     """A mirror deploy with the peer exchange on (the ``topo`` CLI's default)."""
     return PointSpec(
-        kind="deploy", profile="topo-smoke", approach="mirror", n=n, seed=1,
+        kind="deploy", profile=TOPO_SMOKE, approach="mirror", n=n, seed=1,
         params={"p2p": True, **params},
     )
 
